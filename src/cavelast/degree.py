@@ -18,9 +18,8 @@ from scipy import ndimage
 
 from ._polyline import ensure_ccw, points_to_polyline_distance, polygon_signed_area
 from .exceptions import DomainError, GeometryError
-from .geometry import DeformationField, trace_on_circle
-
-_CHUNK = 16384
+from .geometry import (_CHUNK, DeformationField, locate_circle, locate_reference_points,
+                       trace_on_circle)
 
 
 def winding_number(loop, points, on_boundary_tol=1e-12):
@@ -45,19 +44,7 @@ def winding_number(loop, points, on_boundary_tol=1e-12):
             f"query point ({pts[k, 0]:.6g}, {pts[k, 1]:.6g}) lies on the loop "
             f"(distance {near[k]:.3g}); winding number undefined"
         )
-    out = np.empty(len(pts), dtype=np.int64)
-    a = loop
-    b = np.roll(loop, -1, axis=0)
-    for lo in range(0, len(pts), _CHUNK):
-        p = pts[lo:lo + _CHUNK]
-        px, py = p[:, 0][:, None], p[:, 1][:, None]
-        ay, by = a[:, 1][None, :], b[:, 1][None, :]
-        # is_left > 0 when the point sits left of the directed edge
-        is_left = (b[:, 0] - a[:, 0])[None, :] * (py - ay) \
-            - (px - a[:, 0][None, :]) * (by - ay)
-        up = (ay <= py) & (by > py) & (is_left > 0.0)
-        down = (ay > py) & (by <= py) & (is_left < 0.0)
-        out[lo:lo + _CHUNK] = up.sum(axis=1) - down.sum(axis=1)
+    out = _winding_no_boundary_guard(loop, pts)
     return int(out[0]) if single else out
 
 
@@ -205,6 +192,7 @@ def _winding_no_boundary_guard(loop, pts):
         p = pts[lo:lo + _CHUNK]
         px, py = p[:, 0][:, None], p[:, 1][:, None]
         ay, by = a[:, 1][None, :], b[:, 1][None, :]
+        # is_left > 0 when the point sits left of the directed edge
         is_left = (b[:, 0] - a[:, 0])[None, :] * (py - ay) - (px - a[:, 0][None, :]) * (by - ay)
         up = (ay <= py) & (by > py) & (is_left > 0.0)
         down = (ay > py) & (by <= py) & (is_left < 0.0)
@@ -394,36 +382,72 @@ def check_inv(y: DeformationField, centers=None, radii=None, delta=0.02, samples
     image region of B (nonzero winding of the image loop), and material
     sampled outside B must not.  Query images within a band of width
     2 * delta around the image loop are not counted either way.
+
+    The samples and circle points live on the reference mesh, so they are
+    drawn and located once per (centers, radii, samples, m, seed) and kept
+    in `y.mesh.inv_plans`; later calls only interpolate the new positions.
+    The mesh must not be mutated once a plan exists (the same assumption
+    `Mesh.locator` makes).  A seed that is not an integer (None or a
+    Generator) draws a fresh plan on every call.
     """
-    mesh = y.mesh
+    band = 2.0 * delta
+    entries = []
+    for c in _inv_plan(y.mesh, centers, radii, samples, m, seed):
+        loop = y.interpolate(*c.trace)
+        img_in = y.interpolate(*c.inside)
+        img_out = y.interpolate(*c.outside)
+        n_in = len(img_in)
+        w = _winding_no_boundary_guard(loop, np.vstack([img_in, img_out])) != 0
+        # only images on the wrong side can violate; the band decides which do
+        far_in = points_to_polyline_distance(img_in[~w[:n_in]], loop) > band
+        far_out = points_to_polyline_distance(img_out[w[n_in:]], loop) > band
+        entries.append(InvEntry(c.center.copy(), c.radius, n_in, len(img_out),
+                                int(far_in.sum()), int(far_out.sum())))
+    return InvReport(entries=entries, band=band)
+
+
+@dataclass
+class _InvCircle:
+    """One circle of an INV plan; each location is a (tri, bary) pair."""
+
+    center: np.ndarray
+    radius: float
+    trace: tuple
+    inside: tuple
+    outside: tuple
+
+
+def _inv_plan(mesh, centers, radii, samples, m, seed):
+    if not isinstance(seed, (int, np.integer)):
+        return _build_inv_plan(mesh, centers, radii, samples, m, seed)
+    key = (None if centers is None
+           else tuple(tuple(np.asarray(a, dtype=float).tolist()) for a in centers),
+           None if radii is None else tuple(tuple(float(r) for r in rs) for rs in radii),
+           samples, m, int(seed))
+    plan = mesh.inv_plans.get(key)
+    if plan is None:
+        plan = mesh.inv_plans[key] = _build_inv_plan(mesh, centers, radii, samples, m, seed)
+    return plan
+
+
+def _build_inv_plan(mesh, centers, radii, samples, m, seed):
     if centers is None:
         centers = [c for c, _ in mesh.punctures]
         if not centers:
             centers = [mesh.vertices.mean(axis=0)]
     rng = np.random.default_rng(seed)
-    band = 2.0 * delta
-    entries = []
     tri_cum = np.cumsum(mesh.areas / mesh.areas.sum())
+    plan = []
     for ci, a in enumerate(centers):
         a = np.asarray(a, dtype=float)
         rs = radii[ci] if radii is not None else _default_radii(mesh, a)
         for r in rs:
-            loop = trace_on_circle(y, a, r, m)
-            x_in = _sample_disk_in_mesh(mesh, a, r, samples, rng)
+            trace = locate_circle(mesh, a, r, m)
+            inside = _sample_disk_in_mesh(mesh, a, r, samples, rng)
             x_out = _sample_mesh_outside_disk(mesh, a, r, samples, rng, tri_cum)
-            vi = vo = 0
-            if len(x_in):
-                img = y.evaluate(x_in)
-                w = _winding_no_boundary_guard(loop, img) != 0
-                far = points_to_polyline_distance(img, loop) > band
-                vi = int(np.count_nonzero(~w & far))
-            if len(x_out):
-                img = y.evaluate(x_out)
-                w = _winding_no_boundary_guard(loop, img) != 0
-                far = points_to_polyline_distance(img, loop) > band
-                vo = int(np.count_nonzero(w & far))
-            entries.append(InvEntry(a, float(r), len(x_in), len(x_out), vi, vo))
-    return InvReport(entries=entries, band=band)
+            outside = locate_reference_points(mesh, x_out)
+            plan.append(_InvCircle(a, float(r), trace, inside, outside))
+    return plan
 
 
 def _default_radii(mesh, a, count=8):
@@ -449,17 +473,24 @@ def _default_radii(mesh, a, count=8):
 
 
 def _sample_disk_in_mesh(mesh, a, r, n, rng):
-    pts = []
+    """(tri, bary) of up to n uniform samples of B(a, r) that hit the mesh."""
+    tris, barys = [], []
+    got = 0
     budget = 20 * n
-    while len(pts) < n and budget > 0:
+    while got < n and budget > 0:
         k = min(4 * n, budget)
         budget -= k
         u = rng.random(k)
         th = rng.random(k) * 2.0 * np.pi
         cand = a + (r * np.sqrt(u))[:, None] * np.stack([np.cos(th), np.sin(th)], axis=-1)
-        tri, _ = mesh.locator.locate(cand)
-        pts.extend(cand[tri >= 0][: n - len(pts)])
-    return np.asarray(pts) if pts else np.empty((0, 2))
+        tri, bary = mesh.locator.locate(cand)
+        hit = np.nonzero(tri >= 0)[0][: n - got]
+        tris.append(tri[hit])
+        barys.append(bary[hit])
+        got += len(hit)
+    if not tris:
+        return np.empty(0, dtype=np.int64), np.empty((0, 3))
+    return np.concatenate(tris), np.concatenate(barys)
 
 
 def _sample_mesh_outside_disk(mesh, a, r, n, rng, tri_cum):

@@ -16,9 +16,12 @@ from functools import cached_property
 import numpy as np
 from scipy.spatial import Delaunay, cKDTree
 
+from ._polyline import polygon_signed_area
 from .exceptions import GeometryError
 
 MESH_FORMAT_HEADER = "cavmesh 1"
+
+_CHUNK = 16384  # query points per vectorized batch (bounds peak memory)
 
 
 # ---------------------------------------------------------------------------
@@ -34,6 +37,9 @@ class Mesh:
     boundary_edges list of (i, j, tag) with each edge on exactly one triangle
     punctures      list of ((cx, cy), rho) for the tagged holes, aligned with
                    the `puncture_<k>` tags
+
+    Treat a mesh as immutable once built: `locator` and `inv_plans` are
+    cached on it.
     """
 
     vertices: np.ndarray
@@ -82,6 +88,11 @@ class Mesh:
     def locator(self):
         return TriangleLocator(self.vertices, self.triangles)
 
+    @cached_property
+    def inv_plans(self):
+        """Sampling plans of `degree.check_inv`, keyed by its sampling arguments."""
+        return {}
+
     def vertex_ids(self, tag: str) -> np.ndarray:
         ids = set()
         for i, j, t in self.boundary_edges:
@@ -98,7 +109,7 @@ class Mesh:
         loops = {}
         for tag, edges in by_tag.items():
             loop = _chain_edges(edges)
-            if _polygon_signed_area(self.vertices[loop]) < 0.0:
+            if polygon_signed_area(self.vertices[loop]) < 0.0:
                 loop = loop[::-1]
             loops[tag] = np.asarray(loop, dtype=np.int64)
         return loops
@@ -156,11 +167,6 @@ def _signed_areas(vertices, triangles):
     return 0.5 * (e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0])
 
 
-def _polygon_signed_area(pts):
-    x, y = pts[:, 0], pts[:, 1]
-    return 0.5 * float(np.sum(x * np.roll(y, -1) - np.roll(x, -1) * y))
-
-
 def _chain_edges(edges):
     """Order an edge soup into one closed loop of vertex ids."""
     nxt = {}
@@ -201,16 +207,21 @@ class TriangleLocator:
             cell_size = max(1e-12, 2.0 * np.sqrt(np.abs(_signed_areas(vertices, triangles)).mean()))
         self._cell = float(cell_size)
         self._dims = np.maximum(1, np.ceil(extent / self._cell).astype(int) + 1)
-        buckets = [[] for _ in range(self._dims[0] * self._dims[1])]
         lo = np.floor((v.min(axis=1) - self._origin) / self._cell).astype(int)
         hi = np.floor((v.max(axis=1) - self._origin) / self._cell).astype(int)
         lo = np.clip(lo, 0, self._dims - 1)
         hi = np.clip(hi, 0, self._dims - 1)
-        for t in range(len(triangles)):
-            for ix in range(lo[t, 0], hi[t, 0] + 1):
-                for iy in range(lo[t, 1], hi[t, 1] + 1):
-                    buckets[ix * self._dims[1] + iy].append(t)
-        self._buckets = [np.array(b, dtype=np.int64) for b in buckets]
+        # CSR buckets: every (cell, triangle) pair of the triangles' bounding
+        # boxes, grouped by cell; the stable sort keeps triangles ascending
+        span = hi - lo + 1
+        counts = span[:, 0] * span[:, 1]
+        tri = np.repeat(np.arange(len(triangles)), counts)
+        k = np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts)
+        ny = span[tri, 1]
+        cell = (lo[tri, 0] + k // ny) * self._dims[1] + lo[tri, 1] + k % ny
+        order = np.argsort(cell, kind="stable")
+        self._btri = tri[order]
+        self._bstart = np.searchsorted(cell[order], np.arange(self._dims[0] * self._dims[1] + 1))
         # per-triangle affine inverse for barycentric coordinates
         e1 = v[:, 1] - v[:, 0]
         e2 = v[:, 2] - v[:, 0]
@@ -229,28 +240,28 @@ class TriangleLocator:
         Returns (tri, bary) with tri = -1 where the point is outside.
         """
         pts = np.atleast_2d(np.asarray(points, dtype=float))
-        cells = np.floor((pts - self._origin) / self._cell).astype(int)
-        inside = np.all((cells >= 0) & (cells < self._dims), axis=1)
-        pair_pt, pair_tri = [], []
-        for k in np.nonzero(inside)[0]:
-            b = self._buckets[cells[k, 0] * self._dims[1] + cells[k, 1]]
-            if len(b):
-                pair_pt.append(np.full(len(b), k))
-                pair_tri.append(b)
         tri = np.full(len(pts), -1, dtype=np.int64)
         bary = np.zeros((len(pts), 3))
-        if pair_pt:
-            pp = np.concatenate(pair_pt)
-            tt = np.concatenate(pair_tri)
-            d = pts[pp] - self._base[tt]
+        for lo in range(0, len(pts), _CHUNK):
+            p = pts[lo:lo + _CHUNK]
+            cells = np.floor((p - self._origin) / self._cell).astype(int)
+            inside = np.all((cells >= 0) & (cells < self._dims), axis=1)
+            k = np.nonzero(inside)[0]
+            c = cells[k, 0] * self._dims[1] + cells[k, 1]
+            start = self._bstart[c]
+            n = self._bstart[c + 1] - start
+            # one (point, triangle) pair per bucket entry, points in order
+            pp = np.repeat(k, n)
+            tt = self._btri[np.arange(n.sum()) + np.repeat(start - (np.cumsum(n) - n), n)]
+            d = p[pp] - self._base[tt]
             lam = np.einsum("kab,kb->ka", self._inv[tt], d)
             lam0 = 1.0 - lam.sum(axis=1)
-            ok = (lam[:, 0] >= -tol) & (lam[:, 1] >= -tol) & (lam0 >= -tol)
-            # first hit per point wins; reversed so earlier pairs overwrite later
-            for idx in np.nonzero(ok)[0][::-1]:
-                k = pp[idx]
-                tri[k] = tt[idx]
-                bary[k] = (lam0[idx], lam[idx, 0], lam[idx, 1])
+            ok = np.nonzero((lam[:, 0] >= -tol) & (lam[:, 1] >= -tol) & (lam0 >= -tol))[0]
+            # first hit per point wins
+            hit, first = np.unique(pp[ok], return_index=True)
+            sel = ok[first]
+            tri[lo + hit] = tt[sel]
+            bary[lo + hit] = np.stack([lam0[sel], lam[sel, 0], lam[sel, 1]], axis=-1)
         return tri, bary
 
 
@@ -291,11 +302,10 @@ class DeformationField:
 
     def evaluate(self, points):
         """Deformed positions of reference points (affine interpolation)."""
-        tri, bary = self.mesh.locator.locate(points)
-        if np.any(tri < 0):
-            k = int(np.nonzero(tri < 0)[0][0])
-            p = np.atleast_2d(points)[k]
-            raise GeometryError(f"reference point ({p[0]:.6g}, {p[1]:.6g}) is outside the meshed domain")
+        return self.interpolate(*locate_reference_points(self.mesh, points))
+
+    def interpolate(self, tri, bary):
+        """Deformed positions of points given as (triangle, barycentric) pairs."""
         return np.einsum("ki,kij->kj", bary, self.positions[self.mesh.triangles[tri]])
 
     def deformed_locator(self) -> TriangleLocator:
@@ -322,14 +332,30 @@ def trace_on_circle(y: DeformationField, center, r, m: int = 128):
     The circle must lie inside the meshed domain (in particular it must not
     cross a puncture).
     """
+    return y.interpolate(*locate_circle(y.mesh, center, r, m))
+
+
+def locate_reference_points(mesh: Mesh, points):
+    """(tri, bary) of reference points; GeometryError if one is outside the mesh."""
+    tri, bary = mesh.locator.locate(points)
+    if np.any(tri < 0):
+        k = int(np.nonzero(tri < 0)[0][0])
+        p = np.atleast_2d(points)[k]
+        raise GeometryError(f"reference point ({p[0]:.6g}, {p[1]:.6g}) is outside the meshed domain")
+    return tri, bary
+
+
+def locate_circle(mesh: Mesh, center, r, m: int = 128):
+    """(tri, bary) of the m points `trace_on_circle` maps; GeometryError if
+    the circle leaves the meshed domain."""
     th = np.linspace(0.0, 2.0 * np.pi, m, endpoint=False)
     pts = np.asarray(center, dtype=float) + r * np.stack([np.cos(th), np.sin(th)], axis=-1)
-    tri, bary = y.mesh.locator.locate(pts)
+    tri, bary = mesh.locator.locate(pts)
     if np.any(tri < 0):
         raise GeometryError(
             f"circle (center=({center[0]:.6g}, {center[1]:.6g}), r={r:.6g}) leaves the meshed domain"
         )
-    return np.einsum("ki,kij->kj", bary, y.positions[y.mesh.triangles[tri]])
+    return tri, bary
 
 
 # ---------------------------------------------------------------------------
@@ -671,7 +697,6 @@ def _boundary_edge_soup(cells):
     order = np.lexsort((key[:, 1], key[:, 0]))
     key_sorted = key[order]
     dup = np.all(key_sorted[1:] == key_sorted[:-1], axis=1)
-    counts = np.ones(len(key), dtype=int)
     is_first_of_pair = np.concatenate([dup, [False]])
     is_second_of_pair = np.concatenate([[False], dup])
     single = ~(is_first_of_pair | is_second_of_pair)

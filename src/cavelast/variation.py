@@ -366,13 +366,16 @@ def battery_residual(y: DeformationField, density: BulkDensity,
     """Largest |first variation| over the battery (no finite differences)."""
     if fields is None:
         fields = certification_battery(y, seed=seed)
+    return max([0.0] + battery_variations(y, density, phi, fields))
+
+
+def battery_variations(y: DeformationField, density: BulkDensity,
+                       phi: SurfaceDensity, fields) -> list:
+    """|elastic + surface| first variation of each field, in order."""
     cavities = detect_cavities(y, phi)
-    worst = 0.0
-    for psi in fields:
-        el = elastic_first_variation(y, psi, density)
-        su = surface_first_variation(y, psi, phi, cavities=cavities)
-        worst = max(worst, abs(el + su))
-    return worst
+    return [abs(elastic_first_variation(y, psi, density)
+                + surface_first_variation(y, psi, phi, cavities=cavities))
+            for psi in fields]
 
 
 # ---------------------------------------------------------------------------

@@ -3,8 +3,9 @@ import pytest
 
 import cavelast as cv
 from cavelast._polyline import polygon_signed_area
-from cavelast.degree import winding_number_angle
-from cavelast.exceptions import DomainError
+from cavelast._polyline import points_to_polyline_distance
+from cavelast.degree import _default_radii, _winding_no_boundary_guard, winding_number_angle
+from cavelast.exceptions import DomainError, GeometryError
 
 
 def square_loop():
@@ -151,3 +152,124 @@ class TestCheckInv:
         viol = rep.entries[0]
         assert viol.violations_outside > 0
         assert rep.summary().startswith("FAIL")
+
+
+# ---------------------------------------------------------------------------
+# reference check_inv: fresh sampling, evaluation and distances on every call
+
+
+def _reference_check_inv(y, centers=None, radii=None, delta=0.02, samples=400, m=192,
+                         seed=0):
+    mesh = y.mesh
+    if centers is None:
+        centers = [c for c, _ in mesh.punctures] or [mesh.vertices.mean(axis=0)]
+    rng = np.random.default_rng(seed)
+    band = 2.0 * delta
+    tri_cum = np.cumsum(mesh.areas / mesh.areas.sum())
+    entries = []
+    for ci, a in enumerate(centers):
+        a = np.asarray(a, dtype=float)
+        rs = radii[ci] if radii is not None else _default_radii(mesh, a)
+        for r in rs:
+            loop = cv.trace_on_circle(y, a, r, m)
+            x_in = _reference_disk_samples(mesh, a, r, samples, rng)
+            x_out = _reference_outside_samples(mesh, a, r, samples, rng, tri_cum)
+            vi = vo = 0
+            if len(x_in):
+                img = y.evaluate(x_in)
+                w = _winding_no_boundary_guard(loop, img) != 0
+                vi = int(np.count_nonzero(~w & (points_to_polyline_distance(img, loop) > band)))
+            if len(x_out):
+                img = y.evaluate(x_out)
+                w = _winding_no_boundary_guard(loop, img) != 0
+                vo = int(np.count_nonzero(w & (points_to_polyline_distance(img, loop) > band)))
+            entries.append((tuple(a), float(r), len(x_in), len(x_out), vi, vo))
+    return entries
+
+
+def _reference_disk_samples(mesh, a, r, n, rng):
+    pts = []
+    budget = 20 * n
+    while len(pts) < n and budget > 0:
+        k = min(4 * n, budget)
+        budget -= k
+        u = rng.random(k)
+        th = rng.random(k) * 2.0 * np.pi
+        cand = a + (r * np.sqrt(u))[:, None] * np.stack([np.cos(th), np.sin(th)], axis=-1)
+        tri, _ = mesh.locator.locate(cand)
+        pts.extend(cand[tri >= 0][: n - len(pts)])
+    return np.asarray(pts) if pts else np.empty((0, 2))
+
+
+def _reference_outside_samples(mesh, a, r, n, rng, tri_cum):
+    pts = []
+    budget = 20 * n
+    while len(pts) < n and budget > 0:
+        k = min(4 * n, budget)
+        budget -= k
+        t = np.searchsorted(tri_cum, rng.random(k))
+        b1 = rng.random(k)
+        b2 = rng.random(k)
+        flip = b1 + b2 > 1.0
+        b1[flip] = 1.0 - b1[flip]
+        b2[flip] = 1.0 - b2[flip]
+        v = mesh.vertices[mesh.triangles[t]]
+        cand = v[:, 0] + b1[:, None] * (v[:, 1] - v[:, 0]) + b2[:, None] * (v[:, 2] - v[:, 0])
+        keep = np.linalg.norm(cand - a, axis=1) > r
+        pts.extend(cand[keep][: n - len(pts)])
+    return np.asarray(pts) if pts else np.empty((0, 2))
+
+
+def _entries(rep):
+    return [(tuple(e.center), e.radius, e.n_inside, e.n_outside,
+             e.violations_inside, e.violations_outside) for e in rep.entries]
+
+
+def _folded(mesh):
+    pos = mesh.vertices.copy()
+    pos[:, 1] = np.abs(pos[:, 1])
+    return cv.DeformationField(mesh, pos)
+
+
+class TestCheckInvPlan:
+    """The cached sampling plan reproduces the per-call sampling exactly."""
+
+    @pytest.mark.parametrize("kind", ["identity", "radial_lift", "folded", "folded_circle"])
+    def test_matches_reference(self, kind, disk_mesh, radial_15):
+        kw = dict(delta=0.02, samples=200, seed=3)
+        if kind == "identity":
+            y = cv.DeformationField(disk_mesh)
+        elif kind == "radial_lift":
+            y = cv.radial_lift(radial_15, disk_mesh)
+        else:
+            y = _folded(disk_mesh)
+        if kind == "folded_circle":
+            kw = dict(centers=[(0.0, 0.5)], radii=[[0.25]], delta=0.02, samples=400, seed=1)
+        want = _reference_check_inv(y, **kw)
+        assert _entries(cv.check_inv(y, **kw)) == want
+        assert _entries(cv.check_inv(y, **kw)) == want  # served from the plan cache
+        if kind.startswith("folded"):
+            assert sum(e[4] + e[5] for e in want) > 0
+
+    def test_cache_key(self):
+        mesh = cv.build_disk_mesh(1.0, 0.15, punctures=[((0.0, 0.0), 0.2)])
+        ident = cv.DeformationField(mesh)
+        folded = _folded(mesh)
+        for y in (ident, folded):  # same plan, different positions
+            assert _entries(cv.check_inv(y, seed=2)) == _reference_check_inv(y, seed=2)
+        assert len(mesh.inv_plans) == 1
+        for kw in (dict(seed=5), dict(seed=2, samples=150)):
+            assert _entries(cv.check_inv(folded, **kw)) == _reference_check_inv(folded, **kw)
+        assert len(mesh.inv_plans) == 3
+        got = cv.check_inv(folded, seed=np.random.default_rng(4))
+        assert _entries(got) == _reference_check_inv(folded, seed=np.random.default_rng(4))
+        assert len(mesh.inv_plans) == 3  # a Generator seed is never cached
+
+    def test_plan_raises_like_reference(self, disk_mesh):
+        y = cv.DeformationField(disk_mesh)
+        kw = dict(centers=[(0.0, 0.0)], radii=[[0.1]])  # inside the puncture
+        with pytest.raises(GeometryError) as want:
+            _reference_check_inv(y, **kw)
+        with pytest.raises(GeometryError) as got:
+            cv.check_inv(y, **kw)
+        assert str(got.value) == str(want.value)

@@ -102,6 +102,34 @@ class TestLocatorAndTrace:
         assert tri[0] == -1
         assert tri[1] == -1  # inside the puncture hole
 
+    def test_locate_matches_brute_force(self, disk_mesh):
+        # more than one 16384-point chunk; hits in the puncture hole and
+        # outside the disk must come back as -1, and vertices and edge
+        # midpoints (inside several triangles) go to the lowest index
+        rng = np.random.default_rng(21)
+        v = disk_mesh.vertices[disk_mesh.triangles]
+        pts = np.vstack([rng.uniform(-1.2, 1.2, size=(20000, 2)), disk_mesh.vertices,
+                         0.5 * (v[:, 0] + v[:, 1])])
+        r = np.hypot(pts[:20000, 0], pts[:20000, 1])
+        assert (r < 0.15).any() and (r > 1.0).any()
+        tri, bary = disk_mesh.locator.locate(pts)
+        e1, e2 = v[:, 1] - v[:, 0], v[:, 2] - v[:, 0]
+        det = e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0]
+        for lo in range(0, len(pts), 1000):
+            d = pts[lo:lo + 1000, None, :] - v[None, :, 0]
+            l1 = (e2[:, 1] * d[..., 0] - e2[:, 0] * d[..., 1]) / det
+            l2 = (e1[:, 0] * d[..., 1] - e1[:, 1] * d[..., 0]) / det
+            l0 = 1.0 - l1 - l2
+            inside = (l0 >= -1e-10) & (l1 >= -1e-10) & (l2 >= -1e-10)
+            want = np.where(inside.any(axis=1), inside.argmax(axis=1), -1)
+            assert np.array_equal(tri[lo:lo + 1000], want)
+            k = np.nonzero(want >= 0)[0]
+            t = want[k]
+            ref = np.stack([l0[k, t], l1[k, t], l2[k, t]], axis=-1)
+            assert np.abs(bary[lo + k] - ref).max() <= 1e-14
+            assert np.all(bary[lo:lo + 1000][want < 0] == 0.0)
+        assert np.all(tri[:20000][r < 0.15] == -1) and np.all(tri[:20000][r > 1.0] == -1)
+
     def test_trace_identity_cardinals(self, disk_mesh):
         y = cv.DeformationField(disk_mesh)
         pts = cv.trace_on_circle(y, (0.0, 0.0), 0.5, m=4)
