@@ -19,7 +19,7 @@ from .geometry import (BoundaryData, DeformationField, Mesh, TriangleLocator,
 from .degree import (CavityRecord, DegreeRaster, InvReport, check_inv,
                      load_pgm, marching_squares, topological_image,
                      topological_image_point, winding_number)
-from .energy import (EnergyBreakdown, SeparableTestField,
+from .energy import (DiscreteEnergy, EnergyBreakdown, SeparableTestField,
                      anisotropic_perimeter, bulk_term, detect_cavities,
                      rho_extrapolate, surface_functional_S_sum,
                      surface_functional_S_testfield, total_energy,
@@ -52,8 +52,8 @@ __all__ = [
     "CavityRecord", "DegreeRaster", "InvReport", "check_inv", "load_pgm",
     "marching_squares", "topological_image", "topological_image_point",
     "winding_number",
-    "EnergyBreakdown", "SeparableTestField", "anisotropic_perimeter",
-    "bulk_term", "detect_cavities", "rho_extrapolate",
+    "DiscreteEnergy", "EnergyBreakdown", "SeparableTestField",
+    "anisotropic_perimeter", "bulk_term", "detect_cavities", "rho_extrapolate",
     "surface_functional_S_sum", "surface_functional_S_testfield",
     "total_energy", "triangle_quadrature",
     "InverseField", "JumpContour", "area_formula_check",

@@ -409,7 +409,7 @@ def render_deformed_svg(mesh_path, positions_path, cavities_path, out_path):
 
 
 def _summary_lines(cfg, status, n_iters, breakdown, inv_report, residual,
-                   fv_report, notes):
+                   fv_report):
     lines = [
         f"scenario = {cfg.name}",
         f"status = {status}",
@@ -425,8 +425,6 @@ def _summary_lines(cfg, status, n_iters, breakdown, inv_report, residual,
         lines.append(f"cavity_{k}_area = {rec.area:.12g}")
     if fv_report is not None:
         lines.append(fv_report.as_text())
-    for note in notes:
-        lines.append(f"note = {note}")
     return "\n".join(lines) + "\n"
 
 
@@ -486,7 +484,7 @@ def run_scenario(config, out_dir=None, mode="run", emit=None, threads=None):
     (out / "config.ini").write_text(cfg.to_ini())
     (out / "summary.txt").write_text(_summary_lines(
         cfg, status, max(0, len(log.records) - 1), breakdown, inv_report,
-        residual, fv_report, log.notes))
+        residual, fv_report))
     log.to_csv(out / "iterations.csv")
     mesh.save(out / "mesh.cavmesh")
     _write_positions_csv(y, out / "positions.csv")

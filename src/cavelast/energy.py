@@ -10,7 +10,7 @@ certified lower bounds.
 
 import warnings
 from dataclasses import dataclass, replace
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -22,6 +22,7 @@ from .geometry import DeformationField
 from .material import BulkDensity, SurfaceDensity, _cof2, _det2
 
 __all__ = [
+    "DiscreteEnergy", "phi_perimeter", "phi_perimeter_gradient",
     "EnergyBreakdown", "bulk_term", "anisotropic_perimeter", "detect_cavities",
     "total_energy", "surface_functional_S_sum", "surface_functional_S_testfield",
     "SeparableTestField", "triangle_quadrature", "rho_extrapolate",
@@ -79,22 +80,95 @@ def _bary_points(order: int, subdivide: int):
 
 
 # ---------------------------------------------------------------------------
-# bulk term
+# the discrete energy
+
+_ROT = np.array([[0.0, 1.0], [-1.0, 0.0]])  # z = _ROT @ e = (e_y, -e_x)
 
 
-def bulk_term(y: DeformationField, density: BulkDensity) -> float:
-    """Integral of W(Dy) over the mesh.
-
-    Gradients are constant per triangle, so one point per element is exact;
-    index-ascending pairwise summation keeps the value reproducible.
-    """
-    F = y.element_gradients()
+def _require_positive_dets(F):
     det = _det2(F)
     if np.any(det <= 0.0):
         t = int(np.argmin(det))
         raise InfeasibleEnergyError(
             f"non-positive determinant {det[t]:.3e} in triangle {t}", triangle=t)
-    return float(np.sum(y.mesh.areas * density.energy(F)))
+
+
+def _edge_normals(poly):
+    """z_j = _ROT @ e_j over the nonzero edges e_j of a closed polygon, and their
+    mask; by one-homogeneity |e| * phi(nu_e) = phi(z) on a ccw polygon."""
+    e = np.roll(poly, -1, axis=0) - poly
+    keep = (e[:, 0] != 0.0) | (e[:, 1] != 0.0)  # zero edges contribute nothing
+    return e[keep] @ _ROT.T, keep
+
+
+def phi_perimeter(poly, phi: SurfaceDensity) -> float:
+    """sum_j phi(z_j) over the edges of any closed polygon, unchecked."""
+    return float(np.sum(phi.value(_edge_normals(poly)[0])))
+
+
+def phi_perimeter_gradient(poly, phi: SurfaceDensity) -> np.ndarray:
+    """(n, 2) derivative of `phi_perimeter` with respect to the vertices."""
+    z, keep = _edge_normals(poly)
+    gt = np.zeros(np.shape(poly))
+    gt[keep] = phi.gradient(z) @ _ROT  # d phi(z_j) / d e_j = R^T Dphi(z_j)
+    return np.roll(gt, 1, axis=0) - gt
+
+
+class DiscreteEnergy:
+    """Stored energy of a punctured mesh as a function of its nodal positions:
+    the P1 bulk sum  sum_t |T_t| W(F_t)  (exact, F is constant per triangle)
+    plus the phi-perimeter of every deformed puncture loop, with exact nodal
+    gradients. phi may be None for the bulk part alone."""
+
+    def __init__(self, mesh, density: BulkDensity, phi: SurfaceDensity = None):
+        self.mesh, self.density, self.phi = mesh, density, phi
+
+    @cached_property
+    def loops(self):
+        return self.mesh.puncture_loops()  # found once, when first needed
+
+    def element_gradients(self, pos):
+        return np.einsum("tia,tib->tab", pos[self.mesh.triangles],
+                         self.mesh.shape_gradients)
+
+    def bulk(self, F) -> float:
+        """Index-ordered pairwise sum (reproducible); needs det F > 0."""
+        return float(np.sum(self.mesh.areas * self.density.energy(F)))
+
+    def value(self, pos):
+        """(bulk, surface, min det); bulk and surface are None if some det <= 0."""
+        F = self.element_gradients(pos)
+        mind = float(_det2(F).min())
+        if mind <= 0.0:
+            return None, None, mind
+        surf = 0.0
+        for ids in self.loops:
+            surf += phi_perimeter(pos[ids], self.phi)
+        return self.bulk(F), surf, mind
+
+    def bulk_grad(self, F) -> np.ndarray:
+        _require_positive_dets(F)
+        mesh = self.mesh
+        out = np.zeros_like(mesh.vertices)
+        np.add.at(out, mesh.triangles, np.einsum(
+            "t,tab,tib->tia", mesh.areas, self.density.stress(F), mesh.shape_gradients))
+        return out
+
+    def grad(self, pos):
+        """(bulk, surface) nodal gradients; InfeasibleEnergyError if some det <= 0.
+        Kept apart, so bulk + surface rounds once per node."""
+        bulk = self.bulk_grad(self.element_gradients(pos))
+        surf = np.zeros_like(pos)
+        for ids in self.loops:  # disjoint
+            surf[ids] = phi_perimeter_gradient(pos[ids], self.phi)
+        return bulk, surf
+
+
+def bulk_term(y: DeformationField, density: BulkDensity) -> float:
+    """Integral of W(Dy) over the mesh; InfeasibleEnergyError if some det <= 0."""
+    F = y.element_gradients()
+    _require_positive_dets(F)
+    return DiscreteEnergy(y.mesh, density).bulk(F)
 
 
 # ---------------------------------------------------------------------------
@@ -102,11 +176,10 @@ def bulk_term(y: DeformationField, density: BulkDensity) -> float:
 
 
 def anisotropic_perimeter(boundary, phi: SurfaceDensity) -> float:
-    """Edgewise phi-weighted length of a closed polyline.
-
-    One-homogeneity absorbs the edge length into the normal argument:
-    |e| * phi(nu_e) = phi((e_y, -e_x)) when the polyline runs counterclockwise.
-    """
+    """Edgewise phi-weighted length of a closed polyline, after validation:
+    a repeated closing vertex is dropped, at least 3 vertices are required,
+    the polyline is oriented counterclockwise, and a self-intersection
+    warns."""
     poly = np.asarray(boundary, dtype=float)
     if len(poly) >= 2 and np.array_equal(poly[0], poly[-1]):
         poly = poly[:-1]
@@ -116,10 +189,7 @@ def anisotropic_perimeter(boundary, phi: SurfaceDensity) -> float:
     if not polygon_is_simple(poly):
         warnings.warn("self-intersecting cavity boundary; perimeter is formal",
                       RuntimeWarning, stacklevel=2)
-    e = np.roll(poly, -1, axis=0) - poly
-    keep = (e[:, 0] != 0.0) | (e[:, 1] != 0.0)  # zero edges contribute nothing
-    z = np.stack([e[keep, 1], -e[keep, 0]], axis=1)
-    return float(np.sum(phi.value(z)))
+    return phi_perimeter(poly, phi)
 
 
 # ---------------------------------------------------------------------------
@@ -189,16 +259,14 @@ def detect_cavities(y: DeformationField, phi: SurfaceDensity, *,
 
 
 def total_energy(y: DeformationField, density: BulkDensity,
-                 phi: SurfaceDensity, *, slow_path: bool = False,
-                 delta: float = 0.02, m: int = 192,
-                 inv_report=None) -> EnergyBreakdown:
+                 phi: SurfaceDensity, *, inv_report=None) -> EnergyBreakdown:
     """Bulk term plus anisotropic perimeter of every detected cavity.
 
     `inv_report`, when supplied (a report from degree.check_inv), is only
     recorded; admissibility failures surface through bulk_term.
     """
     bulk = bulk_term(y, density)
-    cavities = detect_cavities(y, phi, slow_path=slow_path, delta=delta, m=m)
+    cavities = detect_cavities(y, phi)
     surface = 0.0
     for rec in cavities:
         surface += rec.aniso_perimeter
@@ -218,12 +286,7 @@ def surface_functional_S_sum(y: DeformationField) -> float:
     Kept independent of SurfaceDensity on purpose: edge lengths are summed
     directly so the anisotropic route can be checked against it.
     """
-    F = y.element_gradients()
-    det = _det2(F)
-    if np.any(det <= 0.0):
-        t = int(np.argmin(det))
-        raise InfeasibleEnergyError(
-            f"non-positive determinant {det[t]:.3e} in triangle {t}", triangle=t)
+    _require_positive_dets(y.element_gradients())
     total = 0.0
     for ids in y.mesh.puncture_loops():
         img = ensure_ccw(y.positions[ids])

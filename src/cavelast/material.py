@@ -25,7 +25,7 @@ positive multiple of |z|, and continuously differentiable away from zero.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -53,7 +53,7 @@ def _cof2(F):
 
 @dataclass(frozen=True)
 class BulkDensity:
-    """W(F) = (mu/2)|F|^2 + a (det F)^2 - b log(det F), growth exponent p = 2.
+    """W(F) = (mu/2)|F|^2 + a (det F)^2 - b log(det F), quadratic growth.
 
     mu, a, b must be positive.  `energy` and `stress` accept a single 2x2
     array or any (..., 2, 2) batch and raise DomainError when det F <= 0
@@ -63,13 +63,10 @@ class BulkDensity:
     mu: float = 1.0
     a: float = 1.0
     b: float = 1.0
-    p: float = field(default=2.0)
 
     def __post_init__(self):
         if min(self.mu, self.a, self.b) <= 0.0:
             raise ValueError("mu, a, b must all be positive")
-        if self.p != 2.0:
-            raise ValueError("only the quadratic growth exponent p = 2 is implemented")
 
     def energy(self, F):
         F = np.asarray(F, dtype=float)
@@ -108,7 +105,7 @@ class BulkDensity:
         """W(F) - [(mu/2)|F|^p + gamma(det F)]; nonnegative gap means the
         coercivity bound holds at F with c = mu/2."""
         F = np.asarray(F, dtype=float)
-        return self.energy(F) - (0.5 * self.mu * _frob2(F) ** (self.p / 2.0) + self.gamma(_det2(F)))
+        return self.energy(F) - (0.5 * self.mu * _frob2(F) + self.gamma(_det2(F)))
 
     def stress_control_ratio(self, F):
         """|DW(F) F^T| / (W(F) + 1).  Bounded on det F > 0; the supremum over a
@@ -206,24 +203,3 @@ class SurfaceDensity:
         if np.any(n2 == 0.0):
             raise DomainError("surface density is undefined at the zero vector")
 
-
-# Thin functional aliases; the dataclasses above carry the state.
-
-def bulk_energy(density: BulkDensity, F):
-    """W(F) for one gradient or a (..., 2, 2) batch."""
-    return density.energy(F)
-
-
-def bulk_stress(density: BulkDensity, F):
-    """DW(F) for one gradient or a (..., 2, 2) batch."""
-    return density.stress(F)
-
-
-def surface_density(phi: SurfaceDensity, z):
-    """phi(z) for one vector or a (..., 2) batch."""
-    return phi.value(z)
-
-
-def surface_density_gradient(phi: SurfaceDensity, z):
-    """Dphi(z) for one vector or a (..., 2) batch."""
-    return phi.gradient(z)

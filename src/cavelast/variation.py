@@ -3,9 +3,9 @@ finite-difference cross-check, and a descent minimizer whose line search
 preserves admissibility.
 
 Unless a mode says otherwise, variations differentiate the discrete energy
-exactly (chain rule through the nodal positions), so the finite-difference
-oracle agrees to round-off; the continuum quadrature forms remain available
-as modes "centroid" (elastic) and "midpoint" (surface).
+exactly (its nodal gradient dotted with psi at the nodes), so the
+finite-difference oracle agrees to round-off; the continuum quadrature forms
+remain available as modes "centroid" (elastic) and "midpoint" (surface).
 """
 
 from dataclasses import dataclass, field
@@ -13,12 +13,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .degree import check_inv
-from .energy import detect_cavities, total_energy
+from .energy import (_ROT, DiscreteEnergy, _require_positive_dets,
+                     detect_cavities, phi_perimeter_gradient, total_energy)
 from .exceptions import DomainError, InfeasibleEnergyError
 from .geometry import DeformationField
-from .material import BulkDensity, SurfaceDensity, _det2
-
-_ROT = np.array([[0.0, 1.0], [-1.0, 0.0]])  # z = _ROT @ e = (e_y, -e_x)
+from .material import BulkDensity, SurfaceDensity
 
 __all__ = [
     "BumpField", "HatField", "DilationField", "ConstantField",
@@ -203,23 +202,16 @@ def elastic_first_variation(y: DeformationField, psi, density: BulkDensity,
     """
     mesh = y.mesh
     F = y.element_gradients()
-    det = _det2(F)
-    if np.any(det <= 0.0):
-        t = int(np.argmin(det))
-        raise InfeasibleEnergyError(
-            f"non-positive determinant {det[t]:.3e} in triangle {t}", triangle=t)
-    DW = density.stress(F)
     if mode == "interp":
-        psiv = psi.value(y.positions)
-        G = np.einsum("tia,tib->tab", psiv[mesh.triangles], mesh.shape_gradients)
-        per = np.einsum("tab,tab->t", DW, G)
-    elif mode == "centroid":
+        grad = DiscreteEnergy(mesh, density).bulk_grad(F)
+        return float(np.sum(grad * psi.value(y.positions)))
+    if mode == "centroid":
+        _require_positive_dets(F)
         cent = y.positions[mesh.triangles].mean(axis=1)
         J = psi.jacobian(cent)
-        per = np.einsum("tac,tbc,tab->t", DW, F, J)
-    else:
-        raise ValueError(f"unknown mode {mode!r}; use 'interp' or 'centroid'")
-    return float(np.sum(mesh.areas * per))
+        per = np.einsum("tac,tbc,tab->t", density.stress(F), F, J)
+        return float(np.sum(mesh.areas * per))
+    raise ValueError(f"unknown mode {mode!r}; use 'interp' or 'centroid'")
 
 
 def anisotropic_tangential_divergence(psi, nu, point, phi: SurfaceDensity) -> float:
@@ -251,15 +243,12 @@ def surface_first_variation(y: DeformationField, psi, phi: SurfaceDensity,
     total = 0.0
     for rec in cavities:
         p = rec.boundary
-        e = np.roll(p, -1, axis=0) - p
-        keep = (e[:, 0] != 0.0) | (e[:, 1] != 0.0)
-        z = e[keep] @ _ROT.T
         if mode == "vertex":
-            psiv = psi.value(p)
-            dpsi = (np.roll(psiv, -1, axis=0) - psiv)[keep]
-            g = phi.gradient(z)
-            total += float(np.einsum("ja,jb,ab->", g, dpsi, _ROT))
+            total += float(np.sum(phi_perimeter_gradient(p, phi) * psi.value(p)))
         elif mode == "midpoint":
+            e = np.roll(p, -1, axis=0) - p
+            keep = (e[:, 0] != 0.0) | (e[:, 1] != 0.0)
+            z = e[keep] @ _ROT.T
             mids = 0.5 * (p + np.roll(p, -1, axis=0))[keep]
             L = np.hypot(e[keep, 0], e[keep, 1])
             nu = z / L[:, None]
@@ -301,9 +290,8 @@ def first_variation_residual(y: DeformationField, psi, density: BulkDensity,
                              surface_mode: str = "vertex") -> VariationReport:
     """Analytic first variation against the central difference of
     t -> total energy of h_t o y."""
-    cavities = detect_cavities(y, phi)
     el = elastic_first_variation(y, psi, density, mode=elastic_mode)
-    su = surface_first_variation(y, psi, phi, cavities=cavities, mode=surface_mode)
+    su = surface_first_variation(y, psi, phi, mode=surface_mode)
     e_plus = total_energy(outer_compose(y, psi, fd_step), density, phi).total
     e_minus = total_energy(outer_compose(y, psi, -fd_step), density, phi).total
     fd = (e_plus - e_minus) / (2.0 * fd_step)
@@ -371,11 +359,11 @@ def battery_residual(y: DeformationField, density: BulkDensity,
 
 def battery_variations(y: DeformationField, density: BulkDensity,
                        phi: SurfaceDensity, fields) -> list:
-    """|elastic + surface| first variation of each field, in order."""
-    cavities = detect_cavities(y, phi)
-    return [abs(elastic_first_variation(y, psi, density)
-                + surface_first_variation(y, psi, phi, cavities=cavities))
-            for psi in fields]
+    """|elastic + surface| first variation of each field, in order, from
+    one energy gradient."""
+    bulk, surf = DiscreteEnergy(y.mesh, density, phi).grad(y.positions)
+    values = [psi.value(y.positions) for psi in fields]
+    return [abs(float(np.sum(bulk * v)) + float(np.sum(surf * v))) for v in values]
 
 
 # ---------------------------------------------------------------------------
@@ -386,7 +374,6 @@ def battery_variations(y: DeformationField, density: BulkDensity,
 class IterationLog:
     records: list = field(default_factory=list)
     status: str = "running"
-    notes: list = field(default_factory=list)
 
     def add(self, **row):
         self.records.append(row)
@@ -421,37 +408,6 @@ def _free_mask(mesh, fixed_ids):
     return mask
 
 
-def _energy_terms(pos, tris, shape_g, areas, density, loops, phi, det_floor):
-    F = np.einsum("tia,tib->tab", pos[tris], shape_g)
-    det = _det2(F)
-    mind = float(det.min())
-    if mind <= det_floor:
-        return None, mind
-    bulk = float(np.sum(areas * density.energy(F)))
-    surf = 0.0
-    for ids in loops:
-        p = pos[ids]
-        e = np.roll(p, -1, axis=0) - p
-        z = np.stack([e[:, 1], -e[:, 0]], axis=1)
-        surf += float(np.sum(phi.value(z)))
-    return (bulk, surf, bulk + surf), mind
-
-
-def _gradient(pos, tris, shape_g, areas, density, loops, phi):
-    out = np.zeros_like(pos)
-    F = np.einsum("tia,tib->tab", pos[tris], shape_g)
-    DW = density.stress(F)
-    np.add.at(out, tris, np.einsum("t,tab,tib->tia", areas, DW, shape_g))
-    for ids in loops:
-        p = pos[ids]
-        e = np.roll(p, -1, axis=0) - p
-        z = e @ _ROT.T
-        g = phi.gradient(z)
-        gt = g @ _ROT  # R^T g
-        np.add.at(out, ids, np.roll(gt, 1, axis=0) - gt)
-    return out
-
-
 def minimize(y0: DeformationField, density: BulkDensity, phi: SurfaceDensity,
              max_iters: int = 500, tol_E: float = 1e-10,
              residual_rel: float = 1e-3, det_floor: float = 1e-8,
@@ -468,28 +424,26 @@ def minimize(y0: DeformationField, density: BulkDensity, phi: SurfaceDensity,
     status is "converged", "max_iters" or "stalled".
     """
     mesh = y0.mesh
-    tris = mesh.triangles
-    shape_g = mesh.shape_gradients
-    areas = mesh.areas
-    loops = mesh.puncture_loops()
+    energy_of = DiscreteEnergy(mesh, density, phi)
     free = _free_mask(mesh, fixed_ids)
 
-    log = IterationLog()
-    log.notes.append("anisotropic tangential divergence carries the minus "
-                     "sign (dilation identity d/dt Per((1+t)E) = Per(E))")
+    def gradient(pos):
+        g = np.add(*energy_of.grad(pos))  # bulk + surface
+        g[~free] = 0.0
+        return g
 
+    log = IterationLog()
     pos = y0.positions.copy()
-    terms, mind = _energy_terms(pos, tris, shape_g, areas, density, loops, phi, det_floor)
-    if terms is None:
+    bulk, surf, mind = energy_of.value(pos)
+    if bulk is None or mind <= det_floor:
         raise InfeasibleEnergyError(
             f"starting field has min determinant {mind:.3e} <= {det_floor:.1e}")
-    bulk, surf, energy = terms
-    grad = _gradient(pos, tris, shape_g, areas, density, loops, phi)
-    grad[~free] = 0.0
+    energy = bulk + surf
+    grad = gradient(pos)
     log.add(iter=0, energy=energy, bulk=bulk, surface=surf, min_det=mind,
             step=0.0, residual=None)
 
-    h_ref = float(np.sqrt(2.0 * areas.mean()))
+    h_ref = float(np.sqrt(2.0 * mesh.areas.mean()))
     gmax = float(np.abs(grad).max())
     step = 0.05 * h_ref / gmax if gmax > 0 else 1.0
     prev_pos = prev_grad = None
@@ -520,15 +474,15 @@ def minimize(y0: DeformationField, density: BulkDensity, phi: SurfaceDensity,
         for _ in range(max_backtracks):
             cand = pos.copy()
             cand[free] -= s * grad[free]
-            t_terms, t_mind = _energy_terms(cand, tris, shape_g, areas,
-                                            density, loops, phi, det_floor)
-            if t_terms is not None and t_terms[2] <= energy - 1e-4 * s * gn2:
+            t_bulk, t_surf, t_mind = energy_of.value(cand)
+            if t_bulk is not None and t_mind > det_floor \
+                    and t_bulk + t_surf <= energy - 1e-4 * s * gn2:
                 if need_inv:
                     rep = check_inv(y0.with_positions(cand), delta=inv_delta, seed=seed)
                     if not rep.passed:
                         s *= 0.5
                         continue
-                trial = (cand, t_terms, t_mind, s)
+                trial = (cand, t_bulk, t_surf, t_mind, s)
                 break
             s *= 0.5
         if trial is None:
@@ -536,12 +490,12 @@ def minimize(y0: DeformationField, density: BulkDensity, phi: SurfaceDensity,
             break
 
         prev_pos, prev_grad = pos, grad
-        pos, (bulk, surf, new_energy), mind, s = trial
+        pos, bulk, surf, mind, s = trial
+        new_energy = bulk + surf
         decrease = energy - new_energy
         energy = new_energy
         accepted += 1
-        grad = _gradient(pos, tris, shape_g, areas, density, loops, phi)
-        grad[~free] = 0.0
+        grad = gradient(pos)
 
         res = None
         if decrease < tol_E * (1.0 + abs(energy)):

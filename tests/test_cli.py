@@ -1,6 +1,8 @@
 import csv
 import dataclasses
 import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -280,6 +282,17 @@ class TestCompare:
 
 
 class TestMain:
+    def test_python_m_cavelast(self):
+        src = str(Path(cv.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+        proc = subprocess.run(
+            [sys.executable, "-W", "error::RuntimeWarning", "-m", "cavelast",
+             "--help"], env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert "usage: cavelast" in proc.stdout
+
     def test_eval_threads_meta_only_diff(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv("OMP_NUM_THREADS", "1")
         d1, d2 = tmp_path / "t1", tmp_path / "t2"

@@ -59,6 +59,91 @@ class TestBulk:
         assert v in square_mesh.triangles[ei.value.triangle]
 
 
+class TestDiscreteEnergy:
+    PHIS = (cv.SurfaceDensity("isotropic"),
+            cv.SurfaceDensity("elliptic", A=np.array([[2.0, 0.3], [0.3, 0.7]])),
+            cv.SurfaceDensity("smoothed_l1", eps=0.1))
+
+    def test_gradient_matches_central_difference(self, stretched_disk, density):
+        mesh = stretched_disk.mesh
+        rng = np.random.default_rng(4)
+        pos = stretched_disk.positions + 0.003 * rng.standard_normal(
+            stretched_disk.positions.shape)
+        loop = mesh.puncture_loops()[0]
+        interior = np.setdiff1d(np.arange(len(pos)), mesh.boundary_vertices)
+        nodes = np.concatenate([loop[:3], interior[:3]])
+        t = 1e-6
+        for phi in self.PHIS:
+            E = cv.DiscreteEnergy(mesh, density, phi)
+            grads = E.grad(pos)
+            for v in nodes:
+                for a in (0, 1):
+                    plus, minus = pos.copy(), pos.copy()
+                    plus[v, a] += t
+                    minus[v, a] -= t
+                    vp, vm = E.value(plus), E.value(minus)
+                    for k in (0, 1):  # bulk, surface
+                        fd = (vp[k] - vm[k]) / (2 * t)
+                        assert grads[k][v, a] == pytest.approx(fd, rel=1e-5, abs=1e-7), \
+                            (phi.kind, k, v, a)
+            assert np.all(grads[1][np.setdiff1d(np.arange(len(pos)), loop)] == 0.0)
+
+    def test_matches_previous_solver_formulas(self, stretched_disk, density):
+        # the descent's own energy and gradient before they moved into
+        # DiscreteEnergy; equal bits keep the minimizers byte-identical
+        rot = np.array([[0.0, 1.0], [-1.0, 0.0]])
+
+        def energy_terms(pos, mesh, phi):
+            F = np.einsum("tia,tib->tab", pos[mesh.triangles], mesh.shape_gradients)
+            bulk = float(np.sum(mesh.areas * density.energy(F)))
+            surf = 0.0
+            for ids in mesh.puncture_loops():
+                e = np.roll(pos[ids], -1, axis=0) - pos[ids]
+                surf += float(np.sum(phi.value(np.stack([e[:, 1], -e[:, 0]], axis=1))))
+            return bulk, surf
+
+        def gradient(pos, mesh, phi):
+            out = np.zeros_like(pos)
+            F = np.einsum("tia,tib->tab", pos[mesh.triangles], mesh.shape_gradients)
+            np.add.at(out, mesh.triangles, np.einsum(
+                "t,tab,tib->tia", mesh.areas, density.stress(F), mesh.shape_gradients))
+            for ids in mesh.puncture_loops():
+                e = np.roll(pos[ids], -1, axis=0) - pos[ids]
+                gt = phi.gradient(e @ rot.T) @ rot
+                np.add.at(out, ids, np.roll(gt, 1, axis=0) - gt)
+            return out
+
+        square = cv.build_square_mesh(2.0, 0.25, punctures=[((0.6, 0.6), 0.15),
+                                                            ((1.4, 1.3), 0.2)])
+        rng = np.random.default_rng(7)
+        for y in (stretched_disk, cv.DeformationField(square, 1.4 * square.vertices)):
+            mesh = y.mesh
+            for phi in self.PHIS:
+                E = cv.DiscreteEnergy(mesh, density, phi)
+                for _ in range(3):
+                    pos = y.positions + 0.002 * rng.standard_normal(y.positions.shape)
+                    bulk, surface, mind = E.value(pos)
+                    assert (bulk, surface) == energy_terms(pos, mesh, phi)
+                    assert mind == cv.min_det(cv.DeformationField(mesh, pos))
+                    assert np.array_equal(np.add(*E.grad(pos)), gradient(pos, mesh, phi))
+                    bd = cv.total_energy(cv.DeformationField(mesh, pos), density, phi)
+                    assert (bd.bulk, bd.surface, bd.total) == (bulk, surface, bulk + surface)
+
+    def test_folded_field(self, square_mesh, density, iso):
+        interior = np.setdiff1d(np.arange(len(square_mesh.vertices)),
+                                square_mesh.boundary_vertices)
+        v = int(interior[0])
+        t = int(np.nonzero((square_mesh.triangles == v).any(axis=1))[0][0])
+        other = [i for i in square_mesh.triangles[t] if i != v][0]
+        pos = square_mesh.vertices.copy()
+        pos[v] = pos[other]
+        E = cv.DiscreteEnergy(square_mesh, density, iso)
+        bulk, surface, mind = E.value(pos)
+        assert bulk is None and surface is None and mind <= 0.0
+        with pytest.raises(InfeasibleEnergyError):
+            E.grad(pos)
+
+
 class TestPerimeter:
     def test_unit_square(self, iso):
         sq = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])

@@ -227,7 +227,7 @@ class TestSurfaceVariation:
 class TestResidualReport:
     def test_analytic_matches_fd(self, lifted, density, iso, ell):
         rng = np.random.default_rng(12)
-        for phi in (iso, ell):
+        for phi in (iso, ell, cv.SurfaceDensity("smoothed_l1", eps=0.1)):
             for _ in range(5):
                 ang = rng.uniform(0, 2 * np.pi)
                 c = lifted.positions[rng.integers(0, len(lifted.positions))]
@@ -317,6 +317,19 @@ class TestMinimize:
         assert all(r["min_det"] > 1e-8 for r in log.records)
         rep = cv.check_inv(y1, samples=150, seed=0)
         assert rep.passed
+
+    @pytest.mark.parametrize("kind", ["iso", "ell"])
+    def test_log_is_total_energy(self, density, kind, request):
+        # the solver and the energy report evaluate one energy, bit for bit
+        phi = request.getfixturevalue(kind)
+        mesh = cv.build_disk_mesh(1.0, 0.25, punctures=[((0.0, 0.0), 0.2)])
+        y0 = cv.BoundaryData(kind="radial_stretch", lam=1.5).initial_field(mesh)
+        y1, log = cv.minimize(y0, density, phi, max_iters=30)
+        bd = cv.total_energy(y1, density, phi)
+        last = log.records[-1]
+        assert last["energy"] == bd.total
+        assert last["bulk"] == bd.bulk
+        assert last["surface"] == bd.surface
 
     def test_infeasible_start_rejected(self, square_mesh, density, iso):
         pos = square_mesh.vertices.copy()
