@@ -38,8 +38,8 @@ class Mesh:
     punctures      list of ((cx, cy), rho) for the tagged holes, aligned with
                    the `puncture_<k>` tags
 
-    Treat a mesh as immutable once built: `locator` and `inv_plans` are
-    cached on it.
+    Treat a mesh as immutable once built: `locator`, `inv_plans` and the
+    boundary loops are cached on it.
     """
 
     vertices: np.ndarray
@@ -101,8 +101,8 @@ class Mesh:
                 ids.add(j)
         return np.array(sorted(ids), dtype=np.int64)
 
-    def boundary_loops(self) -> dict:
-        """Ordered, counterclockwise vertex loops keyed by boundary tag."""
+    @cached_property
+    def _loops(self):
         by_tag = {}
         for i, j, t in self.boundary_edges:
             by_tag.setdefault(t, []).append((i, j))
@@ -112,7 +112,13 @@ class Mesh:
             if polygon_signed_area(self.vertices[loop]) < 0.0:
                 loop = loop[::-1]
             loops[tag] = np.asarray(loop, dtype=np.int64)
+            loops[tag].flags.writeable = False
         return loops
+
+    def boundary_loops(self) -> dict:
+        """Ordered, counterclockwise vertex loops keyed by boundary tag; the
+        arrays are built once per mesh and are read-only."""
+        return dict(self._loops)
 
     def puncture_loops(self) -> list:
         """Loops for `puncture_<k>` tags, ordered to match self.punctures."""

@@ -2,19 +2,23 @@
 
 For y(x) = r(|x|) x/|x| the principal stretches are r'(R) and r(R)/R, so the
 energy collapses to a 1-D integral plus the phi-perimeter of the cavity
-circle. The solver below minimizes over monotone knot profiles and serves as
+circle. `solve_radial` minimizes over monotone knot profiles by projected
+Newton on the tridiagonal Hessian of a piecewise-linear quadrature of that
+integral, from a homogeneous and a cavitated seed, and serves as
 semi-analytic ground truth for the 2-D code, including the traction balance
-on the cavity wall.
+on the cavity wall. Newton progress is logged at DEBUG level on the
+"cavelast" logger.
 """
 
+import logging
 from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.integrate import quad
-from scipy.interpolate import PchipInterpolator
-from scipy.linalg import solve_banded
+from scipy.interpolate import PchipInterpolator, PPoly
+from scipy.linalg import LinAlgError, solveh_banded
 
-from .exceptions import DomainError, InfeasibleEnergyError
+from .exceptions import InfeasibleEnergyError
 from .geometry import DeformationField, Mesh
 from .material import BulkDensity, SurfaceDensity
 
@@ -24,16 +28,24 @@ __all__ = [
     "bvp_boundary_check", "sweep_lambda", "sweep_to_csv", "radial_lift",
 ]
 
+_log = logging.getLogger("cavelast")
+
 
 @dataclass
 class RadialProfile:
-    """Deformed radius r at increasing knots, r(R_out) = lam * R_out."""
+    """Deformed radius r at increasing knots, r(R_out) = lam * R_out.
+
+    `branches` holds (energy, cavity radius, status) of every seed the
+    solver descended, the returned one included.
+    """
 
     knots: np.ndarray
     values: np.ndarray
     lam: float
     status: str = "direct"
+    branches: list = field(default_factory=list)
     _interp: PchipInterpolator = field(init=False, repr=False, compare=False)
+    _dinterp: PPoly = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.knots = np.asarray(self.knots, dtype=float)
@@ -48,12 +60,13 @@ class RadialProfile:
         if abs(self.values[-1] - top) > 1e-9 * max(1.0, abs(top)):
             raise ValueError("values[-1] must equal lam * knots[-1]")
         self._interp = PchipInterpolator(self.knots, self.values)
+        self._dinterp = self._interp.derivative()
 
     def r(self, R):
         return self._interp(R)
 
     def dr(self, R):
-        return self._interp.derivative()(R)
+        return self._dinterp(R)
 
     def det(self, R):
         R = np.asarray(R, dtype=float)
@@ -152,7 +165,7 @@ def _pl_energy(knots, values, density: BulkDensity, K: float):
 
 
 def _pl_hessian_banded(knots, values, density: BulkDensity):
-    """Tridiagonal Hessian of _pl_energy in the (ab) banded layout.
+    """Tridiagonal Hessian of _pl_energy in solveh_banded's upper layout.
 
     Each interval couples only its two endpoint values, so the Hessian over
     the free values v_0..v_{M-1} is tridiagonal; rows are assembled from the
@@ -181,11 +194,9 @@ def _pl_hessian_banded(knots, values, density: BulkDensity):
     diag = np.zeros(n)
     diag += h_ll
     diag[1:] += h_hh[:-1]
-    off = h_lh[:-1].copy()                       # couples v_j and v_{j+1}
-    ab = np.zeros((3, n))
-    ab[0, 1:] = off
+    ab = np.zeros((2, n))
+    ab[0, 1:] = h_lh[:-1]                        # couples v_j and v_{j+1}
     ab[1, :] = diag
-    ab[2, :-1] = off
     return ab
 
 
@@ -230,18 +241,37 @@ def _project_monotone(v, top, eps, floor=None):
     return v
 
 
-def _descend(knots, vals, top, density, K, max_iters, tol_E, el_tol, verbose):
-    """Preconditioned projected Barzilai-Borwein descent from one seed,
-    finished by damped Newton on the tridiagonal Hessian.
+def _newton_direction(ab, g):
+    """Solve (H + tau |diag H|) d = g by banded Cholesky.
 
-    The raw gradient entry at knot j carries the quadrature measure
-    2*pi*R_j*dR_j, which varies by orders of magnitude across a geometric
-    grid and makes the cavity-radius mode glacially slow. Dividing by the
-    lumped measure m turns the step into a pointwise Euler-Lagrange update
-    with comparable speed at every knot; the residual reported against
-    el_tol is the measure-scaled one, i.e. the discrete EL operator value.
-    A hole that wants to close sits on the floor bound with positive raw
-    gradient; that coordinate counts as converged in the KKT sense.
+    tau starts at 0 and grows tenfold from 1e-8 until the shifted matrix
+    factors, so d is always a descent direction (a modified-Hessian Newton
+    step, Nocedal & Wright section 3.4). Returns None if nothing factors.
+    """
+    scale = np.abs(ab[1])
+    tau = 0.0
+    while tau <= 1e8:
+        shifted = ab.copy()
+        shifted[1] += tau * scale
+        try:
+            return solveh_banded(shifted, g)
+        except LinAlgError:
+            tau = max(10.0 * tau, 1e-8)
+    return None
+
+
+def _descend(knots, vals, top, density, K, max_iters, el_tol):
+    """Projected Newton on the tridiagonal Hessian from one seed.
+
+    Every step backtracks (Armijo on _pl_energy) until the projected trial
+    lowers the energy, so no accepted step raises it. The raw gradient entry
+    at knot j carries the quadrature measure m_j ~ 2*pi*R_j*dR_j, which
+    varies by orders of magnitude across a geometric grid; the residual
+    reported against el_tol is the measure-scaled one, i.e. the discrete EL
+    operator value. A hole that wants to close sits on the floor bound with
+    positive raw gradient; that coordinate is pinned out of the Newton
+    system and counts as converged in the KKT sense.
+    Returns (values, energy, status).
     """
     eps = 1e-12 * knots[-1]
     floor = 1e-6 * knots[-1]
@@ -252,15 +282,6 @@ def _descend(knots, vals, top, density, K, max_iters, tol_E, el_tol, verbose):
     def energy(v):
         return _pl_energy(knots, np.append(v, top), density, K)
 
-    def grad(v):
-        return _pl_gradient(knots, np.append(v, top), density, K)
-
-    def residual(v, g):
-        scaled = np.abs(g) / m
-        if v[0] <= floor * (1.0 + 1e-9) and g[0] > 0.0:
-            scaled[0] = 0.0
-        return float(scaled.max())
-
     def project(v):
         return _project_monotone(v, top, eps, floor=floor)
 
@@ -268,104 +289,58 @@ def _descend(knots, vals, top, density, K, max_iters, tol_E, el_tol, verbose):
     E = energy(v)
     if E is None:
         raise InfeasibleEnergyError("infeasible starting profile")
-    g = grad(v)
-    step = 1e-3
-    prev_v = prev_g = None
     status = "max_iters"
-    res = residual(v, g)
-    tol = lambda val: el_tol * (1.0 + abs(val))
-    for it in range(1, max_iters + 1):
-        if res <= 1e-3 * (1.0 + abs(E)):
-            break                                  # hand over to Newton
-        if prev_g is not None:
-            dv = v - prev_v
-            dg = g - prev_g
-            denom = float(dv @ dg)
-            if denom > 0.0:
-                step = float(dv @ (m * dv)) / denom
-        step = float(np.clip(step, 1e-14, 1e3))
-        s = step
-        accepted = None
-        for _ in range(60):
-            cand = project(v - s * (g / m))
+    for it in range(max_iters + 1):
+        g = _pl_gradient(knots, np.append(v, top), density, K)
+        pinned = v[0] <= floor * (1.0 + 1e-9) and g[0] > 0.0
+        scaled = np.abs(g) / m
+        if pinned:
+            scaled[0] = 0.0
+        res = float(scaled.max())
+        _log.debug("radial newton step %d energy %.17g residual %.3e",
+                   it, E, res)
+        if res <= el_tol * (1.0 + abs(E)):
+            status = "converged"
+            break
+        if it == max_iters:
+            break
+        ab = _pl_hessian_banded(knots, np.append(v, top), density)
+        if pinned:
+            g[0] = 0.0
+            ab[0, 1] = 0.0
+        d = _newton_direction(ab, g)
+        for tau in 0.5 ** np.arange(40 if d is not None else 0):
+            cand = project(v - tau * d)
             Ec = energy(cand)
-            if Ec is not None and Ec <= E - 1e-4 * float(g @ (v - cand)):
-                accepted = (cand, Ec)
+            if Ec is not None and Ec <= E + 1e-4 * min(0.0, float(g @ (cand - v))):
                 break
-            s *= 0.5
-        if accepted is None:
+        else:                                    # no step lowers the energy
             status = "stalled"
             break
-        prev_v, prev_g = v, g
-        v, E_new = accepted
-        decrease = E - E_new
-        E = E_new
-        g = grad(v)
-        res = residual(v, g)
-        if verbose and it % 100 == 0:
-            print(f"radial iter {it:5d}  energy {E:.10g}  residual {res:.3e}")
-        if decrease < tol_E * (1.0 + abs(E)) and res <= tol(E):
-            status = "converged"
-            break
-    if res <= tol(E):
-        status = "converged"
-    elif status != "stalled":
-        # Newton polish; quadratic once inside the basin
-        for it in range(60):
-            if res <= tol(E):
-                status = "converged"
-                break
-            ab = _pl_hessian_banded(knots, np.append(v, top), density)
-            rhs = g.copy()
-            pinned = v[0] <= floor * (1.0 + 1e-9) and g[0] > 0.0
-            if pinned:
-                rhs[0] = 0.0
-                ab[1, 0] = 1.0
-                ab[0, 1] = 0.0
-            try:
-                delta = solve_banded((1, 1), ab, rhs)
-            except np.linalg.LinAlgError:
-                break
-            if not np.all(np.isfinite(delta)):
-                break
-            tau, taken = 1.0, None
-            for _ in range(40):
-                cand = project(v - tau * delta)
-                Ec = energy(cand)
-                if Ec is not None:
-                    gc = grad(cand)
-                    rc = residual(cand, gc)
-                    if rc < res or Ec < E - tol_E * (1.0 + abs(E)):
-                        taken = (cand, Ec, gc, rc)
-                        break
-                tau *= 0.5
-            if taken is None:
-                break
-            v, E, g, res = taken
-            if verbose:
-                print(f"newton iter {it:3d}  energy {E:.12g}  residual {res:.3e}")
-        if res <= tol(E):
-            status = "converged"
+        v, E = cand, Ec
     return v, E, status
 
 
 def solve_radial(lam: float, density: BulkDensity, phi: SurfaceDensity,
                  rho: float, M: int = 96, R_out: float = 1.0,
-                 max_iters: int = 4000, tol_E: float = 1e-10,
-                 el_tol: float = 1e-6, verbose: bool = False) -> RadialProfile:
-    """Projected-gradient descent over knot values with r(R_out) = lam R_out.
+                 max_iters: int = 100, el_tol: float = 1e-6) -> RadialProfile:
+    """Minimize the radial energy over knot values with r(R_out) = lam R_out.
 
     Geometric knots resolve the boundary layer at the puncture. The descent
-    objective interpolates linearly between knots so its gradient comes out
-    of the stress in closed form; Barzilai-Borwein steps with backtracking
-    keep the energy non-increasing. Converged means both a < tol_E energy
-    decrease and a small Euler-Lagrange residual. The returned profile is
-    the monotone cubic through the optimal values.
+    objective interpolates linearly between knots, so its gradient and its
+    tridiagonal Hessian come out of the stress in closed form. Each seed is
+    descended by projected Newton (at most max_iters steps) with a
+    backtracking line search that never accepts an energy increase;
+    converged means the measure-scaled Euler-Lagrange residual is below
+    el_tol * (1 + |E|). The returned profile is the monotone cubic through
+    the optimal values.
 
     For lam > 1 the energy typically has two local valleys, a nearly
     homogeneous one with a closed-down hole and a cavitated one, and which
     wins flips at a critical stretch. Descent cannot hop between them, so
-    both seeds are descended and the lower energy is returned.
+    both seeds are descended and the lower energy is returned; `status` is
+    the winner's, and `branches` lists (energy, cavity radius, status) for
+    every seed.
     """
     if lam <= 0.0:
         raise ValueError("lam must be positive")
@@ -382,17 +357,12 @@ def solve_radial(lam: float, density: BulkDensity, phi: SurfaceDensity,
         c0 = np.sqrt(lam ** 2 - 1.0) * R_out
         seeds.append(np.sqrt(knots ** 2 + c0 ** 2) * top
                      / np.sqrt(R_out ** 2 + c0 ** 2))
-    best = None
-    for vals in seeds:
-        vals = vals.copy()
-        vals[-1] = top
-        v, E, status = _descend(knots, vals, top, density, K, max_iters,
-                                tol_E, el_tol, verbose)
-        if best is None or E < best[1]:
-            best = (v, E, status)
-    v, _, status = best
+    runs = [_descend(knots, vals, top, density, K, max_iters, el_tol)
+            for vals in seeds]
+    v, _, status = min(runs, key=lambda run: run[1])   # first seed wins ties
     return RadialProfile(knots=knots, values=np.append(v, top), lam=lam,
-                         status=status)
+                         status=status,
+                         branches=[(E, float(w[0]), st) for w, E, st in runs])
 
 
 # ---------------------------------------------------------------------------
@@ -475,7 +445,12 @@ def bvp_boundary_check(profile: RadialProfile, density: BulkDensity,
 
 def sweep_lambda(lams, density: BulkDensity, phi: SurfaceDensity, rho: float,
                  M: int = 96, R_out: float = 1.0, **solve_kw) -> list:
-    """One converged radial solve per boundary stretch; list of result rows."""
+    """One radial solve per boundary stretch; list of result rows.
+
+    `status` is the winning branch's; `all_branches_converged` says whether
+    every seed converged, so a stuck losing branch cannot hide a lower
+    minimizer unnoticed.
+    """
     rows = []
     for lam in lams:
         prof = solve_radial(float(lam), density, phi, rho, M=M, R_out=R_out,
@@ -488,6 +463,8 @@ def sweep_lambda(lams, density: BulkDensity, phi: SurfaceDensity, rho: float,
             "surface": surface,
             "total": bulk + surface,
             "status": prof.status,
+            "all_branches_converged": all(b[2] == "converged"
+                                          for b in prof.branches),
         })
     return rows
 

@@ -8,6 +8,7 @@ finite-difference oracle agrees to round-off; the continuum quadrature forms
 remain available as modes "centroid" (elastic) and "midpoint" (surface).
 """
 
+import logging
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -26,6 +27,8 @@ __all__ = [
     "surface_first_variation", "VariationReport", "first_variation_residual",
     "certification_battery", "battery_residual", "IterationLog", "minimize",
 ]
+
+_log = logging.getLogger("cavelast")
 
 
 # ---------------------------------------------------------------------------
@@ -412,8 +415,7 @@ def minimize(y0: DeformationField, density: BulkDensity, phi: SurfaceDensity,
              max_iters: int = 500, tol_E: float = 1e-10,
              residual_rel: float = 1e-3, det_floor: float = 1e-8,
              inv_every: int = 10, inv_delta: float = 0.02,
-             fixed_ids=None, seed: int = 0, max_backtracks: int = 40,
-             verbose: bool = False):
+             fixed_ids=None, seed: int = 0, max_backtracks: int = 40):
     """Monotone descent on the free nodal positions.
 
     The analytic gradient drives Barzilai-Borwein-seeded backtracking; any
@@ -421,7 +423,8 @@ def minimize(y0: DeformationField, density: BulkDensity, phi: SurfaceDensity,
     inv_every-th accepted step must additionally pass the injectivity
     sampling check. Convergence needs both a small energy decrease and a
     small certification-battery residual. Returns (field, log); the log
-    status is "converged", "max_iters" or "stalled".
+    status is "converged", "max_iters" or "stalled". Every 25th iteration
+    is logged at DEBUG level on the "cavelast" logger.
     """
     mesh = y0.mesh
     energy_of = DiscreteEnergy(mesh, density, phi)
@@ -515,8 +518,8 @@ def minimize(y0: DeformationField, density: BulkDensity, phi: SurfaceDensity,
             tiny_streak = 0
         log.add(iter=it, energy=energy, bulk=bulk, surface=surf, min_det=mind,
                 step=s, residual=res)
-        if verbose and it % 25 == 0:
-            print(f"iter {it:5d}  energy {energy:.9g}  min_det {mind:.3e}")
+        if it % 25 == 0:
+            _log.debug("iter %5d  energy %.9g  min_det %.3e", it, energy, mind)
 
     log.status = status
     return y0.with_positions(pos), log

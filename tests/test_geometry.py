@@ -21,6 +21,13 @@ class TestBuilders:
         assert np.all(r <= 1.5 * 0.2 + 1e-12)
         assert np.all(r >= 0.5 * 0.2)
 
+    def test_boundary_loops_cached_read_only(self, disk_mesh):
+        ring = disk_mesh.puncture_loops()[0]
+        assert ring is disk_mesh.puncture_loops()[0]
+        assert ring is disk_mesh.boundary_loops()["puncture_0"]
+        with pytest.raises(ValueError, match="read-only"):
+            ring[0] = ring[1]
+
     def test_annulus(self):
         m = cv.build_annulus_mesh(1.0, 0.4, 0.15)
         target = np.pi * (1.0 - 0.4 ** 2)

@@ -1,10 +1,12 @@
 import csv
+import logging
 
 import numpy as np
 import pytest
 from scipy.special import ellipe
 
 import cavelast as cv
+from cavelast import radial
 from cavelast.cli import get_golden_dir
 
 
@@ -223,6 +225,95 @@ class TestSweepAndGolden:
         opened = [lam for lam, c in sorted(c_iso.items()) if c > 0.01]
         cs = [c_iso[lam] for lam in opened]
         assert all(b > a for a, b in zip(cs, cs[1:]))  # monotone growth
+
+
+V1_LAMBDAS = (1.0, 1.1, 1.2, 1.3, 1.4, 1.5, 1.6, 1.7, 1.8)
+
+
+@pytest.fixture(scope="module")
+def v1_sweeps(density, iso, ell):
+    """The full v1 sweep at M = 96 for both densities, with the energy of
+    every Newton iterate in logging order: {name: (rows, energies)}."""
+    class Steps(logging.Handler):
+        def emit(self, record):
+            if record.msg.startswith("radial newton step"):
+                energies.append(record.args[:2])  # (step, energy)
+
+    logger = logging.getLogger("cavelast")
+    handler, level = Steps(), logger.level
+    logger.addHandler(handler)
+    logger.setLevel(logging.DEBUG)
+    out = {}
+    try:
+        for name, phi in (("radial_iso", iso), ("radial_ell", ell)):
+            energies = []
+            rows = cv.sweep_lambda(V1_LAMBDAS, density, phi, 0.2, M=96)
+            out[name] = (rows, energies)
+    finally:
+        logger.removeHandler(handler)
+        logger.setLevel(level)
+    return out
+
+
+class TestNewtonOracle:
+    def test_no_accepted_step_raises_energy(self, v1_sweeps):
+        for rows, energies in v1_sweeps.values():
+            runs = []
+            for step, E in energies:
+                if step == 0:
+                    runs.append([])  # a new seed starts
+                runs[-1].append(E)
+            # two seeds per lambda > 1, one at lambda = 1
+            assert len(runs) == 2 * len(rows) - 1
+            assert sum(len(r) - 1 for r in runs) > len(runs)
+            for r in runs:
+                assert all(b <= a for a, b in zip(r, r[1:])), r
+
+    def test_every_branch_converges(self, v1_sweeps, density, iso):
+        for rows, _ in v1_sweeps.values():
+            for r in rows:
+                assert r["status"] == "converged"
+                assert r["all_branches_converged"] is True
+        prof = cv.solve_radial(1.5, density, iso, rho=0.2, M=96)
+        assert len(prof.branches) == 2
+        assert all(status == "converged" for _, _, status in prof.branches)
+        assert min(prof.branches)[1] == prof.cavity_radius  # lowest energy wins
+
+    def test_unconverged_branch_is_flagged(self, density, iso, monkeypatch):
+        prof = cv.solve_radial(1.5, density, iso, rho=0.2, M=96, max_iters=1)
+        assert [status for _, _, status in prof.branches] == ["max_iters"] * 2
+        assert prof.status == "max_iters"
+        # a losing seed that stalls is flagged even though the winner converged
+        descend = radial._descend
+        calls = []
+
+        def first_seed_stalls(*args):
+            v, E, status = descend(*args)
+            calls.append(status)
+            return (v, E + 1.0, "stalled") if len(calls) == 1 else (v, E, status)
+
+        monkeypatch.setattr(radial, "_descend", first_seed_stalls)
+        rows = cv.sweep_lambda([1.5], density, iso, 0.2, M=96)
+        assert calls == ["converged", "converged"]
+        assert rows[0]["status"] == "converged"
+        assert rows[0]["all_branches_converged"] is False
+
+    def test_v1_sweep_reproduces_golden(self, v1_sweeps):
+        for name, (rows, _) in v1_sweeps.items():
+            with open(get_golden_dir() / f"{name}.csv") as fh:
+                table = {float(r["lambda"]): r for r in csv.DictReader(fh)}
+            assert sorted(table) == [r["lambda"] for r in rows]
+            for r in rows:
+                gold = table[r["lambda"]]
+                assert r["total"] == pytest.approx(float(gold["total"]), rel=1e-6)
+                ref_c = float(gold["cavity_radius"])
+                assert (r["cavity_radius"] > 0.01) == (ref_c > 0.01)
+                if ref_c > 0.01:
+                    assert r["cavity_radius"] == pytest.approx(ref_c, rel=1e-6)
+
+    def test_derivative_is_cached_and_exact(self, radial_15):
+        R = np.linspace(0.2, 1.0, 41)
+        assert np.array_equal(radial_15.dr(R), radial_15._interp.derivative()(R))
 
 
 class TestLift:
