@@ -13,6 +13,7 @@ from dataclasses import dataclass, replace
 from functools import cached_property, lru_cache
 
 import numpy as np
+from scipy import sparse
 
 from ._polyline import (ensure_ccw, hausdorff_distance, polygon_is_simple,
                         polygon_signed_area)
@@ -118,10 +119,13 @@ class DiscreteEnergy:
     """Stored energy of a punctured mesh as a function of its nodal positions:
     the P1 bulk sum  sum_t |T_t| W(F_t)  (exact, F is constant per triangle)
     plus the phi-perimeter of every deformed puncture loop, with exact nodal
-    gradients. phi may be None for the bulk part alone."""
+    gradients and a sparse Hessian. phi may be None for the bulk part alone.
+    `value`, `grad` and `hess` take the element gradients F of pos when the
+    caller already has them."""
 
     def __init__(self, mesh, density: BulkDensity, phi: SurfaceDensity = None):
         self.mesh, self.density, self.phi = mesh, density, phi
+        self._pattern = None
 
     @cached_property
     def loops(self):
@@ -135,9 +139,10 @@ class DiscreteEnergy:
         """Index-ordered pairwise sum (reproducible); needs det F > 0."""
         return float(np.sum(self.mesh.areas * self.density.energy(F)))
 
-    def value(self, pos):
+    def value(self, pos, F=None):
         """(bulk, surface, min det); bulk and surface are None if some det <= 0."""
-        F = self.element_gradients(pos)
+        if F is None:
+            F = self.element_gradients(pos)
         mind = float(_det2(F).min())
         if mind <= 0.0:
             return None, None, mind
@@ -154,14 +159,96 @@ class DiscreteEnergy:
             "t,tab,tib->tia", mesh.areas, self.density.stress(F), mesh.shape_gradients))
         return out
 
-    def grad(self, pos):
+    def grad(self, pos, F=None):
         """(bulk, surface) nodal gradients; InfeasibleEnergyError if some det <= 0.
         Kept apart, so bulk + surface rounds once per node."""
-        bulk = self.bulk_grad(self.element_gradients(pos))
+        bulk = self.bulk_grad(self.element_gradients(pos) if F is None else F)
         surf = np.zeros_like(pos)
         for ids in self.loops:  # disjoint
             surf[ids] = phi_perimeter_gradient(pos[ids], self.phi)
         return bulk, surf
+
+    def hess(self, pos, free=None, F=None):
+        """Sparse positive semidefinite Hessian (csc, symmetric to rounding)
+        over the dofs 2 v + axis of the vertices where the mask `free` is True
+        (all by default), in that order; InfeasibleEnergyError if some
+        det <= 0.
+
+        Triangle t adds |T_t| B^T P(D^2W(F_t)) B, with B the 4x6 map from its
+        corner positions to F and P the clip of negative eigenvalues: the
+        per-element projection of projected Newton (Teran, Sifakis, Irving &
+        Fedkiw, SCA 2005), exact wherever D^2W is positive semidefinite. Loop
+        edge j adds [[H, -H], [-H, H]] on its end vertices, H = R^T D^2phi(z_j) R,
+        semidefinite as phi is convex. The sparsity pattern is built once per
+        mask; each call only computes the values.
+        """
+        if F is None:
+            F = self.element_gradients(pos)
+        _require_positive_dets(F)
+        slot, shape, indices, indptr = self._hess_pattern(free)
+        nt = len(F)
+        lam, vec = np.linalg.eigh(self.density.hessian(F).reshape(nt, 4, 4))
+        # B^T V, rows (i, c), for B[(a, b), (i, c)] = delta_ac dN_i/dX_b
+        btv = (self.mesh.shape_gradients[:, None] @ vec.reshape(nt, 2, 2, 4)
+               ).transpose(0, 2, 1, 3).reshape(nt, 6, 4)
+        w = self.mesh.areas[:, None] * np.maximum(lam, 0.0)
+        vals = np.empty(len(slot))
+        np.matmul(btv * w[:, None, :], btv.transpose(0, 2, 1),
+                  out=vals[:36 * nt].reshape(nt, 6, 6))
+        sign = np.array([[1.0, -1.0], [-1.0, 1.0]])[:, :, None, None]
+        at = 36 * nt
+        for ids in self.loops:
+            z, nonzero = _edge_normals(pos[ids])
+            H = np.zeros((len(ids), 2, 2))
+            H[nonzero] = _ROT.T @ self.phi.hessian(z) @ _ROT
+            vals[at:at + 16 * len(ids)] = (sign * H[:, None, None]).ravel()
+            at += 16 * len(ids)
+        # entries on a fixed dof land in one extra bin, dropped
+        data = np.bincount(slot, weights=vals, minlength=len(indices) + 1)[:-1]
+        return sparse.csc_matrix((data, indices, indptr), shape=shape)
+
+    def _hess_pattern(self, free):
+        """The csc data slot of every entry (2 i + c, 2 j + d) of the element
+        blocks of `hess`, in its layout: per triangle 6x6 over (i, c) x (j, d),
+        then per loop edge (i, j, c, d); one past the last slot where vertex
+        i or j is fixed. Then the csc shape, row indices and column
+        pointers. Cached for the last mask."""
+        key = None if free is None else np.asarray(free, dtype=bool).tobytes()
+        if self._pattern is None or self._pattern[0] != key:
+            nv = len(self.mesh.vertices)
+            vid = np.arange(nv)
+            if free is not None:
+                vid = np.full(nv, -1)
+                vid[np.asarray(free, dtype=bool)] = np.arange(int(np.sum(free)))
+            n = int(vid.max()) + 1  # free vertices
+            elems = [self.mesh.triangles] + [
+                np.stack([ids, np.roll(ids, -1)], axis=1) for ids in self.loops]
+            ii = np.concatenate([np.repeat(vid[el], el.shape[1], axis=1).ravel()
+                                 for el in elems])
+            jj = np.concatenate([np.tile(vid[el], (1, el.shape[1])).ravel()
+                                 for el in elems])
+            both = (ii >= 0) & (jj >= 0)
+            uniq, pair = np.unique(jj[both] * n + ii[both], return_inverse=True)
+            col, row = np.divmod(uniq, n)
+            start = np.searchsorted(col, np.arange(n + 1))
+            count = np.diff(start)
+            # dof column 2 j + d starts at 4 start[j] + 2 d count[j]; the rows
+            # 2 i, 2 i + 1 of pair u sit 2 (u - start[j]) further on
+            c = np.arange(2)[:, None]
+            d = np.arange(2)[None, :]
+            at = (2 * (np.arange(len(uniq)) + start[col]))[:, None, None] \
+                + c + 2 * d * count[col][:, None, None]
+            indices = np.empty(4 * len(uniq), dtype=np.int32)  # SuperLU's index type
+            indices[at] = 2 * row[:, None, None] + c
+            indptr = np.append((4 * start[:-1, None] + 2 * d * count[:, None]).ravel(),
+                               4 * len(uniq)).astype(np.int32)
+            slot = np.full((len(both), 2, 2), 4 * len(uniq))
+            slot[both] = at[pair]
+            nt = len(self.mesh.triangles)
+            slot[:9 * nt] = slot[:9 * nt].reshape(nt, 3, 3, 2, 2).transpose(
+                0, 1, 3, 2, 4).reshape(-1, 2, 2)
+            self._pattern = key, (slot.ravel(), (2 * n, 2 * n), indices, indptr)
+        return self._pattern[1]
 
 
 def bulk_term(y: DeformationField, density: BulkDensity) -> float:

@@ -20,7 +20,7 @@ vectors, by one-homogeneity) and prices a unit of created cavity surface:
     smoothed_l1  phi(z) = sum_i sqrt(z_i^2 + eps^2 |z|^2) / sqrt(1 + 2 eps^2)
 
 All three are positively one-homogeneous, convex, bounded below by a
-positive multiple of |z|, and continuously differentiable away from zero.
+positive multiple of |z|, and smooth away from zero.
 """
 
 from __future__ import annotations
@@ -51,13 +51,18 @@ def _cof2(F):
     return c
 
 
+# D^2 det on vec F = (F00, F01, F10, F11): det(F + G) - det F - cof F : G = det G
+_D2DET = np.array([[0.0, 0.0, 0.0, 1.0], [0.0, 0.0, -1.0, 0.0],
+                   [0.0, -1.0, 0.0, 0.0], [1.0, 0.0, 0.0, 0.0]])
+
+
 @dataclass(frozen=True)
 class BulkDensity:
     """W(F) = (mu/2)|F|^2 + a (det F)^2 - b log(det F), quadratic growth.
 
-    mu, a, b must be positive.  `energy` and `stress` accept a single 2x2
-    array or any (..., 2, 2) batch and raise DomainError when det F <= 0
-    anywhere in the batch.
+    mu, a, b must be positive.  `energy`, `stress` and `hessian` accept a
+    single 2x2 array or any (..., 2, 2) batch and raise DomainError when
+    det F <= 0 anywhere in the batch.
     """
 
     mu: float = 1.0
@@ -83,6 +88,21 @@ class BulkDensity:
             raise DomainError("det F <= 0: deformation gradient outside the admissible cone")
         coef = 2.0 * self.a * det - self.b / det
         return self.mu * F + coef[..., None, None] * _cof2(F)
+
+    def hessian(self, F):
+        """D^2W(F)[a, b, c, d] = d^2 W / dF_ab dF_cd, shape (..., 2, 2, 2, 2):
+        mu I + (2 a + b / det^2) cof F (x) cof F + (2 a det - b / det) D^2 det.
+        Not positive semidefinite in general (W is polyconvex, not convex)."""
+        F = np.asarray(F, dtype=float)
+        det = _det2(F)
+        if np.any(det <= 0.0):
+            raise DomainError("det F <= 0: deformation gradient outside the admissible cone")
+        cof = _cof2(F).reshape(det.shape + (4,))
+        H = cof[..., :, None] * cof[..., None, :]
+        H *= (2.0 * self.a + self.b / det ** 2)[..., None, None]
+        H += (2.0 * self.a * det - self.b / det)[..., None, None] * _D2DET
+        H += self.mu * np.eye(4)
+        return H.reshape(det.shape + (2, 2, 2, 2))
 
     def gamma(self, h):
         """Volumetric part a h^2 - b log h, shifted to be nonnegative.
@@ -120,8 +140,8 @@ _KINDS = ("isotropic", "elliptic", "smoothed_l1")
 
 @dataclass(frozen=True)
 class SurfaceDensity:
-    """Positively one-homogeneous surface density phi with gradient and,
-    for the twice differentiable kinds, Hessian.
+    """Positively one-homogeneous surface density phi with gradient and
+    Hessian.
 
     kind "elliptic" needs a symmetric positive definite 2x2 matrix A;
     kind "smoothed_l1" needs eps > 0 (the corner-rounding width).
@@ -173,11 +193,8 @@ class SurfaceDensity:
         return g / np.sqrt(1.0 + 2.0 * e2)
 
     def hessian(self, z):
-        """Second derivative of phi at z != 0.  Only the isotropic and
-        elliptic kinds are twice differentiable in the sense used by the
-        curvature checks; smoothed_l1 raises."""
-        if self.kind == "smoothed_l1":
-            raise ValueError("Hessian unavailable for the smoothed_l1 surface density")
+        """Second derivative of phi at z != 0, shape (..., 2, 2); positive
+        semidefinite (phi is convex) and annihilates z (one-homogeneity)."""
         z = np.asarray(z, dtype=float)
         self._reject_zero(z)
         if self.kind == "isotropic":
@@ -185,9 +202,22 @@ class SurfaceDensity:
             zh = z / n[..., None]
             eye = np.eye(2)
             return (eye - zh[..., :, None] * zh[..., None, :]) / n[..., None, None]
-        Az = np.einsum("ij,...j->...i", self.A, z)
-        val = np.sqrt(np.einsum("...i,...i->...", z, Az))
-        return self.A / val[..., None, None] - Az[..., :, None] * Az[..., None, :] / val[..., None, None] ** 3
+        if self.kind == "elliptic":
+            Az = np.einsum("ij,...j->...i", self.A, z)
+            val = np.sqrt(np.einsum("...i,...i->...", z, Az))
+            return self.A / val[..., None, None] - Az[..., :, None] * Az[..., None, :] / val[..., None, None] ** 3
+        e2 = self.eps ** 2
+        n2 = (z[..., 0] ** 2 + z[..., 1] ** 2)[..., None]
+        t = np.sqrt(z ** 2 + e2 * n2)
+        H = np.zeros(z.shape + (2,))
+        for i in range(2):  # D^2 t_i = (e_i e_i^T + e2 I) / t_i - w_i w_i^T / t_i^3
+            w = e2 * z
+            w[..., i] += z[..., i]
+            ti = t[..., i, None, None]
+            H -= w[..., :, None] * w[..., None, :] / ti ** 3
+            H[..., i, i] += 1.0 / t[..., i]
+            H += e2 * np.eye(2) / ti
+        return H / np.sqrt(1.0 + 2.0 * e2)
 
     def lower_bound_constant(self, samples: int = 256) -> float:
         """min over unit directions of phi, a certified positive lower-bound

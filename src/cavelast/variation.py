@@ -1,6 +1,6 @@
 """Outer variations h_t = id + t*psi, first-variation assembly with a
-finite-difference cross-check, and a descent minimizer whose line search
-preserves admissibility.
+finite-difference cross-check, and a damped projected-Newton minimizer
+whose line search preserves admissibility.
 
 Unless a mode says otherwise, variations differentiate the discrete energy
 exactly (its nodal gradient dotted with psi at the nodes), so the
@@ -12,6 +12,7 @@ import logging
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.sparse.linalg import splu
 
 from .degree import check_inv
 from .energy import (_ROT, DiscreteEnergy, _require_positive_dets,
@@ -370,7 +371,7 @@ def battery_variations(y: DeformationField, density: BulkDensity,
 
 
 # ---------------------------------------------------------------------------
-# descent minimizer
+# Newton minimizer
 
 
 @dataclass
@@ -416,89 +417,87 @@ def minimize(y0: DeformationField, density: BulkDensity, phi: SurfaceDensity,
              residual_rel: float = 1e-3, det_floor: float = 1e-8,
              inv_every: int = 10, inv_delta: float = 0.02,
              fixed_ids=None, seed: int = 0, max_backtracks: int = 40):
-    """Monotone descent on the free nodal positions.
+    """Monotone damped projected-Newton descent on the free nodal positions.
 
-    The analytic gradient drives Barzilai-Borwein-seeded backtracking; any
-    trial with min element determinant <= det_floor is rejected, and every
-    inv_every-th accepted step must additionally pass the injectivity
-    sampling check. Convergence needs both a small energy decrease and a
-    small certification-battery residual. Returns (field, log); the log
-    status is "converged", "max_iters" or "stalled". Every 25th iteration
-    is logged at DEBUG level on the "cavelast" logger.
+    Each step solves (H + damping * diag H) dx = -g by sparse LU, with H the
+    per-element projected Hessian `DiscreteEnergy.hess`; the damping starts
+    at 1 and shrinks by 0.3 after a full step, grows by 4 after a shortened
+    one. The step is halved (at most max_backtracks times) until it lowers
+    the energy by the Armijo amount; any trial with min element determinant
+    <= det_floor is rejected, and every inv_every-th accepted step must
+    additionally pass the injectivity sampling check. Convergence needs both
+    a small energy decrease and a small certification-battery residual.
+    Returns (field, log); the log status is "converged", "max_iters" or
+    "stalled", and its `step` column is the accepted step fraction. Every
+    25th iteration is logged at DEBUG level on the "cavelast" logger.
     """
     mesh = y0.mesh
     energy_of = DiscreteEnergy(mesh, density, phi)
     free = _free_mask(mesh, fixed_ids)
 
-    def gradient(pos):
-        g = np.add(*energy_of.grad(pos))  # bulk + surface
-        g[~free] = 0.0
-        return g
+    def gradient(pos, F):
+        return np.add(*energy_of.grad(pos, F))[free].ravel()  # bulk + surface
 
     log = IterationLog()
     pos = y0.positions.copy()
-    bulk, surf, mind = energy_of.value(pos)
+    F = energy_of.element_gradients(pos)
+    bulk, surf, mind = energy_of.value(pos, F)
     if bulk is None or mind <= det_floor:
         raise InfeasibleEnergyError(
             f"starting field has min determinant {mind:.3e} <= {det_floor:.1e}")
     energy = bulk + surf
-    grad = gradient(pos)
+    grad = gradient(pos, F)
     log.add(iter=0, energy=energy, bulk=bulk, surface=surf, min_det=mind,
             step=0.0, residual=None)
 
-    h_ref = float(np.sqrt(2.0 * mesh.areas.mean()))
-    gmax = float(np.abs(grad).max())
-    step = 0.05 * h_ref / gmax if gmax > 0 else 1.0
-    prev_pos = prev_grad = None
+    damping = 1.0
     accepted = 0
     tiny_streak = 0
     status = "max_iters"
 
     for it in range(1, max_iters + 1):
-        gn2 = float(np.sum(grad[free] ** 2))
-        if gn2 == 0.0:
+        if not grad.any():
             res = battery_residual(y0.with_positions(pos), density, phi, seed=seed)
             log.add(iter=it, energy=energy, bulk=bulk, surface=surf,
                     min_det=mind, step=0.0, residual=res)
             status = "converged" if res <= residual_rel * max(abs(energy), 1e-300) else "stalled"
             break
 
-        if prev_grad is not None:
-            dx = (pos - prev_pos)[free].ravel()
-            dg = (grad - prev_grad)[free].ravel()
-            denom = float(dx @ dg)
-            if denom > 0.0:
-                step = float(dx @ dx) / denom
-        step = float(np.clip(step, 1e-12 * h_ref, 1e3))
+        H = energy_of.hess(pos, free, F)
+        H.setdiag(H.diagonal() * (1.0 + damping))
+        dx = splu(H, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+                  options={"SymmetricMode": True}).solve(-grad).reshape(-1, 2)
+        slope = float(grad @ dx.ravel())
 
-        s = step
+        s = 1.0
         trial = None
         need_inv = inv_every > 0 and (accepted + 1) % inv_every == 0
         for _ in range(max_backtracks):
             cand = pos.copy()
-            cand[free] -= s * grad[free]
-            t_bulk, t_surf, t_mind = energy_of.value(cand)
+            cand[free] += s * dx
+            t_F = energy_of.element_gradients(cand)
+            t_bulk, t_surf, t_mind = energy_of.value(cand, t_F)
             if t_bulk is not None and t_mind > det_floor \
-                    and t_bulk + t_surf <= energy - 1e-4 * s * gn2:
+                    and t_bulk + t_surf <= energy + 1e-4 * s * slope:
                 if need_inv:
                     rep = check_inv(y0.with_positions(cand), delta=inv_delta, seed=seed)
                     if not rep.passed:
                         s *= 0.5
                         continue
-                trial = (cand, t_bulk, t_surf, t_mind, s)
+                trial = (cand, t_F, t_bulk, t_surf, t_mind, s)
                 break
             s *= 0.5
         if trial is None:
             status = "stalled"
             break
 
-        prev_pos, prev_grad = pos, grad
-        pos, bulk, surf, mind, s = trial
+        pos, F, bulk, surf, mind, s = trial
+        damping *= 0.3 if s == 1.0 else 4.0
         new_energy = bulk + surf
         decrease = energy - new_energy
         energy = new_energy
         accepted += 1
-        grad = gradient(pos)
+        grad = gradient(pos, F)
 
         res = None
         if decrease < tol_E * (1.0 + abs(energy)):

@@ -142,6 +142,69 @@ class TestDiscreteEnergy:
         assert bulk is None and surface is None and mind <= 0.0
         with pytest.raises(InfeasibleEnergyError):
             E.grad(pos)
+        with pytest.raises(InfeasibleEnergyError):
+            E.hess(pos)
+
+    @staticmethod
+    def two_fields(stretched_disk):
+        square = cv.build_square_mesh(2.0, 0.25, punctures=[((0.6, 0.6), 0.15),
+                                                            ((1.4, 1.3), 0.2)])
+        rng = np.random.default_rng(8)
+        for y in (stretched_disk, cv.DeformationField(square, 1.4 * square.vertices)):
+            yield y.mesh, y.positions + 0.003 * rng.standard_normal(y.positions.shape)
+
+    def test_hessian_matches_central_difference(self, stretched_disk):
+        # mu = 10 keeps D^2W positive definite at these stretches, so the
+        # per-element projection is inactive and hess is the exact Hessian
+        stiff = cv.BulkDensity(10.0, 1.0, 1.0)
+        t = 1e-6
+        for mesh, pos in self.two_fields(stretched_disk):
+            F = cv.DiscreteEnergy(mesh, stiff).element_gradients(pos)
+            assert np.linalg.eigvalsh(stiff.hessian(F).reshape(-1, 4, 4)).min() > 0.0
+            loops = np.concatenate(mesh.puncture_loops())
+            interior = np.setdiff1d(np.arange(len(pos)), mesh.boundary_vertices)
+            nodes = np.concatenate([loops[::7], interior[::11]])
+            for phi in self.PHIS:
+                E = cv.DiscreteEnergy(mesh, stiff, phi)
+                H = E.hess(pos).toarray()
+                assert H.shape == (pos.size, pos.size)
+                assert np.abs(H - H.T).max() <= 1e-13 * np.abs(H).max()
+                for v in nodes:
+                    for a in (0, 1):
+                        plus, minus = pos.copy(), pos.copy()
+                        plus[v, a] += t
+                        minus[v, a] -= t
+                        fd = (np.add(*E.grad(plus)) - np.add(*E.grad(minus))) / (2 * t)
+                        assert np.allclose(H[:, 2 * v + a], fd.ravel(),
+                                           rtol=1e-6, atol=1e-6), (phi.kind, v, a)
+
+    def test_hessian_projected_and_restricted(self, stretched_disk, density):
+        # the default material is indefinite under stretch; every element
+        # block is projected, so H is semidefinite, and the free-dof Hessian
+        # is the submatrix of the full one
+        for mesh, pos in self.two_fields(stretched_disk):
+            F = cv.DiscreteEnergy(mesh, density).element_gradients(pos)
+            assert np.linalg.eigvalsh(density.hessian(F).reshape(-1, 4, 4)).min() < 0.0
+            free = np.ones(len(pos), dtype=bool)
+            free[mesh.boundary_vertices] = False
+            for phi in self.PHIS:
+                E = cv.DiscreteEnergy(mesh, density, phi)
+                H = E.hess(pos).toarray()
+                assert np.linalg.eigvalsh(H).min() >= -1e-10 * np.abs(H).max()
+                dofs = np.repeat(free, 2)
+                Hf = E.hess(pos, free, F)
+                assert Hf.format == "csc" and Hf.has_sorted_indices
+                assert np.array_equal(Hf.toarray(), H[np.ix_(dofs, dofs)])
+                assert np.linalg.eigvalsh(Hf.toarray()).min() > 0.0
+                assert np.array_equal(E.hess(pos, free).toarray(), Hf.toarray())
+
+    def test_precomputed_gradients_change_nothing(self, stretched_disk, density, ell):
+        E = cv.DiscreteEnergy(stretched_disk.mesh, density, ell)
+        pos = stretched_disk.positions
+        F = E.element_gradients(pos)
+        assert E.value(pos, F) == E.value(pos)
+        for a, b in zip(E.grad(pos, F), E.grad(pos)):
+            assert np.array_equal(a, b)
 
 
 class TestPerimeter:

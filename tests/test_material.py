@@ -41,6 +41,22 @@ class TestBulkDensity:
                     fd = (density.energy(Fp[None])[0] - density.energy(Fm[None])[0]) / (2 * h)
                     assert S[k, i, j] == pytest.approx(fd, rel=2e-6, abs=1e-8)
 
+    def test_hessian_is_stress_derivative(self, density):
+        rng = np.random.default_rng(12)
+        F = random_gradients(rng, 20)
+        H = density.hessian(F)
+        assert H.shape == (20, 2, 2, 2, 2)
+        assert np.array_equal(H, H.transpose(0, 3, 4, 1, 2))
+        h = 1e-6
+        for i in range(2):
+            for j in range(2):
+                dF = np.zeros((2, 2))
+                dF[i, j] = h
+                fd = (density.stress(F + dF) - density.stress(F - dF)) / (2 * h)
+                assert np.allclose(H[:, :, :, i, j], fd, rtol=1e-6, atol=1e-8)
+        # polyconvex, not convex: stretching makes D^2W indefinite
+        assert np.linalg.eigvalsh(density.hessian(np.diag([1.5, 1.5])).reshape(4, 4))[0] < 0.0
+
     def test_energy_rejects_nonpositive_det(self, density):
         with pytest.raises(DomainError):
             density.energy(np.diag([1.0, -1.0])[None])
@@ -126,7 +142,7 @@ class TestSurfaceDensity:
         # second derivative of a one-homogeneous function kills z itself
         rng = np.random.default_rng(13)
         z = rng.standard_normal((20, 2))
-        for phi in (iso, ell):
+        for phi in (iso, ell, cv.SurfaceDensity("smoothed_l1", eps=0.1)):
             H = phi.hessian(z)
             assert np.allclose(np.einsum("nij,nj->ni", H, z), 0.0, atol=1e-10)
 
@@ -134,15 +150,23 @@ class TestSurfaceDensity:
         theta = np.linspace(0.0, 2 * np.pi, 64, endpoint=False)
         nu = np.stack([np.cos(theta), np.sin(theta)], axis=1)
         tau = np.stack([-np.sin(theta), np.cos(theta)], axis=1)
-        for phi in (iso, ell):
+        for phi in (iso, ell, cv.SurfaceDensity("smoothed_l1", eps=0.1)):
             H = phi.hessian(nu)
             quad = np.einsum("ni,nij,nj->n", tau, H, tau)
             assert quad.min() > 0.0
 
-    def test_smoothed_l1_hessian_unavailable(self):
-        sl1 = cv.SurfaceDensity("smoothed_l1", eps=0.1)
-        with pytest.raises(ValueError, match="Hessian unavailable"):
-            sl1.hessian(np.array([[1.0, 0.0]]))
+    def test_hessian_matches_finite_differences(self, iso, ell):
+        rng = np.random.default_rng(21)
+        z = rng.standard_normal((20, 2))
+        h = 1e-6
+        for phi in (iso, ell, cv.SurfaceDensity("smoothed_l1", eps=0.1),
+                    cv.SurfaceDensity("smoothed_l1", eps=0.6)):
+            H = phi.hessian(z)
+            for i in range(2):
+                dz = np.zeros(2)
+                dz[i] = h
+                fd = (phi.gradient(z + dz) - phi.gradient(z - dz)) / (2 * h)
+                assert np.allclose(H[:, :, i], fd, rtol=1e-6, atol=1e-8), (phi.kind, phi.eps)
 
     def test_smoothed_l1_above_l1_shrinks_with_eps(self):
         z = np.array([[3.0, 4.0]])

@@ -164,10 +164,16 @@ class TestBvp:
         # the circular ansatz cannot satisfy the pointwise condition
         assert rep.max_pointwise > 0.1
 
-    def test_smoothed_density_rejected(self, density, radial_15):
+    def test_smoothed_density_report_finite(self, density, radial_15):
         phi = cv.SurfaceDensity("smoothed_l1", eps=0.1)
-        with pytest.raises(ValueError, match="Hessian unavailable"):
-            cv.bvp_boundary_check(radial_15, density, phi)
+        rep = cv.bvp_boundary_check(radial_15, density, phi)
+        assert np.all(np.isfinite(rep.pointwise))
+        assert np.all(np.isfinite(rep.h_pointwise))
+        assert np.isfinite(rep.projected)
+        # tau.D2phi(nu).tau = phi + phi'' over the angle, so the pointwise
+        # curvature averages to h_avg on a fine enough angle grid
+        fine = cv.bvp_boundary_check(radial_15, density, phi, n_angles=256)
+        assert fine.h_pointwise.mean() == pytest.approx(fine.h_avg, rel=1e-8)
 
     def test_homogeneous_profile_fails(self, density, iso):
         knots = np.geomspace(0.2, 1.0, 97)

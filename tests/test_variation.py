@@ -331,6 +331,40 @@ class TestMinimize:
         assert last["bulk"] == bd.bulk
         assert last["surface"] == bd.surface
 
+    @pytest.mark.parametrize("h", [0.15, 0.11, 0.08])
+    def test_radial_stretch_in_50_newton_steps(self, density, iso, h):
+        # the criterion-4 meshes, gate on as in the bundled scenario
+        mesh = cv.build_disk_mesh(1.0, h, punctures=[((0.0, 0.0), 0.2)])
+        y0 = cv.BoundaryData(kind="radial_stretch", lam=1.5).initial_field(mesh)
+        _, log = cv.minimize(y0, density, iso, max_iters=50)
+        assert log.status == "converged"
+
+    def test_compression_converges(self, density, iso):
+        # lambda = 0.6 on the bundled disk: the gradient descent this solver
+        # replaced stalled here at max_iters with battery residual 0.096
+        mesh = cv.build_disk_mesh(1.0, 0.15, punctures=[((0.0, 0.0), 0.2)])
+        y0 = cv.BoundaryData(kind="radial_stretch", lam=0.6).initial_field(mesh)
+        _, log = cv.minimize(y0, density, iso, max_iters=300)
+        assert log.status == "converged"
+        assert log.records[-1]["residual"] <= 1e-3 * log.records[-1]["energy"]
+
+    @pytest.mark.parametrize("case", ["stretch_ell", "compress_iso", "two_holes_l1"])
+    def test_no_accepted_step_raises_energy(self, density, iso, ell, case):
+        if case == "two_holes_l1":
+            mesh = cv.build_square_mesh(2.0, 0.25, punctures=[((0.6, 0.6), 0.15),
+                                                              ((1.4, 1.3), 0.2)])
+            y0 = cv.BoundaryData(kind="affine_stretch", lam=1.4).initial_field(mesh)
+            phi = cv.SurfaceDensity("smoothed_l1", eps=0.1)
+        else:
+            mesh = cv.build_disk_mesh(1.0, 0.2, punctures=[((0.0, 0.0), 0.2)])
+            lam, phi = (1.5, ell) if case == "stretch_ell" else (0.6, iso)
+            y0 = cv.BoundaryData(kind="radial_stretch", lam=lam).initial_field(mesh)
+        _, log = cv.minimize(y0, density, phi, max_iters=300)
+        E = [r["energy"] for r in log.records]
+        assert len(E) > 3
+        assert all(b <= a for a, b in zip(E, E[1:]))
+        assert all(0.0 < r["step"] <= 1.0 for r in log.records[1:])
+
     def test_infeasible_start_rejected(self, square_mesh, density, iso):
         pos = square_mesh.vertices.copy()
         interior = np.setdiff1d(np.arange(len(pos)), square_mesh.boundary_vertices)
