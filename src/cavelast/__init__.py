@@ -9,8 +9,7 @@ a cross-check on symmetric scenarios.
 """
 
 from .exceptions import (CavelastError, ConfigurationError, DomainError,
-                         GeometryError, InfeasibleEnergyError,
-                         SolverStallError)
+                         GeometryError, InfeasibleEnergyError)
 from .material import BulkDensity, SurfaceDensity
 from .geometry import (BoundaryData, DeformationField, Mesh, TriangleLocator,
                        build_annulus_mesh, build_disk_mesh, build_square_mesh,
@@ -21,7 +20,7 @@ from .degree import (CavityRecord, DegreeRaster, InvReport, check_inv,
                      topological_image_point, winding_number)
 from .energy import (DiscreteEnergy, EnergyBreakdown, SeparableTestField,
                      anisotropic_perimeter, bulk_term, detect_cavities,
-                     rho_extrapolate, surface_functional_S_sum,
+                     surface_functional_S_sum,
                      surface_functional_S_testfield, total_energy,
                      triangle_quadrature)
 from .inverse import (InverseField, JumpContour, area_formula_check,
@@ -43,7 +42,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "CavelastError", "ConfigurationError", "DomainError", "GeometryError",
-    "InfeasibleEnergyError", "SolverStallError",
+    "InfeasibleEnergyError",
     "BulkDensity", "SurfaceDensity",
     "BoundaryData", "DeformationField", "Mesh", "TriangleLocator",
     "build_annulus_mesh", "build_disk_mesh", "build_square_mesh",
@@ -53,7 +52,7 @@ __all__ = [
     "marching_squares", "topological_image", "topological_image_point",
     "winding_number",
     "DiscreteEnergy", "EnergyBreakdown", "SeparableTestField",
-    "anisotropic_perimeter", "bulk_term", "detect_cavities", "rho_extrapolate",
+    "anisotropic_perimeter", "bulk_term", "detect_cavities",
     "surface_functional_S_sum", "surface_functional_S_testfield",
     "total_energy", "triangle_quadrature",
     "InverseField", "JumpContour", "area_formula_check",

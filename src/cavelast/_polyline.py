@@ -18,7 +18,7 @@ def ensure_ccw(pts):
     return pts
 
 
-def polygon_is_simple(pts, tol=1e-12) -> bool:
+def polygon_is_simple(pts) -> bool:
     """True when no two non-adjacent edges of the closed polygon intersect."""
     pts = np.asarray(pts, dtype=float)
     n = len(pts)
@@ -37,6 +37,7 @@ def polygon_is_simple(pts, tol=1e-12) -> bool:
     with np.errstate(divide="ignore", invalid="ignore"):
         t = (rx * ey - ry * ex) / denom
         u = (rx * dy - ry * dx) / denom
+    tol = 1e-12
     crossing = (np.abs(denom) > tol) & (t > tol) & (t < 1 - tol) & (u > tol) & (u < 1 - tol)
     idx = np.arange(n)
     adjacent = (np.abs(idx[:, None] - idx[None, :]) <= 1) | \
@@ -70,13 +71,12 @@ def densify(loop, max_edge):
     return np.asarray(out)
 
 
-def hausdorff_distance(loop_a, loop_b, resolution=None) -> float:
-    """Symmetric Hausdorff distance between two closed polylines."""
+def hausdorff_distance(loop_a, loop_b) -> float:
+    """Symmetric Hausdorff distance between two closed polylines, both
+    densified to 1% of the larger bounding-box side."""
     a = np.asarray(loop_a, dtype=float)
     b = np.asarray(loop_b, dtype=float)
-    if resolution is None:
-        scale = max(np.ptp(a, axis=0).max(), np.ptp(b, axis=0).max())
-        resolution = 0.01 * scale
+    resolution = 0.01 * max(np.ptp(a, axis=0).max(), np.ptp(b, axis=0).max())
     ad = densify(a, resolution)
     bd = densify(b, resolution)
     d_ab = points_to_polyline_distance(ad, b).max()

@@ -309,7 +309,7 @@ def build_phi(cfg: ScenarioConfig) -> SurfaceDensity:
 
 
 def build_boundary(cfg: ScenarioConfig) -> BoundaryData:
-    return BoundaryData(kind=cfg.bc_kind, lam=cfg.lam, tag=cfg.tag)
+    return BoundaryData(kind=cfg.bc_kind, lam=cfg.lam)
 
 
 # ---------------------------------------------------------------------------
@@ -348,8 +348,10 @@ def _read_cavities_csv(path) -> list:
     return [np.asarray(loops[k]) for k in sorted(loops)]
 
 
-def _svg_document(segments, loops, size=720):
-    """Deterministic SVG text: one path of mesh edges, one polygon per loop."""
+def _svg_document(segments, loops):
+    """Deterministic 720 x 720 SVG text: one path of mesh edges, one polygon
+    per loop."""
+    size = 720
     pts = np.concatenate([s.reshape(-1, 2) for s in segments] + loops) \
         if (segments or loops) else np.zeros((1, 2))
     lo = pts.min(axis=0)
@@ -429,7 +431,8 @@ def _summary_lines(cfg, status, n_iters, breakdown, inv_report, residual,
 
 
 def run_scenario(config, out_dir=None, mode="run", emit=None, threads=None):
-    """Execute one scenario; returns (exit_code, artifact_dir or None)."""
+    """Execute one scenario; returns (exit_code, artifact_dir). Exit code 2
+    (input that cannot be run) writes nothing and returns no directory."""
     try:
         cfg = config if isinstance(config, ScenarioConfig) \
             else ScenarioConfig.from_ini(resolve_scenario(config))
@@ -438,7 +441,6 @@ def run_scenario(config, out_dir=None, mode="run", emit=None, threads=None):
         return 2, None
     emit = tuple(emit) if emit is not None else cfg.emit
     out = Path(out_dir) if out_dir else Path(cfg.out or f"runs/{cfg.name}")
-    out.mkdir(parents=True, exist_ok=True)
 
     try:
         mesh = build_mesh(cfg)
@@ -448,7 +450,7 @@ def run_scenario(config, out_dir=None, mode="run", emit=None, threads=None):
         y0 = bc.initial_field(mesh)
     except (ConfigurationError, CavelastError) as err:
         print(f"infeasible input: {err}", file=sys.stderr)
-        return 2, out
+        return 2, None
 
     try:
         if mode == "run":
@@ -464,7 +466,7 @@ def run_scenario(config, out_dir=None, mode="run", emit=None, threads=None):
         breakdown = total_energy(y, density, phi)
     except InfeasibleEnergyError as err:
         print(f"infeasible input: {err}", file=sys.stderr)
-        return 2, out
+        return 2, None
 
     inv_report = check_inv(y, delta=cfg.inv_delta, seed=cfg.seed)
     fields = certification_battery(y, seed=cfg.seed)
@@ -481,6 +483,7 @@ def run_scenario(config, out_dir=None, mode="run", emit=None, threads=None):
                 surface=breakdown.surface, min_det=dmin, step=0.0,
                 residual=residual)
 
+    out.mkdir(parents=True, exist_ok=True)
     (out / "config.ini").write_text(cfg.to_ini())
     (out / "summary.txt").write_text(_summary_lines(
         cfg, status, max(0, len(log.records) - 1), breakdown, inv_report,

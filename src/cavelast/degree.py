@@ -22,12 +22,11 @@ from .geometry import (_CHUNK, DeformationField, locate_circle, locate_reference
                        trace_on_circle)
 
 
-def winding_number(loop, points, on_boundary_tol=1e-12):
+def winding_number(loop, points):
     """Winding number of a closed polyline around each query point.
 
-    Signed ray-crossing count (horizontal ray to +x).  Points within
-    `on_boundary_tol` of the polyline are rejected: the winding number is
-    undefined there.
+    Signed ray-crossing count (horizontal ray to +x).  Points within 1e-12
+    of the polyline are rejected: the winding number is undefined there.
 
     Returns an int array shaped like the leading axis of `points`, or a
     plain int for a single point.
@@ -38,7 +37,7 @@ def winding_number(loop, points, on_boundary_tol=1e-12):
     if len(loop) < 3:
         raise DomainError("winding number needs a closed loop of at least 3 points")
     near = points_to_polyline_distance(pts, loop)
-    if np.any(near <= on_boundary_tol):
+    if np.any(near <= 1e-12):
         k = int(np.argmin(near))
         raise DomainError(
             f"query point ({pts[k, 0]:.6g}, {pts[k, 1]:.6g}) lies on the loop "
@@ -111,15 +110,15 @@ class DegreeRaster:
         out[ok] = self.values[idx[ok, 1], idx[ok, 0]] != 0
         return out
 
-    def save_pgm(self, path, offset=8, maxval=16):
-        """Greymap export: degree + offset clipped to [0, maxval]."""
-        vals = np.clip(self.values + offset, 0, maxval)
+    def save_pgm(self, path):
+        """Greymap export: degree + 8 clipped to [0, 16]."""
+        vals = np.clip(self.values + 8, 0, 16)
         lines = [
             "P2",
             f"# cavelast-degree delta={self.delta:.17g} "
-            f"origin={self.origin[0]:.17g} {self.origin[1]:.17g} offset={offset}",
+            f"origin={self.origin[0]:.17g} {self.origin[1]:.17g} offset=8",
             f"{self.values.shape[1]} {self.values.shape[0]}",
-            str(maxval),
+            "16",
         ]
         lines += [" ".join(str(v) for v in row) for row in vals]
         with open(path, "w") as fh:
@@ -159,8 +158,9 @@ def _subdomain_loops(y: DeformationField, subdomain, m):
     raise ValueError("subdomain must be ('circle', center, r) or 'omega'")
 
 
-def topological_image(y: DeformationField, subdomain, delta, m=256, margin=4) -> DegreeRaster:
-    """Raster of the degree of y|U at the cell centers of a uniform grid.
+def topological_image(y: DeformationField, subdomain, delta, m=256) -> DegreeRaster:
+    """Raster of the degree of y|U at the cell centers of a uniform grid
+    that extends 4 cells beyond the image loops.
 
     U is either a circle inside the meshed domain or the whole domain; holes
     (punctures) enter with negative orientation, so the raster counts the
@@ -168,8 +168,8 @@ def topological_image(y: DeformationField, subdomain, delta, m=256, margin=4) ->
     """
     loops = _subdomain_loops(y, subdomain, m)
     pts = np.vstack([lp for lp, _ in loops])
-    lo = pts.min(axis=0) - margin * delta
-    hi = pts.max(axis=0) + margin * delta
+    lo = pts.min(axis=0) - 4 * delta
+    hi = pts.max(axis=0) + 4 * delta
     nx = int(np.ceil((hi[0] - lo[0]) / delta)) + 1
     ny = int(np.ceil((hi[1] - lo[1]) / delta)) + 1
     xs = lo[0] + delta * np.arange(nx)
@@ -210,7 +210,6 @@ class CavityRecord:
     area: float
     aniso_perimeter: float = float("nan")
     simple: bool = True
-    slow_path_hausdorff: float = float("nan")
 
     def radius_mean(self) -> float:
         c = self.boundary.mean(axis=0)
@@ -223,13 +222,13 @@ class CavityRecord:
         return rows
 
 
-def topological_image_point(y: DeformationField, site, radii, delta, m=256,
-                            area_threshold=None) -> CavityRecord | None:
+def topological_image_point(y: DeformationField, site, radii, delta,
+                            m=256) -> CavityRecord | None:
     """Cavity attached to a site: intersection of rasterized closures of the
     degree supports over a decreasing family of circles around the site.
 
-    Returns None when the intersection is below the area threshold
-    (default 4 delta^2), i.e. no cavity opens at the site.
+    Returns None when the intersection covers at most 4 delta^2, i.e. no
+    cavity opens at the site.
     """
     radii = sorted(radii, reverse=True)
     if not radii:
@@ -243,10 +242,8 @@ def topological_image_point(y: DeformationField, site, radii, delta, m=256,
         loop = trace_on_circle(y, site, r, m)
         member = _winding_no_boundary_guard(loop, centers).reshape(ny, nx) != 0
         inter &= _closure(member)
-    if area_threshold is None:
-        area_threshold = 4.0 * delta ** 2
     area = float(inter.sum()) * delta ** 2
-    if area <= area_threshold:
+    if area <= 4.0 * delta ** 2:
         return None
     loops = marching_squares(inter, base.origin, base.delta)
     if not loops:
@@ -387,8 +384,7 @@ def check_inv(y: DeformationField, centers=None, radii=None, delta=0.02, samples
     drawn and located once per (centers, radii, samples, m, seed) and kept
     in `y.mesh.inv_plans`; later calls only interpolate the new positions.
     The mesh must not be mutated once a plan exists (the same assumption
-    `Mesh.locator` makes).  A seed that is not an integer (None or a
-    Generator) draws a fresh plan on every call.
+    `Mesh.locator` makes).  The seed is an integer.
     """
     band = 2.0 * delta
     entries = []
@@ -418,8 +414,6 @@ class _InvCircle:
 
 
 def _inv_plan(mesh, centers, radii, samples, m, seed):
-    if not isinstance(seed, (int, np.integer)):
-        return _build_inv_plan(mesh, centers, radii, samples, m, seed)
     key = (None if centers is None
            else tuple(tuple(np.asarray(a, dtype=float).tolist()) for a in centers),
            None if radii is None else tuple(tuple(float(r) for r in rs) for rs in radii),
@@ -450,7 +444,7 @@ def _build_inv_plan(mesh, centers, radii, samples, m, seed):
     return plan
 
 
-def _default_radii(mesh, a, count=8):
+def _default_radii(mesh, a):
     rho = 0.0
     for c, r in mesh.punctures:
         if np.linalg.norm(c - a) <= 4.0 * r:
@@ -469,7 +463,7 @@ def _default_radii(mesh, a, count=8):
     r_lo = max(1.2 * rho, 0.05 * r_hi) if rho > 0 else 0.1 * r_hi
     if r_lo >= r_hi:
         raise GeometryError("no room for invertibility circles around the site")
-    return np.geomspace(r_lo, r_hi, count)
+    return np.geomspace(r_lo, r_hi, 8)
 
 
 def _sample_disk_in_mesh(mesh, a, r, n, rng):

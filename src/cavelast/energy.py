@@ -9,15 +9,14 @@ certified lower bounds.
 """
 
 import warnings
-from dataclasses import dataclass, replace
-from functools import cached_property, lru_cache
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy import sparse
 
-from ._polyline import (ensure_ccw, hausdorff_distance, polygon_is_simple,
-                        polygon_signed_area)
-from .degree import CavityRecord, _default_radii, topological_image_point
+from ._polyline import ensure_ccw, polygon_is_simple, polygon_signed_area
+from .degree import CavityRecord
 from .exceptions import DomainError, InfeasibleEnergyError
 from .geometry import DeformationField
 from .material import BulkDensity, SurfaceDensity, _cof2, _det2
@@ -26,7 +25,7 @@ __all__ = [
     "DiscreteEnergy", "phi_perimeter", "phi_perimeter_gradient",
     "EnergyBreakdown", "bulk_term", "anisotropic_perimeter", "detect_cavities",
     "total_energy", "surface_functional_S_sum", "surface_functional_S_testfield",
-    "SeparableTestField", "triangle_quadrature", "rho_extrapolate",
+    "SeparableTestField", "triangle_quadrature",
 ]
 
 
@@ -58,26 +57,6 @@ def triangle_quadrature(order: int):
         if order <= deg:
             return _RULES[deg]
     raise ValueError(f"no triangle rule of degree {order}; best available is 4")
-
-
-@lru_cache(maxsize=32)
-def _bary_points(order: int, subdivide: int):
-    """Quadrature points of a (possibly uniformly subdivided) reference
-    triangle, expressed in the parent's barycentric coordinates."""
-    pts, wts = triangle_quadrature(order)
-    tris = np.eye(3)[None, :, :]  # one triangle, rows = corner barycentrics
-    for _ in range(subdivide):
-        p, q, r = tris[:, 0], tris[:, 1], tris[:, 2]
-        mpq, mqr, mrp = 0.5 * (p + q), 0.5 * (q + r), 0.5 * (r + p)
-        tris = np.concatenate([
-            np.stack([p, mpq, mrp], axis=1),
-            np.stack([mpq, q, mqr], axis=1),
-            np.stack([mrp, mqr, r], axis=1),
-            np.stack([mpq, mqr, mrp], axis=1),
-        ], axis=0)
-    bary = np.einsum("qc,kcb->kqb", pts, tris).reshape(-1, 3)
-    w = np.tile(wts, len(tris)) / len(tris)  # children all have area A/4^s
-    return bary, w
 
 
 # ---------------------------------------------------------------------------
@@ -289,8 +268,8 @@ class EnergyBreakdown:
 
     `total` is formed as bulk + surface in that order, nothing recomputed.
     `rho_artifact` is the phi-perimeter the reference punctures carry even
-    when nothing opens; subtracting it (or extrapolating rho -> 0) isolates
-    the energy genuinely spent on new surface.
+    when nothing opens; subtracting it isolates the energy genuinely spent
+    on new surface.
     """
 
     bulk: float
@@ -299,7 +278,6 @@ class EnergyBreakdown:
     per_cavity: list
     cavities: list
     rho_artifact: float
-    inv_passed: bool | None = None
 
     def as_text(self) -> str:
         lines = [
@@ -312,46 +290,31 @@ class EnergyBreakdown:
         for k, (site, per) in enumerate(self.per_cavity):
             lines.append(f"cavity_{k}_site = {site[0]:.12g} {site[1]:.12g}")
             lines.append(f"cavity_{k}_perimeter = {per:.12g}")
-        if self.inv_passed is not None:
-            lines.append(f"inv_check = {'PASS' if self.inv_passed else 'FAIL'}")
         return "\n".join(lines)
 
 
-def detect_cavities(y: DeformationField, phi: SurfaceDensity, *,
-                    slow_path: bool = False, delta: float = 0.02,
-                    m: int = 192) -> list:
+def detect_cavities(y: DeformationField, phi: SurfaceDensity) -> list:
     """CavityRecord per puncture, boundary = deformed puncture loop.
 
-    With slow_path=True each fast-path polygon is cross-checked against the
-    raster contour from the degree construction and the Hausdorff distance
-    between the two is recorded.
+    `degree.topological_image_point` finds the same cavity from the degree
+    alone; the tests compare the two.
     """
     records = []
     for (center, rho), ids in zip(y.mesh.punctures, y.mesh.puncture_loops()):
         img = ensure_ccw(y.positions[ids])
         simple = polygon_is_simple(img)
         per = anisotropic_perimeter(img, phi)
-        rec = CavityRecord(site=np.asarray(center, dtype=float),
-                           puncture_radius=float(rho), boundary=img,
-                           area=abs(polygon_signed_area(img)),
-                           aniso_perimeter=per, simple=simple)
-        if slow_path:
-            radii = _default_radii(y.mesh, rec.site)
-            slow = topological_image_point(y, rec.site, radii, delta, m=m)
-            if slow is not None:
-                rec = replace(rec, slow_path_hausdorff=float(
-                    hausdorff_distance(img, slow.boundary)))
-        records.append(rec)
+        records.append(CavityRecord(site=np.asarray(center, dtype=float),
+                                    puncture_radius=float(rho), boundary=img,
+                                    area=abs(polygon_signed_area(img)),
+                                    aniso_perimeter=per, simple=simple))
     return records
 
 
 def total_energy(y: DeformationField, density: BulkDensity,
-                 phi: SurfaceDensity, *, inv_report=None) -> EnergyBreakdown:
-    """Bulk term plus anisotropic perimeter of every detected cavity.
-
-    `inv_report`, when supplied (a report from degree.check_inv), is only
-    recorded; admissibility failures surface through bulk_term.
-    """
+                 phi: SurfaceDensity) -> EnergyBreakdown:
+    """Bulk term plus anisotropic perimeter of every detected cavity;
+    admissibility failures surface through bulk_term."""
     bulk = bulk_term(y, density)
     cavities = detect_cavities(y, phi)
     surface = 0.0
@@ -363,8 +326,7 @@ def total_energy(y: DeformationField, density: BulkDensity,
     return EnergyBreakdown(
         bulk=bulk, surface=surface, total=bulk + surface,
         per_cavity=[(rec.site, rec.aniso_perimeter) for rec in cavities],
-        cavities=cavities, rho_artifact=rho_artifact,
-        inv_passed=None if inv_report is None else bool(inv_report.passed))
+        cavities=cavities, rho_artifact=rho_artifact)
 
 
 def surface_functional_S_sum(y: DeformationField) -> float:
@@ -386,18 +348,18 @@ def surface_functional_S_sum(y: DeformationField) -> float:
 # test-field form of the surface functional
 
 
-def surface_functional_S_testfield(y: DeformationField, eta, order: int = 4,
-                                   subdivide: int = 0, *,
-                                   check_sup: bool = True,
-                                   seed: int = 0) -> float:
-    """Quadrature of S_y(eta) = int cof Dy : D_x eta(x,y) + det Dy * div_xi eta(x,y).
+def surface_functional_S_testfield(y: DeformationField, eta) -> float:
+    """Quadrature of S_y(eta) = int cof Dy : D_x eta(x,y) + det Dy * div_xi eta(x,y)
+    by the 6-point rule on every triangle.
 
     eta must provide value/grad_x/div_xi taking batched (n,2) arrays of
     reference points and deformed points. Every admissible eta (C1, compactly
-    supported, sup norm <= 1) gives a lower bound for the surface sum.
+    supported, sup norm <= 1) gives a lower bound for the surface sum; a
+    sup norm above 1, at the quadrature points or at 256 random pairs,
+    raises DomainError.
     """
     mesh = y.mesh
-    bary, w = _bary_points(order, subdivide)
+    bary, w = triangle_quadrature(4)
     xv = mesh.vertices[mesh.triangles]      # (m,3,2)
     yv = y.positions[mesh.triangles]
     xq = np.einsum("qb,mbi->mqi", bary, xv)
@@ -406,16 +368,15 @@ def surface_functional_S_testfield(y: DeformationField, eta, order: int = 4,
     X = xq.reshape(-1, 2)
     XI = yq.reshape(-1, 2)
 
-    if check_sup:
-        vals = np.linalg.norm(eta.value(X, XI), axis=1)
-        rng = np.random.default_rng(seed)
-        lo, hi = XI.min(axis=0), XI.max(axis=0)
-        xr = mesh.vertices[rng.integers(0, len(mesh.vertices), 256)]
-        xir = rng.uniform(lo, hi, size=(256, 2))
-        vals_r = np.linalg.norm(eta.value(xr, xir), axis=1)
-        sup = max(float(vals.max(initial=0.0)), float(vals_r.max(initial=0.0)))
-        if sup > 1.0 + 1e-9:
-            raise DomainError(f"test field sup norm {sup:.6g} exceeds 1")
+    vals = np.linalg.norm(eta.value(X, XI), axis=1)
+    rng = np.random.default_rng(0)
+    lo, hi = XI.min(axis=0), XI.max(axis=0)
+    xr = mesh.vertices[rng.integers(0, len(mesh.vertices), 256)]
+    xir = rng.uniform(lo, hi, size=(256, 2))
+    vals_r = np.linalg.norm(eta.value(xr, xir), axis=1)
+    sup = max(float(vals.max(initial=0.0)), float(vals_r.max(initial=0.0)))
+    if sup > 1.0 + 1e-9:
+        raise DomainError(f"test field sup norm {sup:.6g} exceeds 1")
 
     F = y.element_gradients()
     det = _det2(F)
@@ -504,17 +465,3 @@ class SeparableTestField:
         b, _ = self._bump(x)
         _, divV = self._radial(xi)
         return b * divV
-
-
-# ---------------------------------------------------------------------------
-# rho bookkeeping
-
-
-def rho_extrapolate(rhos, values):
-    """Linear fit of values against rho; returns (intercept at 0, slope)."""
-    rhos = np.asarray(rhos, dtype=float)
-    values = np.asarray(values, dtype=float)
-    if rhos.size < 2:
-        raise ValueError("need at least two rho values to extrapolate")
-    slope, intercept = np.polyfit(rhos, values, 1)
-    return float(intercept), float(slope)

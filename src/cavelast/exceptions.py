@@ -26,7 +26,3 @@ class InfeasibleEnergyError(DomainError):
     def __init__(self, message, triangle=None):
         super().__init__(message)
         self.triangle = triangle
-
-
-class SolverStallError(CavelastError):
-    """Line search could not make progress (maps to exit code 3)."""

@@ -203,15 +203,14 @@ def _chain_edges(edges):
 class TriangleLocator:
     """Uniform-grid spatial index over a fixed triangulation."""
 
-    def __init__(self, vertices, triangles, cell_size=None):
+    def __init__(self, vertices, triangles):
         self.vertices = vertices
         self.triangles = triangles
         v = vertices[triangles]
         self._origin = vertices.min(axis=0)
         extent = vertices.max(axis=0) - self._origin
-        if cell_size is None:
-            cell_size = max(1e-12, 2.0 * np.sqrt(np.abs(_signed_areas(vertices, triangles)).mean()))
-        self._cell = float(cell_size)
+        mean_area = np.abs(_signed_areas(vertices, triangles)).mean()
+        self._cell = float(max(1e-12, 2.0 * np.sqrt(mean_area)))
         self._dims = np.maximum(1, np.ceil(extent / self._cell).astype(int) + 1)
         lo = np.floor((v.min(axis=1) - self._origin) / self._cell).astype(int)
         hi = np.floor((v.max(axis=1) - self._origin) / self._cell).astype(int)
@@ -240,11 +239,13 @@ class TriangleLocator:
         self._inv = inv
         self._base = v[:, 0]
 
-    def locate(self, points, tol=1e-10):
-        """Containing triangle and barycentric coordinates for each point.
+    def locate(self, points):
+        """Containing triangle and barycentric coordinates for each point,
+        with every barycentric coordinate >= -1e-10.
 
         Returns (tri, bary) with tri = -1 where the point is outside.
         """
+        tol = 1e-10
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         tri = np.full(len(pts), -1, dtype=np.int64)
         bary = np.zeros((len(pts), 3))
@@ -323,13 +324,9 @@ def element_gradient(y: DeformationField, t: int):
     return y.element_gradients()[t]
 
 
-def min_det(y: DeformationField, return_index: bool = False):
-    """Minimum element determinant; optionally also the argmin triangle."""
-    dets = y.element_dets()
-    k = int(np.argmin(dets))
-    if return_index:
-        return float(dets[k]), k
-    return float(dets[k])
+def min_det(y: DeformationField):
+    """Minimum element determinant."""
+    return float(y.element_dets().min())
 
 
 def trace_on_circle(y: DeformationField, center, r, m: int = 128):
@@ -370,51 +367,31 @@ def locate_circle(mesh: Mesh, center, r, m: int = 128):
 
 @dataclass(frozen=True)
 class BoundaryData:
-    """Dirichlet data on the tagged part of the boundary.
+    """Dirichlet data d on the boundary, as a map of the whole plane.
 
     kinds:
       radial_stretch   d(x) = lam * x
       affine_stretch   d(x) = diag(lam, 1/lam) x   (volume preserving)
-      user_table       explicit vertex id -> position map
     """
 
     kind: str = "radial_stretch"
     lam: float = 1.0
-    table: dict | None = None
-    tag: str = "dirichlet"
 
     def __post_init__(self):
-        if self.kind not in ("radial_stretch", "affine_stretch", "user_table"):
+        if self.kind not in ("radial_stretch", "affine_stretch"):
             raise ValueError(f"unknown boundary data kind {self.kind!r}")
-        if self.kind == "user_table" and not self.table:
-            raise ValueError("user_table boundary data needs a vertex table")
 
     def map_points(self, pts):
         pts = np.asarray(pts, dtype=float)
         if self.kind == "radial_stretch":
             return self.lam * pts
-        if self.kind == "affine_stretch":
-            out = pts.copy()
-            out[..., 0] *= self.lam
-            out[..., 1] /= self.lam
-            return out
-        raise ValueError("user_table data has no closed-form point map")
-
-    def apply(self, y: DeformationField) -> DeformationField:
-        """Overwrite tagged boundary vertices with the data."""
-        ids = y.mesh.vertex_ids(self.tag)
-        pos = y.positions.copy()
-        if self.kind == "user_table":
-            for i in ids:
-                pos[i] = self.table[int(i)]
-        else:
-            pos[ids] = self.map_points(y.mesh.vertices[ids])
-        return y.with_positions(pos)
+        out = pts.copy()
+        out[..., 0] *= self.lam
+        out[..., 1] /= self.lam
+        return out
 
     def initial_field(self, mesh: Mesh) -> DeformationField:
-        """Feasible starting guess matching the data on the tagged boundary."""
-        if self.kind == "user_table":
-            return self.apply(DeformationField(mesh))
+        """Feasible starting guess: the data applied to every vertex."""
         return DeformationField(mesh, self.map_points(mesh.vertices))
 
 
@@ -544,9 +521,9 @@ def build_disk_mesh(radius=1.0, h=0.1, punctures=(), tag="dirichlet") -> Mesh:
     return _delaunay_mesh([loop], inside, domain, classify, punctures, h, tag, bbox)
 
 
-def build_annulus_mesh(outer=1.0, inner=0.4, h=0.1, punctures=(), tag="dirichlet",
-                       inner_tag="free") -> Mesh:
-    """Annulus inner < |x| < outer centered at the origin."""
+def build_annulus_mesh(outer=1.0, inner=0.4, h=0.1, punctures=(), tag="dirichlet") -> Mesh:
+    """Annulus inner < |x| < outer centered at the origin; the inner circle
+    carries the tag "free"."""
     if not 0.0 < inner < outer:
         raise GeometryError("annulus needs 0 < inner < outer")
     punctures = _clean_punctures(punctures)
@@ -569,7 +546,7 @@ def build_annulus_mesh(outer=1.0, inner=0.4, h=0.1, punctures=(), tag="dirichlet
 
     bbox = (np.full(2, -outer), np.full(2, outer))
     return _delaunay_mesh([loop_out, loop_in], inside, domain,
-                          [(tag, classify_outer), (inner_tag, classify_inner)],
+                          [(tag, classify_outer), ("free", classify_inner)],
                           punctures, h, tag, bbox)
 
 
@@ -588,13 +565,14 @@ def _ring(center, r, n, phase=0.0):
     return center + r * np.stack([np.cos(th), np.sin(th)], axis=-1)
 
 
-def _puncture_cloud(center, rho, h, n_min=48):
-    """Graded rings around a puncture: dense polygon on the circle itself,
-    spacing growing linearly with distance until it reaches h.
+def _puncture_cloud(center, rho, h):
+    """Graded rings around a puncture: dense polygon (at least 48 points) on
+    the circle itself, spacing growing linearly with distance until it
+    reaches h.
 
     Returns (points, exclusion_radius, loop_point_count).
     """
-    n0 = max(n_min, int(np.ceil(2.0 * np.pi * rho / h)))
+    n0 = max(48, int(np.ceil(2.0 * np.pi * rho / h)))
     ell0 = 2.0 * np.pi * rho / n0
     pts = [_ring(center, rho, n0)]
     r = rho
@@ -631,8 +609,12 @@ def _delaunay_mesh(boundary_loops, inside_fn, domain_fn, classify, punctures, h,
     clouds = list(boundary_loops)
     exclusions = []
     loop_counts = []
-    for c, rho in punctures:
+    for k, (c, rho) in enumerate(punctures):
         pts, r_ex, n0 = _puncture_cloud(c, rho, h)
+        if not domain_fn(pts).all():
+            raise GeometryError(
+                f"puncture {k} at ({c[0]:g}, {c[1]:g}) with rho {rho:g} is too close to the "
+                f"domain boundary for h = {h:g}: its grading rings leave the domain")
         clouds.append(pts)
         exclusions.append((c, r_ex))
         loop_counts.append(n0)

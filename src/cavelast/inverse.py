@@ -83,14 +83,14 @@ def _cavity_membership(y: DeformationField, pts: np.ndarray) -> np.ndarray:
     return inside
 
 
-def build_inverse_field(y: DeformationField, delta: float, marker=None,
-                        margin: int = 2) -> InverseField:
-    """Populate the raster inverse over a grid covering the deformed image."""
+def build_inverse_field(y: DeformationField, delta: float, marker=None) -> InverseField:
+    """Populate the raster inverse over a grid covering the deformed image
+    and 2 cells beyond it."""
     if delta <= 0.0:
         raise ValueError("delta must be positive")
     marker = default_marker(y.mesh) if marker is None else np.asarray(marker, float)
-    lo = y.positions.min(axis=0) - margin * delta
-    hi = y.positions.max(axis=0) + margin * delta
+    lo = y.positions.min(axis=0) - 2 * delta
+    hi = y.positions.max(axis=0) + 2 * delta
     nx = int(np.ceil((hi[0] - lo[0]) / delta)) + 1
     ny = int(np.ceil((hi[1] - lo[1]) / delta)) + 1
     xs = lo[0] + delta * np.arange(nx)
@@ -115,12 +115,12 @@ def build_inverse_field(y: DeformationField, delta: float, marker=None,
                         tri=tri.reshape(ny, nx), marker=marker)
 
 
-def invert_point(y: DeformationField, xi, *, locator=None, marker=None):
+def invert_point(y: DeformationField, xi, *, locator=None):
     """Pre-image of one deformed point.
 
-    Returns ("material", x), ("cavity", o) or ("outside", None). Points on a
-    shared deformed edge resolve through either adjacent triangle; conforming
-    meshes give the same pre-image.
+    Returns ("material", x), ("cavity", o) with o the default marker, or
+    ("outside", None). Points on a shared deformed edge resolve through
+    either adjacent triangle; conforming meshes give the same pre-image.
     """
     xi = np.asarray(xi, dtype=float)
     loc = y.deformed_locator() if locator is None else locator
@@ -129,8 +129,7 @@ def invert_point(y: DeformationField, xi, *, locator=None, marker=None):
         x = bary[0] @ y.mesh.vertices[y.mesh.triangles[tri[0]]]
         return "material", x
     if y.mesh.punctures and _cavity_membership(y, xi[None])[0]:
-        o = default_marker(y.mesh) if marker is None else np.asarray(marker, float)
-        return "cavity", o
+        return "cavity", default_marker(y.mesh)
     return "outside", None
 
 

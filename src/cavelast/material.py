@@ -219,11 +219,11 @@ class SurfaceDensity:
             H += e2 * np.eye(2) / ti
         return H / np.sqrt(1.0 + 2.0 * e2)
 
-    def lower_bound_constant(self, samples: int = 256) -> float:
+    def lower_bound_constant(self) -> float:
         """min over unit directions of phi, a certified positive lower-bound
         constant (coarse directional sampling; all kinds are smooth enough
         for 256 directions to be representative)."""
-        th = np.linspace(0.0, 2.0 * np.pi, samples, endpoint=False)
+        th = np.linspace(0.0, 2.0 * np.pi, 256, endpoint=False)
         dirs = np.stack([np.cos(th), np.sin(th)], axis=-1)
         return float(self.value(dirs).min())
 

@@ -156,28 +156,25 @@ class ConstantField:
         return 0.0
 
 
-def field_vanishes_on(psi, points, tol=1e-12) -> bool:
+def field_vanishes_on(psi, points) -> bool:
+    """True when |psi| <= 1e-12 at every point."""
     pts = np.atleast_2d(points)
     if len(pts) == 0:
         return True
-    return float(np.abs(psi.value(pts)).max()) <= tol
+    return float(np.abs(psi.value(pts)).max()) <= 1e-12
 
 
-def gamma_images(y: DeformationField, tags=None) -> np.ndarray:
-    """Deformed positions of the constrained boundary vertices.
+def _constrained_vertices(mesh) -> np.ndarray:
+    """Sorted ids of every vertex on a boundary edge that is not a puncture
+    edge: the vertices `minimize` holds fixed."""
+    ids = {v for i, j, t in mesh.boundary_edges
+           if not t.startswith("puncture_") for v in (int(i), int(j))}
+    return np.array(sorted(ids), dtype=np.int64)
 
-    By default every boundary tag except the punctures counts as constrained.
-    """
-    mesh = y.mesh
-    if tags is None:
-        tags = sorted({t for _, _, t in mesh.boundary_edges
-                       if not t.startswith("puncture_")})
-    ids = set()
-    for t in tags:
-        ids.update(mesh.vertex_ids(t).tolist())
-    if not ids:
-        return np.zeros((0, 2))
-    return y.positions[np.array(sorted(ids), dtype=np.int64)]
+
+def gamma_images(y: DeformationField) -> np.ndarray:
+    """Deformed positions of the constrained boundary vertices, (k, 2)."""
+    return y.positions[_constrained_vertices(y.mesh)]
 
 
 # ---------------------------------------------------------------------------
@@ -289,13 +286,12 @@ class VariationReport:
 
 
 def first_variation_residual(y: DeformationField, psi, density: BulkDensity,
-                             phi: SurfaceDensity, fd_step: float = 1e-5,
-                             elastic_mode: str = "interp",
-                             surface_mode: str = "vertex") -> VariationReport:
-    """Analytic first variation against the central difference of
-    t -> total energy of h_t o y."""
-    el = elastic_first_variation(y, psi, density, mode=elastic_mode)
-    su = surface_first_variation(y, psi, phi, mode=surface_mode)
+                             phi: SurfaceDensity) -> VariationReport:
+    """Exact first variation of the discrete energy against the central
+    difference, step 1e-5, of t -> total energy of h_t o y."""
+    fd_step = 1e-5
+    el = elastic_first_variation(y, psi, density)
+    su = surface_first_variation(y, psi, phi)
     e_plus = total_energy(outer_compose(y, psi, fd_step), density, phi).total
     e_minus = total_energy(outer_compose(y, psi, -fd_step), density, phi).total
     fd = (e_plus - e_minus) / (2.0 * fd_step)
@@ -400,24 +396,13 @@ class IterationLog:
             fh.write("\n".join(lines) + "\n")
 
 
-def _free_mask(mesh, fixed_ids):
-    if fixed_ids is None:
-        ids = set()
-        for i, j, t in mesh.boundary_edges:
-            if not t.startswith("puncture_"):
-                ids.update((int(i), int(j)))
-        fixed_ids = sorted(ids)
-    mask = np.ones(len(mesh.vertices), dtype=bool)
-    mask[np.asarray(list(fixed_ids), dtype=np.int64)] = False
-    return mask
-
-
 def minimize(y0: DeformationField, density: BulkDensity, phi: SurfaceDensity,
              max_iters: int = 500, tol_E: float = 1e-10,
              residual_rel: float = 1e-3, det_floor: float = 1e-8,
              inv_every: int = 10, inv_delta: float = 0.02,
-             fixed_ids=None, seed: int = 0, max_backtracks: int = 40):
-    """Monotone damped projected-Newton descent on the free nodal positions.
+             seed: int = 0, max_backtracks: int = 40):
+    """Monotone damped projected-Newton descent on the nodal positions; the
+    vertices on non-puncture boundary edges stay fixed.
 
     Each step solves (H + damping * diag H) dx = -g by sparse LU, with H the
     per-element projected Hessian `DiscreteEnergy.hess`; the damping starts
@@ -429,11 +414,12 @@ def minimize(y0: DeformationField, density: BulkDensity, phi: SurfaceDensity,
     a small energy decrease and a small certification-battery residual.
     Returns (field, log); the log status is "converged", "max_iters" or
     "stalled", and its `step` column is the accepted step fraction. Every
-    25th iteration is logged at DEBUG level on the "cavelast" logger.
+    accepted step is logged at DEBUG level on the "cavelast" logger.
     """
     mesh = y0.mesh
     energy_of = DiscreteEnergy(mesh, density, phi)
-    free = _free_mask(mesh, fixed_ids)
+    free = np.ones(len(mesh.vertices), dtype=bool)
+    free[_constrained_vertices(mesh)] = False
 
     def gradient(pos, F):
         return np.add(*energy_of.grad(pos, F))[free].ravel()  # bulk + surface
@@ -497,6 +483,7 @@ def minimize(y0: DeformationField, density: BulkDensity, phi: SurfaceDensity,
         decrease = energy - new_energy
         energy = new_energy
         accepted += 1
+        _log.debug("iter %5d  energy %.9g  step %.3g  min_det %.3e", it, energy, s, mind)
         grad = gradient(pos, F)
 
         res = None
@@ -517,8 +504,6 @@ def minimize(y0: DeformationField, density: BulkDensity, phi: SurfaceDensity,
             tiny_streak = 0
         log.add(iter=it, energy=energy, bulk=bulk, surface=surf, min_det=mind,
                 step=s, residual=res)
-        if it % 25 == 0:
-            _log.debug("iter %5d  energy %.9g  min_det %.3e", it, energy, mind)
 
     log.status = status
     return y0.with_positions(pos), log

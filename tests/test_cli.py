@@ -1,5 +1,6 @@
 import csv
 import dataclasses
+import logging
 import os
 import subprocess
 import sys
@@ -255,6 +256,17 @@ class TestRadialScenarios:
         assert all(b <= a + 1e-12 for a, b in zip(E, E[1:]))
         assert min(float(r["min_det"]) for r in rows) > 1e-8
 
+    def test_debug_log_every_accepted_step(self, tmp_path, caplog):
+        with caplog.at_level(logging.DEBUG, logger="cavelast"):
+            code, run_dir = run_scenario("radial_iso_lambda1.5", out_dir=tmp_path / "iso")
+        assert code == 0
+        with open(run_dir / "iterations.csv") as fh:
+            rows = list(csv.DictReader(fh))[1:]
+        assert rows and all(float(r["step"]) > 0.0 for r in rows)  # accepted steps
+        logged = [r.getMessage().split() for r in caplog.records
+                  if r.name == "cavelast" and r.getMessage().startswith("iter ")]
+        assert [int(m[1]) for m in logged] == [int(r["iter"]) for r in rows]
+
 
 class TestCompare:
     def test_self_comparison(self, eval_dir):
@@ -292,17 +304,28 @@ class TestCompare:
             compare_runs(tmp_path, iso_run[1])
 
 
+def _python(*args):
+    """Run a fresh interpreter that imports this checkout of cavelast."""
+    src = str(Path(cv.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True,
+                          text=True, timeout=120)
+
+
 class TestMain:
     def test_python_m_cavelast(self):
-        src = str(Path(cv.__file__).resolve().parents[1])
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(
-            [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
-        proc = subprocess.run(
-            [sys.executable, "-W", "error::RuntimeWarning", "-m", "cavelast",
-             "--help"], env=env, capture_output=True, text=True, timeout=120)
+        proc = _python("-W", "error::RuntimeWarning", "-m", "cavelast", "--help")
         assert proc.returncode == 0, proc.stderr
         assert "usage: cavelast" in proc.stdout
+
+    def test_import_skips_integrate_and_interpolate(self):
+        # the radial oracle loads them on first use; a 2-D run needs neither
+        proc = _python("-c", "import sys, cavelast; print(sorted(m for m in sys.modules "
+                       "if m in ('scipy.integrate', 'scipy.interpolate')))")
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
 
     def test_eval_threads_meta_only_diff(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv("OMP_NUM_THREADS", "1")
@@ -333,11 +356,23 @@ class TestMain:
         assert "configuration error" in capsys.readouterr().err
 
     def test_oversized_puncture_exit_2(self, tmp_path, capsys):
-        p = tmp_path / "big.ini"
-        p.write_text("[domain]\nshape = disk\nradius = 1.0\nh = 0.2\n"
-                     "punctures = 0.0 0.0 0.3\n")
-        assert main(["run", str(p), "--out", str(tmp_path / "out")]) == 2
-        assert "inradius/4" in capsys.readouterr().err
+        cases = [
+            ("h = 0.2\npunctures = 0.0 0.0 0.3\n", "inradius/4"),
+            # valid configs whose puncture grading rings leave the disk
+            ("h = 0.1\npunctures = 0.85 0.0 0.05\n",
+             "puncture 0 at (0.85, 0) with rho 0.05 is too close to the domain boundary"),
+            ("punctures = 0.9 0.0 0.02\n",
+             "puncture 0 at (0.9, 0) with rho 0.02 is too close to the domain boundary"),
+        ]
+        for k, (domain, message) in enumerate(cases):
+            p = tmp_path / f"big{k}.ini"
+            p.write_text("[domain]\nshape = disk\nradius = 1.0\n" + domain)
+            out = tmp_path / f"out{k}"
+            assert main(["run", str(p), "--out", str(out)]) == 2
+            captured = capsys.readouterr()
+            assert message in captured.err
+            assert "artifacts in" not in captured.out
+            assert not out.exists()
 
     def test_compare_subcommand(self, iso_run, ell_run, tmp_path, capsys):
         assert main(["compare", str(iso_run[1]), str(ell_run[1])]) == 0
