@@ -1,15 +1,17 @@
-"""Regenerate the golden radial sweep files.
+"""Write the golden radial sweep files into a chosen directory.
 
 Run from the repository root:
 
-    python3 scripts/make_golden.py
+    python3 scripts/make_golden.py --out DIR
 
 Writes lambda sweeps for the isotropic and the elliptic surface density into
-src/cavelast/golden/v1/. Committed outputs are the regression baseline; only
-regenerate on purpose (solver changes that shift energies beyond the 3% band
-should bump the version directory instead of overwriting v1).
+DIR. The committed outputs in src/cavelast/golden/v1/ are the regression
+baseline; only regenerate them on purpose (solver changes that shift energies
+beyond the 3% band should bump the version directory instead of overwriting
+v1).
 """
 
+import argparse
 import pathlib
 import sys
 
@@ -19,14 +21,17 @@ sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
 
 import cavelast as cv  # noqa: E402
 
-OUT = pathlib.Path(__file__).resolve().parents[1] / "src" / "cavelast" / "golden" / "v1"
 LAMBDAS = [1.0, 1.1, 1.2, 1.3, 1.4, 1.5, 1.6, 1.7, 1.8]
 RHO = 0.2
 M = 96
 
 
-def main():
-    OUT.mkdir(parents=True, exist_ok=True)
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--out", type=pathlib.Path, required=True,
+                        help="directory for radial_iso.csv and radial_ell.csv")
+    out = parser.parse_args(argv).out
+    out.mkdir(parents=True, exist_ok=True)
     density = cv.BulkDensity(1.0, 1.0, 1.0)
     for name, phi in (
         ("radial_iso", cv.SurfaceDensity("isotropic")),
@@ -36,7 +41,7 @@ def main():
         bad = [r for r in rows if r["status"] != "converged"]
         if bad:
             raise SystemExit(f"{name}: unconverged rows {[r['lambda'] for r in bad]}")
-        path = OUT / f"{name}.csv"
+        path = out / f"{name}.csv"
         cv.sweep_to_csv(rows, path)
         print(f"wrote {path}")
         for r in rows:

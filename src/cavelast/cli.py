@@ -10,9 +10,10 @@ alarm when a foreign minimizer wins.
 
 import argparse
 import configparser
+import math
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -33,15 +34,6 @@ from .variation import (IterationLog, battery_residual, battery_variations,  # n
 
 _EMIT_CHOICES = ("svg", "csv", "raster", "inverse")
 _SHAPES = ("disk", "square", "annulus")
-_KEYS = {
-    "domain": {"shape", "h", "radius", "side", "inner", "punctures"},
-    "material": {"mu", "a", "b"},
-    "surface": {"kind", "A", "eps"},
-    "boundary": {"kind", "lam", "tag"},
-    "solver": {"max_iters", "tol_E", "residual_rel", "det_floor", "inv_every",
-               "inv_delta"},
-    "run": {"seed", "emit", "delta", "out"},
-}
 
 __all__ = [
     "ScenarioConfig", "build_mesh", "build_density", "build_phi",
@@ -68,35 +60,86 @@ def resolve_scenario(name) -> Path:
     raise ConfigurationError(f"no such config file or bundled scenario: {name}")
 
 
+def _number(raw: str) -> float:
+    value = float(raw)
+    if not math.isfinite(value):
+        raise ValueError("not a finite number")
+    return value
+
+
+def _parse_punctures(raw: str) -> tuple:
+    out = []
+    for part in filter(None, (p.strip() for p in raw.split(";"))):
+        toks = part.split()
+        if len(toks) != 3:
+            raise ValueError(f"expected 'cx cy rho', got {part!r}")
+        cx, cy, r = map(_number, toks)
+        out.append(((cx, cy), r))
+    return tuple(out)
+
+
+def _parse_matrix(raw: str) -> tuple:
+    rows = [r.split() for r in raw.split(";") if r.strip()]
+    if len(rows) != 2 or any(len(r) != 2 for r in rows):
+        raise ValueError("expected 'a11 a12; a21 a22'")
+    return tuple(tuple(map(_number, r)) for r in rows)
+
+
+def _parse_emit(raw: str) -> tuple:
+    return tuple(s.strip() for s in raw.split(",") if s.strip())
+
+
+def _finite(value) -> bool:
+    if isinstance(value, (tuple, list)):
+        return all(map(_finite, value))
+    return not isinstance(value, float) or math.isfinite(value)
+
+
+def _option(section, default, parse=_number, *, key=None, fmt=None,
+            when=None, positive=False):
+    """A ScenarioConfig field kept as `key` (default: the field name) in
+    [section], read by `parse` (which raises ValueError on bad text) and
+    written by `to_ini` with `fmt` whenever `when(cfg)` holds (default: always)."""
+    fmt = fmt or (repr if parse is _number else str)
+    return field(default=default, metadata=dict(
+        section=section, key=key, parse=parse, fmt=fmt, when=when,
+        positive=positive))
+
+
 @dataclass
 class ScenarioConfig:
     """Everything a run needs, round-trippable through INI text."""
 
-    shape: str = "disk"
-    h: float = 0.1
-    radius: float = 1.0
-    side: float = 1.0
-    inner: float = 0.4
-    punctures: tuple = ()
-    mu: float = 1.0
-    a: float = 1.0
-    b: float = 1.0
-    phi_kind: str = "isotropic"
-    phi_A: tuple | None = None
-    phi_eps: float = 0.1
-    bc_kind: str = "radial_stretch"
-    lam: float = 1.0
-    tag: str = "dirichlet"
-    max_iters: int = 400
-    tol_E: float = 1e-10
-    residual_rel: float = 1e-3
-    det_floor: float = 1e-8
-    inv_every: int = 10
-    inv_delta: float = 0.02
-    seed: int = 0
-    emit: tuple = ("svg", "csv")
-    delta: float = 0.02
-    out: str = ""
+    shape: str = _option("domain", "disk", str)
+    h: float = _option("domain", 0.1, positive=True)
+    radius: float = _option("domain", 1.0, when=lambda c: c.shape != "square")
+    side: float = _option("domain", 1.0, when=lambda c: c.shape == "square")
+    inner: float = _option("domain", 0.4, when=lambda c: c.shape == "annulus")
+    punctures: tuple = _option(
+        "domain", (), _parse_punctures, when=lambda c: c.punctures,
+        fmt=lambda ps: "; ".join(f"{c[0]!r} {c[1]!r} {r!r}" for c, r in ps))
+    mu: float = _option("material", 1.0, positive=True)
+    a: float = _option("material", 1.0, positive=True)
+    b: float = _option("material", 1.0, positive=True)
+    phi_kind: str = _option("surface", "isotropic", str, key="kind")
+    phi_A: tuple | None = _option(
+        "surface", None, _parse_matrix, key="A", when=lambda c: c.phi_A is not None,
+        fmt=lambda rows: "; ".join(f"{r[0]!r} {r[1]!r}" for r in rows))
+    phi_eps: float = _option("surface", 0.1, key="eps",
+                             when=lambda c: c.phi_kind == "smoothed_l1")
+    bc_kind: str = _option("boundary", "radial_stretch", str, key="kind")
+    lam: float = _option("boundary", 1.0, positive=True)
+    tag: str = _option("boundary", "dirichlet", str)
+    max_iters: int = _option("solver", 400, int)
+    tol_E: float = _option("solver", 1e-10, positive=True)
+    residual_rel: float = _option("solver", 1e-3, positive=True)
+    det_floor: float = _option("solver", 1e-8, positive=True)
+    inv_every: int = _option("solver", 10, int)
+    inv_delta: float = _option("solver", 0.02, positive=True)
+    seed: int = _option("run", 0, int)
+    emit: tuple = _option("run", ("svg", "csv"), _parse_emit, fmt=",".join)
+    delta: float = _option("run", 0.02, positive=True)
+    out: str = _option("run", "", str, when=lambda c: c.out)
     name: str = "scenario"
 
     # -- parsing ----------------------------------------------------------
@@ -104,125 +147,62 @@ class ScenarioConfig:
     @classmethod
     def from_ini(cls, source) -> "ScenarioConfig":
         path = Path(source)
-        text = path.read_text()
-        cp = configparser.ConfigParser()
+        cp = configparser.ConfigParser(interpolation=None)
         try:
-            cp.read_string(text, source=str(path))
+            cp.read_string(path.read_text(), source=str(path))
         except configparser.Error as err:
             raise ConfigurationError(f"malformed config: {err}") from err
+        options = {(sec, cp.optionxform(key)): (name, key, meta["parse"])
+                   for name, sec, key, meta in _OPTIONS}
+        values = {}
         for sec in cp.sections():
-            if sec not in _KEYS:
+            if sec not in {s for s, _ in options}:
                 raise ConfigurationError(f"unknown section [{sec}] in {path}")
-            for key in cp[sec]:
-                if key not in {k.lower() for k in _KEYS[sec]}:
+            for k, raw in cp[sec].items():
+                if (sec, k) not in options:
                     raise ConfigurationError(
-                        f"unknown key '{key}' in section [{sec}] of {path}")
-
-        def fget(sec, key, default, cast=float):
-            if sec in cp and key in cp[sec]:
-                raw = cp[sec][key]
+                        f"unknown key '{k}' in section [{sec}] of {path}")
+                name, key, parse = options[sec, k]
                 try:
-                    return cast(raw)
+                    values[name] = parse(raw)
                 except ValueError as err:
                     raise ConfigurationError(
                         f"[{sec}] {key} = {raw!r}: {err}") from err
-            return default
-
-        punct = ()
-        if "domain" in cp and "punctures" in cp["domain"]:
-            punct = _parse_punctures(cp["domain"]["punctures"])
-        phi_a = None
-        if "surface" in cp and "A" in cp["surface"]:
-            phi_a = _parse_matrix(cp["surface"]["A"])
-        emit = cls.emit
-        if "run" in cp and "emit" in cp["run"]:
-            emit = tuple(s.strip() for s in cp["run"]["emit"].split(",") if s.strip())
-        cfg = cls(
-            shape=fget("domain", "shape", cls.shape, str),
-            h=fget("domain", "h", cls.h),
-            radius=fget("domain", "radius", cls.radius),
-            side=fget("domain", "side", cls.side),
-            inner=fget("domain", "inner", cls.inner),
-            punctures=punct,
-            mu=fget("material", "mu", cls.mu),
-            a=fget("material", "a", cls.a),
-            b=fget("material", "b", cls.b),
-            phi_kind=fget("surface", "kind", cls.phi_kind, str),
-            phi_A=phi_a,
-            phi_eps=fget("surface", "eps", cls.phi_eps),
-            bc_kind=fget("boundary", "kind", cls.bc_kind, str),
-            lam=fget("boundary", "lam", cls.lam),
-            tag=fget("boundary", "tag", cls.tag, str),
-            max_iters=fget("solver", "max_iters", cls.max_iters, int),
-            tol_E=fget("solver", "tol_E", cls.tol_E),
-            residual_rel=fget("solver", "residual_rel", cls.residual_rel),
-            det_floor=fget("solver", "det_floor", cls.det_floor),
-            inv_every=fget("solver", "inv_every", cls.inv_every, int),
-            inv_delta=fget("solver", "inv_delta", cls.inv_delta),
-            seed=fget("run", "seed", cls.seed, int),
-            emit=emit,
-            delta=fget("run", "delta", cls.delta),
-            out=fget("run", "out", cls.out, str),
-            name=path.stem,
-        )
+        cfg = cls(**values, name=path.stem)
         cfg.validate()
         return cfg
 
     def to_ini(self) -> str:
-        lines = ["[domain]", f"shape = {self.shape}", f"h = {self.h!r}"]
-        if self.shape == "disk":
-            lines.append(f"radius = {self.radius!r}")
-        elif self.shape == "square":
-            lines.append(f"side = {self.side!r}")
-        else:
-            lines.append(f"radius = {self.radius!r}")
-            lines.append(f"inner = {self.inner!r}")
-        if self.punctures:
-            parts = [f"{c[0]!r} {c[1]!r} {r!r}" for c, r in self.punctures]
-            lines.append("punctures = " + "; ".join(parts))
-        lines += ["", "[material]", f"mu = {self.mu!r}", f"a = {self.a!r}",
-                  f"b = {self.b!r}"]
-        lines += ["", "[surface]", f"kind = {self.phi_kind}"]
-        if self.phi_A is not None:
-            rows = "; ".join(f"{r[0]!r} {r[1]!r}" for r in self.phi_A)
-            lines.append(f"A = {rows}")
-        if self.phi_kind == "smoothed_l1":
-            lines.append(f"eps = {self.phi_eps!r}")
-        lines += ["", "[boundary]", f"kind = {self.bc_kind}",
-                  f"lam = {self.lam!r}", f"tag = {self.tag}"]
-        lines += ["", "[solver]", f"max_iters = {self.max_iters}",
-                  f"tol_E = {self.tol_E!r}",
-                  f"residual_rel = {self.residual_rel!r}",
-                  f"det_floor = {self.det_floor!r}",
-                  f"inv_every = {self.inv_every}",
-                  f"inv_delta = {self.inv_delta!r}"]
-        lines += ["", "[run]", f"seed = {self.seed}",
-                  "emit = " + ",".join(self.emit), f"delta = {self.delta!r}"]
-        if self.out:
-            lines.append(f"out = {self.out}")
-        return "\n".join(lines) + "\n"
+        lines, section = [], None
+        for name, sec, key, meta in _OPTIONS:
+            if meta["when"] is not None and not meta["when"](self):
+                continue
+            if sec != section:
+                lines += ["", f"[{sec}]"]
+                section = sec
+            lines.append(f"{key} = {meta['fmt'](getattr(self, name))}")
+        return "\n".join(lines[1:]) + "\n"
 
     # -- validation --------------------------------------------------------
 
-    def inradius(self) -> float:
-        if self.shape == "disk":
-            return self.radius
-        if self.shape == "square":
-            return 0.5 * self.side
-        return 0.5 * (self.radius - self.inner)
-
     def validate(self):
+        for name, sec, key, meta in _OPTIONS:
+            value = getattr(self, name)
+            if not _finite(value):
+                raise ConfigurationError(f"[{sec}] {key} must be finite")
+            if meta["positive"] and value <= 0.0:
+                raise ConfigurationError(f"[{sec}] {key} must be positive")
         if self.shape not in _SHAPES:
             raise ConfigurationError(f"[domain] shape must be one of {_SHAPES}")
-        if self.h <= 0.0:
-            raise ConfigurationError("[domain] h must be positive")
         if self.shape == "disk" and self.radius <= 0.0:
             raise ConfigurationError("[domain] radius must be positive")
         if self.shape == "square" and self.side <= 0.0:
             raise ConfigurationError("[domain] side must be positive")
         if self.shape == "annulus" and not 0.0 < self.inner < self.radius:
             raise ConfigurationError("[domain] need 0 < inner < radius")
-        bound = self.inradius() / 4.0
+        inradius = {"disk": self.radius, "square": 0.5 * self.side,
+                    "annulus": 0.5 * (self.radius - self.inner)}[self.shape]
+        bound = inradius / 4.0
         for c, r in self.punctures:
             if r <= 0.0:
                 raise ConfigurationError("[domain] puncture radius must be positive")
@@ -230,9 +210,6 @@ class ScenarioConfig:
                 raise ConfigurationError(
                     f"[domain] puncture radius {r:g} must stay below "
                     f"inradius/4 = {bound:g}")
-        for key in ("mu", "a", "b"):
-            if getattr(self, key) <= 0.0:
-                raise ConfigurationError(f"[material] {key} must be positive")
         if self.phi_kind not in ("isotropic", "elliptic", "smoothed_l1"):
             raise ConfigurationError("[surface] kind must be isotropic, "
                                      "elliptic or smoothed_l1")
@@ -241,41 +218,25 @@ class ScenarioConfig:
         if self.bc_kind not in ("radial_stretch", "affine_stretch"):
             raise ConfigurationError("[boundary] kind must be radial_stretch "
                                      "or affine_stretch")
-        if self.lam <= 0.0:
-            raise ConfigurationError("[boundary] lam must be positive")
-        for key in ("tol_E", "residual_rel", "det_floor", "inv_delta", "delta"):
-            if getattr(self, key) <= 0.0:
-                raise ConfigurationError(f"[solver] {key} must be positive")
+        if self.tag.split() != [self.tag] or self.tag.startswith("puncture_") \
+                or (self.shape == "annulus" and self.tag == "free"):
+            raise ConfigurationError("[boundary] tag must be one word, not "
+                                     "puncture_<k>, and not free on an annulus")
         if self.max_iters < 1:
             raise ConfigurationError("[solver] max_iters must be at least 1")
         if self.inv_every < 0:
             raise ConfigurationError("[solver] inv_every must be nonnegative")
+        if self.seed < 0:
+            raise ConfigurationError("[run] seed must be nonnegative")
         for e in self.emit:
             if e not in _EMIT_CHOICES:
                 raise ConfigurationError(
                     f"[run] emit entry {e!r} not in {_EMIT_CHOICES}")
 
 
-def _parse_punctures(raw: str) -> tuple:
-    out = []
-    for part in raw.split(";"):
-        part = part.strip()
-        if not part:
-            continue
-        toks = part.split()
-        if len(toks) != 3:
-            raise ConfigurationError(
-                f"[domain] punctures: expected 'cx cy rho', got {part!r}")
-        cx, cy, r = (float(t) for t in toks)
-        out.append(((cx, cy), r))
-    return tuple(out)
-
-
-def _parse_matrix(raw: str) -> tuple:
-    rows = [r.strip() for r in raw.split(";") if r.strip()]
-    if len(rows) != 2 or any(len(r.split()) != 2 for r in rows):
-        raise ConfigurationError("[surface] A must be 'a11 a12; a21 a22'")
-    return tuple(tuple(float(t) for t in r.split()) for r in rows)
+# (field name, section, INI key, metadata) of every INI-backed field
+_OPTIONS = [(f.name, f.metadata["section"], f.metadata["key"] or f.name, f.metadata)
+            for f in fields(ScenarioConfig) if f.metadata]
 
 
 # ---------------------------------------------------------------------------
@@ -436,6 +397,7 @@ def run_scenario(config, out_dir=None, mode="run", emit=None, threads=None):
     try:
         cfg = config if isinstance(config, ScenarioConfig) \
             else ScenarioConfig.from_ini(resolve_scenario(config))
+        cfg.validate()
     except ConfigurationError as err:
         print(f"configuration error: {err}", file=sys.stderr)
         return 2, None
@@ -632,9 +594,7 @@ def main(argv=None) -> int:
         print(report.as_text(), end="")
         return 0
 
-    emit = None
-    if args.emit is not None:
-        emit = tuple(s.strip() for s in args.emit.split(",") if s.strip())
+    emit = None if args.emit is None else _parse_emit(args.emit)
     code, out = run_scenario(args.config, out_dir=args.out,
                              mode=args.command, emit=emit,
                              threads=args.threads)

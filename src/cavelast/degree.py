@@ -163,8 +163,9 @@ def topological_image(y: DeformationField, subdomain, delta, m=256) -> DegreeRas
     that extends 4 cells beyond the image loops.
 
     U is either a circle inside the meshed domain or the whole domain; holes
-    (punctures) enter with negative orientation, so the raster counts the
-    region actually covered, cavities included.
+    (punctures) enter with negative orientation, so the raster is nonzero on
+    the deformed material only: a cavity, enclosed by the image of its
+    puncture loop, reads 0.
     """
     loops = _subdomain_loops(y, subdomain, m)
     pts = np.vstack([lp for lp, _ in loops])

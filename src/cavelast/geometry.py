@@ -78,11 +78,8 @@ class Mesh:
 
     @cached_property
     def boundary_vertices(self):
-        ids = set()
-        for i, j, _ in self.boundary_edges:
-            ids.add(i)
-            ids.add(j)
-        return np.array(sorted(ids), dtype=np.int64)
+        """Sorted ids of every vertex on a boundary loop."""
+        return np.unique(np.concatenate(list(self.boundary_loops().values())))
 
     @cached_property
     def locator(self):
@@ -92,14 +89,6 @@ class Mesh:
     def inv_plans(self):
         """Sampling plans of `degree.check_inv`, keyed by its sampling arguments."""
         return {}
-
-    def vertex_ids(self, tag: str) -> np.ndarray:
-        ids = set()
-        for i, j, t in self.boundary_edges:
-            if t == tag:
-                ids.add(i)
-                ids.add(j)
-        return np.array(sorted(ids), dtype=np.int64)
 
     @cached_property
     def _loops(self):
@@ -292,6 +281,7 @@ class DeformationField:
             raise GeometryError("positions must match the mesh vertex array shape")
         self.positions = positions
         self._grads = None
+        self._locator = None
 
     def with_positions(self, positions) -> "DeformationField":
         return DeformationField(self.mesh, positions)
@@ -316,7 +306,10 @@ class DeformationField:
         return np.einsum("ki,kij->kj", bary, self.positions[self.mesh.triangles[tri]])
 
     def deformed_locator(self) -> TriangleLocator:
-        return TriangleLocator(self.positions, self.mesh.triangles)
+        """Locator over the deformed triangles, built once per field."""
+        if self._locator is None:
+            self._locator = TriangleLocator(self.positions, self.mesh.triangles)
+        return self._locator
 
 
 def element_gradient(y: DeformationField, t: int):

@@ -115,7 +115,7 @@ def build_inverse_field(y: DeformationField, delta: float, marker=None) -> Inver
                         tri=tri.reshape(ny, nx), marker=marker)
 
 
-def invert_point(y: DeformationField, xi, *, locator=None):
+def invert_point(y: DeformationField, xi):
     """Pre-image of one deformed point.
 
     Returns ("material", x), ("cavity", o) with o the default marker, or
@@ -123,8 +123,7 @@ def invert_point(y: DeformationField, xi, *, locator=None):
     either adjacent triangle; conforming meshes give the same pre-image.
     """
     xi = np.asarray(xi, dtype=float)
-    loc = y.deformed_locator() if locator is None else locator
-    tri, bary = loc.locate(xi[None])
+    tri, bary = y.deformed_locator().locate(xi[None])
     if tri[0] >= 0:
         x = bary[0] @ y.mesh.vertices[y.mesh.triangles[tri[0]]]
         return "material", x
@@ -133,7 +132,7 @@ def invert_point(y: DeformationField, xi, *, locator=None):
     return "outside", None
 
 
-def inverse_gradient(y: DeformationField, xi, *, locator=None):
+def inverse_gradient(y: DeformationField, xi):
     """(grad y)^{-1} at the pre-image of xi; batched when xi is (n, 2).
 
     The distributional gradient of the inverse has no absolutely continuous
@@ -142,8 +141,7 @@ def inverse_gradient(y: DeformationField, xi, *, locator=None):
     xi = np.asarray(xi, dtype=float)
     single = xi.ndim == 1
     pts = xi[None] if single else xi
-    loc = y.deformed_locator() if locator is None else locator
-    tri, _ = loc.locate(pts)
+    tri, _ = y.deformed_locator().locate(pts)
     if np.any(tri < 0):
         bad = pts[tri < 0]
         if y.mesh.punctures and _cavity_membership(y, bad).any():

@@ -167,9 +167,8 @@ def field_vanishes_on(psi, points) -> bool:
 def _constrained_vertices(mesh) -> np.ndarray:
     """Sorted ids of every vertex on a boundary edge that is not a puncture
     edge: the vertices `minimize` holds fixed."""
-    ids = {v for i, j, t in mesh.boundary_edges
-           if not t.startswith("puncture_") for v in (int(i), int(j))}
-    return np.array(sorted(ids), dtype=np.int64)
+    return np.unique(np.concatenate([ids for t, ids in mesh.boundary_loops().items()
+                                     if not t.startswith("puncture_")]))
 
 
 def gamma_images(y: DeformationField) -> np.ndarray:

@@ -65,14 +65,31 @@ class TestConfig:
         assert cfg.emit == ("svg", "csv")
         assert cfg.name == "radial_iso_lambda1.5"
 
+    ROUNDTRIP_EXTRA = {
+        # side instead of radius, and out, are written only when they apply
+        "square_out": "[domain]\nshape = square\nside = 2.0\nh = 0.25\n"
+                      "[run]\nout = runs/square_out\n",
+        "annulus_two": "[domain]\nshape = annulus\nradius = 1.0\ninner = 0.4\n"
+                       "h = 0.1\npunctures = 0.7 0.0 0.05; -0.7 0.0 0.05\n",
+        "smoothed_raster": "[surface]\nkind = smoothed_l1\neps = 0.2\n"
+                           "[run]\nemit = raster\n",
+        # no interpolation: a '%' in a value is literal text
+        "percent_out": "[run]\nout = runs/100%\n",
+    }
+
     def test_roundtrip_lossless(self, tmp_path):
-        for name in ("radial_iso_lambda1.5", "radial_ell_lambda1.5",
-                     "eval_identity"):
-            cfg = ScenarioConfig.from_ini(resolve_scenario(name))
-            p = tmp_path / f"{name}.ini"
+        sources = [resolve_scenario(name) for name in (
+            "radial_iso_lambda1.5", "radial_ell_lambda1.5", "eval_identity")]
+        for name, text in self.ROUNDTRIP_EXTRA.items():
+            sources.append(tmp_path / f"{name}_src.ini")
+            sources[-1].write_text(text)
+        for src in sources:
+            cfg = ScenarioConfig.from_ini(src)
+            p = tmp_path / f"{src.stem}.ini"
             p.write_text(cfg.to_ini())
             back = ScenarioConfig.from_ini(p)
             assert dataclasses.replace(back, name=cfg.name) == cfg
+            assert back.to_ini() == cfg.to_ini()
 
     def test_unknown_key_is_named(self, tmp_path):
         p = tmp_path / "bad.ini"
@@ -121,6 +138,16 @@ class TestConfig:
             ScenarioConfig(emit=("svg", "png")).validate()
         with pytest.raises(ConfigurationError, match="shape"):
             ScenarioConfig(shape="hexagon").validate()
+        nan = float("nan")
+        with pytest.raises(ConfigurationError, match=r"\[domain\] h must be finite"):
+            ScenarioConfig(h=nan).validate()
+        with pytest.raises(ConfigurationError, match=r"\[domain\] punctures"):
+            ScenarioConfig(punctures=(((0.0, nan), 0.1),)).validate()
+        with pytest.raises(ConfigurationError, match=r"\[surface\] A"):
+            ScenarioConfig(phi_kind="elliptic",
+                           phi_A=((1.0, float("inf")), (0.0, 1.0))).validate()
+        with pytest.raises(ConfigurationError, match=r"\[run\] seed"):
+            ScenarioConfig(seed=-1).validate()
 
     def test_golden_dir_override(self, monkeypatch, tmp_path):
         monkeypatch.setenv("CAVELAST_GOLDEN_DIR", str(tmp_path))
@@ -373,6 +400,30 @@ class TestMain:
             assert message in captured.err
             assert "artifacts in" not in captured.out
             assert not out.exists()
+
+    @pytest.mark.parametrize("section,text,named", [
+        ("domain", "punctures = 0.0 0.0 abc", "[domain] punctures"),
+        ("surface", "kind = elliptic\nA = 1 x; 0 1", "[surface] A"),
+        ("domain", "h = nan", "[domain] h"),
+        ("boundary", "lam = nan", "[boundary] lam"),
+        ("material", "mu = inf", "[material] mu"),
+        ("solver", "tol_E = nan", "[solver] tol_E"),
+        ("run", "seed = -1", "[run] seed"),
+        ("run", "delta = -1", "[run] delta"),
+        # the tag is a word of the mesh file and must not merge two loops
+        ("boundary", "tag = a b", "[boundary] tag"),
+        ("domain", "shape = annulus\n[boundary]\ntag = free", "[boundary] tag"),
+    ])
+    def test_malformed_value_exit_2(self, tmp_path, capsys, section, text,
+                                    named):
+        p = tmp_path / "bad.ini"
+        p.write_text(f"[{section}]\n{text}\n")
+        out = tmp_path / "out"
+        assert main(["run", str(p), "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert f"configuration error: {named}" in captured.err
+        assert "artifacts in" not in captured.out
+        assert not out.exists()
 
     def test_compare_subcommand(self, iso_run, ell_run, tmp_path, capsys):
         assert main(["compare", str(iso_run[1]), str(ell_run[1])]) == 0

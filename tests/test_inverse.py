@@ -64,11 +64,10 @@ class TestInvertPoint:
 
     def test_round_trip_many(self, cavitated):
         rng = np.random.default_rng(5)
-        loc = cavitated.deformed_locator()
         n = 0
         for _ in range(1000):
             xi = rng.uniform(-1.5, 1.5, 2)
-            kind, x = cv.invert_point(cavitated, xi, locator=loc)
+            kind, x = cv.invert_point(cavitated, xi)
             if kind != "material":
                 continue
             n += 1

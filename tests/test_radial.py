@@ -1,5 +1,8 @@
 import csv
 import logging
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,6 +11,14 @@ from scipy.special import ellipe
 import cavelast as cv
 from cavelast import radial
 from cavelast.cli import get_golden_dir
+
+MAKE_GOLDEN = Path(__file__).resolve().parents[1] / "scripts" / "make_golden.py"
+COMMITTED_GOLDEN = Path(cv.__file__).parent / "golden" / "v1"
+
+
+def _make_golden(*args):
+    return subprocess.run([sys.executable, str(MAKE_GOLDEN), *args],
+                          capture_output=True, text=True, timeout=120)
 
 
 class TestProfile:
@@ -218,6 +229,29 @@ class TestSweepAndGolden:
                     assert r["cavity_radius"] == pytest.approx(ref_c, rel=0.03)
                 else:
                     assert r["cavity_radius"] <= 0.01
+
+    def test_make_golden_help_writes_nothing(self):
+        committed = sorted(COMMITTED_GOLDEN.glob("*.csv"))
+        before = [p.read_bytes() for p in committed]
+        proc = _make_golden("--help")
+        assert proc.returncode == 0, proc.stderr
+        assert "--out" in proc.stdout
+        assert [p.name for p in committed] == ["radial_ell.csv", "radial_iso.csv"]
+        assert [p.read_bytes() for p in committed] == before
+
+    def test_make_golden_writes_out_dir(self, tmp_path):
+        proc = _make_golden("--out", str(tmp_path))
+        assert proc.returncode == 0, proc.stderr
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "radial_ell.csv", "radial_iso.csv"]
+        for name in ("radial_iso", "radial_ell"):
+            with open(tmp_path / f"{name}.csv") as fh:
+                got = list(csv.DictReader(fh))
+            with open(COMMITTED_GOLDEN / f"{name}.csv") as fh:
+                want = list(csv.DictReader(fh))
+            assert [r["lambda"] for r in got] == [r["lambda"] for r in want]
+            for g, w in zip(got, want):
+                assert float(g["total"]) == pytest.approx(float(w["total"]), rel=1e-6)
 
     def test_golden_bifurcation_shape(self):
         with open(get_golden_dir() / "radial_iso.csv") as fh:
