@@ -10,8 +10,7 @@ around a candidate site isolates the cavity attached to that site.
 
 from __future__ import annotations
 
-import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import ndimage
@@ -72,26 +71,52 @@ def winding_number_angle(loop, points):
 # rasters
 
 
-@dataclass
-class DegreeRaster:
-    """Integer degree values sampled on a uniform grid of cell centers.
+def covering_grid(points, delta, margin):
+    """Cell grid covering a point cloud with `margin` cells to spare on
+    every side: returns (origin, (ny, nx)) for cells of width delta."""
+    if not (np.isfinite(delta) and delta > 0.0):
+        raise ValueError("delta must be a positive finite number")
+    lo = points.min(axis=0) - margin * delta
+    hi = points.max(axis=0) + margin * delta
+    nx, ny = np.ceil((hi - lo) / delta).astype(int) + 1
+    return lo, (int(ny), int(nx))
 
-    values[iy, ix] belongs to the point origin + (ix * delta, iy * delta).
-    `loops` keeps the generating image loops (with orientation signs) so
-    downstream code can measure distances to the boundary.
-    """
+
+@dataclass
+class CellGrid:
+    """Uniform grid whose cell [iy, ix] is centred at origin + (ix, iy) * delta;
+    subclasses give its `shape` (ny, nx)."""
 
     origin: np.ndarray
     delta: float
-    values: np.ndarray
-    loops: list = field(default_factory=list)
 
     def cell_centers(self):
-        ny, nx = self.values.shape
+        ny, nx = self.shape
         xs = self.origin[0] + self.delta * np.arange(nx)
         ys = self.origin[1] + self.delta * np.arange(ny)
         gx, gy = np.meshgrid(xs, ys)
         return np.stack([gx, gy], axis=-1)
+
+    def cell_of(self, points):
+        """(iy, ix, ok): the cell nearest each point; ok is False off the grid."""
+        idx = np.rint((points - self.origin) / self.delta).astype(int)
+        ny, nx = self.shape
+        ok = (idx[:, 0] >= 0) & (idx[:, 0] < nx) & (idx[:, 1] >= 0) & (idx[:, 1] < ny)
+        return idx[:, 1], idx[:, 0], ok
+
+
+@dataclass
+class DegreeRaster(CellGrid):
+    """Integer degree values sampled on a uniform grid of cell centers.
+
+    values[iy, ix] belongs to the point origin + (ix * delta, iy * delta).
+    """
+
+    values: np.ndarray
+
+    @property
+    def shape(self):
+        return self.values.shape
 
     def area(self) -> float:
         """Measure of the nonzero-degree set, counted with multiplicity one."""
@@ -102,12 +127,9 @@ class DegreeRaster:
 
     def member(self, points):
         """Nonzero-degree membership of query points (False outside the grid)."""
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
-        idx = np.rint((pts - self.origin) / self.delta).astype(int)
-        ny, nx = self.values.shape
-        ok = (idx[:, 0] >= 0) & (idx[:, 0] < nx) & (idx[:, 1] >= 0) & (idx[:, 1] < ny)
-        out = np.zeros(len(pts), dtype=bool)
-        out[ok] = self.values[idx[ok, 1], idx[ok, 0]] != 0
+        iy, ix, ok = self.cell_of(np.atleast_2d(np.asarray(points, dtype=float)))
+        out = np.zeros(len(ok), dtype=bool)
+        out[ok] = self.values[iy[ok], ix[ok]] != 0
         return out
 
     def save_pgm(self, path):
@@ -168,19 +190,12 @@ def topological_image(y: DeformationField, subdomain, delta, m=256) -> DegreeRas
     puncture loop, reads 0.
     """
     loops = _subdomain_loops(y, subdomain, m)
-    pts = np.vstack([lp for lp, _ in loops])
-    lo = pts.min(axis=0) - 4 * delta
-    hi = pts.max(axis=0) + 4 * delta
-    nx = int(np.ceil((hi[0] - lo[0]) / delta)) + 1
-    ny = int(np.ceil((hi[1] - lo[1]) / delta)) + 1
-    xs = lo[0] + delta * np.arange(nx)
-    ys = lo[1] + delta * np.arange(ny)
-    gx, gy = np.meshgrid(xs, ys)
-    centers = np.stack([gx.ravel(), gy.ravel()], axis=-1)
-    values = np.zeros(len(centers), dtype=np.int64)
+    origin, shape = covering_grid(np.vstack([lp for lp, _ in loops]), delta, 4)
+    img = DegreeRaster(origin=origin, delta=delta, values=np.zeros(shape, dtype=np.int64))
+    centers = img.cell_centers().reshape(-1, 2)
     for lp, sign in loops:
-        values += sign * _winding_no_boundary_guard(lp, centers)
-    return DegreeRaster(origin=lo, delta=delta, values=values.reshape(ny, nx), loops=loops)
+        img.values += sign * _winding_no_boundary_guard(lp, centers).reshape(shape)
+    return img
 
 
 def _winding_no_boundary_guard(loop, pts):
@@ -236,12 +251,11 @@ def topological_image_point(y: DeformationField, site, radii, delta,
         raise ValueError("need at least one radius")
     site = np.asarray(site, dtype=float)
     base = topological_image(y, ("circle", site, radii[0]), delta, m=m)
-    ny, nx = base.values.shape
     centers = base.cell_centers().reshape(-1, 2)
     inter = _closure(base.values != 0)
     for r in radii[1:]:
         loop = trace_on_circle(y, site, r, m)
-        member = _winding_no_boundary_guard(loop, centers).reshape(ny, nx) != 0
+        member = _winding_no_boundary_guard(loop, centers).reshape(base.shape) != 0
         inter &= _closure(member)
     area = float(inter.sum()) * delta ** 2
     if area <= 4.0 * delta ** 2:
@@ -250,12 +264,13 @@ def topological_image_point(y: DeformationField, site, radii, delta,
     if not loops:
         return None
     boundary = max(loops, key=lambda lp: abs(polygon_signed_area(lp)))
-    rho = float("nan")
-    for c, r in y.mesh.punctures:
-        if np.linalg.norm(c - site) <= r * 4.0:
-            rho = r
-            break
+    rho = _puncture_radius_at(y.mesh, site, float("nan"))
     return CavityRecord(site=site, puncture_radius=rho, boundary=ensure_ccw(boundary), area=area)
+
+
+def _puncture_radius_at(mesh, site, default):
+    """Radius of the first puncture within 4 of its radii of the site, else default."""
+    return next((r for c, r in mesh.punctures if np.linalg.norm(c - site) <= 4.0 * r), default)
 
 
 def _closure(mask):
@@ -280,32 +295,25 @@ def marching_squares(mask, origin, delta):
     The raster is padded so that regions touching the border still close.
     Returns a list of (k, 2) loops in the raster's coordinates.
     """
-    padded = np.pad(np.asarray(mask, dtype=bool), 1)
-    ny, nx = padded.shape
+    p = np.pad(np.asarray(mask, dtype=bool), 1).astype(np.uint8)
+    case = (p[:-1, :-1]           # bottom-left  -> bit 0
+            | p[:-1, 1:] << 1     # bottom-right -> bit 1
+            | p[1:, 1:] << 2      # top-right    -> bit 2
+            | p[1:, :-1] << 3)    # top-left     -> bit 3
+    iys, ixs = np.nonzero((case != 0) & (case != 15))
     segs = []
     base = np.asarray(origin, dtype=float) - delta  # padding shift
-    for iy in range(ny - 1):
-        row0 = padded[iy]
-        row1 = padded[iy + 1]
-        if not (row0.any() or row1.any()):
-            continue
-        for ix in range(nx - 1):
-            case = (int(row0[ix])          # bottom-left  -> bit 0
-                    | int(row0[ix + 1]) << 1   # bottom-right -> bit 1
-                    | int(row1[ix + 1]) << 2   # top-right    -> bit 2
-                    | int(row1[ix]) << 3)      # top-left     -> bit 3
-            if case in (0, 15):
-                continue
-            x = base[0] + ix * delta
-            y_ = base[1] + iy * delta
-            mid = {
-                "b": (x + 0.5 * delta, y_),
-                "r": (x + delta, y_ + 0.5 * delta),
-                "t": (x + 0.5 * delta, y_ + delta),
-                "l": (x, y_ + 0.5 * delta),
-            }
-            for a, b in _MS_SEGMENTS[case]:
-                segs.append((mid[a], mid[b]))
+    for iy, ix, c in zip(iys.tolist(), ixs.tolist(), case[iys, ixs].tolist()):
+        x = base[0] + ix * delta
+        y_ = base[1] + iy * delta
+        mid = {
+            "b": (x + 0.5 * delta, y_),
+            "r": (x + delta, y_ + 0.5 * delta),
+            "t": (x + 0.5 * delta, y_ + delta),
+            "l": (x, y_ + 0.5 * delta),
+        }
+        for a, b in _MS_SEGMENTS[c]:
+            segs.append((mid[a], mid[b]))
     return _chain_segments(segs, snap=delta * 1e-6)
 
 
@@ -446,11 +454,7 @@ def _build_inv_plan(mesh, centers, radii, samples, m, seed):
 
 
 def _default_radii(mesh, a):
-    rho = 0.0
-    for c, r in mesh.punctures:
-        if np.linalg.norm(c - a) <= 4.0 * r:
-            rho = r
-            break
+    rho = _puncture_radius_at(mesh, a, 0.0)
     outer = mesh.boundary_loops()
     dists = []
     for tag, ids in outer.items():

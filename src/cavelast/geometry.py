@@ -50,7 +50,7 @@ class Mesh:
     def __post_init__(self):
         self.vertices = np.ascontiguousarray(self.vertices, dtype=float)
         self.triangles = np.ascontiguousarray(self.triangles, dtype=np.int64)
-        areas = _signed_areas(self.vertices, self.triangles)
+        areas = _signed_areas(self.vertices[self.triangles])
         flipped = areas < 0.0
         if flipped.any():
             t = self.triangles.copy()
@@ -62,19 +62,12 @@ class Mesh:
 
     @cached_property
     def areas(self):
-        return _signed_areas(self.vertices, self.triangles)
+        return _signed_areas(self.vertices[self.triangles])
 
     @cached_property
     def shape_gradients(self):
         """(m, 3, 2) gradients of the three nodal hat functions per triangle."""
-        v = self.vertices[self.triangles]  # (m, 3, 2)
-        g = np.empty_like(v)
-        twice_area = 2.0 * self.areas[:, None]
-        # grad of hat at corner i is the inward normal of the opposite edge / (2 area)
-        for i in range(3):
-            e = v[:, (i + 2) % 3] - v[:, (i + 1) % 3]
-            g[:, i] = np.stack([-e[:, 1], e[:, 0]], axis=-1) / twice_area
-        return g
+        return hat_gradients(self.vertices, self.triangles)
 
     @cached_property
     def boundary_vertices(self):
@@ -155,11 +148,20 @@ def load_mesh(path) -> Mesh:
     return mesh
 
 
-def _signed_areas(vertices, triangles):
-    v = vertices[triangles]
+def _signed_areas(v):
+    """Signed areas of triangles given by their (m, 3, 2) corners."""
     e1 = v[:, 1] - v[:, 0]
     e2 = v[:, 2] - v[:, 0]
     return 0.5 * (e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0])
+
+
+def hat_gradients(vertices, triangles):
+    """(m, 3, 2) gradients of the three nodal hat functions per triangle: the
+    opposite edge rotated by +90 degrees over twice the signed area."""
+    v = vertices[triangles]
+    opp = v[:, [2, 0, 1]] - v[:, [1, 2, 0]]
+    twice_area = 2.0 * _signed_areas(v)
+    return np.stack([-opp[..., 1], opp[..., 0]], axis=-1) / twice_area[:, None, None]
 
 
 def _chain_edges(edges):
@@ -198,7 +200,7 @@ class TriangleLocator:
         v = vertices[triangles]
         self._origin = vertices.min(axis=0)
         extent = vertices.max(axis=0) - self._origin
-        mean_area = np.abs(_signed_areas(vertices, triangles)).mean()
+        mean_area = np.abs(_signed_areas(v)).mean()
         self._cell = float(max(1e-12, 2.0 * np.sqrt(mean_area)))
         self._dims = np.maximum(1, np.ceil(extent / self._cell).astype(int) + 1)
         lo = np.floor((v.min(axis=1) - self._origin) / self._cell).astype(int)
@@ -216,16 +218,10 @@ class TriangleLocator:
         order = np.argsort(cell, kind="stable")
         self._btri = tri[order]
         self._bstart = np.searchsorted(cell[order], np.arange(self._dims[0] * self._dims[1] + 1))
-        # per-triangle affine inverse for barycentric coordinates
-        e1 = v[:, 1] - v[:, 0]
-        e2 = v[:, 2] - v[:, 0]
-        det = e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0]
-        inv = np.empty((len(triangles), 2, 2))
-        inv[:, 0, 0] = e2[:, 1] / det
-        inv[:, 0, 1] = -e2[:, 0] / det
-        inv[:, 1, 0] = -e1[:, 1] / det
-        inv[:, 1, 1] = e1[:, 0] / det
-        self._inv = inv
+        # barycentric coordinates 1 and 2 of p are the hat gradients 1 and 2
+        # applied to p - vertex 0; copied to be contiguous, since `locate`
+        # gathers one 2x2 block per (point, triangle) candidate
+        self._inv = hat_gradients(vertices, triangles)[:, 1:].copy()
         self._base = v[:, 0]
 
     def locate(self, points):

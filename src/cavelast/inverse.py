@@ -12,7 +12,7 @@ import numpy as np
 from scipy.spatial import ConvexHull
 
 from ._polyline import ensure_ccw
-from .degree import _winding_no_boundary_guard, marching_squares
+from .degree import CellGrid, _winding_no_boundary_guard, covering_grid, marching_squares
 from .exceptions import DomainError
 from .geometry import DeformationField, Mesh
 
@@ -36,41 +36,30 @@ def default_marker(mesh: Mesh) -> np.ndarray:
 
 
 @dataclass
-class InverseField:
+class InverseField(CellGrid):
     """Raster inverse: per-cell kind (outside/material/cavity), pre-image,
     containing deformed triangle, and the marker o."""
 
-    origin: np.ndarray
-    delta: float
     kind: np.ndarray
     ref: np.ndarray
     tri: np.ndarray
     marker: np.ndarray
-    jump_set: list | None = None
 
-    def cell_centers(self):
-        ny, nx = self.kind.shape
-        xs = self.origin[0] + self.delta * np.arange(nx)
-        ys = self.origin[1] + self.delta * np.arange(ny)
-        gx, gy = np.meshgrid(xs, ys)
-        return np.stack([gx, gy], axis=-1)
+    @property
+    def shape(self):
+        return self.kind.shape
 
     def to_csv(self, path):
         """Rows xi_x,xi_y followed by the pre-image or the word CAVITY."""
         centers = self.cell_centers()
         lines = ["xi_x,xi_y,x_x,x_y"]
-        ny, nx = self.kind.shape
-        for iy in range(ny):
-            for ix in range(nx):
-                k = self.kind[iy, ix]
-                if k == OUTSIDE:
-                    continue
-                cx, cy = centers[iy, ix]
-                if k == CAVITY:
-                    lines.append(f"{cx:.12g},{cy:.12g},CAVITY,CAVITY")
-                else:
-                    rx, ry = self.ref[iy, ix]
-                    lines.append(f"{cx:.12g},{cy:.12g},{rx:.12g},{ry:.12g}")
+        for iy, ix in zip(*np.nonzero(self.kind != OUTSIDE)):
+            cx, cy = centers[iy, ix]
+            if self.kind[iy, ix] == CAVITY:
+                lines.append(f"{cx:.12g},{cy:.12g},CAVITY,CAVITY")
+            else:
+                rx, ry = self.ref[iy, ix]
+                lines.append(f"{cx:.12g},{cy:.12g},{rx:.12g},{ry:.12g}")
         with open(path, "w") as fh:
             fh.write("\n".join(lines) + "\n")
 
@@ -86,33 +75,23 @@ def _cavity_membership(y: DeformationField, pts: np.ndarray) -> np.ndarray:
 def build_inverse_field(y: DeformationField, delta: float, marker=None) -> InverseField:
     """Populate the raster inverse over a grid covering the deformed image
     and 2 cells beyond it."""
-    if delta <= 0.0:
-        raise ValueError("delta must be positive")
+    origin, shape = covering_grid(y.positions, delta, 2)
     marker = default_marker(y.mesh) if marker is None else np.asarray(marker, float)
-    lo = y.positions.min(axis=0) - 2 * delta
-    hi = y.positions.max(axis=0) + 2 * delta
-    nx = int(np.ceil((hi[0] - lo[0]) / delta)) + 1
-    ny = int(np.ceil((hi[1] - lo[1]) / delta)) + 1
-    xs = lo[0] + delta * np.arange(nx)
-    ys = lo[1] + delta * np.arange(ny)
-    gx, gy = np.meshgrid(xs, ys)
-    pts = np.stack([gx.ravel(), gy.ravel()], axis=-1)
-
-    tri, bary = y.deformed_locator().locate(pts)
-    kind = np.full(len(pts), OUTSIDE, dtype=np.uint8)
-    ref = np.full((len(pts), 2), np.nan)
-    hit = tri >= 0
-    kind[hit] = MATERIAL
-    verts = y.mesh.vertices[y.mesh.triangles[tri[hit]]]
-    ref[hit] = np.einsum("kb,kbi->ki", bary[hit], verts)
+    inv = InverseField(origin=origin, delta=float(delta),
+                       kind=np.full(shape, OUTSIDE, dtype=np.uint8),
+                       ref=np.full(shape + (2,), np.nan), tri=None, marker=marker)
+    centers = inv.cell_centers()
+    tri, bary = y.deformed_locator().locate(centers.reshape(-1, 2))
+    inv.tri = tri.reshape(shape)
+    hit = inv.tri >= 0
+    inv.kind[hit] = MATERIAL
+    verts = y.mesh.vertices[y.mesh.triangles[inv.tri[hit]]]
+    inv.ref[hit] = np.einsum("kb,kbi->ki", bary[hit.ravel()], verts)
     miss = ~hit
     if miss.any() and y.mesh.punctures:
-        cav = np.zeros(len(pts), dtype=bool)
-        cav[miss] = _cavity_membership(y, pts[miss])
-        kind[cav] = CAVITY
-    return InverseField(origin=lo, delta=float(delta),
-                        kind=kind.reshape(ny, nx), ref=ref.reshape(ny, nx, 2),
-                        tri=tri.reshape(ny, nx), marker=marker)
+        miss[miss] = _cavity_membership(y, centers[miss])
+        inv.kind[miss] = CAVITY
+    return inv
 
 
 def invert_point(y: DeformationField, xi):
@@ -164,14 +143,11 @@ class JumpContour:
 
 
 def _probe_ref(inv: InverseField, pts: np.ndarray):
-    idx = np.rint((pts - inv.origin) / inv.delta).astype(int)
-    ny, nx = inv.kind.shape
-    ok = (idx[:, 0] >= 0) & (idx[:, 0] < nx) & (idx[:, 1] >= 0) & (idx[:, 1] < ny)
+    """Pre-image stored in the material cell nearest each point, else nan."""
+    iy, ix, ok = inv.cell_of(pts)
+    ok[ok] = inv.kind[iy[ok], ix[ok]] == MATERIAL
     vals = np.full((len(pts), 2), np.nan)
-    sub = idx[ok]
-    mat = inv.kind[sub[:, 1], sub[:, 0]] == MATERIAL
-    rows = np.nonzero(ok)[0][mat]
-    vals[rows] = inv.ref[sub[mat, 1], sub[mat, 0]]
+    vals[ok] = inv.ref[iy[ok], ix[ok]]
     return vals
 
 
@@ -192,7 +168,6 @@ def extract_jump_set(inv: InverseField) -> list:
                 a[retry] = _probe_ref(inv, mids[retry] + 1.2 * inv.delta * nrm[retry])
             amp = np.linalg.norm(a - inv.marker, axis=1)
             contours.append(JumpContour(points=pts, normals=nrm, amplitudes=amp))
-    inv.jump_set = contours
     return contours
 
 

@@ -18,7 +18,7 @@ from .degree import check_inv
 from .energy import (_ROT, DiscreteEnergy, _require_positive_dets,
                      detect_cavities, phi_perimeter_gradient, total_energy)
 from .exceptions import DomainError, InfeasibleEnergyError
-from .geometry import DeformationField
+from .geometry import DeformationField, hat_gradients
 from .material import BulkDensity, SurfaceDensity
 
 __all__ = [
@@ -80,14 +80,7 @@ class HatField:
         self.node = int(node)
         self._tris = y.mesh.triangles
         self._loc = y.deformed_locator()
-        v = y.positions[self._tris]
-        e1 = v[:, 1] - v[:, 0]
-        e2 = v[:, 2] - v[:, 0]
-        twice_area = e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0]
-        # grad of hat_i on a deformed element: opposite edge rotated +90 / 2A
-        opp = v[:, [2, 0, 1]] - v[:, [1, 2, 0]]
-        grads = np.stack([-opp[..., 1], opp[..., 0]], axis=-1)
-        self._hat_grad = grads / twice_area[:, None, None]
+        self._hat_grad = hat_gradients(y.positions, self._tris)
         self._local = {}
         for t, tri in enumerate(self._tris):
             for i in range(3):

@@ -4,7 +4,8 @@ import pytest
 import cavelast as cv
 from cavelast._polyline import polygon_signed_area
 from cavelast._polyline import points_to_polyline_distance
-from cavelast.degree import _default_radii, _winding_no_boundary_guard, winding_number_angle
+from cavelast.degree import (_MS_SEGMENTS, _chain_segments, _default_radii,
+                             _winding_no_boundary_guard, winding_number_angle)
 from cavelast.exceptions import DomainError, GeometryError
 
 
@@ -100,6 +101,16 @@ class TestRaster:
         assert back.delta == img.delta
         assert np.array_equal(back.origin, img.origin)
 
+    @pytest.mark.parametrize("delta", [-0.05, 0.0, np.nan, np.inf])
+    @pytest.mark.parametrize("build", [
+        lambda y, d: cv.topological_image(y, "omega", d),
+        lambda y, d: cv.topological_image_point(y, (0.0, 0.0), [0.5, 0.3], d),
+        lambda y, d: cv.build_inverse_field(y, d),
+    ], ids=["topological_image", "topological_image_point", "build_inverse_field"])
+    def test_bad_delta_rejected(self, build, delta, disk_mesh):
+        with pytest.raises(ValueError, match="delta must be a positive finite number"):
+            build(cv.DeformationField(disk_mesh), delta)
+
 
 class TestMarchingSquares:
     def test_disk_mask(self):
@@ -125,6 +136,60 @@ class TestMarchingSquares:
         (loop,) = cv.marching_squares(mask, np.zeros(2), 1.0)
         assert not np.array_equal(loop[0], loop[-1])  # stored open
         assert len(loop) >= 4
+
+    def test_matches_reference_loop(self):
+        # random masks of every size up to 14 x 14 and several fill levels;
+        # saddles (cases 5 and 10) and border-touching regions must occur
+        rng = np.random.default_rng(7)
+        saddles = {5: 0, 10: 0}
+        border = 0
+        for _ in range(240):
+            ny, nx = rng.integers(1, 15, size=2)
+            mask = rng.random((ny, nx)) < rng.uniform(0.2, 0.8)
+            origin = rng.uniform(-2.0, 2.0, size=2)
+            delta = rng.uniform(0.01, 0.7)
+            want = _reference_marching_squares(mask, origin, delta)
+            got = cv.marching_squares(mask, origin, delta)
+            assert len(got) == len(want)
+            for g, w in zip(got, want):
+                assert g.dtype == w.dtype and np.array_equal(g, w)
+            saddles[5] += np.count_nonzero(mask[:-1, :-1] & ~mask[:-1, 1:]
+                                           & mask[1:, 1:] & ~mask[1:, :-1])
+            saddles[10] += np.count_nonzero(~mask[:-1, :-1] & mask[:-1, 1:]
+                                            & ~mask[1:, 1:] & mask[1:, :-1])
+            border += bool(mask[0].any() or mask[-1].any()
+                           or mask[:, 0].any() or mask[:, -1].any())
+        assert saddles[5] > 0 and saddles[10] > 0
+        assert border > 200
+
+
+def _reference_marching_squares(mask, origin, delta):
+    """Scalar marching squares: one Python step per cell of the padded raster."""
+    padded = np.pad(np.asarray(mask, dtype=bool), 1)
+    ny, nx = padded.shape
+    segs = []
+    base = np.asarray(origin, dtype=float) - delta
+    for iy in range(ny - 1):
+        row0 = padded[iy]
+        row1 = padded[iy + 1]
+        for ix in range(nx - 1):
+            case = (int(row0[ix])
+                    | int(row0[ix + 1]) << 1
+                    | int(row1[ix + 1]) << 2
+                    | int(row1[ix]) << 3)
+            if case in (0, 15):
+                continue
+            x = base[0] + ix * delta
+            y_ = base[1] + iy * delta
+            mid = {
+                "b": (x + 0.5 * delta, y_),
+                "r": (x + delta, y_ + 0.5 * delta),
+                "t": (x + 0.5 * delta, y_ + delta),
+                "l": (x, y_ + 0.5 * delta),
+            }
+            for a, b in _MS_SEGMENTS[case]:
+                segs.append((mid[a], mid[b]))
+    return _chain_segments(segs, snap=delta * 1e-6)
 
 
 class TestCheckInv:

@@ -125,7 +125,6 @@ class TestJumpSet:
         y = cv.DeformationField(square_mesh)
         inv = cv.build_inverse_field(y, 0.05)
         assert cv.extract_jump_set(inv) == []
-        assert inv.jump_set == []
 
     def test_csv(self, cavitated, tmp_path):
         inv = cv.build_inverse_field(cavitated, 0.05)
