@@ -482,15 +482,10 @@ def _load_run(d: Path):
     summary = d / "summary.txt"
     if not summary.is_file():
         raise ConfigurationError(f"missing summary: {summary}")
-    kv = {}
-    for line in summary.read_text().splitlines():
-        if " = " in line:
-            k, v = line.split(" = ", 1)
-            kv.setdefault(k, v)
     cfg = ScenarioConfig.from_ini(d / "config.ini")
     mesh = load_mesh(d / "mesh.cavmesh")
     y = DeformationField(mesh, _read_positions_csv(d / "positions.csv"))
-    return kv, cfg, y
+    return cfg, y
 
 
 @dataclass
@@ -538,8 +533,8 @@ class CompareReport:
 
 
 def compare_runs(dir_a, dir_b) -> CompareReport:
-    kv_a, cfg_a, y_a = _load_run(Path(dir_a))
-    kv_b, cfg_b, y_b = _load_run(Path(dir_b))
+    cfg_a, y_a = _load_run(Path(dir_a))
+    cfg_b, y_b = _load_run(Path(dir_b))
     dens_a, phi_a = build_density(cfg_a), build_phi(cfg_a)
     dens_b, phi_b = build_density(cfg_b), build_phi(cfg_b)
 

@@ -174,13 +174,13 @@ class DiscreteEnergy:
         vals = np.empty(len(slot))
         np.matmul(btv * w[:, None, :], btv.transpose(0, 2, 1),
                   out=vals[:36 * nt].reshape(nt, 6, 6))
-        sign = np.array([[1.0, -1.0], [-1.0, 1.0]])[:, :, None, None]
+        sign = np.array([[1.0, -1.0], [-1.0, 1.0]])[:, None, :, None]
         at = 36 * nt
         for ids in self.loops:
             z, nonzero = _edge_normals(pos[ids])
             H = np.zeros((len(ids), 2, 2))
             H[nonzero] = _ROT.T @ self.phi.hessian(z) @ _ROT
-            vals[at:at + 16 * len(ids)] = (sign * H[:, None, None]).ravel()
+            vals[at:at + 16 * len(ids)] = (sign * H[:, None, :, None, :]).ravel()
             at += 16 * len(ids)
         # entries on a fixed dof land in one extra bin, dropped
         data = np.bincount(slot, weights=vals, minlength=len(indices) + 1)[:-1]
@@ -188,45 +188,29 @@ class DiscreteEnergy:
 
     def _hess_pattern(self, free):
         """The csc data slot of every entry (2 i + c, 2 j + d) of the element
-        blocks of `hess`, in its layout: per triangle 6x6 over (i, c) x (j, d),
-        then per loop edge (i, j, c, d); one past the last slot where vertex
-        i or j is fixed. Then the csc shape, row indices and column
-        pointers. Cached for the last mask."""
+        blocks of `hess`, in its layout: per element (i, c, j, d) over its
+        corners i, j and axes c, d, triangles first, then loop edges; one
+        past the last slot where a dof is fixed. Then the csc shape, row
+        indices and column pointers. Cached for the last mask."""
         key = None if free is None else np.asarray(free, dtype=bool).tobytes()
         if self._pattern is None or self._pattern[0] != key:
-            nv = len(self.mesh.vertices)
-            vid = np.arange(nv)
-            if free is not None:
-                vid = np.full(nv, -1)
-                vid[np.asarray(free, dtype=bool)] = np.arange(int(np.sum(free)))
-            n = int(vid.max()) + 1  # free vertices
+            mask = np.ones(len(self.mesh.vertices), dtype=bool) if free is None \
+                else np.asarray(free, dtype=bool)
+            n = 2 * int(np.sum(mask))  # free dofs
+            dof = np.full((len(mask), 2), -1)
+            dof[mask] = np.arange(n).reshape(-1, 2)
             elems = [self.mesh.triangles] + [
                 np.stack([ids, np.roll(ids, -1)], axis=1) for ids in self.loops]
-            ii = np.concatenate([np.repeat(vid[el], el.shape[1], axis=1).ravel()
-                                 for el in elems])
-            jj = np.concatenate([np.tile(vid[el], (1, el.shape[1])).ravel()
-                                 for el in elems])
-            both = (ii >= 0) & (jj >= 0)
-            uniq, pair = np.unique(jj[both] * n + ii[both], return_inverse=True)
-            col, row = np.divmod(uniq, n)
-            start = np.searchsorted(col, np.arange(n + 1))
-            count = np.diff(start)
-            # dof column 2 j + d starts at 4 start[j] + 2 d count[j]; the rows
-            # 2 i, 2 i + 1 of pair u sit 2 (u - start[j]) further on
-            c = np.arange(2)[:, None]
-            d = np.arange(2)[None, :]
-            at = (2 * (np.arange(len(uniq)) + start[col]))[:, None, None] \
-                + c + 2 * d * count[col][:, None, None]
-            indices = np.empty(4 * len(uniq), dtype=np.int32)  # SuperLU's index type
-            indices[at] = 2 * row[:, None, None] + c
-            indptr = np.append((4 * start[:-1, None] + 2 * d * count[:, None]).ravel(),
-                               4 * len(uniq)).astype(np.int32)
-            slot = np.full((len(both), 2, 2), 4 * len(uniq))
-            slot[both] = at[pair]
-            nt = len(self.mesh.triangles)
-            slot[:9 * nt] = slot[:9 * nt].reshape(nt, 3, 3, 2, 2).transpose(
-                0, 1, 3, 2, 4).reshape(-1, 2, 2)
-            self._pattern = key, (slot.ravel(), (2 * n, 2 * n), indices, indptr)
+            corner = [dof[el].reshape(len(el), -1) for el in elems]
+            row = np.concatenate([np.repeat(c, c.shape[1], axis=1).ravel() for c in corner])
+            col = np.concatenate([np.tile(c, (1, c.shape[1])).ravel() for c in corner])
+            both = (row >= 0) & (col >= 0)
+            uniq, pair = np.unique(col[both] * n + row[both], return_inverse=True)
+            slot = np.full(len(both), len(uniq))
+            slot[both] = pair
+            indices = (uniq % n).astype(np.int32)  # SuperLU's index type
+            indptr = np.searchsorted(uniq // n, np.arange(n + 1)).astype(np.int32)
+            self._pattern = key, (slot, (n, n), indices, indptr)
         return self._pattern[1]
 
 
@@ -387,6 +371,18 @@ def surface_functional_S_testfield(y: DeformationField, eta) -> float:
     return float(np.sum(mesh.areas[:, None] * (w[None, :] * integrand)))
 
 
+def _bump(x, center, width):
+    """The C1 bump b = (1 - t^2)^2, t = |x - center| / width, zero for t >= 1,
+    and its gradient, at the (n, 2) points x: ((n,), (n, 2))."""
+    d = np.atleast_2d(x) - np.asarray(center, dtype=float)
+    t2 = np.einsum("ni,ni->n", d, d) / width ** 2
+    inside = t2 < 1.0
+    b = np.where(inside, (1.0 - t2) ** 2, 0.0)
+    # grad b = -4 (1 - t^2) (x - center) / width^2, smooth through the center
+    coef = np.where(inside, -4.0 * (1.0 - t2), 0.0) / width ** 2
+    return b, coef[:, None] * d
+
+
 def _smoothstep_plateau(r, r0, r1, r2, r3):
     """Profile 0 -> 1 -> 0 with C1 smoothstep ramps on [r0,r1] and [r2,r3].
 
@@ -432,15 +428,6 @@ class SeparableTestField:
         if self.sign not in (-1.0, 1.0):
             raise ValueError("sign must be -1 or +1")
 
-    def _bump(self, x):
-        d = np.asarray(x, dtype=float) - np.asarray(self.x0, dtype=float)
-        t2 = np.einsum("ni,ni->n", d, d) / self.width ** 2
-        inside = t2 < 1.0
-        b = np.where(inside, (1.0 - t2) ** 2, 0.0)
-        # grad b = -4 (1 - t^2) (x - x0) / width^2, smooth through the center
-        coef = np.where(inside, -4.0 * (1.0 - t2), 0.0) / self.width ** 2
-        return b, coef[:, None] * d
-
     def _radial(self, xi):
         d = np.asarray(xi, dtype=float) - np.asarray(self.xi0, dtype=float)
         r = np.hypot(d[:, 0], d[:, 1])
@@ -452,16 +439,16 @@ class SeparableTestField:
         return V, divV
 
     def value(self, x, xi):
-        b, _ = self._bump(x)
+        b, _ = _bump(x, self.x0, self.width)
         V, _ = self._radial(xi)
         return b[:, None] * V
 
     def grad_x(self, x, xi):
-        b, gb = self._bump(x)
+        b, gb = _bump(x, self.x0, self.width)
         V, _ = self._radial(xi)
         return V[:, :, None] * gb[:, None, :]
 
     def div_xi(self, x, xi):
-        b, _ = self._bump(x)
+        b, _ = _bump(x, self.x0, self.width)
         _, divV = self._radial(xi)
         return b * divV

@@ -15,7 +15,7 @@ import numpy as np
 from scipy.sparse.linalg import splu
 
 from .degree import check_inv
-from .energy import (_ROT, DiscreteEnergy, _require_positive_dets,
+from .energy import (_ROT, DiscreteEnergy, _bump, _require_positive_dets,
                      detect_cavities, phi_perimeter_gradient, total_energy)
 from .exceptions import DomainError, InfeasibleEnergyError
 from .geometry import DeformationField, hat_gradients
@@ -50,16 +50,11 @@ class BumpField:
         self.amplitude = float(amplitude)
 
     def value(self, xi):
-        d = np.atleast_2d(xi) - self.center
-        t2 = np.einsum("ni,ni->n", d, d) / self.width ** 2
-        b = np.where(t2 < 1.0, (1.0 - t2) ** 2, 0.0)
+        b, _ = _bump(xi, self.center, self.width)
         return b[:, None] * self.direction
 
     def jacobian(self, xi):
-        d = np.atleast_2d(xi) - self.center
-        t2 = np.einsum("ni,ni->n", d, d) / self.width ** 2
-        coef = np.where(t2 < 1.0, -4.0 * (1.0 - t2), 0.0) / self.width ** 2
-        grad_b = coef[:, None] * d
+        _, grad_b = _bump(xi, self.center, self.width)
         return self.direction[None, :, None] * grad_b[:, None, :]
 
     def grad_bound(self):
@@ -401,12 +396,16 @@ def minimize(y0: DeformationField, density: BulkDensity, phi: SurfaceDensity,
     at 1 and shrinks by 0.3 after a full step, grows by 4 after a shortened
     one. The step is halved (at most max_backtracks times) until it lowers
     the energy by the Armijo amount; any trial with min element determinant
-    <= det_floor is rejected, and every inv_every-th accepted step must
-    additionally pass the injectivity sampling check. Convergence needs both
-    a small energy decrease and a small certification-battery residual.
-    Returns (field, log); the log status is "converged", "max_iters" or
-    "stalled", and its `step` column is the accepted step fraction. Every
-    accepted step is logged at DEBUG level on the "cavelast" logger.
+    <= det_floor is rejected, and every inv_every-th step must additionally
+    pass the injectivity sampling check. At zero gradient no step is taken.
+
+    Returns (field, log). The log status is "converged" when a tiny energy
+    decrease (below tol_E * (1 + |E|)) or a zero gradient comes with a
+    certification-battery residual of at most residual_rel * |E|; "stalled"
+    when no trial is accepted, after 3 tiny decreases in a row, or at a zero
+    gradient whose battery fails; "max_iters" when the budget runs out. The
+    `step` column is the accepted step fraction, 0 where none was taken.
+    Every accepted step is logged at DEBUG level on the "cavelast" logger.
     """
     mesh = y0.mesh
     energy_of = DiscreteEnergy(mesh, density, phi)
@@ -429,73 +428,57 @@ def minimize(y0: DeformationField, density: BulkDensity, phi: SurfaceDensity,
             step=0.0, residual=None)
 
     damping = 1.0
-    accepted = 0
     tiny_streak = 0
     status = "max_iters"
 
     for it in range(1, max_iters + 1):
-        if not grad.any():
-            res = battery_residual(y0.with_positions(pos), density, phi, seed=seed)
-            log.add(iter=it, energy=energy, bulk=bulk, surface=surf,
-                    min_det=mind, step=0.0, residual=res)
-            status = "converged" if res <= residual_rel * max(abs(energy), 1e-300) else "stalled"
-            break
+        s, decrease = 0.0, 0.0  # no step at zero gradient
+        if grad.any():
+            H = energy_of.hess(pos, free, F)
+            H.setdiag(H.diagonal() * (1.0 + damping))
+            dx = splu(H, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+                      options={"SymmetricMode": True}).solve(-grad).reshape(-1, 2)
+            slope = float(grad @ dx.ravel())
+            gated = inv_every > 0 and it % inv_every == 0
 
-        H = energy_of.hess(pos, free, F)
-        H.setdiag(H.diagonal() * (1.0 + damping))
-        dx = splu(H, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
-                  options={"SymmetricMode": True}).solve(-grad).reshape(-1, 2)
-        slope = float(grad @ dx.ravel())
-
-        s = 1.0
-        trial = None
-        need_inv = inv_every > 0 and (accepted + 1) % inv_every == 0
-        for _ in range(max_backtracks):
-            cand = pos.copy()
-            cand[free] += s * dx
-            t_F = energy_of.element_gradients(cand)
-            t_bulk, t_surf, t_mind = energy_of.value(cand, t_F)
-            if t_bulk is not None and t_mind > det_floor \
-                    and t_bulk + t_surf <= energy + 1e-4 * s * slope:
-                if need_inv:
-                    rep = check_inv(y0.with_positions(cand), delta=inv_delta, seed=seed)
-                    if not rep.passed:
-                        s *= 0.5
-                        continue
-                trial = (cand, t_F, t_bulk, t_surf, t_mind, s)
-                break
-            s *= 0.5
-        if trial is None:
-            status = "stalled"
-            break
-
-        pos, F, bulk, surf, mind, s = trial
-        damping *= 0.3 if s == 1.0 else 4.0
-        new_energy = bulk + surf
-        decrease = energy - new_energy
-        energy = new_energy
-        accepted += 1
-        _log.debug("iter %5d  energy %.9g  step %.3g  min_det %.3e", it, energy, s, mind)
-        grad = gradient(pos, F)
-
-        res = None
-        if decrease < tol_E * (1.0 + abs(energy)):
-            res = battery_residual(y0.with_positions(pos), density, phi, seed=seed)
-            if res <= residual_rel * max(abs(energy), 1e-300):
-                log.add(iter=it, energy=energy, bulk=bulk, surface=surf,
-                        min_det=mind, step=s, residual=res)
-                status = "converged"
-                break
-            tiny_streak += 1
-            if tiny_streak >= 3:
-                log.add(iter=it, energy=energy, bulk=bulk, surface=surf,
-                        min_det=mind, step=s, residual=res)
+            s = 1.0
+            for _ in range(max_backtracks):
+                cand = pos.copy()
+                cand[free] += s * dx
+                t_F = energy_of.element_gradients(cand)
+                t_bulk, t_surf, t_mind = energy_of.value(cand, t_F)
+                if t_bulk is not None and t_mind > det_floor \
+                        and t_bulk + t_surf <= energy + 1e-4 * s * slope \
+                        and (not gated or check_inv(y0.with_positions(cand),
+                                                    delta=inv_delta, seed=seed).passed):
+                    break
+                s *= 0.5
+            else:
                 status = "stalled"
                 break
+
+            pos, F, bulk, surf, mind = cand, t_F, t_bulk, t_surf, t_mind
+            damping *= 0.3 if s == 1.0 else 4.0
+            decrease = energy - (bulk + surf)
+            energy = bulk + surf
+            _log.debug("iter %5d  energy %.9g  step %.3g  min_det %.3e",
+                       it, energy, s, mind)
+            grad = gradient(pos, F)
+
+        res = None
+        if s == 0.0 or decrease < tol_E * (1.0 + abs(energy)):
+            res = battery_residual(y0.with_positions(pos), density, phi, seed=seed)
+            tiny_streak += 1
         else:
             tiny_streak = 0
         log.add(iter=it, energy=energy, bulk=bulk, surface=surf, min_det=mind,
                 step=s, residual=res)
+        if res is not None and res <= residual_rel * max(abs(energy), 1e-300):
+            status = "converged"
+            break
+        if tiny_streak >= 3 or s == 0.0:
+            status = "stalled"
+            break
 
     log.status = status
     return y0.with_positions(pos), log

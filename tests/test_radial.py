@@ -351,6 +351,48 @@ class TestNewtonOracle:
                 if ref_c > 0.01:
                     assert r["cavity_radius"] == pytest.approx(ref_c, rel=1e-6)
 
+    @staticmethod
+    def _seeds(lam=1.5, rho=0.2, M=48):
+        # the knots and the two seeds solve_radial descends from
+        knots = rho * (1.0 / rho) ** np.linspace(0.0, 1.0, M + 1)
+        knots[-1] = 1.0
+        c0 = np.sqrt(lam ** 2 - 1.0)
+        cavitated = np.sqrt(knots ** 2 + c0 ** 2) * lam / np.sqrt(1.0 + c0 ** 2)
+        return knots, [lam * knots, cavitated]
+
+    @pytest.mark.parametrize("kind", ["iso", "ell"])
+    def test_gradient_matches_central_differences(self, density, kind, request):
+        K = radial._phi_circle_integral(request.getfixturevalue(kind))
+        knots, seeds = self._seeds()
+        for values in seeds:
+            h = 1e-6 * np.diff(values).min()
+            fd = np.empty(len(values) - 1)
+            for j in range(len(fd)):
+                up, down = values.copy(), values.copy()
+                up[j] += h
+                down[j] -= h
+                fd[j] = (radial._pl_energy(knots, up, density, K)
+                         - radial._pl_energy(knots, down, density, K)) / (2.0 * h)
+            g = radial._pl_gradient(knots, values, density, K)
+            assert np.abs(g - fd).max() <= 1e-5 * np.abs(fd).max()
+
+    @pytest.mark.parametrize("kind", ["iso", "ell"])
+    def test_hessian_matches_central_differences(self, density, kind, request):
+        K = radial._phi_circle_integral(request.getfixturevalue(kind))
+        knots, seeds = self._seeds()
+        for values in seeds:
+            ab = radial._pl_hessian_banded(knots, values, density)
+            H = np.diag(ab[1]) + np.diag(ab[0, 1:], 1) + np.diag(ab[0, 1:], -1)
+            h = 1e-6 * np.diff(values).min()
+            fd = np.empty_like(H)
+            for j in range(len(H)):
+                up, down = values.copy(), values.copy()
+                up[j] += h
+                down[j] -= h
+                fd[:, j] = (radial._pl_gradient(knots, up, density, K)
+                            - radial._pl_gradient(knots, down, density, K)) / (2.0 * h)
+            assert np.abs(H - fd).max() <= 1e-5 * np.abs(fd).max()
+
     def test_derivative_is_cached_and_exact(self, radial_15):
         R = np.linspace(0.2, 1.0, 41)
         assert np.array_equal(radial_15.dr(R), radial_15._interp.derivative()(R))

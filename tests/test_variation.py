@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -397,3 +399,49 @@ class TestMinimize:
         assert lines[0] == "iter,energy,bulk,surface,min_det,step,residual"
         assert lines[1].endswith(",nan")
         assert lines[2].split(",")[0] == "1"
+
+    def test_zero_gradient_converges_without_a_step(self, density, iso):
+        # every vertex is fixed, so the free gradient is empty: no Newton step,
+        # and an empty battery certifies the field
+        V = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
+        edges = [(0, 1, "dirichlet"), (1, 2, "dirichlet"), (2, 3, "dirichlet"),
+                 (3, 0, "dirichlet")]
+        mesh = cv.Mesh(V, np.array([[0, 1, 2], [0, 2, 3]]), edges)
+        y1, log = cv.minimize(cv.DeformationField(mesh, 1.2 * V), density, iso)
+        assert log.status == "converged"
+        assert [(r["iter"], r["step"], r["residual"]) for r in log.records] == \
+            [(0, 0.0, None), (1, 0.0, 0.0)]
+        assert np.array_equal(y1.positions, 1.2 * V)
+
+    def test_three_tiny_decreases_stall(self, density, iso):
+        # every decrease counts as tiny and no residual passes: the third
+        # tiny decrease in a row ends the descent
+        mesh = cv.build_disk_mesh(1.0, 0.25, punctures=[((0.0, 0.0), 0.2)])
+        y0 = cv.BoundaryData(kind="radial_stretch", lam=1.5).initial_field(mesh)
+        _, log = cv.minimize(y0, density, iso, tol_E=1.0, residual_rel=1e-12)
+        assert log.status == "stalled"
+        assert [r["iter"] for r in log.records] == [0, 1, 2, 3]
+        assert all(r["step"] > 0.0 for r in log.records[1:])
+        assert all(r["residual"] is not None for r in log.records[1:])
+
+    def test_gate_rejection_halves_the_step(self, density, iso, monkeypatch):
+        import cavelast.variation as variation
+        mesh = cv.build_disk_mesh(1.0, 0.25, punctures=[((0.0, 0.0), 0.2)])
+        y0 = cv.BoundaryData(kind="radial_stretch", lam=1.5).initial_field(mesh)
+        _, plain = cv.minimize(y0, density, iso, max_iters=150, inv_every=1)
+        assert plain.records[1]["step"] == 1.0
+        real, calls = variation.check_inv, []
+
+        def first_fails(*args, **kwargs):
+            calls.append(args)
+            if len(calls) == 1:
+                return SimpleNamespace(passed=False)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(variation, "check_inv", first_fails)
+        _, log = cv.minimize(y0, density, iso, max_iters=150, inv_every=1)
+        assert len(calls) > 1
+        assert log.records[1]["step"] == 0.5
+        E = [r["energy"] for r in log.records]
+        assert all(b <= a for a, b in zip(E, E[1:]))
+        assert log.status == "converged"
