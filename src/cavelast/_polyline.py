@@ -45,19 +45,30 @@ def polygon_is_simple(pts) -> bool:
     return not bool(np.any(crossing & ~adjacent))
 
 
+_PAIRS = 1 << 18  # point-segment pairs per batch (bounds peak memory)
+
+
 def points_to_polyline_distance(points, loop):
-    """Distance from each query point to a closed polyline, (k,) array."""
+    """Distance from each query point to a closed polyline, (k,) array.
+
+    Batched over the query points, about `_PAIRS` point-segment pairs at a
+    time; each point's minimum is its own, so batching changes no digit.
+    """
     points = np.atleast_2d(np.asarray(points, dtype=float))
     a = np.asarray(loop, dtype=float)
     b = np.roll(a, -1, axis=0)
     d = b - a
     len2 = np.maximum((d ** 2).sum(axis=1), 1e-300)
-    # project every point on every segment
-    w = points[:, None, :] - a[None, :, :]
-    t = np.clip((w * d[None]).sum(axis=2) / len2[None], 0.0, 1.0)
-    closest = a[None] + t[..., None] * d[None]
-    dist = np.linalg.norm(points[:, None, :] - closest, axis=2)
-    return dist.min(axis=1)
+    out = np.empty(len(points))
+    step = max(1, _PAIRS // len(a))
+    for lo in range(0, len(points), step):
+        p = points[lo:lo + step]
+        # project every point on every segment
+        w = p[:, None, :] - a[None, :, :]
+        t = np.clip((w * d[None]).sum(axis=2) / len2[None], 0.0, 1.0)
+        closest = a[None] + t[..., None] * d[None]
+        out[lo:lo + step] = np.linalg.norm(p[:, None, :] - closest, axis=2).min(axis=1)
+    return out
 
 
 def densify(loop, max_edge):

@@ -24,8 +24,9 @@ from .geometry import (_CHUNK, DeformationField, locate_circle, locate_reference
 def winding_number(loop, points):
     """Winding number of a closed polyline around each query point.
 
-    Signed ray-crossing count (horizontal ray to +x).  Points within 1e-12
-    of the polyline are rejected: the winding number is undefined there.
+    Signed ray-crossing count (horizontal ray to +x) of the scanline kernel
+    `winding_points`.  Points within 1e-12 of the polyline are rejected
+    first: the winding number is undefined there.
 
     Returns an int array shaped like the leading axis of `points`, or a
     plain int for a single point.
@@ -42,7 +43,7 @@ def winding_number(loop, points):
             f"query point ({pts[k, 0]:.6g}, {pts[k, 1]:.6g}) lies on the loop "
             f"(distance {near[k]:.3g}); winding number undefined"
         )
-    out = _winding_no_boundary_guard(loop, pts)
+    out = winding_points(loop, pts)
     return int(out[0]) if single else out
 
 
@@ -68,6 +69,99 @@ def winding_number_angle(loop, points):
 
 
 # ---------------------------------------------------------------------------
+# the scanline ray-crossing kernel
+#
+# A point p counts the directed edge a -> b when p lies in the edge's
+# half-open y-span (ay <= py < by going up, by <= py < ay going down) and its
+# ray to +x crosses the edge: is_left > 0 going up (+1), is_left < 0 going
+# down (-1). Both entry points evaluate that one `_ray_crosses` test, only
+# on the (point, edge) pairs whose spans match.
+
+
+def _edges(loop):
+    """(ax, ay, bx, by) of the closed polyline's directed edges."""
+    loop = np.asarray(loop, dtype=float)
+    b = np.roll(loop, -1, axis=0)
+    return loop[:, 0], loop[:, 1], b[:, 0], b[:, 1]
+
+
+def _ray_crosses(ax, ay, bx, by, px, py):
+    """Whether the ray from (px, py) to +x crosses the edge a -> b, for
+    points inside the edge's y-span."""
+    # is_left > 0 when the point sits left of the directed edge
+    is_left = (bx - ax) * (py - ay) - (px - ax) * (by - ay)
+    return np.where(by > ay, is_left > 0.0, is_left < 0.0)
+
+
+def _span_pairs(heights, ay, by):
+    """(edge, k) for every edge and every index k of the ascending
+    `heights` inside the edge's half-open span [min(ay, by), max(ay, by))."""
+    lo = np.searchsorted(heights, np.minimum(ay, by), "left")
+    n = np.searchsorted(heights, np.maximum(ay, by), "left") - lo
+    edge = np.repeat(np.arange(len(n)), n)
+    return edge, np.arange(len(edge)) - np.repeat(np.cumsum(n) - n - lo, n)
+
+
+def winding_points(loop, pts):
+    """Winding number of a closed polyline around each of the (n, 2) points,
+    without `winding_number`'s on-loop guard: a point on the loop gets
+    whatever side the ray test says.
+
+    The points are sorted by height once; every edge then meets only the
+    points inside its y-span, `_CHUNK` sorted points at a time.
+    """
+    ax, ay, bx, by = _edges(loop)
+    up = np.sign(by - ay)  # +1 up, -1 down, 0 for horizontal edges
+    pts = np.asarray(pts, dtype=float)
+    order = np.argsort(pts[:, 1], kind="stable")
+    px, py = pts[order, 0], pts[order, 1]
+    total = np.zeros(len(pts))
+    for lo in range(0, len(pts), _CHUNK):
+        e, k = _span_pairs(py[lo:lo + _CHUNK], ay, by)
+        k += lo
+        hit = _ray_crosses(ax[e], ay[e], bx[e], by[e], px[k], py[k])
+        total += np.bincount(order[k[hit]], weights=up[e[hit]], minlength=len(pts))
+    return total.astype(np.int64)
+
+
+def winding_grid(grid, loops):
+    """Sum of sign * winding number over the (loop, sign) pairs of `loops`
+    at the cell centers of `grid`: an (ny, nx) int64 array equal to
+    `winding_points` at `grid.cell_centers()`.
+
+    Each (row, edge) crossing finds the first column that stops counting
+    the edge and marks it in a difference array; a cumulative sum along
+    every row then gives all cells at once.
+    """
+    xs, ys = grid.axes()
+    nx = len(xs)
+    diff = np.zeros((len(ys), nx + 1))
+    for loop, sign in loops:
+        ax, ay, bx, by = _edges(loop)
+        e, iy = _span_pairs(ys, ay, by)
+        ax, ay, bx, by, py = ax[e], ay[e], bx[e], by[e], ys[iy]
+        # Start from the divided crossing x, then let the ray test itself
+        # move it to the first column that does not count. Rounding is
+        # monotone, so is_left is monotone in px and the walk lands exactly.
+        cross = ax + (py - ay) / (by - ay) * (bx - ax)
+        col = np.clip(np.ceil((cross - xs[0]) / grid.delta), 0, nx).astype(np.int64)
+        j = np.flatnonzero(col < nx)
+        while len(j):
+            j = j[_ray_crosses(ax[j], ay[j], bx[j], by[j], xs[col[j]], py[j])]
+            col[j] += 1
+            j = j[col[j] < nx]
+        j = np.flatnonzero(col > 0)
+        while len(j):
+            j = j[~_ray_crosses(ax[j], ay[j], bx[j], by[j], xs[col[j] - 1], py[j])]
+            col[j] -= 1
+            j = j[col[j] > 0]
+        w = sign * np.sign(by - ay)
+        np.add.at(diff, (iy, 0), w)
+        np.add.at(diff, (iy, col), -w)
+    return np.cumsum(diff[:, :nx], axis=1).astype(np.int64)
+
+
+# ---------------------------------------------------------------------------
 # rasters
 
 
@@ -90,11 +184,14 @@ class CellGrid:
     origin: np.ndarray
     delta: float
 
-    def cell_centers(self):
+    def axes(self):
+        """Cell-center x positions (nx,) and y positions (ny,)."""
         ny, nx = self.shape
-        xs = self.origin[0] + self.delta * np.arange(nx)
-        ys = self.origin[1] + self.delta * np.arange(ny)
-        gx, gy = np.meshgrid(xs, ys)
+        return (self.origin[0] + self.delta * np.arange(nx),
+                self.origin[1] + self.delta * np.arange(ny))
+
+    def cell_centers(self):
+        gx, gy = np.meshgrid(*self.axes())
         return np.stack([gx, gy], axis=-1)
 
     def cell_of(self, points):
@@ -187,33 +284,15 @@ def topological_image(y: DeformationField, subdomain, delta, m=256) -> DegreeRas
     U is either a circle inside the meshed domain or the whole domain; holes
     (punctures) enter with negative orientation, so the raster is nonzero on
     the deformed material only: a cavity, enclosed by the image of its
-    puncture loop, reads 0.
+    puncture loop, reads 0.  All loops go through one `winding_grid` pass
+    (a scanline over the grid rows), so cells exactly on a loop get the
+    side its ray test says.
     """
     loops = _subdomain_loops(y, subdomain, m)
     origin, shape = covering_grid(np.vstack([lp for lp, _ in loops]), delta, 4)
     img = DegreeRaster(origin=origin, delta=delta, values=np.zeros(shape, dtype=np.int64))
-    centers = img.cell_centers().reshape(-1, 2)
-    for lp, sign in loops:
-        img.values += sign * _winding_no_boundary_guard(lp, centers).reshape(shape)
+    img.values = winding_grid(img, loops)
     return img
-
-
-def _winding_no_boundary_guard(loop, pts):
-    """Ray-crossing winding without the on-boundary rejection (raster duty:
-    cells sitting exactly on the loop get whatever side the ray test says)."""
-    a = loop
-    b = np.roll(loop, -1, axis=0)
-    out = np.empty(len(pts), dtype=np.int64)
-    for lo in range(0, len(pts), _CHUNK):
-        p = pts[lo:lo + _CHUNK]
-        px, py = p[:, 0][:, None], p[:, 1][:, None]
-        ay, by = a[:, 1][None, :], b[:, 1][None, :]
-        # is_left > 0 when the point sits left of the directed edge
-        is_left = (b[:, 0] - a[:, 0])[None, :] * (py - ay) - (px - a[:, 0][None, :]) * (by - ay)
-        up = (ay <= py) & (by > py) & (is_left > 0.0)
-        down = (ay > py) & (by <= py) & (is_left < 0.0)
-        out[lo:lo + _CHUNK] = up.sum(axis=1) - down.sum(axis=1)
-    return out
 
 
 @dataclass
@@ -251,12 +330,10 @@ def topological_image_point(y: DeformationField, site, radii, delta,
         raise ValueError("need at least one radius")
     site = np.asarray(site, dtype=float)
     base = topological_image(y, ("circle", site, radii[0]), delta, m=m)
-    centers = base.cell_centers().reshape(-1, 2)
     inter = _closure(base.values != 0)
     for r in radii[1:]:
         loop = trace_on_circle(y, site, r, m)
-        member = _winding_no_boundary_guard(loop, centers).reshape(base.shape) != 0
-        inter &= _closure(member)
+        inter &= _closure(winding_grid(base, [(loop, +1)]) != 0)
     area = float(inter.sum()) * delta ** 2
     if area <= 4.0 * delta ** 2:
         return None
@@ -387,7 +464,9 @@ def check_inv(y: DeformationField, centers=None, radii=None, delta=0.02, samples
     For each circle B(a, r): material sampled inside B must land in the
     image region of B (nonzero winding of the image loop), and material
     sampled outside B must not.  Query images within a band of width
-    2 * delta around the image loop are not counted either way.
+    2 * delta around the image loop are not counted either way.  The
+    windings of all images of one circle come from one `winding_points`
+    call, which meets each loop edge only with the images in its y-span.
 
     The samples and circle points live on the reference mesh, so they are
     drawn and located once per (centers, radii, samples, m, seed) and kept
@@ -402,7 +481,7 @@ def check_inv(y: DeformationField, centers=None, radii=None, delta=0.02, samples
         img_in = y.interpolate(*c.inside)
         img_out = y.interpolate(*c.outside)
         n_in = len(img_in)
-        w = _winding_no_boundary_guard(loop, np.vstack([img_in, img_out])) != 0
+        w = winding_points(loop, np.vstack([img_in, img_out])) != 0
         # only images on the wrong side can violate; the band decides which do
         far_in = points_to_polyline_distance(img_in[~w[:n_in]], loop) > band
         far_out = points_to_polyline_distance(img_out[w[n_in:]], loop) > band

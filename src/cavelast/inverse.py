@@ -12,7 +12,7 @@ import numpy as np
 from scipy.spatial import ConvexHull
 
 from ._polyline import ensure_ccw
-from .degree import CellGrid, _winding_no_boundary_guard, covering_grid, marching_squares
+from .degree import CellGrid, covering_grid, marching_squares, winding_grid, winding_points
 from .exceptions import DomainError
 from .geometry import DeformationField, Mesh
 
@@ -68,7 +68,7 @@ def _cavity_membership(y: DeformationField, pts: np.ndarray) -> np.ndarray:
     inside = np.zeros(len(pts), dtype=bool)
     for ids in y.mesh.puncture_loops():
         loop = y.positions[ids]
-        inside |= _winding_no_boundary_guard(loop, pts) != 0
+        inside |= winding_points(loop, pts) != 0
     return inside
 
 
@@ -89,8 +89,10 @@ def build_inverse_field(y: DeformationField, delta: float, marker=None) -> Inver
     inv.ref[hit] = np.einsum("kb,kbi->ki", bary[hit.ravel()], verts)
     miss = ~hit
     if miss.any() and y.mesh.punctures:
-        miss[miss] = _cavity_membership(y, centers[miss])
-        inv.kind[miss] = CAVITY
+        cavity = np.zeros(shape, dtype=bool)
+        for ids in y.mesh.puncture_loops():
+            cavity |= winding_grid(inv, [(y.positions[ids], +1)]) != 0
+        inv.kind[miss & cavity] = CAVITY
     return inv
 
 

@@ -2,11 +2,12 @@ import numpy as np
 import pytest
 
 import cavelast as cv
-from cavelast._polyline import polygon_signed_area
-from cavelast._polyline import points_to_polyline_distance
+from cavelast import degree, inverse
+from cavelast._polyline import _PAIRS, points_to_polyline_distance, polygon_signed_area
 from cavelast.degree import (_MS_SEGMENTS, _chain_segments, _default_radii,
-                             _winding_no_boundary_guard, winding_number_angle)
+                             winding_grid, winding_number_angle, winding_points)
 from cavelast.exceptions import DomainError, GeometryError
+from cavelast.geometry import _CHUNK
 
 
 def square_loop():
@@ -54,12 +55,181 @@ class TestWinding:
             loop = rng.uniform(-1, 1, 2) + rad[:, None] * np.stack(
                 [np.cos(th), np.sin(th)], axis=1)
             pts = rng.uniform(-3, 3, (10, 2))
-            from cavelast._polyline import points_to_polyline_distance
             pts = pts[points_to_polyline_distance(pts, loop) > 1e-6]
             if not len(pts):
                 continue
             assert np.array_equal(cv.winding_number(loop, pts),
                                   winding_number_angle(loop, pts))
+
+    def test_guard_distance_in_batches_matches_one_pass(self):
+        # the on-loop guard measures distances a batch of points at a time;
+        # every point keeps its own minimum, so no digit may move
+        rng = np.random.default_rng(5)
+        th = np.sort(rng.uniform(0, 2 * np.pi, 64))
+        loop = rng.uniform(0.5, 1.0, 64)[:, None] * np.stack([np.cos(th), np.sin(th)], axis=1)
+        pts = rng.uniform(-1.5, 1.5, (3 * _PAIRS // len(loop) + 17, 2))
+        b = np.roll(loop, -1, axis=0)
+        d = b - loop
+        len2 = np.maximum((d ** 2).sum(axis=1), 1e-300)
+        w = pts[:, None, :] - loop[None, :, :]
+        t = np.clip((w * d[None]).sum(axis=2) / len2[None], 0.0, 1.0)
+        closest = loop[None] + t[..., None] * d[None]
+        want = np.linalg.norm(pts[:, None, :] - closest, axis=2).min(axis=1)
+        assert np.array_equal(points_to_polyline_distance(pts, loop), want)
+        assert np.array_equal(cv.winding_number(loop, pts), _reference_winding(loop, pts))
+
+
+def _reference_winding(loop, pts):
+    """All-pairs ray crossing: every point against every edge, in chunks."""
+    a = np.asarray(loop, dtype=float)
+    b = np.roll(a, -1, axis=0)
+    out = np.empty(len(pts), dtype=np.int64)
+    for lo in range(0, len(pts), _CHUNK):
+        p = pts[lo:lo + _CHUNK]
+        px, py = p[:, 0][:, None], p[:, 1][:, None]
+        ay, by = a[:, 1][None, :], b[:, 1][None, :]
+        # is_left > 0 when the point sits left of the directed edge
+        is_left = (b[:, 0] - a[:, 0])[None, :] * (py - ay) - (px - a[:, 0][None, :]) * (by - ay)
+        up = (ay <= py) & (by > py) & (is_left > 0.0)
+        down = (ay > py) & (by <= py) & (is_left < 0.0)
+        out[lo:lo + _CHUNK] = up.sum(axis=1) - down.sum(axis=1)
+    return out
+
+
+def _reference_grid(grid, loops):
+    centers = grid.cell_centers().reshape(-1, 2)
+    total = np.zeros(len(centers), dtype=np.int64)
+    for loop, sign in loops:
+        total += sign * _reference_winding(loop, centers)
+    return total.reshape(grid.shape)
+
+
+def _lattice_loop(rng, k, step=0.25):
+    """k vertices on a lattice of pitch `step`: horizontal edges, shared
+    heights and repeated vertices all occur."""
+    loop = rng.integers(-6, 7, size=(k, 2)) * step
+    dup = rng.integers(0, k, size=2)
+    return np.insert(loop, dup, loop[dup], axis=0)  # zero-length edges
+
+
+def _star(n, turns, radius=1.0, center=(0.0, 0.0)):
+    """Star polygon {n/turns}: winds `turns` times around its center."""
+    th = 2.0 * np.pi * turns * np.arange(n) / n
+    return np.asarray(center) + radius * np.stack([np.cos(th), np.sin(th)], axis=1)
+
+
+class TestScanlineKernel:
+    """The grid entry, the point entry and the all-pairs reference agree
+    exactly, also on and next to the loop, where the ray test decides."""
+
+    def _check(self, loops, grid, pts):
+        want = _reference_grid(grid, loops)
+        assert np.array_equal(winding_grid(grid, loops), want)
+        centers = grid.cell_centers().reshape(-1, 2)
+        got = sum(sign * winding_points(lp, centers) for lp, sign in loops)
+        assert np.array_equal(np.reshape(got, grid.shape), want)
+        for lp, _ in loops:
+            ref = _reference_winding(lp, pts)
+            assert np.array_equal(winding_points(lp, pts), ref)
+            away = points_to_polyline_distance(pts, lp) > 1e-6
+            assert np.array_equal(winding_number_angle(lp, pts[away]), ref[away])
+
+    def _on_loop_points(self, rng, loop):
+        # vertices, edge midpoints and points at vertex heights
+        mids = 0.5 * (loop + np.roll(loop, -1, axis=0))
+        level = np.stack([rng.uniform(-2.0, 2.0, len(loop)), loop[:, 1]], axis=1)
+        return np.vstack([loop, mids, level, rng.uniform(-2.0, 2.0, (200, 2))])
+
+    def test_self_intersecting_loops(self):
+        rng = np.random.default_rng(11)
+        for n, turns in ((7, 2), (7, -2), (9, 4), (64, 2)):
+            loop = _star(n, turns, radius=1.3, center=rng.uniform(-0.2, 0.2, 2))
+            grid = cv.DegreeRaster(origin=np.array([-1.6, -1.55]), delta=0.037,
+                                   values=np.zeros((86, 88), dtype=np.int64))
+            self._check([(loop, +1)], grid, self._on_loop_points(rng, loop))
+            assert set(np.unique(winding_grid(grid, [(loop, +1)]))) >= {0, 2 * np.sign(turns)}
+
+    def test_lattice_loops_on_lattice_grids(self):
+        # rows and columns pass through vertices and along the horizontal
+        # edges; on the inexact pitch 0.1 crossings land within rounding of
+        # cell centers, so the divided crossing x is off by a column either
+        # way. Signed loops sum into one grid.
+        rng = np.random.default_rng(12)
+        for i in range(60):
+            pitch = (0.25, 0.1, 0.1)[i % 3]
+            loops = [(_lattice_loop(rng, int(rng.integers(3, 12)), pitch), sign)
+                     for sign in (+1, -1)]
+            ny, nx = rng.integers(1, 40, size=2)
+            origin = rng.integers(-8, 0, size=2) * pitch
+            grid = cv.DegreeRaster(origin=origin.astype(float), delta=pitch / (1 + i % 2),
+                                   values=np.zeros((ny, nx), dtype=np.int64))
+            pts = np.vstack([self._on_loop_points(rng, lp) for lp, _ in loops])
+            self._check(loops, grid, pts)
+
+    @pytest.mark.parametrize("shape", [(1, 1), (1, 57), (57, 1)])
+    def test_one_row_and_one_column_grids(self, shape):
+        rng = np.random.default_rng(13)
+        for _ in range(20):
+            loop = _lattice_loop(rng, 9)
+            origin = rng.integers(-6, 7, size=2) * 0.25
+            grid = cv.DegreeRaster(origin=origin.astype(float), delta=0.0625,
+                                   values=np.zeros(shape, dtype=np.int64))
+            self._check([(loop, +1)], grid, self._on_loop_points(rng, loop))
+
+    def test_random_loops_and_grids(self):
+        rng = np.random.default_rng(14)
+        for _ in range(30):
+            loop = rng.uniform(-1.0, 1.0, size=(int(rng.integers(3, 40)), 2))
+            grid = cv.DegreeRaster(origin=rng.uniform(-1.4, -0.9, 2), delta=rng.uniform(0.01, 0.2),
+                                   values=np.zeros(tuple(rng.integers(1, 60, 2)), dtype=np.int64))
+            self._check([(loop, +1)], grid, self._on_loop_points(rng, loop))
+
+    def test_zero_query_points(self):
+        out = winding_points(_star(7, 2), np.empty((0, 2)))
+        assert out.dtype == np.int64 and out.shape == (0,)
+        assert np.array_equal(out, _reference_winding(_star(7, 2), np.empty((0, 2))))
+
+    def test_more_points_than_one_chunk(self):
+        rng = np.random.default_rng(15)
+        loop = _star(64, 2, radius=0.9)
+        pts = rng.uniform(-1.0, 1.0, (2 * _CHUNK + 5, 2))
+        pts[:100, 1] = loop[rng.integers(0, 64, 100), 1]  # vertex heights
+        assert np.array_equal(winding_points(loop, pts), _reference_winding(loop, pts))
+
+
+class TestKernelOnTheLift:
+    """Every caller of the kernel gives what the all-pairs reference gives
+    on the lambda = 1.5 lift at delta = 0.01."""
+
+    @pytest.fixture(scope="class")
+    def lift(self, radial_15):
+        return cv.radial_lift(radial_15, cv.build_disk_mesh(1.0, 0.08,
+                                                            punctures=[((0.0, 0.0), 0.2)]))
+
+    @staticmethod
+    def _outputs(y):
+        raster = cv.topological_image(y, "omega", 0.01)
+        cavity = cv.topological_image_point(y, (0.0, 0.0), [0.6, 0.45, 0.3], 0.01)
+        inv = cv.build_inverse_field(y, 0.01)
+        jumps = cv.extract_jump_set(inv)
+        return raster, cavity, inv, jumps
+
+    def test_matches_reference(self, lift, monkeypatch):
+        raster, cavity, inv, jumps = self._outputs(lift)
+        for mod in (degree, inverse):
+            monkeypatch.setattr(mod, "winding_points", _reference_winding)
+            monkeypatch.setattr(mod, "winding_grid", _reference_grid)
+        raster_ref, cavity_ref, inv_ref, jumps_ref = self._outputs(lift)
+        assert np.array_equal(raster.values, raster_ref.values)
+        assert np.array_equal(raster.origin, raster_ref.origin)
+        assert np.array_equal(cavity.boundary, cavity_ref.boundary)
+        assert np.array_equal(inv.kind, inv_ref.kind)
+        assert np.array_equal(inv.tri, inv_ref.tri)
+        assert np.array_equal(inv.ref, inv_ref.ref, equal_nan=True)
+        assert (inv.kind == inverse.CAVITY).any()
+        assert len(jumps) == len(jumps_ref) > 0
+        for a, b in zip(jumps, jumps_ref):
+            assert np.array_equal(a.points, b.points)
 
 
 class TestRaster:
@@ -242,11 +412,11 @@ def _reference_check_inv(y, centers=None, radii=None, delta=0.02, samples=400, m
             vi = vo = 0
             if len(x_in):
                 img = y.evaluate(x_in)
-                w = _winding_no_boundary_guard(loop, img) != 0
+                w = _reference_winding(loop, img) != 0
                 vi = int(np.count_nonzero(~w & (points_to_polyline_distance(img, loop) > band)))
             if len(x_out):
                 img = y.evaluate(x_out)
-                w = _winding_no_boundary_guard(loop, img) != 0
+                w = _reference_winding(loop, img) != 0
                 vo = int(np.count_nonzero(w & (points_to_polyline_distance(img, loop) > band)))
             entries.append((tuple(a), float(r), len(x_in), len(x_out), vi, vo))
     return entries
