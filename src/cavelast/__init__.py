@@ -8,8 +8,8 @@ numerically, and carries an independent radially symmetric solver used as
 a cross-check on symmetric scenarios.
 """
 
-from .exceptions import (CavelastError, ConfigurationError, DomainError,
-                         GeometryError, InfeasibleEnergyError)
+from .exceptions import (ArtifactError, CavelastError, ConfigurationError,
+                         DomainError, GeometryError, InfeasibleEnergyError)
 from .material import BulkDensity, SurfaceDensity
 from .geometry import (BoundaryData, DeformationField, Mesh, TriangleLocator,
                        build_annulus_mesh, build_disk_mesh, build_square_mesh,
@@ -41,8 +41,8 @@ from .cli import ScenarioConfig, compare_runs, run_scenario
 __version__ = "0.1.0"
 
 __all__ = [
-    "CavelastError", "ConfigurationError", "DomainError", "GeometryError",
-    "InfeasibleEnergyError",
+    "ArtifactError", "CavelastError", "ConfigurationError", "DomainError",
+    "GeometryError", "InfeasibleEnergyError",
     "BulkDensity", "SurfaceDensity",
     "BoundaryData", "DeformationField", "Mesh", "TriangleLocator",
     "build_annulus_mesh", "build_disk_mesh", "build_square_mesh",

@@ -18,9 +18,10 @@ from pathlib import Path
 
 import numpy as np
 
+from ._table import format_rows, read_table, write_table
 from .degree import check_inv, topological_image
 from .energy import total_energy
-from .exceptions import (CavelastError, ConfigurationError,
+from .exceptions import (ArtifactError, CavelastError, ConfigurationError,
                          InfeasibleEnergyError)
 from .geometry import (BoundaryData, DeformationField, Mesh,
                        build_annulus_mesh, build_disk_mesh, build_square_mesh,
@@ -278,43 +279,38 @@ def build_boundary(cfg: ScenarioConfig) -> BoundaryData:
 
 
 def _write_positions_csv(y: DeformationField, path):
-    lines = ["id,x,y,pos_x,pos_y"]
-    for i, (v, p) in enumerate(zip(y.mesh.vertices, y.positions)):
-        lines.append(f"{i},{v[0]:.17g},{v[1]:.17g},{p[0]:.17g},{p[1]:.17g}")
-    Path(path).write_text("\n".join(lines) + "\n")
+    ids = np.arange(len(y.positions))
+    write_table(path, "id,x,y,pos_x,pos_y", "%d,%.17g,%.17g,%.17g,%.17g",
+                np.column_stack([ids, y.mesh.vertices, y.positions]))
 
 
 def _read_positions_csv(path) -> np.ndarray:
-    rows = Path(path).read_text().strip().splitlines()[1:]
-    out = np.empty((len(rows), 2))
-    for row in rows:
-        i, _, _, px, py = row.split(",")
-        out[int(i)] = (float(px), float(py))
-    return out
+    table = read_table(path, 5, skip=1, delimiter=",")
+    if not np.array_equal(table[:, 0], np.arange(len(table))):
+        raise ArtifactError(f"vertex ids in {path} do not run 0, 1, 2, ...")
+    return table[:, 3:]
 
 
 def _write_cavities_csv(cavities, path):
-    lines = ["cavity,x,y"]
-    for k, rec in enumerate(cavities):
-        lines.extend(rec.to_csv_rows(k))
-    Path(path).write_text("\n".join(lines) + "\n")
+    rows = [np.column_stack([np.full(len(rec.boundary), k), rec.boundary])
+            for k, rec in enumerate(cavities)]
+    write_table(path, "cavity,x,y", "%d,%.12g,%.12g",
+                np.concatenate(rows or [np.empty((0, 3))]))
 
 
 def _read_cavities_csv(path) -> list:
-    rows = Path(path).read_text().strip().splitlines()[1:]
-    loops = {}
-    for row in rows:
-        k, x, yy = row.split(",")
-        loops.setdefault(int(k), []).append((float(x), float(yy)))
-    return [np.asarray(loops[k]) for k in sorted(loops)]
+    table = read_table(path, 3, skip=1, delimiter=",")
+    k = table[:, 0]
+    return [table[k == i, 1:] for i in np.unique(k)]
 
 
 def _svg_document(segments, loops):
     """Deterministic 720 x 720 SVG text: one path of mesh edges, one polygon
     per loop."""
     size = 720
-    pts = np.concatenate([s.reshape(-1, 2) for s in segments] + loops) \
-        if (segments or loops) else np.zeros((1, 2))
+    pts = np.concatenate([segments.reshape(-1, 2)] + loops)
+    if not len(pts):
+        pts = np.zeros((1, 2))
     lo = pts.min(axis=0)
     hi = pts.max(axis=0)
     span = float(max(hi[0] - lo[0], hi[1] - lo[1], 1e-9))
@@ -322,21 +318,19 @@ def _svg_document(segments, loops):
     scale = size / (span + 2.0 * pad)
 
     def tx(p):
-        return ((p[0] - lo[0] + pad) * scale,
-                size - (p[1] - lo[1] + pad) * scale)
+        t = (p - lo + pad) * scale
+        t[..., 1] = size - t[..., 1]
+        return t
 
     out = [f'<svg xmlns="http://www.w3.org/2000/svg" width="{size}" '
            f'height="{size}" viewBox="0 0 {size} {size}">',
            f'<rect width="{size}" height="{size}" fill="white"/>']
-    if segments:
-        d = []
-        for s in segments:
-            (x1, y1), (x2, y2) = tx(s[0]), tx(s[1])
-            d.append(f"M{x1:.2f} {y1:.2f}L{x2:.2f} {y2:.2f}")
-        out.append('<path d="' + "".join(d)
+    if len(segments):
+        d = format_rows("M%.2f %.2fL%.2f %.2f", tx(segments).reshape(-1, 4))
+        out.append('<path d="' + d.replace("\n", "")
                    + '" stroke="#8a8a8a" stroke-width="0.6" fill="none"/>')
     for loop in loops:
-        coords = " ".join(f"{tx(p)[0]:.2f},{tx(p)[1]:.2f}" for p in loop)
+        coords = " ".join(format_rows("%.2f,%.2f", tx(loop)).split())
         out.append(f'<polygon points="{coords}" stroke="#c0392b" '
                    f'stroke-width="1.8" fill="none"/>')
     out.append("</svg>")
@@ -347,7 +341,7 @@ def _mesh_edge_segments(vertices, triangles):
     pairs = np.concatenate([triangles[:, [0, 1]], triangles[:, [1, 2]],
                             triangles[:, [2, 0]]])
     pairs = np.unique(np.sort(pairs, axis=1), axis=0)
-    return list(vertices[pairs])
+    return vertices[pairs]
 
 
 def render_reference_svg(mesh_path, out_path):
@@ -479,9 +473,9 @@ def run_scenario(config, out_dir=None, mode="run", emit=None, threads=None):
 
 def _load_run(d: Path):
     d = Path(d)
-    summary = d / "summary.txt"
-    if not summary.is_file():
-        raise ConfigurationError(f"missing summary: {summary}")
+    for name in ("summary.txt", "config.ini", "mesh.cavmesh", "positions.csv"):
+        if not (d / name).is_file():
+            raise ConfigurationError(f"missing {Path(name).stem}: {d / name}")
     cfg = ScenarioConfig.from_ini(d / "config.ini")
     mesh = load_mesh(d / "mesh.cavmesh")
     y = DeformationField(mesh, _read_positions_csv(d / "positions.csv"))

@@ -13,9 +13,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import ndimage
 
 from ._polyline import ensure_ccw, points_to_polyline_distance, polygon_signed_area
+from ._table import read_table, write_table
 from .exceptions import DomainError, GeometryError
 from .geometry import (_CHUNK, DeformationField, locate_circle, locate_reference_points,
                        trace_on_circle)
@@ -231,32 +231,23 @@ class DegreeRaster(CellGrid):
 
     def save_pgm(self, path):
         """Greymap export: degree + 8 clipped to [0, 16]."""
-        vals = np.clip(self.values + 8, 0, 16)
-        lines = [
-            "P2",
-            f"# cavelast-degree delta={self.delta:.17g} "
-            f"origin={self.origin[0]:.17g} {self.origin[1]:.17g} offset=8",
-            f"{self.values.shape[1]} {self.values.shape[0]}",
-            "16",
-        ]
-        lines += [" ".join(str(v) for v in row) for row in vals]
-        with open(path, "w") as fh:
-            fh.write("\n".join(lines) + "\n")
+        ny, nx = self.values.shape
+        header = (f"P2\n# cavelast-degree delta={self.delta:.17g} "
+                  f"origin={self.origin[0]:.17g} {self.origin[1]:.17g} offset=8\n"
+                  f"{nx} {ny}\n16")
+        write_table(path, header, " ".join(["%d"] * nx), np.clip(self.values + 8, 0, 16))
 
 
 def load_pgm(path) -> DegreeRaster:
     with open(path) as fh:
-        raw = [ln.strip() for ln in fh if ln.strip()]
-    if raw[0] != "P2":
+        magic, comment = fh.readline().strip(), fh.readline()
+    if magic != "P2":
         raise GeometryError(f"not a P2 greymap: {path}")
-    toks = raw[1].lstrip("# ").split()
-    delta = float(next(t.split("=")[1] for t in toks if t.startswith("delta=")))
-    oidx = next(i for i, t in enumerate(toks) if t.startswith("origin="))
-    origin = np.array([float(toks[oidx].split("=")[1]), float(toks[oidx + 1])])
-    offset = int(next(t.split("=")[1] for t in toks if t.startswith("offset=")))
-    nx, ny = (int(t) for t in raw[2].split())
-    vals = np.array([[int(v) for v in row.split()] for row in raw[4:4 + ny]], dtype=np.int64)
-    return DegreeRaster(origin=origin, delta=delta, values=vals - offset)
+    # "# cavelast-degree delta=<d> origin=<x> <y> offset=<k>", as save_pgm writes it
+    delta, ox, oy, offset = (float(t.rpartition("=")[2]) for t in comment.split()[2:6])
+    nx, ny = read_table(path, 2, rows=1, skip=2, dtype=np.int64)[0].tolist()
+    vals = read_table(path, nx, rows=ny, skip=4, dtype=np.int64)
+    return DegreeRaster(origin=np.array([ox, oy]), delta=delta, values=vals - int(offset))
 
 
 # ---------------------------------------------------------------------------
@@ -310,12 +301,6 @@ class CavityRecord:
         c = self.boundary.mean(axis=0)
         return float(np.linalg.norm(self.boundary - c, axis=1).mean())
 
-    def to_csv_rows(self, index):
-        rows = []
-        for p in self.boundary:
-            rows.append(f"{index},{p[0]:.12g},{p[1]:.12g}")
-        return rows
-
 
 def topological_image_point(y: DeformationField, site, radii, delta,
                             m=256) -> CavityRecord | None:
@@ -351,7 +336,10 @@ def _puncture_radius_at(mesh, site, default):
 
 
 def _closure(mask):
-    return ndimage.binary_dilation(mask, structure=np.ones((3, 3), dtype=bool))
+    """3 x 3 binary dilation: the OR of the nine shifts of the zero-padded mask."""
+    ny, nx = mask.shape
+    p = np.pad(mask, 1)
+    return np.logical_or.reduce([p[dy:dy + ny, dx:dx + nx] for dy in range(3) for dx in range(3)])
 
 
 # ---------------------------------------------------------------------------
@@ -561,11 +549,15 @@ def _sample_disk_in_mesh(mesh, a, r, n, rng):
         u = rng.random(k)
         th = rng.random(k) * 2.0 * np.pi
         cand = a + (r * np.sqrt(u))[:, None] * np.stack([np.cos(th), np.sin(th)], axis=-1)
-        tri, bary = mesh.locator.locate(cand)
-        hit = np.nonzero(tri >= 0)[0][: n - got]
-        tris.append(tri[hit])
-        barys.append(bary[hit])
-        got += len(hit)
+        # located n at a time, in draw order; the RNG stream ignores the hits
+        for lo in range(0, k, n):
+            if got == n:
+                break
+            tri, bary = mesh.locator.locate(cand[lo:lo + n])
+            hit = np.nonzero(tri >= 0)[0][: n - got]
+            tris.append(tri[hit])
+            barys.append(bary[hit])
+            got += len(hit)
     if not tris:
         return np.empty(0, dtype=np.int64), np.empty((0, 3))
     return np.concatenate(tris), np.concatenate(barys)

@@ -13,6 +13,10 @@ class GeometryError(CavelastError):
     """Mesh construction, point location, or sampling failure."""
 
 
+class ArtifactError(CavelastError):
+    """Artifact text (mesh, positions, cavities, raster) that cannot be read back."""
+
+
 class DomainError(CavelastError, ValueError):
     """Value outside a function's mathematical domain (det <= 0, zero normal, ...)."""
 

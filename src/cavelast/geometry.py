@@ -17,7 +17,8 @@ import numpy as np
 from scipy.spatial import Delaunay, cKDTree
 
 from ._polyline import polygon_signed_area
-from .exceptions import GeometryError
+from ._table import format_rows, read_table
+from .exceptions import ArtifactError, GeometryError
 
 MESH_FORMAT_HEADER = "cavmesh 1"
 
@@ -108,39 +109,42 @@ class Mesh:
         return [loops[f"puncture_{k}"] for k in range(len(self.punctures))]
 
     def save(self, path):
-        lines = [MESH_FORMAT_HEADER, str(len(self.vertices))]
-        lines += [f"{x:.17g} {y:.17g}" for x, y in self.vertices]
-        lines.append(str(len(self.triangles)))
-        lines += [f"{a} {b} {c}" for a, b, c in self.triangles]
-        lines += [f"{i} {j} {t}" for i, j, t in self.boundary_edges]
+        edges = np.array(self.boundary_edges, dtype=object).reshape(-1, 3)
         with open(path, "w") as fh:
-            fh.write("\n".join(lines) + "\n")
+            fh.write(f"{MESH_FORMAT_HEADER}\n{len(self.vertices)}\n")
+            fh.write(format_rows("%.17g %.17g", self.vertices))
+            fh.write(f"{len(self.triangles)}\n")
+            fh.write(format_rows("%d %d %d", self.triangles))
+            fh.write(format_rows("%d %d %s", edges))
 
 
 def load_mesh(path) -> Mesh:
     with open(path) as fh:
-        raw = [ln.strip() for ln in fh if ln.strip()]
-    if not raw or raw[0] != MESH_FORMAT_HEADER:
+        header = fh.readline().strip()
+    if header != MESH_FORMAT_HEADER:
         raise GeometryError(f"not a mesh file (expected header {MESH_FORMAT_HEADER!r}): {path}")
-    pos = 1
-    nv = int(raw[pos]); pos += 1
-    verts = np.array([[float(t) for t in raw[pos + i].split()] for i in range(nv)])
-    pos += nv
-    nt = int(raw[pos]); pos += 1
-    tris = np.array([[int(t) for t in raw[pos + i].split()] for i in range(nt)], dtype=np.int64)
-    pos += nt
-    edges = []
-    for ln in raw[pos:]:
-        i, j, tag = ln.split()
-        edges.append((int(i), int(j), tag))
+    nv = int(read_table(path, 1, rows=1, skip=1, dtype=np.int64)[0, 0])
+    verts = read_table(path, 2, rows=nv, skip=2)
+    nt = int(read_table(path, 1, rows=1, skip=2 + nv, dtype=np.int64)[0, 0])
+    tris = read_table(path, 3, rows=nt, skip=3 + nv, dtype=np.int64)
+    try:
+        edges = [(int(i), int(j), tag) for i, j, tag in
+                 read_table(path, 3, skip=3 + nv + nt, dtype=str).tolist()]
+    except ValueError as err:
+        raise ArtifactError(f"malformed boundary edge in {path}: {err}") from err
+    ids = np.concatenate([tris.ravel(), np.array([e[:2] for e in edges], dtype=np.int64).ravel()])
+    tags = {t for _, _, t in edges}
+    n_punctures = sum(t.startswith("puncture_") for t in tags)
+    if ids.size and not 0 <= ids.min() <= ids.max() < nv \
+            or not tags >= {f"puncture_{k}" for k in range(n_punctures)}:
+        raise ArtifactError(f"vertex id out of range 0..{nv - 1} or puncture tags "
+                            f"not numbered 0, 1, ... in {path}")
     mesh = Mesh(verts, tris, edges, punctures=[])
     # recover puncture geometry from the tagged loops
-    tags = sorted({t for _, _, t in edges if t.startswith("puncture_")},
-                  key=lambda t: int(t.split("_")[1]))
     punctures = []
     loops = mesh.boundary_loops()
-    for t in tags:
-        pts = verts[loops[t]]
+    for k in range(n_punctures):
+        pts = verts[loops[f"puncture_{k}"]]
         center = pts.mean(axis=0)
         rho = float(np.linalg.norm(pts - center, axis=1).mean())
         punctures.append((center, rho))

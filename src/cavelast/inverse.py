@@ -12,6 +12,7 @@ import numpy as np
 from scipy.spatial import ConvexHull
 
 from ._polyline import ensure_ccw
+from ._table import format_rows, write_table
 from .degree import CellGrid, covering_grid, marching_squares, winding_grid, winding_points
 from .exceptions import DomainError
 from .geometry import DeformationField, Mesh
@@ -51,17 +52,16 @@ class InverseField(CellGrid):
 
     def to_csv(self, path):
         """Rows xi_x,xi_y followed by the pre-image or the word CAVITY."""
-        centers = self.cell_centers()
-        lines = ["xi_x,xi_y,x_x,x_y"]
-        for iy, ix in zip(*np.nonzero(self.kind != OUTSIDE)):
-            cx, cy = centers[iy, ix]
-            if self.kind[iy, ix] == CAVITY:
-                lines.append(f"{cx:.12g},{cy:.12g},CAVITY,CAVITY")
-            else:
-                rx, ry = self.ref[iy, ix]
-                lines.append(f"{cx:.12g},{cy:.12g},{rx:.12g},{ry:.12g}")
-        with open(path, "w") as fh:
-            fh.write("\n".join(lines) + "\n")
+        # x depends on the column only and y on the row only, so each
+        # center coordinate is formatted once
+        gx, gy = (np.array(format_rows("%.12g", a[:, None]).split(), dtype=object)
+                  for a in self.axes())
+        iy, ix = np.nonzero(self.kind != OUTSIDE)
+        material = self.kind[iy, ix] == MATERIAL
+        tail = np.full(len(iy), "CAVITY,CAVITY", dtype=object)
+        tail[material] = format_rows("%.12g,%.12g", self.ref[iy[material], ix[material]]).split()
+        write_table(path, "xi_x,xi_y,x_x,x_y", "%s,%s,%s",
+                    np.column_stack([gx[ix], gy[iy], tail]))
 
 
 def _cavity_membership(y: DeformationField, pts: np.ndarray) -> np.ndarray:
@@ -174,12 +174,10 @@ def extract_jump_set(inv: InverseField) -> list:
 
 
 def jump_set_to_csv(contours, path):
-    lines = ["contour,x,y,nx,ny,amplitude"]
-    for c, jc in enumerate(contours):
-        for p, n, a in zip(jc.points, jc.normals, jc.amplitudes):
-            lines.append(f"{c},{p[0]:.12g},{p[1]:.12g},{n[0]:.12g},{n[1]:.12g},{a:.12g}")
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    rows = [np.column_stack([np.full(len(jc.points), c), jc.points, jc.normals, jc.amplitudes])
+            for c, jc in enumerate(contours)]
+    write_table(path, "contour,x,y,nx,ny,amplitude", "%d" + ",%.12g" * 5,
+                np.concatenate(rows or [np.empty((0, 6))]))
 
 
 def area_formula_check(y: DeformationField, f, delta: float = 0.02,

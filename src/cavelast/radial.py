@@ -17,6 +17,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 from scipy.linalg import LinAlgError, solveh_banded
 
+from ._table import write_table
 from .exceptions import InfeasibleEnergyError
 from .geometry import DeformationField, Mesh
 from .material import BulkDensity, SurfaceDensity
@@ -107,11 +108,12 @@ def anisotropic_circle_perimeter(c: float, phi: SurfaceDensity) -> float:
     return c * _phi_circle_integral(phi)
 
 
-def _diag_energy(v1, v2, density: BulkDensity):
+def _diag(v1, v2):
+    """Flat (n, 2, 2) batch of the deformation gradients diag(v1, v2)."""
     F = np.zeros((np.broadcast(v1, v2).size, 2, 2))
     F[:, 0, 0] = np.ravel(v1)
     F[:, 1, 1] = np.ravel(v2)
-    return density.energy(F)
+    return F
 
 
 def radial_energy_breakdown(profile: RadialProfile, density: BulkDensity,
@@ -130,7 +132,7 @@ def radial_energy_breakdown(profile: RadialProfile, density: BulkDensity,
     bad = (v1 <= 0.0) | (v2 <= 0.0)
     if bad.any():
         raise InfeasibleEnergyError(f"non-positive stretch at R = {R[bad][0]:.6g}")
-    dens = _diag_energy(v1, v2, density).reshape(R.shape)
+    dens = density.energy(_diag(v1, v2)).reshape(R.shape)
     bulk = float(np.sum(W * 2.0 * np.pi * R * dens))
     surface = anisotropic_circle_perimeter(profile.cavity_radius, phi)
     return bulk, float(surface)
@@ -169,8 +171,8 @@ def _pl_energy(knots, values, density: BulkDensity, K: float):
         return None
     X, W = _pl_quadrature(knots)
     r = values[:-1, None] + slopes[:, None] * (X - knots[:-1, None])
-    dens = _diag_energy(np.broadcast_to(slopes[:, None], X.shape), r / X,
-                        density).reshape(X.shape)
+    dens = density.energy(_diag(np.broadcast_to(slopes[:, None], X.shape),
+                                r / X)).reshape(X.shape)
     return float(np.sum(W * 2.0 * np.pi * X * dens)) + float(values[0]) * K
 
 
@@ -180,7 +182,9 @@ def _pl_hessian_banded(knots, values, density: BulkDensity):
     Each interval couples only its two endpoint values, so the Hessian over
     the free values v_0..v_{M-1} is tridiagonal; rows are assembled from the
     per-interval 2x2 blocks with the second derivatives of
-    W(diag(v1, v2)) = mu/2 (v1^2+v2^2) + a (v1 v2)^2 - b log(v1 v2).
+    W(diag(v1, v2)) = mu/2 (v1^2+v2^2) + a (v1 v2)^2 - b log(v1 v2), written
+    out because the rounding of `BulkDensity.hessian` (its mixed entry cancels
+    b/det against b/det) stops `solve_radial(1.0, rho=0.01)` converging.
     """
     mu, a, b = density.mu, density.a, density.b
     dR = np.diff(knots)
@@ -217,10 +221,7 @@ def _pl_gradient(knots, values, density: BulkDensity, K: float):
     X, W = _pl_quadrature(knots)
     t = (X - knots[:-1, None]) / dR[:, None]
     r = values[:-1, None] * (1.0 - t) + values[1:, None] * t
-    F = np.zeros((X.size, 2, 2))
-    F[:, 0, 0] = np.broadcast_to(slopes[:, None], X.shape).ravel()
-    F[:, 1, 1] = (r / X).ravel()
-    DW = density.stress(F)
+    DW = density.stress(_diag(np.broadcast_to(slopes[:, None], X.shape), r / X))
     W1 = DW[:, 0, 0].reshape(X.shape)
     W2 = DW[:, 1, 1].reshape(X.shape)
     C = W * 2.0 * np.pi * X
@@ -480,12 +481,9 @@ def sweep_lambda(lams, density: BulkDensity, phi: SurfaceDensity, rho: float,
 
 
 def sweep_to_csv(rows, path):
-    lines = ["lambda,cavity_radius,bulk,surface,total"]
-    for r in rows:
-        lines.append(",".join(f"{r[k]:.12g}" for k in
-                              ("lambda", "cavity_radius", "bulk", "surface", "total")))
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    cols = ["lambda", "cavity_radius", "bulk", "surface", "total"]
+    write_table(path, ",".join(cols), ",".join(["%.12g"] * len(cols)),
+                np.array([[r[k] for k in cols] for r in rows], dtype=float))
 
 
 def radial_lift(profile: RadialProfile, mesh: Mesh) -> DeformationField:

@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.sparse.linalg import splu
 
+from ._table import write_table
 from .degree import check_inv
 from .energy import (_ROT, DiscreteEnergy, _bump, _require_positive_dets,
                      detect_cavities, phi_perimeter_gradient, total_energy)
@@ -367,20 +368,9 @@ class IterationLog:
 
     def to_csv(self, path):
         cols = ["iter", "energy", "bulk", "surface", "min_det", "step", "residual"]
-        lines = [",".join(cols)]
-        for r in self.records:
-            cells = []
-            for c in cols:
-                v = r.get(c)
-                if v is None:
-                    cells.append("nan")
-                elif c == "iter":
-                    cells.append(str(int(v)))
-                else:
-                    cells.append(f"{v:.12g}")
-            lines.append(",".join(cells))
-        with open(path, "w") as fh:
-            fh.write("\n".join(lines) + "\n")
+        # None (no residual yet) becomes nan, which %.12g prints as nan
+        rows = np.array([[r.get(c) for c in cols] for r in self.records], dtype=float)
+        write_table(path, ",".join(cols), ",".join(["%.12g"] * len(cols)), rows)
 
 
 def minimize(y0: DeformationField, density: BulkDensity, phi: SurfaceDensity,

@@ -2,6 +2,7 @@ import csv
 import dataclasses
 import logging
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -330,6 +331,34 @@ class TestCompare:
         with pytest.raises(ConfigurationError, match="missing summary"):
             compare_runs(tmp_path, iso_run[1])
 
+    @staticmethod
+    def _corrupt_copy(run_dir, tmp_path, name, corrupt):
+        bad = tmp_path / "bad"
+        shutil.copytree(run_dir, bad)
+        (bad / name).write_bytes(corrupt((run_dir / name).read_bytes()))
+        return bad
+
+    def test_truncated_mesh_exits_2(self, iso_run, tmp_path, capsys):
+        bad = self._corrupt_copy(iso_run[1], tmp_path, "mesh.cavmesh", lambda b: b[:5000])
+        assert main(["compare", str(bad), str(iso_run[1])]) == 2
+        assert "mesh.cavmesh" in capsys.readouterr().err
+
+    def test_missing_positions_exits_2(self, iso_run, tmp_path, capsys):
+        bad = self._corrupt_copy(iso_run[1], tmp_path, "positions.csv", lambda b: b)
+        (bad / "positions.csv").unlink()
+        assert main(["compare", str(bad), str(iso_run[1])]) == 2
+        assert "positions.csv" in capsys.readouterr().err
+
+    def test_non_numeric_position_exits_2(self, iso_run, tmp_path, capsys):
+        def corrupt(text):
+            lines = text.splitlines(keepends=True)
+            lines[5] = b"4,0.1,abc,0.2,0.3\n"
+            return b"".join(lines)
+
+        bad = self._corrupt_copy(iso_run[1], tmp_path, "positions.csv", corrupt)
+        assert main(["compare", str(iso_run[1]), str(bad)]) == 2
+        assert "positions.csv" in capsys.readouterr().err
+
 
 def _python(*args):
     """Run a fresh interpreter that imports this checkout of cavelast."""
@@ -348,9 +377,10 @@ class TestMain:
         assert "usage: cavelast" in proc.stdout
 
     def test_import_skips_integrate_and_interpolate(self):
-        # the radial oracle loads them on first use; a 2-D run needs neither
+        # the radial oracle loads them on first use; a 2-D run needs neither,
+        # and nothing needs scipy.ndimage
         proc = _python("-c", "import sys, cavelast; print(sorted(m for m in sys.modules "
-                       "if m in ('scipy.integrate', 'scipy.interpolate')))")
+                       "if m in ('scipy.integrate', 'scipy.interpolate', 'scipy.ndimage')))")
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "[]"
 

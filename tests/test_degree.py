@@ -261,6 +261,15 @@ class TestRaster:
         assert img.area() == pytest.approx(np.pi * 0.09, rel=0.05)
         assert img.area_with_multiplicity() == pytest.approx(img.area(), abs=1e-12)
 
+    def test_closure_is_3x3_binary_dilation(self):
+        from scipy import ndimage
+        rng = np.random.default_rng(8)
+        for shape, p in [((1, 1), 0.5), ((1, 9), 0.3), ((7, 1), 0.3), ((13, 17), 0.1),
+                         ((40, 33), 0.02), ((5, 5), 0.0), ((6, 4), 1.0)]:
+            mask = rng.random(shape) < p
+            want = ndimage.binary_dilation(mask, structure=np.ones((3, 3), dtype=bool))
+            assert np.array_equal(degree._closure(mask), want), shape
+
     def test_pgm_round_trip(self, disk_mesh, tmp_path):
         y = cv.DeformationField(disk_mesh)
         img = cv.topological_image(y, ("circle", (0.55, 0.0), 0.3), 0.02)
@@ -496,6 +505,21 @@ class TestCheckInvPlan:
         for kw in (dict(seed=5), dict(seed=2, samples=150)):
             assert _entries(cv.check_inv(folded, **kw)) == _reference_check_inv(folded, **kw)
         assert len(mesh.inv_plans) == 3
+
+    @pytest.mark.parametrize("a, r", [((0.0, 0.0), 0.6), ((0.0, 0.0), 0.21),
+                                      ((0.95, 0.0), 0.5), ((3.0, 0.0), 0.5)],
+                             ids=["most_hit", "few_hit", "half_off", "all_off"])
+    def test_lazy_disk_samples_match_reference(self, disk_mesh, a, r):
+        # located a slice at a time, the samples and the RNG stream stay those
+        # of locating every candidate of a round
+        a = np.asarray(a)
+        rng, ref_rng = np.random.default_rng(4), np.random.default_rng(4)
+        tri, bary = degree._sample_disk_in_mesh(disk_mesh, a, r, 200, rng)
+        want = _reference_disk_samples(disk_mesh, a, r, 200, ref_rng)
+        want_tri, want_bary = disk_mesh.locator.locate(want)
+        assert np.array_equal(tri, want_tri)
+        assert np.array_equal(bary, want_bary)
+        assert rng.random() == ref_rng.random()
 
     def test_plan_raises_like_reference(self, disk_mesh):
         y = cv.DeformationField(disk_mesh)
