@@ -17,8 +17,7 @@ import numpy as np
 from ._polyline import ensure_ccw, points_to_polyline_distance, polygon_signed_area
 from ._table import read_table, write_table
 from .exceptions import DomainError, GeometryError
-from .geometry import (_CHUNK, DeformationField, locate_circle, locate_reference_points,
-                       trace_on_circle)
+from .geometry import _CHUNK, DeformationField, locate_circle, trace_on_circle
 
 
 def winding_number(loop, points):
@@ -514,8 +513,7 @@ def _build_inv_plan(mesh, centers, radii, samples, m, seed):
         for r in rs:
             trace = locate_circle(mesh, a, r, m)
             inside = _sample_disk_in_mesh(mesh, a, r, samples, rng)
-            x_out = _sample_mesh_outside_disk(mesh, a, r, samples, rng, tri_cum)
-            outside = locate_reference_points(mesh, x_out)
+            outside = _sample_mesh_outside_disk(mesh, a, r, samples, rng, tri_cum)
             plan.append(_InvCircle(a, float(r), trace, inside, outside))
     return plan
 
@@ -564,9 +562,11 @@ def _sample_disk_in_mesh(mesh, a, r, n, rng):
 
 
 def _sample_mesh_outside_disk(mesh, a, r, n, rng, tri_cum):
-    pts = []
+    """(tri, bary) of up to n area-uniform mesh samples outside B(a, r)."""
+    tris, barys = [], []
+    got = 0
     budget = 20 * n
-    while len(pts) < n and budget > 0:
+    while got < n and budget > 0:
         k = min(4 * n, budget)
         budget -= k
         t = np.searchsorted(tri_cum, rng.random(k))
@@ -577,6 +577,10 @@ def _sample_mesh_outside_disk(mesh, a, r, n, rng, tri_cum):
         b2[flip] = 1.0 - b2[flip]
         v = mesh.vertices[mesh.triangles[t]]
         cand = v[:, 0] + b1[:, None] * (v[:, 1] - v[:, 0]) + b2[:, None] * (v[:, 2] - v[:, 0])
-        keep = np.linalg.norm(cand - a, axis=1) > r
-        pts.extend(cand[keep][: n - len(pts)])
-    return np.asarray(pts) if pts else np.empty((0, 2))
+        keep = np.nonzero(np.linalg.norm(cand - a, axis=1) > r)[0][: n - got]
+        tris.append(t[keep])
+        barys.append(np.stack([1.0 - b1[keep] - b2[keep], b1[keep], b2[keep]], axis=1))
+        got += len(keep)
+    if not tris:
+        return np.empty(0, dtype=np.int64), np.empty((0, 3))
+    return np.concatenate(tris), np.concatenate(barys)

@@ -26,6 +26,7 @@ positive multiple of |z|, and smooth away from zero.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -103,6 +104,24 @@ class BulkDensity:
         H += (2.0 * self.a * det - self.b / det)[..., None, None] * _D2DET
         H += self.mu * np.eye(4)
         return H.reshape(det.shape + (2, 2, 2, 2))
+
+    def energy_change(self, F, dF):
+        """W(F + dF) - W(F) without cancellation, batched like `energy`: the
+        determinant changes by cof F : dF + det dF, the shear term by
+        mu/2 (2F + dF) : dF, and the log term is log1p(ddet / det) unless
+        |ddet| >= det / 2 (a collapsing element), where log det(F + dF) -
+        log det F is the accurate one."""
+        F = np.asarray(F, dtype=float)
+        dF = np.asarray(dF, dtype=float)
+        det, det1 = _det2(F), _det2(F + dF)
+        if np.any(det <= 0.0) or np.any(det1 <= 0.0):
+            raise DomainError("det F <= 0: deformation gradient outside the admissible cone")
+        ddet = np.einsum("...ab,...ab->...", _cof2(F), dF) + _det2(dF)
+        small = np.abs(ddet) < 0.5 * det
+        dlog = np.where(small, np.log1p(np.where(small, ddet / det, 0.0)),
+                        np.log(det1) - np.log(det))
+        return (0.5 * self.mu * np.einsum("...ab,...ab->...", 2.0 * F + dF, dF)
+                + self.a * ddet * (2.0 * det + ddet) - self.b * dlog)
 
     def gamma(self, h):
         """Volumetric part a h^2 - b log h, shifted to be nonnegative.
@@ -218,6 +237,18 @@ class SurfaceDensity:
             H[..., i, i] += 1.0 / t[..., i]
             H += e2 * np.eye(2) / ti
         return H / np.sqrt(1.0 + 2.0 * e2)
+
+    @cached_property
+    def circle_integral(self) -> float:
+        """K = integral of phi(cos t, sin t) over the full circle, the
+        phi-perimeter of the unit circle; computed once per density."""
+        from scipy.integrate import quad  # on first use: `import cavelast` stays without it
+
+        def f(t):
+            return float(self.value(np.array([[np.cos(t), np.sin(t)]]))[0])
+
+        val, _ = quad(f, 0.0, 2.0 * np.pi, epsabs=1e-12, epsrel=1e-12, limit=200)
+        return float(val)
 
     def lower_bound_constant(self) -> float:
         """min over unit directions of phi, a certified positive lower-bound

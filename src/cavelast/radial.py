@@ -3,11 +3,12 @@
 For y(x) = r(|x|) x/|x| the principal stretches are r'(R) and r(R)/R, so the
 energy collapses to a 1-D integral plus the phi-perimeter of the cavity
 circle. `solve_radial` minimizes over monotone knot profiles by projected
-Newton on the tridiagonal Hessian of a piecewise-linear quadrature of that
-integral, from a homogeneous and a cavitated seed, and serves as
+Newton on one energy object, a piecewise-linear quadrature of that integral
+whose value, gradient, tridiagonal Hessian and exact energy change all read
+W from `BulkDensity`; its line search tests Armijo on that exact change. It
+descends from a homogeneous and a cavitated seed and serves as
 semi-analytic ground truth for the 2-D code, including the traction balance
-on the cavity wall. Newton progress is logged at DEBUG level on the
-"cavelast" logger.
+on the cavity wall. Newton progress is logged at DEBUG level on "cavelast".
 """
 
 import logging
@@ -88,24 +89,13 @@ class RadialProfile:
         return float(self.values[0])
 
 
-def _phi_circle_integral(phi: SurfaceDensity) -> float:
-    """K = integral of phi(cos t, sin t) over the full circle."""
-    from scipy.integrate import quad
-
-    def f(t):
-        return float(phi.value(np.array([[np.cos(t), np.sin(t)]]))[0])
-
-    val, _ = quad(f, 0.0, 2.0 * np.pi, epsabs=1e-12, epsrel=1e-12, limit=200)
-    return float(val)
-
-
 def anisotropic_circle_perimeter(c: float, phi: SurfaceDensity) -> float:
     """phi-perimeter of a circle of radius c (linear in c by homogeneity)."""
     if c < 0.0:
         raise ValueError("radius must be nonnegative")
     if c == 0.0:
         return 0.0
-    return c * _phi_circle_integral(phi)
+    return c * phi.circle_integral
 
 
 def _diag(v1, v2):
@@ -158,82 +148,73 @@ def _pl_quadrature(knots):
     return X, W
 
 
-def _pl_energy(knots, values, density: BulkDensity, K: float):
-    """Quadrature energy of the piecewise-linear profile; None if infeasible.
+class _PLEnergy:
+    """Quadrature energy of the piecewise-linear profile through the knot
+    values, with its gradient and tridiagonal Hessian over values[:-1].
 
     Linear trial profiles between knots make this a smooth function of the
-    knot values, which is what the solver differentiates. The returned
-    RadialProfile swaps in the monotone cubic interpolant afterwards; the
-    two agree to the interpolation error of the grid.
+    knot values, which is what the solver differentiates: at each quadrature
+    point F = diag(v1, v2) with v1 = (v_{j+1} - v_j) / dR_j and
+    v2 = (v_j (1 - t) + v_{j+1} t) / R, and W and its derivatives come from
+    `BulkDensity`. The returned RadialProfile swaps in the monotone cubic
+    interpolant afterwards; the two agree to the interpolation error.
     """
-    slopes = np.diff(values) / np.diff(knots)
-    if slopes.min() <= 0.0 or values[0] <= 0.0:
-        return None
-    X, W = _pl_quadrature(knots)
-    r = values[:-1, None] + slopes[:, None] * (X - knots[:-1, None])
-    dens = density.energy(_diag(np.broadcast_to(slopes[:, None], X.shape),
-                                r / X)).reshape(X.shape)
-    return float(np.sum(W * 2.0 * np.pi * X * dens)) + float(values[0]) * K
 
+    def __init__(self, knots, density: BulkDensity, K: float):
+        self.knots, self.density, self.K = knots, density, K
+        self.dR = np.diff(knots)
+        X, W = _pl_quadrature(knots)
+        t = (X - knots[:-1, None]) / self.dR[:, None]
+        self.shape = X.shape
+        self.w0 = (1.0 - t) / X                  # d v2 / d v_j
+        self.w1 = t / X                          # d v2 / d v_{j+1}
+        self.C = W * 2.0 * np.pi * X             # quadrature measure
 
-def _pl_hessian_banded(knots, values, density: BulkDensity):
-    """Tridiagonal Hessian of _pl_energy in solveh_banded's upper layout.
+    def _stretch(self, values):
+        """diag(v1, v2) at every quadrature point, linear in the values."""
+        v1 = np.diff(values) / self.dR
+        v2 = values[:-1, None] * self.w0 + values[1:, None] * self.w1
+        return _diag(np.broadcast_to(v1[:, None], self.shape), v2)
 
-    Each interval couples only its two endpoint values, so the Hessian over
-    the free values v_0..v_{M-1} is tridiagonal; rows are assembled from the
-    per-interval 2x2 blocks with the second derivatives of
-    W(diag(v1, v2)) = mu/2 (v1^2+v2^2) + a (v1 v2)^2 - b log(v1 v2), written
-    out because the rounding of `BulkDensity.hessian` (its mixed entry cancels
-    b/det against b/det) stops `solve_radial(1.0, rho=0.01)` converging.
-    """
-    mu, a, b = density.mu, density.a, density.b
-    dR = np.diff(knots)
-    slopes = np.diff(values) / dR
-    X, W = _pl_quadrature(knots)
-    t = (X - knots[:-1, None]) / dR[:, None]
-    v1 = np.broadcast_to(slopes[:, None], X.shape)
-    v2 = (values[:-1, None] * (1.0 - t) + values[1:, None] * t) / X
-    W11 = mu + 2.0 * a * v2 ** 2 + b / v1 ** 2
-    W12 = 4.0 * a * v1 * v2
-    W22 = mu + 2.0 * a * v1 ** 2 + b / v2 ** 2
-    C = W * 2.0 * np.pi * X
-    lo = -1.0 / dR[:, None]                      # d slope / d v_j
-    hi = 1.0 / dR[:, None]
-    glo = (1.0 - t) / X                          # d v2 / d v_j
-    ghi = t / X
-    h_ll = np.sum(C * (W11 * lo * lo + 2 * W12 * lo * glo + W22 * glo * glo), axis=1)
-    h_lh = np.sum(C * (W11 * lo * hi + W12 * (lo * ghi + hi * glo) + W22 * glo * ghi), axis=1)
-    h_hh = np.sum(C * (W11 * hi * hi + 2 * W12 * hi * ghi + W22 * ghi * ghi), axis=1)
-    n = len(values) - 1
-    diag = np.zeros(n)
-    diag += h_ll
-    diag[1:] += h_hh[:-1]
-    ab = np.zeros((2, n))
-    ab[0, 1:] = h_lh[:-1]                        # couples v_j and v_{j+1}
-    ab[1, :] = diag
-    return ab
+    def _integrate(self, dens, head):
+        return float(np.sum(self.C * dens.reshape(self.shape))) + float(head) * self.K
 
+    def value(self, values):
+        return self._integrate(self.density.energy(self._stretch(values)), values[0])
 
-def _pl_gradient(knots, values, density: BulkDensity, K: float):
-    """Analytic gradient of _pl_energy with respect to values[:-1]."""
-    dR = np.diff(knots)
-    slopes = np.diff(values) / dR
-    X, W = _pl_quadrature(knots)
-    t = (X - knots[:-1, None]) / dR[:, None]
-    r = values[:-1, None] * (1.0 - t) + values[1:, None] * t
-    DW = density.stress(_diag(np.broadcast_to(slopes[:, None], X.shape), r / X))
-    W1 = DW[:, 0, 0].reshape(X.shape)
-    W2 = DW[:, 1, 1].reshape(X.shape)
-    C = W * 2.0 * np.pi * X
-    A = np.sum(C * W1, axis=1) / dR          # through the slope
-    B0 = np.sum(C * (W2 / X) * (1.0 - t), axis=1)
-    B1 = np.sum(C * (W2 / X) * t, axis=1)
-    full = np.zeros(len(values))
-    full[:-1] += -A + B0
-    full[1:] += A + B1
-    g = full[:-1]
-    g[0] += K
-    return g
+    def change(self, values, step):
+        """E(values + step) - E(values), resolved below the rounding of E."""
+        return self._integrate(self.density.energy_change(
+            self._stretch(values), self._stretch(step)), step[0])
+
+    def grad(self, values):
+        DW = self.density.stress(self._stretch(values))
+        W1 = self.C * DW[:, 0, 0].reshape(self.shape)
+        W2 = self.C * DW[:, 1, 1].reshape(self.shape)
+        A = np.sum(W1, axis=1) / self.dR         # through the slope
+        full = np.zeros(len(values))
+        full[:-1] += np.sum(W2 * self.w0, axis=1) - A
+        full[1:] += np.sum(W2 * self.w1, axis=1) + A
+        g = full[:-1]
+        g[0] += self.K
+        return g
+
+    def hess(self, values):
+        """Hessian in solveh_banded's upper layout. Each interval couples
+        only its two endpoint values, so it is tridiagonal, assembled from
+        the per-interval 2x2 blocks."""
+        D2W = self.density.hessian(self._stretch(values)).reshape(self.shape + (2, 2, 2, 2))
+        d11, d12, d22 = (self.C * D2W[..., i, i, j, j] for i, j in ((0, 0), (0, 1), (1, 1)))
+        lo, hi = -1.0 / self.dR[:, None], 1.0 / self.dR[:, None]   # d v1 / d v_j, v_{j+1}
+
+        def block(a, ga, b, gb):
+            return np.sum(d11 * a * b + d12 * (a * gb + ga * b) + d22 * ga * gb, axis=1)
+
+        ab = np.zeros((2, len(values) - 1))
+        ab[0, 1:] = block(lo, self.w0, hi, self.w1)[:-1]   # couples v_j and v_{j+1}
+        ab[1] = block(lo, self.w0, lo, self.w0)
+        ab[1, 1:] += block(hi, self.w1, hi, self.w1)[:-1]
+        return ab
 
 
 def _project_monotone(v, top, eps, floor=None):
@@ -271,38 +252,36 @@ def _newton_direction(ab, g):
     return None
 
 
-def _descend(knots, vals, top, density, K, max_iters, el_tol):
+def _descend(f: _PLEnergy, vals, top, max_iters, el_tol):
     """Projected Newton on the tridiagonal Hessian from one seed.
 
-    Every step backtracks (Armijo on _pl_energy) until the projected trial
-    lowers the energy, so no accepted step raises it. The raw gradient entry
-    at knot j carries the quadrature measure m_j ~ 2*pi*R_j*dR_j, which
-    varies by orders of magnitude across a geometric grid; the residual
-    reported against el_tol is the measure-scaled one, i.e. the discrete EL
-    operator value. A hole that wants to close sits on the floor bound with
-    positive raw gradient; that coordinate is pinned out of the Newton
-    system and counts as converged in the KKT sense.
-    Returns (values, energy, status).
+    Every step backtracks until the projected trial passes Armijo on the
+    exact change `f.change`, and E is carried as E + dE: no accepted step
+    raises it, and a decrease below the rounding of E, which no comparison
+    of two computed energies resolves (Hager & Zhang 2005), still counts.
+    The raw gradient entry at knot j carries the quadrature measure
+    m_j ~ 2*pi*R_j*dR_j, which varies by orders of magnitude across a
+    geometric grid; the residual reported against el_tol is the
+    measure-scaled one, i.e. the discrete EL operator value. A hole that
+    wants to close sits on the floor bound with positive raw gradient; that
+    coordinate is pinned out of the Newton system and counts as converged
+    in the KKT sense. Returns (values, energy, status).
     """
+    knots, dR = f.knots, f.dR
     eps = 1e-12 * knots[-1]
     floor = 1e-6 * knots[-1]
-    dR = np.diff(knots)
     m = np.pi * knots[:-1] * (np.append(dR[1:], 0.0) + dR)
     m[0] = np.pi * knots[0] * dR[0]
-
-    def energy(v):
-        return _pl_energy(knots, np.append(v, top), density, K)
 
     def project(v):
         return _project_monotone(v, top, eps, floor=floor)
 
     v = project(vals[:-1].copy())
-    E = energy(v)
-    if E is None:
-        raise InfeasibleEnergyError("infeasible starting profile")
+    E = f.value(np.append(v, top))
     status = "max_iters"
     for it in range(max_iters + 1):
-        g = _pl_gradient(knots, np.append(v, top), density, K)
+        x = np.append(v, top)
+        g = f.grad(x)
         pinned = v[0] <= floor * (1.0 + 1e-9) and g[0] > 0.0
         scaled = np.abs(g) / m
         if pinned:
@@ -315,20 +294,20 @@ def _descend(knots, vals, top, density, K, max_iters, el_tol):
             break
         if it == max_iters:
             break
-        ab = _pl_hessian_banded(knots, np.append(v, top), density)
+        ab = f.hess(x)
         if pinned:
             g[0] = 0.0
             ab[0, 1] = 0.0
         d = _newton_direction(ab, g)
         for tau in 0.5 ** np.arange(40 if d is not None else 0):
             cand = project(v - tau * d)
-            Ec = energy(cand)
-            if Ec is not None and Ec <= E + 1e-4 * min(0.0, float(g @ (cand - v))):
+            dE = f.change(x, np.append(cand - v, 0.0))
+            if dE <= 1e-4 * min(0.0, float(g @ (cand - v))):
                 break
         else:                                    # no step lowers the energy
             status = "stalled"
             break
-        v, E = cand, Ec
+        v, E = cand, E + dE
     return v, E, status
 
 
@@ -338,10 +317,10 @@ def solve_radial(lam: float, density: BulkDensity, phi: SurfaceDensity,
     """Minimize the radial energy over knot values with r(R_out) = lam R_out.
 
     Geometric knots resolve the boundary layer at the puncture. The descent
-    objective interpolates linearly between knots, so its gradient and its
-    tridiagonal Hessian come out of the stress in closed form. Each seed is
-    descended by projected Newton (at most max_iters steps) with a
-    backtracking line search that never accepts an energy increase;
+    objective interpolates linearly between knots; its gradient and
+    tridiagonal Hessian come from `BulkDensity`. Each seed is descended by
+    projected Newton (at most max_iters steps) whose backtracking line search
+    tests the exact energy change and never accepts an energy increase;
     converged means the measure-scaled Euler-Lagrange residual is below
     el_tol * (1 + |E|). The returned profile is the monotone cubic through
     the optimal values.
@@ -362,14 +341,13 @@ def solve_radial(lam: float, density: BulkDensity, phi: SurfaceDensity,
     knots = rho * (R_out / rho) ** np.linspace(0.0, 1.0, M + 1)
     knots[-1] = R_out
     top = lam * R_out
-    K = _phi_circle_integral(phi)
     seeds = [lam * knots]
     if lam > 1.0:
         c0 = np.sqrt(lam ** 2 - 1.0) * R_out
         seeds.append(np.sqrt(knots ** 2 + c0 ** 2) * top
                      / np.sqrt(R_out ** 2 + c0 ** 2))
-    runs = [_descend(knots, vals, top, density, K, max_iters, el_tol)
-            for vals in seeds]
+    f = _PLEnergy(knots, density, phi.circle_integral)
+    runs = [_descend(f, vals, top, max_iters, el_tol) for vals in seeds]
     v, _, status = min(runs, key=lambda run: run[1])   # first seed wins ties
     return RadialProfile(knots=knots, values=np.append(v, top), lam=lam,
                          status=status,
@@ -435,8 +413,7 @@ def bvp_boundary_check(profile: RadialProfile, density: BulkDensity,
     T = density.stress(F[None])[0] @ F.T / det
     t_rr = float(T[0, 0])
 
-    K = _phi_circle_integral(phi)
-    h_avg = -K / (2.0 * np.pi * c)
+    h_avg = -phi.circle_integral / (2.0 * np.pi * c)
 
     angles = 2.0 * np.pi * np.arange(n_angles) / n_angles
     nu = np.stack([np.cos(angles), np.sin(angles)], axis=1)

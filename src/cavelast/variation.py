@@ -74,42 +74,30 @@ class HatField:
             raise ValueError("need a nonzero direction")
         self.direction = d / n
         self.node = int(node)
-        self._tris = y.mesh.triangles
         self._loc = y.deformed_locator()
-        self._hat_grad = hat_gradients(y.positions, self._tris)
-        self._local = {}
-        for t, tri in enumerate(self._tris):
-            for i in range(3):
-                if tri[i] == self.node:
-                    self._local[t] = i
-
-    def _locate(self, xi):
-        return self._loc.locate(np.atleast_2d(xi))
+        tris = y.mesh.triangles
+        hit = tris == self.node
+        # the node's corner per triangle, -1 off its star, and the hat
+        # gradient there (zero off the star); the last row is the sentinel
+        # that locate's tri = -1 picks
+        slot = np.where(hit.any(axis=1), hit.argmax(axis=1), -1)
+        grad = hat_gradients(y.positions, tris)[np.arange(len(tris)), slot]
+        grad[slot < 0] = 0.0
+        self._slot = np.append(slot, -1)
+        self._grad = np.vstack([grad, np.zeros((1, 2))])
 
     def value(self, xi):
-        tri, bary = self._locate(xi)
-        out = np.zeros((len(tri), 2))
-        for k, (t, lam) in enumerate(zip(tri, bary)):
-            i = self._local.get(int(t))
-            if t >= 0 and i is not None:
-                out[k] = lam[i] * self.direction
-        return out
+        tri, bary = self._loc.locate(np.atleast_2d(xi))
+        slot = self._slot[tri]
+        lam = np.where(slot >= 0, bary[np.arange(len(tri)), slot], 0.0)
+        return lam[:, None] * self.direction
 
     def jacobian(self, xi):
-        tri, _ = self._locate(xi)
-        out = np.zeros((len(tri), 2, 2))
-        for k, t in enumerate(tri):
-            i = self._local.get(int(t))
-            if t >= 0 and i is not None:
-                out[k] = np.outer(self.direction, self._hat_grad[t, i])
-        return out
+        tri, _ = self._loc.locate(np.atleast_2d(xi))
+        return self.direction[None, :, None] * self._grad[tri][:, None, :]
 
     def grad_bound(self):
-        if not self._local:
-            return 0.0
-        g = max(float(np.linalg.norm(self._hat_grad[t, i]))
-                for t, i in self._local.items())
-        return g
+        return float(np.linalg.norm(self._grad, axis=1).max())
 
 
 class DilationField:

@@ -521,6 +521,22 @@ class TestCheckInvPlan:
         assert np.array_equal(bary, want_bary)
         assert rng.random() == ref_rng.random()
 
+    @pytest.mark.parametrize("a, r", [((0.0, 0.0), 0.6), ((0.5, 0.3), 0.3),
+                                      ((0.0, 0.0), 0.95)],
+                             ids=["centred", "off_centre", "nearly_all_inside"])
+    def test_outside_samples_keep_their_draw(self, disk_mesh, a, r):
+        # the drawn (triangle, barycentrics) interpolate to the points the
+        # reference draws, and the RNG stream is the same
+        a = np.asarray(a)
+        rng, ref_rng = np.random.default_rng(6), np.random.default_rng(6)
+        tri_cum = np.cumsum(disk_mesh.areas / disk_mesh.areas.sum())
+        tri, bary = degree._sample_mesh_outside_disk(disk_mesh, a, r, 200, rng, tri_cum)
+        want = _reference_outside_samples(disk_mesh, a, r, 200, ref_rng, tri_cum)
+        assert len(want) > 0 and tri.shape == (len(want),) and bary.shape == (len(want), 3)
+        got = np.einsum("nk,nkd->nd", bary, disk_mesh.vertices[disk_mesh.triangles[tri]])
+        assert np.abs(got - want).max() <= 1e-14
+        assert rng.random() == ref_rng.random()
+
     def test_plan_raises_like_reference(self, disk_mesh):
         y = cv.DeformationField(disk_mesh)
         kw = dict(centers=[(0.0, 0.0)], radii=[[0.1]])  # inside the puncture

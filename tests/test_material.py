@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -98,6 +100,45 @@ class TestBulkDensity:
         # near-collapse states stay controlled by the energy
         F_thin = np.diag([1e-3, 1.0])[None]
         assert density.stress_control_ratio(F_thin)[0] < 10.0
+
+    def test_energy_change_of_order_one_steps(self, density):
+        rng = np.random.default_rng(21)
+        F, G = random_gradients(rng, 50), random_gradients(rng, 50)
+        got = density.energy_change(F, G - F)
+        want = density.energy(F + (G - F)) - density.energy(F)
+        assert np.allclose(got, want, rtol=1e-12, atol=1e-14)
+
+    def test_energy_change_resolves_tiny_steps(self, density):
+        rng = np.random.default_rng(22)
+        F = random_gradients(rng, 50)
+        dF = 1e-10 * rng.standard_normal((50, 2, 2))
+        second = 0.5 * np.einsum("nab,nabcd,ncd->n", dF, density.hessian(F), dF)
+        taylor = np.einsum("nab,nab->n", density.stress(F), dF) + second
+        rel = np.abs(density.energy_change(F, dF) - taylor) / np.abs(taylor)
+        assert rel.max() <= 1e-8
+        # the difference of two computed energies cannot see such a step
+        naive = density.energy(F + dF) - density.energy(F)
+        assert (np.abs(naive - taylor) / np.abs(taylor)).max() > 1e-8
+
+    def test_energy_change_on_a_collapsing_element(self, density):
+        rng = np.random.default_rng(23)
+        F = random_gradients(rng, 20)
+        # det(F + dF) = 1e-12 det F: uniformly, and along one column
+        for dF in ((1e-6 - 1.0) * F, F @ np.diag([1e-12 - 1.0, 0.0])):
+            assert np.allclose(np.linalg.det(F + dF), 1e-12 * np.linalg.det(F), rtol=1e-3)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                got = density.energy_change(F, dF)
+            want = density.energy(F + dF) - density.energy(F)
+            assert np.allclose(got, want, rtol=1e-12, atol=0.0)
+
+    def test_energy_change_rejects_nonpositive_det(self, density):
+        F = np.eye(2)[None]
+        for before, step in ((np.diag([1.0, -1.0])[None], np.zeros((1, 2, 2))),
+                             (F, np.diag([-1.0, 0.0])[None]),
+                             (F, np.diag([-2.0, 0.0])[None])):
+            with pytest.raises(DomainError):
+                density.energy_change(before, step)
 
 
 class TestSurfaceDensity:

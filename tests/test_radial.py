@@ -101,6 +101,19 @@ class TestCirclePerimeter:
         with pytest.raises(ValueError):
             cv.anisotropic_circle_perimeter(-0.1, iso)
 
+    def test_integral_computed_once_per_density(self, density, monkeypatch):
+        calls = []
+        value = cv.SurfaceDensity.value
+        monkeypatch.setattr(cv.SurfaceDensity, "value",
+                            lambda self, z: calls.append(1) or value(self, z))
+        phi = cv.SurfaceDensity("elliptic", A=np.diag([4.0, 1.0]))
+        K = phi.circle_integral
+        assert calls and K == pytest.approx(8.0 * ellipe(0.75), rel=1e-9)
+        calls.clear()
+        cv.sweep_lambda([1.5, 1.6], density, phi, 0.2, M=48)
+        cv.anisotropic_circle_perimeter(0.5, phi)
+        assert calls == []
+
 
 class TestSolveRadial:
     def test_validation(self, density, iso):
@@ -362,8 +375,8 @@ class TestNewtonOracle:
 
     @pytest.mark.parametrize("kind", ["iso", "ell"])
     def test_gradient_matches_central_differences(self, density, kind, request):
-        K = radial._phi_circle_integral(request.getfixturevalue(kind))
         knots, seeds = self._seeds()
+        f = radial._PLEnergy(knots, density, request.getfixturevalue(kind).circle_integral)
         for values in seeds:
             h = 1e-6 * np.diff(values).min()
             fd = np.empty(len(values) - 1)
@@ -371,17 +384,16 @@ class TestNewtonOracle:
                 up, down = values.copy(), values.copy()
                 up[j] += h
                 down[j] -= h
-                fd[j] = (radial._pl_energy(knots, up, density, K)
-                         - radial._pl_energy(knots, down, density, K)) / (2.0 * h)
-            g = radial._pl_gradient(knots, values, density, K)
+                fd[j] = (f.value(up) - f.value(down)) / (2.0 * h)
+            g = f.grad(values)
             assert np.abs(g - fd).max() <= 1e-5 * np.abs(fd).max()
 
     @pytest.mark.parametrize("kind", ["iso", "ell"])
     def test_hessian_matches_central_differences(self, density, kind, request):
-        K = radial._phi_circle_integral(request.getfixturevalue(kind))
         knots, seeds = self._seeds()
+        f = radial._PLEnergy(knots, density, request.getfixturevalue(kind).circle_integral)
         for values in seeds:
-            ab = radial._pl_hessian_banded(knots, values, density)
+            ab = f.hess(values)
             H = np.diag(ab[1]) + np.diag(ab[0, 1:], 1) + np.diag(ab[0, 1:], -1)
             h = 1e-6 * np.diff(values).min()
             fd = np.empty_like(H)
@@ -389,9 +401,26 @@ class TestNewtonOracle:
                 up, down = values.copy(), values.copy()
                 up[j] += h
                 down[j] -= h
-                fd[:, j] = (radial._pl_gradient(knots, up, density, K)
-                            - radial._pl_gradient(knots, down, density, K)) / (2.0 * h)
+                fd[:, j] = (f.grad(up) - f.grad(down)) / (2.0 * h)
             assert np.abs(H - fd).max() <= 1e-5 * np.abs(fd).max()
+
+    def test_change_matches_value_difference(self, density, iso):
+        # seed-sized steps: from one seed to the other and back, and part way
+        knots, (hom, cav) = self._seeds()
+        f = radial._PLEnergy(knots, density, iso.circle_integral)
+        for a, b in ((hom, cav), (cav, hom), (hom, 0.5 * (hom + cav))):
+            want = f.value(b) - f.value(a)
+            assert f.change(a, b - a) == pytest.approx(want, rel=1e-12, abs=1e-12)
+
+    @pytest.mark.parametrize("lam", [1.0, 1.1])
+    def test_every_branch_converges_near_lambda_one(self, density, iso, lam):
+        # comparing two computed energies left lambda = 1, rho = 0.015 at
+        # max_iters; Armijo on the exact change resolves the last decrease
+        for rho in (0.008, 0.01, 0.012, 0.015, 0.02, 0.03, 0.05, 0.2):
+            prof = cv.solve_radial(lam, density, iso, rho=rho, M=96)
+            assert [st for _, _, st in prof.branches] == ["converged"] * len(prof.branches)
+            f = radial._PLEnergy(prof.knots, density, iso.circle_integral)
+            assert min(prof.branches)[0] == pytest.approx(f.value(prof.values), rel=1e-8)
 
     def test_derivative_is_cached_and_exact(self, radial_15):
         R = np.linspace(0.2, 1.0, 41)

@@ -5,6 +5,7 @@ import pytest
 
 import cavelast as cv
 from cavelast.exceptions import DomainError, InfeasibleEnergyError
+from cavelast.geometry import hat_gradients
 from cavelast.variation import ConstantField
 
 
@@ -65,6 +66,28 @@ class TestFields:
         assert np.allclose(psi.value(others), 0.0, atol=1e-9)
         assert psi.grad_bound() > 0.0
 
+    def test_hat_matches_reference_loop(self, disk_mesh, radial_15):
+        y = cv.radial_lift(radial_15, disk_mesh)
+        interior = np.setdiff1d(np.arange(len(disk_mesh.vertices)),
+                                disk_mesh.boundary_vertices)
+        tris = disk_mesh.triangles
+        rng = np.random.default_rng(8)
+        # the last node sits on the last triangle, which must not leak to tri = -1
+        last = tris[-1][np.isin(tris[-1], interior)][0]
+        for node in (interior[0], interior[len(interior) // 2], last):
+            psi = cv.HatField(y, int(node), (0.6, -0.8))
+            star = np.nonzero((tris == node).any(axis=1))[0]
+            other = np.nonzero(~(tris == node).any(axis=1))[0][:5]
+            b = rng.dirichlet(np.ones(3), len(star) + len(other))
+            inside = np.einsum("nk,nkd->nd", b, y.positions[tris[np.append(star, other)]])
+            off = np.array([[3.0, 0.0], [0.0, 0.0], [-2.5, 1.0]])  # outside, in the hole
+            pts = np.vstack([inside, off])
+            value, jacobian, bound = _reference_hat(y, int(node), (0.6, -0.8), pts)
+            assert np.array_equal(psi.value(pts), value)
+            assert np.array_equal(psi.jacobian(pts), jacobian)
+            assert psi.grad_bound() == bound
+            assert np.count_nonzero(value.any(axis=1)) >= len(star)
+
     def test_dilation_and_constant(self):
         d = cv.DilationField((1.0, -1.0))
         pts = np.array([[2.0, 0.0]])
@@ -83,6 +106,25 @@ class TestFields:
         assert cv.field_vanishes_on(inner, gam)
         wide = cv.BumpField((0.0, 0.4), 2.0, (1.0, 0.0))
         assert not cv.field_vanishes_on(wide, gam)
+
+
+def _reference_hat(y, node, direction, xi):
+    """HatField's per-point loop: (value, jacobian, grad_bound) at xi."""
+    d = np.asarray(direction, dtype=float)
+    d = d / np.linalg.norm(d)
+    tris = y.mesh.triangles
+    hat_grad = hat_gradients(y.positions, tris)
+    local = {t: i for t, tri in enumerate(tris) for i in range(3) if tri[i] == node}
+    tri, bary = y.deformed_locator().locate(np.atleast_2d(xi))
+    value = np.zeros((len(tri), 2))
+    jacobian = np.zeros((len(tri), 2, 2))
+    for k, (t, lam) in enumerate(zip(tri, bary)):
+        i = local.get(int(t))
+        if t >= 0 and i is not None:
+            value[k] = lam[i] * d
+            jacobian[k] = np.outer(d, hat_grad[t, i])
+    bound = max((float(np.linalg.norm(hat_grad[t, i])) for t, i in local.items()), default=0.0)
+    return value, jacobian, bound
 
 
 class TestOuterCompose:
