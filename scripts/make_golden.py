@@ -38,9 +38,11 @@ def main(argv=None):
         ("radial_ell", cv.SurfaceDensity("elliptic", A=np.diag([4.0, 1.0]))),
     ):
         rows = cv.sweep_lambda(LAMBDAS, density, phi, RHO, M=M)
-        bad = [r for r in rows if r["status"] != "converged"]
+        # a stuck losing branch can hide a lower minimizer, so every branch counts
+        bad = [r for r in rows if not r["all_branches_converged"]]
         if bad:
-            raise SystemExit(f"{name}: unconverged rows {[r['lambda'] for r in bad]}")
+            raise SystemExit(f"{name}: unconverged branches at " + "; ".join(
+                f"lambda={r['lambda']:g} ({', '.join(r['branch_status'])})" for r in bad))
         path = out / f"{name}.csv"
         cv.sweep_to_csv(rows, path)
         print(f"wrote {path}")

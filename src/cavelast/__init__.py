@@ -19,7 +19,7 @@ from .degree import (CavityRecord, DegreeRaster, InvReport, check_inv,
                      load_pgm, marching_squares, topological_image,
                      topological_image_point, winding_number)
 from .energy import (DiscreteEnergy, EnergyBreakdown, SeparableTestField,
-                     anisotropic_perimeter, bulk_term, detect_cavities,
+                     anisotropic_perimeter, detect_cavities,
                      surface_functional_S_sum,
                      surface_functional_S_testfield, total_energy,
                      triangle_quadrature)
@@ -52,7 +52,7 @@ __all__ = [
     "marching_squares", "topological_image", "topological_image_point",
     "winding_number",
     "DiscreteEnergy", "EnergyBreakdown", "SeparableTestField",
-    "anisotropic_perimeter", "bulk_term", "detect_cavities",
+    "anisotropic_perimeter", "detect_cavities",
     "surface_functional_S_sum", "surface_functional_S_testfield",
     "total_energy", "triangle_quadrature",
     "InverseField", "JumpContour", "area_formula_check",

@@ -503,7 +503,12 @@ def _build_inv_plan(mesh, centers, radii, samples, m, seed):
     if centers is None:
         centers = [c for c, _ in mesh.punctures]
         if not centers:
-            centers = [mesh.vertices.mean(axis=0)]
+            a = mesh.vertices.mean(axis=0)
+            if mesh.locator.locate(a[None])[0][0] < 0:  # the mean lies in a hole
+                clear = np.min([points_to_polyline_distance(mesh.vertices, mesh.vertices[ids])
+                                for ids in mesh.boundary_loops().values()], axis=0)
+                a = mesh.vertices[np.argmax(clear)]
+            centers = [a]
     rng = np.random.default_rng(seed)
     tri_cum = np.cumsum(mesh.areas / mesh.areas.sum())
     plan = []
@@ -519,16 +524,16 @@ def _build_inv_plan(mesh, centers, radii, samples, m, seed):
 
 
 def _default_radii(mesh, a):
-    rho = _puncture_radius_at(mesh, a, 0.0)
-    outer = mesh.boundary_loops()
-    dists = []
-    for tag, ids in outer.items():
-        if not tag.startswith("puncture_"):
-            dists.append(points_to_polyline_distance(a[None], mesh.vertices[ids])[0])
-    for c, r in mesh.punctures:
-        d = np.linalg.norm(c - a)
-        if d > 4.0 * r:
-            dists.append(d - r)
+    """Eight geometric radii about a, up to 0.8 of its distance to the outer
+    boundary loops and to every puncture but its own: the nearest of those
+    within 4 of their radii of a, if any."""
+    dists = [points_to_polyline_distance(a[None], mesh.vertices[ids])[0]
+             for tag, ids in mesh.boundary_loops().items() if not tag.startswith("puncture_")]
+    gaps = [(np.linalg.norm(c - a), r) for c, r in mesh.punctures]
+    near = [k for k, (d, r) in enumerate(gaps) if d <= 4.0 * r]
+    own = min(near, key=lambda k: gaps[k][0]) if near else None
+    rho = 0.0 if own is None else gaps[own][1]
+    dists += [d - r for k, (d, r) in enumerate(gaps) if k != own]
     r_hi = 0.8 * min(dists)
     r_lo = max(1.2 * rho, 0.05 * r_hi) if rho > 0 else 0.1 * r_hi
     if r_lo >= r_hi:

@@ -23,7 +23,7 @@ from .material import BulkDensity, SurfaceDensity, _cof2, _det2
 
 __all__ = [
     "DiscreteEnergy", "phi_perimeter", "phi_perimeter_gradient",
-    "EnergyBreakdown", "bulk_term", "anisotropic_perimeter", "detect_cavities",
+    "EnergyBreakdown", "anisotropic_perimeter", "detect_cavities",
     "total_energy", "surface_functional_S_sum", "surface_functional_S_testfield",
     "SeparableTestField", "triangle_quadrature",
 ]
@@ -110,25 +110,23 @@ class DiscreteEnergy:
     def loops(self):
         return self.mesh.puncture_loops()  # found once, when first needed
 
-    def element_gradients(self, pos):
-        return np.einsum("tia,tib->tab", pos[self.mesh.triangles],
-                         self.mesh.shape_gradients)
-
-    def bulk(self, F) -> float:
-        """Index-ordered pairwise sum (reproducible); needs det F > 0."""
-        return float(np.sum(self.mesh.areas * self.density.energy(F)))
-
-    def value(self, pos, F=None):
-        """(bulk, surface, min det); bulk and surface are None if some det <= 0."""
-        if F is None:
-            F = self.element_gradients(pos)
-        mind = float(_det2(F).min())
-        if mind <= 0.0:
-            return None, None, mind
+    def surface(self, pos) -> float:
+        """phi-perimeter of the puncture loops at pos, summed loop by loop."""
         surf = 0.0
         for ids in self.loops:
             surf += phi_perimeter(pos[ids], self.phi)
-        return self.bulk(F), surf, mind
+        return surf
+
+    def value(self, pos, F=None):
+        """(bulk, surface, min det); bulk and surface are None if some det <= 0.
+        The bulk is an index-ordered pairwise sum, so it is reproducible."""
+        if F is None:
+            F = self.mesh.element_gradients(pos)
+        mind = float(_det2(F).min())
+        if mind <= 0.0:
+            return None, None, mind
+        bulk = float(np.sum(self.mesh.areas * self.density.energy(F)))
+        return bulk, self.surface(pos), mind
 
     def bulk_grad(self, F) -> np.ndarray:
         _require_positive_dets(F)
@@ -141,7 +139,7 @@ class DiscreteEnergy:
     def grad(self, pos, F=None):
         """(bulk, surface) nodal gradients; InfeasibleEnergyError if some det <= 0.
         Kept apart, so bulk + surface rounds once per node."""
-        bulk = self.bulk_grad(self.element_gradients(pos) if F is None else F)
+        bulk = self.bulk_grad(self.mesh.element_gradients(pos) if F is None else F)
         surf = np.zeros_like(pos)
         for ids in self.loops:  # disjoint
             surf[ids] = phi_perimeter_gradient(pos[ids], self.phi)
@@ -162,7 +160,7 @@ class DiscreteEnergy:
         mask; each call only computes the values.
         """
         if F is None:
-            F = self.element_gradients(pos)
+            F = self.mesh.element_gradients(pos)
         _require_positive_dets(F)
         slot, shape, indices, indptr = self._hess_pattern(free)
         nt = len(F)
@@ -214,13 +212,6 @@ class DiscreteEnergy:
         return self._pattern[1]
 
 
-def bulk_term(y: DeformationField, density: BulkDensity) -> float:
-    """Integral of W(Dy) over the mesh; InfeasibleEnergyError if some det <= 0."""
-    F = y.element_gradients()
-    _require_positive_dets(F)
-    return DiscreteEnergy(y.mesh, density).bulk(F)
-
-
 # ---------------------------------------------------------------------------
 # anisotropic perimeter
 
@@ -259,7 +250,6 @@ class EnergyBreakdown:
     bulk: float
     surface: float
     total: float
-    per_cavity: list
     cavities: list
     rho_artifact: float
 
@@ -271,9 +261,9 @@ class EnergyBreakdown:
             f"rho_artifact = {self.rho_artifact:.12g}",
             f"n_cavities = {len(self.cavities)}",
         ]
-        for k, (site, per) in enumerate(self.per_cavity):
-            lines.append(f"cavity_{k}_site = {site[0]:.12g} {site[1]:.12g}")
-            lines.append(f"cavity_{k}_perimeter = {per:.12g}")
+        for k, rec in enumerate(self.cavities):
+            lines.append(f"cavity_{k}_site = {rec.site[0]:.12g} {rec.site[1]:.12g}")
+            lines.append(f"cavity_{k}_perimeter = {rec.aniso_perimeter:.12g}")
         return "\n".join(lines)
 
 
@@ -287,30 +277,30 @@ def detect_cavities(y: DeformationField, phi: SurfaceDensity) -> list:
     for (center, rho), ids in zip(y.mesh.punctures, y.mesh.puncture_loops()):
         img = ensure_ccw(y.positions[ids])
         simple = polygon_is_simple(img)
-        per = anisotropic_perimeter(img, phi)
+        if not simple:
+            warnings.warn("self-intersecting cavity boundary; perimeter is formal",
+                          RuntimeWarning, stacklevel=2)
         records.append(CavityRecord(site=np.asarray(center, dtype=float),
                                     puncture_radius=float(rho), boundary=img,
                                     area=abs(polygon_signed_area(img)),
-                                    aniso_perimeter=per, simple=simple))
+                                    aniso_perimeter=phi_perimeter(img, phi),
+                                    simple=simple))
     return records
 
 
 def total_energy(y: DeformationField, density: BulkDensity,
                  phi: SurfaceDensity) -> EnergyBreakdown:
-    """Bulk term plus anisotropic perimeter of every detected cavity;
-    admissibility failures surface through bulk_term."""
-    bulk = bulk_term(y, density)
-    cavities = detect_cavities(y, phi)
-    surface = 0.0
-    for rec in cavities:
-        surface += rec.aniso_perimeter
-    rho_artifact = 0.0
-    for ids in y.mesh.puncture_loops():
-        rho_artifact += anisotropic_perimeter(y.mesh.vertices[ids], phi)
+    """`DiscreteEnergy.value` of y, the energy `minimize` logs, split into
+    its bulk and surface terms, with the detected cavities;
+    InfeasibleEnergyError if some det <= 0."""
+    F = y.element_gradients()
+    _require_positive_dets(F)
+    energy = DiscreteEnergy(y.mesh, density, phi)
+    bulk, surface, _ = energy.value(y.positions, F)
     return EnergyBreakdown(
         bulk=bulk, surface=surface, total=bulk + surface,
-        per_cavity=[(rec.site, rec.aniso_perimeter) for rec in cavities],
-        cavities=cavities, rho_artifact=rho_artifact)
+        cavities=detect_cavities(y, phi),
+        rho_artifact=energy.surface(y.mesh.vertices))
 
 
 def surface_functional_S_sum(y: DeformationField) -> float:

@@ -19,6 +19,7 @@ from scipy.spatial import Delaunay, cKDTree
 from ._polyline import polygon_signed_area
 from ._table import format_rows, read_table
 from .exceptions import ArtifactError, GeometryError
+from .material import _det2
 
 MESH_FORMAT_HEADER = "cavmesh 1"
 
@@ -69,6 +70,10 @@ class Mesh:
     def shape_gradients(self):
         """(m, 3, 2) gradients of the three nodal hat functions per triangle."""
         return hat_gradients(self.vertices, self.triangles)
+
+    def element_gradients(self, pos):
+        """(m, 2, 2) constant gradients F of the P1 map with nodal positions pos."""
+        return np.einsum("tia,tib->tab", pos[self.triangles], self.shape_gradients)
 
     @cached_property
     def boundary_vertices(self):
@@ -288,14 +293,11 @@ class DeformationField:
 
     def element_gradients(self):
         if self._grads is None:
-            self._grads = np.einsum(
-                "tia,tib->tab", self.positions[self.mesh.triangles], self.mesh.shape_gradients
-            )
+            self._grads = self.mesh.element_gradients(self.positions)
         return self._grads
 
     def element_dets(self):
-        g = self.element_gradients()
-        return g[:, 0, 0] * g[:, 1, 1] - g[:, 0, 1] * g[:, 1, 0]
+        return _det2(self.element_gradients())
 
     def evaluate(self, points):
         """Deformed positions of reference points (affine interpolation)."""
@@ -485,14 +487,8 @@ def build_square_mesh(side=1.0, h=0.1, punctures=(), tag="dirichlet") -> Mesh:
     def domain(p):
         return (p[:, 0] > 0) & (p[:, 0] < side) & (p[:, 1] > 0) & (p[:, 1] < side)
 
-    def classify(p):
-        eps = 1e-9
-        on = (np.abs(p[:, 0]) < eps) | (np.abs(p[:, 0] - side) < eps) \
-            | (np.abs(p[:, 1]) < eps) | (np.abs(p[:, 1] - side) < eps)
-        return on
-
     bbox = (np.array([0.0, 0.0]), np.array([side, side]))
-    return _delaunay_mesh([loop], inside, domain, classify, punctures, h, tag, bbox)
+    return _delaunay_mesh([(tag, loop)], inside, domain, punctures, h, bbox)
 
 
 def build_disk_mesh(radius=1.0, h=0.1, punctures=(), tag="dirichlet") -> Mesh:
@@ -507,11 +503,8 @@ def build_disk_mesh(radius=1.0, h=0.1, punctures=(), tag="dirichlet") -> Mesh:
     def domain(p):
         return np.hypot(p[:, 0], p[:, 1]) < radius
 
-    def classify(p):
-        return np.abs(np.hypot(p[:, 0], p[:, 1]) - radius) < 1e-9
-
     bbox = (np.full(2, -radius), np.full(2, radius))
-    return _delaunay_mesh([loop], inside, domain, classify, punctures, h, tag, bbox)
+    return _delaunay_mesh([(tag, loop)], inside, domain, punctures, h, bbox)
 
 
 def build_annulus_mesh(outer=1.0, inner=0.4, h=0.1, punctures=(), tag="dirichlet") -> Mesh:
@@ -531,16 +524,9 @@ def build_annulus_mesh(outer=1.0, inner=0.4, h=0.1, punctures=(), tag="dirichlet
         r = np.hypot(p[:, 0], p[:, 1])
         return (r < outer) & (r > inner)
 
-    def classify_outer(p):
-        return np.abs(np.hypot(p[:, 0], p[:, 1]) - outer) < 1e-9
-
-    def classify_inner(p):
-        return np.abs(np.hypot(p[:, 0], p[:, 1]) - inner) < 1e-9
-
     bbox = (np.full(2, -outer), np.full(2, outer))
-    return _delaunay_mesh([loop_out, loop_in], inside, domain,
-                          [(tag, classify_outer), ("free", classify_inner)],
-                          punctures, h, tag, bbox)
+    return _delaunay_mesh([(tag, loop_out), ("free", loop_in)], inside, domain,
+                          punctures, h, bbox)
 
 
 def _clean_punctures(punctures):
@@ -597,11 +583,15 @@ def _hex_fill(bbox_lo, bbox_hi, h):
     return np.vstack(rows)
 
 
-def _delaunay_mesh(boundary_loops, inside_fn, domain_fn, classify, punctures, h, tag, bbox):
-    """Assemble a graded point cloud, Delaunay-triangulate, filter and tag."""
-    clouds = list(boundary_loops)
+def _delaunay_mesh(rings, inside_fn, domain_fn, punctures, h, bbox):
+    """Assemble a graded point cloud, Delaunay-triangulate, filter and tag:
+    each point is labelled with the boundary ring, given as (tag, points),
+    or puncture circle it was placed on, and a boundary edge takes the
+    label both its ends share."""
+    names = [t for t, _ in rings] + [f"puncture_{k}" for k in range(len(punctures))]
+    clouds = [pts for _, pts in rings]
+    labels = [np.full(len(pts), i) for i, pts in enumerate(clouds)]
     exclusions = []
-    loop_counts = []
     for k, (c, rho) in enumerate(punctures):
         pts, r_ex, n0 = _puncture_cloud(c, rho, h)
         if not domain_fn(pts).all():
@@ -609,8 +599,8 @@ def _delaunay_mesh(boundary_loops, inside_fn, domain_fn, classify, punctures, h,
                 f"puncture {k} at ({c[0]:g}, {c[1]:g}) with rho {rho:g} is too close to the "
                 f"domain boundary for h = {h:g}: its grading rings leave the domain")
         clouds.append(pts)
+        labels.append(np.where(np.arange(len(pts)) < n0, len(rings) + k, -1))
         exclusions.append((c, r_ex))
-        loop_counts.append(n0)
 
     fill = _hex_fill(bbox[0], bbox[1], h)
     keep = inside_fn(fill)
@@ -624,6 +614,8 @@ def _delaunay_mesh(boundary_loops, inside_fn, domain_fn, classify, punctures, h,
     tree = cKDTree(structured)
     d, _ = tree.query(points[len(structured):])
     points = np.vstack([structured, points[len(structured):][d > 0.55 * h]])
+    label = np.full(len(points), -1)
+    label[:len(structured)] = np.concatenate(labels)
 
     tri = Delaunay(points)
     cells = tri.simplices
@@ -640,45 +632,23 @@ def _delaunay_mesh(boundary_loops, inside_fn, domain_fn, classify, punctures, h,
     cells = remap[cells]
 
     edges = _boundary_edge_soup(cells)
-    classifiers = classify if isinstance(classify, list) else [(tag, classify)]
-    tagged = []
-    for i, j in edges:
-        pi, pj = verts[i], verts[j]
-        t = None
-        for k, (c, rho) in enumerate(punctures):
-            di = np.hypot(*(pi - c))
-            dj = np.hypot(*(pj - c))
-            if abs(di - rho) < 1e-9 and abs(dj - rho) < 1e-9:
-                t = f"puncture_{k}"
-                break
-        if t is None:
-            for name, pred in classifiers:
-                if pred(np.array([pi]))[0] and pred(np.array([pj]))[0]:
-                    t = name
-                    break
-        if t is None:
-            raise GeometryError("untaggable boundary edge: mesh generation produced a stray hole")
-        tagged.append((int(i), int(j), t))
+    ends = label[used][edges]
+    if np.any((ends[:, 0] < 0) | (ends[:, 0] != ends[:, 1])):
+        raise GeometryError("untaggable boundary edge: mesh generation produced a stray hole")
+    tagged = [(int(i), int(j), names[t]) for (i, j), t in zip(edges.tolist(), ends[:, 0])]
 
     mesh = Mesh(verts, cells, tagged, punctures=[(c.copy(), rho) for c, rho in punctures])
-    for k, (c, rho) in enumerate(punctures):
-        loop = mesh.boundary_loops().get(f"puncture_{k}")
-        if loop is None:
+    for k in range(len(punctures)):
+        if f"puncture_{k}" not in mesh.boundary_loops():
             raise GeometryError(f"puncture {k} has no boundary loop")
-        rr = np.linalg.norm(mesh.vertices[loop] - c, axis=1)
-        if rr.max() > 1.5 * rho:
-            raise GeometryError(f"puncture {k} loop strays outside 1.5x its radius")
     return mesh
 
 
 def _boundary_edge_soup(cells):
-    """Edges adjacent to exactly one triangle, oriented as in that triangle."""
+    """(k, 2) edges adjacent to exactly one triangle, oriented as in that triangle."""
     e = np.concatenate([cells[:, [0, 1]], cells[:, [1, 2]], cells[:, [2, 0]]])
     key = np.sort(e, axis=1)
     order = np.lexsort((key[:, 1], key[:, 0]))
-    key_sorted = key[order]
-    dup = np.all(key_sorted[1:] == key_sorted[:-1], axis=1)
-    is_first_of_pair = np.concatenate([dup, [False]])
-    is_second_of_pair = np.concatenate([[False], dup])
-    single = ~(is_first_of_pair | is_second_of_pair)
-    return [tuple(e[order[k]]) for k in np.nonzero(single)[0]]
+    dup = np.all(key[order[1:]] == key[order[:-1]], axis=1)  # one pair per inner edge
+    single = ~(np.append(dup, False) | np.insert(dup, 0, False))
+    return e[order[single]]

@@ -40,7 +40,8 @@ class RadialProfile:
     """Deformed radius r at increasing knots, r(R_out) = lam * R_out.
 
     `branches` holds (energy, cavity radius, status) of every seed the
-    solver descended, the returned one included.
+    solver descended, the returned one included; the energy is evaluated
+    afresh on the seed's final values.
     """
 
     knots: np.ndarray
@@ -265,7 +266,7 @@ def _descend(f: _PLEnergy, vals, top, max_iters, el_tol):
     measure-scaled one, i.e. the discrete EL operator value. A hole that
     wants to close sits on the floor bound with positive raw gradient; that
     coordinate is pinned out of the Newton system and counts as converged
-    in the KKT sense. Returns (values, energy, status).
+    in the KKT sense. Returns (values, status).
     """
     knots, dR = f.knots, f.dR
     eps = 1e-12 * knots[-1]
@@ -308,7 +309,7 @@ def _descend(f: _PLEnergy, vals, top, max_iters, el_tol):
             status = "stalled"
             break
         v, E = cand, E + dE
-    return v, E, status
+    return v, status
 
 
 def solve_radial(lam: float, density: BulkDensity, phi: SurfaceDensity,
@@ -348,10 +349,11 @@ def solve_radial(lam: float, density: BulkDensity, phi: SurfaceDensity,
                      / np.sqrt(R_out ** 2 + c0 ** 2))
     f = _PLEnergy(knots, density, phi.circle_integral)
     runs = [_descend(f, vals, top, max_iters, el_tol) for vals in seeds]
-    v, _, status = min(runs, key=lambda run: run[1])   # first seed wins ties
-    return RadialProfile(knots=knots, values=np.append(v, top), lam=lam,
-                         status=status,
-                         branches=[(E, float(w[0]), st) for w, E, st in runs])
+    # ranked by a fresh energy: the one each descent carries can drift
+    branches = [(f.value(np.append(w, top)), float(w[0]), st) for w, st in runs]
+    k = min(range(len(runs)), key=lambda i: branches[i][0])   # first seed wins ties
+    return RadialProfile(knots=knots, values=np.append(runs[k][0], top), lam=lam,
+                         status=runs[k][1], branches=branches)
 
 
 # ---------------------------------------------------------------------------
@@ -435,15 +437,16 @@ def sweep_lambda(lams, density: BulkDensity, phi: SurfaceDensity, rho: float,
                  M: int = 96, R_out: float = 1.0, **solve_kw) -> list:
     """One radial solve per boundary stretch; list of result rows.
 
-    `status` is the winning branch's; `all_branches_converged` says whether
-    every seed converged, so a stuck losing branch cannot hide a lower
-    minimizer unnoticed.
+    `status` is the winning branch's, `branch_status` lists every seed's,
+    and `all_branches_converged` says whether every seed converged, so a
+    stuck losing branch cannot hide a lower minimizer unnoticed.
     """
     rows = []
     for lam in lams:
         prof = solve_radial(float(lam), density, phi, rho, M=M, R_out=R_out,
                             **solve_kw)
         bulk, surface = radial_energy_breakdown(prof, density, phi)
+        statuses = [st for _, _, st in prof.branches]
         rows.append({
             "lambda": float(lam),
             "cavity_radius": prof.cavity_radius,
@@ -451,8 +454,8 @@ def sweep_lambda(lams, density: BulkDensity, phi: SurfaceDensity, rho: float,
             "surface": surface,
             "total": bulk + surface,
             "status": prof.status,
-            "all_branches_converged": all(b[2] == "converged"
-                                          for b in prof.branches),
+            "branch_status": statuses,
+            "all_branches_converged": all(st == "converged" for st in statuses),
         })
     return rows
 

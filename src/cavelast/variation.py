@@ -263,11 +263,11 @@ class VariationReport:
 
 def first_variation_residual(y: DeformationField, psi, density: BulkDensity,
                              phi: SurfaceDensity) -> VariationReport:
-    """Exact first variation of the discrete energy against the central
-    difference, step 1e-5, of t -> total energy of h_t o y."""
+    """Exact first variation of the discrete energy, as the battery takes
+    it, against the central difference, step 1e-5, of t -> total energy of
+    h_t o y."""
     fd_step = 1e-5
-    el = elastic_first_variation(y, psi, density)
-    su = surface_first_variation(y, psi, phi)
+    [(el, su)] = _variation_terms(y, density, phi, [psi])
     e_plus = total_energy(outer_compose(y, psi, fd_step), density, phi).total
     e_minus = total_energy(outer_compose(y, psi, -fd_step), density, phi).total
     fd = (e_plus - e_minus) / (2.0 * fd_step)
@@ -335,11 +335,17 @@ def battery_residual(y: DeformationField, density: BulkDensity,
 
 def battery_variations(y: DeformationField, density: BulkDensity,
                        phi: SurfaceDensity, fields) -> list:
-    """|elastic + surface| first variation of each field, in order, from
-    one energy gradient."""
+    """|elastic + surface| first variation of each field, in order."""
+    return [abs(el + su) for el, su in _variation_terms(y, density, phi, fields)]
+
+
+def _variation_terms(y, density, phi, fields) -> list:
+    """(elastic, surface) first variation of each field, in order: the bulk
+    and surface nodal gradients of one `DiscreteEnergy.grad` dotted with
+    the field's nodal values."""
     bulk, surf = DiscreteEnergy(y.mesh, density, phi).grad(y.positions)
     values = [psi.value(y.positions) for psi in fields]
-    return [abs(float(np.sum(bulk * v)) + float(np.sum(surf * v))) for v in values]
+    return [(float(np.sum(bulk * v)), float(np.sum(surf * v))) for v in values]
 
 
 # ---------------------------------------------------------------------------
@@ -395,7 +401,7 @@ def minimize(y0: DeformationField, density: BulkDensity, phi: SurfaceDensity,
 
     log = IterationLog()
     pos = y0.positions.copy()
-    F = energy_of.element_gradients(pos)
+    F = mesh.element_gradients(pos)
     bulk, surf, mind = energy_of.value(pos, F)
     if bulk is None or mind <= det_floor:
         raise InfeasibleEnergyError(
@@ -423,7 +429,7 @@ def minimize(y0: DeformationField, density: BulkDensity, phi: SurfaceDensity,
             for _ in range(max_backtracks):
                 cand = pos.copy()
                 cand[free] += s * dx
-                t_F = energy_of.element_gradients(cand)
+                t_F = mesh.element_gradients(cand)
                 t_bulk, t_surf, t_mind = energy_of.value(cand, t_F)
                 if t_bulk is not None and t_mind > det_floor \
                         and t_bulk + t_surf <= energy + 1e-4 * s * slope \

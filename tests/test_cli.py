@@ -408,6 +408,13 @@ class TestMain:
         assert "raster.pgm" not in names
         assert "positions.csv" in names
 
+    def test_annulus_without_punctures_runs(self, tmp_path):
+        # the default INV circles once centred in the hole and left the mesh
+        ini = tmp_path / "annulus.ini"
+        ini.write_text("[domain]\nshape = annulus\nh = 0.1\n\n[boundary]\nlam = 1.3\n")
+        assert main(["run", str(ini), "--out", str(tmp_path / "out")]) == 0
+        assert read_summary(tmp_path / "out")["inv_check"] == "PASS"
+
     def test_unknown_scenario_exit_2(self, capsys):
         assert main(["run", "definitely_not_there"]) == 2
         assert "configuration error" in capsys.readouterr().err

@@ -384,6 +384,30 @@ class TestCheckInv:
         rep = cv.check_inv(y, delta=0.02, samples=200, seed=3)
         assert rep.passed
 
+    def test_annulus_circles_stay_off_the_hole(self):
+        # the vertex mean lies in the hole, so the circles centre on the
+        # vertex farthest from both boundary loops
+        mesh = cv.build_annulus_mesh(1.0, 0.4, 0.1)
+        rep = cv.check_inv(cv.BoundaryData(lam=1.3).initial_field(mesh))
+        assert rep.passed and len(rep.entries) == 8
+        for e in rep.entries:
+            d = np.linalg.norm(e.center)
+            assert d - e.radius > 0.4 and d + e.radius < 1.0
+
+    @pytest.mark.parametrize("x", [0.13, 0.16, 0.2])
+    def test_circles_stay_off_a_near_puncture(self, x):
+        mesh = cv.build_disk_mesh(1.0, 0.1, punctures=[((-x, 0.0), 0.1), ((x, 0.0), 0.1)])
+        rep = cv.check_inv(cv.DeformationField(mesh))
+        assert rep.passed and len(rep.entries) == 16
+        for e in rep.entries:
+            other = np.array([-np.sign(e.center[0]) * x, 0.0])
+            assert np.linalg.norm(e.center - other) - 0.1 > e.radius
+
+    def test_no_room_between_nearly_touching_punctures(self):
+        mesh = cv.build_disk_mesh(1.0, 0.1, punctures=[((-0.11, 0.0), 0.1), ((0.11, 0.0), 0.1)])
+        with pytest.raises(GeometryError, match="no room for invertibility circles"):
+            cv.check_inv(cv.DeformationField(mesh))
+
     def test_fold_is_caught(self, disk_mesh):
         # fold the disk onto its upper half; lower-half material lands inside
         # the image of circles that live entirely in the upper half

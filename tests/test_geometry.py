@@ -36,6 +36,33 @@ class TestBuilders:
         assert r.min() == pytest.approx(0.4, abs=1e-9)
         assert r.max() == pytest.approx(1.0, abs=1e-9)
 
+    @pytest.mark.parametrize("h", [0.15, 0.08])
+    @pytest.mark.parametrize("shape", ["disk", "annulus", "square"])
+    def test_tagged_edges_lie_on_their_ring(self, shape, h):
+        # each tag comes from the ring its points were placed on
+        build, punctures = {
+            "disk": (cv.build_disk_mesh, [((0.0, 0.0), 0.1), ((0.3, -0.4), 0.06)]),
+            "annulus": (cv.build_annulus_mesh, [((0.7, 0.0), 0.05), ((-0.6, 0.3), 0.06)]),
+            "square": (cv.build_square_mesh, [((0.5, 0.5), 0.1), ((0.25, 0.7), 0.05)]),
+        }[shape]
+        # circle radius per outer tag; the square's one tag covers its four sides
+        rings = {"disk": {"dirichlet": 1.0}, "annulus": {"dirichlet": 1.0, "free": 0.4},
+                 "square": {}}[shape]
+        for n in range(len(punctures) + 1):
+            mesh = build(h=h, punctures=punctures[:n])
+            tags = {t for _, _, t in mesh.boundary_edges}
+            assert tags == set(rings or ["dirichlet"]) | {f"puncture_{k}" for k in range(n)}
+            for i, j, tag in mesh.boundary_edges:
+                p = mesh.vertices[[i, j]]
+                if tag.startswith("puncture_"):
+                    c, rho = punctures[int(tag[9:])]
+                    off = np.linalg.norm(p - c, axis=1) - rho
+                elif shape == "square":
+                    off = np.minimum(np.abs(p), np.abs(p - 1.0)).min(axis=1)
+                else:
+                    off = np.linalg.norm(p, axis=1) - rings[tag]
+                assert np.abs(off).max() <= 1e-9, (shape, h, n, tag)
+
     def test_boundary_loops_closed(self, disk_mesh):
         loops = disk_mesh.boundary_loops()
         assert set(loops) == {"dirichlet", "puncture_0"}

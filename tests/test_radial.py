@@ -1,4 +1,5 @@
 import csv
+import importlib.util
 import logging
 import subprocess
 import sys
@@ -19,6 +20,21 @@ COMMITTED_GOLDEN = Path(cv.__file__).parent / "golden" / "v1"
 def _make_golden(*args):
     return subprocess.run([sys.executable, str(MAKE_GOLDEN), *args],
                           capture_output=True, text=True, timeout=120)
+
+
+def _first_seed_stalls(monkeypatch):
+    """Patch `radial._descend` so that the first seed of the next solve
+    stalls at its start; returns the true statuses of the patched calls."""
+    descend = radial._descend
+    calls = []
+
+    def first_seed_stalls(f, vals, *args):
+        v, status = descend(f, vals, *args)
+        calls.append(status)
+        return (vals[:-1].copy(), "stalled") if len(calls) == 1 else (v, status)
+
+    monkeypatch.setattr(radial, "_descend", first_seed_stalls)
+    return calls
 
 
 class TestProfile:
@@ -337,19 +353,32 @@ class TestNewtonOracle:
         assert [status for _, _, status in prof.branches] == ["max_iters"] * 2
         assert prof.status == "max_iters"
         # a losing seed that stalls is flagged even though the winner converged
-        descend = radial._descend
-        calls = []
-
-        def first_seed_stalls(*args):
-            v, E, status = descend(*args)
-            calls.append(status)
-            return (v, E + 1.0, "stalled") if len(calls) == 1 else (v, E, status)
-
-        monkeypatch.setattr(radial, "_descend", first_seed_stalls)
+        calls = _first_seed_stalls(monkeypatch)
         rows = cv.sweep_lambda([1.5], density, iso, 0.2, M=96)
         assert calls == ["converged", "converged"]
         assert rows[0]["status"] == "converged"
+        assert rows[0]["branch_status"] == ["stalled", "converged"]
         assert rows[0]["all_branches_converged"] is False
+
+    def test_make_golden_fails_on_a_stuck_losing_branch(self, monkeypatch, tmp_path):
+        spec = importlib.util.spec_from_file_location("make_golden", MAKE_GOLDEN)
+        script = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(script)
+        monkeypatch.setattr(script, "LAMBDAS", [1.5])
+        _first_seed_stalls(monkeypatch)
+        with pytest.raises(SystemExit) as stop:
+            script.main(["--out", str(tmp_path)])
+        assert stop.value.code not in (0, None)
+        assert "lambda=1.5 (stalled, converged)" in str(stop.value.code)
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("lam", [1.0, 1.5])
+    def test_branches_carry_a_fresh_energy(self, density, iso, lam):
+        # the energy a descent carries can drift from the energy of its
+        # profile, so the branches are ranked by the latter
+        prof = cv.solve_radial(lam, density, iso, rho=0.2, M=96)
+        f = radial._PLEnergy(prof.knots, density, iso.circle_integral)
+        assert min(prof.branches)[0] == f.value(prof.values)
 
     def test_v1_sweep_reproduces_golden(self, v1_sweeps):
         for name, (rows, _) in v1_sweeps.items():

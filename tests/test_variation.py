@@ -6,7 +6,7 @@ import pytest
 import cavelast as cv
 from cavelast.exceptions import DomainError, InfeasibleEnergyError
 from cavelast.geometry import hat_gradients
-from cavelast.variation import ConstantField
+from cavelast.variation import ConstantField, battery_variations
 
 
 class RotationField:
@@ -287,6 +287,17 @@ class TestResidualReport:
         assert rep.elastic == 0.0
         assert rep.surface == 0.0
         assert abs(rep.fd_value) <= 1e-9
+
+    @pytest.mark.parametrize("kind", ["iso", "ell"])
+    def test_worst_battery_field_reports_the_battery_value(self, lifted, density,
+                                                           kind, request):
+        # the report and the battery take one derivative, bit for bit
+        phi = request.getfixturevalue(kind)
+        fields = cv.certification_battery(lifted)
+        variations = battery_variations(lifted, density, phi, fields)
+        k = int(np.argmax(variations))
+        rep = cv.first_variation_residual(lifted, fields[k], density, phi)
+        assert abs(rep.total) == variations[k]
 
     def test_as_text(self, lifted, density, iso):
         rep = cv.first_variation_residual(lifted, cv.DilationField(), density, iso)
