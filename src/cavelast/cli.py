@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from ._table import format_rows, read_table, write_table
-from .degree import check_inv, topological_image
+from .degree import _radius_range, check_inv, topological_image
 from .energy import total_energy
 from .exceptions import (ArtifactError, CavelastError, ConfigurationError,
                          InfeasibleEnergyError)
@@ -211,6 +211,22 @@ class ScenarioConfig:
                 raise ConfigurationError(
                     f"[domain] puncture radius {r:g} must stay below "
                     f"inradius/4 = {bound:g}")
+        # ordered pairs: the INV circles about puncture k must clear disk j
+        for k, (ck, rk) in enumerate(self.punctures):
+            for j, (cj, rj) in enumerate(self.punctures):
+                if j == k:
+                    continue
+                d = math.dist(ck, cj)
+                if d <= rk + rj:
+                    raise ConfigurationError(
+                        f"[domain] punctures {min(j, k)} and {max(j, k)} meet: "
+                        f"centre distance {d:g} <= {rk:g} + {rj:g}")
+                r_lo, r_hi = _radius_range(rk, d - rj)
+                if r_lo >= r_hi:
+                    raise ConfigurationError(
+                        f"[domain] punctures {k} and {j} are too close: no room "
+                        f"for invertibility circles around puncture {k} "
+                        f"(centre distance {d:g})")
         if self.phi_kind not in ("isotropic", "elliptic", "smoothed_l1"):
             raise ConfigurationError("[surface] kind must be isotropic, "
                                      "elliptic or smoothed_l1")

@@ -534,11 +534,19 @@ def _default_radii(mesh, a):
     own = min(near, key=lambda k: gaps[k][0]) if near else None
     rho = 0.0 if own is None else gaps[own][1]
     dists += [d - r for k, (d, r) in enumerate(gaps) if k != own]
-    r_hi = 0.8 * min(dists)
-    r_lo = max(1.2 * rho, 0.05 * r_hi) if rho > 0 else 0.1 * r_hi
+    r_lo, r_hi = _radius_range(rho, min(dists))
     if r_lo >= r_hi:
         raise GeometryError("no room for invertibility circles around the site")
     return np.geomspace(r_lo, r_hi, 8)
+
+
+def _radius_range(rho, clearance):
+    """(r_lo, r_hi) of the default INV radii about a site whose own puncture
+    has radius rho (0 for none) and whose nearest outer boundary loop or
+    other puncture disk is `clearance` away; the circles fit if r_lo < r_hi."""
+    r_hi = 0.8 * clearance
+    r_lo = max(1.2 * rho, 0.05 * r_hi) if rho > 0 else 0.1 * r_hi
+    return r_lo, r_hi
 
 
 def _sample_disk_in_mesh(mesh, a, r, n, rng):

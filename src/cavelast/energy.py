@@ -154,7 +154,9 @@ class DiscreteEnergy:
         Triangle t adds |T_t| B^T P(D^2W(F_t)) B, with B the 4x6 map from its
         corner positions to F and P the clip of negative eigenvalues: the
         per-element projection of projected Newton (Teran, Sifakis, Irving &
-        Fedkiw, SCA 2005), exact wherever D^2W is positive semidefinite. Loop
+        Fedkiw, SCA 2005), exact wherever D^2W is positive semidefinite. The
+        eigenvalues come in closed form from `BulkDensity.hessian_eigensystem`
+        (Smith, de Goes & Kim, ACM TOG 2019), not from a numerical solver. Loop
         edge j adds [[H, -H], [-H, H]] on its end vertices, H = R^T D^2phi(z_j) R,
         semidefinite as phi is convex. The sparsity pattern is built once per
         mask; each call only computes the values.
@@ -164,7 +166,7 @@ class DiscreteEnergy:
         _require_positive_dets(F)
         slot, shape, indices, indptr = self._hess_pattern(free)
         nt = len(F)
-        lam, vec = np.linalg.eigh(self.density.hessian(F).reshape(nt, 4, 4))
+        lam, vec = self.density.hessian_eigensystem(F)
         # B^T V, rows (i, c), for B[(a, b), (i, c)] = delta_ac dN_i/dX_b
         btv = (self.mesh.shape_gradients[:, None] @ vec.reshape(nt, 2, 2, 4)
                ).transpose(0, 2, 1, 3).reshape(nt, 6, 4)

@@ -61,9 +61,9 @@ _D2DET = np.array([[0.0, 0.0, 0.0, 1.0], [0.0, 0.0, -1.0, 0.0],
 class BulkDensity:
     """W(F) = (mu/2)|F|^2 + a (det F)^2 - b log(det F), quadratic growth.
 
-    mu, a, b must be positive.  `energy`, `stress` and `hessian` accept a
-    single 2x2 array or any (..., 2, 2) batch and raise DomainError when
-    det F <= 0 anywhere in the batch.
+    mu, a, b must be positive.  `energy`, `stress`, `hessian` and
+    `hessian_eigensystem` accept a single 2x2 array or any (..., 2, 2) batch
+    and raise DomainError when det F <= 0 anywhere in the batch.
     """
 
     mu: float = 1.0
@@ -93,7 +93,9 @@ class BulkDensity:
     def hessian(self, F):
         """D^2W(F)[a, b, c, d] = d^2 W / dF_ab dF_cd, shape (..., 2, 2, 2, 2):
         mu I + (2 a + b / det^2) cof F (x) cof F + (2 a det - b / det) D^2 det.
-        Not positive semidefinite in general (W is polyconvex, not convex)."""
+        Not positive semidefinite in general (W is polyconvex, not convex);
+        `DiscreteEnergy.hess` projects it through the closed-form
+        `hessian_eigensystem` (Smith, de Goes & Kim, ACM TOG 2019)."""
         F = np.asarray(F, dtype=float)
         det = _det2(F)
         if np.any(det <= 0.0):
@@ -104,6 +106,57 @@ class BulkDensity:
         H += (2.0 * self.a * det - self.b / det)[..., None, None] * _D2DET
         H += self.mu * np.eye(4)
         return H.reshape(det.shape + (2, 2, 2, 2))
+
+    def hessian_eigensystem(self, F):
+        """(lam (..., 4), vec (..., 4, 4)) with `hessian(F)` = vec diag(lam)
+        vec^T on vec F = (F00, F01, F10, F11), vec orthogonal, eigenvectors
+        in its columns, in closed form (after Smith, de Goes & Kim, "Analytic
+        Eigensystems for Isotropic Distortion Energies", ACM TOG 2019).
+
+        Split F = F_c + F_a into its conformal part [[p, -q], [q, p]] and its
+        anticonformal part [[r, s], [s, -r]]; then cof F = F_c - F_a and
+        D^2 det is +1 on the conformal and -1 on the anticonformal plane. So
+        D^2W = mu I + k D^2 det + alpha c c^T, with c = vec cof F,
+        alpha = 2 a + b / det^2 and k = 2 a det - b / det, has the
+        eigenvalue mu + k on the conformal direction orthogonal to F_c,
+        mu - k on the anticonformal direction orthogonal to F_a, and a
+        symmetric 2x2 problem on span{F_c, F_a}, solved by the half-angle
+        formula. det = (|F_c|^2 - |F_a|^2) / 2 > 0 forces |F_c| > |F_a|, so
+        F_c never vanishes; where F_a does (F a rotation-dilation), the
+        anticonformal basis is vec diag(1, -1) / sqrt 2 and its rotation."""
+        F = np.asarray(F, dtype=float)
+        det = _det2(F)
+        if np.any(det <= 0.0):
+            raise DomainError("det F <= 0: deformation gradient outside the admissible cone")
+        p = 0.5 * (F[..., 0, 0] + F[..., 1, 1])
+        q = 0.5 * (F[..., 1, 0] - F[..., 0, 1])
+        r = 0.5 * (F[..., 0, 0] - F[..., 1, 1])
+        s = 0.5 * (F[..., 0, 1] + F[..., 1, 0])
+        rho_c, rho_a = np.hypot(p, q), np.hypot(r, s)  # |F_c| / sqrt 2 > |F_a| / sqrt 2
+        cc, sc = p / rho_c, q / rho_c
+        anti = rho_a > 0.0
+        ra = np.where(anti, rho_a, 1.0)
+        ca, sa = np.where(anti, r / ra, 1.0), s / ra
+        alpha = 2.0 * self.a + self.b / det ** 2
+        k = 2.0 * self.a * det - self.b / det
+        # on the unit vectors u_c of F_c and u_a of F_a, D^2W is the block
+        # [[mu + k + 2 alpha rho_c^2, B], [B, mu - k + 2 alpha rho_a^2]]; half its
+        # diagonal difference is k + alpha det = 4 a det > 0, so the eigenvector
+        # (half + rad, B) of its larger eigenvalue never vanishes
+        mean = self.mu + alpha * (rho_c ** 2 + rho_a ** 2)
+        half = 4.0 * self.a * det
+        B = -2.0 * alpha * rho_c * rho_a
+        rad = np.hypot(half, B)
+        norm = np.sqrt(2.0 * rad * (rad + half))  # |(half + rad, B)|
+        cos, sin = (half + rad) / norm, B / norm
+        lam = np.stack([mean + rad, mean - rad, self.mu + k, self.mu - k], axis=-1)
+        uc = np.stack([cc, -sc, sc, cc], axis=-1)
+        ua = np.stack([ca, sa, sa, -ca], axis=-1)
+        vec = np.stack([cos[..., None] * uc + sin[..., None] * ua,
+                        cos[..., None] * ua - sin[..., None] * uc,
+                        np.stack([-sc, -cc, cc, -sc], axis=-1),
+                        np.stack([-sa, ca, ca, sa], axis=-1)], axis=-1)
+        return lam, vec * np.sqrt(0.5)
 
     def energy_change(self, F, dF):
         """W(F + dF) - W(F) without cancellation, batched like `energy`: the

@@ -438,6 +438,25 @@ class TestMain:
             assert "artifacts in" not in captured.out
             assert not out.exists()
 
+    @pytest.mark.parametrize("x,message", [
+        # the disks touch: the mesher once failed on an unnamed stray hole
+        (0.1, "[domain] punctures 0 and 1 meet: centre distance 0.2 <= 0.1 + 0.1"),
+        # disjoint, but the INV circles about either one would cross the
+        # other: check_inv once raised a GeometryError traceback (exit 1)
+        (0.11, "[domain] punctures 0 and 1 are too close: no room for "
+               "invertibility circles around puncture 0"),
+    ])
+    def test_crowded_punctures_exit_2(self, tmp_path, capsys, x, message):
+        p = tmp_path / "two.ini"
+        p.write_text("[domain]\nshape = disk\nradius = 1.0\nh = 0.1\n"
+                     f"punctures = {-x} 0.0 0.1; {x} 0.0 0.1\n")
+        out = tmp_path / "out"
+        assert main(["run", str(p), "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert f"configuration error: {message}" in captured.err
+        assert "artifacts in" not in captured.out
+        assert not out.exists()
+
     @pytest.mark.parametrize("section,text,named", [
         ("domain", "punctures = 0.0 0.0 abc", "[domain] punctures"),
         ("surface", "kind = elliptic\nA = 1 x; 0 1", "[surface] A"),

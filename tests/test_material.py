@@ -141,6 +141,81 @@ class TestBulkDensity:
                 density.energy_change(before, step)
 
 
+def _rot(theta):
+    c, s = np.cos(theta), np.sin(theta)
+    return np.stack([np.stack([c, -s], -1), np.stack([s, c], -1)], -2)
+
+
+def eigensystem_cases(density, stretched_disk):
+    """Named (n, 2, 2) batches of F with det > 0: seeded random ones, the
+    stretched disk, and the edge cases of the closed form."""
+    rng = np.random.default_rng(31)
+    wide = rng.standard_normal((400, 2, 2))
+    wide[np.linalg.det(wide) < 0.0, :, 0] *= -1.0  # a column flip makes det > 0
+    theta = rng.uniform(0.0, 2.0 * np.pi, 40)
+    scale = rng.uniform(0.05, 4.0, 40)
+    anti = np.array([[0.6, 0.8], [0.8, -0.6]])  # |F_a| / sqrt 2 = 1
+    # det = sqrt(b / 2a): k = 0, so mu + k = mu - k
+    hstar = np.sqrt(density.b / (2.0 * density.a))
+    stretch = rng.uniform(0.3, 3.0, 20)
+    mesh = stretched_disk.mesh
+    disk = stretched_disk.positions + 0.003 * rng.standard_normal(stretched_disk.positions.shape)
+    return {
+        "random": random_gradients(rng, 400),
+        "wide random": wide,
+        "stretched disk": mesh.element_gradients(disk),
+        "lambda I": np.array([0.01, 0.5, 1.0, 2.5, 100.0])[:, None, None] * np.eye(2),
+        "rotation-dilation": scale[:, None, None] * _rot(theta),
+        "near anticonformal": anti + (1.0 + 1e-9) * _rot(theta),
+        "thin": _rot(theta[:20]) @ np.diag([1.0, 1e-9]) @ _rot(theta[20:]),
+        "k = 0": _rot(theta[:20]) @ (stretch[:, None, None] * np.diag([1.0, 0.0])
+                                     + hstar / stretch[:, None, None] * np.diag([0.0, 1.0])),
+    }
+
+
+class TestHessianEigensystem:
+    """The closed-form eigensystem of D^2W, refereed by `np.linalg.eigh`."""
+
+    DENSITIES = (cv.BulkDensity(), cv.BulkDensity(10.0, 0.3, 2.0), cv.BulkDensity(0.1, 5.0, 0.5))
+
+    def test_matches_eigh(self, stretched_disk):
+        for density in self.DENSITIES:
+            for name, F in eigensystem_cases(density, stretched_disk).items():
+                with np.errstate(all="raise"):
+                    lam, vec = density.hessian_eigensystem(F)
+                assert lam.shape == (len(F), 4) and vec.shape == (len(F), 4, 4)
+                H = density.hessian(F).reshape(-1, 4, 4)
+                scale = np.abs(H).max(axis=(1, 2))[:, None, None]
+                back = vec @ (lam[:, :, None] * vec.transpose(0, 2, 1))
+                assert np.all(np.abs(back - H) <= 1e-12 * scale), name
+                gram = vec.transpose(0, 2, 1) @ vec
+                assert np.abs(gram - np.eye(4)).max() <= 1e-12, name
+                lam_ref, vec_ref = np.linalg.eigh(H)
+                clip = vec @ (np.maximum(lam, 0.0)[:, :, None] * vec.transpose(0, 2, 1))
+                ref = vec_ref @ (np.maximum(lam_ref, 0.0)[:, :, None]
+                                 * vec_ref.transpose(0, 2, 1))
+                assert np.all(np.abs(clip - ref) <= 1e-12 * scale), name
+                assert np.all(np.abs(np.sort(lam, axis=1) - lam_ref)
+                              <= 1e-12 * scale[:, :, 0]), name
+
+    def test_edge_cases_are_hit(self, density, stretched_disk):
+        cases = eigensystem_cases(density, stretched_disk)
+        lam, _ = density.hessian_eigensystem(cases["k = 0"])
+        assert np.allclose(lam[:, 2], lam[:, 3], rtol=1e-14)  # mu + k = mu - k
+        det = np.linalg.det(cases["near anticonformal"])
+        assert 0.0 < det.max() < 1e-8
+        # the stretched disk makes D^2W indefinite: the clip acts there
+        assert density.hessian_eigensystem(cases["stretched disk"])[0].min() < 0.0
+
+    def test_single_matrix_and_nonpositive_det(self, density):
+        lam, vec = density.hessian_eigensystem(np.diag([1.5, 0.7]))
+        assert lam.shape == (4,) and vec.shape == (4, 4)
+        with pytest.raises(DomainError):
+            density.hessian_eigensystem(np.diag([1.0, -1.0])[None])
+        with pytest.raises(DomainError):
+            density.hessian_eigensystem(np.diag([1.0, 0.0])[None])
+
+
 class TestSurfaceDensity:
     def test_isotropic_is_euclidean_norm(self, iso):
         z = np.array([[3.0, 4.0], [1.0, 0.0], [-2.0, 0.0]])
