@@ -352,12 +352,27 @@ _MS_SEGMENTS = {
     11: [("t", "r")], 12: [("r", "l")], 13: [("r", "b")], 14: [("l", "b")],
 }
 
+# per cell side b, r, t, l: its midpoint's x and y as indices into (corner,
+# corner + delta / 2, corner + delta), then the (row, column) offset and the
+# orientation (0 horizontal, 1 vertical) of its raster edge, which make the
+# edge's integer id
+_MS_SIDES = np.array([(1, 0, 0, 0, 0), (2, 1, 0, 1, 1), (1, 2, 1, 0, 0), (0, 1, 0, 0, 1)])
+# _MS_TABLE[case, j]: the sides of the case's j-th segment, -1 past its last
+_MS_TABLE = np.full((16, 2, 2), -1, dtype=np.int64)
+for _case, _segs in _MS_SEGMENTS.items():
+    _MS_TABLE[_case, :len(_segs)] = [["brtl".index(side) for side in seg] for seg in _segs]
+
 
 def marching_squares(mask, origin, delta):
     """Closed boundary polylines of a boolean raster (node-centered).
 
     The raster is padded so that regions touching the border still close.
     Returns a list of (k, 2) loops in the raster's coordinates.
+
+    Every segment endpoint is the midpoint of a raster edge, and exactly two
+    segments share it; endpoints are matched by the integer id of that edge.
+    Each loop starts at the first unused segment in cell order, runs on from
+    its second endpoint and holds one point per segment.
     """
     p = np.pad(np.asarray(mask, dtype=bool), 1).astype(np.uint8)
     case = (p[:-1, :-1]           # bottom-left  -> bit 0
@@ -365,50 +380,41 @@ def marching_squares(mask, origin, delta):
             | p[1:, 1:] << 2      # top-right    -> bit 2
             | p[1:, :-1] << 3)    # top-left     -> bit 3
     iys, ixs = np.nonzero((case != 0) & (case != 15))
-    segs = []
+    # segments in cell order, a saddle cell's two in table order
+    sides = _MS_TABLE[case[iys, ixs]]
+    n = 1 + (sides[:, 1, 0] >= 0)
+    cell = np.repeat(np.arange(len(iys)), n)
+    sides = sides[cell, np.arange(len(cell)) - np.repeat(np.cumsum(n) - n, n)]
+    iy, ix = iys[cell, None], ixs[cell, None]
+    off = _MS_SIDES[sides]  # (segment, endpoint, 5)
     base = np.asarray(origin, dtype=float) - delta  # padding shift
-    for iy, ix, c in zip(iys.tolist(), ixs.tolist(), case[iys, ixs].tolist()):
-        x = base[0] + ix * delta
-        y_ = base[1] + iy * delta
-        mid = {
-            "b": (x + 0.5 * delta, y_),
-            "r": (x + delta, y_ + 0.5 * delta),
-            "t": (x + 0.5 * delta, y_ + delta),
-            "l": (x, y_ + 0.5 * delta),
-        }
-        for a, b in _MS_SEGMENTS[c]:
-            segs.append((mid[a], mid[b]))
-    return _chain_segments(segs, snap=delta * 1e-6)
-
-
-def _chain_segments(segs, snap):
-    def key(p):
-        return (round(p[0] / snap), round(p[1] / snap))
-
-    adj = {}
-    for s, (p, q) in enumerate(segs):
-        adj.setdefault(key(p), []).append((s, q))
-        adj.setdefault(key(q), []).append((s, p))
-    used = set()
+    x = base[0] + ix * delta
+    y_ = base[1] + iy * delta
+    xs = np.concatenate([x, x + 0.5 * delta, x + delta], axis=1)
+    ys = np.concatenate([y_, y_ + 0.5 * delta, y_ + delta], axis=1)
+    pts = np.stack([np.take_along_axis(xs, off[..., 0], 1),
+                    np.take_along_axis(ys, off[..., 1], 1)], axis=-1).reshape(-1, 2)
+    ids = (2 * ((iy + off[..., 2]) * p.shape[1] + ix + off[..., 3]) + off[..., 4]).ravel()
+    # endpoint e of segment e // 2 sits on the edge of endpoint mate[e]
+    pairs = np.argsort(ids, kind="stable").reshape(-1, 2)
+    mate = np.empty(len(ids), dtype=np.int64)
+    mate[pairs[:, 0]], mate[pairs[:, 1]] = pairs[:, 1], pairs[:, 0]
+    mate = mate.tolist()
+    used = bytearray(len(cell))
     loops = []
-    for s, (p, q) in enumerate(segs):
-        if s in used:
+    for s in range(len(cell)):
+        if used[s]:
             continue
-        used.add(s)
-        loop = [np.asarray(p), np.asarray(q)]
-        cur = q
-        while True:
-            cands = [(sid, other) for sid, other in adj.get(key(cur), []) if sid not in used]
-            if not cands:
-                break
-            sid, nxt = cands[0]
-            used.add(sid)
-            if key(nxt) == key(loop[0]):
-                break
-            loop.append(np.asarray(nxt))
-            cur = nxt
-        if len(loop) >= 3:
-            loops.append(np.asarray(loop))
+        used[s] = 1
+        loop = [2 * s, 2 * s + 1]
+        e = mate[2 * s + 1]
+        # every contour closes: stop at the segment that leads back to s
+        while mate[e ^ 1] != 2 * s:
+            used[e >> 1] = 1
+            loop.append(e ^ 1)
+            e = mate[e ^ 1]
+        used[e >> 1] = 1
+        loops.append(pts[loop])
     return loops
 
 

@@ -23,7 +23,7 @@ from .material import _det2
 
 MESH_FORMAT_HEADER = "cavmesh 1"
 
-_CHUNK = 16384  # query points per vectorized batch (bounds peak memory)
+_CHUNK = 16384  # query points, or raster cells, per vectorized batch (bounds peak memory)
 
 
 # ---------------------------------------------------------------------------
@@ -209,13 +209,14 @@ class TriangleLocator:
         v = vertices[triangles]
         self._origin = vertices.min(axis=0)
         extent = vertices.max(axis=0) - self._origin
-        mean_area = np.abs(_signed_areas(v)).mean()
-        self._cell = float(max(1e-12, 2.0 * np.sqrt(mean_area)))
+        self._area = np.abs(_signed_areas(v))
+        self._cell = float(max(1e-12, 2.0 * np.sqrt(self._area.mean())))
         self._dims = np.maximum(1, np.ceil(extent / self._cell).astype(int) + 1)
         lo = np.floor((v.min(axis=1) - self._origin) / self._cell).astype(int)
         hi = np.floor((v.max(axis=1) - self._origin) / self._cell).astype(int)
         lo = np.clip(lo, 0, self._dims - 1)
         hi = np.clip(hi, 0, self._dims - 1)
+        self._lo, self._hi = lo, hi
         # CSR buckets: every (cell, triangle) pair of the triangles' bounding
         # boxes, grouped by cell; the stable sort keeps triangles ascending
         span = hi - lo + 1
@@ -239,7 +240,6 @@ class TriangleLocator:
 
         Returns (tri, bary) with tri = -1 where the point is outside.
         """
-        tol = 1e-10
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         tri = np.full(len(pts), -1, dtype=np.int64)
         bary = np.zeros((len(pts), 3))
@@ -254,16 +254,108 @@ class TriangleLocator:
             # one (point, triangle) pair per bucket entry, points in order
             pp = np.repeat(k, n)
             tt = self._btri[np.arange(n.sum()) + np.repeat(start - (np.cumsum(n) - n), n)]
-            d = p[pp] - self._base[tt]
-            lam = np.einsum("kab,kb->ka", self._inv[tt], d)
-            lam0 = 1.0 - lam.sum(axis=1)
-            ok = np.nonzero((lam[:, 0] >= -tol) & (lam[:, 1] >= -tol) & (lam0 >= -tol))[0]
-            # first hit per point wins
-            hit, first = np.unique(pp[ok], return_index=True)
-            sel = ok[first]
-            tri[lo + hit] = tt[sel]
-            bary[lo + hit] = np.stack([lam0[sel], lam[sel, 0], lam[sel, 1]], axis=-1)
+            hit, t, b = self._first_hits(pp, p[pp], tt)
+            tri[lo + hit] = t
+            bary[lo + hit] = b
         return tri, bary
+
+    def locate_grid(self, grid):
+        """`locate` at the cell centres of a `CellGrid`: (ny, nx) tri and
+        (ny, nx, 3) bary, equal to `locate(grid.cell_centers().reshape(-1, 2))`
+        reshaped.
+
+        Instead of one bucket search per cell, each triangle walks its own
+        grid rows (Pineda's edge-function scan): on a row its three edge
+        functions, the barycentric coordinates, bound an x-interval. The
+        interval is computed with a slack `tau` in place of the 1e-10
+        tolerance that also covers the rounding of the test, so it holds
+        every cell the test can accept; extra cells cost time, never
+        correctness. Cells whose locator cell lies outside the triangle's
+        bucket range are dropped, so each cell meets exactly `locate`'s
+        candidates that can pass, in ascending order, and the lowest
+        passing triangle wins. Triangles go in chunks of about `_CHUNK`
+        bounding-box cells, which bounds the candidate arrays.
+        """
+        xs, ys = grid.axes()
+        ny, nx = len(ys), len(xs)
+        tri = np.full(ny * nx, -1, dtype=np.int64)
+        bary = np.zeros((ny * nx, 3))
+        # per-triangle data in (coordinate, corner, triangle) layout, so that
+        # reductions over the three corners run along contiguous rows
+        vx, vy = np.ascontiguousarray(self.vertices[self.triangles].transpose(2, 1, 0))
+        # edge functions lam_i(p) = g_i . (p - v0) + [i == 0], from locate's operands
+        g1, g2 = self._inv[:, 0], self._inv[:, 1]
+        gx, gy = np.ascontiguousarray(np.stack([-(g1 + g2), g1, g2]).transpose(2, 0, 1))
+        x_lo, x_hi = vx.min(axis=0), vx.max(axis=0)
+        y_lo, y_hi = vy.min(axis=0), vy.max(axis=0)
+        diam = (x_hi - x_lo) + (y_hi - y_lo)
+        # Near the triangle |g_i|_1 |p - v0| <= diam^2 / area, and the computed
+        # test differs from exact arithmetic on its operands by a few ulps of
+        # 1 + that. The slack tau exceeds tol = 1e-10 plus that error by a
+        # wide margin; it widens the triangle by at most 3 tau diam, and
+        # `pad` covers the rounding of the interval ends in coordinates.
+        tau = 1e-9 * (1.0 + diam ** 2 / self._area)
+        pad = 1e-12 * (1.0 + np.abs(self.vertices).max())
+        reach = 3.0 * tau * diam + pad
+        # rows and columns of the widened bounding box within the bucket range
+        rows = self._index_range(ys, 1, y_lo - reach, y_hi + reach)
+        cols = self._index_range(xs, 0, x_lo - reach, x_hi + reach)
+        n_rows = np.maximum(rows[1] - rows[0], 0)
+        box = n_rows * np.maximum(cols[1] - cols[0], 0)
+        ends = np.cumsum(box)
+        e0 = np.array([[1.0], [0.0], [0.0]])
+        t_lo = 0
+        while t_lo < len(box):
+            t_hi = max(t_lo + 1, int(np.searchsorted(ends, ends[t_lo] - box[t_lo] + _CHUNK,
+                                                     "right")))
+            # (triangle, row) pairs in triangle order
+            nr = n_rows[t_lo:t_hi]
+            pt = np.repeat(np.arange(t_lo, t_hi), nr)
+            iy = np.arange(len(pt)) + np.repeat(rows[0][t_lo:t_hi] - (np.cumsum(nr) - nr), nr)
+            # lam_i >= -tau  <=>  a_i (x - v0x) >= q_i, with a_i = 0 on a horizontal edge
+            a = gx[:, pt]
+            q = -tau[pt] - gy[:, pt] * (ys[iy] - vy[0, pt]) - e0
+            bound = np.divide(q, a, out=np.zeros_like(q), where=a != 0.0)
+            x0 = np.where(a > 0.0, bound, -np.inf).max(axis=0)
+            x1 = np.where(a < 0.0, bound, np.inf).min(axis=0)
+            x1[((a == 0.0) & (q > 0.0)).any(axis=0)] = -np.inf
+            c0 = np.maximum(np.searchsorted(xs, vx[0, pt] + x0 - pad, "left"), cols[0][pt])
+            c1 = np.minimum(np.searchsorted(xs, vx[0, pt] + x1 + pad, "right"), cols[1][pt])
+            # one (cell, triangle) candidate per column of each pair's interval
+            n = np.maximum(c1 - c0, 0)
+            k = np.repeat(np.arange(len(n)), n)
+            ix = np.arange(len(k)) + np.repeat(c0 - (np.cumsum(n) - n), n)
+            p = np.stack([xs[ix], ys[iy[k]]], axis=-1)
+            hit, t, b = self._first_hits(iy[k] * nx + ix, p, pt[k])
+            # a cell hit in an earlier chunk already holds a lower triangle
+            new = tri[hit] < 0
+            tri[hit[new]] = t[new]
+            bary[hit[new]] = b[new]
+            t_lo = t_hi
+        return tri.reshape(ny, nx), bary.reshape(ny, nx, 3)
+
+    def _index_range(self, axis, k, lo, hi):
+        """[first, stop) indices of the ascending grid `axis` within [lo, hi]
+        and, on the locator's axis k, in each triangle's bucket range."""
+        cell = np.floor((axis - self._origin[k]) / self._cell).astype(int)
+        first = np.maximum(np.searchsorted(axis, lo, "left"),
+                           np.searchsorted(cell, self._lo[:, k], "left"))
+        stop = np.minimum(np.searchsorted(axis, hi, "right"),
+                          np.searchsorted(cell, self._hi[:, k], "right"))
+        return first, stop
+
+    def _first_hits(self, key, p, tt):
+        """The barycentric test of the (point, triangle) candidates p, tt:
+        every coordinate >= -1e-10. Returns (keys, tri, bary) of the first
+        passing candidate per key."""
+        tol = 1e-10
+        d = p - self._base[tt]
+        lam = np.einsum("kab,kb->ka", self._inv[tt], d)
+        lam0 = 1.0 - lam.sum(axis=1)
+        ok = np.nonzero((lam[:, 0] >= -tol) & (lam[:, 1] >= -tol) & (lam0 >= -tol))[0]
+        hit, first = np.unique(key[ok], return_index=True)
+        sel = ok[first]
+        return hit, tt[sel], np.stack([lam0[sel], lam[sel, 0], lam[sel, 1]], axis=-1)
 
 
 # ---------------------------------------------------------------------------

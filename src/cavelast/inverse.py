@@ -80,13 +80,11 @@ def build_inverse_field(y: DeformationField, delta: float, marker=None) -> Inver
     inv = InverseField(origin=origin, delta=float(delta),
                        kind=np.full(shape, OUTSIDE, dtype=np.uint8),
                        ref=np.full(shape + (2,), np.nan), tri=None, marker=marker)
-    centers = inv.cell_centers()
-    tri, bary = y.deformed_locator().locate(centers.reshape(-1, 2))
-    inv.tri = tri.reshape(shape)
+    inv.tri, bary = y.deformed_locator().locate_grid(inv)
     hit = inv.tri >= 0
     inv.kind[hit] = MATERIAL
     verts = y.mesh.vertices[y.mesh.triangles[inv.tri[hit]]]
-    inv.ref[hit] = np.einsum("kb,kbi->ki", bary[hit.ravel()], verts)
+    inv.ref[hit] = np.einsum("kb,kbi->ki", bary[hit], verts)
     miss = ~hit
     if miss.any() and y.mesh.punctures:
         cavity = np.zeros(shape, dtype=bool)

@@ -4,7 +4,7 @@ import pytest
 import cavelast as cv
 from cavelast import degree, inverse
 from cavelast._polyline import _PAIRS, points_to_polyline_distance, polygon_signed_area
-from cavelast.degree import (_MS_SEGMENTS, _chain_segments, _default_radii,
+from cavelast.degree import (_MS_SEGMENTS, _default_radii,
                              winding_grid, winding_number_angle, winding_points)
 from cavelast.exceptions import DomainError, GeometryError
 from cavelast.geometry import _CHUNK
@@ -369,6 +369,40 @@ def _reference_marching_squares(mask, origin, delta):
             for a, b in _MS_SEGMENTS[case]:
                 segs.append((mid[a], mid[b]))
     return _chain_segments(segs, snap=delta * 1e-6)
+
+
+def _chain_segments(segs, snap):
+    """Chain segments into loops through a dict keyed by endpoints rounded
+    to `snap`, in segment order, each loop following its first segment's
+    second endpoint."""
+    def key(p):
+        return (round(p[0] / snap), round(p[1] / snap))
+
+    adj = {}
+    for s, (p, q) in enumerate(segs):
+        adj.setdefault(key(p), []).append((s, q))
+        adj.setdefault(key(q), []).append((s, p))
+    used = set()
+    loops = []
+    for s, (p, q) in enumerate(segs):
+        if s in used:
+            continue
+        used.add(s)
+        loop = [np.asarray(p), np.asarray(q)]
+        cur = q
+        while True:
+            cands = [(sid, other) for sid, other in adj.get(key(cur), []) if sid not in used]
+            if not cands:
+                break
+            sid, nxt = cands[0]
+            used.add(sid)
+            if key(nxt) == key(loop[0]):
+                break
+            loop.append(np.asarray(nxt))
+            cur = nxt
+        if len(loop) >= 3:
+            loops.append(np.asarray(loop))
+    return loops
 
 
 class TestCheckInv:

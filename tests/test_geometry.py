@@ -166,6 +166,56 @@ class TestLocatorAndTrace:
             assert np.all(bary[lo:lo + 1000][want < 0] == 0.0)
         assert np.all(tri[:20000][r < 0.15] == -1) and np.all(tri[:20000][r > 1.0] == -1)
 
+    @pytest.mark.parametrize("case", ["square_ties", "bucket_edge", "folded", "past_bbox",
+                                      "one_row", "one_column", "chunks"])
+    def test_locate_grid_matches_locate(self, case, disk_mesh, monkeypatch):
+        # `locate` at the cell centres is the referee, down to the tie rule
+        # (lowest triangle index) and every bit of the barycentric coordinates
+        mesh, pos = disk_mesh, 1.5 * disk_mesh.vertices
+        origin, delta, shape = np.array([-1.6, -1.55]), 0.0137, (232, 236)
+        if case == "square_ties":
+            # centres on every vertex, on every shared edge and at the
+            # midpoints of the diagonals of the crossed square pattern
+            mesh = cv.build_square_mesh(1.0, 0.25)
+            pos, origin, delta, shape = mesh.vertices, np.zeros(2), 0.0625, (17, 17)
+        elif case == "folded":
+            # jittered vertices: inverted and overlapping triangles
+            rng = np.random.default_rng(4)
+            pos = mesh.vertices + rng.normal(scale=0.08, size=mesh.vertices.shape)
+            det = cv.DeformationField(mesh, pos).element_dets()
+            assert (det < 0).sum() > 20 and np.abs(det).min() > 1e-6
+        elif case == "bucket_edge":
+            # a column just left of the locator cell boundary x = 0.5: within
+            # tolerance of the triangles right of it, whose buckets start at
+            # the boundary, so `locate` passes them over for higher ones
+            mesh = cv.build_square_mesh(1.0, 0.25)
+            pos = mesh.vertices * [-1.0, 1.0] + [1.0, 0.0]
+            origin, shape = np.array([0.5 - 1e-13, 0.01]), (70, 1)
+        elif case == "past_bbox":
+            origin, delta, shape = np.array([-2.5, -2.3]), 0.05, (95, 101)
+        elif case == "one_row":
+            origin, shape = np.array([-1.6, 0.1]), (1, 236)
+        elif case == "one_column":
+            origin, shape = np.array([-0.3, -1.6]), (236, 1)
+        else:
+            monkeypatch.setattr(cv.geometry, "_CHUNK", 50)
+        loc = cv.TriangleLocator(pos, mesh.triangles)
+        grid = cv.DegreeRaster(origin=origin, delta=delta, values=np.zeros(shape, dtype=np.int64))
+        tri, bary = loc.locate_grid(grid)
+        want_tri, want_bary = loc.locate(grid.cell_centers().reshape(-1, 2))
+        assert tri.shape == shape and bary.shape == shape + (3,)
+        assert np.array_equal(tri.ravel(), want_tri)
+        assert np.array_equal(bary.reshape(-1, 3), want_bary)
+        if case == "square_ties":
+            # the vertex (0.5, 0.5) is on eight triangles; the lowest wins
+            star = np.nonzero((mesh.triangles == 12).any(axis=1))[0]
+            assert np.array_equal(mesh.vertices[12], [0.5, 0.5]) and len(star) == 8
+            assert tri[8, 8] == star.min() and np.all(tri >= 0)
+        elif case == "bucket_edge":
+            assert np.all(tri >= 0)
+        else:
+            assert (tri >= 0).any() and (tri < 0).any()
+
     def test_trace_identity_cardinals(self, disk_mesh):
         y = cv.DeformationField(disk_mesh)
         pts = cv.trace_on_circle(y, (0.0, 0.0), 0.5, m=4)
