@@ -18,33 +18,6 @@ def ensure_ccw(pts):
     return pts
 
 
-def polygon_is_simple(pts) -> bool:
-    """True when no two non-adjacent edges of the closed polygon intersect."""
-    pts = np.asarray(pts, dtype=float)
-    n = len(pts)
-    if n < 3:
-        return False
-    a = pts
-    b = np.roll(pts, -1, axis=0)
-    d = b - a
-    # pairwise segment intersection test, vectorized over the (n, n) grid
-    ax, ay = a[:, 0][:, None], a[:, 1][:, None]
-    dx, dy = d[:, 0][:, None], d[:, 1][:, None]
-    cx, cy = a[:, 0][None, :], a[:, 1][None, :]
-    ex, ey = d[:, 0][None, :], d[:, 1][None, :]
-    denom = dx * ey - dy * ex
-    rx, ry = cx - ax, cy - ay
-    with np.errstate(divide="ignore", invalid="ignore"):
-        t = (rx * ey - ry * ex) / denom
-        u = (rx * dy - ry * dx) / denom
-    tol = 1e-12
-    crossing = (np.abs(denom) > tol) & (t > tol) & (t < 1 - tol) & (u > tol) & (u < 1 - tol)
-    idx = np.arange(n)
-    adjacent = (np.abs(idx[:, None] - idx[None, :]) <= 1) | \
-        (np.abs(idx[:, None] - idx[None, :]) == n - 1)
-    return not bool(np.any(crossing & ~adjacent))
-
-
 _PAIRS = 1 << 18  # point-segment pairs per batch (bounds peak memory)
 
 

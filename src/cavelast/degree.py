@@ -161,6 +161,88 @@ def winding_grid(grid, loops):
 
 
 # ---------------------------------------------------------------------------
+# the exact segment-crossing kernel
+#
+# For a P1 map with det > 0 on every triangle, the degree of a point off the
+# deformed boundary is its number of preimages. When the deformed boundary
+# loops are simple and pairwise disjoint, that degree is 0 or 1 everywhere,
+# so the map is injective and satisfies INV (Lipman, SIAM J. Imaging Sci.
+# 2014). `boundary_crossings` counts the edge pairs that break this.
+
+
+def _turn(px, py, qx, qy, rx, ry):
+    """Sign of the turn p -> q -> r: +1 left, -1 right, 0 collinear."""
+    return np.sign((qx - px) * (ry - py) - (rx - px) * (qy - py))
+
+
+def segment_crossings(p, q, u, v) -> int:
+    """Number of pairs among the segments p[k] -> q[k] that cross.
+
+    u[k] and v[k] are the vertex ids of segment k's two ends. Two segments
+    with no id in common cross when the closed segments meet, touching
+    included. Two that share an id cross only when they fold back onto each
+    other: their other ends lie on one ray from the shared end.
+
+    The segments are sorted by their lowest y; each meets only the later
+    ones whose lowest y is at most its own highest y, and of those only the
+    ones whose x-span overlaps its own.
+    """
+    p = np.asarray(p, dtype=float)
+    q = np.asarray(q, dtype=float)
+    u = np.asarray(u)
+    v = np.asarray(v)
+    lo, hi = np.minimum(p, q), np.maximum(p, q)
+    order = np.argsort(lo[:, 1], kind="stable")
+    stop = np.searchsorted(lo[order, 1], hi[order, 1], "right")
+    n = stop - np.arange(len(order)) - 1
+    i = np.repeat(np.arange(len(n)), n)
+    j = order[np.arange(len(i)) + i + 1 - np.repeat(np.cumsum(n) - n, n)]
+    i = order[i]
+    keep = np.maximum(lo[i, 0], lo[j, 0]) <= np.minimum(hi[i, 0], hi[j, 0])
+    i, j = i[keep], j[keep]
+    ui, vi, uj, vj = u[i], v[i], u[j], v[j]
+    at_u = (ui == uj) | (ui == vj)  # the shared id, if any, is u[i]
+    shared = at_u | (vi == uj) | (vi == vj)
+
+    a, b = i[~shared], j[~shared]
+    (ax, ay), (bx, by) = p[a].T, q[a].T
+    (cx, cy), (dx, dy) = p[b].T, q[b].T
+    meet = ((_turn(ax, ay, bx, by, cx, cy) * _turn(ax, ay, bx, by, dx, dy) <= 0)
+            & (_turn(cx, cy, dx, dy, ax, ay) * _turn(cx, cy, dx, dy, bx, by) <= 0))
+
+    i, j, at_u = i[shared], j[shared], at_u[shared]
+    s = np.where(at_u[:, None], p[i], q[i])  # the shared end
+    e = np.where(at_u[:, None], q[i], p[i])  # segment i's other end
+    f = np.where((u[j] == np.where(at_u, u[i], v[i]))[:, None], q[j], p[j])
+    fold = (_turn(*s.T, *e.T, *f.T) == 0) & (((e - s) * (f - s)).sum(axis=1) > 0.0)
+    return int(np.count_nonzero(meet) + np.count_nonzero(fold))
+
+
+def boundary_crossings(mesh, pos) -> int:
+    """Crossing pairs (`segment_crossings`) among the images under the nodal
+    positions `pos` of every boundary edge of the mesh: outer loops, an
+    annulus's inner loop and the puncture loops. 0 means the deformed
+    boundary loops are simple and pairwise disjoint."""
+    loops = list(mesh.boundary_loops().values())
+    u = np.concatenate(loops)
+    v = np.concatenate([np.roll(ids, -1) for ids in loops])
+    pos = np.asarray(pos, dtype=float)
+    return segment_crossings(pos[u], pos[v], u, v)
+
+
+def polygon_is_simple(pts) -> bool:
+    """True when no two edges of the closed polygon cross
+    (`segment_crossings`, with neighbouring edges sharing their vertex);
+    repeated consecutive points are merged first."""
+    pts = np.asarray(pts, dtype=float)
+    pts = pts[np.any(pts != np.roll(pts, -1, axis=0), axis=1)]
+    if len(pts) < 3:
+        return False
+    ids = np.arange(len(pts))
+    return segment_crossings(pts, np.roll(pts, -1, axis=0), ids, np.roll(ids, -1)) == 0
+
+
+# ---------------------------------------------------------------------------
 # rasters
 
 
@@ -217,16 +299,6 @@ class DegreeRaster(CellGrid):
     def area(self) -> float:
         """Measure of the nonzero-degree set, counted with multiplicity one."""
         return float(np.count_nonzero(self.values)) * self.delta ** 2
-
-    def area_with_multiplicity(self) -> float:
-        return float(np.abs(self.values).sum()) * self.delta ** 2
-
-    def member(self, points):
-        """Nonzero-degree membership of query points (False outside the grid)."""
-        iy, ix, ok = self.cell_of(np.atleast_2d(np.asarray(points, dtype=float)))
-        out = np.zeros(len(ok), dtype=bool)
-        out[ok] = self.values[iy[ok], ix[ok]] != 0
-        return out
 
     def save_pgm(self, path):
         """Greymap export: degree + 8 clipped to [0, 16]."""
@@ -540,19 +612,11 @@ def _default_radii(mesh, a):
     own = min(near, key=lambda k: gaps[k][0]) if near else None
     rho = 0.0 if own is None else gaps[own][1]
     dists += [d - r for k, (d, r) in enumerate(gaps) if k != own]
-    r_lo, r_hi = _radius_range(rho, min(dists))
+    r_hi = 0.8 * min(dists)
+    r_lo = max(1.2 * rho, 0.05 * r_hi) if rho > 0 else 0.1 * r_hi
     if r_lo >= r_hi:
         raise GeometryError("no room for invertibility circles around the site")
     return np.geomspace(r_lo, r_hi, 8)
-
-
-def _radius_range(rho, clearance):
-    """(r_lo, r_hi) of the default INV radii about a site whose own puncture
-    has radius rho (0 for none) and whose nearest outer boundary loop or
-    other puncture disk is `clearance` away; the circles fit if r_lo < r_hi."""
-    r_hi = 0.8 * clearance
-    r_lo = max(1.2 * rho, 0.05 * r_hi) if rho > 0 else 0.1 * r_hi
-    return r_lo, r_hi
 
 
 def _sample_disk_in_mesh(mesh, a, r, n, rng):

@@ -15,8 +15,8 @@ from functools import cached_property
 import numpy as np
 from scipy import sparse
 
-from ._polyline import ensure_ccw, polygon_is_simple, polygon_signed_area
-from .degree import CavityRecord
+from ._polyline import ensure_ccw, polygon_signed_area
+from .degree import CavityRecord, polygon_is_simple
 from .exceptions import DomainError, InfeasibleEnergyError
 from .geometry import DeformationField
 from .material import BulkDensity, SurfaceDensity, _cof2, _det2

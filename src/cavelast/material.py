@@ -303,14 +303,6 @@ class SurfaceDensity:
         val, _ = quad(f, 0.0, 2.0 * np.pi, epsabs=1e-12, epsrel=1e-12, limit=200)
         return float(val)
 
-    def lower_bound_constant(self) -> float:
-        """min over unit directions of phi, a certified positive lower-bound
-        constant (coarse directional sampling; all kinds are smooth enough
-        for 256 directions to be representative)."""
-        th = np.linspace(0.0, 2.0 * np.pi, 256, endpoint=False)
-        dirs = np.stack([np.cos(th), np.sin(th)], axis=-1)
-        return float(self.value(dirs).min())
-
     @staticmethod
     def _reject_zero(z):
         n2 = z[..., 0] ** 2 + z[..., 1] ** 2

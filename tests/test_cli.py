@@ -65,6 +65,16 @@ class TestConfig:
         assert cfg.lam == 1.5
         assert cfg.emit == ("svg", "csv")
         assert cfg.name == "radial_iso_lambda1.5"
+        for name in ("radial_iso_lambda1.5", "radial_ell_lambda1.5", "eval_identity"):
+            # every trial step of a bundled run goes through the gate
+            assert ScenarioConfig.from_ini(resolve_scenario(name)).inv_every == 1
+
+    def test_inv_delta_is_gone(self, tmp_path):
+        # run directories written before the exact gate carry this key
+        p = tmp_path / "old.ini"
+        p.write_text("[solver]\ninv_every = 10\ninv_delta = 0.02\n")
+        with pytest.raises(ConfigurationError, match=r"inv_delta.*\[solver\]"):
+            ScenarioConfig.from_ini(p)
 
     ROUNDTRIP_EXTRA = {
         # side instead of radius, and out, are written only when they apply
@@ -441,10 +451,6 @@ class TestMain:
     @pytest.mark.parametrize("x,message", [
         # the disks touch: the mesher once failed on an unnamed stray hole
         (0.1, "[domain] punctures 0 and 1 meet: centre distance 0.2 <= 0.1 + 0.1"),
-        # disjoint, but the INV circles about either one would cross the
-        # other: check_inv once raised a GeometryError traceback (exit 1)
-        (0.11, "[domain] punctures 0 and 1 are too close: no room for "
-               "invertibility circles around puncture 0"),
     ])
     def test_crowded_punctures_exit_2(self, tmp_path, capsys, x, message):
         p = tmp_path / "two.ini"
@@ -456,6 +462,23 @@ class TestMain:
         assert f"configuration error: {message}" in captured.err
         assert "artifacts in" not in captured.out
         assert not out.exists()
+
+    @pytest.mark.parametrize("domain,codes", [
+        # disjoint punctures 0.02 apart: validate() once rejected them (exit
+        # 2) because the sampled INV circles about either one crossed the other
+        ("h = 0.1\npunctures = -0.11 0.0 0.1; 0.11 0.0 0.1\n", (0, 3)),
+        # a puncture near the outer circle: the final sampled INV check once
+        # raised "no room for invertibility circles" (exit 1)
+        ("h = 0.15\npunctures = -0.39 0.55 0.236\n", (0,)),
+    ], ids=["two_punctures_0.02_apart", "puncture_near_outer_circle"])
+    def test_crowded_punctures_run(self, tmp_path, capsys, domain, codes):
+        p = tmp_path / "crowded.ini"
+        p.write_text("[domain]\nshape = disk\nradius = 1.0\n" + domain)
+        out = tmp_path / "out"
+        assert main(["run", str(p), "--out", str(out)]) in codes
+        assert "Traceback" not in capsys.readouterr().err
+        kv = read_summary(out)
+        assert (kv["inv_check"], kv["inv_violations"]) == ("PASS", "0")
 
     @pytest.mark.parametrize("section,text,named", [
         ("domain", "punctures = 0.0 0.0 abc", "[domain] punctures"),

@@ -232,6 +232,18 @@ class TestKernelOnTheLift:
             assert np.array_equal(a.points, b.points)
 
 
+def area_with_multiplicity(raster):
+    return float(np.abs(raster.values).sum()) * raster.delta ** 2
+
+
+def member(raster, points):
+    """Nonzero-degree membership of query points (False outside the grid)."""
+    iy, ix, ok = raster.cell_of(np.atleast_2d(np.asarray(points, dtype=float)))
+    out = np.zeros(len(ok), dtype=bool)
+    out[ok] = raster.values[iy[ok], ix[ok]] != 0
+    return out
+
+
 class TestRaster:
     def test_area_and_multiplicity(self):
         vals = np.zeros((10, 10), dtype=np.int64)
@@ -239,27 +251,27 @@ class TestRaster:
         vals[6, 6] = 2
         r = cv.DegreeRaster(origin=np.zeros(2), delta=0.5, values=vals)
         assert r.area() == pytest.approx(13 * 0.25)
-        assert r.area_with_multiplicity() == pytest.approx(14 * 0.25)
+        assert area_with_multiplicity(r) == pytest.approx(14 * 0.25)
 
     def test_member(self):
         vals = np.zeros((4, 4), dtype=np.int64)
         vals[1, 2] = 1
         r = cv.DegreeRaster(origin=np.zeros(2), delta=1.0, values=vals)
-        got = r.member(np.array([[2.0, 1.0], [0.0, 0.0], [50.0, 50.0]]))
+        got = member(r, np.array([[2.0, 1.0], [0.0, 0.0], [50.0, 50.0]]))
         assert got.tolist() == [True, False, False]
 
     def test_identity_omega(self, disk_mesh):
         y = cv.DeformationField(disk_mesh)
         img = cv.topological_image(y, "omega", 0.02)
         assert img.area() == pytest.approx(disk_mesh.areas.sum(), rel=0.05)
-        assert img.member(np.array([[0.5, 0.0]]))[0]
-        assert not img.member(np.array([[0.0, 0.0]]))[0]  # puncture hole
+        assert member(img, np.array([[0.5, 0.0]]))[0]
+        assert not member(img, np.array([[0.0, 0.0]]))[0]  # puncture hole
 
     def test_identity_circle_subdomain(self, disk_mesh):
         y = cv.DeformationField(disk_mesh)
         img = cv.topological_image(y, ("circle", (0.55, 0.0), 0.3), 0.01)
         assert img.area() == pytest.approx(np.pi * 0.09, rel=0.05)
-        assert img.area_with_multiplicity() == pytest.approx(img.area(), abs=1e-12)
+        assert area_with_multiplicity(img) == pytest.approx(img.area(), abs=1e-12)
 
     def test_closure_is_3x3_binary_dilation(self):
         from scipy import ndimage
@@ -403,6 +415,193 @@ def _chain_segments(segs, snap):
         if len(loop) >= 3:
             loops.append(np.asarray(loop))
     return loops
+
+
+# ---------------------------------------------------------------------------
+# the exact segment-crossing kernel and its referees
+
+
+def _reference_crossings(p, q, u, v):
+    """All-pairs crossing count: the textbook straddle-or-on-segment test
+    (Cormen et al., ch. 33) for pairs without a common id, the fold-back
+    test for pairs with one."""
+    def turn(a, b, c):
+        d = (b[0] - a[0]) * (c[1] - a[1]) - (c[0] - a[0]) * (b[1] - a[1])
+        return int(d > 0) - int(d < 0)
+
+    def on(a, b, c):  # c, collinear with a and b, inside their box
+        return (min(a[0], b[0]) <= c[0] <= max(a[0], b[0])
+                and min(a[1], b[1]) <= c[1] <= max(a[1], b[1]))
+
+    count = 0
+    for i in range(len(p)):
+        for j in range(i + 1, len(p)):
+            common = {u[i], v[i]} & {u[j], v[j]}
+            if common:
+                k = common.pop()
+                s, e = (p[i], q[i]) if u[i] == k else (q[i], p[i])
+                f = q[j] if u[j] == k else p[j]
+                count += turn(s, e, f) == 0 and float(np.dot(e - s, f - s)) > 0.0
+                continue
+            a, b, c, d = p[i], q[i], p[j], q[j]
+            d1, d2, d3, d4 = turn(c, d, a), turn(c, d, b), turn(a, b, c), turn(a, b, d)
+            count += ((d1 * d2 < 0 and d3 * d4 < 0)
+                      or (d1 == 0 and on(c, d, a)) or (d2 == 0 and on(c, d, b))
+                      or (d3 == 0 and on(a, b, c)) or (d4 == 0 and on(a, b, d)))
+    return count
+
+
+def _reference_polygon_is_simple(pts) -> bool:
+    """The former (n, n) tolerance test: no two non-adjacent edges cross
+    properly, with t, u in (1e-12, 1 - 1e-12); touching and collinear
+    overlaps pass."""
+    pts = np.asarray(pts, dtype=float)
+    n = len(pts)
+    if n < 3:
+        return False
+    a = pts
+    b = np.roll(pts, -1, axis=0)
+    d = b - a
+    ax, ay = a[:, 0][:, None], a[:, 1][:, None]
+    dx, dy = d[:, 0][:, None], d[:, 1][:, None]
+    cx, cy = a[:, 0][None, :], a[:, 1][None, :]
+    ex, ey = d[:, 0][None, :], d[:, 1][None, :]
+    denom = dx * ey - dy * ex
+    rx, ry = cx - ax, cy - ay
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t = (rx * ey - ry * ex) / denom
+        u = (rx * dy - ry * dx) / denom
+    tol = 1e-12
+    crossing = (np.abs(denom) > tol) & (t > tol) & (t < 1 - tol) & (u > tol) & (u < 1 - tol)
+    idx = np.arange(n)
+    adjacent = (np.abs(idx[:, None] - idx[None, :]) <= 1) | \
+        (np.abs(idx[:, None] - idx[None, :]) == n - 1)
+    return not bool(np.any(crossing & ~adjacent))
+
+
+def _limacon_annulus():
+    """z -> z^2 + 0.2 z on the annulus 0.4 < |z| < 1: det = |2z + 0.2|^2 > 0,
+    but each boundary circle maps to a limacon with an inner loop."""
+    mesh = cv.build_annulus_mesh(1.0, 0.4, 0.1)
+    z = mesh.vertices[:, 0] + 1j * mesh.vertices[:, 1]
+    w = z * z + 0.2 * z
+    return cv.DeformationField(mesh, np.column_stack([w.real, w.imag]))
+
+
+class TestBoundaryCrossings:
+    def test_sweep_matches_brute_force(self):
+        # lattice soups hit every exact degeneracy: shared ends, fold-backs,
+        # duplicate and zero-length segments, touching and collinear overlaps
+        rng = np.random.default_rng(12)
+        lattice = np.stack(np.meshgrid(np.arange(7.0), np.arange(7.0)), -1).reshape(-1, 2)
+        soups = []
+        for _ in range(60):
+            pool = lattice[rng.choice(len(lattice), 25, replace=False)]
+            soups.append((pool, rng.integers(0, 25, size=(int(rng.integers(2, 40)), 2))))
+        for n in (50, 150):
+            soups.append((rng.random((n, 2)), rng.integers(0, n, size=(n, 2))))
+        kinds = set()
+        for pool, (u, v) in ((pool, ids.T) for pool, ids in soups):
+            want = _reference_crossings(pool[u], pool[v], u, v)
+            assert degree.segment_crossings(pool[u], pool[v], u, v) == want
+            kinds.add(want > 0)
+        assert kinds == {False, True}
+
+    def test_shared_vertex_counts_only_a_fold_back(self):
+        p = np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0], [1.0, 1.0], [0.5, 0.0]])
+        u, v = np.array([0, 1]), np.array([1, 2])  # straight on: no crossing
+        assert degree.segment_crossings(p[u], p[v], u, v) == 0
+        u, v = np.array([0, 1]), np.array([1, 3])  # a corner
+        assert degree.segment_crossings(p[u], p[v], u, v) == 0
+        u, v = np.array([0, 1]), np.array([1, 4])  # back along itself
+        assert degree.segment_crossings(p[u], p[v], u, v) == 1
+        # the same geometry without a shared id is a touching pair
+        u, v = np.array([0, 5]), np.array([1, 4])
+        q = np.vstack([p, [[1.0, 0.0]]])
+        assert degree.segment_crossings(q[u], q[v], u, v) == 1
+
+    def test_self_crossing_boundary_rejected_by_both_checks(self):
+        y = _limacon_annulus()
+        assert cv.min_det(y) > 0.0
+        inner = y.positions[y.mesh.boundary_loops()["free"]]
+        assert not degree.polygon_is_simple(inner)
+        assert degree.boundary_crossings(y.mesh, y.positions) > 0
+        assert not cv.check_inv(y).passed
+
+    @pytest.mark.parametrize("make", [
+        lambda mesh: cv.BoundaryData(lam=1.3).initial_field(mesh),
+        lambda mesh: cv.DeformationField(mesh),
+    ], ids=["stretched", "identity"])
+    def test_unfolded_state_passes_both_checks(self, make):
+        y = make(_limacon_annulus().mesh)
+        assert degree.boundary_crossings(y.mesh, y.positions) == 0
+        assert cv.check_inv(y).passed
+
+    def test_fold_is_caught(self, disk_mesh):
+        y = _folded(disk_mesh)
+        assert degree.boundary_crossings(disk_mesh, y.positions) > 0
+
+    def test_every_loop_counts(self, disk_mesh):
+        # push one puncture vertex across the outer circle
+        pos = disk_mesh.vertices.copy()
+        k = disk_mesh.puncture_loops()[0][0]
+        pos[k] = 1.5 * pos[k] / np.linalg.norm(pos[k])
+        assert degree.boundary_crossings(disk_mesh, pos) == 2  # each of its edges once
+
+
+class TestPolygonIsSimple:
+    @staticmethod
+    def _random_polygons(rng):
+        for k in rng.integers(3, 30, size=150):
+            pts = rng.random((k, 2))
+            yield pts  # mostly self-crossing
+            c = pts.mean(axis=0)
+            yield pts[np.argsort(np.arctan2(*(pts - c).T[::-1]))]  # star-shaped
+
+    def test_matches_reference_on_existing_inputs(self):
+        th = np.linspace(0.0, 2.0 * np.pi, 64, endpoint=False)
+        mask = np.random.default_rng(3).random((20, 20)) < 0.4
+        polys = [square_loop(), np.array([[0.0, 0.0], [1.0, 1.0], [1.0, 0.0], [0.0, 1.0]]),
+                 np.column_stack([np.cos(th), np.sin(th)]),
+                 *cv.marching_squares(mask, np.zeros(2), 0.1)]
+        for pts in polys:
+            assert degree.polygon_is_simple(pts) == _reference_polygon_is_simple(pts)
+        assert not degree.polygon_is_simple(polys[1])
+
+    def test_matches_reference_on_random_polygons(self):
+        verdicts = set()
+        for pts in self._random_polygons(np.random.default_rng(5)):
+            want = _reference_polygon_is_simple(pts)
+            assert degree.polygon_is_simple(pts) == want
+            verdicts.add(want)
+        assert verdicts == {False, True}
+
+    def test_matches_reference_with_collinear_and_zero_length_edges(self):
+        rng = np.random.default_rng(9)
+        verdicts = set()
+        for pts in self._random_polygons(rng):
+            mid = 0.5 * (pts + np.roll(pts, -1, axis=0))
+            with_mid = np.stack([pts, mid], axis=1).reshape(-1, 2)  # straight-on vertices
+            with_dup = np.repeat(pts, rng.integers(1, 3, size=len(pts)), axis=0)
+            for poly in (with_mid, with_dup):
+                want = _reference_polygon_is_simple(poly)
+                assert degree.polygon_is_simple(poly) == want
+                verdicts.add(want)
+        assert verdicts == {False, True}
+        # a lattice rectangle with vertices along its sides
+        rect = np.array([[0, 0], [1, 0], [2, 0], [3, 0], [3, 1], [3, 2], [2, 2], [0, 2]], float)
+        assert degree.polygon_is_simple(rect) and _reference_polygon_is_simple(rect)
+
+    @pytest.mark.parametrize("pts", [
+        [[0, 0], [2, 0], [2, 2], [1, 0.0], [0, 2]],       # a vertex on a far edge
+        [[0, 0], [2, 0], [1, 0], [1, 1]],                 # folds back along an edge
+        [[0, 0], [3, 0], [3, 1], [2, 0], [1, 0], [0, 1]],  # two edges overlap
+    ], ids=["touching", "fold_back", "overlap"])
+    def test_contact_is_not_simple(self, pts):
+        # the former tolerance test passed these; the exact kernel does not
+        pts = np.asarray(pts, dtype=float)
+        assert _reference_polygon_is_simple(pts)
+        assert not degree.polygon_is_simple(pts)
 
 
 class TestCheckInv:

@@ -1,5 +1,3 @@
-from types import SimpleNamespace
-
 import numpy as np
 import pytest
 
@@ -477,21 +475,40 @@ class TestMinimize:
         assert all(r["step"] > 0.0 for r in log.records[1:])
         assert all(r["residual"] is not None for r in log.records[1:])
 
+    def test_gate_sees_every_accepted_trial(self, density, iso, monkeypatch):
+        # the gate runs after the energy and det_floor tests, so with a gate
+        # that passes everything it sees exactly the accepted trials
+        import cavelast.variation as variation
+        mesh = cv.build_disk_mesh(1.0, 0.25, punctures=[((0.0, 0.0), 0.2)])
+        y0 = cv.BoundaryData(kind="radial_stretch", lam=1.5).initial_field(mesh)
+        real, calls = variation.boundary_crossings, []
+
+        def counting(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(variation, "boundary_crossings", counting)
+        _, log = cv.minimize(y0, density, iso, max_iters=150)  # inv_every = 1
+        assert len(calls) == sum(r["step"] > 0.0 for r in log.records) > 0
+        calls.clear()
+        cv.minimize(y0, density, iso, max_iters=150, inv_every=0)
+        assert calls == []
+
     def test_gate_rejection_halves_the_step(self, density, iso, monkeypatch):
         import cavelast.variation as variation
         mesh = cv.build_disk_mesh(1.0, 0.25, punctures=[((0.0, 0.0), 0.2)])
         y0 = cv.BoundaryData(kind="radial_stretch", lam=1.5).initial_field(mesh)
         _, plain = cv.minimize(y0, density, iso, max_iters=150, inv_every=1)
         assert plain.records[1]["step"] == 1.0
-        real, calls = variation.check_inv, []
+        real, calls = variation.boundary_crossings, []
 
         def first_fails(*args, **kwargs):
             calls.append(args)
             if len(calls) == 1:
-                return SimpleNamespace(passed=False)
+                return 1
             return real(*args, **kwargs)
 
-        monkeypatch.setattr(variation, "check_inv", first_fails)
+        monkeypatch.setattr(variation, "boundary_crossings", first_fails)
         _, log = cv.minimize(y0, density, iso, max_iters=150, inv_every=1)
         assert len(calls) > 1
         assert log.records[1]["step"] == 0.5
