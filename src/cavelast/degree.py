@@ -17,7 +17,7 @@ import numpy as np
 from ._polyline import ensure_ccw, points_to_polyline_distance, polygon_signed_area
 from ._table import read_table, write_table
 from .exceptions import DomainError, GeometryError
-from .geometry import _CHUNK, DeformationField, locate_circle, trace_on_circle
+from .geometry import _CHUNK, DeformationField, trace_on_circle
 
 
 def winding_number(loop, points):
@@ -533,78 +533,56 @@ def check_inv(y: DeformationField, centers=None, radii=None, delta=0.02, samples
     windings of all images of one circle come from one `winding_points`
     call, which meets each loop edge only with the images in its y-span.
 
-    The samples and circle points live on the reference mesh, so they are
-    drawn and located once per (centers, radii, samples, m, seed) and kept
-    in `y.mesh.inv_plans`; later calls only interpolate the new positions.
-    The mesh must not be mutated once a plan exists (the same assumption
-    `Mesh.locator` makes).  The seed is an integer.
+    Every call draws its samples from a fresh generator seeded with `seed`
+    (an integer) and locates them on the reference mesh; nothing is cached.
     """
+    mesh = y.mesh
+    rng = np.random.default_rng(seed)
+    tri_cum = np.cumsum(mesh.areas / mesh.areas.sum())
     band = 2.0 * delta
     entries = []
-    for c in _inv_plan(y.mesh, centers, radii, samples, m, seed):
-        loop = y.interpolate(*c.trace)
-        img_in = y.interpolate(*c.inside)
-        img_out = y.interpolate(*c.outside)
-        n_in = len(img_in)
-        w = winding_points(loop, np.vstack([img_in, img_out])) != 0
-        # only images on the wrong side can violate; the band decides which do
-        far_in = points_to_polyline_distance(img_in[~w[:n_in]], loop) > band
-        far_out = points_to_polyline_distance(img_out[w[n_in:]], loop) > band
-        entries.append(InvEntry(c.center.copy(), c.radius, n_in, len(img_out),
-                                int(far_in.sum()), int(far_out.sum())))
+    for ci, a in enumerate(_default_centers(mesh) if centers is None else centers):
+        a = np.asarray(a, dtype=float)
+        for r in radii[ci] if radii is not None else _default_radii(mesh, a):
+            loop = trace_on_circle(y, a, r, m)
+            img_in = y.interpolate(*_sample_disk_in_mesh(mesh, a, r, samples, rng))
+            img_out = y.interpolate(*_sample_mesh_outside_disk(mesh, a, r, samples, rng, tri_cum))
+            n_in = len(img_in)
+            w = winding_points(loop, np.vstack([img_in, img_out])) != 0
+            # only images on the wrong side can violate; the band decides which do
+            far_in = points_to_polyline_distance(img_in[~w[:n_in]], loop) > band
+            far_out = points_to_polyline_distance(img_out[w[n_in:]], loop) > band
+            entries.append(InvEntry(a.copy(), float(r), n_in, len(img_out),
+                                    int(far_in.sum()), int(far_out.sum())))
     return InvReport(entries=entries, band=band)
 
 
-@dataclass
-class _InvCircle:
-    """One circle of an INV plan; each location is a (tri, bary) pair."""
-
-    center: np.ndarray
-    radius: float
-    trace: tuple
-    inside: tuple
-    outside: tuple
-
-
-def _inv_plan(mesh, centers, radii, samples, m, seed):
-    key = (None if centers is None
-           else tuple(tuple(np.asarray(a, dtype=float).tolist()) for a in centers),
-           None if radii is None else tuple(tuple(float(r) for r in rs) for rs in radii),
-           samples, m, int(seed))
-    plan = mesh.inv_plans.get(key)
-    if plan is None:
-        plan = mesh.inv_plans[key] = _build_inv_plan(mesh, centers, radii, samples, m, seed)
-    return plan
-
-
-def _build_inv_plan(mesh, centers, radii, samples, m, seed):
-    if centers is None:
-        centers = [c for c, _ in mesh.punctures]
-        if not centers:
-            a = mesh.vertices.mean(axis=0)
-            if mesh.locator.locate(a[None])[0][0] < 0:  # the mean lies in a hole
-                clear = np.min([points_to_polyline_distance(mesh.vertices, mesh.vertices[ids])
-                                for ids in mesh.boundary_loops().values()], axis=0)
-                a = mesh.vertices[np.argmax(clear)]
-            centers = [a]
-    rng = np.random.default_rng(seed)
-    tri_cum = np.cumsum(mesh.areas / mesh.areas.sum())
-    plan = []
-    for ci, a in enumerate(centers):
-        a = np.asarray(a, dtype=float)
-        rs = radii[ci] if radii is not None else _default_radii(mesh, a)
-        for r in rs:
-            trace = locate_circle(mesh, a, r, m)
-            inside = _sample_disk_in_mesh(mesh, a, r, samples, rng)
-            outside = _sample_mesh_outside_disk(mesh, a, r, samples, rng, tri_cum)
-            plan.append(_InvCircle(a, float(r), trace, inside, outside))
-    return plan
+def _default_centers(mesh):
+    """The puncture centres; without punctures the vertex mean, or, when
+    that lies in a hole, the vertex farthest from every boundary loop."""
+    if mesh.punctures:
+        return [c for c, _ in mesh.punctures]
+    a = mesh.vertices.mean(axis=0)
+    if mesh.locator.locate(a[None])[0][0] < 0:
+        clear = np.min([points_to_polyline_distance(mesh.vertices, mesh.vertices[ids])
+                        for ids in mesh.boundary_loops().values()], axis=0)
+        a = mesh.vertices[np.argmax(clear)]
+    return [a]
 
 
 def _default_radii(mesh, a):
-    """Eight geometric radii about a, up to 0.8 of its distance to the outer
-    boundary loops and to every puncture but its own: the nearest of those
-    within 4 of their radii of a, if any."""
+    """Eight geometric radii about a, up to 0.8 of its distance d to the
+    outer boundary loops and to every puncture but its own: the nearest of
+    those within 4 of their radii of a, if any.
+
+    When another loop lies within 1.5 rho, rho the radius of a's own
+    puncture, the radii fill the middle half of the room (rho, d) instead.
+    That room can be thin: for punctures of radius 0.1 at (+-0.11, 0) it
+    is (0.1, 0.12), and every circle keeps within 0.015 of its puncture,
+    well inside the 2 * delta band at the default delta. Unless the map
+    stretches that ring, the circle's own material falls in the band, so
+    only material pushed into a cavity can fail such a circle.
+    """
     dists = [points_to_polyline_distance(a[None], mesh.vertices[ids])[0]
              for tag, ids in mesh.boundary_loops().items() if not tag.startswith("puncture_")]
     gaps = [(np.linalg.norm(c - a), r) for c, r in mesh.punctures]
@@ -612,10 +590,13 @@ def _default_radii(mesh, a):
     own = min(near, key=lambda k: gaps[k][0]) if near else None
     rho = 0.0 if own is None else gaps[own][1]
     dists += [d - r for k, (d, r) in enumerate(gaps) if k != own]
-    r_hi = 0.8 * min(dists)
+    d = min(dists)
+    r_hi = 0.8 * d
     r_lo = max(1.2 * rho, 0.05 * r_hi) if rho > 0 else 0.1 * r_hi
     if r_lo >= r_hi:
-        raise GeometryError("no room for invertibility circles around the site")
+        if d <= rho:
+            raise GeometryError("no room for invertibility circles around the site")
+        r_lo, r_hi = rho + 0.25 * (d - rho), rho + 0.75 * (d - rho)
     return np.geomspace(r_lo, r_hi, 8)
 
 

@@ -40,8 +40,8 @@ class Mesh:
     punctures      list of ((cx, cy), rho) for the tagged holes, aligned with
                    the `puncture_<k>` tags
 
-    Treat a mesh as immutable once built: `locator`, `inv_plans` and the
-    boundary loops are cached on it.
+    Treat a mesh as immutable once built: `locator` and the boundary loops
+    are cached on it.
     """
 
     vertices: np.ndarray
@@ -83,11 +83,6 @@ class Mesh:
     @cached_property
     def locator(self):
         return TriangleLocator(self.vertices, self.triangles)
-
-    @cached_property
-    def inv_plans(self):
-        """Sampling plans of `degree.check_inv`, keyed by its sampling arguments."""
-        return {}
 
     @cached_property
     def _loops(self):
@@ -420,9 +415,16 @@ def trace_on_circle(y: DeformationField, center, r, m: int = 128):
     """Images of m equally spaced points on the circle |x - center| = r.
 
     The circle must lie inside the meshed domain (in particular it must not
-    cross a puncture).
+    cross a puncture); GeometryError otherwise.
     """
-    return y.interpolate(*locate_circle(y.mesh, center, r, m))
+    th = np.linspace(0.0, 2.0 * np.pi, m, endpoint=False)
+    pts = np.asarray(center, dtype=float) + r * np.stack([np.cos(th), np.sin(th)], axis=-1)
+    tri, bary = y.mesh.locator.locate(pts)
+    if np.any(tri < 0):
+        raise GeometryError(
+            f"circle (center=({center[0]:.6g}, {center[1]:.6g}), r={r:.6g}) leaves the meshed domain"
+        )
+    return y.interpolate(tri, bary)
 
 
 def locate_reference_points(mesh: Mesh, points):
@@ -432,19 +434,6 @@ def locate_reference_points(mesh: Mesh, points):
         k = int(np.nonzero(tri < 0)[0][0])
         p = np.atleast_2d(points)[k]
         raise GeometryError(f"reference point ({p[0]:.6g}, {p[1]:.6g}) is outside the meshed domain")
-    return tri, bary
-
-
-def locate_circle(mesh: Mesh, center, r, m: int = 128):
-    """(tri, bary) of the m points `trace_on_circle` maps; GeometryError if
-    the circle leaves the meshed domain."""
-    th = np.linspace(0.0, 2.0 * np.pi, m, endpoint=False)
-    pts = np.asarray(center, dtype=float) + r * np.stack([np.cos(th), np.sin(th)], axis=-1)
-    tri, bary = mesh.locator.locate(pts)
-    if np.any(tri < 0):
-        raise GeometryError(
-            f"circle (center=({center[0]:.6g}, {center[1]:.6g}), r={r:.6g}) leaves the meshed domain"
-        )
     return tri, bary
 
 

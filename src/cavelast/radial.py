@@ -329,9 +329,11 @@ def solve_radial(lam: float, density: BulkDensity, phi: SurfaceDensity,
     For lam > 1 the energy typically has two local valleys, a nearly
     homogeneous one with a closed-down hole and a cavitated one, and which
     wins flips at a critical stretch. Descent cannot hop between them, so
-    both seeds are descended and the lower energy is returned; `status` is
-    the winner's, and `branches` lists (energy, cavity radius, status) for
-    every seed.
+    both seeds are descended and the lower energy is returned. Seeds whose
+    energies lie within 4 ulps of the lowest count as one minimizer, and
+    the first of them is returned, so a rounding change cannot flip the
+    choice. `status` is the winner's, and `branches` lists (energy, cavity
+    radius, status) for every seed.
     """
     if lam <= 0.0:
         raise ValueError("lam must be positive")
@@ -351,7 +353,9 @@ def solve_radial(lam: float, density: BulkDensity, phi: SurfaceDensity,
     runs = [_descend(f, vals, top, max_iters, el_tol) for vals in seeds]
     # ranked by a fresh energy: the one each descent carries can drift
     branches = [(f.value(np.append(w, top)), float(w[0]), st) for w, st in runs]
-    k = min(range(len(runs)), key=lambda i: branches[i][0])   # first seed wins ties
+    low = min(e for e, _, _ in branches)
+    k = next(i for i, (e, _, _) in enumerate(branches)
+             if e - low <= 4.0 * np.spacing(abs(low)))
     return RadialProfile(knots=knots, values=np.append(runs[k][0], top), lam=lam,
                          status=runs[k][1], branches=branches)
 

@@ -5,6 +5,7 @@ import os
 import shutil
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -509,3 +510,49 @@ class TestMain:
         assert "minimality_alarm = clear" in capsys.readouterr().out
         assert main(["compare", str(tmp_path), str(iso_run[1])]) == 2
         assert "compare error" in capsys.readouterr().err
+
+
+# shape: (bounding box low, high, inradius) at the default sizes
+_FUZZ_SHAPES = {"disk": (-1.0, 1.0, 1.0), "square": (0.0, 1.0, 0.5),
+                "annulus": (-1.0, 1.0, 0.3)}
+
+
+def _fuzz_config(rng) -> ScenarioConfig:
+    """A random config that passes validate(): any shape, h in [0.15, 0.3],
+    at most 5 iterations, 0-2 punctures uniform over the bounding box with
+    rho below inradius/4, lam in [0.5, 2], either boundary kind, any phi."""
+    while True:
+        shape = str(rng.choice(list(_FUZZ_SHAPES)))
+        lo, hi, inradius = _FUZZ_SHAPES[shape]
+        punctures = tuple((tuple(rng.uniform(lo, hi, 2).tolist()),
+                           float(rng.uniform(0.0, inradius / 4.0)))
+                          for _ in range(rng.integers(0, 3)))
+        cfg = ScenarioConfig(
+            shape=shape, h=float(rng.uniform(0.15, 0.3)), punctures=punctures,
+            max_iters=int(rng.integers(1, 6)), lam=float(rng.uniform(0.5, 2.0)),
+            bc_kind=str(rng.choice(["radial_stretch", "affine_stretch"])),
+            phi_kind=str(rng.choice(["isotropic", "elliptic", "smoothed_l1"])),
+            phi_A=((4.0, 0.0), (0.0, 1.0)))
+        try:
+            cfg.validate()
+        except ConfigurationError:
+            continue
+        return cfg
+
+
+class TestFuzz:
+    def test_random_configs_exit_cleanly(self, tmp_path, capsys):
+        # every accepted config runs (0), stops unconverged (3) or is
+        # refused as infeasible (2); none crashes (1 or a traceback)
+        rng = np.random.default_rng(17)
+        start = time.perf_counter()
+        codes = set()
+        for k in range(60):
+            p = tmp_path / f"fuzz{k}.ini"
+            p.write_text(_fuzz_config(rng).to_ini())
+            code = main(["run", str(p), "--out", str(tmp_path / f"out{k}")])
+            assert code in (0, 2, 3), p.read_text()
+            assert "Traceback" not in capsys.readouterr().err, p.read_text()
+            codes.add(code)
+        assert codes == {0, 2, 3}
+        assert time.perf_counter() - start < 10.0

@@ -174,6 +174,16 @@ class TestSolveRadial:
         E = cv.radial_energy(prof, density, ell)
         assert E == pytest.approx(21.380645, rel=1e-5)
 
+    @pytest.mark.parametrize("lam, winner", [(1.7, 0), (1.5, 1)])
+    def test_seeds_within_4_ulps_are_one_minimizer(self, density, ell, lam, winner):
+        # at 1.7 both seeds reach the cavitated valley with energies about
+        # 1 ulp apart, and the first seed is returned even where the second
+        # rounds lower; at 1.5 the cavitated seed 1 is lower by 0.41
+        prof = cv.solve_radial(lam, density, ell, rho=0.2, M=96)
+        (e0, c0, _), (e1, c1, _) = prof.branches
+        assert (abs(e0 - e1) <= 4.0 * np.spacing(min(e0, e1))) == (winner == 0)
+        assert c0 != c1 and prof.cavity_radius == (c0, c1)[winner]
+
     def test_stationarity_of_cavity_radius(self, density, iso, radial_15):
         # 2 pi rho_def W_1 = K at the free cavity boundary
         rho = radial_15.rho
