@@ -2,10 +2,10 @@
 
 `cavelast run <config>` minimizes a scenario and writes a self-contained
 artifact directory: a canonical copy of the config, a flat key = value
-summary, CSV side files, the mesh, and SVG figures rendered strictly from
-the exported files. `eval` skips the solver, `compare` cross-evaluates two
-run directories under each other's surface density and raises a minimality
-alarm when a foreign minimizer wins.
+summary, CSV side files, the mesh, and SVG figures drawn from exactly the
+numbers the exported files hold. `eval` skips the solver, `compare`
+cross-evaluates two run directories under each other's surface density and
+raises a minimality alarm when a foreign minimizer wins.
 """
 
 import argparse
@@ -305,6 +305,12 @@ def _write_cavities_csv(cavities, path):
                 np.concatenate(rows or [np.empty((0, 3))]))
 
 
+def _as_12g(a) -> np.ndarray:
+    """a as a %.12g table holds it: each float rounded to 12 digits."""
+    return np.array(format_rows("%.12g", np.reshape(a, (-1, 1))).split(),
+                    dtype=float).reshape(np.shape(a))
+
+
 def _read_cavities_csv(path) -> list:
     table = read_table(path, 3, skip=1, delimiter=",")
     k = table[:, 0]
@@ -354,21 +360,24 @@ def _mesh_edge_segments(vertices, triangles):
     return vertices[np.stack([keys // n, keys % n], axis=1)]
 
 
+def _render_svg(out_path, triangles, pos, loops):
+    """The mesh edges at the nodal positions pos, with the polygons loops
+    drawn over them; the one draw path of both figures."""
+    Path(out_path).write_text(_svg_document(_mesh_edge_segments(pos, triangles), loops))
+
+
 def render_reference_svg(mesh_path, out_path):
     """Reference mesh with puncture loops, drawn from the mesh file alone."""
     mesh = load_mesh(mesh_path)
-    segs = _mesh_edge_segments(mesh.vertices, mesh.triangles)
-    loops = [mesh.vertices[ids] for ids in mesh.puncture_loops()]
-    Path(out_path).write_text(_svg_document(segs, loops))
+    _render_svg(out_path, mesh.triangles, mesh.vertices,
+                [mesh.vertices[ids] for ids in mesh.puncture_loops()])
 
 
 def render_deformed_svg(mesh_path, positions_path, cavities_path, out_path):
     """Deformed mesh plus cavity polygons, drawn from the exports alone."""
     mesh = load_mesh(mesh_path)
-    pos = _read_positions_csv(positions_path)
     loops = _read_cavities_csv(cavities_path) if Path(cavities_path).is_file() else []
-    segs = _mesh_edge_segments(pos, mesh.triangles)
-    Path(out_path).write_text(_svg_document(segs, loops))
+    _render_svg(out_path, mesh.triangles, _read_positions_csv(positions_path), loops)
 
 
 # ---------------------------------------------------------------------------
@@ -459,9 +468,12 @@ def run_scenario(config, out_dir=None, mode="run", emit=None, threads=None):
     _write_positions_csv(y, out / "positions.csv")
     _write_cavities_csv(breakdown.cavities, out / "cavities.csv")
     if "svg" in emit:
-        render_reference_svg(out / "mesh.cavmesh", out / "reference.svg")
-        render_deformed_svg(out / "mesh.cavmesh", out / "positions.csv",
-                            out / "cavities.csv", out / "deformed.svg")
+        # drawn from memory: the mesh and positions files round-trip every
+        # float, and the cavity loops are rounded as cavities.csv holds them
+        _render_svg(out / "reference.svg", mesh.triangles, mesh.vertices,
+                    [mesh.vertices[ids] for ids in mesh.puncture_loops()])
+        _render_svg(out / "deformed.svg", mesh.triangles, y.positions,
+                    [_as_12g(rec.boundary) for rec in breakdown.cavities if len(rec.boundary)])
     if "raster" in emit:
         topological_image(y, "omega", cfg.delta).save_pgm(out / "raster.pgm")
     if "inverse" in emit:

@@ -573,7 +573,7 @@ def _default_centers(mesh):
 def _default_radii(mesh, a):
     """Eight geometric radii about a, up to 0.8 of its distance d to the
     outer boundary loops and to every puncture but its own: the nearest of
-    those within 4 of their radii of a, if any.
+    those that hold a, if any. The rim of any other puncture bounds d.
 
     When another loop lies within 1.5 rho, rho the radius of a's own
     puncture, the radii fill the middle half of the room (rho, d) instead.
@@ -586,8 +586,8 @@ def _default_radii(mesh, a):
     dists = [points_to_polyline_distance(a[None], mesh.vertices[ids])[0]
              for tag, ids in mesh.boundary_loops().items() if not tag.startswith("puncture_")]
     gaps = [(np.linalg.norm(c - a), r) for c, r in mesh.punctures]
-    near = [k for k, (d, r) in enumerate(gaps) if d <= 4.0 * r]
-    own = min(near, key=lambda k: gaps[k][0]) if near else None
+    holding = [k for k, (d, r) in enumerate(gaps) if d < r]
+    own = min(holding, key=lambda k: gaps[k][0]) if holding else None
     rho = 0.0 if own is None else gaps[own][1]
     dists += [d - r for k, (d, r) in enumerate(gaps) if k != own]
     d = min(dists)

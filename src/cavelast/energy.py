@@ -129,12 +129,16 @@ class DiscreteEnergy:
         return bulk, self.surface(pos), mind
 
     def bulk_grad(self, F) -> np.ndarray:
+        """(n, 2) nodal gradient of the bulk sum: corner i of triangle t gets
+        |T_t| P(F_t) dN_i, summed over b in order, and the corners are
+        scattered onto the nodes in (t, i) order."""
         _require_positive_dets(F)
         mesh = self.mesh
-        out = np.zeros_like(mesh.vertices)
-        np.add.at(out, mesh.triangles, np.einsum(
-            "t,tab,tib->tia", mesh.areas, self.density.stress(F), mesh.shape_gradients))
-        return out
+        ap = mesh.areas[:, None, None] * self.density.stress(F)
+        dN = mesh.shape_gradients
+        corner = ap[:, None, :, 0] * dN[:, :, None, 0] + ap[:, None, :, 1] * dN[:, :, None, 1]
+        return np.bincount(mesh.corner_dofs, weights=corner.ravel(),
+                           minlength=mesh.vertices.size).reshape(-1, 2)
 
     def grad(self, pos, F=None):
         """(bulk, surface) nodal gradients; InfeasibleEnergyError if some det <= 0.

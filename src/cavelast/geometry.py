@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
+from scipy import sparse
 from scipy.spatial import Delaunay, cKDTree
 
 from ._polyline import polygon_signed_area
@@ -40,8 +41,8 @@ class Mesh:
     punctures      list of ((cx, cy), rho) for the tagged holes, aligned with
                    the `puncture_<k>` tags
 
-    Treat a mesh as immutable once built: `locator` and the boundary loops
-    are cached on it.
+    Treat a mesh as immutable once built: `locator`, the gradient operator
+    and the boundary loops are cached on it.
     """
 
     vertices: np.ndarray
@@ -71,9 +72,29 @@ class Mesh:
         """(m, 3, 2) gradients of the three nodal hat functions per triangle."""
         return hat_gradients(self.vertices, self.triangles)
 
+    @cached_property
+    def corner_dofs(self):
+        """(6 m,) dof 2 v + a of every corner i and axis a, in (t, i, a) order."""
+        return (2 * self.triangles[:, :, None] + np.arange(2)).ravel()
+
+    @cached_property
+    def gradient_operator(self):
+        """(4 m, 2 n) csr map from the flat nodal positions to the flat
+        element gradients: row 4 t + 2 a + b holds dN_i/dX_b at column
+        2 v_i + a for the corners i = 0, 1, 2 of triangle t, in that order."""
+        m, n = len(self.triangles), len(self.vertices)
+        cols = self.corner_dofs.reshape(m, 3, 2).transpose(0, 2, 1)[:, :, None, :]
+        weights = self.shape_gradients.transpose(0, 2, 1)[:, None, :, :]
+        return sparse.csr_matrix(
+            (np.broadcast_to(weights, (m, 2, 2, 3)).ravel(),
+             np.broadcast_to(cols, (m, 2, 2, 3)).ravel().astype(np.int32),
+             np.arange(0, 12 * m + 1, 3, dtype=np.int32)),
+            shape=(4 * m, 2 * n))
+
     def element_gradients(self, pos):
-        """(m, 2, 2) constant gradients F of the P1 map with nodal positions pos."""
-        return np.einsum("tia,tib->tab", pos[self.triangles], self.shape_gradients)
+        """(m, 2, 2) constant gradients F of the P1 map with nodal positions
+        pos; each entry sums its three corner terms in corner order."""
+        return (self.gradient_operator @ np.ravel(pos)).reshape(-1, 2, 2)
 
     @cached_property
     def boundary_vertices(self):
@@ -714,8 +735,16 @@ def _delaunay_mesh(rings, inside_fn, domain_fn, punctures, h, bbox):
 
     edges = _boundary_edge_soup(cells)
     ends = label[used][edges]
-    if np.any((ends[:, 0] < 0) | (ends[:, 0] != ends[:, 1])):
-        raise GeometryError("untaggable boundary edge: mesh generation produced a stray hole")
+    stray = np.flatnonzero((ends[:, 0] < 0) | (ends[:, 0] != ends[:, 1]))
+    if len(stray):
+        (i, j), (a, b) = edges[stray[0]], ends[stray[0]]
+        where = [f"({verts[v, 0]:.6g}, {verts[v, 1]:.6g}) on "
+                 + (repr(names[t]) if t >= 0 else "no boundary ring")
+                 for v, t in ((i, a), (j, b))]
+        raise GeometryError(
+            f"untaggable boundary edge from {where[0]} to {where[1]}: mesh generation "
+            f"left a stray hole ({len(stray)} such edges); try another [domain] h "
+            f"than {h:g}")
     tagged = [(int(i), int(j), names[t]) for (i, j), t in zip(edges.tolist(), ends[:, 0])]
 
     mesh = Mesh(verts, cells, tagged, punctures=[(c.copy(), rho) for c, rho in punctures])

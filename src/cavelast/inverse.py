@@ -81,11 +81,12 @@ def build_inverse_field(y: DeformationField, delta: float, marker=None) -> Inver
                        kind=np.full(shape, OUTSIDE, dtype=np.uint8),
                        ref=np.full(shape + (2,), np.nan), tri=None, marker=marker)
     inv.tri, bary = y.deformed_locator().locate_grid(inv)
-    hit = inv.tri >= 0
-    inv.kind[hit] = MATERIAL
-    verts = y.mesh.vertices[y.mesh.triangles[inv.tri[hit]]]
-    inv.ref[hit] = np.einsum("kb,kbi->ki", bary[hit], verts)
-    miss = ~hit
+    hit = np.flatnonzero(inv.tri >= 0)  # found once; the flat views share memory
+    inv.kind.reshape(-1)[hit] = MATERIAL
+    corners = y.mesh.vertices[y.mesh.triangles]
+    inv.ref.reshape(-1, 2)[hit] = np.einsum(
+        "kb,kbi->ki", bary.reshape(-1, 3)[hit], corners[inv.tri.reshape(-1)[hit]])
+    miss = inv.tri < 0
     if miss.any() and y.mesh.punctures:
         cavity = np.zeros(shape, dtype=bool)
         for ids in y.mesh.puncture_loops():

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 import cavelast as cv
+from cavelast import cli
 from cavelast.cli import (CompareReport, ScenarioConfig, build_mesh, build_phi,
                           compare_runs, get_golden_dir, main,
                           render_deformed_svg, render_reference_svg,
@@ -249,6 +250,24 @@ class TestSvgFromExports:
                             run_dir / "cavities.csv", out)
         assert out.read_bytes() == (run_dir / "deformed.svg").read_bytes()
 
+    def test_run_draws_from_memory(self, tmp_path, monkeypatch):
+        # run_scenario reads none of its own files back, and the public
+        # renderers, which do, write the same bytes from those files
+        def refuse(*args, **kwargs):
+            raise AssertionError("run_scenario read an artifact back")
+
+        for name in ("load_mesh", "_read_positions_csv", "_read_cavities_csv"):
+            monkeypatch.setattr(cli, name, refuse)
+        code, out = run_scenario("radial_iso_lambda1.5", out_dir=tmp_path / "run",
+                                 emit=("svg",))
+        monkeypatch.undo()
+        assert code == 0
+        render_reference_svg(out / "mesh.cavmesh", tmp_path / "ref.svg")
+        render_deformed_svg(out / "mesh.cavmesh", out / "positions.csv",
+                            out / "cavities.csv", tmp_path / "def.svg")
+        assert (tmp_path / "ref.svg").read_bytes() == (out / "reference.svg").read_bytes()
+        assert (tmp_path / "def.svg").read_bytes() == (out / "deformed.svg").read_bytes()
+
     def test_svg_draws_cavity_polygon(self, iso_run):
         _, run_dir = iso_run
         text = (run_dir / "deformed.svg").read_text()
@@ -448,6 +467,22 @@ class TestMain:
             assert message in captured.err
             assert "artifacts in" not in captured.out
             assert not out.exists()
+
+    def test_stray_hole_exit_2_names_h(self, tmp_path, capsys):
+        # an accepted config whose puncture grading ring reaches the outer
+        # polygon: the mesher leaves a stray hole, and the message says where
+        # and which key to change
+        p = tmp_path / "stray.ini"
+        p.write_text("[domain]\nshape = disk\nradius = 1.0\nh = 0.18754548421984543\n"
+                     "punctures = -0.4588718482851424 0.45839596304102526 "
+                     "0.14805559194814435\n")
+        out = tmp_path / "out"
+        assert main(["run", str(p), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "untaggable boundary edge from (" in err
+        assert "'dirichlet'" in err and "no boundary ring" in err
+        assert "[domain] h" in err and "Traceback" not in err
+        assert not out.exists()
 
     @pytest.mark.parametrize("x,message", [
         # the disks touch: the mesher once failed on an unnamed stray hole

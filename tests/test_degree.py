@@ -659,6 +659,16 @@ class TestCheckInv:
         assert not folded.passed
         assert folded.total_violations == 202
 
+    def test_centre_beside_a_puncture_gets_a_verdict(self):
+        # (0.3, 0) lies outside the puncture at the origin, so that puncture
+        # is not its own: its rim, 0.1 away, bounds the radii like any other
+        # loop, and every circle stays in the mesh (the radii once started at
+        # 1.2 rho = 0.24 and the first circle left the meshed domain)
+        mesh = cv.build_disk_mesh(1.0, 0.15, punctures=[((0.0, 0.0), 0.2)])
+        rep = cv.check_inv(cv.DeformationField(mesh), centers=[(0.3, 0.0)])
+        assert rep.passed and len(rep.entries) == 8
+        assert all(0.0 < e.radius <= 0.08 + 1e-12 for e in rep.entries)
+
     def test_fold_is_caught(self, disk_mesh):
         # fold the disk onto its upper half; lower-half material lands inside
         # the image of circles that live entirely in the upper half

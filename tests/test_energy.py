@@ -6,8 +6,22 @@ from scipy.special import ellipe
 
 import cavelast as cv
 from cavelast._polyline import hausdorff_distance
+from cavelast.cli import _read_positions_csv
 from cavelast.degree import _default_radii
 from cavelast.exceptions import DomainError, InfeasibleEnergyError
+
+
+def _reference_element_gradients(mesh, pos):
+    """The einsum F kernel that the sparse gradient operator replaced."""
+    return np.einsum("tia,tib->tab", pos[mesh.triangles], mesh.shape_gradients)
+
+
+def _reference_bulk_grad(mesh, density, F):
+    """The einsum + add.at bulk gradient that the bincount scatter replaced."""
+    out = np.zeros_like(mesh.vertices)
+    np.add.at(out, mesh.triangles, np.einsum(
+        "t,tab,tib->tia", mesh.areas, density.stress(F), mesh.shape_gradients))
+    return out
 
 
 def regular_ngon(n, r=1.0, center=(0.0, 0.0)):
@@ -96,7 +110,7 @@ class TestDiscreteEnergy:
         rot = np.array([[0.0, 1.0], [-1.0, 0.0]])
 
         def energy_terms(pos, mesh, phi):
-            F = np.einsum("tia,tib->tab", pos[mesh.triangles], mesh.shape_gradients)
+            F = _reference_element_gradients(mesh, pos)
             bulk = float(np.sum(mesh.areas * density.energy(F)))
             surf = 0.0
             for ids in mesh.puncture_loops():
@@ -105,10 +119,7 @@ class TestDiscreteEnergy:
             return bulk, surf
 
         def gradient(pos, mesh, phi):
-            out = np.zeros_like(pos)
-            F = np.einsum("tia,tib->tab", pos[mesh.triangles], mesh.shape_gradients)
-            np.add.at(out, mesh.triangles, np.einsum(
-                "t,tab,tib->tia", mesh.areas, density.stress(F), mesh.shape_gradients))
+            out = _reference_bulk_grad(mesh, density, _reference_element_gradients(mesh, pos))
             for ids in mesh.puncture_loops():
                 e = np.roll(pos[ids], -1, axis=0) - pos[ids]
                 gt = phi.gradient(e @ rot.T) @ rot
@@ -242,6 +253,55 @@ class TestDiscreteEnergy:
         assert E.value(pos, F) == E.value(pos)
         for a, b in zip(E.grad(pos, F), E.grad(pos)):
             assert np.array_equal(a, b)
+
+
+def _same_bits(a, b):
+    return np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b))
+
+
+class TestElementKernels:
+    """`Mesh.element_gradients` (a cached sparse operator) and
+    `DiscreteEnergy.bulk_grad` (a bincount scatter) sum in the order of the
+    einsum kernels they replaced, so every bit, zero signs included, is
+    theirs."""
+
+    @pytest.fixture(scope="class")
+    def fields(self, iso_run):
+        _, run_dir = iso_run
+        bundled = cv.load_mesh(run_dir / "mesh.cavmesh")
+        fine = cv.build_disk_mesh(1.0, 0.035, punctures=[((0.0, 0.0), 0.2)])
+        annulus = cv.build_annulus_mesh(1.0, 0.4, 0.12, punctures=[((0.65, 0.1), 0.06),
+                                                                   ((-0.65, 0.0), 0.07)])
+        rng = np.random.default_rng(11)
+        shear = np.array([[1.3, 0.2], [-0.1, 0.9]])
+        return {
+            "bundled_identity": (bundled, bundled.vertices),
+            "bundled_converged": (bundled, _read_positions_csv(run_dir / "positions.csv")),
+            "disk_h0.035": (fine, 1.5 * fine.vertices
+                            + 0.002 * rng.standard_normal(fine.vertices.shape)),
+            "annulus_two_punctures": (annulus, annulus.vertices @ shear.T
+                                      + 5e-4 * rng.standard_normal(annulus.vertices.shape)),
+        }
+
+    @pytest.mark.parametrize("case", ["bundled_identity", "bundled_converged",
+                                      "disk_h0.035", "annulus_two_punctures"])
+    def test_match_reference_bits(self, fields, density, case):
+        mesh, pos = fields[case]
+        F = mesh.element_gradients(pos)
+        want = _reference_element_gradients(mesh, pos)
+        assert _same_bits(F, want)
+        if case == "bundled_identity":
+            assert np.any(want == 0.0)  # zero entries, whose signs must agree too
+        assert _same_bits(cv.DiscreteEnergy(mesh, density).bulk_grad(F),
+                          _reference_bulk_grad(mesh, density, want))
+
+    def test_operator_layout(self, disk_mesh):
+        op = disk_mesh.gradient_operator
+        m, n = len(disk_mesh.triangles), len(disk_mesh.vertices)
+        assert op.shape == (4 * m, 2 * n) and op.format == "csr"
+        assert op.indices.dtype == op.indptr.dtype == np.int32
+        assert np.array_equal(np.diff(op.indptr), np.full(4 * m, 3))
+        assert disk_mesh.gradient_operator is op  # built once per mesh
 
 
 class TestPerimeter:
