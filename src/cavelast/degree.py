@@ -574,9 +574,12 @@ def _default_radii(mesh, a):
     """Eight geometric radii about a, up to 0.8 of its distance d to the
     outer boundary loops and to every puncture but its own: the nearest of
     those that hold a, if any. The rim of any other puncture bounds d.
+    They start at 1.2 rho, rho = rho_own + |a - c_own| the radius of the
+    smallest circle about a that holds its own puncture; at a puncture
+    centre that is the puncture's radius.
 
-    When another loop lies within 1.5 rho, rho the radius of a's own
-    puncture, the radii fill the middle half of the room (rho, d) instead.
+    When another loop lies within 1.5 rho, the radii fill the middle half
+    of the room (rho, d) instead.
     That room can be thin: for punctures of radius 0.1 at (+-0.11, 0) it
     is (0.1, 0.12), and every circle keeps within 0.015 of its puncture,
     well inside the 2 * delta band at the default delta. Unless the map
@@ -588,7 +591,7 @@ def _default_radii(mesh, a):
     gaps = [(np.linalg.norm(c - a), r) for c, r in mesh.punctures]
     holding = [k for k, (d, r) in enumerate(gaps) if d < r]
     own = min(holding, key=lambda k: gaps[k][0]) if holding else None
-    rho = 0.0 if own is None else gaps[own][1]
+    rho = 0.0 if own is None else gaps[own][0] + gaps[own][1]
     dists += [d - r for k, (d, r) in enumerate(gaps) if k != own]
     d = min(dists)
     r_hi = 0.8 * d

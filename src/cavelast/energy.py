@@ -104,7 +104,7 @@ class DiscreteEnergy:
 
     def __init__(self, mesh, density: BulkDensity, phi: SurfaceDensity = None):
         self.mesh, self.density, self.phi = mesh, density, phi
-        self._pattern = None
+        self._pattern = self._band = None
 
     @cached_property
     def loops(self):
@@ -163,7 +163,8 @@ class DiscreteEnergy:
         (Smith, de Goes & Kim, ACM TOG 2019), not from a numerical solver. Loop
         edge j adds [[H, -H], [-H, H]] on its end vertices, H = R^T D^2phi(z_j) R,
         semidefinite as phi is convex. The sparsity pattern is built once per
-        mask; each call only computes the values.
+        mask; each call only computes the values. `minimize` reads the data
+        of this matrix into the band layout of `band`, never its csc form.
         """
         if F is None:
             F = self.mesh.element_gradients(pos)
@@ -212,10 +213,80 @@ class DiscreteEnergy:
             uniq, pair = np.unique(col[both] * n + row[both], return_inverse=True)
             slot = np.full(len(both), len(uniq))
             slot[both] = pair
-            indices = (uniq % n).astype(np.int32)  # SuperLU's index type
+            indices = (uniq % n).astype(np.int32)  # scipy's csc index type
             indptr = np.searchsorted(uniq // n, np.arange(n + 1)).astype(np.int32)
             self._pattern = key, (slot, (n, n), indices, indptr)
+            self._band = None
         return self._pattern[1]
+
+    def band(self, free=None):
+        """Band layout of `hess` over the mask `free`: (order, width, take,
+        put). order[k] is the free dof placed k-th, a Cuthill-McKee order
+        (`band_order`); width is the number of superdiagonals of the
+        reordered matrix; the csc data entries `take` of `hess` land at the
+        flat indices `put` of its upper band, stored as a Fortran-order
+        (width + 1, n) array in the layout of `scipy.linalg.cholesky_banded`
+        (diagonal in the last row). Cached with the pattern."""
+        _, (n, _), indices, indptr = self._hess_pattern(free)
+        if self._band is None:
+            order = band_order(indptr, indices)
+            rank = np.empty(n, dtype=np.int64)
+            rank[order] = np.arange(n)
+            i = rank[indices]
+            j = rank[np.repeat(np.arange(n), np.diff(indptr))]
+            width = int(np.max(j - i, initial=0))
+            take = np.flatnonzero(i <= j)
+            put = j[take] * (width + 1) + width + i[take] - j[take]
+            self._band = order, width, take, put
+        return self._band
+
+
+def band_order(indptr, indices) -> np.ndarray:
+    """Cuthill-McKee order of the symmetric csc pattern (indptr, indices):
+    every node exactly once, component by component, each in breadth-first
+    level order from a pseudo-peripheral node. Within a level the nodes go
+    by their first neighbour in the level before, then by degree, then by
+    index (Cuthill & McKee, Proc. 24th ACM National Conference, 1969). The
+    start is found by repeating the search from the last node it reaches
+    until the number of levels stops growing (George & Liu, ACM TOMS 1979).
+    Every level is a few vectorized calls, so the cost is per level, not per
+    node."""
+    n = len(indptr) - 1
+    deg = np.diff(indptr)
+    placed = np.zeros(n, dtype=bool)
+    parts = []
+    while not placed.all():  # one component per pass
+        levels = _bfs_levels(int(np.argmin(placed)), indptr, indices, deg)
+        while True:
+            again = _bfs_levels(int(levels[-1][-1]), indptr, indices, deg)
+            if len(again) <= len(levels):
+                break
+            levels = again
+        parts += levels
+        placed[np.concatenate(levels)] = True
+    return np.concatenate(parts) if parts else np.empty(0, dtype=np.int64)
+
+
+def _bfs_levels(start, indptr, indices, deg) -> list:
+    """Breadth-first levels from start, each ordered as `band_order` says."""
+    seen = np.zeros(len(deg), dtype=bool)
+    seen[start] = True
+    levels = [np.array([start], dtype=np.int64)]
+    while True:
+        front = levels[-1]
+        cnt = deg[front]
+        # the neighbours of the level, node by node in level order
+        at = np.repeat(indptr[front] - np.cumsum(cnt) + cnt, cnt) + np.arange(cnt.sum())
+        nb = indices[at]
+        parent = np.repeat(np.arange(len(front)), cnt)
+        new = ~seen[nb]
+        nb, parent = nb[new], parent[new]
+        if not len(nb):
+            return levels
+        uniq, first = np.unique(nb, return_index=True)
+        nxt = uniq[np.lexsort((deg[uniq], parent[first]))]
+        seen[nxt] = True
+        levels.append(nxt)
 
 
 # ---------------------------------------------------------------------------

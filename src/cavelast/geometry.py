@@ -590,7 +590,7 @@ def build_square_mesh(side=1.0, h=0.1, punctures=(), tag="dirichlet") -> Mesh:
         return (p[:, 0] > 0) & (p[:, 0] < side) & (p[:, 1] > 0) & (p[:, 1] < side)
 
     bbox = (np.array([0.0, 0.0]), np.array([side, side]))
-    return _delaunay_mesh([(tag, loop)], inside, domain, punctures, h, bbox)
+    return _delaunay_mesh([(tag, loop)], inside, domain, domain, punctures, h, bbox)
 
 
 def build_disk_mesh(radius=1.0, h=0.1, punctures=(), tag="dirichlet") -> Mesh:
@@ -605,8 +605,11 @@ def build_disk_mesh(radius=1.0, h=0.1, punctures=(), tag="dirichlet") -> Mesh:
     def domain(p):
         return np.hypot(p[:, 0], p[:, 1]) < radius
 
+    def polygon(p):  # inside the incircle of the inscribed n_out-gon
+        return np.hypot(p[:, 0], p[:, 1]) < radius * np.cos(np.pi / n_out)
+
     bbox = (np.full(2, -radius), np.full(2, radius))
-    return _delaunay_mesh([(tag, loop)], inside, domain, punctures, h, bbox)
+    return _delaunay_mesh([(tag, loop)], inside, domain, polygon, punctures, h, bbox)
 
 
 def build_annulus_mesh(outer=1.0, inner=0.4, h=0.1, punctures=(), tag="dirichlet") -> Mesh:
@@ -615,7 +618,8 @@ def build_annulus_mesh(outer=1.0, inner=0.4, h=0.1, punctures=(), tag="dirichlet
     if not 0.0 < inner < outer:
         raise GeometryError("annulus needs 0 < inner < outer")
     punctures = _clean_punctures(punctures)
-    loop_out = _ring(np.zeros(2), outer, max(24, int(np.ceil(2.0 * np.pi * outer / h))))
+    n_out = max(24, int(np.ceil(2.0 * np.pi * outer / h)))
+    loop_out = _ring(np.zeros(2), outer, n_out)
     loop_in = _ring(np.zeros(2), inner, max(16, int(np.ceil(2.0 * np.pi * inner / h))))
 
     def inside(p):
@@ -626,8 +630,12 @@ def build_annulus_mesh(outer=1.0, inner=0.4, h=0.1, punctures=(), tag="dirichlet
         r = np.hypot(p[:, 0], p[:, 1])
         return (r < outer) & (r > inner)
 
+    def polygon(p):  # outside the inner circle, inside the outer polygon's incircle
+        r = np.hypot(p[:, 0], p[:, 1])
+        return (r < outer * np.cos(np.pi / n_out)) & (r > inner)
+
     bbox = (np.full(2, -outer), np.full(2, outer))
-    return _delaunay_mesh([(tag, loop_out), ("free", loop_in)], inside, domain,
+    return _delaunay_mesh([(tag, loop_out), ("free", loop_in)], inside, domain, polygon,
                           punctures, h, bbox)
 
 
@@ -685,21 +693,25 @@ def _hex_fill(bbox_lo, bbox_hi, h):
     return np.vstack(rows)
 
 
-def _delaunay_mesh(rings, inside_fn, domain_fn, punctures, h, bbox):
+def _delaunay_mesh(rings, inside_fn, domain_fn, polygon_fn, punctures, h, bbox):
     """Assemble a graded point cloud, Delaunay-triangulate, filter and tag:
     each point is labelled with the boundary ring, given as (tag, points),
     or puncture circle it was placed on, and a boundary edge takes the
-    label both its ends share."""
+    label both its ends share. The grading rings of every puncture must lie
+    where `polygon_fn` holds, inside the polygons the boundary rings span:
+    a ring point past a chord of a curved boundary would leave a stray
+    hole."""
     names = [t for t, _ in rings] + [f"puncture_{k}" for k in range(len(punctures))]
     clouds = [pts for _, pts in rings]
     labels = [np.full(len(pts), i) for i, pts in enumerate(clouds)]
     exclusions = []
     for k, (c, rho) in enumerate(punctures):
         pts, r_ex, n0 = _puncture_cloud(c, rho, h)
-        if not domain_fn(pts).all():
+        if not polygon_fn(pts).all():
             raise GeometryError(
                 f"puncture {k} at ({c[0]:g}, {c[1]:g}) with rho {rho:g} is too close to the "
-                f"domain boundary for h = {h:g}: its grading rings leave the domain")
+                f"domain boundary for [domain] h = {h:g}: its grading rings leave the "
+                f"meshed polygon")
         clouds.append(pts)
         labels.append(np.where(np.arange(len(pts)) < n0, len(rings) + k, -1))
         exclusions.append((c, r_ex))

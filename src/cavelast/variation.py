@@ -12,7 +12,7 @@ import logging
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.sparse.linalg import splu
+from scipy.linalg import LinAlgError, cho_solve_banded, cholesky_banded
 
 from ._table import write_table
 # check_inv is not called here; it stays bound because perfbench's tracer patches it
@@ -368,6 +368,23 @@ class IterationLog:
         write_table(path, ",".join(cols), ",".join(["%.12g"] * len(cols)), rows)
 
 
+def _newton_step(energy_of, pos, free, F, grad, damping, band):
+    """(k, 2) solution dx of (H + damping * diag H) dx = -grad, H =
+    `energy_of.hess(pos, free, F)`, by one LAPACK banded Cholesky in the
+    band layout `energy_of.band(free)`; band is its (width + 1, n)
+    Fortran-order work array, overwritten by the factor. LinAlgError when
+    the matrix is not positive definite."""
+    order, width, take, put = energy_of.band(free)
+    band.fill(0.0)
+    band.T.reshape(-1)[put] = energy_of.hess(pos, free, F).data[take]
+    band[width] *= 1.0 + damping
+    factor = cholesky_banded(band, overwrite_ab=True, check_finite=False)
+    dx = np.empty(len(order))
+    dx[order] = cho_solve_banded((factor, False), -grad[order],
+                                 overwrite_b=True, check_finite=False)
+    return dx.reshape(-1, 2)
+
+
 def minimize(y0: DeformationField, density: BulkDensity, phi: SurfaceDensity,
              max_iters: int = 500, tol_E: float = 1e-10,
              residual_rel: float = 1e-3, det_floor: float = 1e-8,
@@ -375,23 +392,27 @@ def minimize(y0: DeformationField, density: BulkDensity, phi: SurfaceDensity,
     """Monotone damped projected-Newton descent on the nodal positions; the
     vertices on non-puncture boundary edges stay fixed.
 
-    Each step solves (H + damping * diag H) dx = -g by sparse LU, with H the
-    per-element projected Hessian `DiscreteEnergy.hess`; the damping starts
-    at 1 and shrinks by 0.3 after a full step, grows by 4 after a shortened
-    one. The step is halved (at most max_backtracks times) until it lowers
-    the energy by the Armijo amount; any trial with min element determinant
-    <= det_floor is rejected, and on every inv_every-th step (0: none) a
-    trial must also keep the deformed boundary loops simple and disjoint
-    (`boundary_crossings` = 0), which with positive determinants makes the
-    map injective. At zero gradient no step is taken.
+    Each step solves (H + damping * diag H) dx = -g, with H the per-element
+    projected Hessian `DiscreteEnergy.hess`, by banded Cholesky in the
+    Cuthill-McKee band order of `DiscreteEnergy.band`, built once per run;
+    the damping starts at 1 and shrinks by 0.3 after a full step, grows by 4
+    after a shortened one. The step is halved (at most max_backtracks
+    times) until it lowers the energy by the Armijo amount; any trial with
+    min element determinant <= det_floor is rejected, and on every
+    inv_every-th step (0: none) a trial must also keep the deformed boundary
+    loops simple and disjoint (`boundary_crossings` = 0), which with
+    positive determinants makes the map injective. At zero gradient no step
+    is taken.
 
     Returns (field, log). The log status is "converged" when a tiny energy
     decrease (below tol_E * (1 + |E|)) or a zero gradient comes with a
     certification-battery residual of at most residual_rel * |E|; "stalled"
-    when no trial is accepted, after 3 tiny decreases in a row, or at a zero
-    gradient whose battery fails; "max_iters" when the budget runs out. The
-    `step` column is the accepted step fraction, 0 where none was taken.
-    Every accepted step is logged at DEBUG level on the "cavelast" logger.
+    when no trial is accepted, after 3 tiny decreases in a row, at a zero
+    gradient whose battery fails, or when the damped matrix is not positive
+    definite (a warning names the failed leading minor); "max_iters" when
+    the budget runs out. The `step` column is the accepted step fraction, 0
+    where none was taken. Every accepted step is logged at DEBUG level on
+    the "cavelast" logger.
     """
     mesh = y0.mesh
     energy_of = DiscreteEnergy(mesh, density, phi)
@@ -413,6 +434,8 @@ def minimize(y0: DeformationField, density: BulkDensity, phi: SurfaceDensity,
     log.add(iter=0, energy=energy, bulk=bulk, surface=surf, min_det=mind,
             step=0.0, residual=None)
 
+    _, width, _, _ = energy_of.band(free)
+    band = np.empty((width + 1, grad.size), order="F")  # reused by every step
     damping = 1.0
     tiny_streak = 0
     status = "max_iters"
@@ -420,10 +443,13 @@ def minimize(y0: DeformationField, density: BulkDensity, phi: SurfaceDensity,
     for it in range(1, max_iters + 1):
         s, decrease = 0.0, 0.0  # no step at zero gradient
         if grad.any():
-            H = energy_of.hess(pos, free, F)
-            H.setdiag(H.diagonal() * (1.0 + damping))
-            dx = splu(H, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
-                      options={"SymmetricMode": True}).solve(-grad).reshape(-1, 2)
+            try:
+                dx = _newton_step(energy_of, pos, free, F, grad, damping, band)
+            except LinAlgError as err:
+                _log.warning("iter %d: damped Newton matrix not positive definite "
+                             "(%s); stopping", it, err)
+                status = "stalled"
+                break
             slope = float(grad @ dx.ravel())
             gated = inv_every > 0 and it % inv_every == 0
 

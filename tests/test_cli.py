@@ -469,9 +469,10 @@ class TestMain:
             assert not out.exists()
 
     def test_stray_hole_exit_2_names_h(self, tmp_path, capsys):
-        # an accepted config whose puncture grading ring reaches the outer
-        # polygon: the mesher leaves a stray hole, and the message says where
-        # and which key to change
+        # an accepted config with a grading-ring point at r = 0.9988, inside
+        # the unit circle but past a chord of the outer polygon: the mesher
+        # once left a stray hole there; the rings are now tested against the
+        # polygon, and the message names the puncture and the key to change
         p = tmp_path / "stray.ini"
         p.write_text("[domain]\nshape = disk\nradius = 1.0\nh = 0.18754548421984543\n"
                      "punctures = -0.4588718482851424 0.45839596304102526 "
@@ -479,9 +480,9 @@ class TestMain:
         out = tmp_path / "out"
         assert main(["run", str(p), "--out", str(out)]) == 2
         err = capsys.readouterr().err
-        assert "untaggable boundary edge from (" in err
-        assert "'dirichlet'" in err and "no boundary ring" in err
-        assert "[domain] h" in err and "Traceback" not in err
+        assert ("puncture 0 at (-0.458872, 0.458396) with rho 0.148056 is too close to "
+                "the domain boundary for [domain] h = 0.187545") in err
+        assert "untaggable" not in err and "Traceback" not in err
         assert not out.exists()
 
     @pytest.mark.parametrize("x,message", [

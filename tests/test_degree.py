@@ -669,6 +669,40 @@ class TestCheckInv:
         assert rep.passed and len(rep.entries) == 8
         assert all(0.0 < e.radius <= 0.08 + 1e-12 for e in rep.entries)
 
+    @pytest.mark.parametrize("x", [0.05, 0.15])
+    def test_centre_inside_a_puncture_off_its_centre_gets_a_verdict(self, x):
+        # (x, 0) lies in the puncture of radius 0.2 at the origin, and the
+        # smallest circle about it that holds the hole has radius 0.2 + x;
+        # the radii once started at 1.2 * 0.2 = 0.24, and the first circle
+        # cut into the hole and left the meshed domain
+        mesh = cv.build_disk_mesh(1.0, 0.15, punctures=[((0.0, 0.0), 0.2)])
+        rep = cv.check_inv(cv.DeformationField(mesh), centers=[(x, 0.0)])
+        assert rep.passed and len(rep.entries) == 8
+        assert rep.entries[0].radius == pytest.approx(1.2 * (0.2 + x), rel=1e-12)
+
+    @pytest.mark.parametrize("mesh", [
+        ("disk", dict(radius=1.0, h=0.15, punctures=[((0.0, 0.0), 0.2)])),
+        ("disk", dict(radius=1.0, h=0.1, punctures=[((-0.11, 0.0), 0.1), ((0.11, 0.0), 0.1)])),
+        ("disk", dict(radius=1.0, h=0.15, punctures=[((-0.39, 0.55), 0.236)])),
+        ("annulus", dict(outer=1.0, inner=0.4, h=0.1,
+                         punctures=[((0.7, 0.0), 0.05), ((-0.7, 0.0), 0.05)])),
+        ("square", dict(side=2.0, h=0.25, punctures=[((0.6, 0.6), 0.15), ((1.4, 1.3), 0.2)])),
+        ("disk", dict(radius=1.0, h=0.15)),
+        ("annulus", dict(outer=1.0, inner=0.4, h=0.1)),
+    ], ids=["disk", "two_close", "near_rim", "annulus_two", "square_two", "plain_disk",
+            "plain_annulus"])
+    def test_default_centres_keep_their_radii(self, mesh):
+        # at a puncture centre the smallest circle holding the hole is the
+        # rim itself, so the default circles start at 1.2 rho as they did
+        # before off-centre sites were measured from the hole's far side
+        shape, kw = mesh
+        mesh = getattr(cv, f"build_{shape}_mesh")(**kw)
+        y = cv.DeformationField(mesh)
+        centers = degree._default_centers(mesh)
+        radii = [_radii_from_own_rho(mesh, np.asarray(a, dtype=float)) for a in centers]
+        assert _entries(cv.check_inv(y, samples=100)) == \
+            _entries(cv.check_inv(y, centers=centers, radii=radii, samples=100))
+
     def test_fold_is_caught(self, disk_mesh):
         # fold the disk onto its upper half; lower-half material lands inside
         # the image of circles that live entirely in the upper half
@@ -747,6 +781,24 @@ def _reference_outside_samples(mesh, a, r, n, rng, tri_cum):
         keep = np.linalg.norm(cand - a, axis=1) > r
         pts.extend(cand[keep][: n - len(pts)])
     return np.asarray(pts) if pts else np.empty((0, 2))
+
+
+def _radii_from_own_rho(mesh, a):
+    """`_default_radii` as it was before off-centre sites: the radii start
+    at 1.2 rho of the puncture that holds a, whatever |a - c|."""
+    dists = [points_to_polyline_distance(a[None], mesh.vertices[ids])[0]
+             for tag, ids in mesh.boundary_loops().items() if not tag.startswith("puncture_")]
+    gaps = [(np.linalg.norm(c - a), r) for c, r in mesh.punctures]
+    holding = [k for k, (d, r) in enumerate(gaps) if d < r]
+    own = min(holding, key=lambda k: gaps[k][0]) if holding else None
+    rho = 0.0 if own is None else gaps[own][1]
+    dists += [d - r for k, (d, r) in enumerate(gaps) if k != own]
+    d = min(dists)
+    r_hi = 0.8 * d
+    r_lo = max(1.2 * rho, 0.05 * r_hi) if rho > 0 else 0.1 * r_hi
+    if r_lo >= r_hi:
+        r_lo, r_hi = rho + 0.25 * (d - rho), rho + 0.75 * (d - rho)
+    return np.geomspace(r_lo, r_hi, 8)
 
 
 def _entries(rep):

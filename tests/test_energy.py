@@ -2,13 +2,17 @@ import math
 
 import numpy as np
 import pytest
+from scipy import sparse
+from scipy.sparse.csgraph import connected_components
 from scipy.special import ellipe
 
 import cavelast as cv
 from cavelast._polyline import hausdorff_distance
 from cavelast.cli import _read_positions_csv
 from cavelast.degree import _default_radii
+from cavelast.energy import band_order
 from cavelast.exceptions import DomainError, InfeasibleEnergyError
+from cavelast.variation import _constrained_vertices
 
 
 def _reference_element_gradients(mesh, pos):
@@ -253,6 +257,65 @@ class TestDiscreteEnergy:
         assert E.value(pos, F) == E.value(pos)
         for a, b in zip(E.grad(pos, F), E.grad(pos)):
             assert np.array_equal(a, b)
+
+
+class TestBandLayout:
+    """The Cuthill-McKee order and the band layout `minimize` factors."""
+
+    @staticmethod
+    def masks(mesh):
+        # the run's mask, and one whose free dofs split into two components
+        # on either side of a fixed strip |x| <= 0.3
+        free = np.ones(len(mesh.vertices), dtype=bool)
+        free[_constrained_vertices(mesh)] = False
+        split = free & (np.abs(mesh.vertices[:, 0]) > 0.3)
+        return {"run": free, "two_components": split}
+
+    def test_order_is_a_permutation(self, disk_mesh, density, iso):
+        # a pattern of three components (two paths and a lone node) and the
+        # Hessian patterns of both masks: every node placed exactly once
+        path = sparse.diags([1.0, 1.0, 1.0], [-1, 0, 1], shape=(5, 5))
+        pattern = sparse.block_diag([path, sparse.eye(1), path]).tocsc()
+        order = band_order(pattern.indptr, pattern.indices)
+        assert sorted(order.tolist()) == list(range(11))
+        # each component is contiguous, from an end of each path
+        assert set(order[:5].tolist()) in ({0, 1, 2, 3, 4}, {6, 7, 8, 9, 10})
+        assert order[0] in (0, 4, 6, 10)
+        for name, free in self.masks(disk_mesh).items():
+            E = cv.DiscreteEnergy(disk_mesh, density, iso)
+            order, _, _, _ = E.band(free)
+            assert sorted(order.tolist()) == list(range(2 * int(free.sum()))), name
+            pieces, _ = connected_components(E.hess(disk_mesh.vertices, free))
+            assert pieces == (2 if name == "two_components" else 1)
+
+    @pytest.mark.parametrize("damping", [1.0, 1e-7])
+    def test_band_is_upper_band_of_damped_hessian(self, stretched_disk, density, ell,
+                                                  damping):
+        mesh, pos = stretched_disk.mesh, stretched_disk.positions
+        for name, free in self.masks(mesh).items():
+            E = cv.DiscreteEnergy(mesh, density, ell)
+            order, width, take, put = E.band(free)
+            H = E.hess(pos, free)
+            band = np.zeros((width + 1, len(order)), order="F")
+            band.T.reshape(-1)[put] = H.data[take]
+            band[width] *= 1.0 + damping
+            dense = H.toarray()
+            dense[np.diag_indices_from(dense)] *= 1.0 + damping
+            P = dense[np.ix_(order, order)]
+            i, j = np.indices(P.shape)
+            assert not P[np.abs(i - j) > width].any(), name
+            want = np.zeros_like(band)
+            for k in range(width + 1):  # row k holds superdiagonal width - k
+                want[k, width - k:] = np.diagonal(P, width - k)
+            assert np.array_equal(band, want), name
+
+    def test_band_of_fine_iso_mesh(self, density, iso):
+        # a pseudo-peripheral start keeps the band of the h = 0.025 iso
+        # mesh near 200 dofs; scipy's reverse Cuthill-McKee gives 401 there
+        mesh = cv.build_disk_mesh(1.0, 0.025, punctures=[((0.0, 0.0), 0.2)])
+        free = self.masks(mesh)["run"]
+        _, width, _, _ = cv.DiscreteEnergy(mesh, density, iso).band(free)
+        assert width <= 250
 
 
 def _same_bits(a, b):

@@ -4,7 +4,8 @@ import pytest
 import cavelast as cv
 from cavelast.exceptions import DomainError, InfeasibleEnergyError
 from cavelast.geometry import hat_gradients
-from cavelast.variation import ConstantField, battery_variations
+from cavelast.variation import (ConstantField, _constrained_vertices, _newton_step,
+                                battery_variations)
 
 
 class RotationField:
@@ -437,6 +438,43 @@ class TestMinimize:
         _, log = cv.minimize(cv.DeformationField(square_mesh, pos), density, iso,
                              max_iters=50, max_backtracks=0)
         assert log.status == "stalled"
+
+    @pytest.mark.parametrize("damping", [1.0, 1e-7])
+    def test_newton_step_matches_dense_solve(self, stretched_disk, density, ell, damping):
+        # the bundled h = 0.15 mesh at a perturbed stretched state: one banded
+        # Cholesky step solves the damped system as a dense LU does
+        mesh = stretched_disk.mesh
+        rng = np.random.default_rng(2)
+        pos = stretched_disk.positions + 0.003 * rng.standard_normal(mesh.vertices.shape)
+        free = np.ones(len(pos), dtype=bool)
+        free[_constrained_vertices(mesh)] = False
+        E = cv.DiscreteEnergy(mesh, density, ell)
+        F = mesh.element_gradients(pos)
+        grad = np.add(*E.grad(pos, F))[free].ravel()
+        _, width, _, _ = E.band(free)
+        band = np.empty((width + 1, grad.size), order="F")
+        dx = _newton_step(E, pos, free, F, grad, damping, band)
+        H = E.hess(pos, free, F).toarray()
+        H[np.diag_indices_from(H)] *= 1.0 + damping
+        want = np.linalg.solve(H, -grad)
+        assert np.linalg.norm(dx.ravel() - want) <= 1e-12 * np.linalg.norm(want)
+
+    def test_indefinite_matrix_stalls(self, density, iso, monkeypatch, caplog):
+        # a Hessian that is not positive definite ends the run "stalled",
+        # with the failed leading minor in the log, and raises nothing
+        mesh = cv.build_disk_mesh(1.0, 0.25, punctures=[((0.0, 0.0), 0.2)])
+        y0 = cv.BoundaryData(kind="radial_stretch", lam=1.5).initial_field(mesh)
+        real = cv.DiscreteEnergy.hess
+        monkeypatch.setattr(cv.DiscreteEnergy, "hess",
+                            lambda self, *args: -real(self, *args))
+        with caplog.at_level("WARNING", logger="cavelast"):
+            y1, log = cv.minimize(y0, density, iso, max_iters=50)
+        assert log.status == "stalled"
+        assert [r["iter"] for r in log.records] == [0]
+        assert np.array_equal(y1.positions, y0.positions)
+        [rec] = caplog.records
+        assert "iter 1: damped Newton matrix not positive definite" in rec.getMessage()
+        assert "1-th leading minor" in rec.getMessage()
 
     def test_log_csv(self, tmp_path):
         log = cv.IterationLog()
