@@ -35,6 +35,9 @@ from .variation import (IterationLog, battery_residual, battery_variations,  # n
                         certification_battery, first_variation_residual, minimize)
 
 _EMIT_CHOICES = ("svg", "csv", "raster", "inverse")
+# the artifacts each emitter adds to those every run writes
+_EMITTED = {"svg": ("reference.svg", "deformed.svg"), "raster": ("raster.pgm",),
+            "inverse": ("inverse.csv", "jumps.csv")}
 _SHAPES = ("disk", "square", "annulus")
 
 __all__ = [
@@ -459,6 +462,12 @@ def run_scenario(config, out_dir=None, mode="run", emit=None, threads=None):
                 residual=residual)
 
     out.mkdir(parents=True, exist_ok=True)
+    # what an earlier run into this directory wrote and this one does not
+    stale = [name for key, names in _EMITTED.items() if key not in emit for name in names]
+    if threads is None:
+        stale.append("meta.txt")
+    for name in stale:
+        (out / name).unlink(missing_ok=True)
     (out / "config.ini").write_text(cfg.to_ini())
     (out / "summary.txt").write_text(_summary_lines(
         cfg, status, max(0, len(log.records) - 1), breakdown, crossings,

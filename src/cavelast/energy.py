@@ -98,13 +98,13 @@ class DiscreteEnergy:
     """Stored energy of a punctured mesh as a function of its nodal positions:
     the P1 bulk sum  sum_t |T_t| W(F_t)  (exact, F is constant per triangle)
     plus the phi-perimeter of every deformed puncture loop, with exact nodal
-    gradients and a sparse Hessian. phi may be None for the bulk part alone.
+    gradients and a banded Hessian. phi may be None for the bulk part alone.
     `value`, `grad` and `hess` take the element gradients F of pos when the
     caller already has them."""
 
     def __init__(self, mesh, density: BulkDensity, phi: SurfaceDensity = None):
         self.mesh, self.density, self.phi = mesh, density, phi
-        self._pattern = self._band = None
+        self._layout = None
 
     @cached_property
     def loops(self):
@@ -150,10 +150,11 @@ class DiscreteEnergy:
         return bulk, surf
 
     def hess(self, pos, free=None, F=None):
-        """Sparse positive semidefinite Hessian (csc, symmetric to rounding)
-        over the dofs 2 v + axis of the vertices where the mask `free` is True
-        (all by default), in that order; InfeasibleEnergyError if some
-        det <= 0.
+        """Positive semidefinite Hessian over the dofs 2 v + axis of the
+        vertices where the mask `free` is True (all by default), as its upper
+        band in the order of `band_layout`: a Fortran-order (width + 1, n)
+        array laid out for `scipy.linalg.cholesky_banded`, entry (i, j),
+        i <= j, at [width + i - j, j]; InfeasibleEnergyError if some det <= 0.
 
         Triangle t adds |T_t| B^T P(D^2W(F_t)) B, with B the 4x6 map from its
         corner positions to F and P the clip of negative eigenvalues: the
@@ -162,14 +163,13 @@ class DiscreteEnergy:
         eigenvalues come in closed form from `BulkDensity.hessian_eigensystem`
         (Smith, de Goes & Kim, ACM TOG 2019), not from a numerical solver. Loop
         edge j adds [[H, -H], [-H, H]] on its end vertices, H = R^T D^2phi(z_j) R,
-        semidefinite as phi is convex. The sparsity pattern is built once per
-        mask; each call only computes the values. `minimize` reads the data
-        of this matrix into the band layout of `band`, never its csc form.
+        semidefinite as phi is convex. Each call sums the element values
+        into the band with one `np.bincount`.
         """
         if F is None:
             F = self.mesh.element_gradients(pos)
         _require_positive_dets(F)
-        slot, shape, indices, indptr = self._hess_pattern(free)
+        order, width, slot = self.band_layout(free)
         nt = len(F)
         lam, vec = self.density.hessian_eigensystem(F)
         # B^T V, rows (i, c), for B[(a, b), (i, c)] = delta_ac dN_i/dX_b
@@ -187,18 +187,22 @@ class DiscreteEnergy:
             H[nonzero] = _ROT.T @ self.phi.hessian(z) @ _ROT
             vals[at:at + 16 * len(ids)] = (sign * H[:, None, :, None, :]).ravel()
             at += 16 * len(ids)
-        # entries on a fixed dof land in one extra bin, dropped
-        data = np.bincount(slot, weights=vals, minlength=len(indices) + 1)[:-1]
-        return sparse.csc_matrix((data, indices, indptr), shape=shape)
+        n = len(order)
+        # the discard slot, one past the band, is dropped
+        band = np.bincount(slot, weights=vals, minlength=(width + 1) * n + 1)[:-1]
+        return band.reshape(n, width + 1).T
 
-    def _hess_pattern(self, free):
-        """The csc data slot of every entry (2 i + c, 2 j + d) of the element
-        blocks of `hess`, in its layout: per element (i, c, j, d) over its
-        corners i, j and axes c, d, triangles first, then loop edges; one
-        past the last slot where a dof is fixed. Then the csc shape, row
-        indices and column pointers. Cached for the last mask."""
+    def band_layout(self, free=None):
+        """(order, width, slot) of `hess` over the mask `free`, cached for
+        the last mask: order[k] is the free dof placed k-th, a Cuthill-McKee
+        order (`band_order`) of the free-dof graph; width is the number of
+        superdiagonals of the reordered matrix; slot[e] is the flat band
+        index of element entry e in `hess`'s value layout (per element
+        (i, c, j, d) over corners i, j and axes c, d, triangles first, then
+        loop edges), or the one discard slot (width + 1) n for an entry
+        below the diagonal or on a fixed dof."""
         key = None if free is None else np.asarray(free, dtype=bool).tobytes()
-        if self._pattern is None or self._pattern[0] != key:
+        if self._layout is None or self._layout[0] != key:
             mask = np.ones(len(self.mesh.vertices), dtype=bool) if free is None \
                 else np.asarray(free, dtype=bool)
             n = 2 * int(np.sum(mask))  # free dofs
@@ -210,35 +214,19 @@ class DiscreteEnergy:
             row = np.concatenate([np.repeat(c, c.shape[1], axis=1).ravel() for c in corner])
             col = np.concatenate([np.tile(c, (1, c.shape[1])).ravel() for c in corner])
             both = (row >= 0) & (col >= 0)
-            uniq, pair = np.unique(col[both] * n + row[both], return_inverse=True)
-            slot = np.full(len(both), len(uniq))
-            slot[both] = pair
-            indices = (uniq % n).astype(np.int32)  # scipy's csc index type
-            indptr = np.searchsorted(uniq // n, np.arange(n + 1)).astype(np.int32)
-            self._pattern = key, (slot, (n, n), indices, indptr)
-            self._band = None
-        return self._pattern[1]
-
-    def band(self, free=None):
-        """Band layout of `hess` over the mask `free`: (order, width, take,
-        put). order[k] is the free dof placed k-th, a Cuthill-McKee order
-        (`band_order`); width is the number of superdiagonals of the
-        reordered matrix; the csc data entries `take` of `hess` land at the
-        flat indices `put` of its upper band, stored as a Fortran-order
-        (width + 1, n) array in the layout of `scipy.linalg.cholesky_banded`
-        (diagonal in the last row). Cached with the pattern."""
-        _, (n, _), indices, indptr = self._hess_pattern(free)
-        if self._band is None:
-            order = band_order(indptr, indices)
+            row, col = row[both], col[both]
+            graph = sparse.csc_matrix((np.ones(len(row)), (row, col)), shape=(n, n))
+            order = band_order(graph.indptr, graph.indices)
             rank = np.empty(n, dtype=np.int64)
             rank[order] = np.arange(n)
-            i = rank[indices]
-            j = rank[np.repeat(np.arange(n), np.diff(indptr))]
+            i, j = rank[row], rank[col]
             width = int(np.max(j - i, initial=0))
-            take = np.flatnonzero(i <= j)
-            put = j[take] * (width + 1) + width + i[take] - j[take]
-            self._band = order, width, take, put
-        return self._band
+            upper = i <= j
+            slot = np.full(len(both), (width + 1) * n)
+            # the flat Fortran index of [width + i - j, j]
+            slot[np.flatnonzero(both)[upper]] = (j[upper] + 1) * width + i[upper]
+            self._layout = key, (order, width, slot)
+        return self._layout[1]
 
 
 def band_order(indptr, indices) -> np.ndarray:

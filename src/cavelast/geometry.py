@@ -696,12 +696,17 @@ def _hex_fill(bbox_lo, bbox_hi, h):
 def _delaunay_mesh(rings, inside_fn, domain_fn, polygon_fn, punctures, h, bbox):
     """Assemble a graded point cloud, Delaunay-triangulate, filter and tag:
     each point is labelled with the boundary ring, given as (tag, points),
-    or puncture circle it was placed on, and a boundary edge takes the
-    label both its ends share. The grading rings of every puncture must lie
-    where `polygon_fn` holds, inside the polygons the boundary rings span:
-    a ring point past a chord of a curved boundary would leave a stray
-    hole."""
+    or puncture circle it was placed on, or else the puncture whose grading
+    rings hold it, and a boundary edge takes the tag both its ends share.
+    The grading rings of every puncture must lie where `polygon_fn` holds,
+    inside the polygons the boundary rings span: a ring point past a chord
+    of a curved boundary would leave a stray hole. A stray hole is reported
+    by its first edge with an end on grading rings, if any, naming their
+    puncture."""
     names = [t for t, _ in rings] + [f"puncture_{k}" for k in range(len(punctures))]
+    where = [repr(t) for t in names] + [
+        f"a grading ring of puncture {k} at ({c[0]:g}, {c[1]:g}) with rho {rho:g}"
+        for k, (c, rho) in enumerate(punctures)]
     clouds = [pts for _, pts in rings]
     labels = [np.full(len(pts), i) for i, pts in enumerate(clouds)]
     exclusions = []
@@ -713,7 +718,7 @@ def _delaunay_mesh(rings, inside_fn, domain_fn, polygon_fn, punctures, h, bbox):
                 f"domain boundary for [domain] h = {h:g}: its grading rings leave the "
                 f"meshed polygon")
         clouds.append(pts)
-        labels.append(np.where(np.arange(len(pts)) < n0, len(rings) + k, -1))
+        labels.append(np.where(np.arange(len(pts)) < n0, len(rings) + k, len(names) + k))
         exclusions.append((c, r_ex))
 
     fill = _hex_fill(bbox[0], bbox[1], h)
@@ -747,14 +752,14 @@ def _delaunay_mesh(rings, inside_fn, domain_fn, polygon_fn, punctures, h, bbox):
 
     edges = _boundary_edge_soup(cells)
     ends = label[used][edges]
-    stray = np.flatnonzero((ends[:, 0] < 0) | (ends[:, 0] != ends[:, 1]))
+    stray = np.flatnonzero((ends[:, 0] < 0) | (ends[:, 0] >= len(names))
+                           | (ends[:, 0] != ends[:, 1]))
     if len(stray):
-        (i, j), (a, b) = edges[stray[0]], ends[stray[0]]
-        where = [f"({verts[v, 0]:.6g}, {verts[v, 1]:.6g}) on "
-                 + (repr(names[t]) if t >= 0 else "no boundary ring")
-                 for v, t in ((i, a), (j, b))]
+        e = stray[np.argmax((ends[stray] >= len(names)).any(axis=1))]
+        at = [f"({verts[v, 0]:.6g}, {verts[v, 1]:.6g}) on "
+              + (where[t] if t >= 0 else "no boundary ring") for v, t in zip(edges[e], ends[e])]
         raise GeometryError(
-            f"untaggable boundary edge from {where[0]} to {where[1]}: mesh generation "
+            f"untaggable boundary edge from {at[0]} to {at[1]}: mesh generation "
             f"left a stray hole ({len(stray)} such edges); try another [domain] h "
             f"than {h:g}")
     tagged = [(int(i), int(j), names[t]) for (i, j), t in zip(edges.tolist(), ends[:, 0])]

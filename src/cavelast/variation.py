@@ -368,16 +368,15 @@ class IterationLog:
         write_table(path, ",".join(cols), ",".join(["%.12g"] * len(cols)), rows)
 
 
-def _newton_step(energy_of, pos, free, F, grad, damping, band):
-    """(k, 2) solution dx of (H + damping * diag H) dx = -grad, H =
-    `energy_of.hess(pos, free, F)`, by one LAPACK banded Cholesky in the
-    band layout `energy_of.band(free)`; band is its (width + 1, n)
-    Fortran-order work array, overwritten by the factor. LinAlgError when
-    the matrix is not positive definite."""
-    order, width, take, put = energy_of.band(free)
-    band.fill(0.0)
-    band.T.reshape(-1)[put] = energy_of.hess(pos, free, F).data[take]
-    band[width] *= 1.0 + damping
+def _newton_step(energy_of, pos, free, F, grad, damping):
+    """(k, 2) solution dx of (H + damping * diag H) dx = -grad, H the
+    projected Hessian over the free dofs, by one LAPACK banded Cholesky of
+    its band `energy_of.hess(pos, free, F)`, which is in the order of
+    `energy_of.band_layout(free)`. LinAlgError when the matrix is not
+    positive definite."""
+    order, _, _ = energy_of.band_layout(free)
+    band = energy_of.hess(pos, free, F)
+    band[-1] *= 1.0 + damping  # the diagonal
     factor = cholesky_banded(band, overwrite_ab=True, check_finite=False)
     dx = np.empty(len(order))
     dx[order] = cho_solve_banded((factor, False), -grad[order],
@@ -393,16 +392,16 @@ def minimize(y0: DeformationField, density: BulkDensity, phi: SurfaceDensity,
     vertices on non-puncture boundary edges stay fixed.
 
     Each step solves (H + damping * diag H) dx = -g, with H the per-element
-    projected Hessian `DiscreteEnergy.hess`, by banded Cholesky in the
-    Cuthill-McKee band order of `DiscreteEnergy.band`, built once per run;
-    the damping starts at 1 and shrinks by 0.3 after a full step, grows by 4
-    after a shortened one. The step is halved (at most max_backtracks
-    times) until it lowers the energy by the Armijo amount; any trial with
-    min element determinant <= det_floor is rejected, and on every
-    inv_every-th step (0: none) a trial must also keep the deformed boundary
-    loops simple and disjoint (`boundary_crossings` = 0), which with
-    positive determinants makes the map injective. At zero gradient no step
-    is taken.
+    projected Hessian, by banded Cholesky of the band `DiscreteEnergy.hess`
+    assembles, in the Cuthill-McKee order `DiscreteEnergy.band_layout`
+    builds once per run; the damping starts at 1 and shrinks by 0.3 after a
+    full step, grows by 4 after a shortened one. The step is halved (at most
+    max_backtracks times) until it lowers the energy by the Armijo amount;
+    any trial with min element determinant <= det_floor is rejected, and on
+    every inv_every-th step (0: none) a trial must also keep the deformed
+    boundary loops simple and disjoint (`boundary_crossings` = 0), which
+    with positive determinants makes the map injective. At zero gradient no
+    step is taken.
 
     Returns (field, log). The log status is "converged" when a tiny energy
     decrease (below tol_E * (1 + |E|)) or a zero gradient comes with a
@@ -434,8 +433,6 @@ def minimize(y0: DeformationField, density: BulkDensity, phi: SurfaceDensity,
     log.add(iter=0, energy=energy, bulk=bulk, surface=surf, min_det=mind,
             step=0.0, residual=None)
 
-    _, width, _, _ = energy_of.band(free)
-    band = np.empty((width + 1, grad.size), order="F")  # reused by every step
     damping = 1.0
     tiny_streak = 0
     status = "max_iters"
@@ -444,7 +441,7 @@ def minimize(y0: DeformationField, density: BulkDensity, phi: SurfaceDensity,
         s, decrease = 0.0, 0.0  # no step at zero gradient
         if grad.any():
             try:
-                dx = _newton_step(energy_of, pos, free, F, grad, damping, band)
+                dx = _newton_step(energy_of, pos, free, F, grad, damping)
             except LinAlgError as err:
                 _log.warning("iter %d: damped Newton matrix not positive definite "
                              "(%s); stopping", it, err)

@@ -20,6 +20,24 @@ def ell():
 
 
 @pytest.fixture(scope="session")
+def dense_hess():
+    """`DiscreteEnergy.hess` as a dense symmetric matrix in the dof order:
+    the band's upper triangle mirrored and put back out of the band order."""
+    def dense(energy, pos, free=None, F=None):
+        band = energy.hess(pos, free, F)
+        order, width, _ = energy.band_layout(free)
+        n = len(order)
+        P = np.zeros((n, n))
+        for d in range(width + 1):  # band row width - d holds superdiagonal d
+            k = np.arange(n - d)
+            P[k, k + d] = P[k + d, k] = band[width - d, d:]
+        H = np.empty_like(P)
+        H[np.ix_(order, order)] = P
+        return H
+    return dense
+
+
+@pytest.fixture(scope="session")
 def square_mesh():
     return cv.build_square_mesh(1.0, 0.25)
 

@@ -2,6 +2,7 @@ import csv
 import dataclasses
 import logging
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -429,6 +430,25 @@ class TestMain:
         for name in sorted(names - {"meta.txt"}):
             assert (d1 / name).read_bytes() == (d2 / name).read_bytes(), name
 
+    def test_rerun_leaves_only_its_own_artifacts(self, tmp_path):
+        # a rerun into a used directory deletes what the earlier run emitted
+        # and it does not, and keeps files cavelast does not write
+        d, fresh = tmp_path / "d", tmp_path / "fresh"
+        assert main(["eval", "eval_identity", "--out", str(d),
+                     "--emit", "svg,csv,raster,inverse", "--threads", "2"]) == 0
+        optional = {"reference.svg", "deformed.svg", "raster.pgm", "inverse.csv",
+                    "jumps.csv", "meta.txt"}
+        assert optional <= {p.name for p in d.iterdir()}
+        (d / "notes.txt").write_text("not an artifact\n")
+        assert main(["eval", "eval_identity", "--out", str(d), "--emit", "csv"]) == 0
+        assert main(["eval", "eval_identity", "--out", str(fresh), "--emit", "csv"]) == 0
+        names = {p.name for p in fresh.iterdir()}
+        assert not names & optional
+        assert {p.name for p in d.iterdir()} == names | {"notes.txt"}
+        for name in names:
+            assert (d / name).read_bytes() == (fresh / name).read_bytes(), name
+        assert (d / "notes.txt").read_text() == "not an artifact\n"
+
     def test_emit_flag_limits_artifacts(self, tmp_path):
         code = main(["eval", "eval_identity", "--out", str(tmp_path / "d"),
                      "--emit", "csv"])
@@ -483,6 +503,32 @@ class TestMain:
         assert ("puncture 0 at (-0.458872, 0.458396) with rho 0.148056 is too close to "
                 "the domain boundary for [domain] h = 0.187545") in err
         assert "untaggable" not in err and "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("domain,puncture", [
+        # seed-1 fuzz configs 467 and 737: two disks whose two punctures'
+        # grading rings meet; 938: an annulus puncture whose rings reach the
+        # inner circle. The mesher leaves a stray hole beside a ring point.
+        ("shape = disk\nh = 0.1797268650654054\npunctures = 0.29330998839290623 "
+         "0.3722540934375478 0.2073970429528787; 0.4610993542129762 0.10415904607011894 "
+         "0.09399525796185185\n",
+         "puncture 1 at (0.461099, 0.104159) with rho 0.0939953"),
+        ("shape = disk\nh = 0.26768258816872653\npunctures = -0.5103558343871084 "
+         "-0.03790246333466052 0.24000400444025494; -0.20997403115418112 "
+         "-0.21798127108453325 0.07725757446724593\n",
+         "puncture 1 at (-0.209974, -0.217981) with rho 0.0772576"),
+        ("shape = annulus\nh = 0.158423336613017\npunctures = 0.367909029168058 "
+         "-0.4821964244081207 0.05791523996129659\n",
+         "puncture 0 at (0.367909, -0.482196) with rho 0.0579152"),
+    ], ids=["disk_rings_meet_467", "disk_rings_meet_737", "annulus_inner_938"])
+    def test_stray_hole_exit_2_names_its_puncture(self, tmp_path, capsys, domain, puncture):
+        p = tmp_path / "stray.ini"
+        p.write_text("[domain]\n" + domain)
+        out = tmp_path / "out"
+        assert main(["run", str(p), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "untaggable boundary edge" in err and f"grading ring of {puncture}" in err
+        assert "Traceback" not in err
         assert not out.exists()
 
     @pytest.mark.parametrize("x,message", [
@@ -588,7 +634,10 @@ class TestFuzz:
             p.write_text(_fuzz_config(rng).to_ini())
             code = main(["run", str(p), "--out", str(tmp_path / f"out{k}")])
             assert code in (0, 2, 3), p.read_text()
-            assert "Traceback" not in capsys.readouterr().err, p.read_text()
+            err = capsys.readouterr().err
+            assert "Traceback" not in err, p.read_text()
+            if code == 2:  # a refusal names its puncture or its [section] key
+                assert re.search(r"puncture \d+|\[\w+\] \w+", err), err
             codes.add(code)
         assert codes == {0, 2, 3}
         assert time.perf_counter() - start < 10.0

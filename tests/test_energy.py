@@ -10,7 +10,7 @@ import cavelast as cv
 from cavelast._polyline import hausdorff_distance
 from cavelast.cli import _read_positions_csv
 from cavelast.degree import _default_radii
-from cavelast.energy import band_order
+from cavelast.energy import _ROT, _edge_normals, band_order
 from cavelast.exceptions import DomainError, InfeasibleEnergyError
 from cavelast.variation import _constrained_vertices
 
@@ -26,6 +26,49 @@ def _reference_bulk_grad(mesh, density, F):
     np.add.at(out, mesh.triangles, np.einsum(
         "t,tab,tib->tia", mesh.areas, density.stress(F), mesh.shape_gradients))
     return out
+
+
+def _reference_hess(energy, pos, free=None, F=None):
+    """The csc projected Hessian over the free dofs that the banded assembly
+    replaced: a pattern from one np.unique over every element entry, its
+    data one np.bincount of the element values."""
+    mesh = energy.mesh
+    if F is None:
+        F = mesh.element_gradients(pos)
+    mask = np.ones(len(mesh.vertices), dtype=bool) if free is None \
+        else np.asarray(free, dtype=bool)
+    n = 2 * int(np.sum(mask))
+    dof = np.full((len(mask), 2), -1)
+    dof[mask] = np.arange(n).reshape(-1, 2)
+    elems = [mesh.triangles] + [np.stack([ids, np.roll(ids, -1)], axis=1)
+                                for ids in energy.loops]
+    corner = [dof[el].reshape(len(el), -1) for el in elems]
+    row = np.concatenate([np.repeat(c, c.shape[1], axis=1).ravel() for c in corner])
+    col = np.concatenate([np.tile(c, (1, c.shape[1])).ravel() for c in corner])
+    both = (row >= 0) & (col >= 0)
+    uniq, pair = np.unique(col[both] * n + row[both], return_inverse=True)
+    slot = np.full(len(both), len(uniq))
+    slot[both] = pair
+    indices = (uniq % n).astype(np.int32)
+    indptr = np.searchsorted(uniq // n, np.arange(n + 1)).astype(np.int32)
+    nt = len(F)
+    lam, vec = energy.density.hessian_eigensystem(F)
+    btv = (mesh.shape_gradients[:, None] @ vec.reshape(nt, 2, 2, 4)
+           ).transpose(0, 2, 1, 3).reshape(nt, 6, 4)
+    w = mesh.areas[:, None] * np.maximum(lam, 0.0)
+    vals = np.empty(len(slot))
+    np.matmul(btv * w[:, None, :], btv.transpose(0, 2, 1),
+              out=vals[:36 * nt].reshape(nt, 6, 6))
+    sign = np.array([[1.0, -1.0], [-1.0, 1.0]])[:, None, :, None]
+    at = 36 * nt
+    for ids in energy.loops:
+        z, nonzero = _edge_normals(pos[ids])
+        H = np.zeros((len(ids), 2, 2))
+        H[nonzero] = _ROT.T @ energy.phi.hessian(z) @ _ROT
+        vals[at:at + 16 * len(ids)] = (sign * H[:, None, :, None, :]).ravel()
+        at += 16 * len(ids)
+    data = np.bincount(slot, weights=vals, minlength=len(indices) + 1)[:-1]
+    return sparse.csc_matrix((data, indices, indptr), shape=(n, n))
 
 
 def regular_ngon(n, r=1.0, center=(0.0, 0.0)):
@@ -170,7 +213,7 @@ class TestDiscreteEnergy:
         for y in (stretched_disk, cv.DeformationField(square, 1.4 * square.vertices)):
             yield y.mesh, y.positions + 0.003 * rng.standard_normal(y.positions.shape)
 
-    def test_hessian_matches_central_difference(self, stretched_disk):
+    def test_hessian_matches_central_difference(self, stretched_disk, dense_hess):
         # mu = 10 keeps D^2W positive definite at these stretches, so the
         # per-element projection is inactive and hess is the exact Hessian
         stiff = cv.BulkDensity(10.0, 1.0, 1.0)
@@ -183,9 +226,12 @@ class TestDiscreteEnergy:
             nodes = np.concatenate([loops[::7], interior[::11]])
             for phi in self.PHIS:
                 E = cv.DiscreteEnergy(mesh, stiff, phi)
-                H = E.hess(pos).toarray()
+                H = dense_hess(E, pos)
                 assert H.shape == (pos.size, pos.size)
-                assert np.abs(H - H.T).max() <= 1e-13 * np.abs(H).max()
+                # the element sums are symmetric to rounding, so the band,
+                # their upper triangle, loses nothing
+                R = _reference_hess(E, pos).toarray()
+                assert np.abs(R - R.T).max() <= 1e-13 * np.abs(R).max()
                 for v in nodes:
                     for a in (0, 1):
                         plus, minus = pos.copy(), pos.copy()
@@ -195,7 +241,7 @@ class TestDiscreteEnergy:
                         assert np.allclose(H[:, 2 * v + a], fd.ravel(),
                                            rtol=1e-6, atol=1e-6), (phi.kind, v, a)
 
-    def test_hessian_projected_and_restricted(self, stretched_disk, density):
+    def test_hessian_projected_and_restricted(self, stretched_disk, density, dense_hess):
         # the default material is indefinite under stretch; every element
         # block is projected, so H is semidefinite, and the free-dof Hessian
         # is the submatrix of the full one
@@ -206,14 +252,19 @@ class TestDiscreteEnergy:
             free[mesh.boundary_vertices] = False
             for phi in self.PHIS:
                 E = cv.DiscreteEnergy(mesh, density, phi)
-                H = E.hess(pos).toarray()
+                H = dense_hess(E, pos)
                 assert np.linalg.eigvalsh(H).min() >= -1e-10 * np.abs(H).max()
                 dofs = np.repeat(free, 2)
-                Hf = E.hess(pos, free, F)
-                assert Hf.format == "csc" and Hf.has_sorted_indices
-                assert np.array_equal(Hf.toarray(), H[np.ix_(dofs, dofs)])
-                assert np.linalg.eigvalsh(Hf.toarray()).min() > 0.0
-                assert np.array_equal(E.hess(pos, free).toarray(), Hf.toarray())
+                # the band holds one triangle, and which one depends on the
+                # mask's order, so the restriction is asserted exactly on the
+                # reference, whose upper band the band equals bit for bit
+                # (TestElementKernels)
+                R = _reference_hess(E, pos).toarray()
+                assert np.array_equal(_reference_hess(E, pos, free, F).toarray(),
+                                      R[np.ix_(dofs, dofs)])
+                Hf = dense_hess(E, pos, free, F)
+                assert np.linalg.eigvalsh(Hf).min() > 0.0
+                assert np.array_equal(dense_hess(E, pos, free), Hf)
 
     def test_unclipped_blocks_match_central_difference(self, stretched_disk, density):
         # at the default material the clip acts; unclipped, the eigensystem
@@ -231,7 +282,8 @@ class TestDiscreteEnergy:
                     fd = (density.stress(F + dF) - density.stress(F - dF)) / (2 * t)
                     assert np.allclose(H[..., i, j], fd, rtol=1e-6, atol=1e-8)
 
-    def test_hess_calls_no_eigh(self, stretched_disk, density, ell, monkeypatch):
+    def test_hess_calls_no_eigh(self, stretched_disk, density, ell, monkeypatch,
+                                dense_hess):
         # the referee projects every block through np.linalg.eigh; hess
         # must give the same matrix without calling it
         class EighDensity(cv.BulkDensity):
@@ -239,7 +291,7 @@ class TestDiscreteEnergy:
                 return np.linalg.eigh(self.hessian(F).reshape(-1, 4, 4))
 
         fields = list(self.two_fields(stretched_disk))
-        want = [cv.DiscreteEnergy(mesh, EighDensity(), ell).hess(pos).toarray()
+        want = [dense_hess(cv.DiscreteEnergy(mesh, EighDensity(), ell), pos)
                 for mesh, pos in fields]
 
         def refuse(*args, **kwargs):
@@ -247,7 +299,7 @@ class TestDiscreteEnergy:
 
         monkeypatch.setattr(np.linalg, "eigh", refuse)
         for H, (mesh, pos) in zip(want, fields):
-            got = cv.DiscreteEnergy(mesh, density, ell).hess(pos).toarray()
+            got = dense_hess(cv.DiscreteEnergy(mesh, density, ell), pos)
             assert np.abs(got - H).max() <= 1e-12 * np.abs(H).max()
 
     def test_precomputed_gradients_change_nothing(self, stretched_disk, density, ell):
@@ -283,9 +335,9 @@ class TestBandLayout:
         assert order[0] in (0, 4, 6, 10)
         for name, free in self.masks(disk_mesh).items():
             E = cv.DiscreteEnergy(disk_mesh, density, iso)
-            order, _, _, _ = E.band(free)
+            order, _, _ = E.band_layout(free)
             assert sorted(order.tolist()) == list(range(2 * int(free.sum()))), name
-            pieces, _ = connected_components(E.hess(disk_mesh.vertices, free))
+            pieces, _ = connected_components(_reference_hess(E, disk_mesh.vertices, free))
             assert pieces == (2 if name == "two_components" else 1)
 
     @pytest.mark.parametrize("damping", [1.0, 1e-7])
@@ -294,12 +346,10 @@ class TestBandLayout:
         mesh, pos = stretched_disk.mesh, stretched_disk.positions
         for name, free in self.masks(mesh).items():
             E = cv.DiscreteEnergy(mesh, density, ell)
-            order, width, take, put = E.band(free)
-            H = E.hess(pos, free)
-            band = np.zeros((width + 1, len(order)), order="F")
-            band.T.reshape(-1)[put] = H.data[take]
+            order, width, _ = E.band_layout(free)
+            band = E.hess(pos, free)
             band[width] *= 1.0 + damping
-            dense = H.toarray()
+            dense = _reference_hess(E, pos, free).toarray()
             dense[np.diag_indices_from(dense)] *= 1.0 + damping
             P = dense[np.ix_(order, order)]
             i, j = np.indices(P.shape)
@@ -314,7 +364,7 @@ class TestBandLayout:
         # mesh near 200 dofs; scipy's reverse Cuthill-McKee gives 401 there
         mesh = cv.build_disk_mesh(1.0, 0.025, punctures=[((0.0, 0.0), 0.2)])
         free = self.masks(mesh)["run"]
-        _, width, _, _ = cv.DiscreteEnergy(mesh, density, iso).band(free)
+        _, width, _ = cv.DiscreteEnergy(mesh, density, iso).band_layout(free)
         assert width <= 250
 
 
@@ -357,6 +407,27 @@ class TestElementKernels:
             assert np.any(want == 0.0)  # zero entries, whose signs must agree too
         assert _same_bits(cv.DiscreteEnergy(mesh, density).bulk_grad(F),
                           _reference_bulk_grad(mesh, density, want))
+
+    @pytest.mark.parametrize("case", ["bundled_identity", "bundled_converged",
+                                      "disk_h0.035", "annulus_two_punctures"])
+    def test_hess_band_matches_reference_bits(self, fields, density, ell, case):
+        # each band entry sums the element values the csc assembly summed,
+        # in the same order, so the band is the reference's upper band in
+        # the band order, bit for bit
+        mesh, pos = fields[case]
+        for name, free in TestBandLayout.masks(mesh).items():
+            E = cv.DiscreteEnergy(mesh, density, ell)
+            order, width, _ = E.band_layout(free)
+            band = E.hess(pos, free)
+            assert band.shape == (width + 1, len(order)) and band.flags.f_contiguous
+            ref = _reference_hess(E, pos, free).tocoo()
+            rank = np.argsort(order)
+            i, j = rank[ref.row], rank[ref.col]
+            assert np.abs(i - j).max() <= width, (case, name)
+            up = i <= j
+            want = np.zeros_like(band)
+            want[width + i[up] - j[up], j[up]] = ref.data[up]
+            assert _same_bits(band, want), (case, name)
 
     def test_operator_layout(self, disk_mesh):
         op = disk_mesh.gradient_operator

@@ -440,7 +440,8 @@ class TestMinimize:
         assert log.status == "stalled"
 
     @pytest.mark.parametrize("damping", [1.0, 1e-7])
-    def test_newton_step_matches_dense_solve(self, stretched_disk, density, ell, damping):
+    def test_newton_step_matches_dense_solve(self, stretched_disk, density, ell, damping,
+                                             dense_hess):
         # the bundled h = 0.15 mesh at a perturbed stretched state: one banded
         # Cholesky step solves the damped system as a dense LU does
         mesh = stretched_disk.mesh
@@ -451,10 +452,8 @@ class TestMinimize:
         E = cv.DiscreteEnergy(mesh, density, ell)
         F = mesh.element_gradients(pos)
         grad = np.add(*E.grad(pos, F))[free].ravel()
-        _, width, _, _ = E.band(free)
-        band = np.empty((width + 1, grad.size), order="F")
-        dx = _newton_step(E, pos, free, F, grad, damping, band)
-        H = E.hess(pos, free, F).toarray()
+        dx = _newton_step(E, pos, free, F, grad, damping)
+        H = dense_hess(E, pos, free, F)
         H[np.diag_indices_from(H)] *= 1.0 + damping
         want = np.linalg.solve(H, -grad)
         assert np.linalg.norm(dx.ravel() - want) <= 1e-12 * np.linalg.norm(want)
