@@ -21,7 +21,7 @@ import numpy as np
 from ._table import format_rows, read_table, write_table
 # check_inv is not called here; it stays bound because perfbench's tracer patches it
 from .degree import boundary_crossings, check_inv, topological_image  # noqa: F401
-from .energy import total_energy
+from .energy import EnergyBreakdown, total_energy
 from .exceptions import (ArtifactError, CavelastError, ConfigurationError,
                          InfeasibleEnergyError)
 from .geometry import (BoundaryData, DeformationField, Mesh,
@@ -31,8 +31,8 @@ from .inverse import build_inverse_field, extract_jump_set, jump_set_to_csv
 from .material import BulkDensity, SurfaceDensity
 # battery_residual is not called here; it stays importable from this module
 # because perfbench's tracer patches it under this name
-from .variation import (IterationLog, battery_residual, battery_variations,  # noqa: F401
-                        certification_battery, first_variation_residual, minimize)
+from .variation import (IterationLog, VariationReport, battery_residual,  # noqa: F401
+                        battery_variations, certification_battery, first_variation_residual, minimize)
 
 _EMIT_CHOICES = ("svg", "csv", "raster", "inverse")
 # the artifacts each emitter adds to those every run writes
@@ -42,7 +42,7 @@ _SHAPES = ("disk", "square", "annulus")
 
 __all__ = [
     "ScenarioConfig", "build_mesh", "build_density", "build_phi",
-    "build_boundary", "run_scenario", "CompareReport", "compare_runs",
+    "RunRecord", "compute", "write", "run_scenario", "CompareReport", "compare_runs",
     "render_reference_svg", "render_deformed_svg", "get_golden_dir",
     "resolve_scenario", "main",
 ]
@@ -280,10 +280,6 @@ def build_phi(cfg: ScenarioConfig) -> SurfaceDensity:
         raise ConfigurationError(f"[surface] {err}") from err
 
 
-def build_boundary(cfg: ScenarioConfig) -> BoundaryData:
-    return BoundaryData(kind=cfg.bc_kind, lam=cfg.lam)
-
-
 # ---------------------------------------------------------------------------
 # artifact writers
 
@@ -387,91 +383,76 @@ def render_deformed_svg(mesh_path, positions_path, cavities_path, out_path):
 # scenario execution
 
 
-def _summary_lines(cfg, status, n_iters, breakdown, crossings, residual,
-                   fv_report):
-    lines = [
-        f"scenario = {cfg.name}",
-        f"status = {status}",
-        f"seed = {cfg.seed}",
-        f"iterations = {n_iters}",
-        breakdown.as_text(),
-        f"battery_residual = {residual:.12g}",
-        f"inv_check = {'PASS' if crossings == 0 else 'FAIL'}",
-        f"inv_violations = {crossings}",
-    ]
-    for k, rec in enumerate(breakdown.cavities):
-        lines.append(f"cavity_{k}_radius_mean = {rec.radius_mean():.12g}")
-        lines.append(f"cavity_{k}_area = {rec.area:.12g}")
-    if fv_report is not None:
-        lines.append(fv_report.as_text())
-    return "\n".join(lines) + "\n"
+@dataclass
+class RunRecord:
+    """One run's results, from `compute` to `write`. `fv_report` checks the
+    field attaining `residual`; it is None when the battery has no field."""
+
+    cfg: ScenarioConfig
+    y: DeformationField
+    log: IterationLog
+    breakdown: EnergyBreakdown
+    crossings: int
+    residual: float
+    fv_report: VariationReport | None
 
 
-def run_scenario(config, out_dir=None, mode="run", emit=None, threads=None):
-    """Execute one scenario; returns (exit_code, artifact_dir). Exit code 2
-    (input that cannot be run) writes nothing and returns no directory."""
+def compute(cfg: ScenarioConfig, mode="run") -> RunRecord:
+    """Mesh, solve (mode "run") or evaluate the boundary field, and certify;
+    writes nothing. Input that cannot be run raises ConfigurationError, cause
+    chained: a CavelastError while building the mesh and densities, or an
+    InfeasibleEnergyError from the solve or the energy report."""
     try:
-        cfg = config if isinstance(config, ScenarioConfig) \
-            else ScenarioConfig.from_ini(resolve_scenario(config))
-        cfg.validate()
-    except ConfigurationError as err:
-        print(f"configuration error: {err}", file=sys.stderr)
-        return 2, None
-    emit = tuple(emit) if emit is not None else cfg.emit
-    out = Path(out_dir) if out_dir else Path(cfg.out or f"runs/{cfg.name}")
-
-    try:
-        mesh = build_mesh(cfg)
-        density = build_density(cfg)
-        phi = build_phi(cfg)
-        bc = build_boundary(cfg)
-        y0 = bc.initial_field(mesh)
-    except (ConfigurationError, CavelastError) as err:
-        print(f"infeasible input: {err}", file=sys.stderr)
-        return 2, None
-
+        mesh, density, phi = build_mesh(cfg), build_density(cfg), build_phi(cfg)
+        y = BoundaryData(kind=cfg.bc_kind, lam=cfg.lam).initial_field(mesh)
+    except CavelastError as err:
+        raise ConfigurationError(str(err)) from err
     try:
         if mode == "run":
-            y, log = minimize(y0, density, phi, max_iters=cfg.max_iters,
-                              tol_E=cfg.tol_E, residual_rel=cfg.residual_rel,
-                              det_floor=cfg.det_floor, inv_every=cfg.inv_every,
-                              seed=cfg.seed)
-            status = log.status
+            y, log = minimize(y, density, phi, max_iters=cfg.max_iters, tol_E=cfg.tol_E,
+                              residual_rel=cfg.residual_rel, det_floor=cfg.det_floor,
+                              inv_every=cfg.inv_every, seed=cfg.seed)
         else:
-            y = y0
-            log = IterationLog()
-            log.status = status = "evaluated"
+            log = IterationLog(status="evaluated")
         breakdown = total_energy(y, density, phi)
     except InfeasibleEnergyError as err:
-        print(f"infeasible input: {err}", file=sys.stderr)
-        return 2, None
-
+        raise ConfigurationError(str(err)) from err
     crossings = boundary_crossings(mesh, y.positions)
     fields = certification_battery(y, seed=cfg.seed)
     variations = battery_variations(y, density, phi, fields)
     residual = max([0.0] + variations)
     fv_report = None
-    if fields:
-        # first field attaining the residual (a NaN variation counts as 0)
+    if fields:  # first field attaining the residual (a NaN variation counts as 0)
         worst = fields[[max(0.0, v) for v in variations].index(residual)]
         fv_report = first_variation_residual(y, worst, density, phi)
-    if mode == "eval":
-        dmin = min_det(y)
-        log.add(iter=0, energy=breakdown.total, bulk=breakdown.bulk,
-                surface=breakdown.surface, min_det=dmin, step=0.0,
-                residual=residual)
+    if mode != "run":
+        log.add(iter=0, energy=breakdown.total, bulk=breakdown.bulk, surface=breakdown.surface,
+                min_det=min_det(y), step=0.0, residual=residual)
+    return RunRecord(cfg, y, log, breakdown, crossings, residual, fv_report)
 
+
+def write(record: RunRecord, out, emit, threads=None):
+    """Write the run directory `out`: every run's artifacts, those `emit`
+    selects, and meta.txt when `threads` is given."""
+    cfg, y, log, breakdown = record.cfg, record.y, record.log, record.breakdown
+    mesh, out = y.mesh, Path(out)
     out.mkdir(parents=True, exist_ok=True)
     # what an earlier run into this directory wrote and this one does not
     stale = [name for key, names in _EMITTED.items() if key not in emit for name in names]
-    if threads is None:
-        stale.append("meta.txt")
-    for name in stale:
+    for name in stale + (["meta.txt"] if threads is None else []):
         (out / name).unlink(missing_ok=True)
     (out / "config.ini").write_text(cfg.to_ini())
-    (out / "summary.txt").write_text(_summary_lines(
-        cfg, status, max(0, len(log.records) - 1), breakdown, crossings,
-        residual, fv_report))
+    summary = [f"scenario = {cfg.name}", f"status = {log.status}", f"seed = {cfg.seed}",
+               f"iterations = {max(0, len(log.records) - 1)}", breakdown.as_text(),
+               f"battery_residual = {record.residual:.12g}",
+               f"inv_check = {'PASS' if record.crossings == 0 else 'FAIL'}",
+               f"inv_violations = {record.crossings}"]
+    for k, rec in enumerate(breakdown.cavities):
+        summary += [f"cavity_{k}_radius_mean = {rec.radius_mean():.12g}",
+                    f"cavity_{k}_area = {rec.area:.12g}"]
+    if record.fv_report is not None:
+        summary.append(record.fv_report.as_text())
+    (out / "summary.txt").write_text("\n".join(summary) + "\n")
     log.to_csv(out / "iterations.csv")
     mesh.save(out / "mesh.cavmesh")
     _write_positions_csv(y, out / "positions.csv")
@@ -492,8 +473,26 @@ def run_scenario(config, out_dir=None, mode="run", emit=None, threads=None):
     if threads is not None:
         (out / "meta.txt").write_text(f"threads = {int(threads)}\n")
 
-    if mode == "run" and status != "converged":
-        print(f"solver did not converge: status {status}", file=sys.stderr)
+
+def run_scenario(config, out_dir=None, mode="run", emit=None, threads=None):
+    """Execute one scenario; returns (exit_code, artifact_dir). Exit code 2
+    (input that cannot be run) writes nothing and returns no directory."""
+    try:
+        cfg = config if isinstance(config, ScenarioConfig) \
+            else ScenarioConfig.from_ini(resolve_scenario(config))
+        cfg.validate()
+    except ConfigurationError as err:
+        print(f"configuration error: {err}", file=sys.stderr)
+        return 2, None
+    try:
+        record = compute(cfg, mode)
+    except ConfigurationError as err:
+        print(f"infeasible input: {err}", file=sys.stderr)
+        return 2, None
+    out = Path(out_dir) if out_dir else Path(cfg.out or f"runs/{cfg.name}")
+    write(record, out, tuple(emit) if emit is not None else cfg.emit, threads)
+    if mode == "run" and record.log.status != "converged":
+        print(f"solver did not converge: status {record.log.status}", file=sys.stderr)
         return 3, out
     return 0, out
 
@@ -593,8 +592,9 @@ def main(argv=None) -> int:
     def add_common(p):
         p.add_argument("config", help="config path or bundled scenario name")
         p.add_argument("--out", default=None, help="artifact directory")
-        p.add_argument("--emit", default=None,
-                       help="comma list from: " + ",".join(_EMIT_CHOICES))
+        p.add_argument("--emit", default=None, help="comma list from: " + ",".join(_EMIT_CHOICES)
+                       + "; every run writes config.ini, summary.txt, iterations.csv, mesh.cavmesh,"
+                       " positions.csv and cavities.csv; csv adds nothing and is kept so old configs parse")
         p.add_argument("--threads", type=int, default=None,
                        help="recorded in meta.txt")
 
@@ -615,9 +615,8 @@ def main(argv=None) -> int:
         return 0
 
     emit = None if args.emit is None else _parse_emit(args.emit)
-    code, out = run_scenario(args.config, out_dir=args.out,
-                             mode=args.command, emit=emit,
-                             threads=args.threads)
+    code, out = run_scenario(args.config, out_dir=args.out, mode=args.command,
+                             emit=emit, threads=args.threads)
     if out is not None:
         print(f"artifacts in {out}")
     return code

@@ -57,6 +57,14 @@ _D2DET = np.array([[0.0, 0.0, 0.0, 1.0], [0.0, 0.0, -1.0, 0.0],
                    [0.0, -1.0, 0.0, 0.0], [1.0, 0.0, 0.0, 0.0]])
 
 
+def _admissible_det(F):
+    """det F, after raising DomainError where it is <= 0 anywhere in the batch."""
+    det = _det2(F)
+    if np.any(det <= 0.0):
+        raise DomainError("det F <= 0: deformation gradient outside the admissible cone")
+    return det
+
+
 @dataclass(frozen=True)
 class BulkDensity:
     """W(F) = (mu/2)|F|^2 + a (det F)^2 - b log(det F), quadratic growth.
@@ -76,17 +84,13 @@ class BulkDensity:
 
     def energy(self, F):
         F = np.asarray(F, dtype=float)
-        det = _det2(F)
-        if np.any(det <= 0.0):
-            raise DomainError("det F <= 0: deformation gradient outside the admissible cone")
+        det = _admissible_det(F)
         return 0.5 * self.mu * _frob2(F) + self.a * det ** 2 - self.b * np.log(det)
 
     def stress(self, F):
         """DW(F) = mu F + (2 a det F - b / det F) cof F."""
         F = np.asarray(F, dtype=float)
-        det = _det2(F)
-        if np.any(det <= 0.0):
-            raise DomainError("det F <= 0: deformation gradient outside the admissible cone")
+        det = _admissible_det(F)
         coef = 2.0 * self.a * det - self.b / det
         return self.mu * F + coef[..., None, None] * _cof2(F)
 
@@ -97,9 +101,7 @@ class BulkDensity:
         `DiscreteEnergy.hess` projects it through the closed-form
         `hessian_eigensystem` (Smith, de Goes & Kim, ACM TOG 2019)."""
         F = np.asarray(F, dtype=float)
-        det = _det2(F)
-        if np.any(det <= 0.0):
-            raise DomainError("det F <= 0: deformation gradient outside the admissible cone")
+        det = _admissible_det(F)
         cof = _cof2(F).reshape(det.shape + (4,))
         H = cof[..., :, None] * cof[..., None, :]
         H *= (2.0 * self.a + self.b / det ** 2)[..., None, None]
@@ -125,9 +127,7 @@ class BulkDensity:
         F_c never vanishes; where F_a does (F a rotation-dilation), the
         anticonformal basis is vec diag(1, -1) / sqrt 2 and its rotation."""
         F = np.asarray(F, dtype=float)
-        det = _det2(F)
-        if np.any(det <= 0.0):
-            raise DomainError("det F <= 0: deformation gradient outside the admissible cone")
+        det = _admissible_det(F)
         p = 0.5 * (F[..., 0, 0] + F[..., 1, 1])
         q = 0.5 * (F[..., 1, 0] - F[..., 0, 1])
         r = 0.5 * (F[..., 0, 0] - F[..., 1, 1])
@@ -166,9 +166,7 @@ class BulkDensity:
         log det F is the accurate one."""
         F = np.asarray(F, dtype=float)
         dF = np.asarray(dF, dtype=float)
-        det, det1 = _det2(F), _det2(F + dF)
-        if np.any(det <= 0.0) or np.any(det1 <= 0.0):
-            raise DomainError("det F <= 0: deformation gradient outside the admissible cone")
+        det, det1 = _admissible_det(F), _admissible_det(F + dF)
         ddet = np.einsum("...ab,...ab->...", _cof2(F), dF) + _det2(dF)
         small = np.abs(ddet) < 0.5 * det
         dlog = np.where(small, np.log1p(np.where(small, ddet / det, 0.0)),

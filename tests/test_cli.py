@@ -594,6 +594,62 @@ class TestMain:
         assert "compare error" in capsys.readouterr().err
 
 
+class TestComputeWrite:
+    @pytest.mark.parametrize("scenario,mode", [("radial_iso_lambda1.5", "run"),
+                                               ("eval_identity", "eval")])
+    def test_write_of_compute_is_run_scenario(self, tmp_path, scenario, mode):
+        emit = ("svg", "csv", "raster", "inverse")
+        code, ran = run_scenario(scenario, out_dir=tmp_path / "ran", mode=mode,
+                                 emit=emit, threads=2)
+        assert code == 0
+        cfg = ScenarioConfig.from_ini(resolve_scenario(scenario))
+        cli.write(cli.compute(cfg, mode), tmp_path / "seam", emit, threads=2)
+        names = sorted(p.name for p in ran.iterdir())
+        assert names == sorted(p.name for p in (tmp_path / "seam").iterdir())
+        for name in names:
+            assert (ran / name).read_bytes() == (tmp_path / "seam" / name).read_bytes(), name
+
+    def test_compute_creates_no_file(self, tmp_path, monkeypatch):
+        import builtins
+        import io
+        real_open = io.open
+
+        def read_only(file, mode="r", *args, **kwargs):
+            assert not set(mode) & set("wax+"), f"compute opened {file} with mode {mode}"
+            return real_open(file, mode, *args, **kwargs)
+
+        monkeypatch.chdir(tmp_path)  # where the default runs/<name> would go
+        monkeypatch.setattr(builtins, "open", read_only)
+        monkeypatch.setattr(io, "open", read_only)
+        cfg = ScenarioConfig.from_ini(resolve_scenario("radial_iso_lambda1.5"))
+        record = cli.compute(dataclasses.replace(cfg, out=str(tmp_path / "out")))
+        assert record.log.status == "converged" and record.crossings == 0
+        assert list(tmp_path.iterdir()) == []
+
+    def test_domain_error_after_the_solve_propagates(self, tmp_path, monkeypatch):
+        # only mesher, density and fold errors are refusals (exit 2); a
+        # DomainError from the certification stays an error, as it always was
+        def leak(*args, **kwargs):
+            raise cv.DomainError("battery field leaks onto the constrained boundary")
+
+        monkeypatch.setattr(cli, "certification_battery", leak)
+        with pytest.raises(cv.DomainError, match="leaks") as info:
+            run_scenario("radial_iso_lambda1.5", out_dir=tmp_path / "out")
+        assert not isinstance(info.value, ConfigurationError)
+        assert not (tmp_path / "out").exists()
+
+    def test_tables_do_not_need_csv_emit(self, tmp_path):
+        # positions.csv and cavities.csv are written on every run; the csv
+        # emitter is accepted and adds nothing
+        for emit in ("svg", "csv"):
+            assert main(["run", "radial_iso_lambda1.5", "--out", str(tmp_path / emit),
+                         "--emit", emit]) == 0
+        for name in ("positions.csv", "cavities.csv"):
+            assert (tmp_path / "svg" / name).read_bytes() == (tmp_path / "csv" / name).read_bytes()
+        assert {p.name for p in (tmp_path / "svg").iterdir()} \
+            == {p.name for p in (tmp_path / "csv").iterdir()} | {"reference.svg", "deformed.svg"}
+
+
 # shape: (bounding box low, high, inradius) at the default sizes
 _FUZZ_SHAPES = {"disk": (-1.0, 1.0, 1.0), "square": (0.0, 1.0, 0.5),
                 "annulus": (-1.0, 1.0, 0.3)}
@@ -623,21 +679,21 @@ def _fuzz_config(rng) -> ScenarioConfig:
 
 
 class TestFuzz:
-    def test_random_configs_exit_cleanly(self, tmp_path, capsys):
-        # every accepted config runs (0), stops unconverged (3) or is
-        # refused as infeasible (2); none crashes (1 or a traceback)
+    def test_random_configs_exit_cleanly(self):
+        # every accepted config runs (converged or not) or is refused with
+        # the ConfigurationError that run_scenario maps to exit 2, naming
+        # its puncture; nothing else is raised
         rng = np.random.default_rng(17)
         start = time.perf_counter()
-        codes = set()
-        for k in range(60):
-            p = tmp_path / f"fuzz{k}.ini"
-            p.write_text(_fuzz_config(rng).to_ini())
-            code = main(["run", str(p), "--out", str(tmp_path / f"out{k}")])
-            assert code in (0, 2, 3), p.read_text()
-            err = capsys.readouterr().err
-            assert "Traceback" not in err, p.read_text()
-            if code == 2:  # a refusal names its puncture or its [section] key
-                assert re.search(r"puncture \d+|\[\w+\] \w+", err), err
-            codes.add(code)
+        codes = set()  # the exit codes run_scenario would return
+        for _ in range(60):
+            cfg = _fuzz_config(rng)
+            try:
+                record = cli.compute(cfg)
+            except ConfigurationError as err:
+                assert re.search(r"puncture \d+", str(err)), (str(err), cfg.to_ini())
+                codes.add(2)
+            else:
+                codes.add(0 if record.log.status == "converged" else 3)
         assert codes == {0, 2, 3}
         assert time.perf_counter() - start < 10.0

@@ -552,3 +552,70 @@ class TestMinimize:
         E = [r["energy"] for r in log.records]
         assert all(b <= a for a, b in zip(E, E[1:]))
         assert log.status == "converged"
+
+
+def _mirrored(mesh):
+    """The mesh reflected by x -> -x, puncture centres included."""
+    return cv.Mesh(mesh.vertices * [-1.0, 1.0], mesh.triangles, mesh.boundary_edges,
+                   [((-c[0], c[1]), r) for c, r in mesh.punctures])
+
+
+def _relabelled(mesh, rng):
+    """(the mesh with its vertices, triangles and boundary edges in a random
+    order, perm): vertex k of the new mesh is vertex perm[k] of the old."""
+    perm = rng.permutation(len(mesh.vertices))
+    new_id = np.argsort(perm)
+    tris = new_id[mesh.triangles[rng.permutation(len(mesh.triangles))]]
+    edges = [(int(new_id[i]), int(new_id[j]), tag) for i, j, tag in
+             (mesh.boundary_edges[k] for k in rng.permutation(len(mesh.boundary_edges)))]
+    return cv.Mesh(mesh.vertices[perm], tris, edges, list(mesh.punctures)), perm
+
+
+class TestFrameReferees:
+    """The energy does not see a mirror image of the reference mesh or the
+    order of its labels, and the solver must not either: the radial data
+    and the iso and elliptic phi (A = diag(4, 1)) are mirror-symmetric, so
+    the mirrored or relabelled solve must take the same steps to the
+    mirrored or relabelled minimizer."""
+
+    @pytest.fixture(scope="class", params=["bundled_iso", "bundled_ell", "annulus"])
+    def case(self, request):
+        from cavelast.cli import (ScenarioConfig, build_density, build_mesh, build_phi,
+                                  resolve_scenario)
+        if request.param == "annulus":  # an off-centre puncture
+            cfg = ScenarioConfig(shape="annulus", h=0.1, punctures=(((0.7, 0.0), 0.05),),
+                                 lam=1.3)
+        else:
+            name = {"bundled_iso": "radial_iso_lambda1.5",
+                    "bundled_ell": "radial_ell_lambda1.5"}[request.param]
+            cfg = ScenarioConfig.from_ini(resolve_scenario(name))
+        density, phi = build_density(cfg), build_phi(cfg)
+
+        def solve(mesh):
+            y0 = cv.BoundaryData(cfg.bc_kind, cfg.lam).initial_field(mesh)
+            return cv.minimize(y0, density, phi, max_iters=cfg.max_iters, tol_E=cfg.tol_E,
+                               residual_rel=cfg.residual_rel, det_floor=cfg.det_floor,
+                               inv_every=cfg.inv_every, seed=cfg.seed)
+
+        mesh = build_mesh(cfg)
+        return solve, mesh, solve(mesh)
+
+    @staticmethod
+    def _assert_same_solve(log, other, pos, other_pos):
+        assert log.status == other.status == "converged"
+        assert len(other.records) == len(log.records)
+        E = np.array([r["energy"] for r in log.records])
+        E_other = np.array([r["energy"] for r in other.records])
+        assert np.abs(E_other - E).max() <= 1e-13 * abs(E[-1])
+        assert np.abs(other_pos - pos).max() <= 1e-13 * np.abs(pos).max()
+
+    def test_mirror_reproduces_the_solve(self, case):
+        solve, mesh, (y, log) = case
+        y_m, log_m = solve(_mirrored(mesh))
+        self._assert_same_solve(log, log_m, y.positions * [-1.0, 1.0], y_m.positions)
+
+    def test_relabelling_reproduces_the_solve(self, case):
+        solve, mesh, (y, log) = case
+        relabelled, perm = _relabelled(mesh, np.random.default_rng(5))
+        y_r, log_r = solve(relabelled)
+        self._assert_same_solve(log, log_r, y.positions[perm], y_r.positions)
