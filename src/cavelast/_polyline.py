@@ -5,10 +5,17 @@ from __future__ import annotations
 import numpy as np
 
 
+def succ(a):
+    """The rows of a closed loop shifted one place on: row k holds a[k + 1]
+    and the last row a[0]. The values of np.roll(a, -1, axis=0), from two
+    slices at a fraction of its cost."""
+    return np.concatenate((a[1:], a[:1]))
+
+
 def polygon_signed_area(pts) -> float:
     pts = np.asarray(pts, dtype=float)
     x, y = pts[:, 0], pts[:, 1]
-    return 0.5 * float(np.sum(x * np.roll(y, -1) - np.roll(x, -1) * y))
+    return 0.5 * float(np.sum(x * succ(y) - succ(x) * y))
 
 
 def ensure_ccw(pts):
@@ -29,8 +36,7 @@ def points_to_polyline_distance(points, loop):
     """
     points = np.atleast_2d(np.asarray(points, dtype=float))
     a = np.asarray(loop, dtype=float)
-    b = np.roll(a, -1, axis=0)
-    d = b - a
+    d = succ(a) - a
     len2 = np.maximum((d ** 2).sum(axis=1), 1e-300)
     out = np.empty(len(points))
     step = max(1, _PAIRS // len(a))
@@ -48,7 +54,7 @@ def densify(loop, max_edge):
     """Insert points so no edge of the closed polyline exceeds max_edge."""
     loop = np.asarray(loop, dtype=float)
     out = []
-    for p, q in zip(loop, np.roll(loop, -1, axis=0)):
+    for p, q in zip(loop, succ(loop)):
         n = max(1, int(np.ceil(np.linalg.norm(q - p) / max_edge)))
         for s in range(n):
             out.append(p + (q - p) * (s / n))

@@ -224,8 +224,15 @@ class ScenarioConfig:
         if self.phi_kind not in ("isotropic", "elliptic", "smoothed_l1"):
             raise ConfigurationError("[surface] kind must be isotropic, "
                                      "elliptic or smoothed_l1")
-        if self.phi_kind == "elliptic" and self.phi_A is None:
-            raise ConfigurationError("[surface] elliptic kind needs the matrix A")
+        if self.phi_kind == "elliptic":
+            if self.phi_A is None:
+                raise ConfigurationError("[surface] elliptic kind needs the matrix A")
+            # the tests SurfaceDensity makes, here before any meshing
+            A = np.asarray(self.phi_A, dtype=float)
+            if not np.allclose(A, A.T):
+                raise ConfigurationError("[surface] A must be symmetric")
+            if np.linalg.eigvalsh(A)[0] <= 0.0:
+                raise ConfigurationError("[surface] A must be positive definite")
         if self.bc_kind not in ("radial_stretch", "affine_stretch"):
             raise ConfigurationError("[boundary] kind must be radial_stretch "
                                      "or affine_stretch")
@@ -349,26 +356,16 @@ def _svg_document(segments, loops):
     return "\n".join(out) + "\n"
 
 
-def _mesh_edge_segments(vertices, triangles):
-    pairs = np.sort(np.concatenate([triangles[:, [0, 1]], triangles[:, [1, 2]],
-                                    triangles[:, [2, 0]]]), axis=1)
-    # key each sorted pair (i, j) by i * n + j: ascending keys are the
-    # lexicographic order of the pairs
-    n = len(vertices)
-    keys = np.unique(pairs[:, 0] * n + pairs[:, 1])
-    return vertices[np.stack([keys // n, keys % n], axis=1)]
-
-
-def _render_svg(out_path, triangles, pos, loops):
-    """The mesh edges at the nodal positions pos, with the polygons loops
+def _render_svg(out_path, mesh, pos, loops):
+    """The edges of mesh at the nodal positions pos, with the polygons loops
     drawn over them; the one draw path of both figures."""
-    Path(out_path).write_text(_svg_document(_mesh_edge_segments(pos, triangles), loops))
+    Path(out_path).write_text(_svg_document(pos[mesh.edge_pairs], loops))
 
 
 def render_reference_svg(mesh_path, out_path):
     """Reference mesh with puncture loops, drawn from the mesh file alone."""
     mesh = load_mesh(mesh_path)
-    _render_svg(out_path, mesh.triangles, mesh.vertices,
+    _render_svg(out_path, mesh, mesh.vertices,
                 [mesh.vertices[ids] for ids in mesh.puncture_loops()])
 
 
@@ -376,7 +373,7 @@ def render_deformed_svg(mesh_path, positions_path, cavities_path, out_path):
     """Deformed mesh plus cavity polygons, drawn from the exports alone."""
     mesh = load_mesh(mesh_path)
     loops = _read_cavities_csv(cavities_path) if Path(cavities_path).is_file() else []
-    _render_svg(out_path, mesh.triangles, _read_positions_csv(positions_path), loops)
+    _render_svg(out_path, mesh, _read_positions_csv(positions_path), loops)
 
 
 # ---------------------------------------------------------------------------
@@ -411,15 +408,18 @@ def compute(cfg: ScenarioConfig, mode="run") -> RunRecord:
         if mode == "run":
             y, log = minimize(y, density, phi, max_iters=cfg.max_iters, tol_E=cfg.tol_E,
                               residual_rel=cfg.residual_rel, det_floor=cfg.det_floor,
-                              inv_every=cfg.inv_every, seed=cfg.seed)
+                              inv_every=cfg.inv_every, seed=cfg.seed,
+                              certify=certification_battery)
         else:
             log = IterationLog(status="evaluated")
         breakdown = total_energy(y, density, phi)
     except InfeasibleEnergyError as err:
         raise ConfigurationError(str(err)) from err
     crossings = boundary_crossings(mesh, y.positions)
-    fields = certification_battery(y, seed=cfg.seed)
-    variations = battery_variations(y, density, phi, fields)
+    if log.certificate is None:  # the solve's stop test did not certify y
+        fields = certification_battery(y, seed=cfg.seed)
+        log.certificate = fields, battery_variations(y, density, phi, fields)
+    fields, variations = log.certificate
     residual = max([0.0] + variations)
     fv_report = None
     if fields:  # first field attaining the residual (a NaN variation counts as 0)
@@ -460,9 +460,9 @@ def write(record: RunRecord, out, emit, threads=None):
     if "svg" in emit:
         # drawn from memory: the mesh and positions files round-trip every
         # float, and the cavity loops are rounded as cavities.csv holds them
-        _render_svg(out / "reference.svg", mesh.triangles, mesh.vertices,
+        _render_svg(out / "reference.svg", mesh, mesh.vertices,
                     [mesh.vertices[ids] for ids in mesh.puncture_loops()])
-        _render_svg(out / "deformed.svg", mesh.triangles, y.positions,
+        _render_svg(out / "deformed.svg", mesh, y.positions,
                     [_as_12g(rec.boundary) for rec in breakdown.cavities if len(rec.boundary)])
     if "raster" in emit:
         topological_image(y, "omega", cfg.delta).save_pgm(out / "raster.pgm")

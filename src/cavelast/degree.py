@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._polyline import ensure_ccw, points_to_polyline_distance, polygon_signed_area
+from ._polyline import ensure_ccw, points_to_polyline_distance, polygon_signed_area, succ
 from ._table import read_table, write_table
 from .exceptions import DomainError, GeometryError
 from .geometry import _CHUNK, DeformationField, trace_on_circle
@@ -55,7 +55,7 @@ def winding_number_angle(loop, points):
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     single = np.asarray(points).ndim == 1
     out = np.empty(len(pts), dtype=np.int64)
-    b = np.roll(loop, -1, axis=0)
+    b = succ(loop)
     for lo in range(0, len(pts), _CHUNK):
         p = pts[lo:lo + _CHUNK]
         u = loop[None, :, :] - p[:, None, :]
@@ -80,7 +80,7 @@ def winding_number_angle(loop, points):
 def _edges(loop):
     """(ax, ay, bx, by) of the closed polyline's directed edges."""
     loop = np.asarray(loop, dtype=float)
-    b = np.roll(loop, -1, axis=0)
+    b = succ(loop)
     return loop[:, 0], loop[:, 1], b[:, 0], b[:, 1]
 
 
@@ -223,9 +223,7 @@ def boundary_crossings(mesh, pos) -> int:
     positions `pos` of every boundary edge of the mesh: outer loops, an
     annulus's inner loop and the puncture loops. 0 means the deformed
     boundary loops are simple and pairwise disjoint."""
-    loops = list(mesh.boundary_loops().values())
-    u = np.concatenate(loops)
-    v = np.concatenate([np.roll(ids, -1) for ids in loops])
+    u, v = mesh.boundary_segments
     pos = np.asarray(pos, dtype=float)
     return segment_crossings(pos[u], pos[v], u, v)
 
@@ -235,11 +233,11 @@ def polygon_is_simple(pts) -> bool:
     (`segment_crossings`, with neighbouring edges sharing their vertex);
     repeated consecutive points are merged first."""
     pts = np.asarray(pts, dtype=float)
-    pts = pts[np.any(pts != np.roll(pts, -1, axis=0), axis=1)]
+    pts = pts[np.any(pts != succ(pts), axis=1)]
     if len(pts) < 3:
         return False
     ids = np.arange(len(pts))
-    return segment_crossings(pts, np.roll(pts, -1, axis=0), ids, np.roll(ids, -1)) == 0
+    return segment_crossings(pts, succ(pts), ids, succ(ids)) == 0
 
 
 # ---------------------------------------------------------------------------

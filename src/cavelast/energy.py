@@ -15,7 +15,7 @@ from functools import cached_property
 import numpy as np
 from scipy import sparse
 
-from ._polyline import ensure_ccw, polygon_signed_area
+from ._polyline import ensure_ccw, polygon_signed_area, succ
 from .degree import CavityRecord, polygon_is_simple
 from .exceptions import DomainError, InfeasibleEnergyError
 from .geometry import DeformationField
@@ -76,7 +76,7 @@ def _require_positive_dets(F):
 def _edge_normals(poly):
     """z_j = _ROT @ e_j over the nonzero edges e_j of a closed polygon, and their
     mask; by one-homogeneity |e| * phi(nu_e) = phi(z) on a ccw polygon."""
-    e = np.roll(poly, -1, axis=0) - poly
+    e = succ(poly) - poly
     keep = (e[:, 0] != 0.0) | (e[:, 1] != 0.0)  # zero edges contribute nothing
     return e[keep] @ _ROT.T, keep
 
@@ -91,7 +91,7 @@ def phi_perimeter_gradient(poly, phi: SurfaceDensity) -> np.ndarray:
     z, keep = _edge_normals(poly)
     gt = np.zeros(np.shape(poly))
     gt[keep] = phi.gradient(z) @ _ROT  # d phi(z_j) / d e_j = R^T Dphi(z_j)
-    return np.roll(gt, 1, axis=0) - gt
+    return np.concatenate((gt[-1:], gt[:-1])) - gt  # rows shifted one place back
 
 
 class DiscreteEnergy:
@@ -194,29 +194,38 @@ class DiscreteEnergy:
 
     def band_layout(self, free=None):
         """(order, width, slot) of `hess` over the mask `free`, cached for
-        the last mask: order[k] is the free dof placed k-th, a Cuthill-McKee
-        order (`band_order`) of the free-dof graph; width is the number of
-        superdiagonals of the reordered matrix; slot[e] is the flat band
-        index of element entry e in `hess`'s value layout (per element
-        (i, c, j, d) over corners i, j and axes c, d, triangles first, then
-        loop edges), or the one discard slot (width + 1) n for an entry
-        below the diagonal or on a fixed dof."""
+        the last mask: order[k] is the free dof placed k-th, the Cuthill-McKee
+        order of the free-dof graph (`pair_band_order` of the free-vertex
+        graph); width is the number of superdiagonals of the reordered
+        matrix; slot[e] is the flat band index of element entry e in `hess`'s
+        value layout (per element (i, c, j, d) over corners i, j and axes
+        c, d, triangles first, then loop edges), or the one discard slot
+        (width + 1) n for an entry below the diagonal or on a fixed dof."""
         key = None if free is None else np.asarray(free, dtype=bool).tobytes()
         if self._layout is None or self._layout[0] != key:
             mask = np.ones(len(self.mesh.vertices), dtype=bool) if free is None \
                 else np.asarray(free, dtype=bool)
-            n = 2 * int(np.sum(mask))  # free dofs
+            k = int(np.sum(mask))  # free vertices
+            n = 2 * k  # free dofs
+            vid = np.full(len(mask), -1)
+            vid[mask] = np.arange(k)
+            elems = [self.mesh.triangles] + [
+                np.stack([ids, succ(ids)], axis=1) for ids in self.loops]
+
+            def pairs(ids):  # (row, column) of every (corner, corner) of every element
+                return (np.concatenate([np.repeat(c, c.shape[1], axis=1).ravel() for c in ids]),
+                        np.concatenate([np.tile(c, (1, c.shape[1])).ravel() for c in ids]))
+
+            row, col = pairs([vid[el] for el in elems])
+            both = (row >= 0) & (col >= 0)
+            graph = sparse.csc_matrix((np.ones(int(both.sum())), (row[both], col[both])),
+                                      shape=(k, k))
+            order = pair_band_order(graph.indptr, graph.indices)
             dof = np.full((len(mask), 2), -1)
             dof[mask] = np.arange(n).reshape(-1, 2)
-            elems = [self.mesh.triangles] + [
-                np.stack([ids, np.roll(ids, -1)], axis=1) for ids in self.loops]
-            corner = [dof[el].reshape(len(el), -1) for el in elems]
-            row = np.concatenate([np.repeat(c, c.shape[1], axis=1).ravel() for c in corner])
-            col = np.concatenate([np.tile(c, (1, c.shape[1])).ravel() for c in corner])
+            row, col = pairs([dof[el].reshape(len(el), -1) for el in elems])
             both = (row >= 0) & (col >= 0)
             row, col = row[both], col[both]
-            graph = sparse.csc_matrix((np.ones(len(row)), (row, col)), shape=(n, n))
-            order = band_order(graph.indptr, graph.indices)
             rank = np.empty(n, dtype=np.int64)
             rank[order] = np.arange(n)
             i, j = rank[row], rank[col]
@@ -253,6 +262,54 @@ def band_order(indptr, indices) -> np.ndarray:
         parts += levels
         placed[np.concatenate(levels)] = True
     return np.concatenate(parts) if parts else np.empty(0, dtype=np.int64)
+
+
+def pair_band_order(indptr, indices) -> np.ndarray:
+    """`band_order` of the pair graph of the symmetric csc pattern
+    (indptr, indices), diagonal included, found on the pattern itself. In
+    the pair graph each node v becomes the two nodes 2v and 2v + 1, joined
+    to each other and to both halves of every neighbour of v: the dof graph
+    of a vertex graph, two dofs per vertex.
+
+    Its breadth-first levels are the pattern's, each node v expanded to
+    2v, 2v + 1 (same first neighbour, degree 2 deg v, adjacent indices),
+    except at the start: a search starts at one half s of a node, and the
+    other half joins level 1, placed there by (degree, index). The start is
+    the even half of a component's first node, or on a restart the last
+    node of the last level, both as `band_order` picks them."""
+    n = len(indptr) - 1
+    deg = np.diff(indptr)
+    placed = np.zeros(n, dtype=bool)
+    parts = []
+    while not placed.all():  # one component per pass
+        start = 2 * int(np.argmin(placed))
+        levels = _bfs_levels(start // 2, indptr, indices, deg)
+        while True:
+            last = _last_half(levels, start, deg)
+            again = _bfs_levels(last // 2, indptr, indices, deg)
+            if len(again) <= len(levels):
+                break
+            levels, start = again, last
+        halves = [np.stack([2 * lv, 2 * lv + 1], axis=1).ravel() for lv in levels[1:]]
+        first = halves[0] if halves else np.empty(0, dtype=np.int64)
+        # level 1 ascends in (degree, index), keyed as degree * 2n + index
+        at = np.searchsorted(deg[first // 2] * 2 * n + first,
+                             deg[start // 2] * 2 * n + (start ^ 1))
+        parts += [np.array([start]), np.insert(first, at, start ^ 1)] + halves[1:]
+        placed[np.concatenate(levels)] = True
+    return np.concatenate(parts) if parts else np.empty(0, dtype=np.int64)
+
+
+def _last_half(levels, start, deg) -> int:
+    """The last node of the last pair-graph level of a search from the half
+    `start`, given the pattern's levels of that search: the other half of the
+    start when it is alone or tops level 1 in (degree, index), else the odd
+    half of the last node of the last level."""
+    twin, u = start ^ 1, int(levels[-1][-1])
+    if len(levels) == 1 or (len(levels) == 2
+                            and (deg[start // 2], twin) > (deg[u], 2 * u + 1)):
+        return twin
+    return 2 * u + 1
 
 
 def _bfs_levels(start, indptr, indices, deg) -> list:
@@ -378,7 +435,7 @@ def surface_functional_S_sum(y: DeformationField) -> float:
     total = 0.0
     for ids in y.mesh.puncture_loops():
         img = ensure_ccw(y.positions[ids])
-        e = np.roll(img, -1, axis=0) - img
+        e = succ(img) - img
         total += float(np.sum(np.hypot(e[:, 1], -e[:, 0])))
     return total
 

@@ -17,7 +17,7 @@ import numpy as np
 from scipy import sparse
 from scipy.spatial import Delaunay, cKDTree
 
-from ._polyline import polygon_signed_area
+from ._polyline import polygon_signed_area, succ
 from ._table import format_rows, read_table
 from .exceptions import ArtifactError, GeometryError
 from .material import _det2
@@ -41,8 +41,8 @@ class Mesh:
     punctures      list of ((cx, cy), rho) for the tagged holes, aligned with
                    the `puncture_<k>` tags
 
-    Treat a mesh as immutable once built: `locator`, the gradient operator
-    and the boundary loops are cached on it.
+    Treat a mesh as immutable once built: `locator`, the gradient operator,
+    the boundary loops and segments and the edge pairs are cached on it.
     """
 
     vertices: np.ndarray
@@ -123,6 +123,31 @@ class Mesh:
         """Ordered, counterclockwise vertex loops keyed by boundary tag; the
         arrays are built once per mesh and are read-only."""
         return dict(self._loops)
+
+    @cached_property
+    def boundary_segments(self):
+        """(u, v): the vertex ids at the two ends of every boundary edge,
+        loop by loop in `boundary_loops` order, each loop's edges in loop
+        order; read-only."""
+        loops = list(self._loops.values())
+        u = np.concatenate(loops)
+        v = np.concatenate([succ(ids) for ids in loops])
+        u.flags.writeable = v.flags.writeable = False
+        return u, v
+
+    @cached_property
+    def edge_pairs(self):
+        """(k, 2) vertex ids (i, j), i < j, of every mesh edge once, in
+        lexicographic order; read-only."""
+        pairs = np.sort(np.concatenate([self.triangles[:, [0, 1]], self.triangles[:, [1, 2]],
+                                        self.triangles[:, [2, 0]]]), axis=1)
+        # key each sorted pair (i, j) by i * n + j: ascending keys are the
+        # lexicographic order of the pairs
+        n = len(self.vertices)
+        keys = np.unique(pairs[:, 0] * n + pairs[:, 1])
+        out = np.stack([keys // n, keys % n], axis=1)
+        out.flags.writeable = False
+        return out
 
     def puncture_loops(self) -> list:
         """Loops for `puncture_<k>` tags, ordered to match self.punctures."""

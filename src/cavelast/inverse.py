@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.spatial import ConvexHull
 
-from ._polyline import ensure_ccw
+from ._polyline import ensure_ccw, succ
 from ._table import format_rows, write_table
 from .degree import CellGrid, covering_grid, marching_squares, winding_grid, winding_points
 from .exceptions import DomainError
@@ -159,10 +159,10 @@ def extract_jump_set(inv: InverseField) -> list:
     if mask.any():
         for loop in marching_squares(mask, inv.origin, inv.delta):
             pts = ensure_ccw(loop)
-            e = np.roll(pts, -1, axis=0) - pts
+            e = succ(pts) - pts
             nrm = np.stack([e[:, 1], -e[:, 0]], axis=1)
             nrm /= np.maximum(np.linalg.norm(nrm, axis=1, keepdims=True), 1e-300)
-            mids = 0.5 * (pts + np.roll(pts, -1, axis=0))
+            mids = 0.5 * (pts + succ(pts))
             a = _probe_ref(inv, mids + 0.6 * inv.delta * nrm)
             retry = np.isnan(a[:, 0])
             if retry.any():

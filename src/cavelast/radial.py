@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 import numpy as np
-from scipy.linalg import LinAlgError, solveh_banded
+from scipy.linalg.lapack import dptsv
 
 from ._table import write_table
 from .exceptions import InfeasibleEnergyError
@@ -159,6 +159,8 @@ class _PLEnergy:
     v2 = (v_j (1 - t) + v_{j+1} t) / R, and W and its derivatives come from
     `BulkDensity`. The returned RadialProfile swaps in the monotone cubic
     interpolant afterwards; the two agree to the interpolation error.
+    `grad`, `hess` and `change` take the stretch `_stretch(values)` of
+    their values when the caller already has it.
     """
 
     def __init__(self, knots, density: BulkDensity, K: float):
@@ -183,13 +185,13 @@ class _PLEnergy:
     def value(self, values):
         return self._integrate(self.density.energy(self._stretch(values)), values[0])
 
-    def change(self, values, step):
+    def change(self, values, step, S=None):
         """E(values + step) - E(values), resolved below the rounding of E."""
-        return self._integrate(self.density.energy_change(
-            self._stretch(values), self._stretch(step)), step[0])
+        S = self._stretch(values) if S is None else S
+        return self._integrate(self.density.energy_change(S, self._stretch(step)), step[0])
 
-    def grad(self, values):
-        DW = self.density.stress(self._stretch(values))
+    def grad(self, values, S=None):
+        DW = self.density.stress(self._stretch(values) if S is None else S)
         W1 = self.C * DW[:, 0, 0].reshape(self.shape)
         W2 = self.C * DW[:, 1, 1].reshape(self.shape)
         A = np.sum(W1, axis=1) / self.dR         # through the slope
@@ -200,11 +202,12 @@ class _PLEnergy:
         g[0] += self.K
         return g
 
-    def hess(self, values):
+    def hess(self, values, S=None):
         """Hessian in solveh_banded's upper layout. Each interval couples
         only its two endpoint values, so it is tridiagonal, assembled from
         the per-interval 2x2 blocks."""
-        D2W = self.density.hessian(self._stretch(values)).reshape(self.shape + (2, 2, 2, 2))
+        S = self._stretch(values) if S is None else S
+        D2W = self.density.hessian(S).reshape(self.shape + (2, 2, 2, 2))
         d11, d12, d22 = (self.C * D2W[..., i, i, j, j] for i, j in ((0, 0), (0, 1), (1, 1)))
         lo, hi = -1.0 / self.dR[:, None], 1.0 / self.dR[:, None]   # d v1 / d v_j, v_{j+1}
 
@@ -235,7 +238,9 @@ def _project_monotone(v, top, eps, floor=None):
 
 
 def _newton_direction(ab, g):
-    """Solve (H + tau |diag H|) d = g by banded Cholesky.
+    """Solve (H + tau |diag H|) d = g, H tridiagonal in solveh_banded's
+    upper layout ab, by LAPACK's dptsv, the routine solveh_banded calls for
+    such a band.
 
     tau starts at 0 and grows tenfold from 1e-8 until the shifted matrix
     factors, so d is always a descent direction (a modified-Hessian Newton
@@ -244,12 +249,10 @@ def _newton_direction(ab, g):
     scale = np.abs(ab[1])
     tau = 0.0
     while tau <= 1e8:
-        shifted = ab.copy()
-        shifted[1] += tau * scale
-        try:
-            return solveh_banded(shifted, g)
-        except LinAlgError:
-            tau = max(10.0 * tau, 1e-8)
+        _, _, d, info = dptsv(ab[1] + tau * scale, ab[0, 1:], g)
+        if info == 0:
+            return d
+        tau = max(10.0 * tau, 1e-8)
     return None
 
 
@@ -282,7 +285,8 @@ def _descend(f: _PLEnergy, vals, top, max_iters, el_tol):
     status = "max_iters"
     for it in range(max_iters + 1):
         x = np.append(v, top)
-        g = f.grad(x)
+        S = f._stretch(x)
+        g = f.grad(x, S)
         pinned = v[0] <= floor * (1.0 + 1e-9) and g[0] > 0.0
         scaled = np.abs(g) / m
         if pinned:
@@ -295,14 +299,14 @@ def _descend(f: _PLEnergy, vals, top, max_iters, el_tol):
             break
         if it == max_iters:
             break
-        ab = f.hess(x)
+        ab = f.hess(x, S)
         if pinned:
             g[0] = 0.0
             ab[0, 1] = 0.0
         d = _newton_direction(ab, g)
         for tau in 0.5 ** np.arange(40 if d is not None else 0):
             cand = project(v - tau * d)
-            dE = f.change(x, np.append(cand - v, 0.0))
+            dE = f.change(x, np.append(cand - v, 0.0), S)
             if dE <= 1e-4 * min(0.0, float(g @ (cand - v))):
                 break
         else:                                    # no step lowers the energy

@@ -12,12 +12,15 @@ import logging
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import LinAlgError, cho_solve_banded, cholesky_banded
+from scipy.linalg import LinAlgError
+from scipy.linalg.lapack import dpbtrf, dpbtrs
 
+from ._polyline import succ
 from ._table import write_table
-# check_inv is not called here; it stays bound because perfbench's tracer patches it
+# check_inv and total_energy are not called here; they stay bound because
+# perfbench's tracer patches them
 from .degree import boundary_crossings, check_inv  # noqa: F401
-from .energy import (_ROT, DiscreteEnergy, _bump, _require_positive_dets,
+from .energy import (_ROT, DiscreteEnergy, _bump, _require_positive_dets,  # noqa: F401
                      detect_cavities, phi_perimeter_gradient, total_energy)
 from .exceptions import DomainError, InfeasibleEnergyError
 from .geometry import DeformationField, hat_gradients
@@ -224,10 +227,10 @@ def surface_first_variation(y: DeformationField, psi, phi: SurfaceDensity,
         if mode == "vertex":
             total += float(np.sum(phi_perimeter_gradient(p, phi) * psi.value(p)))
         elif mode == "midpoint":
-            e = np.roll(p, -1, axis=0) - p
+            e = succ(p) - p
             keep = (e[:, 0] != 0.0) | (e[:, 1] != 0.0)
             z = e[keep] @ _ROT.T
-            mids = 0.5 * (p + np.roll(p, -1, axis=0))[keep]
+            mids = 0.5 * (p + succ(p))[keep]
             L = np.hypot(e[keep, 0], e[keep, 1])
             nu = z / L[:, None]
             J = psi.jacobian(mids)
@@ -266,12 +269,21 @@ def first_variation_residual(y: DeformationField, psi, density: BulkDensity,
                              phi: SurfaceDensity) -> VariationReport:
     """Exact first variation of the discrete energy, as the battery takes
     it, against the central difference, step 1e-5, of t -> total energy of
-    h_t o y."""
+    h_t o y: bulk + surface of `DiscreteEnergy.value`, the sum
+    `total_energy` reports; InfeasibleEnergyError if some det <= 0 there."""
     fd_step = 1e-5
     [(el, su)] = _variation_terms(y, density, phi, [psi])
-    e_plus = total_energy(outer_compose(y, psi, fd_step), density, phi).total
-    e_minus = total_energy(outer_compose(y, psi, -fd_step), density, phi).total
-    fd = (e_plus - e_minus) / (2.0 * fd_step)
+    energy = DiscreteEnergy(y.mesh, density, phi)
+
+    def energy_at(t):
+        pos = outer_compose(y, psi, t).positions
+        F = y.mesh.element_gradients(pos)
+        bulk, surf, _ = energy.value(pos, F)
+        if bulk is None:
+            _require_positive_dets(F)  # raises, naming the triangle
+        return bulk + surf
+
+    fd = (energy_at(fd_step) - energy_at(-fd_step)) / (2.0 * fd_step)
     total = el + su
     return VariationReport(elastic=el, surface=su, total=total, fd_value=fd,
                            fd_gap=abs(total - fd) / (abs(fd) + 1e-12))
@@ -355,8 +367,13 @@ def _variation_terms(y, density, phi, fields) -> list:
 
 @dataclass
 class IterationLog:
+    """One row per step, the stop status, and `certificate`: the battery
+    fields and their |first variations| at the returned field, when the
+    stop test built them there (None otherwise)."""
+
     records: list = field(default_factory=list)
     status: str = "running"
+    certificate: tuple | None = None
 
     def add(self, **row):
         self.records.append(row)
@@ -373,21 +390,26 @@ def _newton_step(energy_of, pos, free, F, grad, damping):
     projected Hessian over the free dofs, by one LAPACK banded Cholesky of
     its band `energy_of.hess(pos, free, F)`, which is in the order of
     `energy_of.band_layout(free)`. LinAlgError when the matrix is not
-    positive definite."""
+    positive definite. The LAPACK routines are the ones
+    `scipy.linalg.cholesky_banded` and `cho_solve_banded` call, without
+    their argument checks."""
     order, _, _ = energy_of.band_layout(free)
     band = energy_of.hess(pos, free, F)
     band[-1] *= 1.0 + damping  # the diagonal
-    factor = cholesky_banded(band, overwrite_ab=True, check_finite=False)
+    factor, info = dpbtrf(band, overwrite_ab=1)
+    if info > 0:
+        raise LinAlgError(f"{info}-th leading minor not positive definite")
+    x, _ = dpbtrs(factor, -grad[order], overwrite_b=1)
     dx = np.empty(len(order))
-    dx[order] = cho_solve_banded((factor, False), -grad[order],
-                                 overwrite_b=True, check_finite=False)
+    dx[order] = x
     return dx.reshape(-1, 2)
 
 
 def minimize(y0: DeformationField, density: BulkDensity, phi: SurfaceDensity,
              max_iters: int = 500, tol_E: float = 1e-10,
              residual_rel: float = 1e-3, det_floor: float = 1e-8,
-             inv_every: int = 1, seed: int = 0, max_backtracks: int = 40):
+             inv_every: int = 1, seed: int = 0, max_backtracks: int = 40,
+             certify=certification_battery):
     """Monotone damped projected-Newton descent on the nodal positions; the
     vertices on non-puncture boundary edges stay fixed.
 
@@ -405,13 +427,15 @@ def minimize(y0: DeformationField, density: BulkDensity, phi: SurfaceDensity,
 
     Returns (field, log). The log status is "converged" when a tiny energy
     decrease (below tol_E * (1 + |E|)) or a zero gradient comes with a
-    certification-battery residual of at most residual_rel * |E|; "stalled"
-    when no trial is accepted, after 3 tiny decreases in a row, at a zero
-    gradient whose battery fails, or when the damped matrix is not positive
-    definite (a warning names the failed leading minor); "max_iters" when
-    the budget runs out. The `step` column is the accepted step fraction, 0
-    where none was taken. Every accepted step is logged at DEBUG level on
-    the "cavelast" logger.
+    residual of at most residual_rel * |E| over the certification battery
+    that `certify(field, seed=seed)` builds; "stalled" when no trial is
+    accepted, after 3 tiny decreases in a row, at a zero gradient whose
+    battery fails, or when the damped matrix is not positive definite (a
+    warning names the failed leading minor); "max_iters" when the budget
+    runs out. The `step` column is the accepted step fraction, 0
+    where none was taken. When the stop test last ran at the returned
+    field, the log keeps its battery as `certificate`. Every accepted step
+    is logged at DEBUG level on the "cavelast" logger.
     """
     mesh = y0.mesh
     energy_of = DiscreteEnergy(mesh, density, phi)
@@ -466,6 +490,7 @@ def minimize(y0: DeformationField, density: BulkDensity, phi: SurfaceDensity,
                 break
 
             pos, F, bulk, surf, mind = cand, t_F, t_bulk, t_surf, t_mind
+            log.certificate = None  # built at an earlier field
             damping *= 0.3 if s == 1.0 else 4.0
             decrease = energy - (bulk + surf)
             energy = bulk + surf
@@ -475,7 +500,10 @@ def minimize(y0: DeformationField, density: BulkDensity, phi: SurfaceDensity,
 
         res = None
         if s == 0.0 or decrease < tol_E * (1.0 + abs(energy)):
-            res = battery_residual(y0.with_positions(pos), density, phi, seed=seed)
+            y = y0.with_positions(pos)
+            fields = certify(y, seed=seed)
+            log.certificate = fields, battery_variations(y, density, phi, fields)
+            res = max([0.0] + log.certificate[1])
             tiny_streak += 1
         else:
             tiny_streak = 0

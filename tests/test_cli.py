@@ -587,6 +587,22 @@ class TestMain:
         assert "artifacts in" not in captured.out
         assert not out.exists()
 
+    @pytest.mark.parametrize("A,named", [("1 1; 0 1", "symmetric"),
+                                         ("1 0; 0 -1", "positive definite")])
+    def test_bad_elliptic_matrix_exit_2_before_meshing(self, tmp_path, capsys, monkeypatch,
+                                                       A, named):
+        def no_mesh(cfg):
+            raise AssertionError("meshed a config that validate() should refuse")
+
+        monkeypatch.setattr(cli, "build_mesh", no_mesh)
+        p = tmp_path / "bad.ini"
+        p.write_text(f"[surface]\nkind = elliptic\nA = {A}\n")
+        out = tmp_path / "out"
+        assert main(["run", str(p), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"configuration error: [surface] A must be {named}" in err
+        assert not out.exists()
+
     def test_compare_subcommand(self, iso_run, ell_run, tmp_path, capsys):
         assert main(["compare", str(iso_run[1]), str(ell_run[1])]) == 0
         assert "minimality_alarm = clear" in capsys.readouterr().out
@@ -697,3 +713,21 @@ class TestFuzz:
                 codes.add(0 if record.log.status == "converged" else 3)
         assert codes == {0, 2, 3}
         assert time.perf_counter() - start < 10.0
+
+    @pytest.fixture(scope="class")
+    def seed1_configs(self):
+        # the first 245 seed-1 configs, as CI's reference fuzz draws them
+        rng = np.random.default_rng(1)
+        return [_fuzz_config(rng) for _ in range(245)]
+
+    # (config, step ceiling, total ceiling) of three slow seed-1 configs;
+    # later changes may tighten the ceilings, never loosen them
+    @pytest.mark.parametrize("k,steps,total", [(141, 158, 9.08843966461),
+                                               (163, 223, 2.24093066222),
+                                               (244, 197, 6.35346206393)])
+    def test_slow_configs_converge_within_ceilings(self, seed1_configs, k, steps, total):
+        record = cli.compute(dataclasses.replace(seed1_configs[k], max_iters=1500))
+        assert record.log.status == "converged"
+        assert len(record.log.records) - 1 <= steps
+        # the total as summary.txt prints it, to 12 digits
+        assert float(f"{record.breakdown.total:.12g}") <= total

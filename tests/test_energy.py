@@ -10,7 +10,7 @@ import cavelast as cv
 from cavelast._polyline import hausdorff_distance
 from cavelast.cli import _read_positions_csv
 from cavelast.degree import _default_radii
-from cavelast.energy import _ROT, _edge_normals, band_order
+from cavelast.energy import _ROT, _edge_normals, band_order, pair_band_order
 from cavelast.exceptions import DomainError, InfeasibleEnergyError
 from cavelast.variation import _constrained_vertices
 
@@ -339,6 +339,57 @@ class TestBandLayout:
             assert sorted(order.tolist()) == list(range(2 * int(free.sum()))), name
             pieces, _ = connected_components(_reference_hess(E, disk_mesh.vertices, free))
             assert pieces == (2 if name == "two_components" else 1)
+
+    @staticmethod
+    def dof_graph_order(mesh, free, loops):
+        """`band_order` of the free-dof graph itself: dofs 2 v + axis of the
+        free vertices, joined when an element couples them."""
+        n = 2 * int(free.sum())
+        dof = np.full((len(free), 2), -1)
+        dof[free] = np.arange(n).reshape(-1, 2)
+        elems = [mesh.triangles] + [np.stack([ids, np.roll(ids, -1)], axis=1) for ids in loops]
+        corner = [dof[el].reshape(len(el), -1) for el in elems]
+        row = np.concatenate([np.repeat(c, c.shape[1], axis=1).ravel() for c in corner])
+        col = np.concatenate([np.tile(c, (1, c.shape[1])).ravel() for c in corner])
+        both = (row >= 0) & (col >= 0)
+        graph = sparse.csc_matrix((np.ones(int(both.sum())), (row[both], col[both])),
+                                  shape=(n, n))
+        return band_order(graph.indptr, graph.indices)
+
+    def test_order_is_the_dof_graph_order(self, disk_mesh, density, iso):
+        # ordering the vertex graph gives the dof graph's order, digit for
+        # digit, and so the same band
+        annulus = cv.build_annulus_mesh(1.0, 0.4, 0.12, punctures=[((0.65, 0.1), 0.06),
+                                                                   ((-0.65, 0.0), 0.07)])
+        for mesh in (disk_mesh, cv.build_disk_mesh(1.0, 0.035, punctures=[((0.0, 0.0), 0.2)]),
+                     annulus):
+            for name, free in self.masks(mesh).items():
+                E = cv.DiscreteEnergy(mesh, density, iso)
+                order, _, _ = E.band_layout(free)
+                assert np.array_equal(order, self.dof_graph_order(mesh, free, E.loops)), name
+
+    def test_pair_order_on_small_patterns(self):
+        # random symmetric patterns with their diagonal (isolated nodes and
+        # two-level components included) and every star: the pair order is
+        # the order of the pattern's Kronecker product with a 2 x 2 block
+        rng = np.random.default_rng(5)
+        patterns = []
+        for _ in range(200):
+            n = int(rng.integers(1, 25))
+            A = sparse.random(n, n, density=float(rng.uniform(0.02, 0.4)), random_state=rng)
+            patterns.append(A + A.T + sparse.eye(n))
+        for n in range(1, 7):
+            for c in range(n):
+                patterns.append(sparse.csc_matrix((np.ones(2 * n), ([c] * n + list(range(n)),
+                                                                     list(range(n)) + [c] * n)),
+                                                  shape=(n, n)) + sparse.eye(n))
+        for A in patterns:
+            A = (sparse.csc_matrix(A) != 0).astype(float).tocsc()
+            A.sort_indices()
+            P = sparse.kron(A, np.ones((2, 2)), format="csc")
+            P.sort_indices()
+            assert np.array_equal(pair_band_order(A.indptr, A.indices),
+                                  band_order(P.indptr, P.indices)), A.toarray()
 
     @pytest.mark.parametrize("damping", [1.0, 1e-7])
     def test_band_is_upper_band_of_damped_hessian(self, stretched_disk, density, ell,

@@ -303,3 +303,36 @@ class TestMeshIO:
         p.write_text("trimesh 7\n")
         with pytest.raises(GeometryError):
             cv.load_mesh(p)
+
+
+class TestMeshCaches:
+    """Index data cached on the mesh equals the inline constructions it
+    replaced, is built once, and is read-only."""
+
+    @pytest.fixture(scope="class", params=["disk", "annulus", "square"])
+    def mesh(self, request, disk_mesh, square_mesh):
+        if request.param == "annulus":
+            return cv.build_annulus_mesh(1.0, 0.4, 0.12, punctures=[((0.65, 0.1), 0.06),
+                                                                    ((-0.65, 0.0), 0.07)])
+        return disk_mesh if request.param == "disk" else square_mesh
+
+    def test_boundary_segments(self, mesh):
+        loops = list(mesh.boundary_loops().values())
+        u, v = mesh.boundary_segments
+        assert np.array_equal(u, np.concatenate(loops))
+        assert np.array_equal(v, np.concatenate([np.roll(ids, -1) for ids in loops]))
+        assert mesh.boundary_segments[0] is u
+        assert not (u.flags.writeable or v.flags.writeable)
+
+    def test_edge_pairs(self, mesh):
+        t = mesh.triangles
+        pairs = np.concatenate([t[:, [0, 1]], t[:, [1, 2]], t[:, [2, 0]]])
+        want = np.unique(np.sort(pairs, axis=1), axis=0)
+        assert np.array_equal(mesh.edge_pairs, want)
+        assert mesh.edge_pairs is mesh.edge_pairs
+        assert not mesh.edge_pairs.flags.writeable
+
+    def test_succ_is_roll(self):
+        from cavelast._polyline import succ
+        for a in (np.arange(7), np.arange(12.0).reshape(6, 2), np.arange(1), np.empty((0, 2))):
+            assert np.array_equal(succ(a), np.roll(a, -1, axis=0))

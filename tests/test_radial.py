@@ -443,6 +443,43 @@ class TestNewtonOracle:
                 fd[:, j] = (f.grad(up) - f.grad(down)) / (2.0 * h)
             assert np.abs(H - fd).max() <= 1e-5 * np.abs(fd).max()
 
+    def test_newton_direction_is_solveh_banded(self, density, iso):
+        # dptsv is what solveh_banded calls for a two-row band: the same
+        # bits at the first shift that factors, whether that is 0 or not
+        from scipy.linalg import LinAlgError, solveh_banded
+
+        def reference(ab, g):
+            for tau in [0.0] + [10.0 ** k for k in range(-8, 9)]:
+                shifted = ab.copy()
+                shifted[1] += tau * np.abs(ab[1])
+                try:
+                    return tau, solveh_banded(shifted, g)
+                except LinAlgError:
+                    continue
+
+        knots, seeds = self._seeds()
+        f = radial._PLEnergy(knots, density, iso.circle_integral)
+        shifts = set()
+        for values in seeds:
+            ab, g = f.hess(values), f.grad(values)
+            dominant = ab.copy()
+            dominant[1] = np.abs(ab[1]) + 2.0 * np.abs(ab[0]).max()
+            flipped = ab.copy()
+            flipped[1, ::3] *= -1.0
+            for band in (ab, dominant, flipped):
+                tau, want = reference(band, g)
+                shifts.add(tau > 0.0)
+                assert np.array_equal(radial._newton_direction(band, g), want)
+        assert shifts == {False, True}
+
+    def test_stretch_argument_changes_nothing(self, density, iso):
+        knots, (hom, cav) = self._seeds()
+        f = radial._PLEnergy(knots, density, iso.circle_integral)
+        S = f._stretch(hom)
+        assert np.array_equal(f.grad(hom, S), f.grad(hom))
+        assert np.array_equal(f.hess(hom, S), f.hess(hom))
+        assert f.change(hom, cav - hom, S) == f.change(hom, cav - hom)
+
     def test_change_matches_value_difference(self, density, iso):
         # seed-sized steps: from one seed to the other and back, and part way
         knots, (hom, cav) = self._seeds()

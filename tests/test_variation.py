@@ -1,7 +1,11 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 import cavelast as cv
+from cavelast import cli
+from cavelast.cli import _read_positions_csv, build_phi
 from cavelast.exceptions import DomainError, InfeasibleEnergyError
 from cavelast.geometry import hat_gradients
 from cavelast.variation import (ConstantField, _constrained_vertices, _newton_step,
@@ -24,6 +28,22 @@ class RotationField:
 
     def grad_bound(self):
         return 1.0
+
+
+class ShoveField:
+    """psi(xi) = (size, 0) at every other point, 0 at the rest; it claims
+    no gradient bound, so `outer_compose` lets it fold the mesh."""
+
+    def __init__(self, size):
+        self.size = size
+
+    def value(self, xi):
+        out = np.zeros_like(np.atleast_2d(xi))
+        out[::2, 0] = self.size
+        return out
+
+    def grad_bound(self):
+        return 0.0
 
 
 @pytest.fixture(scope="module")
@@ -298,6 +318,26 @@ class TestResidualReport:
         rep = cv.first_variation_residual(lifted, fields[k], density, phi)
         assert abs(rep.total) == variations[k]
 
+    @pytest.mark.parametrize("run", ["iso_run", "ell_run"])
+    def test_fd_value_is_the_total_energy_difference(self, density, run, request):
+        # the central difference sums DiscreteEnergy.value as total_energy
+        # does, bit for bit, at both bundled minimizers
+        _, out = request.getfixturevalue(run)
+        phi = build_phi(cv.ScenarioConfig.from_ini(out / "config.ini"))
+        y = cv.DeformationField(cv.load_mesh(out / "mesh.cavmesh"),
+                                _read_positions_csv(out / "positions.csv"))
+        for psi in cv.certification_battery(y):
+            plus, minus = (cv.total_energy(cv.outer_compose(y, psi, t), density, phi).total
+                           for t in (1e-5, -1e-5))
+            rep = cv.first_variation_residual(y, psi, density, phi)
+            assert rep.fd_value == (plus - minus) / 2e-5
+
+    def test_fd_value_of_a_folding_field_raises(self, lifted, density, iso):
+        # as total_energy does, naming the folded triangle
+        psi = ShoveField(1e5)
+        with pytest.raises(InfeasibleEnergyError, match="non-positive determinant"):
+            cv.first_variation_residual(lifted, psi, density, iso)
+
     def test_as_text(self, lifted, density, iso):
         rep = cv.first_variation_residual(lifted, cv.DilationField(), density, iso)
         text = rep.as_text()
@@ -552,6 +592,58 @@ class TestMinimize:
         E = [r["energy"] for r in log.records]
         assert all(b <= a for a, b in zip(E, E[1:]))
         assert log.status == "converged"
+
+
+def _assert_fresh_battery(certificate, y, density, phi, seed=0):
+    """The certificate (fields, variations) is the battery built afresh at y."""
+    fields, variations = certificate
+    fresh = cv.certification_battery(y, seed=seed)
+    assert [(f.center.tolist(), f.width, f.direction.tolist()) for f in fields] \
+        == [(f.center.tolist(), f.width, f.direction.tolist()) for f in fresh]
+    assert variations == battery_variations(y, density, phi, fresh)
+
+
+class TestCertificate:
+    """A run builds the certification battery once at its final field: the
+    stop test's, when it ran there, else `compute`'s own."""
+
+    @staticmethod
+    def counted(monkeypatch):
+        real, calls = cli.certification_battery, []
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "certification_battery", counting)
+        return calls
+
+    def test_minimize_keeps_the_battery_of_its_field(self, density, iso):
+        mesh = cv.build_disk_mesh(1.0, 0.25, punctures=[((0.0, 0.0), 0.2)])
+        y0 = cv.BoundaryData(kind="radial_stretch", lam=1.5).initial_field(mesh)
+        y1, log = cv.minimize(y0, density, iso, seed=3)
+        assert log.status == "converged"
+        _assert_fresh_battery(log.certificate, y1, density, iso, seed=3)
+        # large steps only: the stop test never built a battery
+        _, log = cv.minimize(y0, density, iso, max_iters=2)
+        assert log.status == "max_iters" and log.certificate is None
+        assert [r["residual"] for r in log.records] == [None] * 3
+
+    @pytest.mark.parametrize("max_iters,status", [(100, "converged"), (2, "max_iters")])
+    def test_compute_certifies_once(self, monkeypatch, density, iso, max_iters, status):
+        cfg = cv.ScenarioConfig.from_ini(cli.resolve_scenario("radial_iso_lambda1.5"))
+        cfg = dataclasses.replace(cfg, max_iters=max_iters)
+        calls = self.counted(monkeypatch)
+        record = cli.compute(cfg)
+        assert record.log.status == status
+        stop_tests = sum(r["residual"] is not None for r in record.log.records)
+        assert len(calls) == stop_tests + (status == "max_iters")
+        y = record.y
+        _assert_fresh_battery(record.log.certificate, y, density, iso, seed=cfg.seed)
+        fields, variations = record.log.certificate
+        assert record.residual == max(variations)
+        worst = fields[variations.index(record.residual)]
+        assert record.fv_report == cv.first_variation_residual(y, worst, density, iso)
 
 
 def _mirrored(mesh):
