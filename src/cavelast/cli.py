@@ -21,7 +21,7 @@ import numpy as np
 from ._table import format_rows, read_table, write_table
 # check_inv is not called here; it stays bound because perfbench's tracer patches it
 from .degree import boundary_crossings, check_inv, topological_image  # noqa: F401
-from .energy import EnergyBreakdown, total_energy
+from .energy import DiscreteEnergy, EnergyBreakdown, total_energy
 from .exceptions import (ArtifactError, CavelastError, ConfigurationError,
                          InfeasibleEnergyError)
 from .geometry import (BoundaryData, DeformationField, Mesh,
@@ -323,11 +323,12 @@ def _read_cavities_csv(path) -> list:
     return [table[k == i, 1:] for i in np.unique(k)]
 
 
-def _svg_document(segments, loops):
-    """Deterministic 720 x 720 SVG text: one path of mesh edges, one polygon
-    per loop."""
+def _svg_document(points, pairs, loops):
+    """Deterministic 720 x 720 SVG text: one path of the edges `pairs`
+    between `points`, one polygon per loop. Each point is formatted once, and
+    the frame is fitted to the edge ends and the loops."""
     size = 720
-    pts = np.concatenate([segments.reshape(-1, 2)] + loops)
+    pts = np.concatenate([points[pairs.ravel()]] + loops)
     if not len(pts):
         pts = np.zeros((1, 2))
     lo = pts.min(axis=0)
@@ -344,10 +345,10 @@ def _svg_document(segments, loops):
     out = [f'<svg xmlns="http://www.w3.org/2000/svg" width="{size}" '
            f'height="{size}" viewBox="0 0 {size} {size}">',
            f'<rect width="{size}" height="{size}" fill="white"/>']
-    if len(segments):
-        d = format_rows("M%.2f %.2fL%.2f %.2f", tx(segments).reshape(-1, 4))
-        out.append('<path d="' + d.replace("\n", "")
-                   + '" stroke="#8a8a8a" stroke-width="0.6" fill="none"/>')
+    if len(pairs):
+        xy = np.array(format_rows("%.2f %.2f", tx(points)).split("\n")[:-1], dtype=object)
+        d = ("M%sL%s" * len(pairs)) % tuple(xy[pairs].ravel().tolist())
+        out.append('<path d="' + d + '" stroke="#8a8a8a" stroke-width="0.6" fill="none"/>')
     for loop in loops:
         coords = " ".join(format_rows("%.2f,%.2f", tx(loop)).split())
         out.append(f'<polygon points="{coords}" stroke="#c0392b" '
@@ -359,7 +360,7 @@ def _svg_document(segments, loops):
 def _render_svg(out_path, mesh, pos, loops):
     """The edges of mesh at the nodal positions pos, with the polygons loops
     drawn over them; the one draw path of both figures."""
-    Path(out_path).write_text(_svg_document(pos[mesh.edge_pairs], loops))
+    Path(out_path).write_text(_svg_document(pos, mesh.edge_pairs, loops))
 
 
 def render_reference_svg(mesh_path, out_path):
@@ -398,7 +399,13 @@ def compute(cfg: ScenarioConfig, mode="run") -> RunRecord:
     """Mesh, solve (mode "run") or evaluate the boundary field, and certify;
     writes nothing. Input that cannot be run raises ConfigurationError, cause
     chained: a CavelastError while building the mesh and densities, or an
-    InfeasibleEnergyError from the solve or the energy report."""
+    InfeasibleEnergyError from the solve or the energy report.
+
+    A solve's final field is not evaluated again: the energy report, the
+    battery and the first-variation report take the energy terms and the
+    gradient that `minimize` hands over in `log.final`, and its crossing
+    count when the last step was gated. `eval` forms the gradient once for
+    the battery and the report."""
     try:
         mesh, density, phi = build_mesh(cfg), build_density(cfg), build_phi(cfg)
         y = BoundaryData(kind=cfg.bc_kind, lam=cfg.lam).initial_field(mesh)
@@ -410,21 +417,27 @@ def compute(cfg: ScenarioConfig, mode="run") -> RunRecord:
                               residual_rel=cfg.residual_rel, det_floor=cfg.det_floor,
                               inv_every=cfg.inv_every, seed=cfg.seed,
                               certify=certification_battery)
+            final = log.final
+            breakdown = total_energy(y, density, phi, terms=(final.bulk, final.surface))
+            gradient, crossings = final.gradient, final.crossings
         else:
             log = IterationLog(status="evaluated")
-        breakdown = total_energy(y, density, phi)
+            breakdown = total_energy(y, density, phi)
+            gradient = DiscreteEnergy(mesh, density, phi).grad(y.positions)
+            crossings = None
     except InfeasibleEnergyError as err:
         raise ConfigurationError(str(err)) from err
-    crossings = boundary_crossings(mesh, y.positions)
+    if crossings is None:
+        crossings = boundary_crossings(mesh, y.positions)
     if log.certificate is None:  # the solve's stop test did not certify y
         fields = certification_battery(y, seed=cfg.seed)
-        log.certificate = fields, battery_variations(y, density, phi, fields)
+        log.certificate = fields, battery_variations(y, density, phi, fields, gradient)
     fields, variations = log.certificate
     residual = max([0.0] + variations)
     fv_report = None
     if fields:  # first field attaining the residual (a NaN variation counts as 0)
         worst = fields[[max(0.0, v) for v in variations].index(residual)]
-        fv_report = first_variation_residual(y, worst, density, phi)
+        fv_report = first_variation_residual(y, worst, density, phi, gradient)
     if mode != "run":
         log.add(iter=0, energy=breakdown.total, bulk=breakdown.bulk, surface=breakdown.surface,
                 min_det=min_det(y), step=0.0, residual=residual)

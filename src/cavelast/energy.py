@@ -66,11 +66,14 @@ _ROT = np.array([[0.0, 1.0], [-1.0, 0.0]])  # z = _ROT @ e = (e_y, -e_x)
 
 
 def _require_positive_dets(F):
+    """det F per triangle, after raising InfeasibleEnergyError, naming the
+    first triangle of least det, where some det <= 0."""
     det = _det2(F)
-    if np.any(det <= 0.0):
+    if (det <= 0.0).any():
         t = int(np.argmin(det))
         raise InfeasibleEnergyError(
             f"non-positive determinant {det[t]:.3e} in triangle {t}", triangle=t)
+    return det
 
 
 def _edge_normals(poly):
@@ -88,8 +91,13 @@ def phi_perimeter(poly, phi: SurfaceDensity) -> float:
 
 def phi_perimeter_gradient(poly, phi: SurfaceDensity) -> np.ndarray:
     """(n, 2) derivative of `phi_perimeter` with respect to the vertices."""
-    z, keep = _edge_normals(poly)
-    gt = np.zeros(np.shape(poly))
+    return _normals_gradient(*_edge_normals(poly), phi)
+
+
+def _normals_gradient(z, keep, phi):
+    """`phi_perimeter_gradient` of the polygon whose `_edge_normals` are
+    (z, keep)."""
+    gt = np.zeros((len(keep), 2))
     gt[keep] = phi.gradient(z) @ _ROT  # d phi(z_j) / d e_j = R^T Dphi(z_j)
     return np.concatenate((gt[-1:], gt[:-1])) - gt  # rows shifted one place back
 
@@ -99,8 +107,13 @@ class DiscreteEnergy:
     the P1 bulk sum  sum_t |T_t| W(F_t)  (exact, F is constant per triangle)
     plus the phi-perimeter of every deformed puncture loop, with exact nodal
     gradients and a banded Hessian. phi may be None for the bulk part alone.
-    `value`, `grad` and `hess` take the element gradients F of pos when the
-    caller already has them."""
+
+    `value`, `grad` and `hess` take what the caller already has of the state
+    pos: its element gradients F, their determinants det, and the edge normals
+    `loop_normals(pos)`. So one state's F, det and loop normals are formed
+    once for its value, gradient and Hessian, as `minimize` does. `value`
+    tests the det it is given; `grad` and `hess` take a det as already tested
+    positive and test only one they compute."""
 
     def __init__(self, mesh, density: BulkDensity, phi: SurfaceDensity = None):
         self.mesh, self.density, self.phi = mesh, density, phi
@@ -110,46 +123,60 @@ class DiscreteEnergy:
     def loops(self):
         return self.mesh.puncture_loops()  # found once, when first needed
 
-    def surface(self, pos) -> float:
-        """phi-perimeter of the puncture loops at pos, summed loop by loop."""
+    def loop_normals(self, pos) -> list:
+        """`_edge_normals` (z, keep) of each puncture loop at pos, in the
+        order of `loops`."""
+        return [_edge_normals(pos[ids]) for ids in self.loops]
+
+    def surface(self, pos, normals=None) -> float:
+        """phi-perimeter of the puncture loops at pos, summed loop by loop;
+        `phi_perimeter` of each loop, from its normals."""
         surf = 0.0
-        for ids in self.loops:
-            surf += phi_perimeter(pos[ids], self.phi)
+        for z, _ in self.loop_normals(pos) if normals is None else normals:
+            surf += float(np.sum(self.phi.value(z)))
         return surf
 
-    def value(self, pos, F=None):
+    def value(self, pos, F=None, det=None, normals=None):
         """(bulk, surface, min det); bulk and surface are None if some det <= 0.
-        The bulk is an index-ordered pairwise sum, so it is reproducible."""
+        The bulk is an index-ordered pairwise sum, so it is reproducible.
+        F, det and normals of pos are formed here unless given; the det is
+        tested here either way, and the bulk density takes it as tested."""
         if F is None:
             F = self.mesh.element_gradients(pos)
-        mind = float(_det2(F).min())
+        if det is None:
+            det = _det2(F)
+        mind = float(det.min())
         if mind <= 0.0:
             return None, None, mind
-        bulk = float(np.sum(self.mesh.areas * self.density.energy(F)))
-        return bulk, self.surface(pos), mind
+        bulk = float(np.sum(self.mesh.areas * self.density.energy(F, det)))
+        return bulk, self.surface(pos, normals), mind
 
-    def bulk_grad(self, F) -> np.ndarray:
+    def bulk_grad(self, F, det=None) -> np.ndarray:
         """(n, 2) nodal gradient of the bulk sum: corner i of triangle t gets
         |T_t| P(F_t) dN_i, summed over b in order, and the corners are
         scattered onto the nodes in (t, i) order."""
-        _require_positive_dets(F)
+        if det is None:
+            det = _require_positive_dets(F)
         mesh = self.mesh
-        ap = mesh.areas[:, None, None] * self.density.stress(F)
+        ap = mesh.areas[:, None, None] * self.density.stress(F, det)
         dN = mesh.shape_gradients
         corner = ap[:, None, :, 0] * dN[:, :, None, 0] + ap[:, None, :, 1] * dN[:, :, None, 1]
         return np.bincount(mesh.corner_dofs, weights=corner.ravel(),
                            minlength=mesh.vertices.size).reshape(-1, 2)
 
-    def grad(self, pos, F=None):
+    def grad(self, pos, F=None, det=None, normals=None):
         """(bulk, surface) nodal gradients; InfeasibleEnergyError if some det <= 0.
-        Kept apart, so bulk + surface rounds once per node."""
-        bulk = self.bulk_grad(self.mesh.element_gradients(pos) if F is None else F)
+        Kept apart, so bulk + surface rounds once per node. F, det and
+        normals of pos are formed here unless given; a det given is taken as
+        tested (an accepted state's, which `value` tested)."""
+        bulk = self.bulk_grad(self.mesh.element_gradients(pos) if F is None else F, det)
         surf = np.zeros_like(pos)
-        for ids in self.loops:  # disjoint
-            surf[ids] = phi_perimeter_gradient(pos[ids], self.phi)
+        for ids, (z, keep) in zip(self.loops,  # disjoint
+                                  self.loop_normals(pos) if normals is None else normals):
+            surf[ids] = _normals_gradient(z, keep, self.phi)
         return bulk, surf
 
-    def hess(self, pos, free=None, F=None):
+    def hess(self, pos, free=None, F=None, det=None, normals=None):
         """Positive semidefinite Hessian over the dofs 2 v + axis of the
         vertices where the mask `free` is True (all by default), as its upper
         band in the order of `band_layout`: a Fortran-order (width + 1, n)
@@ -164,14 +191,16 @@ class DiscreteEnergy:
         (Smith, de Goes & Kim, ACM TOG 2019), not from a numerical solver. Loop
         edge j adds [[H, -H], [-H, H]] on its end vertices, H = R^T D^2phi(z_j) R,
         semidefinite as phi is convex. Each call sums the element values
-        into the band with one `np.bincount`.
+        into the band with one `np.bincount`. F, det and normals of pos are
+        formed here unless given, as in `grad`.
         """
         if F is None:
             F = self.mesh.element_gradients(pos)
-        _require_positive_dets(F)
+        if det is None:
+            det = _require_positive_dets(F)
         order, width, slot = self.band_layout(free)
         nt = len(F)
-        lam, vec = self.density.hessian_eigensystem(F)
+        lam, vec = self.density.hessian_eigensystem(F, det)
         # B^T V, rows (i, c), for B[(a, b), (i, c)] = delta_ac dN_i/dX_b
         btv = (self.mesh.shape_gradients[:, None] @ vec.reshape(nt, 2, 2, 4)
                ).transpose(0, 2, 1, 3).reshape(nt, 6, 4)
@@ -181,8 +210,8 @@ class DiscreteEnergy:
                   out=vals[:36 * nt].reshape(nt, 6, 6))
         sign = np.array([[1.0, -1.0], [-1.0, 1.0]])[:, None, :, None]
         at = 36 * nt
-        for ids in self.loops:
-            z, nonzero = _edge_normals(pos[ids])
+        for ids, (z, nonzero) in zip(self.loops,
+                                     self.loop_normals(pos) if normals is None else normals):
             H = np.zeros((len(ids), 2, 2))
             H[nonzero] = _ROT.T @ self.phi.hessian(z) @ _ROT
             vals[at:at + 16 * len(ids)] = (sign * H[:, None, :, None, :]).ravel()
@@ -411,14 +440,18 @@ def detect_cavities(y: DeformationField, phi: SurfaceDensity) -> list:
 
 
 def total_energy(y: DeformationField, density: BulkDensity,
-                 phi: SurfaceDensity) -> EnergyBreakdown:
+                 phi: SurfaceDensity, terms=None) -> EnergyBreakdown:
     """`DiscreteEnergy.value` of y, the energy `minimize` logs, split into
     its bulk and surface terms, with the detected cavities;
-    InfeasibleEnergyError if some det <= 0."""
-    F = y.element_gradients()
-    _require_positive_dets(F)
+    InfeasibleEnergyError if some det <= 0. `terms` is (bulk, surface) of
+    that value when the caller has evaluated it at y, as `minimize` hands it
+    over; it is reported as it is."""
     energy = DiscreteEnergy(y.mesh, density, phi)
-    bulk, surface, _ = energy.value(y.positions, F)
+    if terms is None:
+        F = y.element_gradients()
+        bulk, surface, _ = energy.value(y.positions, F, _require_positive_dets(F))
+    else:
+        bulk, surface = terms
     return EnergyBreakdown(
         bulk=bulk, surface=surface, total=bulk + surface,
         cavities=detect_cavities(y, phi),

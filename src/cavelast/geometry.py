@@ -300,10 +300,13 @@ class TriangleLocator:
             bary[lo + hit] = b
         return tri, bary
 
-    def locate_grid(self, grid):
-        """`locate` at the cell centres of a `CellGrid`: (ny, nx) tri and
-        (ny, nx, 3) bary, equal to `locate(grid.cell_centers().reshape(-1, 2))`
-        reshaped.
+    def locate_grid(self, grid, corners):
+        """`locate` at the cell centres of a `CellGrid`, and the per-corner
+        values `corners` (m, 3, d) interpolated there: (ny, nx) tri, equal to
+        `locate(grid.cell_centers().reshape(-1, 2))` reshaped, and (ny, nx, d)
+        values, sum_b bary_b corners[tri, b] (one einsum) where tri >= 0 and
+        nan elsewhere. With the reference corners of the located triangles
+        the values are the pre-images of the cell centres.
 
         Instead of one bucket search per cell, each triangle walks its own
         grid rows (Pineda's edge-function scan): on a row its three edge
@@ -315,12 +318,13 @@ class TriangleLocator:
         bucket range are dropped, so each cell meets exactly `locate`'s
         candidates that can pass, in ascending order, and the lowest
         passing triangle wins. Triangles go in chunks of about `_CHUNK`
-        bounding-box cells, which bounds the candidate arrays.
+        bounding-box cells, which bounds the candidate arrays. The values are
+        formed chunk by chunk, for the cells a chunk newly hits.
         """
         xs, ys = grid.axes()
         ny, nx = len(ys), len(xs)
         tri = np.full(ny * nx, -1, dtype=np.int64)
-        bary = np.zeros((ny * nx, 3))
+        values = np.full((ny * nx, corners.shape[-1]), np.nan)
         # per-triangle data in (coordinate, corner, triangle) layout, so that
         # reductions over the three corners run along contiguous rows
         vx, vy = np.ascontiguousarray(self.vertices[self.triangles].transpose(2, 1, 0))
@@ -370,10 +374,11 @@ class TriangleLocator:
             hit, t, b = self._first_hits(iy[k] * nx + ix, p, pt[k])
             # a cell hit in an earlier chunk already holds a lower triangle
             new = tri[hit] < 0
-            tri[hit[new]] = t[new]
-            bary[hit[new]] = b[new]
+            hit, t, b = hit[new], t[new], b[new]
+            tri[hit] = t
+            values[hit] = np.einsum("kb,kbi->ki", b, corners[t])
             t_lo = t_hi
-        return tri.reshape(ny, nx), bary.reshape(ny, nx, 3)
+        return tri.reshape(ny, nx), values.reshape(ny, nx, -1)
 
     def _index_range(self, axis, k, lo, hi):
         """[first, stop) indices of the ascending grid `axis` within [lo, hi]

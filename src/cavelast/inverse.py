@@ -79,14 +79,11 @@ def build_inverse_field(y: DeformationField, delta: float, marker=None) -> Inver
     marker = default_marker(y.mesh) if marker is None else np.asarray(marker, float)
     inv = InverseField(origin=origin, delta=float(delta),
                        kind=np.full(shape, OUTSIDE, dtype=np.uint8),
-                       ref=np.full(shape + (2,), np.nan), tri=None, marker=marker)
-    inv.tri, bary = y.deformed_locator().locate_grid(inv)
-    hit = np.flatnonzero(inv.tri >= 0)  # found once; the flat views share memory
-    inv.kind.reshape(-1)[hit] = MATERIAL
-    corners = y.mesh.vertices[y.mesh.triangles]
-    inv.ref.reshape(-1, 2)[hit] = np.einsum(
-        "kb,kbi->ki", bary.reshape(-1, 3)[hit], corners[inv.tri.reshape(-1)[hit]])
+                       ref=None, tri=None, marker=marker)
+    # the pre-images: the reference corners interpolated at the cell centres
+    inv.tri, inv.ref = y.deformed_locator().locate_grid(inv, y.mesh.vertices[y.mesh.triangles])
     miss = inv.tri < 0
+    inv.kind[~miss] = MATERIAL
     if miss.any() and y.mesh.punctures:
         cavity = np.zeros(shape, dtype=bool)
         for ids in y.mesh.puncture_loops():

@@ -57,10 +57,13 @@ _D2DET = np.array([[0.0, 0.0, 0.0, 1.0], [0.0, 0.0, -1.0, 0.0],
                    [0.0, -1.0, 0.0, 0.0], [1.0, 0.0, 0.0, 0.0]])
 
 
-def _admissible_det(F):
-    """det F, after raising DomainError where it is <= 0 anywhere in the batch."""
+def _admissible_det(F, det=None):
+    """det F, after raising DomainError where it is <= 0 anywhere in the
+    batch; a det passed in is one its caller has tested, returned unchecked."""
+    if det is not None:
+        return np.asarray(det, dtype=float)
     det = _det2(F)
-    if np.any(det <= 0.0):
+    if (det <= 0.0).any():
         raise DomainError("det F <= 0: deformation gradient outside the admissible cone")
     return det
 
@@ -71,7 +74,10 @@ class BulkDensity:
 
     mu, a, b must be positive.  `energy`, `stress`, `hessian` and
     `hessian_eigensystem` accept a single 2x2 array or any (..., 2, 2) batch
-    and raise DomainError when det F <= 0 anywhere in the batch.
+    and raise DomainError when det F <= 0 anywhere in the batch. `energy`,
+    `stress` and `hessian_eigensystem` also take det F, when the caller has
+    computed it and tested it positive; then they neither recompute nor
+    recheck it.
     """
 
     mu: float = 1.0
@@ -82,15 +88,15 @@ class BulkDensity:
         if min(self.mu, self.a, self.b) <= 0.0:
             raise ValueError("mu, a, b must all be positive")
 
-    def energy(self, F):
+    def energy(self, F, det=None):
         F = np.asarray(F, dtype=float)
-        det = _admissible_det(F)
+        det = _admissible_det(F, det)
         return 0.5 * self.mu * _frob2(F) + self.a * det ** 2 - self.b * np.log(det)
 
-    def stress(self, F):
+    def stress(self, F, det=None):
         """DW(F) = mu F + (2 a det F - b / det F) cof F."""
         F = np.asarray(F, dtype=float)
-        det = _admissible_det(F)
+        det = _admissible_det(F, det)
         coef = 2.0 * self.a * det - self.b / det
         return self.mu * F + coef[..., None, None] * _cof2(F)
 
@@ -109,7 +115,7 @@ class BulkDensity:
         H += self.mu * np.eye(4)
         return H.reshape(det.shape + (2, 2, 2, 2))
 
-    def hessian_eigensystem(self, F):
+    def hessian_eigensystem(self, F, det=None):
         """(lam (..., 4), vec (..., 4, 4)) with `hessian(F)` = vec diag(lam)
         vec^T on vec F = (F00, F01, F10, F11), vec orthogonal, eigenvectors
         in its columns, in closed form (after Smith, de Goes & Kim, "Analytic
@@ -127,7 +133,7 @@ class BulkDensity:
         F_c never vanishes; where F_a does (F a rotation-dilation), the
         anticonformal basis is vec diag(1, -1) / sqrt 2 and its rotation."""
         F = np.asarray(F, dtype=float)
-        det = _admissible_det(F)
+        det = _admissible_det(F, det)
         p = 0.5 * (F[..., 0, 0] + F[..., 1, 1])
         q = 0.5 * (F[..., 1, 0] - F[..., 0, 1])
         r = 0.5 * (F[..., 0, 0] - F[..., 1, 1])
@@ -149,14 +155,24 @@ class BulkDensity:
         rad = np.hypot(half, B)
         norm = np.sqrt(2.0 * rad * (rad + half))  # |(half + rad, B)|
         cos, sin = (half + rad) / norm, B / norm
-        lam = np.stack([mean + rad, mean - rad, self.mu + k, self.mu - k], axis=-1)
-        uc = np.stack([cc, -sc, sc, cc], axis=-1)
-        ua = np.stack([ca, sa, sa, -ca], axis=-1)
-        vec = np.stack([cos[..., None] * uc + sin[..., None] * ua,
-                        cos[..., None] * ua - sin[..., None] * uc,
-                        np.stack([-sc, -cc, cc, -sc], axis=-1),
-                        np.stack([-sa, ca, ca, sa], axis=-1)], axis=-1)
-        return lam, vec * np.sqrt(0.5)
+        lam = np.empty(det.shape + (4,))
+        lam[..., 0] = mean + rad
+        lam[..., 1] = mean - rad
+        lam[..., 2] = self.mu + k
+        lam[..., 3] = self.mu - k
+        vec = np.empty(det.shape + (4, 4))
+        # columns 0 and 1: the unit vectors u_c = (cc, -sc, sc, cc) and
+        # u_a = (ca, sa, sa, -ca) turned by the half angle
+        for i, (uc, ua) in enumerate(((cc, ca), (-sc, sa), (sc, sa), (cc, -ca))):
+            vec[..., i, 0] = cos * uc + sin * ua
+            vec[..., i, 1] = cos * ua - sin * uc
+        # columns 2 and 3: the conformal direction orthogonal to F_c and the
+        # anticonformal one orthogonal to F_a
+        for i, (c2, c3) in enumerate(((-sc, -sa), (-cc, ca), (cc, ca), (-sc, sa))):
+            vec[..., i, 2] = c2
+            vec[..., i, 3] = c3
+        vec *= np.sqrt(0.5)
+        return lam, vec
 
     def energy_change(self, F, dF):
         """W(F + dF) - W(F) without cancellation, batched like `energy`: the
@@ -304,6 +320,6 @@ class SurfaceDensity:
     @staticmethod
     def _reject_zero(z):
         n2 = z[..., 0] ** 2 + z[..., 1] ** 2
-        if np.any(n2 == 0.0):
+        if (n2 == 0.0).any():
             raise DomainError("surface density is undefined at the zero vector")
 

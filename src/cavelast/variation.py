@@ -10,6 +10,7 @@ remain available as modes "centroid" (elastic) and "midpoint" (surface).
 
 import logging
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 from scipy.linalg import LinAlgError
@@ -24,14 +25,15 @@ from .energy import (_ROT, DiscreteEnergy, _bump, _require_positive_dets,  # noq
                      detect_cavities, phi_perimeter_gradient, total_energy)
 from .exceptions import DomainError, InfeasibleEnergyError
 from .geometry import DeformationField, hat_gradients
-from .material import BulkDensity, SurfaceDensity
+from .material import BulkDensity, SurfaceDensity, _det2
 
 __all__ = [
     "BumpField", "HatField", "DilationField", "ConstantField",
     "field_vanishes_on", "gamma_images", "outer_compose",
     "elastic_first_variation", "anisotropic_tangential_divergence",
     "surface_first_variation", "VariationReport", "first_variation_residual",
-    "certification_battery", "battery_residual", "IterationLog", "minimize",
+    "certification_battery", "battery_residual", "FinalState", "IterationLog",
+    "minimize",
 ]
 
 _log = logging.getLogger("cavelast")
@@ -266,13 +268,14 @@ class VariationReport:
 
 
 def first_variation_residual(y: DeformationField, psi, density: BulkDensity,
-                             phi: SurfaceDensity) -> VariationReport:
+                             phi: SurfaceDensity, gradient=None) -> VariationReport:
     """Exact first variation of the discrete energy, as the battery takes
     it, against the central difference, step 1e-5, of t -> total energy of
     h_t o y: bulk + surface of `DiscreteEnergy.value`, the sum
-    `total_energy` reports; InfeasibleEnergyError if some det <= 0 there."""
+    `total_energy` reports; InfeasibleEnergyError if some det <= 0 there.
+    `gradient` is `DiscreteEnergy.grad` at y when the caller has it."""
     fd_step = 1e-5
-    [(el, su)] = _variation_terms(y, density, phi, [psi])
+    [(el, su)] = _variation_terms(y, density, phi, [psi], gradient)
     energy = DiscreteEnergy(y.mesh, density, phi)
 
     def energy_at(t):
@@ -347,16 +350,18 @@ def battery_residual(y: DeformationField, density: BulkDensity,
 
 
 def battery_variations(y: DeformationField, density: BulkDensity,
-                       phi: SurfaceDensity, fields) -> list:
-    """|elastic + surface| first variation of each field, in order."""
-    return [abs(el + su) for el, su in _variation_terms(y, density, phi, fields)]
+                       phi: SurfaceDensity, fields, gradient=None) -> list:
+    """|elastic + surface| first variation of each field, in order.
+    `gradient` is `DiscreteEnergy.grad` at y when the caller has it."""
+    return [abs(el + su) for el, su in _variation_terms(y, density, phi, fields, gradient)]
 
 
-def _variation_terms(y, density, phi, fields) -> list:
+def _variation_terms(y, density, phi, fields, gradient=None) -> list:
     """(elastic, surface) first variation of each field, in order: the bulk
-    and surface nodal gradients of one `DiscreteEnergy.grad` dotted with
-    the field's nodal values."""
-    bulk, surf = DiscreteEnergy(y.mesh, density, phi).grad(y.positions)
+    and surface nodal gradients of one `DiscreteEnergy.grad` (`gradient`,
+    or computed at y) dotted with the field's nodal values."""
+    bulk, surf = DiscreteEnergy(y.mesh, density, phi).grad(y.positions) \
+        if gradient is None else gradient
     values = [psi.value(y.positions) for psi in fields]
     return [(float(np.sum(bulk * v)), float(np.sum(surf * v))) for v in values]
 
@@ -366,14 +371,29 @@ def _variation_terms(y, density, phi, fields) -> list:
 
 
 @dataclass
+class FinalState:
+    """What `minimize` evaluated at the field it returns: bulk and surface of
+    `DiscreteEnergy.value`, the (bulk, surface) nodal gradients of
+    `DiscreteEnergy.grad`, and `boundary_crossings`, 0 when the step that
+    reached the field was gated, else None (not counted)."""
+
+    bulk: float
+    surface: float
+    gradient: tuple
+    crossings: int | None
+
+
+@dataclass
 class IterationLog:
-    """One row per step, the stop status, and `certificate`: the battery
+    """One row per step, the stop status, `certificate`: the battery
     fields and their |first variations| at the returned field, when the
-    stop test built them there (None otherwise)."""
+    stop test built them there (None otherwise), and `final`, the
+    `FinalState` of a `minimize` run."""
 
     records: list = field(default_factory=list)
     status: str = "running"
     certificate: tuple | None = None
+    final: FinalState | None = None
 
     def add(self, **row):
         self.records.append(row)
@@ -385,16 +405,37 @@ class IterationLog:
         write_table(path, ",".join(cols), ",".join(["%.12g"] * len(cols)), rows)
 
 
-def _newton_step(energy_of, pos, free, F, grad, damping):
+class _State(NamedTuple):
+    """One field `minimize` evaluates: its element gradients F, their
+    determinants, the loop edge normals, and `DiscreteEnergy.value` of them."""
+
+    F: np.ndarray
+    det: np.ndarray
+    normals: list
+    bulk: float | None
+    surface: float | None
+    min_det: float
+
+
+def _evaluate(energy_of, pos) -> _State:
+    """F, det F and `loop_normals` of pos, each formed once, and the energy
+    `DiscreteEnergy.value` makes of them."""
+    F = energy_of.mesh.element_gradients(pos)
+    det = _det2(F)
+    normals = energy_of.loop_normals(pos)
+    return _State(F, det, normals, *energy_of.value(pos, F, det, normals))
+
+
+def _newton_step(energy_of, pos, free, F, grad, damping, det=None, normals=None):
     """(k, 2) solution dx of (H + damping * diag H) dx = -grad, H the
     projected Hessian over the free dofs, by one LAPACK banded Cholesky of
-    its band `energy_of.hess(pos, free, F)`, which is in the order of
-    `energy_of.band_layout(free)`. LinAlgError when the matrix is not
-    positive definite. The LAPACK routines are the ones
+    its band `energy_of.hess(pos, free, F, det, normals)`, which is in the
+    order of `energy_of.band_layout(free)`. LinAlgError when the matrix is
+    not positive definite. The LAPACK routines are the ones
     `scipy.linalg.cholesky_banded` and `cho_solve_banded` call, without
     their argument checks."""
     order, _, _ = energy_of.band_layout(free)
-    band = energy_of.hess(pos, free, F)
+    band = energy_of.hess(pos, free, F, det, normals)
     band[-1] *= 1.0 + damping  # the diagonal
     factor, info = dpbtrf(band, overwrite_ab=1)
     if info > 0:
@@ -436,26 +477,31 @@ def minimize(y0: DeformationField, density: BulkDensity, phi: SurfaceDensity,
     where none was taken. When the stop test last ran at the returned
     field, the log keeps its battery as `certificate`. Every accepted step
     is logged at DEBUG level on the "cavelast" logger.
+
+    Each field is evaluated once: the start and every trial get one F, one
+    det F and one pass over the loop edge normals, which give its energy
+    and, once it is accepted, its gradient and the band of the next step.
+    The gradient of the returned field is formed once, for the next step and
+    the stop test's battery alike, and the log hands it over as `final`,
+    with the energy terms and the crossing count of the last gated trial.
     """
     mesh = y0.mesh
     energy_of = DiscreteEnergy(mesh, density, phi)
     free = np.ones(len(mesh.vertices), dtype=bool)
     free[_constrained_vertices(mesh)] = False
 
-    def gradient(pos, F):
-        return np.add(*energy_of.grad(pos, F))[free].ravel()  # bulk + surface
-
     log = IterationLog()
     pos = y0.positions.copy()
-    F = mesh.element_gradients(pos)
-    bulk, surf, mind = energy_of.value(pos, F)
-    if bulk is None or mind <= det_floor:
+    cur = _evaluate(energy_of, pos)
+    if cur.bulk is None or cur.min_det <= det_floor:
         raise InfeasibleEnergyError(
-            f"starting field has min determinant {mind:.3e} <= {det_floor:.1e}")
-    energy = bulk + surf
-    grad = gradient(pos, F)
-    log.add(iter=0, energy=energy, bulk=bulk, surface=surf, min_det=mind,
-            step=0.0, residual=None)
+            f"starting field has min determinant {cur.min_det:.3e} <= {det_floor:.1e}")
+    energy = cur.bulk + cur.surface
+    terms = energy_of.grad(pos, cur.F, cur.det, cur.normals)
+    grad = np.add(*terms)[free].ravel()  # bulk + surface
+    crossings = None
+    log.add(iter=0, energy=energy, bulk=cur.bulk, surface=cur.surface,
+            min_det=cur.min_det, step=0.0, residual=None)
 
     damping = 1.0
     tiny_streak = 0
@@ -465,7 +511,8 @@ def minimize(y0: DeformationField, density: BulkDensity, phi: SurfaceDensity,
         s, decrease = 0.0, 0.0  # no step at zero gradient
         if grad.any():
             try:
-                dx = _newton_step(energy_of, pos, free, F, grad, damping)
+                dx = _newton_step(energy_of, pos, free, cur.F, grad, damping,
+                                  cur.det, cur.normals)
             except LinAlgError as err:
                 _log.warning("iter %d: damped Newton matrix not positive definite "
                              "(%s); stopping", it, err)
@@ -478,10 +525,9 @@ def minimize(y0: DeformationField, density: BulkDensity, phi: SurfaceDensity,
             for _ in range(max_backtracks):
                 cand = pos.copy()
                 cand[free] += s * dx
-                t_F = mesh.element_gradients(cand)
-                t_bulk, t_surf, t_mind = energy_of.value(cand, t_F)
-                if t_bulk is not None and t_mind > det_floor \
-                        and t_bulk + t_surf <= energy + 1e-4 * s * slope \
+                trial = _evaluate(energy_of, cand)
+                if trial.bulk is not None and trial.min_det > det_floor \
+                        and trial.bulk + trial.surface <= energy + 1e-4 * s * slope \
                         and (not gated or boundary_crossings(mesh, cand) == 0):
                     break
                 s *= 0.5
@@ -489,26 +535,28 @@ def minimize(y0: DeformationField, density: BulkDensity, phi: SurfaceDensity,
                 status = "stalled"
                 break
 
-            pos, F, bulk, surf, mind = cand, t_F, t_bulk, t_surf, t_mind
+            pos, cur = cand, trial
+            crossings = 0 if gated else None
             log.certificate = None  # built at an earlier field
             damping *= 0.3 if s == 1.0 else 4.0
-            decrease = energy - (bulk + surf)
-            energy = bulk + surf
+            decrease = energy - (cur.bulk + cur.surface)
+            energy = cur.bulk + cur.surface
             _log.debug("iter %5d  energy %.9g  step %.3g  min_det %.3e",
-                       it, energy, s, mind)
-            grad = gradient(pos, F)
+                       it, energy, s, cur.min_det)
+            terms = energy_of.grad(pos, cur.F, cur.det, cur.normals)
+            grad = np.add(*terms)[free].ravel()
 
         res = None
         if s == 0.0 or decrease < tol_E * (1.0 + abs(energy)):
             y = y0.with_positions(pos)
             fields = certify(y, seed=seed)
-            log.certificate = fields, battery_variations(y, density, phi, fields)
+            log.certificate = fields, battery_variations(y, density, phi, fields, terms)
             res = max([0.0] + log.certificate[1])
             tiny_streak += 1
         else:
             tiny_streak = 0
-        log.add(iter=it, energy=energy, bulk=bulk, surface=surf, min_det=mind,
-                step=s, residual=res)
+        log.add(iter=it, energy=energy, bulk=cur.bulk, surface=cur.surface,
+                min_det=cur.min_det, step=s, residual=res)
         if res is not None and res <= residual_rel * max(abs(energy), 1e-300):
             status = "converged"
             break
@@ -517,4 +565,5 @@ def minimize(y0: DeformationField, density: BulkDensity, phi: SurfaceDensity,
             break
 
     log.status = status
+    log.final = FinalState(cur.bulk, cur.surface, terms, crossings)
     return y0.with_positions(pos), log

@@ -287,7 +287,7 @@ class TestDiscreteEnergy:
         # the referee projects every block through np.linalg.eigh; hess
         # must give the same matrix without calling it
         class EighDensity(cv.BulkDensity):
-            def hessian_eigensystem(self, F):
+            def hessian_eigensystem(self, F, det=None):
                 return np.linalg.eigh(self.hessian(F).reshape(-1, 4, 4))
 
         fields = list(self.two_fields(stretched_disk))
@@ -306,9 +306,14 @@ class TestDiscreteEnergy:
         E = cv.DiscreteEnergy(stretched_disk.mesh, density, ell)
         pos = stretched_disk.positions
         F = E.mesh.element_gradients(pos)
-        assert E.value(pos, F) == E.value(pos)
-        for a, b in zip(E.grad(pos, F), E.grad(pos)):
-            assert np.array_equal(a, b)
+        det, normals = cv.material._det2(F), E.loop_normals(pos)
+        assert E.value(pos, F) == E.value(pos, F, det, normals) == E.value(pos)
+        for given in ((F,), (F, det, normals)):
+            for a, b in zip(E.grad(pos, *given), E.grad(pos)):
+                assert np.array_equal(a, b)
+        free = np.ones(len(pos), dtype=bool)
+        free[_constrained_vertices(E.mesh)] = False
+        assert np.array_equal(E.hess(pos, free, F, det, normals), E.hess(pos, free))
 
 
 class TestBandLayout:

@@ -201,11 +201,16 @@ class TestLocatorAndTrace:
             monkeypatch.setattr(cv.geometry, "_CHUNK", 50)
         loc = cv.TriangleLocator(pos, mesh.triangles)
         grid = cv.DegreeRaster(origin=origin, delta=delta, values=np.zeros(shape, dtype=np.int64))
-        tri, bary = loc.locate_grid(grid)
+        corners = mesh.vertices[mesh.triangles]
+        tri, ref = loc.locate_grid(grid, corners)
         want_tri, want_bary = loc.locate(grid.cell_centers().reshape(-1, 2))
-        assert tri.shape == shape and bary.shape == shape + (3,)
+        assert tri.shape == shape and ref.shape == shape + (2,)
         assert np.array_equal(tri.ravel(), want_tri)
-        assert np.array_equal(bary.reshape(-1, 3), want_bary)
+        # the pre-images, as the inverse raster formed them from a full-grid bary
+        hit = want_tri >= 0
+        want_ref = np.full((len(want_tri), 2), np.nan)
+        want_ref[hit] = np.einsum("kb,kbi->ki", want_bary[hit], corners[want_tri[hit]])
+        assert np.array_equal(ref.reshape(-1, 2), want_ref, equal_nan=True)
         if case == "square_ties":
             # the vertex (0.5, 0.5) is on eight triangles; the lowest wins
             star = np.nonzero((mesh.triangles == 12).any(axis=1))[0]

@@ -207,6 +207,18 @@ class TestHessianEigensystem:
         # the stretched disk makes D^2W indefinite: the clip acts there
         assert density.hessian_eigensystem(cases["stretched disk"])[0].min() < 0.0
 
+    def test_given_det_changes_nothing(self, density, stretched_disk):
+        # a det the caller has computed and tested is taken as it is, for a
+        # batch and for a single matrix with a Python float
+        F = stretched_disk.element_gradients()
+        det = cv.material._det2(F)
+        for name in ("energy", "stress", "hessian_eigensystem"):
+            method = getattr(density, name)
+            for got, want in ((method(F, det), method(F)),
+                              (method(F[0], float(det[0])), method(F[0]))):
+                got, want = (got, want) if name == "hessian_eigensystem" else ((got,), (want,))
+                assert all(np.array_equal(a, b) for a, b in zip(got, want)), name
+
     def test_single_matrix_and_nonpositive_det(self, density):
         lam, vec = density.hessian_eigensystem(np.diag([1.5, 0.7]))
         assert lam.shape == (4,) and vec.shape == (4, 4)

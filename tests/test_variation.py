@@ -645,6 +645,40 @@ class TestCertificate:
         worst = fields[variations.index(record.residual)]
         assert record.fv_report == cv.first_variation_residual(y, worst, density, iso)
 
+    def test_compute_evaluates_each_state_once(self, monkeypatch):
+        # The start, every line-search trial and the two central-difference
+        # fields of the report are one state each: one det F and one pass over
+        # the loop edge normals apiece. The normals are also formed for the
+        # reference loops (rho_artifact) and for each cavity's ccw image.
+        # The gradient is formed at the start and at every accepted field,
+        # the returned one once: the battery and the report reuse it.
+        from cavelast import energy, geometry, material, variation
+        counts = dict.fromkeys(("det", "normals", "grad"), 0)
+
+        def count(owner, name, key):
+            real = getattr(owner, name)
+
+            def counting(*args, **kwargs):
+                counts[key] += 1
+                return real(*args, **kwargs)
+
+            monkeypatch.setattr(owner, name, counting)
+
+        for module in (material, energy, geometry, variation):
+            if hasattr(module, "_det2"):
+                count(module, "_det2", "det")
+        count(energy, "_edge_normals", "normals")
+        count(energy.DiscreteEnergy, "grad", "grad")
+        cfg = cv.ScenarioConfig.from_ini(cli.resolve_scenario("radial_iso_lambda1.5"))
+        record = cli.compute(cfg)
+        assert record.log.status == "converged"
+        steps = [r["step"] for r in record.log.records[1:]]
+        trials = sum(1 + round(-np.log2(s)) for s in steps if s > 0.0)
+        states = 1 + trials + 2
+        loops = len(record.y.mesh.puncture_loops())
+        assert counts == {"det": states, "normals": loops * (states + 2),
+                          "grad": 1 + sum(s > 0.0 for s in steps)}
+
 
 def _mirrored(mesh):
     """The mesh reflected by x -> -x, puncture centres included."""
