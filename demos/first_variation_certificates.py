@@ -18,11 +18,12 @@ phi = cv.SurfaceDensity("isotropic")
 mesh = cv.build_disk_mesh(1.0, 0.15, punctures=[((0.0, 0.0), 0.2)])
 seed = cv.BoundaryData(kind="radial_stretch", lam=1.5).initial_field(mesh)
 y, log = cv.minimize(seed, density, phi, max_iters=2000)
-print(f"minimized: {log.status}, E = {cv.total_energy(y, density, phi).total:.6f}")
+state = log.final  # the energy at y, as the solver evaluated it
+print(f"minimized: {log.status}, E = {state.breakdown.total:.6f}")
 
 psi = cv.BumpField(center=(0.8, 0.3), width=0.7, direction=(1.0, -0.5),
                    amplitude=0.2)
-rep = cv.first_variation_residual(y, psi, density, phi)
+rep = cv.first_variation_residual(state, psi)
 print(rep.as_text())
 
 poly = np.array([[1.0, 0.2], [-0.3, 0.9], [-1.1, -0.4], [0.2, -1.0]])
@@ -33,7 +34,7 @@ dil = cv.surface_first_variation(
 print(f"\ndilation identity: d/dt Per = {dil:.12f}, Per = {per:.12f}")
 
 res = cv.battery_residual(y, density, phi, seed=0)
-E = cv.total_energy(y, density, phi).total
+E = state.breakdown.total
 print(f"battery residual {res:.3e} ({res / E:.2e} of E) at the minimizer")
 res_seed = cv.battery_residual(seed, density, phi, seed=0)
 print(f"battery residual {res_seed:.3e} at the homogeneous seed, for scale")

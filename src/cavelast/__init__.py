@@ -18,7 +18,7 @@ from .geometry import (BoundaryData, DeformationField, Mesh, TriangleLocator,
 from .degree import (CavityRecord, DegreeRaster, InvReport, check_inv,
                      load_pgm, marching_squares, topological_image,
                      topological_image_point, winding_number)
-from .energy import (DiscreteEnergy, EnergyBreakdown, SeparableTestField,
+from .energy import (DiscreteEnergy, EnergyBreakdown, EnergyState, SeparableTestField,
                      anisotropic_perimeter, detect_cavities,
                      surface_functional_S_sum,
                      surface_functional_S_testfield, total_energy,
@@ -51,7 +51,7 @@ __all__ = [
     "CavityRecord", "DegreeRaster", "InvReport", "check_inv", "load_pgm",
     "marching_squares", "topological_image", "topological_image_point",
     "winding_number",
-    "DiscreteEnergy", "EnergyBreakdown", "SeparableTestField",
+    "DiscreteEnergy", "EnergyBreakdown", "EnergyState", "SeparableTestField",
     "anisotropic_perimeter", "detect_cavities",
     "surface_functional_S_sum", "surface_functional_S_testfield",
     "total_energy", "triangle_quadrature",

@@ -26,7 +26,7 @@ from .exceptions import (ArtifactError, CavelastError, ConfigurationError,
                          InfeasibleEnergyError)
 from .geometry import (BoundaryData, DeformationField, Mesh,
                        build_annulus_mesh, build_disk_mesh, build_square_mesh,
-                       load_mesh, min_det)
+                       load_mesh)
 from .inverse import build_inverse_field, extract_jump_set, jump_set_to_csv
 from .material import BulkDensity, SurfaceDensity
 # battery_residual is not called here; it stays importable from this module
@@ -401,11 +401,10 @@ def compute(cfg: ScenarioConfig, mode="run") -> RunRecord:
     chained: a CavelastError while building the mesh and densities, or an
     InfeasibleEnergyError from the solve or the energy report.
 
-    A solve's final field is not evaluated again: the energy report, the
-    battery and the first-variation report take the energy terms and the
-    gradient that `minimize` hands over in `log.final`, and its crossing
-    count when the last step was gated. `eval` forms the gradient once for
-    the battery and the report."""
+    One `EnergyState` of the final field gives the energy report, the
+    battery's gradient and the first-variation report: the state `minimize`
+    hands over as `log.final`, with its crossing count when the last step
+    was gated, or in `eval` the state of the boundary field."""
     try:
         mesh, density, phi = build_mesh(cfg), build_density(cfg), build_phi(cfg)
         y = BoundaryData(kind=cfg.bc_kind, lam=cfg.lam).initial_field(mesh)
@@ -417,30 +416,28 @@ def compute(cfg: ScenarioConfig, mode="run") -> RunRecord:
                               residual_rel=cfg.residual_rel, det_floor=cfg.det_floor,
                               inv_every=cfg.inv_every, seed=cfg.seed,
                               certify=certification_battery)
-            final = log.final
-            breakdown = total_energy(y, density, phi, terms=(final.bulk, final.surface))
-            gradient, crossings = final.gradient, final.crossings
+            state = log.final
         else:
             log = IterationLog(status="evaluated")
-            breakdown = total_energy(y, density, phi)
-            gradient = DiscreteEnergy(mesh, density, phi).grad(y.positions)
-            crossings = None
+            state = DiscreteEnergy(mesh, density, phi).state(y.positions)
+        breakdown = state.breakdown
     except InfeasibleEnergyError as err:
         raise ConfigurationError(str(err)) from err
+    crossings = log.crossings
     if crossings is None:
         crossings = boundary_crossings(mesh, y.positions)
     if log.certificate is None:  # the solve's stop test did not certify y
         fields = certification_battery(y, seed=cfg.seed)
-        log.certificate = fields, battery_variations(y, density, phi, fields, gradient)
+        log.certificate = fields, battery_variations(state, fields)
     fields, variations = log.certificate
     residual = max([0.0] + variations)
     fv_report = None
     if fields:  # first field attaining the residual (a NaN variation counts as 0)
         worst = fields[[max(0.0, v) for v in variations].index(residual)]
-        fv_report = first_variation_residual(y, worst, density, phi, gradient)
+        fv_report = first_variation_residual(state, worst)
     if mode != "run":
         log.add(iter=0, energy=breakdown.total, bulk=breakdown.bulk, surface=breakdown.surface,
-                min_det=min_det(y), step=0.0, residual=residual)
+                min_det=state.value[2], step=0.0, residual=residual)
     return RunRecord(cfg, y, log, breakdown, crossings, residual, fv_report)
 
 

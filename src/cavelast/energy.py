@@ -22,7 +22,7 @@ from .geometry import DeformationField
 from .material import BulkDensity, SurfaceDensity, _cof2, _det2
 
 __all__ = [
-    "DiscreteEnergy", "phi_perimeter", "phi_perimeter_gradient",
+    "DiscreteEnergy", "EnergyState", "phi_perimeter", "phi_perimeter_gradient",
     "EnergyBreakdown", "anisotropic_perimeter", "detect_cavities",
     "total_energy", "surface_functional_S_sum", "surface_functional_S_testfield",
     "SeparableTestField", "triangle_quadrature",
@@ -65,10 +65,9 @@ def triangle_quadrature(order: int):
 _ROT = np.array([[0.0, 1.0], [-1.0, 0.0]])  # z = _ROT @ e = (e_y, -e_x)
 
 
-def _require_positive_dets(F):
-    """det F per triangle, after raising InfeasibleEnergyError, naming the
-    first triangle of least det, where some det <= 0."""
-    det = _det2(F)
+def _require_positive(det):
+    """det, after raising InfeasibleEnergyError, naming the first triangle
+    of least det, where some det <= 0."""
     if (det <= 0.0).any():
         t = int(np.argmin(det))
         raise InfeasibleEnergyError(
@@ -106,14 +105,8 @@ class DiscreteEnergy:
     """Stored energy of a punctured mesh as a function of its nodal positions:
     the P1 bulk sum  sum_t |T_t| W(F_t)  (exact, F is constant per triangle)
     plus the phi-perimeter of every deformed puncture loop, with exact nodal
-    gradients and a banded Hessian. phi may be None for the bulk part alone.
-
-    `value`, `grad` and `hess` take what the caller already has of the state
-    pos: its element gradients F, their determinants det, and the edge normals
-    `loop_normals(pos)`. So one state's F, det and loop normals are formed
-    once for its value, gradient and Hessian, as `minimize` does. `value`
-    tests the det it is given; `grad` and `hess` take a det as already tested
-    positive and test only one they compute."""
+    gradients and a banded Hessian, each read from the `EnergyState` of one
+    field, `state(pos)`. phi may be None for the bulk part alone."""
 
     def __init__(self, mesh, density: BulkDensity, phi: SurfaceDensity = None):
         self.mesh, self.density, self.phi = mesh, density, phi
@@ -123,113 +116,21 @@ class DiscreteEnergy:
     def loops(self):
         return self.mesh.puncture_loops()  # found once, when first needed
 
-    def loop_normals(self, pos) -> list:
-        """`_edge_normals` (z, keep) of each puncture loop at pos, in the
-        order of `loops`."""
-        return [_edge_normals(pos[ids]) for ids in self.loops]
-
-    def surface(self, pos, normals=None) -> float:
-        """phi-perimeter of the puncture loops at pos, summed loop by loop;
-        `phi_perimeter` of each loop, from its normals."""
-        surf = 0.0
-        for z, _ in self.loop_normals(pos) if normals is None else normals:
-            surf += float(np.sum(self.phi.value(z)))
-        return surf
-
-    def value(self, pos, F=None, det=None, normals=None):
-        """(bulk, surface, min det); bulk and surface are None if some det <= 0.
-        The bulk is an index-ordered pairwise sum, so it is reproducible.
-        F, det and normals of pos are formed here unless given; the det is
-        tested here either way, and the bulk density takes it as tested."""
-        if F is None:
-            F = self.mesh.element_gradients(pos)
-        if det is None:
-            det = _det2(F)
-        mind = float(det.min())
-        if mind <= 0.0:
-            return None, None, mind
-        bulk = float(np.sum(self.mesh.areas * self.density.energy(F, det)))
-        return bulk, self.surface(pos, normals), mind
-
-    def bulk_grad(self, F, det=None) -> np.ndarray:
-        """(n, 2) nodal gradient of the bulk sum: corner i of triangle t gets
-        |T_t| P(F_t) dN_i, summed over b in order, and the corners are
-        scattered onto the nodes in (t, i) order."""
-        if det is None:
-            det = _require_positive_dets(F)
-        mesh = self.mesh
-        ap = mesh.areas[:, None, None] * self.density.stress(F, det)
-        dN = mesh.shape_gradients
-        corner = ap[:, None, :, 0] * dN[:, :, None, 0] + ap[:, None, :, 1] * dN[:, :, None, 1]
-        return np.bincount(mesh.corner_dofs, weights=corner.ravel(),
-                           minlength=mesh.vertices.size).reshape(-1, 2)
-
-    def grad(self, pos, F=None, det=None, normals=None):
-        """(bulk, surface) nodal gradients; InfeasibleEnergyError if some det <= 0.
-        Kept apart, so bulk + surface rounds once per node. F, det and
-        normals of pos are formed here unless given; a det given is taken as
-        tested (an accepted state's, which `value` tested)."""
-        bulk = self.bulk_grad(self.mesh.element_gradients(pos) if F is None else F, det)
-        surf = np.zeros_like(pos)
-        for ids, (z, keep) in zip(self.loops,  # disjoint
-                                  self.loop_normals(pos) if normals is None else normals):
-            surf[ids] = _normals_gradient(z, keep, self.phi)
-        return bulk, surf
-
-    def hess(self, pos, free=None, F=None, det=None, normals=None):
-        """Positive semidefinite Hessian over the dofs 2 v + axis of the
-        vertices where the mask `free` is True (all by default), as its upper
-        band in the order of `band_layout`: a Fortran-order (width + 1, n)
-        array laid out for `scipy.linalg.cholesky_banded`, entry (i, j),
-        i <= j, at [width + i - j, j]; InfeasibleEnergyError if some det <= 0.
-
-        Triangle t adds |T_t| B^T P(D^2W(F_t)) B, with B the 4x6 map from its
-        corner positions to F and P the clip of negative eigenvalues: the
-        per-element projection of projected Newton (Teran, Sifakis, Irving &
-        Fedkiw, SCA 2005), exact wherever D^2W is positive semidefinite. The
-        eigenvalues come in closed form from `BulkDensity.hessian_eigensystem`
-        (Smith, de Goes & Kim, ACM TOG 2019), not from a numerical solver. Loop
-        edge j adds [[H, -H], [-H, H]] on its end vertices, H = R^T D^2phi(z_j) R,
-        semidefinite as phi is convex. Each call sums the element values
-        into the band with one `np.bincount`. F, det and normals of pos are
-        formed here unless given, as in `grad`.
-        """
-        if F is None:
-            F = self.mesh.element_gradients(pos)
-        if det is None:
-            det = _require_positive_dets(F)
-        order, width, slot = self.band_layout(free)
-        nt = len(F)
-        lam, vec = self.density.hessian_eigensystem(F, det)
-        # B^T V, rows (i, c), for B[(a, b), (i, c)] = delta_ac dN_i/dX_b
-        btv = (self.mesh.shape_gradients[:, None] @ vec.reshape(nt, 2, 2, 4)
-               ).transpose(0, 2, 1, 3).reshape(nt, 6, 4)
-        w = self.mesh.areas[:, None] * np.maximum(lam, 0.0)
-        vals = np.empty(len(slot))
-        np.matmul(btv * w[:, None, :], btv.transpose(0, 2, 1),
-                  out=vals[:36 * nt].reshape(nt, 6, 6))
-        sign = np.array([[1.0, -1.0], [-1.0, 1.0]])[:, None, :, None]
-        at = 36 * nt
-        for ids, (z, nonzero) in zip(self.loops,
-                                     self.loop_normals(pos) if normals is None else normals):
-            H = np.zeros((len(ids), 2, 2))
-            H[nonzero] = _ROT.T @ self.phi.hessian(z) @ _ROT
-            vals[at:at + 16 * len(ids)] = (sign * H[:, None, :, None, :]).ravel()
-            at += 16 * len(ids)
-        n = len(order)
-        # the discard slot, one past the band, is dropped
-        band = np.bincount(slot, weights=vals, minlength=(width + 1) * n + 1)[:-1]
-        return band.reshape(n, width + 1).T
+    def state(self, pos) -> "EnergyState":
+        """The energy at the nodal positions pos, which must not change
+        while the state is in use."""
+        return EnergyState(self, pos)
 
     def band_layout(self, free=None):
-        """(order, width, slot) of `hess` over the mask `free`, cached for
-        the last mask: order[k] is the free dof placed k-th, the Cuthill-McKee
-        order of the free-dof graph (`pair_band_order` of the free-vertex
-        graph); width is the number of superdiagonals of the reordered
-        matrix; slot[e] is the flat band index of element entry e in `hess`'s
-        value layout (per element (i, c, j, d) over corners i, j and axes
-        c, d, triangles first, then loop edges), or the one discard slot
-        (width + 1) n for an entry below the diagonal or on a fixed dof."""
+        """(order, width, slot) of `EnergyState.hess` over the mask `free`,
+        cached for the last mask: order[k] is the free dof placed k-th, the
+        Cuthill-McKee order of the free-dof graph (`pair_band_order` of the
+        free-vertex graph); width is the number of superdiagonals of the
+        reordered matrix; slot[e] is the flat band index of element entry e
+        in the value layout of `EnergyState.hess` (per element (i, c, j, d)
+        over corners i, j and axes c, d, triangles first, then loop edges),
+        or the one discard slot (width + 1) n for an entry below the
+        diagonal or on a fixed dof."""
         key = None if free is None else np.asarray(free, dtype=bool).tobytes()
         if self._layout is None or self._layout[0] != key:
             mask = np.ones(len(self.mesh.vertices), dtype=bool) if free is None \
@@ -265,6 +166,117 @@ class DiscreteEnergy:
             slot[np.flatnonzero(both)[upper]] = (j[upper] + 1) * width + i[upper]
             self._layout = key, (order, width, slot)
         return self._layout[1]
+
+
+class EnergyState:
+    """A `DiscreteEnergy` at one field pos, each part formed once: F and
+    det F on creation; the loop edge normals, `value`, `bulk_grad`, `grad`
+    and `breakdown` when first read; the band of `hess` on each call. Where
+    some det <= 0, `value` has None terms, and `bulk_grad`, `grad`, `hess`
+    and `breakdown` raise InfeasibleEnergyError, naming the first triangle
+    of least det."""
+
+    def __init__(self, energy: DiscreteEnergy, pos):
+        self.energy, self.pos = energy, pos
+        self.F = energy.mesh.element_gradients(pos)
+        self.det = _det2(self.F)
+
+    @cached_property
+    def normals(self) -> list:
+        """`_edge_normals` (z, keep) of each puncture loop, in the order of
+        `DiscreteEnergy.loops`."""
+        return [_edge_normals(self.pos[ids]) for ids in self.energy.loops]
+
+    @cached_property
+    def value(self):
+        """(bulk, surface, min det); bulk and surface are None if some det <= 0.
+        The bulk is an index-ordered pairwise sum, so it is reproducible; the
+        surface sums `phi_perimeter` of each loop, loop by loop."""
+        mind = float(self.det.min())
+        if mind <= 0.0:
+            return None, None, mind
+        energy = self.energy
+        bulk = float(np.sum(energy.mesh.areas * energy.density.energy(self.F, self.det)))
+        surf = 0.0
+        for z, _ in self.normals:
+            surf += float(np.sum(energy.phi.value(z)))
+        return bulk, surf, mind
+
+    @cached_property
+    def bulk_grad(self) -> np.ndarray:
+        """(n, 2) nodal gradient of the bulk sum: corner i of triangle t gets
+        |T_t| P(F_t) dN_i, summed over b in order, and the corners are
+        scattered onto the nodes in (t, i) order."""
+        mesh = self.energy.mesh
+        ap = mesh.areas[:, None, None] * self.energy.density.stress(
+            self.F, _require_positive(self.det))
+        dN = mesh.shape_gradients
+        corner = ap[:, None, :, 0] * dN[:, :, None, 0] + ap[:, None, :, 1] * dN[:, :, None, 1]
+        return np.bincount(mesh.corner_dofs, weights=corner.ravel(),
+                           minlength=mesh.vertices.size).reshape(-1, 2)
+
+    @cached_property
+    def grad(self) -> tuple:
+        """(bulk, surface) nodal gradients, kept apart, so bulk + surface
+        rounds once per node."""
+        bulk = self.bulk_grad
+        surf = np.zeros_like(self.pos)
+        for ids, (z, keep) in zip(self.energy.loops, self.normals):  # disjoint
+            surf[ids] = _normals_gradient(z, keep, self.energy.phi)
+        return bulk, surf
+
+    def hess(self, free=None) -> np.ndarray:
+        """Positive semidefinite Hessian over the dofs 2 v + axis of the
+        vertices where the mask `free` is True (all by default), as its upper
+        band in the order of `DiscreteEnergy.band_layout`: a Fortran-order
+        (width + 1, n) array laid out for `scipy.linalg.cholesky_banded`,
+        entry (i, j), i <= j, at [width + i - j, j].
+
+        Triangle t adds |T_t| B^T P(D^2W(F_t)) B, with B the 4x6 map from its
+        corner positions to F and P the clip of negative eigenvalues: the
+        per-element projection of projected Newton (Teran, Sifakis, Irving &
+        Fedkiw, SCA 2005), exact wherever D^2W is positive semidefinite. The
+        eigenvalues come in closed form from `BulkDensity.hessian_eigensystem`
+        (Smith, de Goes & Kim, ACM TOG 2019), not from a numerical solver. Loop
+        edge j adds [[H, -H], [-H, H]] on its end vertices, H = R^T D^2phi(z_j) R,
+        semidefinite as phi is convex. Each call sums the element values
+        into the band with one `np.bincount`.
+        """
+        energy = self.energy
+        order, width, slot = energy.band_layout(free)
+        nt = len(self.F)
+        lam, vec = energy.density.hessian_eigensystem(self.F, _require_positive(self.det))
+        # B^T V, rows (i, c), for B[(a, b), (i, c)] = delta_ac dN_i/dX_b
+        btv = (energy.mesh.shape_gradients[:, None] @ vec.reshape(nt, 2, 2, 4)
+               ).transpose(0, 2, 1, 3).reshape(nt, 6, 4)
+        w = energy.mesh.areas[:, None] * np.maximum(lam, 0.0)
+        vals = np.empty(len(slot))
+        np.matmul(btv * w[:, None, :], btv.transpose(0, 2, 1),
+                  out=vals[:36 * nt].reshape(nt, 6, 6))
+        sign = np.array([[1.0, -1.0], [-1.0, 1.0]])[:, None, :, None]
+        at = 36 * nt
+        for ids, (z, nonzero) in zip(energy.loops, self.normals):
+            H = np.zeros((len(ids), 2, 2))
+            H[nonzero] = _ROT.T @ energy.phi.hessian(z) @ _ROT
+            vals[at:at + 16 * len(ids)] = (sign * H[:, None, :, None, :]).ravel()
+            at += 16 * len(ids)
+        n = len(order)
+        # the discard slot, one past the band, is dropped
+        band = np.bincount(slot, weights=vals, minlength=(width + 1) * n + 1)[:-1]
+        return band.reshape(n, width + 1).T
+
+    @cached_property
+    def breakdown(self) -> "EnergyBreakdown":
+        """`value` as the energy report: its bulk and surface terms, the
+        cavities detected at pos and the `rho_artifact` of the mesh."""
+        _require_positive(self.det)
+        bulk, surface, _ = self.value
+        mesh, phi = self.energy.mesh, self.energy.phi
+        return EnergyBreakdown(
+            bulk=bulk, surface=surface, total=bulk + surface,
+            cavities=detect_cavities(DeformationField(mesh, self.pos), phi),
+            rho_artifact=sum((phi_perimeter(mesh.vertices[ids], phi)
+                              for ids in self.energy.loops), 0.0))
 
 
 def band_order(indptr, indices) -> np.ndarray:
@@ -440,22 +452,11 @@ def detect_cavities(y: DeformationField, phi: SurfaceDensity) -> list:
 
 
 def total_energy(y: DeformationField, density: BulkDensity,
-                 phi: SurfaceDensity, terms=None) -> EnergyBreakdown:
-    """`DiscreteEnergy.value` of y, the energy `minimize` logs, split into
-    its bulk and surface terms, with the detected cavities;
-    InfeasibleEnergyError if some det <= 0. `terms` is (bulk, surface) of
-    that value when the caller has evaluated it at y, as `minimize` hands it
-    over; it is reported as it is."""
-    energy = DiscreteEnergy(y.mesh, density, phi)
-    if terms is None:
-        F = y.element_gradients()
-        bulk, surface, _ = energy.value(y.positions, F, _require_positive_dets(F))
-    else:
-        bulk, surface = terms
-    return EnergyBreakdown(
-        bulk=bulk, surface=surface, total=bulk + surface,
-        cavities=detect_cavities(y, phi),
-        rho_artifact=energy.surface(y.mesh.vertices))
+                 phi: SurfaceDensity) -> EnergyBreakdown:
+    """`EnergyState.breakdown` of the field y: the energy `minimize` logs,
+    split into its bulk and surface terms, with the detected cavities;
+    InfeasibleEnergyError if some det <= 0."""
+    return DiscreteEnergy(y.mesh, density, phi).state(y.positions).breakdown
 
 
 def surface_functional_S_sum(y: DeformationField) -> float:
@@ -464,7 +465,7 @@ def surface_functional_S_sum(y: DeformationField) -> float:
     Kept independent of SurfaceDensity on purpose: edge lengths are summed
     directly so the anisotropic route can be checked against it.
     """
-    _require_positive_dets(y.element_gradients())
+    _require_positive(y.element_dets())
     total = 0.0
     for ids in y.mesh.puncture_loops():
         img = ensure_ccw(y.positions[ids])

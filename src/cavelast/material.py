@@ -104,7 +104,7 @@ class BulkDensity:
         """D^2W(F)[a, b, c, d] = d^2 W / dF_ab dF_cd, shape (..., 2, 2, 2, 2):
         mu I + (2 a + b / det^2) cof F (x) cof F + (2 a det - b / det) D^2 det.
         Not positive semidefinite in general (W is polyconvex, not convex);
-        `DiscreteEnergy.hess` projects it through the closed-form
+        `EnergyState.hess` projects it through the closed-form
         `hessian_eigensystem` (Smith, de Goes & Kim, ACM TOG 2019)."""
         F = np.asarray(F, dtype=float)
         det = _admissible_det(F)

@@ -10,7 +10,6 @@ remain available as modes "centroid" (elastic) and "midpoint" (surface).
 
 import logging
 from dataclasses import dataclass, field
-from typing import NamedTuple
 
 import numpy as np
 from scipy.linalg import LinAlgError
@@ -21,18 +20,19 @@ from ._table import write_table
 # check_inv and total_energy are not called here; they stay bound because
 # perfbench's tracer patches them
 from .degree import boundary_crossings, check_inv  # noqa: F401
-from .energy import (_ROT, DiscreteEnergy, _bump, _require_positive_dets,  # noqa: F401
-                     detect_cavities, phi_perimeter_gradient, total_energy)
+from .energy import (_ROT, DiscreteEnergy, EnergyState, _bump,  # noqa: F401
+                     _require_positive, detect_cavities, phi_perimeter_gradient,
+                     total_energy)
 from .exceptions import DomainError, InfeasibleEnergyError
 from .geometry import DeformationField, hat_gradients
-from .material import BulkDensity, SurfaceDensity, _det2
+from .material import BulkDensity, SurfaceDensity
 
 __all__ = [
     "BumpField", "HatField", "DilationField", "ConstantField",
     "field_vanishes_on", "gamma_images", "outer_compose",
     "elastic_first_variation", "anisotropic_tangential_divergence",
     "surface_first_variation", "VariationReport", "first_variation_residual",
-    "certification_battery", "battery_residual", "FinalState", "IterationLog",
+    "certification_battery", "battery_residual", "IterationLog",
     "minimize",
 ]
 
@@ -184,12 +184,12 @@ def elastic_first_variation(y: DeformationField, psi, density: BulkDensity,
     DW(Dy) Dy^T : Dpsi at element-centroid images instead.
     """
     mesh = y.mesh
-    F = y.element_gradients()
     if mode == "interp":
-        grad = DiscreteEnergy(mesh, density).bulk_grad(F)
+        grad = DiscreteEnergy(mesh, density).state(y.positions).bulk_grad
         return float(np.sum(grad * psi.value(y.positions)))
     if mode == "centroid":
-        _require_positive_dets(F)
+        F = y.element_gradients()
+        _require_positive(y.element_dets())
         cent = y.positions[mesh.triangles].mean(axis=1)
         J = psi.jacobian(cent)
         per = np.einsum("tac,tbc,tab->t", density.stress(F), F, J)
@@ -267,23 +267,21 @@ class VariationReport:
         ])
 
 
-def first_variation_residual(y: DeformationField, psi, density: BulkDensity,
-                             phi: SurfaceDensity, gradient=None) -> VariationReport:
-    """Exact first variation of the discrete energy, as the battery takes
-    it, against the central difference, step 1e-5, of t -> total energy of
-    h_t o y: bulk + surface of `DiscreteEnergy.value`, the sum
-    `total_energy` reports; InfeasibleEnergyError if some det <= 0 there.
-    `gradient` is `DiscreteEnergy.grad` at y when the caller has it."""
+def first_variation_residual(state: EnergyState, psi) -> VariationReport:
+    """Exact first variation of the discrete energy at the field of `state`,
+    as the battery takes it, against the central difference, step 1e-5, of
+    t -> total energy of h_t o y: bulk + surface of `EnergyState.value`, the
+    sum `total_energy` reports; InfeasibleEnergyError if some det <= 0 there."""
     fd_step = 1e-5
-    [(el, su)] = _variation_terms(y, density, phi, [psi], gradient)
-    energy = DiscreteEnergy(y.mesh, density, phi)
+    [(el, su)] = _variation_terms(state, [psi])
+    energy = state.energy
+    y = DeformationField(energy.mesh, state.pos)
 
     def energy_at(t):
-        pos = outer_compose(y, psi, t).positions
-        F = y.mesh.element_gradients(pos)
-        bulk, surf, _ = energy.value(pos, F)
+        at = energy.state(outer_compose(y, psi, t).positions)
+        bulk, surf, _ = at.value
         if bulk is None:
-            _require_positive_dets(F)  # raises, naming the triangle
+            _require_positive(at.det)  # raises, naming the triangle
         return bulk + surf
 
     fd = (energy_at(fd_step) - energy_at(-fd_step)) / (2.0 * fd_step)
@@ -343,26 +341,26 @@ def certification_battery(y: DeformationField, per_cavity: int = 16,
 
 def battery_residual(y: DeformationField, density: BulkDensity,
                      phi: SurfaceDensity, fields=None, seed: int = 0) -> float:
-    """Largest |first variation| over the battery (no finite differences)."""
+    """Largest |first variation| over the battery (no finite differences)
+    at the field y."""
     if fields is None:
         fields = certification_battery(y, seed=seed)
-    return max([0.0] + battery_variations(y, density, phi, fields))
+    state = DiscreteEnergy(y.mesh, density, phi).state(y.positions)
+    return max([0.0] + battery_variations(state, fields))
 
 
-def battery_variations(y: DeformationField, density: BulkDensity,
-                       phi: SurfaceDensity, fields, gradient=None) -> list:
-    """|elastic + surface| first variation of each field, in order.
-    `gradient` is `DiscreteEnergy.grad` at y when the caller has it."""
-    return [abs(el + su) for el, su in _variation_terms(y, density, phi, fields, gradient)]
+def battery_variations(state: EnergyState, fields) -> list:
+    """|elastic + surface| first variation of each field, in order, at the
+    field of `state`."""
+    return [abs(el + su) for el, su in _variation_terms(state, fields)]
 
 
-def _variation_terms(y, density, phi, fields, gradient=None) -> list:
+def _variation_terms(state, fields) -> list:
     """(elastic, surface) first variation of each field, in order: the bulk
-    and surface nodal gradients of one `DiscreteEnergy.grad` (`gradient`,
-    or computed at y) dotted with the field's nodal values."""
-    bulk, surf = DiscreteEnergy(y.mesh, density, phi).grad(y.positions) \
-        if gradient is None else gradient
-    values = [psi.value(y.positions) for psi in fields]
+    and surface nodal gradients of `EnergyState.grad` dotted with the
+    field's nodal values."""
+    bulk, surf = state.grad
+    values = [psi.value(state.pos) for psi in fields]
     return [(float(np.sum(bulk * v)), float(np.sum(surf * v))) for v in values]
 
 
@@ -371,29 +369,19 @@ def _variation_terms(y, density, phi, fields, gradient=None) -> list:
 
 
 @dataclass
-class FinalState:
-    """What `minimize` evaluated at the field it returns: bulk and surface of
-    `DiscreteEnergy.value`, the (bulk, surface) nodal gradients of
-    `DiscreteEnergy.grad`, and `boundary_crossings`, 0 when the step that
-    reached the field was gated, else None (not counted)."""
-
-    bulk: float
-    surface: float
-    gradient: tuple
-    crossings: int | None
-
-
-@dataclass
 class IterationLog:
     """One row per step, the stop status, `certificate`: the battery
     fields and their |first variations| at the returned field, when the
-    stop test built them there (None otherwise), and `final`, the
-    `FinalState` of a `minimize` run."""
+    stop test built them there (None otherwise), and of a `minimize` run
+    `final`, the `EnergyState` of the returned field, and `crossings`, its
+    `boundary_crossings`: 0 when the step that reached it was gated, else
+    None (not counted)."""
 
     records: list = field(default_factory=list)
     status: str = "running"
     certificate: tuple | None = None
-    final: FinalState | None = None
+    final: EnergyState | None = None
+    crossings: int | None = None
 
     def add(self, **row):
         self.records.append(row)
@@ -405,37 +393,16 @@ class IterationLog:
         write_table(path, ",".join(cols), ",".join(["%.12g"] * len(cols)), rows)
 
 
-class _State(NamedTuple):
-    """One field `minimize` evaluates: its element gradients F, their
-    determinants, the loop edge normals, and `DiscreteEnergy.value` of them."""
-
-    F: np.ndarray
-    det: np.ndarray
-    normals: list
-    bulk: float | None
-    surface: float | None
-    min_det: float
-
-
-def _evaluate(energy_of, pos) -> _State:
-    """F, det F and `loop_normals` of pos, each formed once, and the energy
-    `DiscreteEnergy.value` makes of them."""
-    F = energy_of.mesh.element_gradients(pos)
-    det = _det2(F)
-    normals = energy_of.loop_normals(pos)
-    return _State(F, det, normals, *energy_of.value(pos, F, det, normals))
-
-
-def _newton_step(energy_of, pos, free, F, grad, damping, det=None, normals=None):
+def _newton_step(state: EnergyState, free, grad, damping):
     """(k, 2) solution dx of (H + damping * diag H) dx = -grad, H the
     projected Hessian over the free dofs, by one LAPACK banded Cholesky of
-    its band `energy_of.hess(pos, free, F, det, normals)`, which is in the
-    order of `energy_of.band_layout(free)`. LinAlgError when the matrix is
-    not positive definite. The LAPACK routines are the ones
+    its band `state.hess(free)`, which is in the order of
+    `DiscreteEnergy.band_layout(free)`. LinAlgError when the matrix is not
+    positive definite. The LAPACK routines are the ones
     `scipy.linalg.cholesky_banded` and `cho_solve_banded` call, without
     their argument checks."""
-    order, _, _ = energy_of.band_layout(free)
-    band = energy_of.hess(pos, free, F, det, normals)
+    order, _, _ = state.energy.band_layout(free)
+    band = state.hess(free)
     band[-1] *= 1.0 + damping  # the diagonal
     factor, info = dpbtrf(band, overwrite_ab=1)
     if info > 0:
@@ -455,7 +422,7 @@ def minimize(y0: DeformationField, density: BulkDensity, phi: SurfaceDensity,
     vertices on non-puncture boundary edges stay fixed.
 
     Each step solves (H + damping * diag H) dx = -g, with H the per-element
-    projected Hessian, by banded Cholesky of the band `DiscreteEnergy.hess`
+    projected Hessian, by banded Cholesky of the band `EnergyState.hess`
     assembles, in the Cuthill-McKee order `DiscreteEnergy.band_layout`
     builds once per run; the damping starts at 1 and shrinks by 0.3 after a
     full step, grows by 4 after a shortened one. The step is halved (at most
@@ -478,12 +445,13 @@ def minimize(y0: DeformationField, density: BulkDensity, phi: SurfaceDensity,
     field, the log keeps its battery as `certificate`. Every accepted step
     is logged at DEBUG level on the "cavelast" logger.
 
-    Each field is evaluated once: the start and every trial get one F, one
-    det F and one pass over the loop edge normals, which give its energy
-    and, once it is accepted, its gradient and the band of the next step.
-    The gradient of the returned field is formed once, for the next step and
-    the stop test's battery alike, and the log hands it over as `final`,
-    with the energy terms and the crossing count of the last gated trial.
+    Each field is evaluated once, as one `EnergyState`: the start and every
+    trial get one F, one det F and one pass over the loop edge normals,
+    which give its energy and, once it is accepted, its gradient and the
+    band of the next step. The log hands the state of the returned field
+    over as `final`, its gradient formed once for the last step and the
+    stop test's battery alike, and the crossing count of the last gated
+    trial as `crossings`.
     """
     mesh = y0.mesh
     energy_of = DiscreteEnergy(mesh, density, phi)
@@ -492,16 +460,15 @@ def minimize(y0: DeformationField, density: BulkDensity, phi: SurfaceDensity,
 
     log = IterationLog()
     pos = y0.positions.copy()
-    cur = _evaluate(energy_of, pos)
-    if cur.bulk is None or cur.min_det <= det_floor:
+    cur = energy_of.state(pos)
+    bulk, surface, mind = cur.value
+    if bulk is None or mind <= det_floor:
         raise InfeasibleEnergyError(
-            f"starting field has min determinant {cur.min_det:.3e} <= {det_floor:.1e}")
-    energy = cur.bulk + cur.surface
-    terms = energy_of.grad(pos, cur.F, cur.det, cur.normals)
-    grad = np.add(*terms)[free].ravel()  # bulk + surface
-    crossings = None
-    log.add(iter=0, energy=energy, bulk=cur.bulk, surface=cur.surface,
-            min_det=cur.min_det, step=0.0, residual=None)
+            f"starting field has min determinant {mind:.3e} <= {det_floor:.1e}")
+    energy = bulk + surface
+    grad = np.add(*cur.grad)[free].ravel()  # bulk + surface
+    log.add(iter=0, energy=energy, bulk=bulk, surface=surface, min_det=mind,
+            step=0.0, residual=None)
 
     damping = 1.0
     tiny_streak = 0
@@ -511,8 +478,7 @@ def minimize(y0: DeformationField, density: BulkDensity, phi: SurfaceDensity,
         s, decrease = 0.0, 0.0  # no step at zero gradient
         if grad.any():
             try:
-                dx = _newton_step(energy_of, pos, free, cur.F, grad, damping,
-                                  cur.det, cur.normals)
+                dx = _newton_step(cur, free, grad, damping)
             except LinAlgError as err:
                 _log.warning("iter %d: damped Newton matrix not positive definite "
                              "(%s); stopping", it, err)
@@ -525,9 +491,10 @@ def minimize(y0: DeformationField, density: BulkDensity, phi: SurfaceDensity,
             for _ in range(max_backtracks):
                 cand = pos.copy()
                 cand[free] += s * dx
-                trial = _evaluate(energy_of, cand)
-                if trial.bulk is not None and trial.min_det > det_floor \
-                        and trial.bulk + trial.surface <= energy + 1e-4 * s * slope \
+                trial = energy_of.state(cand)
+                t_bulk, t_surface, t_mind = trial.value
+                if t_bulk is not None and t_mind > det_floor \
+                        and t_bulk + t_surface <= energy + 1e-4 * s * slope \
                         and (not gated or boundary_crossings(mesh, cand) == 0):
                     break
                 s *= 0.5
@@ -536,27 +503,26 @@ def minimize(y0: DeformationField, density: BulkDensity, phi: SurfaceDensity,
                 break
 
             pos, cur = cand, trial
-            crossings = 0 if gated else None
+            bulk, surface, mind = trial.value
+            log.crossings = 0 if gated else None
             log.certificate = None  # built at an earlier field
             damping *= 0.3 if s == 1.0 else 4.0
-            decrease = energy - (cur.bulk + cur.surface)
-            energy = cur.bulk + cur.surface
+            decrease = energy - (bulk + surface)
+            energy = bulk + surface
             _log.debug("iter %5d  energy %.9g  step %.3g  min_det %.3e",
-                       it, energy, s, cur.min_det)
-            terms = energy_of.grad(pos, cur.F, cur.det, cur.normals)
-            grad = np.add(*terms)[free].ravel()
+                       it, energy, s, mind)
+            grad = np.add(*cur.grad)[free].ravel()
 
         res = None
         if s == 0.0 or decrease < tol_E * (1.0 + abs(energy)):
-            y = y0.with_positions(pos)
-            fields = certify(y, seed=seed)
-            log.certificate = fields, battery_variations(y, density, phi, fields, terms)
+            fields = certify(y0.with_positions(pos), seed=seed)
+            log.certificate = fields, battery_variations(cur, fields)
             res = max([0.0] + log.certificate[1])
             tiny_streak += 1
         else:
             tiny_streak = 0
-        log.add(iter=it, energy=energy, bulk=cur.bulk, surface=cur.surface,
-                min_det=cur.min_det, step=s, residual=res)
+        log.add(iter=it, energy=energy, bulk=bulk, surface=surface, min_det=mind,
+                step=s, residual=res)
         if res is not None and res <= residual_rel * max(abs(energy), 1e-300):
             status = "converged"
             break
@@ -565,5 +531,5 @@ def minimize(y0: DeformationField, density: BulkDensity, phi: SurfaceDensity,
             break
 
     log.status = status
-    log.final = FinalState(cur.bulk, cur.surface, terms, crossings)
+    log.final = cur
     return y0.with_positions(pos), log

@@ -21,10 +21,10 @@ def ell():
 
 @pytest.fixture(scope="session")
 def dense_hess():
-    """`DiscreteEnergy.hess` as a dense symmetric matrix in the dof order:
+    """`EnergyState.hess` as a dense symmetric matrix in the dof order:
     the band's upper triangle mirrored and put back out of the band order."""
-    def dense(energy, pos, free=None, F=None):
-        band = energy.hess(pos, free, F)
+    def dense(energy, pos, free=None):
+        band = energy.state(pos).hess(free)
         order, width, _ = energy.band_layout(free)
         n = len(order)
         P = np.zeros((n, n))

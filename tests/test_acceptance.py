@@ -86,7 +86,8 @@ class TestAcceptance:
                                    width=rng.uniform(0.4, 1.0),
                                    direction=rng.normal(size=2),
                                    amplitude=rng.uniform(0.05, 0.3))
-                rep = cv.first_variation_residual(y, psi, density, phi)
+                rep = cv.first_variation_residual(
+                    cv.DiscreteEnergy(y.mesh, density, phi).state(y.positions), psi)
                 assert abs(rep.fd_value) > 1e-3  # pair actually moves energy
                 assert rep.fd_gap <= 1e-3
                 worst = max(worst, rep.fd_gap)

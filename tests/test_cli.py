@@ -465,6 +465,31 @@ class TestMain:
         assert main(["run", str(ini), "--out", str(tmp_path / "out")]) == 0
         assert read_summary(tmp_path / "out")["inv_check"] == "PASS"
 
+    def test_infeasible_start_exit_2(self, tmp_path, capsys):
+        # lam = 1e-5 meshes, but its start has det 1e-10 <= det_floor: the
+        # solver refuses it before any step, and nothing is written
+        p = tmp_path / "tiny.ini"
+        p.write_text("[boundary]\nlam = 1e-5\n")
+        out = tmp_path / "out"
+        assert main(["run", str(p), "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == ("infeasible input: starting field has min "
+                                "determinant 1.000e-10 <= 1.0e-08\n")
+        assert "artifacts in" not in captured.out
+        assert not out.exists()
+
+    def test_det_floor_refuses_run_not_eval(self, tmp_path, capsys):
+        # det_floor bounds the solver's fields only: the same start that run
+        # refuses, eval evaluates
+        p = tmp_path / "floor.ini"
+        p.write_text("[solver]\ndet_floor = 2.0\n")
+        assert main(["run", str(p), "--out", str(tmp_path / "run")]) == 2
+        assert capsys.readouterr().err == ("infeasible input: starting field has min "
+                                           "determinant 1.000e+00 <= 2.0e+00\n")
+        assert not (tmp_path / "run").exists()
+        assert main(["eval", str(p), "--out", str(tmp_path / "eval")]) == 0
+        assert read_summary(tmp_path / "eval")["status"] == "evaluated"
+
     def test_unknown_scenario_exit_2(self, capsys):
         assert main(["run", "definitely_not_there"]) == 2
         assert "configuration error" in capsys.readouterr().err

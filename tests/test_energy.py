@@ -138,13 +138,13 @@ class TestDiscreteEnergy:
         t = 1e-6
         for phi in self.PHIS:
             E = cv.DiscreteEnergy(mesh, density, phi)
-            grads = E.grad(pos)
+            grads = E.state(pos).grad
             for v in nodes:
                 for a in (0, 1):
                     plus, minus = pos.copy(), pos.copy()
                     plus[v, a] += t
                     minus[v, a] -= t
-                    vp, vm = E.value(plus), E.value(minus)
+                    vp, vm = E.state(plus).value, E.state(minus).value
                     for k in (0, 1):  # bulk, surface
                         fd = (vp[k] - vm[k]) / (2 * t)
                         assert grads[k][v, a] == pytest.approx(fd, rel=1e-5, abs=1e-7), \
@@ -182,10 +182,11 @@ class TestDiscreteEnergy:
                 E = cv.DiscreteEnergy(mesh, density, phi)
                 for _ in range(3):
                     pos = y.positions + 0.002 * rng.standard_normal(y.positions.shape)
-                    bulk, surface, mind = E.value(pos)
+                    state = E.state(pos)
+                    bulk, surface, mind = state.value
                     assert (bulk, surface) == energy_terms(pos, mesh, phi)
                     assert mind == cv.min_det(cv.DeformationField(mesh, pos))
-                    assert np.array_equal(np.add(*E.grad(pos)), gradient(pos, mesh, phi))
+                    assert np.array_equal(np.add(*state.grad), gradient(pos, mesh, phi))
                     bd = cv.total_energy(cv.DeformationField(mesh, pos), density, phi)
                     assert (bd.bulk, bd.surface, bd.total) == (bulk, surface, bulk + surface)
 
@@ -197,13 +198,17 @@ class TestDiscreteEnergy:
         other = [i for i in square_mesh.triangles[t] if i != v][0]
         pos = square_mesh.vertices.copy()
         pos[v] = pos[other]
-        E = cv.DiscreteEnergy(square_mesh, density, iso)
-        bulk, surface, mind = E.value(pos)
+        state = cv.DiscreteEnergy(square_mesh, density, iso).state(pos)
+        bulk, surface, mind = state.value
         assert bulk is None and surface is None and mind <= 0.0
-        with pytest.raises(InfeasibleEnergyError):
-            E.grad(pos)
-        with pytest.raises(InfeasibleEnergyError):
-            E.hess(pos)
+        # every other read raises, naming the first triangle of least det
+        least = int(np.argmin(state.det))
+        reads = {"bulk_grad": lambda: state.bulk_grad, "grad": lambda: state.grad,
+                 "hess": state.hess, "breakdown": lambda: state.breakdown}
+        for name, read in reads.items():
+            with pytest.raises(InfeasibleEnergyError, match=f"in triangle {least}$") as ei:
+                read()
+            assert ei.value.triangle == least, name
 
     @staticmethod
     def two_fields(stretched_disk):
@@ -237,7 +242,8 @@ class TestDiscreteEnergy:
                         plus, minus = pos.copy(), pos.copy()
                         plus[v, a] += t
                         minus[v, a] -= t
-                        fd = (np.add(*E.grad(plus)) - np.add(*E.grad(minus))) / (2 * t)
+                        fd = (np.add(*E.state(plus).grad)
+                              - np.add(*E.state(minus).grad)) / (2 * t)
                         assert np.allclose(H[:, 2 * v + a], fd.ravel(),
                                            rtol=1e-6, atol=1e-6), (phi.kind, v, a)
 
@@ -262,9 +268,12 @@ class TestDiscreteEnergy:
                 R = _reference_hess(E, pos).toarray()
                 assert np.array_equal(_reference_hess(E, pos, free, F).toarray(),
                                       R[np.ix_(dofs, dofs)])
-                Hf = dense_hess(E, pos, free, F)
+                Hf = dense_hess(E, pos, free)
                 assert np.linalg.eigvalsh(Hf).min() > 0.0
-                assert np.array_equal(dense_hess(E, pos, free), Hf)
+                # each call builds a fresh band, which the Newton step overwrites
+                state = E.state(pos)
+                state.hess(free)[:] = 0.0
+                assert np.array_equal(state.hess(free), E.state(pos).hess(free))
 
     def test_unclipped_blocks_match_central_difference(self, stretched_disk, density):
         # at the default material the clip acts; unclipped, the eigensystem
@@ -295,25 +304,12 @@ class TestDiscreteEnergy:
                 for mesh, pos in fields]
 
         def refuse(*args, **kwargs):
-            raise AssertionError("DiscreteEnergy.hess called np.linalg.eigh")
+            raise AssertionError("EnergyState.hess called np.linalg.eigh")
 
         monkeypatch.setattr(np.linalg, "eigh", refuse)
         for H, (mesh, pos) in zip(want, fields):
             got = dense_hess(cv.DiscreteEnergy(mesh, density, ell), pos)
             assert np.abs(got - H).max() <= 1e-12 * np.abs(H).max()
-
-    def test_precomputed_gradients_change_nothing(self, stretched_disk, density, ell):
-        E = cv.DiscreteEnergy(stretched_disk.mesh, density, ell)
-        pos = stretched_disk.positions
-        F = E.mesh.element_gradients(pos)
-        det, normals = cv.material._det2(F), E.loop_normals(pos)
-        assert E.value(pos, F) == E.value(pos, F, det, normals) == E.value(pos)
-        for given in ((F,), (F, det, normals)):
-            for a, b in zip(E.grad(pos, *given), E.grad(pos)):
-                assert np.array_equal(a, b)
-        free = np.ones(len(pos), dtype=bool)
-        free[_constrained_vertices(E.mesh)] = False
-        assert np.array_equal(E.hess(pos, free, F, det, normals), E.hess(pos, free))
 
 
 class TestBandLayout:
@@ -403,7 +399,7 @@ class TestBandLayout:
         for name, free in self.masks(mesh).items():
             E = cv.DiscreteEnergy(mesh, density, ell)
             order, width, _ = E.band_layout(free)
-            band = E.hess(pos, free)
+            band = E.state(pos).hess(free)
             band[width] *= 1.0 + damping
             dense = _reference_hess(E, pos, free).toarray()
             dense[np.diag_indices_from(dense)] *= 1.0 + damping
@@ -430,7 +426,7 @@ def _same_bits(a, b):
 
 class TestElementKernels:
     """`Mesh.element_gradients` (a cached sparse operator) and
-    `DiscreteEnergy.bulk_grad` (a bincount scatter) sum in the order of the
+    `EnergyState.bulk_grad` (a bincount scatter) sum in the order of the
     einsum kernels they replaced, so every bit, zero signs included, is
     theirs."""
 
@@ -461,7 +457,7 @@ class TestElementKernels:
         assert _same_bits(F, want)
         if case == "bundled_identity":
             assert np.any(want == 0.0)  # zero entries, whose signs must agree too
-        assert _same_bits(cv.DiscreteEnergy(mesh, density).bulk_grad(F),
+        assert _same_bits(cv.DiscreteEnergy(mesh, density).state(pos).bulk_grad,
                           _reference_bulk_grad(mesh, density, want))
 
     @pytest.mark.parametrize("case", ["bundled_identity", "bundled_converged",
@@ -474,7 +470,7 @@ class TestElementKernels:
         for name, free in TestBandLayout.masks(mesh).items():
             E = cv.DiscreteEnergy(mesh, density, ell)
             order, width, _ = E.band_layout(free)
-            band = E.hess(pos, free)
+            band = E.state(pos).hess(free)
             assert band.shape == (width + 1, len(order)) and band.flags.f_contiguous
             ref = _reference_hess(E, pos, free).tocoo()
             rank = np.argsort(order)

@@ -12,6 +12,11 @@ from cavelast.variation import (ConstantField, _constrained_vertices, _newton_st
                                 battery_variations)
 
 
+def _state(y, density, phi):
+    """The `EnergyState` of the field y."""
+    return cv.DiscreteEnergy(y.mesh, density, phi).state(y.positions)
+
+
 class RotationField:
     """psi(xi) = J (xi - c) with J the rotation generator."""
 
@@ -296,13 +301,13 @@ class TestResidualReport:
                 c = lifted.positions[rng.integers(0, len(lifted.positions))]
                 psi = cv.BumpField(c, rng.uniform(0.2, 0.6),
                                    (np.cos(ang), np.sin(ang)))
-                rep = cv.first_variation_residual(lifted, psi, density, phi)
+                rep = cv.first_variation_residual(_state(lifted, density, phi), psi)
                 assert rep.total == rep.elastic + rep.surface
                 assert rep.fd_gap <= 1e-3
 
     def test_zero_field(self, lifted, density, iso):
-        rep = cv.first_variation_residual(lifted, ConstantField((0.0, 0.0)),
-                                          density, iso)
+        rep = cv.first_variation_residual(_state(lifted, density, iso),
+                                          ConstantField((0.0, 0.0)))
         assert rep.elastic == 0.0
         assert rep.surface == 0.0
         assert abs(rep.fd_value) <= 1e-9
@@ -313,14 +318,15 @@ class TestResidualReport:
         # the report and the battery take one derivative, bit for bit
         phi = request.getfixturevalue(kind)
         fields = cv.certification_battery(lifted)
-        variations = battery_variations(lifted, density, phi, fields)
+        state = _state(lifted, density, phi)
+        variations = battery_variations(state, fields)
         k = int(np.argmax(variations))
-        rep = cv.first_variation_residual(lifted, fields[k], density, phi)
+        rep = cv.first_variation_residual(state, fields[k])
         assert abs(rep.total) == variations[k]
 
     @pytest.mark.parametrize("run", ["iso_run", "ell_run"])
     def test_fd_value_is_the_total_energy_difference(self, density, run, request):
-        # the central difference sums DiscreteEnergy.value as total_energy
+        # the central difference sums EnergyState.value as total_energy
         # does, bit for bit, at both bundled minimizers
         _, out = request.getfixturevalue(run)
         phi = build_phi(cv.ScenarioConfig.from_ini(out / "config.ini"))
@@ -329,17 +335,17 @@ class TestResidualReport:
         for psi in cv.certification_battery(y):
             plus, minus = (cv.total_energy(cv.outer_compose(y, psi, t), density, phi).total
                            for t in (1e-5, -1e-5))
-            rep = cv.first_variation_residual(y, psi, density, phi)
+            rep = cv.first_variation_residual(_state(y, density, phi), psi)
             assert rep.fd_value == (plus - minus) / 2e-5
 
     def test_fd_value_of_a_folding_field_raises(self, lifted, density, iso):
         # as total_energy does, naming the folded triangle
         psi = ShoveField(1e5)
         with pytest.raises(InfeasibleEnergyError, match="non-positive determinant"):
-            cv.first_variation_residual(lifted, psi, density, iso)
+            cv.first_variation_residual(_state(lifted, density, iso), psi)
 
     def test_as_text(self, lifted, density, iso):
-        rep = cv.first_variation_residual(lifted, cv.DilationField(), density, iso)
+        rep = cv.first_variation_residual(_state(lifted, density, iso), cv.DilationField())
         text = rep.as_text()
         for key in ("elastic_variation =", "surface_variation =",
                     "total_variation =", "fd_value =", "fd_gap ="):
@@ -490,10 +496,10 @@ class TestMinimize:
         free = np.ones(len(pos), dtype=bool)
         free[_constrained_vertices(mesh)] = False
         E = cv.DiscreteEnergy(mesh, density, ell)
-        F = mesh.element_gradients(pos)
-        grad = np.add(*E.grad(pos, F))[free].ravel()
-        dx = _newton_step(E, pos, free, F, grad, damping)
-        H = dense_hess(E, pos, free, F)
+        state = E.state(pos)
+        grad = np.add(*state.grad)[free].ravel()
+        dx = _newton_step(state, free, grad, damping)
+        H = dense_hess(E, pos, free)
         H[np.diag_indices_from(H)] *= 1.0 + damping
         want = np.linalg.solve(H, -grad)
         assert np.linalg.norm(dx.ravel() - want) <= 1e-12 * np.linalg.norm(want)
@@ -503,8 +509,8 @@ class TestMinimize:
         # with the failed leading minor in the log, and raises nothing
         mesh = cv.build_disk_mesh(1.0, 0.25, punctures=[((0.0, 0.0), 0.2)])
         y0 = cv.BoundaryData(kind="radial_stretch", lam=1.5).initial_field(mesh)
-        real = cv.DiscreteEnergy.hess
-        monkeypatch.setattr(cv.DiscreteEnergy, "hess",
+        real = cv.EnergyState.hess
+        monkeypatch.setattr(cv.EnergyState, "hess",
                             lambda self, *args: -real(self, *args))
         with caplog.at_level("WARNING", logger="cavelast"):
             y1, log = cv.minimize(y0, density, iso, max_iters=50)
@@ -600,7 +606,7 @@ def _assert_fresh_battery(certificate, y, density, phi, seed=0):
     fresh = cv.certification_battery(y, seed=seed)
     assert [(f.center.tolist(), f.width, f.direction.tolist()) for f in fields] \
         == [(f.center.tolist(), f.width, f.direction.tolist()) for f in fresh]
-    assert variations == battery_variations(y, density, phi, fresh)
+    assert variations == battery_variations(_state(y, density, phi), fresh)
 
 
 class TestCertificate:
@@ -643,15 +649,16 @@ class TestCertificate:
         fields, variations = record.log.certificate
         assert record.residual == max(variations)
         worst = fields[variations.index(record.residual)]
-        assert record.fv_report == cv.first_variation_residual(y, worst, density, iso)
+        assert record.fv_report == cv.first_variation_residual(_state(y, density, iso), worst)
 
     def test_compute_evaluates_each_state_once(self, monkeypatch):
         # The start, every line-search trial and the two central-difference
         # fields of the report are one state each: one det F and one pass over
         # the loop edge normals apiece. The normals are also formed for the
         # reference loops (rho_artifact) and for each cavity's ccw image.
-        # The gradient is formed at the start and at every accepted field,
-        # the returned one once: the battery and the report reuse it.
+        # The gradient (one stress) is formed at the start and at every
+        # accepted field, the returned one once: the battery and the report
+        # reuse it. eval evaluates its one field the same way.
         from cavelast import energy, geometry, material, variation
         counts = dict.fromkeys(("det", "normals", "grad"), 0)
 
@@ -668,7 +675,7 @@ class TestCertificate:
             if hasattr(module, "_det2"):
                 count(module, "_det2", "det")
         count(energy, "_edge_normals", "normals")
-        count(energy.DiscreteEnergy, "grad", "grad")
+        count(material.BulkDensity, "stress", "grad")
         cfg = cv.ScenarioConfig.from_ini(cli.resolve_scenario("radial_iso_lambda1.5"))
         record = cli.compute(cfg)
         assert record.log.status == "converged"
@@ -678,6 +685,46 @@ class TestCertificate:
         loops = len(record.y.mesh.puncture_loops())
         assert counts == {"det": states, "normals": loops * (states + 2),
                           "grad": 1 + sum(s > 0.0 for s in steps)}
+        assert (states, counts["normals"], counts["grad"]) == (18, 20, 16)
+
+        counts.update(dict.fromkeys(counts, 0))
+        cfg = cv.ScenarioConfig.from_ini(cli.resolve_scenario("eval_identity"))
+        record = cli.compute(cfg, mode="eval")
+        loops = len(record.y.mesh.puncture_loops())
+        assert counts == {"det": 3, "normals": loops * (3 + 2), "grad": 1}
+
+    @pytest.mark.parametrize("case", ["iso", "ell", "iso_max_iters_2", "iso_gate_rejects"])
+    def test_handed_over_state_is_the_returned_fields(self, monkeypatch, case):
+        # the report and the crossing count come from the state minimize
+        # hands over; they must be what the returned field gives afresh
+        from cavelast import variation
+        from cavelast.degree import boundary_crossings
+        name = "radial_ell_lambda1.5" if case == "ell" else "radial_iso_lambda1.5"
+        cfg = cv.ScenarioConfig.from_ini(cli.resolve_scenario(name))
+        if case == "iso_max_iters_2":
+            cfg = dataclasses.replace(cfg, max_iters=2)
+        if case == "iso_gate_rejects":
+            calls = []
+
+            def first_fails(*args, **kwargs):
+                calls.append(args)
+                return 1 if len(calls) == 1 else boundary_crossings(*args, **kwargs)
+
+            monkeypatch.setattr(variation, "boundary_crossings", first_fails)
+        record = cli.compute(cfg)
+        if case == "iso_gate_rejects":
+            assert record.log.records[1]["step"] == 0.5
+        y = record.y
+        want = cv.total_energy(y, cli.build_density(cfg), build_phi(cfg))
+        got = record.breakdown
+        assert (got.bulk, got.surface, got.total, got.rho_artifact) \
+            == (want.bulk, want.surface, want.total, want.rho_artifact)
+        assert len(got.cavities) == len(want.cavities) > 0
+        for a, b in zip(got.cavities, want.cavities):
+            assert np.array_equal(a.site, b.site) and np.array_equal(a.boundary, b.boundary)
+            assert (a.puncture_radius, a.area, a.aniso_perimeter, a.simple) \
+                == (b.puncture_radius, b.area, b.aniso_perimeter, b.simple)
+        assert record.crossings == boundary_crossings(y.mesh, y.positions)
 
 
 def _mirrored(mesh):
