@@ -403,8 +403,8 @@ def compute(cfg: ScenarioConfig, mode="run") -> RunRecord:
 
     One `EnergyState` of the final field gives the energy report, the
     battery's gradient and the first-variation report: the state `minimize`
-    hands over as `log.final`, with its crossing count when the last step
-    was gated, or in `eval` the state of the boundary field."""
+    hands over as `log.final`, or in `eval` the state of the boundary field.
+    The final field's `boundary_crossings` are counted once, here."""
     try:
         mesh, density, phi = build_mesh(cfg), build_density(cfg), build_phi(cfg)
         y = BoundaryData(kind=cfg.bc_kind, lam=cfg.lam).initial_field(mesh)
@@ -414,8 +414,7 @@ def compute(cfg: ScenarioConfig, mode="run") -> RunRecord:
         if mode == "run":
             y, log = minimize(y, density, phi, max_iters=cfg.max_iters, tol_E=cfg.tol_E,
                               residual_rel=cfg.residual_rel, det_floor=cfg.det_floor,
-                              inv_every=cfg.inv_every, seed=cfg.seed,
-                              certify=certification_battery)
+                              inv_every=cfg.inv_every, seed=cfg.seed)
             state = log.final
         else:
             log = IterationLog(status="evaluated")
@@ -423,9 +422,6 @@ def compute(cfg: ScenarioConfig, mode="run") -> RunRecord:
         breakdown = state.breakdown
     except InfeasibleEnergyError as err:
         raise ConfigurationError(str(err)) from err
-    crossings = log.crossings
-    if crossings is None:
-        crossings = boundary_crossings(mesh, y.positions)
     if log.certificate is None:  # the solve's stop test did not certify y
         fields = certification_battery(y, seed=cfg.seed)
         log.certificate = fields, battery_variations(state, fields)
@@ -438,7 +434,8 @@ def compute(cfg: ScenarioConfig, mode="run") -> RunRecord:
     if mode != "run":
         log.add(iter=0, energy=breakdown.total, bulk=breakdown.bulk, surface=breakdown.surface,
                 min_det=state.value[2], step=0.0, residual=residual)
-    return RunRecord(cfg, y, log, breakdown, crossings, residual, fv_report)
+    return RunRecord(cfg, y, log, breakdown, boundary_crossings(mesh, y.positions),
+                     residual, fv_report)
 
 
 def write(record: RunRecord, out, emit, threads=None):

@@ -105,12 +105,14 @@ class DiscreteEnergy:
     """Stored energy of a punctured mesh as a function of its nodal positions:
     the P1 bulk sum  sum_t |T_t| W(F_t)  (exact, F is constant per triangle)
     plus the phi-perimeter of every deformed puncture loop, with exact nodal
-    gradients and a banded Hessian, each read from the `EnergyState` of one
+    gradients and a banded Hessian over the dofs of the vertices the mask
+    `free` keeps (all when None), each read from the `EnergyState` of one
     field, `state(pos)`. phi may be None for the bulk part alone."""
 
-    def __init__(self, mesh, density: BulkDensity, phi: SurfaceDensity = None):
+    def __init__(self, mesh, density: BulkDensity, phi: SurfaceDensity = None, free=None):
         self.mesh, self.density, self.phi = mesh, density, phi
-        self._layout = None
+        self.free = np.ones(len(mesh.vertices), dtype=bool) if free is None \
+            else np.asarray(free, dtype=bool)
 
     @cached_property
     def loops(self):
@@ -121,51 +123,47 @@ class DiscreteEnergy:
         while the state is in use."""
         return EnergyState(self, pos)
 
-    def band_layout(self, free=None):
-        """(order, width, slot) of `EnergyState.hess` over the mask `free`,
-        cached for the last mask: order[k] is the free dof placed k-th, the
-        Cuthill-McKee order of the free-dof graph (`pair_band_order` of the
-        free-vertex graph); width is the number of superdiagonals of the
-        reordered matrix; slot[e] is the flat band index of element entry e
-        in the value layout of `EnergyState.hess` (per element (i, c, j, d)
-        over corners i, j and axes c, d, triangles first, then loop edges),
-        or the one discard slot (width + 1) n for an entry below the
-        diagonal or on a fixed dof."""
-        key = None if free is None else np.asarray(free, dtype=bool).tobytes()
-        if self._layout is None or self._layout[0] != key:
-            mask = np.ones(len(self.mesh.vertices), dtype=bool) if free is None \
-                else np.asarray(free, dtype=bool)
-            k = int(np.sum(mask))  # free vertices
-            n = 2 * k  # free dofs
-            vid = np.full(len(mask), -1)
-            vid[mask] = np.arange(k)
-            elems = [self.mesh.triangles] + [
-                np.stack([ids, succ(ids)], axis=1) for ids in self.loops]
+    @cached_property
+    def band_layout(self):
+        """(order, width, slot) of `EnergyState.hess`, built when first read:
+        order[k] is the free dof placed k-th, the Cuthill-McKee order of the
+        free-dof graph (`pair_band_order` of the free-vertex graph); width is
+        the number of superdiagonals of the reordered matrix; slot[e] is the
+        flat band index of element entry e in the value layout of
+        `EnergyState.hess` (per element (i, c, j, d) over corners i, j and
+        axes c, d, triangles first, then loop edges), or the one discard slot
+        (width + 1) n for an entry below the diagonal or on a fixed dof."""
+        mask = self.free
+        k = int(np.sum(mask))  # free vertices
+        n = 2 * k  # free dofs
+        vid = np.full(len(mask), -1)
+        vid[mask] = np.arange(k)
+        elems = [self.mesh.triangles] + [
+            np.stack([ids, succ(ids)], axis=1) for ids in self.loops]
 
-            def pairs(ids):  # (row, column) of every (corner, corner) of every element
-                return (np.concatenate([np.repeat(c, c.shape[1], axis=1).ravel() for c in ids]),
-                        np.concatenate([np.tile(c, (1, c.shape[1])).ravel() for c in ids]))
+        def pairs(ids):  # (row, column) of every (corner, corner) of every element
+            return (np.concatenate([np.repeat(c, c.shape[1], axis=1).ravel() for c in ids]),
+                    np.concatenate([np.tile(c, (1, c.shape[1])).ravel() for c in ids]))
 
-            row, col = pairs([vid[el] for el in elems])
-            both = (row >= 0) & (col >= 0)
-            graph = sparse.csc_matrix((np.ones(int(both.sum())), (row[both], col[both])),
-                                      shape=(k, k))
-            order = pair_band_order(graph.indptr, graph.indices)
-            dof = np.full((len(mask), 2), -1)
-            dof[mask] = np.arange(n).reshape(-1, 2)
-            row, col = pairs([dof[el].reshape(len(el), -1) for el in elems])
-            both = (row >= 0) & (col >= 0)
-            row, col = row[both], col[both]
-            rank = np.empty(n, dtype=np.int64)
-            rank[order] = np.arange(n)
-            i, j = rank[row], rank[col]
-            width = int(np.max(j - i, initial=0))
-            upper = i <= j
-            slot = np.full(len(both), (width + 1) * n)
-            # the flat Fortran index of [width + i - j, j]
-            slot[np.flatnonzero(both)[upper]] = (j[upper] + 1) * width + i[upper]
-            self._layout = key, (order, width, slot)
-        return self._layout[1]
+        row, col = pairs([vid[el] for el in elems])
+        both = (row >= 0) & (col >= 0)
+        graph = sparse.csc_matrix((np.ones(int(both.sum())), (row[both], col[both])),
+                                  shape=(k, k))
+        order = pair_band_order(graph.indptr, graph.indices)
+        dof = np.full((len(mask), 2), -1)
+        dof[mask] = np.arange(n).reshape(-1, 2)
+        row, col = pairs([dof[el].reshape(len(el), -1) for el in elems])
+        both = (row >= 0) & (col >= 0)
+        row, col = row[both], col[both]
+        rank = np.empty(n, dtype=np.int64)
+        rank[order] = np.arange(n)
+        i, j = rank[row], rank[col]
+        width = int(np.max(j - i, initial=0))
+        upper = i <= j
+        slot = np.full(len(both), (width + 1) * n)
+        # the flat Fortran index of [width + i - j, j]
+        slot[np.flatnonzero(both)[upper]] = (j[upper] + 1) * width + i[upper]
+        return order, width, slot
 
 
 class EnergyState:
@@ -225,10 +223,10 @@ class EnergyState:
             surf[ids] = _normals_gradient(z, keep, self.energy.phi)
         return bulk, surf
 
-    def hess(self, free=None) -> np.ndarray:
+    def hess(self) -> np.ndarray:
         """Positive semidefinite Hessian over the dofs 2 v + axis of the
-        vertices where the mask `free` is True (all by default), as its upper
-        band in the order of `DiscreteEnergy.band_layout`: a Fortran-order
+        vertices `DiscreteEnergy.free` keeps, as its upper band in the order
+        of `DiscreteEnergy.band_layout`: a Fortran-order
         (width + 1, n) array laid out for `scipy.linalg.cholesky_banded`,
         entry (i, j), i <= j, at [width + i - j, j].
 
@@ -243,7 +241,7 @@ class EnergyState:
         into the band with one `np.bincount`.
         """
         energy = self.energy
-        order, width, slot = energy.band_layout(free)
+        order, width, slot = energy.band_layout
         nt = len(self.F)
         lam, vec = energy.density.hessian_eigensystem(self.F, _require_positive(self.det))
         # B^T V, rows (i, c), for B[(a, b), (i, c)] = delta_ac dN_i/dX_b

@@ -159,8 +159,8 @@ class _PLEnergy:
     v2 = (v_j (1 - t) + v_{j+1} t) / R, and W and its derivatives come from
     `BulkDensity`. The returned RadialProfile swaps in the monotone cubic
     interpolant afterwards; the two agree to the interpolation error.
-    `grad`, `hess` and `change` take the stretch `_stretch(values)` of
-    their values when the caller already has it.
+    `grad`, `hess` and `change` take the stretch S = `stretch(values)` of
+    the knot values, which the solver forms once per iterate.
     """
 
     def __init__(self, knots, density: BulkDensity, K: float):
@@ -173,7 +173,7 @@ class _PLEnergy:
         self.w1 = t / X                          # d v2 / d v_{j+1}
         self.C = W * 2.0 * np.pi * X             # quadrature measure
 
-    def _stretch(self, values):
+    def stretch(self, values):
         """diag(v1, v2) at every quadrature point, linear in the values."""
         v1 = np.diff(values) / self.dR
         v2 = values[:-1, None] * self.w0 + values[1:, None] * self.w1
@@ -183,30 +183,29 @@ class _PLEnergy:
         return float(np.sum(self.C * dens.reshape(self.shape))) + float(head) * self.K
 
     def value(self, values):
-        return self._integrate(self.density.energy(self._stretch(values)), values[0])
+        return self._integrate(self.density.energy(self.stretch(values)), values[0])
 
-    def change(self, values, step, S=None):
-        """E(values + step) - E(values), resolved below the rounding of E."""
-        S = self._stretch(values) if S is None else S
-        return self._integrate(self.density.energy_change(S, self._stretch(step)), step[0])
+    def change(self, S, step):
+        """E(values + step) - E(values), resolved below the rounding of E,
+        for S = `stretch(values)`."""
+        return self._integrate(self.density.energy_change(S, self.stretch(step)), step[0])
 
-    def grad(self, values, S=None):
-        DW = self.density.stress(self._stretch(values) if S is None else S)
+    def grad(self, S):
+        DW = self.density.stress(S)
         W1 = self.C * DW[:, 0, 0].reshape(self.shape)
         W2 = self.C * DW[:, 1, 1].reshape(self.shape)
         A = np.sum(W1, axis=1) / self.dR         # through the slope
-        full = np.zeros(len(values))
+        full = np.zeros(len(self.knots))
         full[:-1] += np.sum(W2 * self.w0, axis=1) - A
         full[1:] += np.sum(W2 * self.w1, axis=1) + A
         g = full[:-1]
         g[0] += self.K
         return g
 
-    def hess(self, values, S=None):
+    def hess(self, S):
         """Hessian in solveh_banded's upper layout. Each interval couples
         only its two endpoint values, so it is tridiagonal, assembled from
         the per-interval 2x2 blocks."""
-        S = self._stretch(values) if S is None else S
         D2W = self.density.hessian(S).reshape(self.shape + (2, 2, 2, 2))
         d11, d12, d22 = (self.C * D2W[..., i, i, j, j] for i, j in ((0, 0), (0, 1), (1, 1)))
         lo, hi = -1.0 / self.dR[:, None], 1.0 / self.dR[:, None]   # d v1 / d v_j, v_{j+1}
@@ -214,7 +213,7 @@ class _PLEnergy:
         def block(a, ga, b, gb):
             return np.sum(d11 * a * b + d12 * (a * gb + ga * b) + d22 * ga * gb, axis=1)
 
-        ab = np.zeros((2, len(values) - 1))
+        ab = np.zeros((2, len(self.dR)))
         ab[0, 1:] = block(lo, self.w0, hi, self.w1)[:-1]   # couples v_j and v_{j+1}
         ab[1] = block(lo, self.w0, lo, self.w0)
         ab[1, 1:] += block(hi, self.w1, hi, self.w1)[:-1]
@@ -284,9 +283,8 @@ def _descend(f: _PLEnergy, vals, top, max_iters, el_tol):
     E = f.value(np.append(v, top))
     status = "max_iters"
     for it in range(max_iters + 1):
-        x = np.append(v, top)
-        S = f._stretch(x)
-        g = f.grad(x, S)
+        S = f.stretch(np.append(v, top))
+        g = f.grad(S)
         pinned = v[0] <= floor * (1.0 + 1e-9) and g[0] > 0.0
         scaled = np.abs(g) / m
         if pinned:
@@ -299,14 +297,14 @@ def _descend(f: _PLEnergy, vals, top, max_iters, el_tol):
             break
         if it == max_iters:
             break
-        ab = f.hess(x, S)
+        ab = f.hess(S)
         if pinned:
             g[0] = 0.0
             ab[0, 1] = 0.0
         d = _newton_direction(ab, g)
         for tau in 0.5 ** np.arange(40 if d is not None else 0):
             cand = project(v - tau * d)
-            dE = f.change(x, np.append(cand - v, 0.0), S)
+            dE = f.change(S, np.append(cand - v, 0.0))
             if dE <= 1e-4 * min(0.0, float(g @ (cand - v))):
                 break
         else:                                    # no step lowers the energy

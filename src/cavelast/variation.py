@@ -269,10 +269,13 @@ class VariationReport:
 
 def first_variation_residual(state: EnergyState, psi) -> VariationReport:
     """Exact first variation of the discrete energy at the field of `state`,
-    as the battery takes it, against the central difference, step 1e-5, of
-    t -> total energy of h_t o y: bulk + surface of `EnergyState.value`, the
-    sum `total_energy` reports; InfeasibleEnergyError if some det <= 0 there."""
-    fd_step = 1e-5
+    as the battery takes it, against the central difference of t -> total
+    energy of h_t o y: bulk + surface of `EnergyState.value`, the sum
+    `total_energy` reports; InfeasibleEnergyError if some det <= 0 there.
+    The step is 1e-5, cut to 0.1 / `grad_bound` of psi where that is
+    smaller, so that h_t stays invertible."""
+    bound = psi.grad_bound()
+    fd_step = min(1e-5, 0.1 / bound) if bound > 0.0 else 1e-5
     [(el, su)] = _variation_terms(state, [psi])
     energy = state.energy
     y = DeformationField(energy.mesh, state.pos)
@@ -373,15 +376,12 @@ class IterationLog:
     """One row per step, the stop status, `certificate`: the battery
     fields and their |first variations| at the returned field, when the
     stop test built them there (None otherwise), and of a `minimize` run
-    `final`, the `EnergyState` of the returned field, and `crossings`, its
-    `boundary_crossings`: 0 when the step that reached it was gated, else
-    None (not counted)."""
+    `final`, the `EnergyState` of the returned field."""
 
     records: list = field(default_factory=list)
     status: str = "running"
     certificate: tuple | None = None
     final: EnergyState | None = None
-    crossings: int | None = None
 
     def add(self, **row):
         self.records.append(row)
@@ -393,16 +393,16 @@ class IterationLog:
         write_table(path, ",".join(cols), ",".join(["%.12g"] * len(cols)), rows)
 
 
-def _newton_step(state: EnergyState, free, grad, damping):
+def _newton_step(state: EnergyState, grad, damping):
     """(k, 2) solution dx of (H + damping * diag H) dx = -grad, H the
-    projected Hessian over the free dofs, by one LAPACK banded Cholesky of
-    its band `state.hess(free)`, which is in the order of
-    `DiscreteEnergy.band_layout(free)`. LinAlgError when the matrix is not
+    projected Hessian over the free dofs of `state.energy`, by one LAPACK
+    banded Cholesky of its band `state.hess()`, which is in the order of
+    `DiscreteEnergy.band_layout`. LinAlgError when the matrix is not
     positive definite. The LAPACK routines are the ones
     `scipy.linalg.cholesky_banded` and `cho_solve_banded` call, without
     their argument checks."""
-    order, _, _ = state.energy.band_layout(free)
-    band = state.hess(free)
+    order, _, _ = state.energy.band_layout
+    band = state.hess()
     band[-1] *= 1.0 + damping  # the diagonal
     factor, info = dpbtrf(band, overwrite_ab=1)
     if info > 0:
@@ -416,8 +416,7 @@ def _newton_step(state: EnergyState, free, grad, damping):
 def minimize(y0: DeformationField, density: BulkDensity, phi: SurfaceDensity,
              max_iters: int = 500, tol_E: float = 1e-10,
              residual_rel: float = 1e-3, det_floor: float = 1e-8,
-             inv_every: int = 1, seed: int = 0, max_backtracks: int = 40,
-             certify=certification_battery):
+             inv_every: int = 1, seed: int = 0, max_backtracks: int = 40):
     """Monotone damped projected-Newton descent on the nodal positions; the
     vertices on non-puncture boundary edges stay fixed.
 
@@ -435,8 +434,8 @@ def minimize(y0: DeformationField, density: BulkDensity, phi: SurfaceDensity,
 
     Returns (field, log). The log status is "converged" when a tiny energy
     decrease (below tol_E * (1 + |E|)) or a zero gradient comes with a
-    residual of at most residual_rel * |E| over the certification battery
-    that `certify(field, seed=seed)` builds; "stalled" when no trial is
+    residual of at most residual_rel * |E| over the battery
+    `certification_battery(field, seed=seed)`; "stalled" when no trial is
     accepted, after 3 tiny decreases in a row, at a zero gradient whose
     battery fails, or when the damped matrix is not positive definite (a
     warning names the failed leading minor); "max_iters" when the budget
@@ -450,13 +449,12 @@ def minimize(y0: DeformationField, density: BulkDensity, phi: SurfaceDensity,
     which give its energy and, once it is accepted, its gradient and the
     band of the next step. The log hands the state of the returned field
     over as `final`, its gradient formed once for the last step and the
-    stop test's battery alike, and the crossing count of the last gated
-    trial as `crossings`.
+    stop test's battery alike.
     """
     mesh = y0.mesh
-    energy_of = DiscreteEnergy(mesh, density, phi)
     free = np.ones(len(mesh.vertices), dtype=bool)
     free[_constrained_vertices(mesh)] = False
+    energy_of = DiscreteEnergy(mesh, density, phi, free)
 
     log = IterationLog()
     pos = y0.positions.copy()
@@ -478,7 +476,7 @@ def minimize(y0: DeformationField, density: BulkDensity, phi: SurfaceDensity,
         s, decrease = 0.0, 0.0  # no step at zero gradient
         if grad.any():
             try:
-                dx = _newton_step(cur, free, grad, damping)
+                dx = _newton_step(cur, grad, damping)
             except LinAlgError as err:
                 _log.warning("iter %d: damped Newton matrix not positive definite "
                              "(%s); stopping", it, err)
@@ -504,7 +502,6 @@ def minimize(y0: DeformationField, density: BulkDensity, phi: SurfaceDensity,
 
             pos, cur = cand, trial
             bulk, surface, mind = trial.value
-            log.crossings = 0 if gated else None
             log.certificate = None  # built at an earlier field
             damping *= 0.3 if s == 1.0 else 4.0
             decrease = energy - (bulk + surface)
@@ -515,7 +512,7 @@ def minimize(y0: DeformationField, density: BulkDensity, phi: SurfaceDensity,
 
         res = None
         if s == 0.0 or decrease < tol_E * (1.0 + abs(energy)):
-            fields = certify(y0.with_positions(pos), seed=seed)
+            fields = certification_battery(y0.with_positions(pos), seed=seed)
             log.certificate = fields, battery_variations(cur, fields)
             res = max([0.0] + log.certificate[1])
             tiny_streak += 1

@@ -23,9 +23,9 @@ def ell():
 def dense_hess():
     """`EnergyState.hess` as a dense symmetric matrix in the dof order:
     the band's upper triangle mirrored and put back out of the band order."""
-    def dense(energy, pos, free=None):
-        band = energy.state(pos).hess(free)
-        order, width, _ = energy.band_layout(free)
+    def dense(energy, pos):
+        band = energy.state(pos).hess()
+        order, width, _ = energy.band_layout
         n = len(order)
         P = np.zeros((n, n))
         for d in range(width + 1):  # band row width - d holds superdiagonal d

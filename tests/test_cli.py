@@ -478,6 +478,16 @@ class TestMain:
         assert "artifacts in" not in captured.out
         assert not out.exists()
 
+    def test_tiny_domain_eval_reports(self, tmp_path, capsys):
+        # eval of the same start: the battery's bumps are ~1e-5 wide, so the
+        # central difference steps within the invertibility limit of
+        # id + t psi, and the cross-check reports rather than raising
+        p = tmp_path / "tiny.ini"
+        p.write_text("[boundary]\nlam = 1e-5\n")
+        assert main(["eval", str(p), "--out", str(tmp_path / "out")]) == 0
+        assert "Traceback" not in capsys.readouterr().err
+        assert "fd_gap" in read_summary(tmp_path / "out")
+
     def test_det_floor_refuses_run_not_eval(self, tmp_path, capsys):
         # det_floor bounds the solver's fields only: the same start that run
         # refuses, eval evaluates
@@ -673,7 +683,9 @@ class TestComputeWrite:
         def leak(*args, **kwargs):
             raise cv.DomainError("battery field leaks onto the constrained boundary")
 
-        monkeypatch.setattr(cli, "certification_battery", leak)
+        from cavelast import variation
+        for module in (cli, variation):  # compute's battery and the stop test's
+            monkeypatch.setattr(module, "certification_battery", leak)
         with pytest.raises(cv.DomainError, match="leaks") as info:
             run_scenario("radial_iso_lambda1.5", out_dir=tmp_path / "out")
         assert not isinstance(info.value, ConfigurationError)

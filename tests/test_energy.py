@@ -28,15 +28,14 @@ def _reference_bulk_grad(mesh, density, F):
     return out
 
 
-def _reference_hess(energy, pos, free=None, F=None):
+def _reference_hess(energy, pos, F=None):
     """The csc projected Hessian over the free dofs that the banded assembly
     replaced: a pattern from one np.unique over every element entry, its
     data one np.bincount of the element values."""
     mesh = energy.mesh
     if F is None:
         F = mesh.element_gradients(pos)
-    mask = np.ones(len(mesh.vertices), dtype=bool) if free is None \
-        else np.asarray(free, dtype=bool)
+    mask = energy.free
     n = 2 * int(np.sum(mask))
     dof = np.full((len(mask), 2), -1)
     dof[mask] = np.arange(n).reshape(-1, 2)
@@ -266,14 +265,15 @@ class TestDiscreteEnergy:
                 # reference, whose upper band the band equals bit for bit
                 # (TestElementKernels)
                 R = _reference_hess(E, pos).toarray()
-                assert np.array_equal(_reference_hess(E, pos, free, F).toarray(),
+                Ef = cv.DiscreteEnergy(mesh, density, phi, free)
+                assert np.array_equal(_reference_hess(Ef, pos, F).toarray(),
                                       R[np.ix_(dofs, dofs)])
-                Hf = dense_hess(E, pos, free)
+                Hf = dense_hess(Ef, pos)
                 assert np.linalg.eigvalsh(Hf).min() > 0.0
                 # each call builds a fresh band, which the Newton step overwrites
-                state = E.state(pos)
-                state.hess(free)[:] = 0.0
-                assert np.array_equal(state.hess(free), E.state(pos).hess(free))
+                state = Ef.state(pos)
+                state.hess()[:] = 0.0
+                assert np.array_equal(state.hess(), Ef.state(pos).hess())
 
     def test_unclipped_blocks_match_central_difference(self, stretched_disk, density):
         # at the default material the clip acts; unclipped, the eigensystem
@@ -335,10 +335,10 @@ class TestBandLayout:
         assert set(order[:5].tolist()) in ({0, 1, 2, 3, 4}, {6, 7, 8, 9, 10})
         assert order[0] in (0, 4, 6, 10)
         for name, free in self.masks(disk_mesh).items():
-            E = cv.DiscreteEnergy(disk_mesh, density, iso)
-            order, _, _ = E.band_layout(free)
+            E = cv.DiscreteEnergy(disk_mesh, density, iso, free)
+            order, _, _ = E.band_layout
             assert sorted(order.tolist()) == list(range(2 * int(free.sum()))), name
-            pieces, _ = connected_components(_reference_hess(E, disk_mesh.vertices, free))
+            pieces, _ = connected_components(_reference_hess(E, disk_mesh.vertices))
             assert pieces == (2 if name == "two_components" else 1)
 
     @staticmethod
@@ -365,8 +365,8 @@ class TestBandLayout:
         for mesh in (disk_mesh, cv.build_disk_mesh(1.0, 0.035, punctures=[((0.0, 0.0), 0.2)]),
                      annulus):
             for name, free in self.masks(mesh).items():
-                E = cv.DiscreteEnergy(mesh, density, iso)
-                order, _, _ = E.band_layout(free)
+                E = cv.DiscreteEnergy(mesh, density, iso, free)
+                order, _, _ = E.band_layout
                 assert np.array_equal(order, self.dof_graph_order(mesh, free, E.loops)), name
 
     def test_pair_order_on_small_patterns(self):
@@ -397,11 +397,11 @@ class TestBandLayout:
                                                   damping):
         mesh, pos = stretched_disk.mesh, stretched_disk.positions
         for name, free in self.masks(mesh).items():
-            E = cv.DiscreteEnergy(mesh, density, ell)
-            order, width, _ = E.band_layout(free)
-            band = E.state(pos).hess(free)
+            E = cv.DiscreteEnergy(mesh, density, ell, free)
+            order, width, _ = E.band_layout
+            band = E.state(pos).hess()
             band[width] *= 1.0 + damping
-            dense = _reference_hess(E, pos, free).toarray()
+            dense = _reference_hess(E, pos).toarray()
             dense[np.diag_indices_from(dense)] *= 1.0 + damping
             P = dense[np.ix_(order, order)]
             i, j = np.indices(P.shape)
@@ -416,7 +416,7 @@ class TestBandLayout:
         # mesh near 200 dofs; scipy's reverse Cuthill-McKee gives 401 there
         mesh = cv.build_disk_mesh(1.0, 0.025, punctures=[((0.0, 0.0), 0.2)])
         free = self.masks(mesh)["run"]
-        _, width, _ = cv.DiscreteEnergy(mesh, density, iso).band_layout(free)
+        _, width, _ = cv.DiscreteEnergy(mesh, density, iso, free).band_layout
         assert width <= 250
 
 
@@ -468,11 +468,11 @@ class TestElementKernels:
         # the band order, bit for bit
         mesh, pos = fields[case]
         for name, free in TestBandLayout.masks(mesh).items():
-            E = cv.DiscreteEnergy(mesh, density, ell)
-            order, width, _ = E.band_layout(free)
-            band = E.state(pos).hess(free)
+            E = cv.DiscreteEnergy(mesh, density, ell, free)
+            order, width, _ = E.band_layout
+            band = E.state(pos).hess()
             assert band.shape == (width + 1, len(order)) and band.flags.f_contiguous
-            ref = _reference_hess(E, pos, free).tocoo()
+            ref = _reference_hess(E, pos).tocoo()
             rank = np.argsort(order)
             i, j = rank[ref.row], rank[ref.col]
             assert np.abs(i - j).max() <= width, (case, name)

@@ -495,11 +495,11 @@ class TestMinimize:
         pos = stretched_disk.positions + 0.003 * rng.standard_normal(mesh.vertices.shape)
         free = np.ones(len(pos), dtype=bool)
         free[_constrained_vertices(mesh)] = False
-        E = cv.DiscreteEnergy(mesh, density, ell)
+        E = cv.DiscreteEnergy(mesh, density, ell, free)
         state = E.state(pos)
         grad = np.add(*state.grad)[free].ravel()
-        dx = _newton_step(state, free, grad, damping)
-        H = dense_hess(E, pos, free)
+        dx = _newton_step(state, grad, damping)
+        H = dense_hess(E, pos)
         H[np.diag_indices_from(H)] *= 1.0 + damping
         want = np.linalg.solve(H, -grad)
         assert np.linalg.norm(dx.ravel() - want) <= 1e-12 * np.linalg.norm(want)
@@ -615,13 +615,15 @@ class TestCertificate:
 
     @staticmethod
     def counted(monkeypatch):
+        from cavelast import variation
         real, calls = cli.certification_battery, []
 
         def counting(*args, **kwargs):
             calls.append(args)
             return real(*args, **kwargs)
 
-        monkeypatch.setattr(cli, "certification_battery", counting)
+        for module in (cli, variation):  # compute's battery and the stop test's
+            monkeypatch.setattr(module, "certification_battery", counting)
         return calls
 
     def test_minimize_keeps_the_battery_of_its_field(self, density, iso):
@@ -693,16 +695,34 @@ class TestCertificate:
         loops = len(record.y.mesh.puncture_loops())
         assert counts == {"det": 3, "normals": loops * (3 + 2), "grad": 1}
 
-    @pytest.mark.parametrize("case", ["iso", "ell", "iso_max_iters_2", "iso_gate_rejects"])
+    def test_compute_builds_the_band_layout_once(self, monkeypatch):
+        # the solve's mask is fixed, so its band order is found once per run
+        from cavelast import energy
+        real, calls = energy.pair_band_order, []
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(energy, "pair_band_order", counting)
+        cfg = cv.ScenarioConfig.from_ini(cli.resolve_scenario("radial_iso_lambda1.5"))
+        record = cli.compute(cfg)
+        assert record.log.status == "converged" and len(record.log.records) > 2
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("case", ["iso", "ell", "iso_max_iters_2", "iso_gate_rejects",
+                                      "iso_inv_every_0"])
     def test_handed_over_state_is_the_returned_fields(self, monkeypatch, case):
-        # the report and the crossing count come from the state minimize
-        # hands over; they must be what the returned field gives afresh
+        # the report comes from the state minimize hands over, the crossing
+        # count from the returned field; both must be what it gives afresh
         from cavelast import variation
         from cavelast.degree import boundary_crossings
         name = "radial_ell_lambda1.5" if case == "ell" else "radial_iso_lambda1.5"
         cfg = cv.ScenarioConfig.from_ini(cli.resolve_scenario(name))
         if case == "iso_max_iters_2":
             cfg = dataclasses.replace(cfg, max_iters=2)
+        if case == "iso_inv_every_0":  # no step gated
+            cfg = dataclasses.replace(cfg, inv_every=0)
         if case == "iso_gate_rejects":
             calls = []
 
