@@ -246,10 +246,13 @@ class ScenarioConfig:
             raise ConfigurationError("[solver] inv_every must be nonnegative")
         if self.seed < 0:
             raise ConfigurationError("[run] seed must be nonnegative")
-        for e in self.emit:
-            if e not in _EMIT_CHOICES:
-                raise ConfigurationError(
-                    f"[run] emit entry {e!r} not in {_EMIT_CHOICES}")
+        _check_emit(self.emit, "[run] emit")
+
+
+def _check_emit(emit, source):
+    for e in emit:
+        if e not in _EMIT_CHOICES:
+            raise ConfigurationError(f"{source} entry {e!r} not in {_EMIT_CHOICES}")
 
 
 # (field name, section, INI key, metadata) of every INI-backed field
@@ -438,15 +441,15 @@ def compute(cfg: ScenarioConfig, mode="run") -> RunRecord:
                      residual, fv_report)
 
 
-def write(record: RunRecord, out, emit, threads=None):
-    """Write the run directory `out`: every run's artifacts, those `emit`
-    selects, and meta.txt when `threads` is given."""
+def write(record: RunRecord, out, emit):
+    """Write the run directory `out`: every run's artifacts and those `emit`
+    selects."""
     cfg, y, log, breakdown = record.cfg, record.y, record.log, record.breakdown
     mesh, out = y.mesh, Path(out)
     out.mkdir(parents=True, exist_ok=True)
     # what an earlier run into this directory wrote and this one does not
     stale = [name for key, names in _EMITTED.items() if key not in emit for name in names]
-    for name in stale + (["meta.txt"] if threads is None else []):
+    for name in stale:
         (out / name).unlink(missing_ok=True)
     (out / "config.ini").write_text(cfg.to_ini())
     summary = [f"scenario = {cfg.name}", f"status = {log.status}", f"seed = {cfg.seed}",
@@ -477,17 +480,18 @@ def write(record: RunRecord, out, emit, threads=None):
         inv = build_inverse_field(y, cfg.delta)
         inv.to_csv(out / "inverse.csv")
         jump_set_to_csv(extract_jump_set(inv), out / "jumps.csv")
-    if threads is not None:
-        (out / "meta.txt").write_text(f"threads = {int(threads)}\n")
 
 
-def run_scenario(config, out_dir=None, mode="run", emit=None, threads=None):
-    """Execute one scenario; returns (exit_code, artifact_dir). Exit code 2
-    (input that cannot be run) writes nothing and returns no directory."""
+def run_scenario(config, out_dir=None, mode="run", emit=None):
+    """Execute one scenario; returns (exit_code, artifact_dir). `emit`
+    (default: the config's [run] emit) selects the optional artifacts. Exit
+    code 2 (input that cannot be run) writes nothing and returns no directory."""
     try:
         cfg = config if isinstance(config, ScenarioConfig) \
             else ScenarioConfig.from_ini(resolve_scenario(config))
         cfg.validate()
+        emit = cfg.emit if emit is None else tuple(emit)
+        _check_emit(emit, "--emit")
     except ConfigurationError as err:
         print(f"configuration error: {err}", file=sys.stderr)
         return 2, None
@@ -497,7 +501,7 @@ def run_scenario(config, out_dir=None, mode="run", emit=None, threads=None):
         print(f"infeasible input: {err}", file=sys.stderr)
         return 2, None
     out = Path(out_dir) if out_dir else Path(cfg.out or f"runs/{cfg.name}")
-    write(record, out, tuple(emit) if emit is not None else cfg.emit, threads)
+    write(record, out, emit)
     if mode == "run" and record.log.status != "converged":
         print(f"solver did not converge: status {record.log.status}", file=sys.stderr)
         return 3, out
@@ -602,8 +606,6 @@ def main(argv=None) -> int:
         p.add_argument("--emit", default=None, help="comma list from: " + ",".join(_EMIT_CHOICES)
                        + "; every run writes config.ini, summary.txt, iterations.csv, mesh.cavmesh,"
                        " positions.csv and cavities.csv; csv adds nothing and is kept so old configs parse")
-        p.add_argument("--threads", type=int, default=None,
-                       help="recorded in meta.txt")
 
     add_common(sub.add_parser("run", help="minimize and write artifacts"))
     add_common(sub.add_parser("eval", help="evaluate the boundary field only"))
@@ -622,8 +624,7 @@ def main(argv=None) -> int:
         return 0
 
     emit = None if args.emit is None else _parse_emit(args.emit)
-    code, out = run_scenario(args.config, out_dir=args.out, mode=args.command,
-                             emit=emit, threads=args.threads)
+    code, out = run_scenario(args.config, out_dir=args.out, mode=args.command, emit=emit)
     if out is not None:
         print(f"artifacts in {out}")
     return code

@@ -323,11 +323,12 @@ def load_pgm(path) -> DegreeRaster:
 # topological images
 
 
-def _subdomain_loops(y: DeformationField, subdomain, m):
-    """Image loops (with degree orientation signs) of a subdomain boundary."""
+def _subdomain_loops(y: DeformationField, subdomain):
+    """Image loops (with degree orientation signs) of a subdomain boundary;
+    a circle is traced at 256 points."""
     if isinstance(subdomain, tuple) and subdomain and subdomain[0] == "circle":
         _, center, r = subdomain
-        return [(trace_on_circle(y, center, r, m), +1)]
+        return [(trace_on_circle(y, center, r, 256), +1)]
     if subdomain == ("omega",) or subdomain == "omega":
         loops = []
         for tag, ids in y.mesh.boundary_loops().items():
@@ -337,18 +338,18 @@ def _subdomain_loops(y: DeformationField, subdomain, m):
     raise ValueError("subdomain must be ('circle', center, r) or 'omega'")
 
 
-def topological_image(y: DeformationField, subdomain, delta, m=256) -> DegreeRaster:
+def topological_image(y: DeformationField, subdomain, delta) -> DegreeRaster:
     """Raster of the degree of y|U at the cell centers of a uniform grid
     that extends 4 cells beyond the image loops.
 
-    U is either a circle inside the meshed domain or the whole domain; holes
-    (punctures) enter with negative orientation, so the raster is nonzero on
-    the deformed material only: a cavity, enclosed by the image of its
-    puncture loop, reads 0.  All loops go through one `winding_grid` pass
-    (a scanline over the grid rows), so cells exactly on a loop get the
-    side its ray test says.
+    U is either a circle inside the meshed domain, traced at 256 points, or
+    the whole domain; holes (punctures) enter with negative orientation, so
+    the raster is nonzero on the deformed material only: a cavity, enclosed
+    by the image of its puncture loop, reads 0.  All loops go through one
+    `winding_grid` pass (a scanline over the grid rows), so cells exactly on
+    a loop get the side its ray test says.
     """
-    loops = _subdomain_loops(y, subdomain, m)
+    loops = _subdomain_loops(y, subdomain)
     origin, shape = covering_grid(np.vstack([lp for lp, _ in loops]), delta, 4)
     img = DegreeRaster(origin=origin, delta=delta, values=np.zeros(shape, dtype=np.int64))
     img.values = winding_grid(img, loops)
@@ -371,10 +372,10 @@ class CavityRecord:
         return float(np.linalg.norm(self.boundary - c, axis=1).mean())
 
 
-def topological_image_point(y: DeformationField, site, radii, delta,
-                            m=256) -> CavityRecord | None:
+def topological_image_point(y: DeformationField, site, radii, delta) -> CavityRecord | None:
     """Cavity attached to a site: intersection of rasterized closures of the
-    degree supports over a decreasing family of circles around the site.
+    degree supports over a decreasing family of circles around the site,
+    each traced at 256 points.
 
     Returns None when the intersection covers at most 4 delta^2, i.e. no
     cavity opens at the site.
@@ -383,10 +384,10 @@ def topological_image_point(y: DeformationField, site, radii, delta,
     if not radii:
         raise ValueError("need at least one radius")
     site = np.asarray(site, dtype=float)
-    base = topological_image(y, ("circle", site, radii[0]), delta, m=m)
+    base = topological_image(y, ("circle", site, radii[0]), delta)
     inter = _closure(base.values != 0)
     for r in radii[1:]:
-        loop = trace_on_circle(y, site, r, m)
+        loop = trace_on_circle(y, site, r, 256)
         inter &= _closure(winding_grid(base, [(loop, +1)]) != 0)
     area = float(inter.sum()) * delta ** 2
     if area <= 4.0 * delta ** 2:
@@ -521,15 +522,16 @@ class InvReport:
 
 
 def check_inv(y: DeformationField, centers=None, radii=None, delta=0.02, samples=400,
-              m=192, seed=0) -> InvReport:
+              seed=0) -> InvReport:
     """Sampled check of the invertibility condition on circles.
 
-    For each circle B(a, r): material sampled inside B must land in the
-    image region of B (nonzero winding of the image loop), and material
-    sampled outside B must not.  Query images within a band of width
-    2 * delta around the image loop are not counted either way.  The
-    windings of all images of one circle come from one `winding_points`
-    call, which meets each loop edge only with the images in its y-span.
+    For each circle B(a, r), its image loop traced at 192 points: material
+    sampled inside B must land in the image region of B (nonzero winding of
+    the image loop), and material sampled outside B must not.  Query images
+    within a band of width 2 * delta around the image loop are not counted
+    either way.  The windings of all images of one circle come from one
+    `winding_points` call, which meets each loop edge only with the images
+    in its y-span.
 
     Every call draws its samples from a fresh generator seeded with `seed`
     (an integer) and locates them on the reference mesh; nothing is cached.
@@ -542,7 +544,7 @@ def check_inv(y: DeformationField, centers=None, radii=None, delta=0.02, samples
     for ci, a in enumerate(_default_centers(mesh) if centers is None else centers):
         a = np.asarray(a, dtype=float)
         for r in radii[ci] if radii is not None else _default_radii(mesh, a):
-            loop = trace_on_circle(y, a, r, m)
+            loop = trace_on_circle(y, a, r, 192)
             img_in = y.interpolate(*_sample_disk_in_mesh(mesh, a, r, samples, rng))
             img_out = y.interpolate(*_sample_mesh_outside_disk(mesh, a, r, samples, rng, tri_cum))
             n_in = len(img_in)

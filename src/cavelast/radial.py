@@ -1,4 +1,4 @@
-"""Radially symmetric reduction on the punctured disk.
+"""Radially symmetric reduction on the punctured unit disk.
 
 For y(x) = r(|x|) x/|x| the principal stretches are r'(R) and r(R)/R, so the
 energy collapses to a 1-D integral plus the phi-perimeter of the cavity
@@ -37,7 +37,7 @@ _log = logging.getLogger("cavelast")
 
 @dataclass
 class RadialProfile:
-    """Deformed radius r at increasing knots, r(R_out) = lam * R_out.
+    """Deformed radius r at increasing knots, r(knots[-1]) = lam * knots[-1].
 
     `branches` holds (energy, cavity radius, status) of every seed the
     solver descended, the returned one included; the energy is evaluated
@@ -255,7 +255,7 @@ def _newton_direction(ab, g):
     return None
 
 
-def _descend(f: _PLEnergy, vals, top, max_iters, el_tol):
+def _descend(f: _PLEnergy, vals, top, max_iters):
     """Projected Newton on the tridiagonal Hessian from one seed.
 
     Every step backtracks until the projected trial passes Armijo on the
@@ -264,15 +264,14 @@ def _descend(f: _PLEnergy, vals, top, max_iters, el_tol):
     of two computed energies resolves (Hager & Zhang 2005), still counts.
     The raw gradient entry at knot j carries the quadrature measure
     m_j ~ 2*pi*R_j*dR_j, which varies by orders of magnitude across a
-    geometric grid; the residual reported against el_tol is the
+    geometric grid; the residual tested against 1e-6 * (1 + |E|) is the
     measure-scaled one, i.e. the discrete EL operator value. A hole that
     wants to close sits on the floor bound with positive raw gradient; that
     coordinate is pinned out of the Newton system and counts as converged
     in the KKT sense. Returns (values, status).
     """
     knots, dR = f.knots, f.dR
-    eps = 1e-12 * knots[-1]
-    floor = 1e-6 * knots[-1]
+    eps, floor = 1e-12, 1e-6
     m = np.pi * knots[:-1] * (np.append(dR[1:], 0.0) + dR)
     m[0] = np.pi * knots[0] * dR[0]
 
@@ -292,7 +291,7 @@ def _descend(f: _PLEnergy, vals, top, max_iters, el_tol):
         res = float(scaled.max())
         _log.debug("radial newton step %d energy %.17g residual %.3e",
                    it, E, res)
-        if res <= el_tol * (1.0 + abs(E)):
+        if res <= 1e-6 * (1.0 + abs(E)):
             status = "converged"
             break
         if it == max_iters:
@@ -315,9 +314,9 @@ def _descend(f: _PLEnergy, vals, top, max_iters, el_tol):
 
 
 def solve_radial(lam: float, density: BulkDensity, phi: SurfaceDensity,
-                 rho: float, M: int = 96, R_out: float = 1.0,
-                 max_iters: int = 100, el_tol: float = 1e-6) -> RadialProfile:
-    """Minimize the radial energy over knot values with r(R_out) = lam R_out.
+                 rho: float, M: int = 96, max_iters: int = 100) -> RadialProfile:
+    """Minimize the radial energy on the unit disk punctured at radius rho
+    over knot values with r(1) = lam.
 
     Geometric knots resolve the boundary layer at the puncture. The descent
     objective interpolates linearly between knots; its gradient and
@@ -325,7 +324,7 @@ def solve_radial(lam: float, density: BulkDensity, phi: SurfaceDensity,
     projected Newton (at most max_iters steps) whose backtracking line search
     tests the exact energy change and never accepts an energy increase;
     converged means the measure-scaled Euler-Lagrange residual is below
-    el_tol * (1 + |E|). The returned profile is the monotone cubic through
+    1e-6 * (1 + |E|). The returned profile is the monotone cubic through
     the optimal values.
 
     For lam > 1 the energy typically has two local valleys, a nearly
@@ -341,24 +340,22 @@ def solve_radial(lam: float, density: BulkDensity, phi: SurfaceDensity,
         raise ValueError("lam must be positive")
     if M < 32:
         raise ValueError("need at least 32 intervals")
-    if not 0.0 < rho < R_out:
-        raise ValueError("need 0 < rho < R_out")
-    knots = rho * (R_out / rho) ** np.linspace(0.0, 1.0, M + 1)
-    knots[-1] = R_out
-    top = lam * R_out
+    if not 0.0 < rho < 1.0:
+        raise ValueError("need 0 < rho < 1")
+    knots = rho * (1.0 / rho) ** np.linspace(0.0, 1.0, M + 1)
+    knots[-1] = 1.0
     seeds = [lam * knots]
     if lam > 1.0:
-        c0 = np.sqrt(lam ** 2 - 1.0) * R_out
-        seeds.append(np.sqrt(knots ** 2 + c0 ** 2) * top
-                     / np.sqrt(R_out ** 2 + c0 ** 2))
+        c0 = np.sqrt(lam ** 2 - 1.0)
+        seeds.append(np.sqrt(knots ** 2 + c0 ** 2) * lam / np.sqrt(1.0 + c0 ** 2))
     f = _PLEnergy(knots, density, phi.circle_integral)
-    runs = [_descend(f, vals, top, max_iters, el_tol) for vals in seeds]
+    runs = [_descend(f, vals, lam, max_iters) for vals in seeds]
     # ranked by a fresh energy: the one each descent carries can drift
-    branches = [(f.value(np.append(w, top)), float(w[0]), st) for w, st in runs]
+    branches = [(f.value(np.append(w, lam)), float(w[0]), st) for w, st in runs]
     low = min(e for e, _, _ in branches)
     k = next(i for i, (e, _, _) in enumerate(branches)
              if e - low <= 4.0 * np.spacing(abs(low)))
-    return RadialProfile(knots=knots, values=np.append(runs[k][0], top), lam=lam,
+    return RadialProfile(knots=knots, values=np.append(runs[k][0], lam), lam=lam,
                          status=runs[k][1], branches=branches)
 
 
@@ -440,8 +437,8 @@ def bvp_boundary_check(profile: RadialProfile, density: BulkDensity,
 
 
 def sweep_lambda(lams, density: BulkDensity, phi: SurfaceDensity, rho: float,
-                 M: int = 96, R_out: float = 1.0, **solve_kw) -> list:
-    """One radial solve per boundary stretch; list of result rows.
+                 M: int = 96) -> list:
+    """One unit-disk radial solve per boundary stretch; list of result rows.
 
     `status` is the winning branch's, `branch_status` lists every seed's,
     and `all_branches_converged` says whether every seed converged, so a
@@ -449,8 +446,7 @@ def sweep_lambda(lams, density: BulkDensity, phi: SurfaceDensity, rho: float,
     """
     rows = []
     for lam in lams:
-        prof = solve_radial(float(lam), density, phi, rho, M=M, R_out=R_out,
-                            **solve_kw)
+        prof = solve_radial(float(lam), density, phi, rho, M=M)
         bulk, surface = radial_energy_breakdown(prof, density, phi)
         statuses = [st for _, _, st in prof.branches]
         rows.append({

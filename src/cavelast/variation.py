@@ -297,11 +297,10 @@ def first_variation_residual(state: EnergyState, psi) -> VariationReport:
 # certification battery
 
 
-def certification_battery(y: DeformationField, per_cavity: int = 16,
-                          n_global: int = 8, seed: int = 0) -> list:
-    """Bump fields probing stationarity: a ring along each cavity boundary
-    plus global interior fields, all exactly zero on the constrained
-    boundary images (compact supports kept clear of them)."""
+def certification_battery(y: DeformationField, seed: int = 0) -> list:
+    """Bump fields probing stationarity: a ring of up to 16 along each cavity
+    boundary plus up to 8 global interior fields, all exactly zero on the
+    constrained boundary images (compact supports kept clear of them)."""
     gam = gamma_images(y)
     rng = np.random.default_rng(seed)
     scale = float(np.ptp(y.positions, axis=0).max())
@@ -316,7 +315,7 @@ def certification_battery(y: DeformationField, per_cavity: int = 16,
         b = y.positions[ids]
         center = b.mean(axis=0)
         rad = float(np.linalg.norm(b - center, axis=1).mean())
-        picks = np.linspace(0, len(b), per_cavity, endpoint=False).astype(int)
+        picks = np.linspace(0, len(b), 16, endpoint=False).astype(int)
         for k, j in enumerate(picks):
             c = b[j]
             u = c - center
@@ -326,10 +325,10 @@ def certification_battery(y: DeformationField, per_cavity: int = 16,
             width = min(0.95 * clearance(c), max(rad, 1e-3 * scale))
             if width > 1e-6 * scale:
                 fields.append(BumpField(c, width, direction))
-    centers = y.positions[rng.integers(0, len(y.positions), size=4 * n_global)]
+    centers = y.positions[rng.integers(0, len(y.positions), size=32)]
     made = 0
     for c in centers:
-        if made == n_global:
+        if made == 8:
             break
         width = 0.95 * clearance(c)
         if width > 0.05 * scale:

@@ -415,29 +415,14 @@ class TestMain:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "[]"
 
-    def test_eval_threads_meta_only_diff(self, tmp_path, monkeypatch, capsys):
-        monkeypatch.setenv("OMP_NUM_THREADS", "1")
-        d1, d2 = tmp_path / "t1", tmp_path / "t2"
-        assert main(["eval", "eval_identity", "--out", str(d1),
-                     "--threads", "1"]) == 0
-        assert main(["eval", "eval_identity", "--out", str(d2),
-                     "--threads", "2"]) == 0
-        assert "artifacts in" in capsys.readouterr().out
-        names = {p.name for p in d1.iterdir()}
-        assert names == {p.name for p in d2.iterdir()}
-        assert (d1 / "meta.txt").read_text() == "threads = 1\n"
-        assert (d2 / "meta.txt").read_text() == "threads = 2\n"
-        for name in sorted(names - {"meta.txt"}):
-            assert (d1 / name).read_bytes() == (d2 / name).read_bytes(), name
-
     def test_rerun_leaves_only_its_own_artifacts(self, tmp_path):
         # a rerun into a used directory deletes what the earlier run emitted
         # and it does not, and keeps files cavelast does not write
         d, fresh = tmp_path / "d", tmp_path / "fresh"
         assert main(["eval", "eval_identity", "--out", str(d),
-                     "--emit", "svg,csv,raster,inverse", "--threads", "2"]) == 0
+                     "--emit", "svg,csv,raster,inverse"]) == 0
         optional = {"reference.svg", "deformed.svg", "raster.pgm", "inverse.csv",
-                    "jumps.csv", "meta.txt"}
+                    "jumps.csv"}
         assert optional <= {p.name for p in d.iterdir()}
         (d / "notes.txt").write_text("not an artifact\n")
         assert main(["eval", "eval_identity", "--out", str(d), "--emit", "csv"]) == 0
@@ -457,6 +442,13 @@ class TestMain:
         assert "reference.svg" not in names
         assert "raster.pgm" not in names
         assert "positions.csv" in names
+
+    def test_bad_emit_flag_exit_2(self, tmp_path, capsys):
+        # --emit is checked like [run] emit, before anything is meshed or written
+        out = tmp_path / "out"
+        assert main(["eval", "eval_identity", "--out", str(out), "--emit", "svg,rastr"]) == 2
+        assert "configuration error: --emit entry 'rastr' not in" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_annulus_without_punctures_runs(self, tmp_path):
         # the default INV circles once centred in the hole and left the mesh
@@ -651,10 +643,10 @@ class TestComputeWrite:
     def test_write_of_compute_is_run_scenario(self, tmp_path, scenario, mode):
         emit = ("svg", "csv", "raster", "inverse")
         code, ran = run_scenario(scenario, out_dir=tmp_path / "ran", mode=mode,
-                                 emit=emit, threads=2)
+                                 emit=emit)
         assert code == 0
         cfg = ScenarioConfig.from_ini(resolve_scenario(scenario))
-        cli.write(cli.compute(cfg, mode), tmp_path / "seam", emit, threads=2)
+        cli.write(cli.compute(cfg, mode), tmp_path / "seam", emit)
         names = sorted(p.name for p in ran.iterdir())
         assert names == sorted(p.name for p in (tmp_path / "seam").iterdir())
         for name in names:

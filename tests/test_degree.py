@@ -721,8 +721,7 @@ class TestCheckInv:
 # reference check_inv: fresh sampling, evaluation and distances on every call
 
 
-def _reference_check_inv(y, centers=None, radii=None, delta=0.02, samples=400, m=192,
-                         seed=0):
+def _reference_check_inv(y, centers=None, radii=None, delta=0.02, samples=400, seed=0):
     mesh = y.mesh
     if centers is None:
         centers = [c for c, _ in mesh.punctures] or [mesh.vertices.mean(axis=0)]
@@ -734,7 +733,7 @@ def _reference_check_inv(y, centers=None, radii=None, delta=0.02, samples=400, m
         a = np.asarray(a, dtype=float)
         rs = radii[ci] if radii is not None else _default_radii(mesh, a)
         for r in rs:
-            loop = cv.trace_on_circle(y, a, r, m)
+            loop = cv.trace_on_circle(y, a, r, 192)
             x_in = _reference_disk_samples(mesh, a, r, samples, rng)
             x_out = _reference_outside_samples(mesh, a, r, samples, rng, tri_cum)
             vi = vo = 0

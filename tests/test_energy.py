@@ -559,7 +559,7 @@ class TestTotalEnergy:
         recs = cv.detect_cavities(y, cv.SurfaceDensity("isotropic"))
         assert len(recs) == 1
         site = recs[0].site
-        slow = cv.topological_image_point(y, site, _default_radii(y.mesh, site), 0.02, m=192)
+        slow = cv.topological_image_point(y, site, _default_radii(y.mesh, site), 0.02)
         assert slow is not None
         assert hausdorff_distance(recs[0].boundary, slow.boundary) <= 3 * 0.02
 
