@@ -128,11 +128,13 @@ class DiscreteEnergy:
         """(order, width, slot) of `EnergyState.hess`, built when first read:
         order[k] is the free dof placed k-th, the Cuthill-McKee order of the
         free-dof graph (`pair_band_order` of the free-vertex graph); width is
-        the number of superdiagonals of the reordered matrix; slot[e] is the
-        flat band index of element entry e in the value layout of
-        `EnergyState.hess` (per element (i, c, j, d) over corners i, j and
-        axes c, d, triangles first, then loop edges), or the one discard slot
-        (width + 1) n for an entry below the diagonal or on a fixed dof."""
+        the number of superdiagonals of the reordered matrix; slot[e] is
+        where element entry e of the value layout of `EnergyState.hess` (per
+        element (i, c, j, d) over corners i, j and axes c, d, triangles first,
+        then loop edges) goes in its flat lower band: an entry (i, j), i <= j,
+        at the place of its twin (j, i), which is dropped, as the element
+        blocks are not bitwise symmetric; an entry below the diagonal or on a
+        fixed dof at the one discard slot (width + 1) n."""
         mask = self.free
         k = int(np.sum(mask))  # free vertices
         n = 2 * k  # free dofs
@@ -161,8 +163,8 @@ class DiscreteEnergy:
         width = int(np.max(j - i, initial=0))
         upper = i <= j
         slot = np.full(len(both), (width + 1) * n)
-        # the flat Fortran index of [width + i - j, j]
-        slot[np.flatnonzero(both)[upper]] = (j[upper] + 1) * width + i[upper]
+        # the flat Fortran index of [j - i, i]
+        slot[np.flatnonzero(both)[upper]] = i[upper] * (width + 1) + j[upper] - i[upper]
         return order, width, slot
 
 
@@ -225,10 +227,10 @@ class EnergyState:
 
     def hess(self) -> np.ndarray:
         """Positive semidefinite Hessian over the dofs 2 v + axis of the
-        vertices `DiscreteEnergy.free` keeps, as its upper band in the order
-        of `DiscreteEnergy.band_layout`: a Fortran-order
-        (width + 1, n) array laid out for `scipy.linalg.cholesky_banded`,
-        entry (i, j), i <= j, at [width + i - j, j].
+        vertices `DiscreteEnergy.free` keeps, as its lower band in the order
+        of `DiscreteEnergy.band_layout`: a Fortran-order (width + 1, n) array
+        in LAPACK's lower band storage, entry (i, j), i >= j, at [i - j, j],
+        the diagonal in row 0.
 
         Triangle t adds |T_t| B^T P(D^2W(F_t)) B, with B the 4x6 map from its
         corner positions to F and P the clip of negative eigenvalues: the

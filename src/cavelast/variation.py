@@ -395,18 +395,19 @@ class IterationLog:
 def _newton_step(state: EnergyState, grad, damping):
     """(k, 2) solution dx of (H + damping * diag H) dx = -grad, H the
     projected Hessian over the free dofs of `state.energy`, by one LAPACK
-    banded Cholesky of its band `state.hess()`, which is in the order of
+    banded Cholesky L L^T (`dpbtrf` and `dpbtrs` on the lower band) of its
+    band `state.hess()`, which is in the order of
     `DiscreteEnergy.band_layout`. LinAlgError when the matrix is not
-    positive definite. The LAPACK routines are the ones
-    `scipy.linalg.cholesky_banded` and `cho_solve_banded` call, without
-    their argument checks."""
+    positive definite. The lower `dpbtrf` factors these bands 28-35% faster
+    than the upper one `scipy.linalg.cholesky_banded` calls (README, "The
+    2-D solver")."""
     order, _, _ = state.energy.band_layout
     band = state.hess()
-    band[-1] *= 1.0 + damping  # the diagonal
-    factor, info = dpbtrf(band, overwrite_ab=1)
+    band[0] *= 1.0 + damping  # the diagonal
+    factor, info = dpbtrf(band, lower=1, overwrite_ab=1)
     if info > 0:
         raise LinAlgError(f"{info}-th leading minor not positive definite")
-    x, _ = dpbtrs(factor, -grad[order], overwrite_b=1)
+    x, _ = dpbtrs(factor, -grad[order], lower=1, overwrite_b=1)
     dx = np.empty(len(order))
     dx[order] = x
     return dx.reshape(-1, 2)
@@ -420,13 +421,14 @@ def minimize(y0: DeformationField, density: BulkDensity, phi: SurfaceDensity,
     vertices on non-puncture boundary edges stay fixed.
 
     Each step solves (H + damping * diag H) dx = -g, with H the per-element
-    projected Hessian, by banded Cholesky of the band `EnergyState.hess`
-    assembles, in the Cuthill-McKee order `DiscreteEnergy.band_layout`
-    builds once per run; the damping starts at 1 and shrinks by 0.3 after a
-    full step, grows by 4 after a shortened one. The step is halved (at most
-    max_backtracks times) until it lowers the energy by the Armijo amount;
-    any trial with min element determinant <= det_floor is rejected, and on
-    every inv_every-th step (0: none) a trial must also keep the deformed
+    projected Hessian, by banded Cholesky of the lower band
+    `EnergyState.hess` assembles, in the Cuthill-McKee order
+    `DiscreteEnergy.band_layout` builds once per run; the damping starts at
+    1 and shrinks by 0.3 after a full step, grows by 4 after a shortened
+    one. The step is halved (at most max_backtracks times) until it lowers
+    the energy by the Armijo amount; any trial with min element determinant
+    <= det_floor is rejected, and on every inv_every-th step (0: none) a
+    trial must also keep the deformed
     boundary loops simple and disjoint (`boundary_crossings` = 0), which
     with positive determinants makes the map injective. At zero gradient no
     step is taken.

@@ -22,15 +22,15 @@ def ell():
 @pytest.fixture(scope="session")
 def dense_hess():
     """`EnergyState.hess` as a dense symmetric matrix in the dof order:
-    the band's upper triangle mirrored and put back out of the band order."""
+    the band's lower triangle mirrored and put back out of the band order."""
     def dense(energy, pos):
         band = energy.state(pos).hess()
         order, width, _ = energy.band_layout
         n = len(order)
         P = np.zeros((n, n))
-        for d in range(width + 1):  # band row width - d holds superdiagonal d
+        for d in range(width + 1):  # band row d holds subdiagonal d
             k = np.arange(n - d)
-            P[k, k + d] = P[k + d, k] = band[width - d, d:]
+            P[k, k + d] = P[k + d, k] = band[d, :n - d]
         H = np.empty_like(P)
         H[np.ix_(order, order)] = P
         return H

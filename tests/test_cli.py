@@ -637,6 +637,45 @@ class TestMain:
         assert "compare error" in capsys.readouterr().err
 
 
+DIGIT_DIFF = Path(__file__).resolve().parents[1] / "scripts" / "digit_diff.py"
+
+
+class TestDigitDiff:
+    @pytest.fixture
+    def trees(self, eval_dir, tmp_path):
+        """Two copies of an eval run's artifacts."""
+        return [shutil.copytree(eval_dir, tmp_path / name) for name in "ab"]
+
+    @staticmethod
+    def digit_diff(a, b):
+        return subprocess.run([sys.executable, str(DIGIT_DIFF), str(a), str(b)],
+                              capture_output=True, text=True, timeout=60)
+
+    def test_identical_trees_report_nothing(self, eval_dir, trees):
+        proc = self.digit_diff(*trees)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == f"{len(list(eval_dir.iterdir()))} identical files\n"
+
+    def test_one_changed_digit_is_listed(self, eval_dir, trees):
+        path = trees[1] / "positions.csv"
+        lines = path.read_text().splitlines(keepends=True)
+        fields = lines[3].split(",")  # row 4, vertex 2
+        old = fields[3]  # column 4, pos_x
+        assert old[3].isdigit()
+        new = old[:3] + str((int(old[3]) + 1) % 10) + old[4:]
+        fields[3] = new
+        lines[3] = ",".join(fields)
+        path.write_text("".join(lines))
+        proc = self.digit_diff(*trees)
+        assert proc.returncode == 1, proc.stderr
+        rel = abs(float(new) - float(old)) / max(abs(float(new)), abs(float(old)))
+        assert proc.stdout.splitlines() == [
+            f"positions.csv:4:4  {old} -> {new}  rel {rel:.1e}",
+            f"positions.csv: 1 numbers moved in 1 of {len(lines)} rows, "
+            f"largest relative change {rel:.1e}",
+            f"{len(list(eval_dir.iterdir())) - 1} identical files"]
+
+
 class TestComputeWrite:
     @pytest.mark.parametrize("scenario,mode", [("radial_iso_lambda1.5", "run"),
                                                ("eval_identity", "eval")])

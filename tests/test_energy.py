@@ -393,22 +393,22 @@ class TestBandLayout:
                                   band_order(P.indptr, P.indices)), A.toarray()
 
     @pytest.mark.parametrize("damping", [1.0, 1e-7])
-    def test_band_is_upper_band_of_damped_hessian(self, stretched_disk, density, ell,
+    def test_band_is_lower_band_of_damped_hessian(self, stretched_disk, density, ell,
                                                   damping):
         mesh, pos = stretched_disk.mesh, stretched_disk.positions
         for name, free in self.masks(mesh).items():
             E = cv.DiscreteEnergy(mesh, density, ell, free)
             order, width, _ = E.band_layout
             band = E.state(pos).hess()
-            band[width] *= 1.0 + damping
+            band[0] *= 1.0 + damping
             dense = _reference_hess(E, pos).toarray()
             dense[np.diag_indices_from(dense)] *= 1.0 + damping
             P = dense[np.ix_(order, order)]
             i, j = np.indices(P.shape)
             assert not P[np.abs(i - j) > width].any(), name
             want = np.zeros_like(band)
-            for k in range(width + 1):  # row k holds superdiagonal width - k
-                want[k, width - k:] = np.diagonal(P, width - k)
+            for k in range(width + 1):  # row k holds superdiagonal k at its twin's place
+                want[k, :len(P) - k] = np.diagonal(P, k)
             assert np.array_equal(band, want), name
 
     def test_band_of_fine_iso_mesh(self, density, iso):
@@ -464,8 +464,8 @@ class TestElementKernels:
                                       "disk_h0.035", "annulus_two_punctures"])
     def test_hess_band_matches_reference_bits(self, fields, density, ell, case):
         # each band entry sums the element values the csc assembly summed,
-        # in the same order, so the band is the reference's upper band in
-        # the band order, bit for bit
+        # in the same order, so the band holds the reference's upper band in
+        # the band order, bit for bit, entry (i, j) at the lower place of (j, i)
         mesh, pos = fields[case]
         for name, free in TestBandLayout.masks(mesh).items():
             E = cv.DiscreteEnergy(mesh, density, ell, free)
@@ -478,7 +478,7 @@ class TestElementKernels:
             assert np.abs(i - j).max() <= width, (case, name)
             up = i <= j
             want = np.zeros_like(band)
-            want[width + i[up] - j[up], j[up]] = ref.data[up]
+            want[j[up] - i[up], i[up]] = ref.data[up]
             assert _same_bits(band, want), (case, name)
 
     def test_operator_layout(self, disk_mesh):
