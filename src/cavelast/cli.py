@@ -242,8 +242,8 @@ class ScenarioConfig:
                                      "puncture_<k>, and not free on an annulus")
         if self.max_iters < 1:
             raise ConfigurationError("[solver] max_iters must be at least 1")
-        if self.inv_every < 0:
-            raise ConfigurationError("[solver] inv_every must be nonnegative")
+        if self.inv_every not in (0, 1):
+            raise ConfigurationError("[solver] inv_every must be 0 or 1")
         if self.seed < 0:
             raise ConfigurationError("[run] seed must be nonnegative")
         _check_emit(self.emit, "[run] emit")

@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy import sparse
 
 from ._polyline import ensure_ccw, polygon_signed_area, succ
 from .degree import CavityRecord, polygon_is_simple
@@ -125,38 +124,32 @@ class DiscreteEnergy:
 
     @cached_property
     def band_layout(self):
-        """(order, width, slot) of `EnergyState.hess`, built when first read:
-        order[k] is the free dof placed k-th, the Cuthill-McKee order of the
-        free-dof graph (`pair_band_order` of the free-vertex graph); width is
-        the number of superdiagonals of the reordered matrix; slot[e] is
-        where element entry e of the value layout of `EnergyState.hess` (per
-        element (i, c, j, d) over corners i, j and axes c, d, triangles first,
-        then loop edges) goes in its flat lower band: an entry (i, j), i <= j,
-        at the place of its twin (j, i), which is dropped, as the element
-        blocks are not bitwise symmetric; an entry below the diagonal or on a
-        fixed dof at the one discard slot (width + 1) n."""
+        """(order, width, slot) of `EnergyState.hess`, built when first read
+        from the (row, column) dof pairs of every element (per element
+        (i, c, j, d) over corners i, j and axes c, d, triangles first, then
+        loop edges): order[k] is the free dof placed k-th, the `band_order`
+        of the free-dof graph, whose edges are the pairs between free dofs;
+        width is the number of superdiagonals of the reordered matrix;
+        slot[e] is where pair e of the value layout of `EnergyState.hess`
+        goes in its flat lower band: an entry (i, j), i <= j, at the place of
+        its twin (j, i), which is dropped, as the element blocks are not
+        bitwise symmetric; an entry below the diagonal or on a fixed dof at
+        the one discard slot (width + 1) n."""
         mask = self.free
-        k = int(np.sum(mask))  # free vertices
-        n = 2 * k  # free dofs
-        vid = np.full(len(mask), -1)
-        vid[mask] = np.arange(k)
-        elems = [self.mesh.triangles] + [
-            np.stack([ids, succ(ids)], axis=1) for ids in self.loops]
-
-        def pairs(ids):  # (row, column) of every (corner, corner) of every element
-            return (np.concatenate([np.repeat(c, c.shape[1], axis=1).ravel() for c in ids]),
-                    np.concatenate([np.tile(c, (1, c.shape[1])).ravel() for c in ids]))
-
-        row, col = pairs([vid[el] for el in elems])
-        both = (row >= 0) & (col >= 0)
-        graph = sparse.csc_matrix((np.ones(int(both.sum())), (row[both], col[both])),
-                                  shape=(k, k))
-        order = pair_band_order(graph.indptr, graph.indices)
+        n = 2 * int(np.sum(mask))  # free dofs
         dof = np.full((len(mask), 2), -1)
         dof[mask] = np.arange(n).reshape(-1, 2)
-        row, col = pairs([dof[el].reshape(len(el), -1) for el in elems])
+        corner = [dof[el].reshape(len(el), -1) for el in [self.mesh.triangles] + [
+            np.stack([ids, succ(ids)], axis=1) for ids in self.loops]]
+        row = np.concatenate([np.repeat(c, c.shape[1], axis=1).ravel() for c in corner])
+        col = np.concatenate([np.tile(c, (1, c.shape[1])).ravel() for c in corner])
         both = (row >= 0) & (col >= 0)
         row, col = row[both], col[both]
+        # the graph's csc pattern: each pair once, by column, then row
+        key = np.sort(col * n + row)
+        key = key[np.flatnonzero(np.diff(key, prepend=-1))]
+        indptr = np.concatenate(([0], np.cumsum(np.bincount(key // n, minlength=n))))
+        order = band_order(indptr, key % n)
         rank = np.empty(n, dtype=np.int64)
         rank[order] = np.arange(n)
         i, j = rank[row], rank[col]
@@ -288,7 +281,8 @@ def band_order(indptr, indices) -> np.ndarray:
     start is found by repeating the search from the last node it reaches
     until the number of levels stops growing (George & Liu, ACM TOMS 1979).
     Every level is a few vectorized calls, so the cost is per level, not per
-    node."""
+    node. `DiscreteEnergy.band_layout` orders the free-dof graph with it,
+    two dofs per free vertex, diagonal included."""
     n = len(indptr) - 1
     deg = np.diff(indptr)
     placed = np.zeros(n, dtype=bool)
@@ -303,54 +297,6 @@ def band_order(indptr, indices) -> np.ndarray:
         parts += levels
         placed[np.concatenate(levels)] = True
     return np.concatenate(parts) if parts else np.empty(0, dtype=np.int64)
-
-
-def pair_band_order(indptr, indices) -> np.ndarray:
-    """`band_order` of the pair graph of the symmetric csc pattern
-    (indptr, indices), diagonal included, found on the pattern itself. In
-    the pair graph each node v becomes the two nodes 2v and 2v + 1, joined
-    to each other and to both halves of every neighbour of v: the dof graph
-    of a vertex graph, two dofs per vertex.
-
-    Its breadth-first levels are the pattern's, each node v expanded to
-    2v, 2v + 1 (same first neighbour, degree 2 deg v, adjacent indices),
-    except at the start: a search starts at one half s of a node, and the
-    other half joins level 1, placed there by (degree, index). The start is
-    the even half of a component's first node, or on a restart the last
-    node of the last level, both as `band_order` picks them."""
-    n = len(indptr) - 1
-    deg = np.diff(indptr)
-    placed = np.zeros(n, dtype=bool)
-    parts = []
-    while not placed.all():  # one component per pass
-        start = 2 * int(np.argmin(placed))
-        levels = _bfs_levels(start // 2, indptr, indices, deg)
-        while True:
-            last = _last_half(levels, start, deg)
-            again = _bfs_levels(last // 2, indptr, indices, deg)
-            if len(again) <= len(levels):
-                break
-            levels, start = again, last
-        halves = [np.stack([2 * lv, 2 * lv + 1], axis=1).ravel() for lv in levels[1:]]
-        first = halves[0] if halves else np.empty(0, dtype=np.int64)
-        # level 1 ascends in (degree, index), keyed as degree * 2n + index
-        at = np.searchsorted(deg[first // 2] * 2 * n + first,
-                             deg[start // 2] * 2 * n + (start ^ 1))
-        parts += [np.array([start]), np.insert(first, at, start ^ 1)] + halves[1:]
-        placed[np.concatenate(levels)] = True
-    return np.concatenate(parts) if parts else np.empty(0, dtype=np.int64)
-
-
-def _last_half(levels, start, deg) -> int:
-    """The last node of the last pair-graph level of a search from the half
-    `start`, given the pattern's levels of that search: the other half of the
-    start when it is alone or tops level 1 in (degree, index), else the odd
-    half of the last node of the last level."""
-    twin, u = start ^ 1, int(levels[-1][-1])
-    if len(levels) == 1 or (len(levels) == 2
-                            and (deg[start // 2], twin) > (deg[u], 2 * u + 1)):
-        return twin
-    return 2 * u + 1
 
 
 def _bfs_levels(start, indptr, indices, deg) -> list:

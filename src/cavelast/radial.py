@@ -220,7 +220,7 @@ class _PLEnergy:
         return ab
 
 
-def _project_monotone(v, top, eps, floor=None):
+def _project_monotone(v, top, eps, floor):
     """Strictly increasing values with gaps >= eps, capped below `top`.
 
     `floor` bounds the first value away from zero; a hole that closes does
@@ -231,7 +231,7 @@ def _project_monotone(v, top, eps, floor=None):
     ladder = eps * np.arange(n)
     v = np.maximum.accumulate(v - ladder) + ladder
     v = np.minimum(v, top - eps * (n - np.arange(n)))
-    v[0] = max(v[0], eps if floor is None else floor)
+    v[0] = max(v[0], floor)
     v[1:] = np.maximum(v[1:], v[0] + ladder[1:])
     return v
 
@@ -276,7 +276,7 @@ def _descend(f: _PLEnergy, vals, top, max_iters):
     m[0] = np.pi * knots[0] * dR[0]
 
     def project(v):
-        return _project_monotone(v, top, eps, floor=floor)
+        return _project_monotone(v, top, eps, floor)
 
     v = project(vals[:-1].copy())
     E = f.value(np.append(v, top))

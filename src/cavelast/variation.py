@@ -427,8 +427,8 @@ def minimize(y0: DeformationField, density: BulkDensity, phi: SurfaceDensity,
     1 and shrinks by 0.3 after a full step, grows by 4 after a shortened
     one. The step is halved (at most max_backtracks times) until it lowers
     the energy by the Armijo amount; any trial with min element determinant
-    <= det_floor is rejected, and on every inv_every-th step (0: none) a
-    trial must also keep the deformed
+    <= det_floor is rejected, and when inv_every is 1 (0: never; no other
+    value is accepted, ValueError) a trial must also keep the deformed
     boundary loops simple and disjoint (`boundary_crossings` = 0), which
     with positive determinants makes the map injective. At zero gradient no
     step is taken.
@@ -452,6 +452,9 @@ def minimize(y0: DeformationField, density: BulkDensity, phi: SurfaceDensity,
     over as `final`, its gradient formed once for the last step and the
     stop test's battery alike.
     """
+    if inv_every not in (0, 1):
+        raise ValueError(f"inv_every must be 0 or 1, not {inv_every!r}")
+    gated = inv_every == 1
     mesh = y0.mesh
     free = np.ones(len(mesh.vertices), dtype=bool)
     free[_constrained_vertices(mesh)] = False
@@ -484,7 +487,6 @@ def minimize(y0: DeformationField, density: BulkDensity, phi: SurfaceDensity,
                 status = "stalled"
                 break
             slope = float(grad @ dx.ravel())
-            gated = inv_every > 0 and it % inv_every == 0
 
             s = 1.0
             for _ in range(max_backtracks):

@@ -597,6 +597,8 @@ class TestMain:
         ("boundary", "lam = nan", "[boundary] lam"),
         ("material", "mu = inf", "[material] mu"),
         ("solver", "tol_E = nan", "[solver] tol_E"),
+        # the gate runs on every step (1) or on none (0)
+        ("solver", "inv_every = 2", "[solver] inv_every"),
         ("run", "seed = -1", "[run] seed"),
         ("run", "delta = -1", "[run] delta"),
         # the tag is a word of the mesh file and must not merge two loops

@@ -10,7 +10,7 @@ import cavelast as cv
 from cavelast._polyline import hausdorff_distance
 from cavelast.cli import _read_positions_csv
 from cavelast.degree import _default_radii
-from cavelast.energy import _ROT, _edge_normals, band_order, pair_band_order
+from cavelast.energy import _ROT, _edge_normals, band_order
 from cavelast.exceptions import DomainError, InfeasibleEnergyError
 from cavelast.variation import _constrained_vertices
 
@@ -358,8 +358,8 @@ class TestBandLayout:
         return band_order(graph.indptr, graph.indices)
 
     def test_order_is_the_dof_graph_order(self, disk_mesh, density, iso):
-        # ordering the vertex graph gives the dof graph's order, digit for
-        # digit, and so the same band
+        # band_layout's order is band_order of the dof graph as scipy's csc
+        # pattern gives it, digit for digit, and so the same band
         annulus = cv.build_annulus_mesh(1.0, 0.4, 0.12, punctures=[((0.65, 0.1), 0.06),
                                                                    ((-0.65, 0.0), 0.07)])
         for mesh in (disk_mesh, cv.build_disk_mesh(1.0, 0.035, punctures=[((0.0, 0.0), 0.2)]),
@@ -369,10 +369,11 @@ class TestBandLayout:
                 order, _, _ = E.band_layout
                 assert np.array_equal(order, self.dof_graph_order(mesh, free, E.loops)), name
 
-    def test_pair_order_on_small_patterns(self):
+    def test_order_on_small_patterns(self):
         # random symmetric patterns with their diagonal (isolated nodes and
-        # two-level components included) and every star: the pair order is
-        # the order of the pattern's Kronecker product with a 2 x 2 block
+        # two-level components included), every star, and the Kronecker
+        # product of each with a 2 x 2 block (a dof graph): every node is
+        # placed exactly once, and each connected component is contiguous
         rng = np.random.default_rng(5)
         patterns = []
         for _ in range(200):
@@ -386,11 +387,13 @@ class TestBandLayout:
                                                   shape=(n, n)) + sparse.eye(n))
         for A in patterns:
             A = (sparse.csc_matrix(A) != 0).astype(float).tocsc()
-            A.sort_indices()
-            P = sparse.kron(A, np.ones((2, 2)), format="csc")
-            P.sort_indices()
-            assert np.array_equal(pair_band_order(A.indptr, A.indices),
-                                  band_order(P.indptr, P.indices)), A.toarray()
+            for P in (A, sparse.kron(A, np.ones((2, 2)), format="csc")):
+                P.sort_indices()
+                order = band_order(P.indptr, P.indices)
+                assert sorted(order.tolist()) == list(range(P.shape[0])), A.toarray()
+                _, label = connected_components(P)
+                runs = label[order][1:] != label[order][:-1]
+                assert runs.sum() == len(set(label.tolist())) - 1, A.toarray()
 
     @pytest.mark.parametrize("damping", [1.0, 1e-7])
     def test_band_is_lower_band_of_damped_hessian(self, stretched_disk, density, ell,

@@ -573,6 +573,14 @@ class TestMinimize:
         cv.minimize(y0, density, iso, max_iters=150, inv_every=0)
         assert calls == []
 
+    @pytest.mark.parametrize("inv_every", [2, -1])
+    def test_inv_every_is_0_or_1(self, density, iso, inv_every):
+        # the gate runs on every step or on none; no step is taken first
+        mesh = cv.build_disk_mesh(1.0, 0.25, punctures=[((0.0, 0.0), 0.2)])
+        y0 = cv.BoundaryData(kind="radial_stretch", lam=1.5).initial_field(mesh)
+        with pytest.raises(ValueError, match="inv_every must be 0 or 1"):
+            cv.minimize(y0, density, iso, inv_every=inv_every)
+
     def test_gate_rejection_halves_the_step(self, density, iso, monkeypatch):
         import cavelast.variation as variation
         mesh = cv.build_disk_mesh(1.0, 0.25, punctures=[((0.0, 0.0), 0.2)])
@@ -694,13 +702,13 @@ class TestCertificate:
     def test_compute_builds_the_band_layout_once(self, monkeypatch):
         # the solve's mask is fixed, so its band order is found once per run
         from cavelast import energy
-        real, calls = energy.pair_band_order, []
+        real, calls = energy.band_order, []
 
         def counting(*args, **kwargs):
             calls.append(args)
             return real(*args, **kwargs)
 
-        monkeypatch.setattr(energy, "pair_band_order", counting)
+        monkeypatch.setattr(energy, "band_order", counting)
         cfg = cv.ScenarioConfig.from_ini(cli.resolve_scenario("radial_iso_lambda1.5"))
         record = cli.compute(cfg)
         assert record.log.status == "converged" and len(record.log.records) > 2
