@@ -16,7 +16,8 @@ compare with `scripts/digit_diff.py A B`. OUT must not exist yet. It gets:
   configs;
 - fuzz/run/K and fuzz/eval/K: the exit code, stderr and `summary.txt` of the
   K-th of the 1,000 seed-1 `tests/test_cli.py::_fuzz_config` configs under
-  `run` and `eval`, all in this interpreter, as CI's fuzz steps run them;
+  `run` and `eval`, all in this interpreter; a config whose `cli.main`
+  raises gets the exit code `raised` and the traceback as its stderr;
 - convergence_fuzz.txt: the status, Newton steps and final energy of the
   first 300 of those configs at `max_iters = 1500` through `cli.compute`;
 - golden/: the CSVs of `scripts/make_golden.py --out`;
@@ -25,7 +26,11 @@ compare with `scripts/digit_diff.py A B`. OUT must not exist yet. It gets:
 
 Each run starts in OUT with relative paths, so no file holds OUT's name. The
 bytes depend on the OpenBLAS kernel, so pin `OPENBLAS_CORETYPE` when two
-machines or two kernels are compared.
+machines or two kernels are compared. The tree is also the workload of CI's
+checks: they read the head commit's tree for the fuzz exit codes, the
+convergence statuses and the crowded fields' INV check, and a CLI run
+that exits other than 0 or 3, a failed golden sweep or a failed demo stops
+this script.
 """
 
 import argparse
@@ -36,6 +41,7 @@ import os
 import shutil
 import subprocess
 import sys
+import traceback
 from pathlib import Path
 
 CROWDED = {
@@ -107,7 +113,11 @@ def fuzz():
                 dest.mkdir(parents=True)
                 err = io.StringIO()
                 with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
-                    code = cli.main([command, str(tmp / f"{k}.ini"), "--out", str(tmp / "run")])
+                    try:
+                        code = cli.main([command, str(tmp / f"{k}.ini"), "--out", str(tmp / "run")])
+                    except Exception:
+                        code = "raised"
+                        traceback.print_exc(file=err)
                 (dest / "exit_code.txt").write_text(f"{code}\n")
                 (dest / "stderr.txt").write_text(err.getvalue())
                 summary = tmp / "run" / "summary.txt"

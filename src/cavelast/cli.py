@@ -20,7 +20,7 @@ import numpy as np
 
 from ._table import format_rows, read_table, write_table
 # check_inv is not called here; it stays bound because perfbench's tracer patches it
-from .degree import boundary_crossings, check_inv, topological_image  # noqa: F401
+from .degree import boundary_crossings, check_inv, covering_grid, topological_image  # noqa: F401
 from .energy import DiscreteEnergy, EnergyBreakdown, total_energy
 from .exceptions import (ArtifactError, CavelastError, ConfigurationError,
                          InfeasibleEnergyError)
@@ -39,6 +39,7 @@ _EMIT_CHOICES = ("svg", "csv", "raster", "inverse")
 _EMITTED = {"svg": ("reference.svg", "deformed.svg"), "raster": ("raster.pgm",),
             "inverse": ("inverse.csv", "jumps.csv")}
 _SHAPES = ("disk", "square", "annulus")
+_MAX_GRID_CELLS = 2**24  # about 1.6 GB for an inverse raster and its jump set
 
 __all__ = [
     "ScenarioConfig", "build_mesh", "build_density", "build_phi",
@@ -156,6 +157,8 @@ class ScenarioConfig:
             cp.read_string(path.read_text(), source=str(path))
         except configparser.Error as err:
             raise ConfigurationError(f"malformed config: {err}") from err
+        except UnicodeDecodeError as err:
+            raise ConfigurationError(f"malformed config: cannot decode {path}: {err}") from err
         options = {(sec, cp.optionxform(key)): (name, key, meta["parse"])
                    for name, sec, key, meta in _OPTIONS}
         values = {}
@@ -253,6 +256,22 @@ def _check_emit(emit, source):
     for e in emit:
         if e not in _EMIT_CHOICES:
             raise ConfigurationError(f"{source} entry {e!r} not in {_EMIT_CHOICES}")
+
+
+def _check_grid(cfg, emit):
+    """Refuse a raster or inverse grid above _MAX_GRID_CELLS, sized over the
+    boundary data's image of the domain's bounding box with the raster's
+    4-cell margin; a gated run's or an eval's positions all lie in it."""
+    if "raster" not in emit and "inverse" not in emit:
+        return
+    lo, hi = (0.0, cfg.side) if cfg.shape == "square" else (-cfg.radius, cfg.radius)
+    image = BoundaryData(kind=cfg.bc_kind, lam=cfg.lam).map_points([[lo, lo], [hi, hi]])
+    with np.errstate(over="ignore", invalid="ignore"):  # a count past int64 wraps
+        _, shape = covering_grid(image, cfg.delta, 4)
+    if min(shape) < 1 or math.prod(shape) > _MAX_GRID_CELLS:
+        raise ConfigurationError(
+            f"[run] delta = {cfg.delta!r} needs a raster grid of more than "
+            f"{_MAX_GRID_CELLS} cells")
 
 
 # (field name, section, INI key, metadata) of every INI-backed field
@@ -492,6 +511,7 @@ def run_scenario(config, out_dir=None, mode="run", emit=None):
         cfg.validate()
         emit = cfg.emit if emit is None else tuple(emit)
         _check_emit(emit, "--emit")
+        _check_grid(cfg, emit)
     except ConfigurationError as err:
         print(f"configuration error: {err}", file=sys.stderr)
         return 2, None

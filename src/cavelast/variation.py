@@ -37,6 +37,7 @@ __all__ = [
 ]
 
 _log = logging.getLogger("cavelast")
+_MAX_BACKTRACKS = 40  # step halvings per line search before minimize stalls
 
 
 # ---------------------------------------------------------------------------
@@ -416,7 +417,7 @@ def _newton_step(state: EnergyState, grad, damping):
 def minimize(y0: DeformationField, density: BulkDensity, phi: SurfaceDensity,
              max_iters: int = 500, tol_E: float = 1e-10,
              residual_rel: float = 1e-3, det_floor: float = 1e-8,
-             inv_every: int = 1, seed: int = 0, max_backtracks: int = 40):
+             inv_every: int = 1, seed: int = 0):
     """Monotone damped projected-Newton descent on the nodal positions; the
     vertices on non-puncture boundary edges stay fixed.
 
@@ -425,7 +426,7 @@ def minimize(y0: DeformationField, density: BulkDensity, phi: SurfaceDensity,
     `EnergyState.hess` assembles, in the Cuthill-McKee order
     `DiscreteEnergy.band_layout` builds once per run; the damping starts at
     1 and shrinks by 0.3 after a full step, grows by 4 after a shortened
-    one. The step is halved (at most max_backtracks times) until it lowers
+    one. The step is halved (at most 40 times) until it lowers
     the energy by the Armijo amount; any trial with min element determinant
     <= det_floor is rejected, and when inv_every is 1 (0: never; no other
     value is accepted, ValueError) a trial must also keep the deformed
@@ -489,7 +490,7 @@ def minimize(y0: DeformationField, density: BulkDensity, phi: SurfaceDensity,
             slope = float(grad @ dx.ravel())
 
             s = 1.0
-            for _ in range(max_backtracks):
+            for _ in range(_MAX_BACKTRACKS):
                 cand = pos.copy()
                 cand[free] += s * dx
                 trial = energy_of.state(cand)

@@ -123,9 +123,13 @@ class TestConfig:
         with pytest.raises(ConfigurationError, match="max_iters"):
             ScenarioConfig.from_ini(p)
 
-    def test_malformed_ini(self, tmp_path):
+    @pytest.mark.parametrize("text", [
+        b"key outside any section = 1\n[domain\nshape = disk\n",
+        b"# \xff is not UTF-8\n[domain]\nshape = disk\n",
+    ], ids=["no_section", "not_utf8"])
+    def test_malformed_ini(self, tmp_path, text):
         p = tmp_path / "bad.ini"
-        p.write_text("key outside any section = 1\n[domain\nshape = disk\n")
+        p.write_bytes(text)
         with pytest.raises(ConfigurationError, match="malformed config"):
             ScenarioConfig.from_ini(p)
 
@@ -601,6 +605,8 @@ class TestMain:
         ("solver", "inv_every = 2", "[solver] inv_every"),
         ("run", "seed = -1", "[run] seed"),
         ("run", "delta = -1", "[run] delta"),
+        # a raster grid above the cell ceiling, refused before meshing
+        ("run", "delta = 1e-9\nemit = raster", "[run] delta"),
         # the tag is a word of the mesh file and must not merge two loops
         ("boundary", "tag = a b", "[boundary] tag"),
         ("domain", "shape = annulus\n[boundary]\ntag = free", "[boundary] tag"),
@@ -786,7 +792,7 @@ class TestFuzz:
 
     @pytest.fixture(scope="class")
     def seed1_configs(self):
-        # the first 245 seed-1 configs, as CI's reference fuzz draws them
+        # the first 245 seed-1 configs, as scripts/reference_runs.py draws them
         rng = np.random.default_rng(1)
         return [_fuzz_config(rng) for _ in range(245)]
 

@@ -472,14 +472,18 @@ class TestMinimize:
         with pytest.raises(InfeasibleEnergyError):
             cv.minimize(cv.DeformationField(square_mesh, pos), density, iso)
 
-    def test_stall_reported(self, square_mesh, density, iso):
+    def test_stall_reported(self, square_mesh, density, iso, monkeypatch):
+        # the gate rejects every trial, so no step is accepted
+        import cavelast.variation as variation
         rng = np.random.default_rng(4)
         pos = square_mesh.vertices.copy()
         interior = np.setdiff1d(np.arange(len(pos)), square_mesh.boundary_vertices)
         pos[interior] += 0.02 * rng.standard_normal((len(interior), 2))
+        monkeypatch.setattr(variation, "boundary_crossings", lambda *args, **kwargs: 1)
         _, log = cv.minimize(cv.DeformationField(square_mesh, pos), density, iso,
-                             max_iters=50, max_backtracks=0)
+                             max_iters=50, inv_every=1)
         assert log.status == "stalled"
+        assert len(log.records) == 1
 
     @pytest.mark.parametrize("damping", [1.0, 1e-7])
     def test_newton_step_matches_dense_solve(self, stretched_disk, density, ell, damping,
