@@ -27,7 +27,7 @@ mesh = cv.build_disk_mesh(1.0, 0.15, punctures=[((0.0, 0.0), 0.2)])
 profile = cv.solve_radial(1.5, density, phi, rho=0.2, M=96)
 y = cv.radial_lift(profile, mesh)
 
-report = cv.check_inv(y, delta=0.02, samples=400, seed=0)
+report = cv.check_inv(y, seed=0)
 print("cavitation map:", report.summary(),
       f"| exact: {boundary_crossings(mesh, y.positions)} boundary crossings")
 
@@ -35,8 +35,7 @@ print("cavitation map:", report.summary(),
 folded_pos = y.positions.copy()
 folded_pos[:, 1] = np.abs(folded_pos[:, 1])
 folded = cv.DeformationField(mesh, folded_pos)
-bad = cv.check_inv(folded, centers=[(0.0, 0.5)], radii=[[0.25]],
-                   delta=0.02, samples=400, seed=1)
+bad = cv.check_inv(folded, centers=[(0.0, 0.5)], radii=[[0.25]], seed=1)
 print("folded map:   ", bad.summary(),
       f"| exact: {boundary_crossings(mesh, folded_pos)} boundary crossings")
 

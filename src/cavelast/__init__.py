@@ -21,8 +21,7 @@ from .degree import (CavityRecord, DegreeRaster, InvReport, check_inv,
 from .energy import (DiscreteEnergy, EnergyBreakdown, EnergyState, SeparableTestField,
                      anisotropic_perimeter, detect_cavities,
                      surface_functional_S_sum,
-                     surface_functional_S_testfield, total_energy,
-                     triangle_quadrature)
+                     surface_functional_S_testfield, total_energy)
 from .inverse import (InverseField, JumpContour, area_formula_check,
                       build_inverse_field, default_marker, extract_jump_set,
                       inverse_gradient, invert_point, jump_set_to_csv)
@@ -54,7 +53,7 @@ __all__ = [
     "DiscreteEnergy", "EnergyBreakdown", "EnergyState", "SeparableTestField",
     "anisotropic_perimeter", "detect_cavities",
     "surface_functional_S_sum", "surface_functional_S_testfield",
-    "total_energy", "triangle_quadrature",
+    "total_energy",
     "InverseField", "JumpContour", "area_formula_check",
     "build_inverse_field", "default_marker", "extract_jump_set",
     "inverse_gradient", "invert_point", "jump_set_to_csv",

@@ -11,7 +11,6 @@ raises a minimality alarm when a foreign minimizer wins.
 import argparse
 import configparser
 import math
-import os
 import sys
 from dataclasses import dataclass, field, fields
 from pathlib import Path
@@ -44,16 +43,8 @@ _MAX_GRID_CELLS = 2**24  # about 1.6 GB for an inverse raster and its jump set
 __all__ = [
     "ScenarioConfig", "build_mesh", "build_density", "build_phi",
     "RunRecord", "compute", "write", "run_scenario", "CompareReport", "compare_runs",
-    "render_reference_svg", "render_deformed_svg", "get_golden_dir",
-    "resolve_scenario", "main",
+    "render_reference_svg", "render_deformed_svg", "resolve_scenario", "main",
 ]
-
-
-def get_golden_dir() -> Path:
-    env = os.environ.get("CAVELAST_GOLDEN_DIR")
-    if env:
-        return Path(env)
-    return Path(__file__).parent / "golden" / "v1"
 
 
 def resolve_scenario(name) -> Path:
@@ -131,7 +122,7 @@ class ScenarioConfig:
     phi_A: tuple | None = _option(
         "surface", None, _parse_matrix, key="A", when=lambda c: c.phi_A is not None,
         fmt=lambda rows: "; ".join(f"{r[0]!r} {r[1]!r}" for r in rows))
-    phi_eps: float = _option("surface", 0.1, key="eps",
+    phi_eps: float = _option("surface", 0.1, key="eps", positive=True,
                              when=lambda c: c.phi_kind == "smoothed_l1")
     bc_kind: str = _option("boundary", "radial_stretch", str, key="kind")
     lam: float = _option("boundary", 1.0, positive=True)

@@ -506,7 +506,6 @@ class InvEntry:
 @dataclass
 class InvReport:
     entries: list
-    band: float
 
     @property
     def passed(self) -> bool:
@@ -521,17 +520,20 @@ class InvReport:
         return f"{status}: {self.total_violations} violations over {len(self.entries)} circles"
 
 
-def check_inv(y: DeformationField, centers=None, radii=None, delta=0.02, samples=400,
-              seed=0) -> InvReport:
+_INV_SAMPLES = 400  # material samples inside and outside each circle
+_INV_BAND = 0.04  # images this close to a circle's image loop count on neither side
+
+
+def check_inv(y: DeformationField, centers=None, radii=None, seed=0) -> InvReport:
     """Sampled check of the invertibility condition on circles.
 
     For each circle B(a, r), its image loop traced at 192 points: material
     sampled inside B must land in the image region of B (nonzero winding of
-    the image loop), and material sampled outside B must not.  Query images
-    within a band of width 2 * delta around the image loop are not counted
-    either way.  The windings of all images of one circle come from one
-    `winding_points` call, which meets each loop edge only with the images
-    in its y-span.
+    the image loop), and material sampled outside B must not, 400 samples
+    on each side.  Query images within the band of width 0.04 around the
+    image loop are not counted either way.  The windings of all images of
+    one circle come from one `winding_points` call, which meets each loop
+    edge only with the images in its y-span.
 
     Every call draws its samples from a fresh generator seeded with `seed`
     (an integer) and locates them on the reference mesh; nothing is cached.
@@ -539,22 +541,22 @@ def check_inv(y: DeformationField, centers=None, radii=None, delta=0.02, samples
     mesh = y.mesh
     rng = np.random.default_rng(seed)
     tri_cum = np.cumsum(mesh.areas / mesh.areas.sum())
-    band = 2.0 * delta
     entries = []
     for ci, a in enumerate(_default_centers(mesh) if centers is None else centers):
         a = np.asarray(a, dtype=float)
         for r in radii[ci] if radii is not None else _default_radii(mesh, a):
             loop = trace_on_circle(y, a, r, 192)
-            img_in = y.interpolate(*_sample_disk_in_mesh(mesh, a, r, samples, rng))
-            img_out = y.interpolate(*_sample_mesh_outside_disk(mesh, a, r, samples, rng, tri_cum))
+            img_in = y.interpolate(*_sample_disk_in_mesh(mesh, a, r, _INV_SAMPLES, rng))
+            img_out = y.interpolate(*_sample_mesh_outside_disk(mesh, a, r, _INV_SAMPLES, rng,
+                                                               tri_cum))
             n_in = len(img_in)
             w = winding_points(loop, np.vstack([img_in, img_out])) != 0
             # only images on the wrong side can violate; the band decides which do
-            far_in = points_to_polyline_distance(img_in[~w[:n_in]], loop) > band
-            far_out = points_to_polyline_distance(img_out[w[n_in:]], loop) > band
+            far_in = points_to_polyline_distance(img_in[~w[:n_in]], loop) > _INV_BAND
+            far_out = points_to_polyline_distance(img_out[w[n_in:]], loop) > _INV_BAND
             entries.append(InvEntry(a.copy(), float(r), n_in, len(img_out),
                                     int(far_in.sum()), int(far_out.sum())))
-    return InvReport(entries=entries, band=band)
+    return InvReport(entries=entries)
 
 
 def _default_centers(mesh):
@@ -582,9 +584,9 @@ def _default_radii(mesh, a):
     of the room (rho, d) instead.
     That room can be thin: for punctures of radius 0.1 at (+-0.11, 0) it
     is (0.1, 0.12), and every circle keeps within 0.015 of its puncture,
-    well inside the 2 * delta band at the default delta. Unless the map
-    stretches that ring, the circle's own material falls in the band, so
-    only material pushed into a cavity can fail such a circle.
+    well inside check_inv's band of 0.04. Unless the map stretches that
+    ring, the circle's own material falls in the band, so only material
+    pushed into a cavity can fail such a circle.
     """
     dists = [points_to_polyline_distance(a[None], mesh.vertices[ids])[0]
              for tag, ids in mesh.boundary_loops().items() if not tag.startswith("puncture_")]

@@ -24,19 +24,14 @@ __all__ = [
     "DiscreteEnergy", "EnergyState", "phi_perimeter", "phi_perimeter_gradient",
     "EnergyBreakdown", "anisotropic_perimeter", "detect_cavities",
     "total_energy", "surface_functional_S_sum", "surface_functional_S_testfield",
-    "SeparableTestField", "triangle_quadrature",
+    "SeparableTestField",
 ]
 
 
 # ---------------------------------------------------------------------------
-# triangle quadrature (barycentric points, weights summing to 1)
+# 6-point triangle rule, exact through quartics (barycentric points, weights
+# summing to 1)
 
-_CENTROID = (np.array([[1.0, 1.0, 1.0]]) / 3.0, np.array([1.0]))
-_THREE_POINT = (
-    np.array([[4, 1, 1], [1, 4, 1], [1, 1, 4]], dtype=float) / 6.0,
-    np.full(3, 1.0 / 3.0),
-)
-# 6-point rule, exact through quartics
 _D4A, _D4B = 0.445948490915965, 0.091576213509771
 _D4WA, _D4WB = 0.223381589678011, 0.109951743655322
 _SIX_POINT = (
@@ -46,16 +41,6 @@ _SIX_POINT = (
     ]),
     np.array([_D4WA, _D4WA, _D4WA, _D4WB, _D4WB, _D4WB]),
 )
-
-_RULES = {1: _CENTROID, 2: _THREE_POINT, 4: _SIX_POINT}
-
-
-def triangle_quadrature(order: int):
-    """Barycentric (points, weights) for the smallest rule of degree >= order."""
-    for deg in (1, 2, 4):
-        if order <= deg:
-            return _RULES[deg]
-    raise ValueError(f"no triangle rule of degree {order}; best available is 4")
 
 
 # ---------------------------------------------------------------------------
@@ -435,7 +420,7 @@ def surface_functional_S_testfield(y: DeformationField, eta) -> float:
     raises DomainError.
     """
     mesh = y.mesh
-    bary, w = triangle_quadrature(4)
+    bary, w = _SIX_POINT
     xv = mesh.vertices[mesh.triangles]      # (m,3,2)
     yv = y.positions[mesh.triangles]
     xq = np.einsum("qb,mbi->mqi", bary, xv)

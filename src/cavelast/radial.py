@@ -33,6 +33,7 @@ if TYPE_CHECKING:
     from scipy.interpolate import PchipInterpolator, PPoly
 
 _log = logging.getLogger("cavelast")
+_MAX_ITERS = 100  # projected Newton steps per seed before a descent ends max_iters
 
 
 @dataclass
@@ -255,7 +256,7 @@ def _newton_direction(ab, g):
     return None
 
 
-def _descend(f: _PLEnergy, vals, top, max_iters):
+def _descend(f: _PLEnergy, vals, top):
     """Projected Newton on the tridiagonal Hessian from one seed.
 
     Every step backtracks until the projected trial passes Armijo on the
@@ -281,7 +282,7 @@ def _descend(f: _PLEnergy, vals, top, max_iters):
     v = project(vals[:-1].copy())
     E = f.value(np.append(v, top))
     status = "max_iters"
-    for it in range(max_iters + 1):
+    for it in range(_MAX_ITERS + 1):
         S = f.stretch(np.append(v, top))
         g = f.grad(S)
         pinned = v[0] <= floor * (1.0 + 1e-9) and g[0] > 0.0
@@ -294,7 +295,7 @@ def _descend(f: _PLEnergy, vals, top, max_iters):
         if res <= 1e-6 * (1.0 + abs(E)):
             status = "converged"
             break
-        if it == max_iters:
+        if it == _MAX_ITERS:
             break
         ab = f.hess(S)
         if pinned:
@@ -314,14 +315,14 @@ def _descend(f: _PLEnergy, vals, top, max_iters):
 
 
 def solve_radial(lam: float, density: BulkDensity, phi: SurfaceDensity,
-                 rho: float, M: int = 96, max_iters: int = 100) -> RadialProfile:
+                 rho: float, M: int = 96) -> RadialProfile:
     """Minimize the radial energy on the unit disk punctured at radius rho
     over knot values with r(1) = lam.
 
     Geometric knots resolve the boundary layer at the puncture. The descent
     objective interpolates linearly between knots; its gradient and
     tridiagonal Hessian come from `BulkDensity`. Each seed is descended by
-    projected Newton (at most max_iters steps) whose backtracking line search
+    projected Newton (at most 100 steps) whose backtracking line search
     tests the exact energy change and never accepts an energy increase;
     converged means the measure-scaled Euler-Lagrange residual is below
     1e-6 * (1 + |E|). The returned profile is the monotone cubic through
@@ -349,7 +350,7 @@ def solve_radial(lam: float, density: BulkDensity, phi: SurfaceDensity,
         c0 = np.sqrt(lam ** 2 - 1.0)
         seeds.append(np.sqrt(knots ** 2 + c0 ** 2) * lam / np.sqrt(1.0 + c0 ** 2))
     f = _PLEnergy(knots, density, phi.circle_integral)
-    runs = [_descend(f, vals, lam, max_iters) for vals in seeds]
+    runs = [_descend(f, vals, lam) for vals in seeds]
     # ranked by a fresh energy: the one each descent carries can drift
     branches = [(f.value(np.append(w, lam)), float(w[0]), st) for w, st in runs]
     low = min(e for e, _, _ in branches)

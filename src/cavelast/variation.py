@@ -343,11 +343,10 @@ def certification_battery(y: DeformationField, seed: int = 0) -> list:
 
 
 def battery_residual(y: DeformationField, density: BulkDensity,
-                     phi: SurfaceDensity, fields=None, seed: int = 0) -> float:
+                     phi: SurfaceDensity, seed: int = 0) -> float:
     """Largest |first variation| over the battery (no finite differences)
     at the field y."""
-    if fields is None:
-        fields = certification_battery(y, seed=seed)
+    fields = certification_battery(y, seed=seed)
     state = DiscreteEnergy(y.mesh, density, phi).state(y.positions)
     return max([0.0] + battery_variations(state, fields))
 

@@ -222,7 +222,7 @@ class TestAcceptance:
             assert len(dets) - 1 <= 50  # Newton steps after the iter-0 row
             assert min(dets) > 1e-8
             y, _, _ = load_run_field(run_dir)
-            rep = cv.check_inv(y, delta=0.02, seed=0)
+            rep = cv.check_inv(y, seed=0)
             assert rep.passed
             assert rep.total_violations == 0
         print("criterion 8 PASS: min_det > 1e-8 on every accepted iterate, "

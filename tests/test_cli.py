@@ -15,10 +15,11 @@ import pytest
 import cavelast as cv
 from cavelast import cli
 from cavelast.cli import (CompareReport, ScenarioConfig, build_mesh, build_phi,
-                          compare_runs, get_golden_dir, main,
-                          render_deformed_svg, render_reference_svg,
+                          compare_runs, main, render_deformed_svg, render_reference_svg,
                           resolve_scenario, run_scenario)
 from cavelast.exceptions import ConfigurationError
+
+GOLDEN = Path(cv.__file__).parent / "golden" / "v1"
 
 
 def read_summary(run_dir) -> dict:
@@ -167,13 +168,6 @@ class TestConfig:
         with pytest.raises(ConfigurationError, match=r"\[run\] seed"):
             ScenarioConfig(seed=-1).validate()
 
-    def test_golden_dir_override(self, monkeypatch, tmp_path):
-        monkeypatch.setenv("CAVELAST_GOLDEN_DIR", str(tmp_path))
-        assert get_golden_dir() == tmp_path
-        monkeypatch.delenv("CAVELAST_GOLDEN_DIR")
-        assert get_golden_dir().name == "v1"
-        assert (get_golden_dir() / "radial_iso.csv").is_file()
-
 
 class TestBuilders:
     def test_shapes(self):
@@ -286,7 +280,7 @@ class TestRadialScenarios:
         assert code == 0
         kv = read_summary(run_dir)
         assert kv["status"] == "converged"
-        with open(get_golden_dir() / "radial_iso.csv") as fh:
+        with open(GOLDEN / "radial_iso.csv") as fh:
             gold = {float(r["lambda"]): float(r["total"])
                     for r in csv.DictReader(fh)}
         assert float(kv["total"]) == pytest.approx(gold[1.5], rel=0.02)
@@ -303,7 +297,7 @@ class TestRadialScenarios:
         # an undamped Newton step collapses this cavity (radius ~0.02,
         # total ~21.85); the damped solver must keep the open branch
         kv = read_summary(ell_run[1])
-        with open(get_golden_dir() / "radial_ell.csv") as fh:
+        with open(GOLDEN / "radial_ell.csv") as fh:
             gold = {float(r["lambda"]): float(r["total"])
                     for r in csv.DictReader(fh)}
         assert float(kv["total"]) == pytest.approx(gold[1.5], rel=0.02)
@@ -610,6 +604,7 @@ class TestMain:
         # the tag is a word of the mesh file and must not merge two loops
         ("boundary", "tag = a b", "[boundary] tag"),
         ("domain", "shape = annulus\n[boundary]\ntag = free", "[boundary] tag"),
+        ("surface", "kind = smoothed_l1\neps = 0", "[surface] eps"),
     ])
     def test_malformed_value_exit_2(self, tmp_path, capsys, section, text,
                                     named):

@@ -607,14 +607,14 @@ class TestPolygonIsSimple:
 class TestCheckInv:
     def test_identity_passes(self, disk_mesh):
         y = cv.DeformationField(disk_mesh)
-        rep = cv.check_inv(y, delta=0.02, samples=200, seed=3)
+        rep = cv.check_inv(y, seed=3)
         assert rep.passed
         assert rep.total_violations == 0
         assert rep.summary().startswith("PASS")
 
     def test_radial_cavity_passes(self, disk_mesh, radial_15):
         y = cv.radial_lift(radial_15, disk_mesh)
-        rep = cv.check_inv(y, delta=0.02, samples=200, seed=3)
+        rep = cv.check_inv(y, seed=3)
         assert rep.passed
 
     def test_annulus_circles_stay_off_the_hole(self):
@@ -700,8 +700,7 @@ class TestCheckInv:
         y = cv.DeformationField(mesh)
         centers = degree._default_centers(mesh)
         radii = [_radii_from_own_rho(mesh, np.asarray(a, dtype=float)) for a in centers]
-        assert _entries(cv.check_inv(y, samples=100)) == \
-            _entries(cv.check_inv(y, centers=centers, radii=radii, samples=100))
+        assert _entries(cv.check_inv(y)) == _entries(cv.check_inv(y, centers=centers, radii=radii))
 
     def test_fold_is_caught(self, disk_mesh):
         # fold the disk onto its upper half; lower-half material lands inside
@@ -709,8 +708,7 @@ class TestCheckInv:
         pos = disk_mesh.vertices.copy()
         pos[:, 1] = np.abs(pos[:, 1])
         y = cv.DeformationField(disk_mesh, pos)
-        rep = cv.check_inv(y, centers=[(0.0, 0.5)], radii=[[0.25]],
-                           delta=0.02, samples=400, seed=1)
+        rep = cv.check_inv(y, centers=[(0.0, 0.5)], radii=[[0.25]], seed=1)
         assert not rep.passed
         viol = rep.entries[0]
         assert viol.violations_outside > 0
@@ -721,12 +719,12 @@ class TestCheckInv:
 # reference check_inv: fresh sampling, evaluation and distances on every call
 
 
-def _reference_check_inv(y, centers=None, radii=None, delta=0.02, samples=400, seed=0):
+def _reference_check_inv(y, centers=None, radii=None, seed=0):
     mesh = y.mesh
     if centers is None:
         centers = [c for c, _ in mesh.punctures] or [mesh.vertices.mean(axis=0)]
     rng = np.random.default_rng(seed)
-    band = 2.0 * delta
+    band = 0.04
     tri_cum = np.cumsum(mesh.areas / mesh.areas.sum())
     entries = []
     for ci, a in enumerate(centers):
@@ -734,8 +732,8 @@ def _reference_check_inv(y, centers=None, radii=None, delta=0.02, samples=400, s
         rs = radii[ci] if radii is not None else _default_radii(mesh, a)
         for r in rs:
             loop = cv.trace_on_circle(y, a, r, 192)
-            x_in = _reference_disk_samples(mesh, a, r, samples, rng)
-            x_out = _reference_outside_samples(mesh, a, r, samples, rng, tri_cum)
+            x_in = _reference_disk_samples(mesh, a, r, 400, rng)
+            x_out = _reference_outside_samples(mesh, a, r, 400, rng, tri_cum)
             vi = vo = 0
             if len(x_in):
                 img = y.evaluate(x_in)
@@ -816,15 +814,14 @@ class TestCheckInvPlan:
     verdicts, are those of the per-call reference exactly."""
 
     @pytest.mark.parametrize("kind, kw", [
-        ("identity", dict(delta=0.02, samples=200, seed=3)),
-        ("radial_lift", dict(delta=0.02, samples=200, seed=3)),
-        ("folded", dict(delta=0.02, samples=200, seed=3)),
-        ("folded", dict(centers=[(0.0, 0.5)], radii=[[0.25]], delta=0.02, samples=400, seed=1)),
+        ("identity", dict(seed=3)),
+        ("radial_lift", dict(seed=3)),
+        ("folded", dict(seed=3)),
+        ("folded", dict(centers=[(0.0, 0.5)], radii=[[0.25]], seed=1)),
         ("folded", dict(seed=5)),
-        ("folded", dict(seed=2, samples=150)),
         ("folded", dict(centers=[(0.0, 0.5), (0.0, -0.5)], radii=[[0.25], [0.2, 0.3]], seed=1)),
     ], ids=["identity", "radial_lift", "folded", "folded_circle", "folded_seed5",
-            "folded_samples150", "folded_two_centres"])
+            "folded_two_centres"])
     def test_matches_reference(self, kind, kw, disk_mesh, radial_15):
         if kind == "identity":
             y = cv.DeformationField(disk_mesh)

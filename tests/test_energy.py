@@ -10,7 +10,7 @@ import cavelast as cv
 from cavelast._polyline import hausdorff_distance
 from cavelast.cli import _read_positions_csv
 from cavelast.degree import _default_radii
-from cavelast.energy import _ROT, _edge_normals, band_order
+from cavelast.energy import _ROT, _SIX_POINT, _edge_normals, band_order
 from cavelast.exceptions import DomainError, InfeasibleEnergyError
 from cavelast.variation import _constrained_vertices
 
@@ -76,24 +76,15 @@ def regular_ngon(n, r=1.0, center=(0.0, 0.0)):
 
 
 class TestQuadrature:
-    @pytest.mark.parametrize("order", [1, 2, 4])
-    def test_exact_on_monomials(self, order):
-        pts, wts = cv.triangle_quadrature(order)
+    def test_six_point_rule_exact_through_quartics(self):
+        pts, wts = _SIX_POINT
         assert wts.sum() == pytest.approx(1.0, abs=1e-14)
-        for p in range(order + 1):
-            for q in range(order + 1 - p):
+        for p in range(5):
+            for q in range(5 - p):
                 got = float(np.sum(wts * pts[:, 0] ** p * pts[:, 1] ** q))
                 want = 2.0 * math.factorial(p) * math.factorial(q) \
                     / math.factorial(p + q + 2)
-                assert got == pytest.approx(want, abs=1e-14), (order, p, q)
-
-    def test_order_three_gets_quartic_rule(self):
-        pts, _ = cv.triangle_quadrature(3)
-        assert len(pts) == 6
-
-    def test_order_too_high(self):
-        with pytest.raises(ValueError):
-            cv.triangle_quadrature(5)
+                assert got == pytest.approx(want, abs=1e-14), (p, q)
 
 
 class TestBulk:

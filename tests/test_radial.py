@@ -11,7 +11,6 @@ from scipy.special import ellipe
 
 import cavelast as cv
 from cavelast import radial
-from cavelast.cli import get_golden_dir
 
 MAKE_GOLDEN = Path(__file__).resolve().parents[1] / "scripts" / "make_golden.py"
 COMMITTED_GOLDEN = Path(cv.__file__).parent / "golden" / "v1"
@@ -257,7 +256,7 @@ class TestSweepAndGolden:
     def test_golden_regression(self, density, iso, ell):
         for name, phi, lams in (("radial_iso", iso, (1.2, 1.5)),
                                 ("radial_ell", ell, (1.6,))):
-            with open(get_golden_dir() / f"{name}.csv") as fh:
+            with open(COMMITTED_GOLDEN / f"{name}.csv") as fh:
                 table = {float(r["lambda"]): r for r in csv.DictReader(fh)}
             rows = cv.sweep_lambda(lams, density, phi, 0.2, M=96)
             for r in rows:
@@ -293,9 +292,9 @@ class TestSweepAndGolden:
                 assert float(g["total"]) == pytest.approx(float(w["total"]), rel=1e-6)
 
     def test_golden_bifurcation_shape(self):
-        with open(get_golden_dir() / "radial_iso.csv") as fh:
+        with open(COMMITTED_GOLDEN / "radial_iso.csv") as fh:
             iso_rows = list(csv.DictReader(fh))
-        with open(get_golden_dir() / "radial_ell.csv") as fh:
+        with open(COMMITTED_GOLDEN / "radial_ell.csv") as fh:
             ell_rows = list(csv.DictReader(fh))
         c_iso = {float(r["lambda"]): float(r["cavity_radius"]) for r in iso_rows}
         c_ell = {float(r["lambda"]): float(r["cavity_radius"]) for r in ell_rows}
@@ -359,7 +358,9 @@ class TestNewtonOracle:
         assert min(prof.branches)[1] == prof.cavity_radius  # lowest energy wins
 
     def test_unconverged_branch_is_flagged(self, density, iso, monkeypatch):
-        prof = cv.solve_radial(1.5, density, iso, rho=0.2, M=96, max_iters=1)
+        with monkeypatch.context() as m:
+            m.setattr(radial, "_MAX_ITERS", 1)
+            prof = cv.solve_radial(1.5, density, iso, rho=0.2, M=96)
         assert [status for _, _, status in prof.branches] == ["max_iters"] * 2
         assert prof.status == "max_iters"
         # a losing seed that stalls is flagged even though the winner converged
@@ -392,7 +393,7 @@ class TestNewtonOracle:
 
     def test_v1_sweep_reproduces_golden(self, v1_sweeps):
         for name, (rows, _) in v1_sweeps.items():
-            with open(get_golden_dir() / f"{name}.csv") as fh:
+            with open(COMMITTED_GOLDEN / f"{name}.csv") as fh:
                 table = {float(r["lambda"]): r for r in csv.DictReader(fh)}
             assert sorted(table) == [r["lambda"] for r in rows]
             for r in rows:
