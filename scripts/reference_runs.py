@@ -9,7 +9,7 @@ code runs, so the script of one commit can drive another commit's code, for
 example a `git worktree` of a parent. Two trees written from two checkouts
 compare with `scripts/digit_diff.py A B`. OUT must not exist yet. It gets:
 
-- runs/: every artifact of the bundled runs (`--emit svg,csv,raster,inverse`),
+- runs/: every artifact of the bundled runs (`--emit svg,raster,inverse`),
   of `eval eval_identity`, of the iso scenario at h = 0.08 / 0.05 / 0.035 with
   `inv_every = 0` (the benchmark's ladder), of the iso scenario with
   `[run] delta = 0.005` (`--emit inverse`), and of two crowded-puncture
@@ -75,7 +75,7 @@ def cli_runs(root: Path, out: Path):
     for name, text in CROWDED.items():
         (configs / f"{name}.ini").write_text(text)
 
-    every = ["--emit", "svg,csv,raster,inverse"]
+    every = ["--emit", "svg,raster,inverse"]
     runs = [("run", "radial_iso_lambda1.5", every), ("run", "radial_ell_lambda1.5", every),
             ("eval", "eval_identity", [])]
     runs += [("run", f"configs/ladder_{h}.ini", []) for h in LADDER]

@@ -33,7 +33,7 @@ from .material import BulkDensity, SurfaceDensity
 from .variation import (IterationLog, VariationReport, battery_residual,  # noqa: F401
                         battery_variations, certification_battery, first_variation_residual, minimize)
 
-_EMIT_CHOICES = ("svg", "csv", "raster", "inverse")
+_EMIT_CHOICES = ("svg", "raster", "inverse")
 # the artifacts each emitter adds to those every run writes
 _EMITTED = {"svg": ("reference.svg", "deformed.svg"), "raster": ("raster.pgm",),
             "inverse": ("inverse.csv", "jumps.csv")}
@@ -126,14 +126,11 @@ class ScenarioConfig:
                              when=lambda c: c.phi_kind == "smoothed_l1")
     bc_kind: str = _option("boundary", "radial_stretch", str, key="kind")
     lam: float = _option("boundary", 1.0, positive=True)
-    tag: str = _option("boundary", "dirichlet", str)
     max_iters: int = _option("solver", 400, int)
     tol_E: float = _option("solver", 1e-10, positive=True)
-    residual_rel: float = _option("solver", 1e-3, positive=True)
-    det_floor: float = _option("solver", 1e-8, positive=True)
     inv_every: int = _option("solver", 1, int)
     seed: int = _option("run", 0, int)
-    emit: tuple = _option("run", ("svg", "csv"), _parse_emit, fmt=",".join)
+    emit: tuple = _option("run", ("svg",), _parse_emit, fmt=",".join)
     delta: float = _option("run", 0.02, positive=True)
     out: str = _option("run", "", str, when=lambda c: c.out)
     name: str = "scenario"
@@ -230,10 +227,6 @@ class ScenarioConfig:
         if self.bc_kind not in ("radial_stretch", "affine_stretch"):
             raise ConfigurationError("[boundary] kind must be radial_stretch "
                                      "or affine_stretch")
-        if self.tag.split() != [self.tag] or self.tag.startswith("puncture_") \
-                or (self.shape == "annulus" and self.tag == "free"):
-            raise ConfigurationError("[boundary] tag must be one word, not "
-                                     "puncture_<k>, and not free on an annulus")
         if self.max_iters < 1:
             raise ConfigurationError("[solver] max_iters must be at least 1")
         if self.inv_every not in (0, 1):
@@ -276,13 +269,10 @@ _OPTIONS = [(f.name, f.metadata["section"], f.metadata["key"] or f.name, f.metad
 
 def build_mesh(cfg: ScenarioConfig) -> Mesh:
     if cfg.shape == "disk":
-        return build_disk_mesh(cfg.radius, cfg.h, punctures=cfg.punctures,
-                               tag=cfg.tag)
+        return build_disk_mesh(cfg.radius, cfg.h, punctures=cfg.punctures)
     if cfg.shape == "square":
-        return build_square_mesh(cfg.side, cfg.h, punctures=cfg.punctures,
-                                 tag=cfg.tag)
-    return build_annulus_mesh(cfg.radius, cfg.inner, cfg.h,
-                              punctures=cfg.punctures, tag=cfg.tag)
+        return build_square_mesh(cfg.side, cfg.h, punctures=cfg.punctures)
+    return build_annulus_mesh(cfg.radius, cfg.inner, cfg.h, punctures=cfg.punctures)
 
 
 def build_density(cfg: ScenarioConfig) -> BulkDensity:
@@ -426,7 +416,6 @@ def compute(cfg: ScenarioConfig, mode="run") -> RunRecord:
     try:
         if mode == "run":
             y, log = minimize(y, density, phi, max_iters=cfg.max_iters, tol_E=cfg.tol_E,
-                              residual_rel=cfg.residual_rel, det_floor=cfg.det_floor,
                               inv_every=cfg.inv_every, seed=cfg.seed)
             state = log.final
         else:
@@ -616,7 +605,7 @@ def main(argv=None) -> int:
         p.add_argument("--out", default=None, help="artifact directory")
         p.add_argument("--emit", default=None, help="comma list from: " + ",".join(_EMIT_CHOICES)
                        + "; every run writes config.ini, summary.txt, iterations.csv, mesh.cavmesh,"
-                       " positions.csv and cavities.csv; csv adds nothing and is kept so old configs parse")
+                       " positions.csv and cavities.csv")
 
     add_common(sub.add_parser("run", help="minimize and write artifacts"))
     add_common(sub.add_parser("eval", help="evaluate the boundary field only"))
@@ -628,7 +617,7 @@ def main(argv=None) -> int:
     if args.command == "compare":
         try:
             report = compare_runs(args.dir_a, args.dir_b)
-        except (ConfigurationError, CavelastError) as err:
+        except CavelastError as err:
             print(f"compare error: {err}", file=sys.stderr)
             return 2
         print(report.as_text(), end="")

@@ -4,8 +4,9 @@ Meshes are plain triangulations of 2-D domains (disk, annulus, square),
 optionally with small circular holes ("punctures") around candidate
 cavitation sites.  Punctures are meshed as inscribed polygons whose
 boundary edges carry a `puncture_<k>` tag; the outer boundary carries the
-Dirichlet tag.  Deformations are stored as vertex positions and
-interpolated affinely inside each triangle.
+tag `dirichlet`, and an annulus's inner circle the tag `inner`.
+Deformations are stored as vertex positions and interpolated affinely
+inside each triangle.
 """
 
 from __future__ import annotations
@@ -574,7 +575,7 @@ def mollify(y: DeformationField, sigma: float) -> DeformationField:
 # mesh builders
 
 
-def build_square_mesh(side=1.0, h=0.1, punctures=(), tag="dirichlet") -> Mesh:
+def build_square_mesh(side=1.0, h=0.1, punctures=()) -> Mesh:
     """Unit-style square [0, side]^2; structured crossed pattern when there
     are no punctures, graded Delaunay cloud otherwise."""
     punctures = _clean_punctures(punctures)
@@ -597,10 +598,10 @@ def build_square_mesh(side=1.0, h=0.1, punctures=(), tag="dirichlet") -> Mesh:
                 tris += [(a, b_, c), (b_, d, c), (d, e, c), (e, a, c)]
         edges = []
         for i in range(n):
-            edges.append((nid(i, 0), nid(i + 1, 0), tag))
-            edges.append((nid(i + 1, n), nid(i, n), tag))
-            edges.append((nid(0, i + 1), nid(0, i), tag))
-            edges.append((nid(n, i), nid(n, i + 1), tag))
+            edges.append((nid(i, 0), nid(i + 1, 0), "dirichlet"))
+            edges.append((nid(i + 1, n), nid(i, n), "dirichlet"))
+            edges.append((nid(0, i + 1), nid(0, i), "dirichlet"))
+            edges.append((nid(n, i), nid(n, i + 1), "dirichlet"))
         return Mesh(verts, np.array(tris), edges, punctures=[])
 
     per_side = max(2, int(round(side / h)))
@@ -620,10 +621,10 @@ def build_square_mesh(side=1.0, h=0.1, punctures=(), tag="dirichlet") -> Mesh:
         return (p[:, 0] > 0) & (p[:, 0] < side) & (p[:, 1] > 0) & (p[:, 1] < side)
 
     bbox = (np.array([0.0, 0.0]), np.array([side, side]))
-    return _delaunay_mesh([(tag, loop)], inside, domain, domain, punctures, h, bbox)
+    return _delaunay_mesh([("dirichlet", loop)], inside, domain, domain, punctures, h, bbox)
 
 
-def build_disk_mesh(radius=1.0, h=0.1, punctures=(), tag="dirichlet") -> Mesh:
+def build_disk_mesh(radius=1.0, h=0.1, punctures=()) -> Mesh:
     """Disk of given radius centered at the origin."""
     punctures = _clean_punctures(punctures)
     n_out = max(24, int(np.ceil(2.0 * np.pi * radius / h)))
@@ -639,12 +640,12 @@ def build_disk_mesh(radius=1.0, h=0.1, punctures=(), tag="dirichlet") -> Mesh:
         return np.hypot(p[:, 0], p[:, 1]) < radius * np.cos(np.pi / n_out)
 
     bbox = (np.full(2, -radius), np.full(2, radius))
-    return _delaunay_mesh([(tag, loop)], inside, domain, polygon, punctures, h, bbox)
+    return _delaunay_mesh([("dirichlet", loop)], inside, domain, polygon, punctures, h, bbox)
 
 
-def build_annulus_mesh(outer=1.0, inner=0.4, h=0.1, punctures=(), tag="dirichlet") -> Mesh:
+def build_annulus_mesh(outer=1.0, inner=0.4, h=0.1, punctures=()) -> Mesh:
     """Annulus inner < |x| < outer centered at the origin; the inner circle
-    carries the tag "free"."""
+    carries the tag "inner", and `minimize` holds it fixed like the outer one."""
     if not 0.0 < inner < outer:
         raise GeometryError("annulus needs 0 < inner < outer")
     punctures = _clean_punctures(punctures)
@@ -665,7 +666,7 @@ def build_annulus_mesh(outer=1.0, inner=0.4, h=0.1, punctures=(), tag="dirichlet
         return (r < outer * np.cos(np.pi / n_out)) & (r > inner)
 
     bbox = (np.full(2, -outer), np.full(2, outer))
-    return _delaunay_mesh([(tag, loop_out), ("free", loop_in)], inside, domain, polygon,
+    return _delaunay_mesh([("dirichlet", loop_out), ("inner", loop_in)], inside, domain, polygon,
                           punctures, h, bbox)
 
 

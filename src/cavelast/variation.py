@@ -38,6 +38,8 @@ __all__ = [
 
 _log = logging.getLogger("cavelast")
 _MAX_BACKTRACKS = 40  # step halvings per line search before minimize stalls
+_RESIDUAL_REL = 1e-3  # battery bound of a converged field, relative to |E|
+_DET_FLOOR = 1e-8  # least element determinant of an admissible trial
 
 
 # ---------------------------------------------------------------------------
@@ -415,7 +417,6 @@ def _newton_step(state: EnergyState, grad, damping):
 
 def minimize(y0: DeformationField, density: BulkDensity, phi: SurfaceDensity,
              max_iters: int = 500, tol_E: float = 1e-10,
-             residual_rel: float = 1e-3, det_floor: float = 1e-8,
              inv_every: int = 1, seed: int = 0):
     """Monotone damped projected-Newton descent on the nodal positions; the
     vertices on non-puncture boundary edges stay fixed.
@@ -427,7 +428,7 @@ def minimize(y0: DeformationField, density: BulkDensity, phi: SurfaceDensity,
     1 and shrinks by 0.3 after a full step, grows by 4 after a shortened
     one. The step is halved (at most 40 times) until it lowers
     the energy by the Armijo amount; any trial with min element determinant
-    <= det_floor is rejected, and when inv_every is 1 (0: never; no other
+    <= _DET_FLOOR is rejected, and when inv_every is 1 (0: never; no other
     value is accepted, ValueError) a trial must also keep the deformed
     boundary loops simple and disjoint (`boundary_crossings` = 0), which
     with positive determinants makes the map injective. At zero gradient no
@@ -435,7 +436,7 @@ def minimize(y0: DeformationField, density: BulkDensity, phi: SurfaceDensity,
 
     Returns (field, log). The log status is "converged" when a tiny energy
     decrease (below tol_E * (1 + |E|)) or a zero gradient comes with a
-    residual of at most residual_rel * |E| over the battery
+    residual of at most _RESIDUAL_REL * |E| over the battery
     `certification_battery(field, seed=seed)`; "stalled" when no trial is
     accepted, after 3 tiny decreases in a row, at a zero gradient whose
     battery fails, or when the damped matrix is not positive definite (a
@@ -464,9 +465,9 @@ def minimize(y0: DeformationField, density: BulkDensity, phi: SurfaceDensity,
     pos = y0.positions.copy()
     cur = energy_of.state(pos)
     bulk, surface, mind = cur.value
-    if bulk is None or mind <= det_floor:
+    if bulk is None or mind <= _DET_FLOOR:
         raise InfeasibleEnergyError(
-            f"starting field has min determinant {mind:.3e} <= {det_floor:.1e}")
+            f"starting field has min determinant {mind:.3e} <= {_DET_FLOOR:.1e}")
     energy = bulk + surface
     grad = np.add(*cur.grad)[free].ravel()  # bulk + surface
     log.add(iter=0, energy=energy, bulk=bulk, surface=surface, min_det=mind,
@@ -494,7 +495,7 @@ def minimize(y0: DeformationField, density: BulkDensity, phi: SurfaceDensity,
                 cand[free] += s * dx
                 trial = energy_of.state(cand)
                 t_bulk, t_surface, t_mind = trial.value
-                if t_bulk is not None and t_mind > det_floor \
+                if t_bulk is not None and t_mind > _DET_FLOOR \
                         and t_bulk + t_surface <= energy + 1e-4 * s * slope \
                         and (not gated or boundary_crossings(mesh, cand) == 0):
                     break
@@ -523,7 +524,7 @@ def minimize(y0: DeformationField, density: BulkDensity, phi: SurfaceDensity,
             tiny_streak = 0
         log.add(iter=it, energy=energy, bulk=bulk, surface=surface, min_det=mind,
                 step=s, residual=res)
-        if res is not None and res <= residual_rel * max(abs(energy), 1e-300):
+        if res is not None and res <= _RESIDUAL_REL * max(abs(energy), 1e-300):
             status = "converged"
             break
         if tiny_streak >= 3 or s == 0.0:

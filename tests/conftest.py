@@ -1,7 +1,19 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 import cavelast as cv
+
+
+def read_summary(run_dir) -> dict:
+    """summary.txt of a run directory as {key: value}, first line of a key wins."""
+    kv = {}
+    for line in (Path(run_dir) / "summary.txt").read_text().splitlines():
+        if " = " in line:
+            k, v = line.split(" = ", 1)
+            kv.setdefault(k, v)
+    return kv
 
 
 @pytest.fixture(scope="session")

@@ -18,6 +18,7 @@ from cavelast.cli import ScenarioConfig, build_density, build_phi, compare_runs
 from cavelast.degree import winding_number_angle
 from cavelast.exceptions import InfeasibleEnergyError
 from cavelast.inverse import MATERIAL, build_inverse_field, extract_jump_set
+from conftest import read_summary
 
 
 def star_polygon(rng):
@@ -35,15 +36,6 @@ def load_run_field(run_dir):
     rows = (run_dir / "positions.csv").read_text().strip().splitlines()[1:]
     pos = np.array([[float(t) for t in r.split(",")[3:]] for r in rows])
     return cv.DeformationField(mesh, pos), build_density(cfg), build_phi(cfg)
-
-
-def read_summary(run_dir) -> dict:
-    kv = {}
-    for line in (Path(run_dir) / "summary.txt").read_text().splitlines():
-        if " = " in line:
-            k, v = line.split(" = ", 1)
-            kv.setdefault(k, v)
-    return kv
 
 
 @pytest.fixture(scope="module")

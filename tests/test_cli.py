@@ -18,17 +18,9 @@ from cavelast.cli import (CompareReport, ScenarioConfig, build_mesh, build_phi,
                           compare_runs, main, render_deformed_svg, render_reference_svg,
                           resolve_scenario, run_scenario)
 from cavelast.exceptions import ConfigurationError
+from conftest import read_summary
 
 GOLDEN = Path(cv.__file__).parent / "golden" / "v1"
-
-
-def read_summary(run_dir) -> dict:
-    kv = {}
-    for line in (Path(run_dir) / "summary.txt").read_text().splitlines():
-        if " = " in line:
-            k, v = line.split(" = ", 1)
-            kv.setdefault(k, v)
-    return kv
 
 
 @pytest.fixture(scope="module")
@@ -67,18 +59,31 @@ class TestConfig:
         assert cfg.punctures == (((0.0, 0.0), 0.2),)
         assert cfg.phi_kind == "isotropic"
         assert cfg.lam == 1.5
-        assert cfg.emit == ("svg", "csv")
+        assert cfg.emit == ("svg",)
         assert cfg.name == "radial_iso_lambda1.5"
         for name in ("radial_iso_lambda1.5", "radial_ell_lambda1.5", "eval_identity"):
             # every trial step of a bundled run goes through the gate
             assert ScenarioConfig.from_ini(resolve_scenario(name)).inv_every == 1
 
-    def test_inv_delta_is_gone(self, tmp_path):
-        # run directories written before the exact gate carry this key
+    @pytest.mark.parametrize("text,flags,named", [
+        # run directories written before the exact gate carry inv_delta
+        ("[solver]\ninv_every = 10\ninv_delta = 0.02\n", [],
+         "unknown key 'inv_delta' in section [solver]"),
+        # the boundary tag, the battery bound and the det floor are constants,
+        # and csv was an emitter that selected nothing
+        ("[boundary]\ntag = dirichlet\n", [], "unknown key 'tag' in section [boundary]"),
+        ("[solver]\nresidual_rel = 1e9\n", [], "unknown key 'residual_rel' in section [solver]"),
+        ("[solver]\ndet_floor = 1e-8\n", [], "unknown key 'det_floor' in section [solver]"),
+        ("[run]\nemit = svg,csv\n", [], "[run] emit entry 'csv' not in"),
+        ("", ["--emit", "csv"], "--emit entry 'csv' not in"),
+    ], ids=["inv_delta", "tag", "residual_rel", "det_floor", "emit_csv", "emit_flag_csv"])
+    def test_removed_setting_is_refused(self, tmp_path, capsys, text, flags, named):
         p = tmp_path / "old.ini"
-        p.write_text("[solver]\ninv_every = 10\ninv_delta = 0.02\n")
-        with pytest.raises(ConfigurationError, match=r"inv_delta.*\[solver\]"):
-            ScenarioConfig.from_ini(p)
+        p.write_text(text)
+        out = tmp_path / "out"
+        assert main(["run", str(p), "--out", str(out), *flags]) == 2
+        assert f"configuration error: {named}" in capsys.readouterr().err
+        assert not out.exists()
 
     ROUNDTRIP_EXTRA = {
         # side instead of radius, and out, are written only when they apply
@@ -388,6 +393,20 @@ class TestCompare:
         assert main(["compare", str(iso_run[1]), str(bad)]) == 2
         assert "positions.csv" in capsys.readouterr().err
 
+    def test_run_with_removed_keys_exits_2(self, iso_run, tmp_path, capsys):
+        # the config.ini of a run directory written while [boundary] tag,
+        # [solver] residual_rel and det_floor and the csv emitter existed
+        def old(text):
+            for line, more in ((b"lam = 1.5\n", b"tag = dirichlet\n"),
+                               (b"tol_E = 1e-10\n", b"residual_rel = 0.001\ndet_floor = 1e-08\n")):
+                assert text.count(line) == 1
+                text = text.replace(line, line + more)
+            return text.replace(b"emit = svg\n", b"emit = svg,csv\n")
+
+        bad = self._corrupt_copy(iso_run[1], tmp_path, "config.ini", old)
+        assert main(["compare", str(bad), str(iso_run[1])]) == 2
+        assert "compare error: unknown key 'tag' in section [boundary]" in capsys.readouterr().err
+
 
 def _python(*args):
     """Run a fresh interpreter that imports this checkout of cavelast."""
@@ -418,13 +437,13 @@ class TestMain:
         # and it does not, and keeps files cavelast does not write
         d, fresh = tmp_path / "d", tmp_path / "fresh"
         assert main(["eval", "eval_identity", "--out", str(d),
-                     "--emit", "svg,csv,raster,inverse"]) == 0
+                     "--emit", "svg,raster,inverse"]) == 0
         optional = {"reference.svg", "deformed.svg", "raster.pgm", "inverse.csv",
                     "jumps.csv"}
         assert optional <= {p.name for p in d.iterdir()}
         (d / "notes.txt").write_text("not an artifact\n")
-        assert main(["eval", "eval_identity", "--out", str(d), "--emit", "csv"]) == 0
-        assert main(["eval", "eval_identity", "--out", str(fresh), "--emit", "csv"]) == 0
+        assert main(["eval", "eval_identity", "--out", str(d), "--emit", ""]) == 0
+        assert main(["eval", "eval_identity", "--out", str(fresh), "--emit", ""]) == 0
         names = {p.name for p in fresh.iterdir()}
         assert not names & optional
         assert {p.name for p in d.iterdir()} == names | {"notes.txt"}
@@ -434,7 +453,7 @@ class TestMain:
 
     def test_emit_flag_limits_artifacts(self, tmp_path):
         code = main(["eval", "eval_identity", "--out", str(tmp_path / "d"),
-                     "--emit", "csv"])
+                     "--emit", ""])
         assert code == 0
         names = {p.name for p in (tmp_path / "d").iterdir()}
         assert "reference.svg" not in names
@@ -456,7 +475,7 @@ class TestMain:
         assert read_summary(tmp_path / "out")["inv_check"] == "PASS"
 
     def test_infeasible_start_exit_2(self, tmp_path, capsys):
-        # lam = 1e-5 meshes, but its start has det 1e-10 <= det_floor: the
+        # lam = 1e-5 meshes, but its start has det 1e-10 <= 1e-8: the
         # solver refuses it before any step, and nothing is written
         p = tmp_path / "tiny.ini"
         p.write_text("[boundary]\nlam = 1e-5\n")
@@ -479,13 +498,13 @@ class TestMain:
         assert "fd_gap" in read_summary(tmp_path / "out")
 
     def test_det_floor_refuses_run_not_eval(self, tmp_path, capsys):
-        # det_floor bounds the solver's fields only: the same start that run
-        # refuses, eval evaluates
+        # the det floor bounds the solver's fields only: the same start that
+        # run refuses, eval evaluates
         p = tmp_path / "floor.ini"
-        p.write_text("[solver]\ndet_floor = 2.0\n")
+        p.write_text("[boundary]\nlam = 1e-5\n")
         assert main(["run", str(p), "--out", str(tmp_path / "run")]) == 2
         assert capsys.readouterr().err == ("infeasible input: starting field has min "
-                                           "determinant 1.000e+00 <= 2.0e+00\n")
+                                           "determinant 1.000e-10 <= 1.0e-08\n")
         assert not (tmp_path / "run").exists()
         assert main(["eval", str(p), "--out", str(tmp_path / "eval")]) == 0
         assert read_summary(tmp_path / "eval")["status"] == "evaluated"
@@ -601,9 +620,6 @@ class TestMain:
         ("run", "delta = -1", "[run] delta"),
         # a raster grid above the cell ceiling, refused before meshing
         ("run", "delta = 1e-9\nemit = raster", "[run] delta"),
-        # the tag is a word of the mesh file and must not merge two loops
-        ("boundary", "tag = a b", "[boundary] tag"),
-        ("domain", "shape = annulus\n[boundary]\ntag = free", "[boundary] tag"),
         ("surface", "kind = smoothed_l1\neps = 0", "[surface] eps"),
     ])
     def test_malformed_value_exit_2(self, tmp_path, capsys, section, text,
@@ -683,7 +699,7 @@ class TestComputeWrite:
     @pytest.mark.parametrize("scenario,mode", [("radial_iso_lambda1.5", "run"),
                                                ("eval_identity", "eval")])
     def test_write_of_compute_is_run_scenario(self, tmp_path, scenario, mode):
-        emit = ("svg", "csv", "raster", "inverse")
+        emit = ("svg", "raster", "inverse")
         code, ran = run_scenario(scenario, out_dir=tmp_path / "ran", mode=mode,
                                  emit=emit)
         assert code == 0
@@ -726,15 +742,15 @@ class TestComputeWrite:
         assert not (tmp_path / "out").exists()
 
     def test_tables_do_not_need_csv_emit(self, tmp_path):
-        # positions.csv and cavities.csv are written on every run; the csv
-        # emitter is accepted and adds nothing
-        for emit in ("svg", "csv"):
-            assert main(["run", "radial_iso_lambda1.5", "--out", str(tmp_path / emit),
+        # positions.csv and cavities.csv are written on every run, with no
+        # emitter selected too
+        for name, emit in (("svg", "svg"), ("none", "")):
+            assert main(["run", "radial_iso_lambda1.5", "--out", str(tmp_path / name),
                          "--emit", emit]) == 0
         for name in ("positions.csv", "cavities.csv"):
-            assert (tmp_path / "svg" / name).read_bytes() == (tmp_path / "csv" / name).read_bytes()
+            assert (tmp_path / "svg" / name).read_bytes() == (tmp_path / "none" / name).read_bytes()
         assert {p.name for p in (tmp_path / "svg").iterdir()} \
-            == {p.name for p in (tmp_path / "csv").iterdir()} | {"reference.svg", "deformed.svg"}
+            == {p.name for p in (tmp_path / "none").iterdir()} | {"reference.svg", "deformed.svg"}
 
 
 # shape: (bounding box low, high, inradius) at the default sizes

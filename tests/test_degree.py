@@ -523,7 +523,7 @@ class TestBoundaryCrossings:
     def test_self_crossing_boundary_rejected_by_both_checks(self):
         y = _limacon_annulus()
         assert cv.min_det(y) > 0.0
-        inner = y.positions[y.mesh.boundary_loops()["free"]]
+        inner = y.positions[y.mesh.boundary_loops()["inner"]]
         assert not degree.polygon_is_simple(inner)
         assert degree.boundary_crossings(y.mesh, y.positions) > 0
         assert not cv.check_inv(y).passed

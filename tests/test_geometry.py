@@ -46,7 +46,7 @@ class TestBuilders:
             "square": (cv.build_square_mesh, [((0.5, 0.5), 0.1), ((0.25, 0.7), 0.05)]),
         }[shape]
         # circle radius per outer tag; the square's one tag covers its four sides
-        rings = {"disk": {"dirichlet": 1.0}, "annulus": {"dirichlet": 1.0, "free": 0.4},
+        rings = {"disk": {"dirichlet": 1.0}, "annulus": {"dirichlet": 1.0, "inner": 0.4},
                  "square": {}}[shape]
         for n in range(len(punctures) + 1):
             mesh = build(h=h, punctures=punctures[:n])
