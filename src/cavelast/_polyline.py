@@ -1,4 +1,6 @@
-"""Small closed-polyline helpers shared by the degree, energy and inverse code."""
+"""Small helpers shared by the geometry, degree, energy and inverse code:
+closed-polyline arithmetic, and `ranges`, the expansion of ragged index
+ranges that the bucket, sweep and graph code share."""
 
 from __future__ import annotations
 
@@ -10,6 +12,14 @@ def succ(a):
     and the last row a[0]. The values of np.roll(a, -1, axis=0), from two
     slices at a fraction of its cost."""
     return np.concatenate((a[1:], a[:1]))
+
+
+def ranges(start, count):
+    """(index, owner): the concatenation of arange(start[k], start[k] +
+    count[k]) over k, and the k of each of its entries. start is a (k,)
+    array or one integer for every range; count is (k,) and nonnegative."""
+    owner = np.repeat(np.arange(len(count)), count)
+    return np.arange(len(owner)) + np.repeat(start - (np.cumsum(count) - count), count), owner
 
 
 def polygon_signed_area(pts) -> float:

@@ -19,7 +19,8 @@ import numpy as np
 
 from ._table import format_rows, read_table, write_table
 # check_inv is not called here; it stays bound because perfbench's tracer patches it
-from .degree import boundary_crossings, check_inv, covering_grid, topological_image  # noqa: F401
+from .degree import (_RASTER_MARGIN, boundary_crossings, check_inv,  # noqa: F401
+                     covering_grid, topological_image)
 from .energy import DiscreteEnergy, EnergyBreakdown, total_energy
 from .exceptions import (ArtifactError, CavelastError, ConfigurationError,
                          InfeasibleEnergyError)
@@ -245,17 +246,24 @@ def _check_emit(emit, source):
 def _check_grid(cfg, emit):
     """Refuse a raster or inverse grid above _MAX_GRID_CELLS, sized over the
     boundary data's image of the domain's bounding box with the raster's
-    4-cell margin; a gated run's or an eval's positions all lie in it."""
+    margin; a gated run's or an eval's positions all lie in it."""
     if "raster" not in emit and "inverse" not in emit:
         return
     lo, hi = (0.0, cfg.side) if cfg.shape == "square" else (-cfg.radius, cfg.radius)
     image = BoundaryData(kind=cfg.bc_kind, lam=cfg.lam).map_points([[lo, lo], [hi, hi]])
     with np.errstate(over="ignore", invalid="ignore"):  # a count past int64 wraps
-        _, shape = covering_grid(image, cfg.delta, 4)
+        _, shape = covering_grid(image, cfg.delta, _RASTER_MARGIN)
     if min(shape) < 1 or math.prod(shape) > _MAX_GRID_CELLS:
         raise ConfigurationError(
             f"[run] delta = {cfg.delta!r} needs a raster grid of more than "
             f"{_MAX_GRID_CELLS} cells")
+
+
+def _check_out(out, source):
+    """Refuse a run directory `out` that is a file or lies below one."""
+    existing = next(p for p in (out, *out.parents) if p.exists())
+    if not existing.is_dir():
+        raise ConfigurationError(f"{source} = {str(out)!r}: {existing} is not a directory")
 
 
 # (field name, section, INI key, metadata) of every INI-backed field
@@ -492,6 +500,8 @@ def run_scenario(config, out_dir=None, mode="run", emit=None):
         emit = cfg.emit if emit is None else tuple(emit)
         _check_emit(emit, "--emit")
         _check_grid(cfg, emit)
+        out = Path(out_dir) if out_dir else Path(cfg.out or f"runs/{cfg.name}")
+        _check_out(out, "--out" if out_dir else "[run] out")
     except ConfigurationError as err:
         print(f"configuration error: {err}", file=sys.stderr)
         return 2, None
@@ -500,7 +510,6 @@ def run_scenario(config, out_dir=None, mode="run", emit=None):
     except ConfigurationError as err:
         print(f"infeasible input: {err}", file=sys.stderr)
         return 2, None
-    out = Path(out_dir) if out_dir else Path(cfg.out or f"runs/{cfg.name}")
     write(record, out, emit)
     if mode == "run" and record.log.status != "converged":
         print(f"solver did not converge: status {record.log.status}", file=sys.stderr)
@@ -629,6 +638,3 @@ def main(argv=None) -> int:
         print(f"artifacts in {out}")
     return code
 
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._polyline import ensure_ccw, points_to_polyline_distance, polygon_signed_area, succ
+from ._polyline import ensure_ccw, points_to_polyline_distance, polygon_signed_area, ranges, succ
 from ._table import read_table, write_table
 from .exceptions import DomainError, GeometryError
 from .geometry import _CHUNK, DeformationField, trace_on_circle
@@ -96,9 +96,8 @@ def _span_pairs(heights, ay, by):
     """(edge, k) for every edge and every index k of the ascending
     `heights` inside the edge's half-open span [min(ay, by), max(ay, by))."""
     lo = np.searchsorted(heights, np.minimum(ay, by), "left")
-    n = np.searchsorted(heights, np.maximum(ay, by), "left") - lo
-    edge = np.repeat(np.arange(len(n)), n)
-    return edge, np.arange(len(edge)) - np.repeat(np.cumsum(n) - n - lo, n)
+    k, edge = ranges(lo, np.searchsorted(heights, np.maximum(ay, by), "left") - lo)
+    return edge, k
 
 
 def winding_points(loop, pts):
@@ -193,11 +192,9 @@ def segment_crossings(p, q, u, v) -> int:
     v = np.asarray(v)
     lo, hi = np.minimum(p, q), np.maximum(p, q)
     order = np.argsort(lo[:, 1], kind="stable")
-    stop = np.searchsorted(lo[order, 1], hi[order, 1], "right")
-    n = stop - np.arange(len(order)) - 1
-    i = np.repeat(np.arange(len(n)), n)
-    j = order[np.arange(len(i)) + i + 1 - np.repeat(np.cumsum(n) - n, n)]
-    i = order[i]
+    first = np.arange(1, len(order) + 1)
+    j, i = ranges(first, np.searchsorted(lo[order, 1], hi[order, 1], "right") - first)
+    i, j = order[i], order[j]
     keep = np.maximum(lo[i, 0], lo[j, 0]) <= np.minimum(hi[i, 0], hi[j, 0])
     i, j = i[keep], j[keep]
     ui, vi, uj, vj = u[i], v[i], u[j], v[j]
@@ -325,22 +322,23 @@ def load_pgm(path) -> DegreeRaster:
 
 def _subdomain_loops(y: DeformationField, subdomain):
     """Image loops (with degree orientation signs) of a subdomain boundary;
-    a circle is traced at 256 points."""
+    a circle is traced at 256 points. The whole domain's are its held
+    loops at +1, then its puncture loops at -1."""
     if isinstance(subdomain, tuple) and subdomain and subdomain[0] == "circle":
         _, center, r = subdomain
         return [(trace_on_circle(y, center, r, 256), +1)]
-    if subdomain == ("omega",) or subdomain == "omega":
-        loops = []
-        for tag, ids in y.mesh.boundary_loops().items():
-            sign = -1 if tag.startswith("puncture_") else +1
-            loops.append((y.positions[ids], sign))
-        return loops
+    if subdomain == "omega":
+        return [(y.positions[ids], +1) for ids in y.mesh.held_loops()] \
+            + [(y.positions[ids], -1) for ids in y.mesh.puncture_loops()]
     raise ValueError("subdomain must be ('circle', center, r) or 'omega'")
+
+
+_RASTER_MARGIN = 4  # cells a degree raster's grid spares beyond the image loops
 
 
 def topological_image(y: DeformationField, subdomain, delta) -> DegreeRaster:
     """Raster of the degree of y|U at the cell centers of a uniform grid
-    that extends 4 cells beyond the image loops.
+    that extends `_RASTER_MARGIN` cells beyond the image loops.
 
     U is either a circle inside the meshed domain, traced at 256 points, or
     the whole domain; holes (punctures) enter with negative orientation, so
@@ -350,7 +348,7 @@ def topological_image(y: DeformationField, subdomain, delta) -> DegreeRaster:
     a loop get the side its ray test says.
     """
     loops = _subdomain_loops(y, subdomain)
-    origin, shape = covering_grid(np.vstack([lp for lp, _ in loops]), delta, 4)
+    origin, shape = covering_grid(np.vstack([lp for lp, _ in loops]), delta, _RASTER_MARGIN)
     img = DegreeRaster(origin=origin, delta=delta, values=np.zeros(shape, dtype=np.int64))
     img.values = winding_grid(img, loops)
     return img
@@ -453,9 +451,8 @@ def marching_squares(mask, origin, delta):
     iys, ixs = np.nonzero((case != 0) & (case != 15))
     # segments in cell order, a saddle cell's two in table order
     sides = _MS_TABLE[case[iys, ixs]]
-    n = 1 + (sides[:, 1, 0] >= 0)
-    cell = np.repeat(np.arange(len(iys)), n)
-    sides = sides[cell, np.arange(len(cell)) - np.repeat(np.cumsum(n) - n, n)]
+    j, cell = ranges(0, 1 + (sides[:, 1, 0] >= 0))
+    sides = sides[cell, j]
     iy, ix = iys[cell, None], ixs[cell, None]
     off = _MS_SIDES[sides]  # (segment, endpoint, 5)
     base = np.asarray(origin, dtype=float) - delta  # padding shift
@@ -589,7 +586,7 @@ def _default_radii(mesh, a):
     pushed into a cavity can fail such a circle.
     """
     dists = [points_to_polyline_distance(a[None], mesh.vertices[ids])[0]
-             for tag, ids in mesh.boundary_loops().items() if not tag.startswith("puncture_")]
+             for ids in mesh.held_loops()]
     gaps = [(np.linalg.norm(c - a), r) for c, r in mesh.punctures]
     holding = [k for k, (d, r) in enumerate(gaps) if d < r]
     own = min(holding, key=lambda k: gaps[k][0]) if holding else None

@@ -14,7 +14,7 @@ from functools import cached_property
 
 import numpy as np
 
-from ._polyline import ensure_ccw, polygon_signed_area, succ
+from ._polyline import ensure_ccw, polygon_signed_area, ranges, succ
 from .degree import CavityRecord, polygon_is_simple
 from .exceptions import DomainError, InfeasibleEnergyError
 from .geometry import DeformationField
@@ -291,11 +291,9 @@ def _bfs_levels(start, indptr, indices, deg) -> list:
     levels = [np.array([start], dtype=np.int64)]
     while True:
         front = levels[-1]
-        cnt = deg[front]
         # the neighbours of the level, node by node in level order
-        at = np.repeat(indptr[front] - np.cumsum(cnt) + cnt, cnt) + np.arange(cnt.sum())
+        at, parent = ranges(indptr[front], deg[front])
         nb = indices[at]
-        parent = np.repeat(np.arange(len(front)), cnt)
         new = ~seen[nb]
         nb, parent = nb[new], parent[new]
         if not len(nb):

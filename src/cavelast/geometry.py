@@ -18,7 +18,7 @@ import numpy as np
 from scipy import sparse
 from scipy.spatial import Delaunay, cKDTree
 
-from ._polyline import polygon_signed_area, succ
+from ._polyline import polygon_signed_area, ranges, succ
 from ._table import format_rows, read_table
 from .exceptions import ArtifactError, GeometryError
 from .material import _det2
@@ -150,6 +150,11 @@ class Mesh:
         out.flags.writeable = False
         return out
 
+    def held_loops(self) -> list:
+        """The loops that are not `puncture_<k>` loops, in `boundary_loops`
+        order: those `minimize` holds fixed."""
+        return [ids for tag, ids in self._loops.items() if not tag.startswith("puncture_")]
+
     def puncture_loops(self) -> list:
         """Loops for `puncture_<k>` tags, ordered to match self.punctures."""
         loops = self.boundary_loops()
@@ -262,9 +267,7 @@ class TriangleLocator:
         # CSR buckets: every (cell, triangle) pair of the triangles' bounding
         # boxes, grouped by cell; the stable sort keeps triangles ascending
         span = hi - lo + 1
-        counts = span[:, 0] * span[:, 1]
-        tri = np.repeat(np.arange(len(triangles)), counts)
-        k = np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts)
+        k, tri = ranges(0, span[:, 0] * span[:, 1])
         ny = span[tri, 1]
         cell = (lo[tri, 0] + k // ny) * self._dims[1] + lo[tri, 1] + k % ny
         order = np.argsort(cell, kind="stable")
@@ -292,11 +295,10 @@ class TriangleLocator:
             k = np.nonzero(inside)[0]
             c = cells[k, 0] * self._dims[1] + cells[k, 1]
             start = self._bstart[c]
-            n = self._bstart[c + 1] - start
             # one (point, triangle) pair per bucket entry, points in order
-            pp = np.repeat(k, n)
-            tt = self._btri[np.arange(n.sum()) + np.repeat(start - (np.cumsum(n) - n), n)]
-            hit, t, b = self._first_hits(pp, p[pp], tt)
+            at, owner = ranges(start, self._bstart[c + 1] - start)
+            pp = k[owner]
+            hit, t, b = self._first_hits(pp, p[pp], self._btri[at])
             tri[lo + hit] = t
             bary[lo + hit] = b
         return tri, bary
@@ -355,9 +357,8 @@ class TriangleLocator:
             t_hi = max(t_lo + 1, int(np.searchsorted(ends, ends[t_lo] - box[t_lo] + _CHUNK,
                                                      "right")))
             # (triangle, row) pairs in triangle order
-            nr = n_rows[t_lo:t_hi]
-            pt = np.repeat(np.arange(t_lo, t_hi), nr)
-            iy = np.arange(len(pt)) + np.repeat(rows[0][t_lo:t_hi] - (np.cumsum(nr) - nr), nr)
+            iy, pt = ranges(rows[0][t_lo:t_hi], n_rows[t_lo:t_hi])
+            pt += t_lo
             # lam_i >= -tau  <=>  a_i (x - v0x) >= q_i, with a_i = 0 on a horizontal edge
             a = gx[:, pt]
             q = -tau[pt] - gy[:, pt] * (ys[iy] - vy[0, pt]) - e0
@@ -368,9 +369,7 @@ class TriangleLocator:
             c0 = np.maximum(np.searchsorted(xs, vx[0, pt] + x0 - pad, "left"), cols[0][pt])
             c1 = np.minimum(np.searchsorted(xs, vx[0, pt] + x1 + pad, "right"), cols[1][pt])
             # one (cell, triangle) candidate per column of each pair's interval
-            n = np.maximum(c1 - c0, 0)
-            k = np.repeat(np.arange(len(n)), n)
-            ix = np.arange(len(k)) + np.repeat(c0 - (np.cumsum(n) - n), n)
+            ix, k = ranges(c0, np.maximum(c1 - c0, 0))
             p = np.stack([xs[ix], ys[iy[k]]], axis=-1)
             hit, t, b = self._first_hits(iy[k] * nx + ix, p, pt[k])
             # a cell hit in an earlier chunk already holds a lower triangle
@@ -439,8 +438,14 @@ class DeformationField:
         return _det2(self.element_gradients())
 
     def evaluate(self, points):
-        """Deformed positions of reference points (affine interpolation)."""
-        return self.interpolate(*locate_reference_points(self.mesh, points))
+        """Deformed positions of reference points (affine interpolation);
+        GeometryError if one is outside the mesh."""
+        tri, bary = self.mesh.locator.locate(points)
+        if np.any(tri < 0):
+            p = np.atleast_2d(points)[np.argmax(tri < 0)]  # the first one outside
+            raise GeometryError(f"reference point ({p[0]:.6g}, {p[1]:.6g}) is outside "
+                                "the meshed domain")
+        return self.interpolate(tri, bary)
 
     def interpolate(self, tri, bary):
         """Deformed positions of points given as (triangle, barycentric) pairs."""
@@ -477,16 +482,6 @@ def trace_on_circle(y: DeformationField, center, r, m: int = 128):
             f"circle (center=({center[0]:.6g}, {center[1]:.6g}), r={r:.6g}) leaves the meshed domain"
         )
     return y.interpolate(tri, bary)
-
-
-def locate_reference_points(mesh: Mesh, points):
-    """(tri, bary) of reference points; GeometryError if one is outside the mesh."""
-    tri, bary = mesh.locator.locate(points)
-    if np.any(tri < 0):
-        k = int(np.nonzero(tri < 0)[0][0])
-        p = np.atleast_2d(points)[k]
-        raise GeometryError(f"reference point ({p[0]:.6g}, {p[1]:.6g}) is outside the meshed domain")
-    return tri, bary
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,7 @@ from ._table import write_table
 # check_inv and total_energy are not called here; they stay bound because
 # perfbench's tracer patches them
 from .degree import boundary_crossings, check_inv  # noqa: F401
-from .energy import (_ROT, DiscreteEnergy, EnergyState, _bump,  # noqa: F401
+from .energy import (DiscreteEnergy, EnergyState, _bump, _edge_normals,  # noqa: F401
                      _require_positive, detect_cavities, phi_perimeter_gradient,
                      total_energy)
 from .exceptions import DomainError, InfeasibleEnergyError
@@ -151,10 +151,9 @@ def field_vanishes_on(psi, points) -> bool:
 
 
 def _constrained_vertices(mesh) -> np.ndarray:
-    """Sorted ids of every vertex on a boundary edge that is not a puncture
-    edge: the vertices `minimize` holds fixed."""
-    return np.unique(np.concatenate([ids for t, ids in mesh.boundary_loops().items()
-                                     if not t.startswith("puncture_")]))
+    """Sorted ids of every vertex on a held loop (`Mesh.held_loops`): the
+    vertices `minimize` holds fixed."""
+    return np.unique(np.concatenate(mesh.held_loops()))
 
 
 def gamma_images(y: DeformationField) -> np.ndarray:
@@ -210,10 +209,15 @@ def anisotropic_tangential_divergence(psi, nu, point, phi: SurfaceDensity) -> fl
     nu = np.asarray(nu, dtype=float)
     if abs(np.linalg.norm(nu) - 1.0) > 1e-9:
         raise ValueError("nu must be a unit vector")
-    J = psi.jacobian(np.asarray(point, dtype=float)[None])[0]
-    val = float(phi.value(nu[None])[0])
-    grad = phi.gradient(nu[None])[0]
-    return float(J[0, 0] + J[1, 1] - grad @ (J.T @ nu) / val)
+    J = psi.jacobian(np.asarray(point, dtype=float)[None])
+    return float(_tangential_divergence(J, nu[None], phi)[0])
+
+
+def _tangential_divergence(J, nu, phi: SurfaceDensity) -> np.ndarray:
+    """(k,) div_phi psi of `anisotropic_tangential_divergence` from the
+    (k, 2, 2) Jacobians J of psi and the (k, 2) unit normals nu."""
+    grad_jt_nu = np.einsum("ja,jba,jb->j", phi.gradient(nu), J, nu)
+    return J[:, 0, 0] + J[:, 1, 1] - grad_jt_nu / phi.value(nu)
 
 
 def surface_first_variation(y: DeformationField, psi, phi: SurfaceDensity,
@@ -232,19 +236,11 @@ def surface_first_variation(y: DeformationField, psi, phi: SurfaceDensity,
         if mode == "vertex":
             total += float(np.sum(phi_perimeter_gradient(p, phi) * psi.value(p)))
         elif mode == "midpoint":
-            e = succ(p) - p
-            keep = (e[:, 0] != 0.0) | (e[:, 1] != 0.0)
-            z = e[keep] @ _ROT.T
-            mids = 0.5 * (p + succ(p))[keep]
-            L = np.hypot(e[keep, 0], e[keep, 1])
+            z, keep = _edge_normals(p)
+            L = np.hypot(z[:, 0], z[:, 1])
             nu = z / L[:, None]
-            J = psi.jacobian(mids)
-            div = J[:, 0, 0] + J[:, 1, 1]
-            val = phi.value(nu)
-            grad = phi.gradient(nu)
-            jt_nu = np.einsum("jba,jb->ja", J, nu)
-            total += float(np.sum(L * val * div)
-                           - np.sum(L * np.einsum("ja,ja->j", grad, jt_nu)))
+            J = psi.jacobian(0.5 * (p + succ(p))[keep])
+            total += float(np.sum(L * phi.value(nu) * _tangential_divergence(J, nu, phi)))
         else:
             raise ValueError(f"unknown mode {mode!r}; use 'vertex' or 'midpoint'")
     return total

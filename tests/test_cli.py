@@ -495,19 +495,26 @@ class TestMain:
         p.write_text("[boundary]\nlam = 1e-5\n")
         assert main(["eval", str(p), "--out", str(tmp_path / "out")]) == 0
         assert "Traceback" not in capsys.readouterr().err
-        assert "fd_gap" in read_summary(tmp_path / "out")
+        summary = read_summary(tmp_path / "out")
+        assert "fd_gap" in summary
+        # the det floor bounds the solver's fields only
+        assert summary["status"] == "evaluated"
 
-    def test_det_floor_refuses_run_not_eval(self, tmp_path, capsys):
-        # the det floor bounds the solver's fields only: the same start that
-        # run refuses, eval evaluates
-        p = tmp_path / "floor.ini"
-        p.write_text("[boundary]\nlam = 1e-5\n")
-        assert main(["run", str(p), "--out", str(tmp_path / "run")]) == 2
-        assert capsys.readouterr().err == ("infeasible input: starting field has min "
-                                           "determinant 1.000e-10 <= 1.0e-08\n")
-        assert not (tmp_path / "run").exists()
-        assert main(["eval", str(p), "--out", str(tmp_path / "eval")]) == 0
-        assert read_summary(tmp_path / "eval")["status"] == "evaluated"
+    @pytest.mark.parametrize("source, out", [("--out", "afile"), ("--out", "afile/sub"),
+                                             ("[run] out", "afile/sub")])
+    def test_out_below_a_file_exit_2(self, tmp_path, capsys, monkeypatch, source, out):
+        # refused before anything is computed, naming the flag or key
+        monkeypatch.chdir(tmp_path)
+        Path("afile").write_text("kept\n")
+        Path("c.ini").write_text(f"[run]\nout = {out}\n" if source == "[run] out" else "")
+        monkeypatch.setattr(cli, "compute", None)
+        assert main(["run", "c.ini"] + (["--out", out] if source == "--out" else [])) == 2
+        captured = capsys.readouterr()
+        assert captured.err == (f"configuration error: {source} = {out!r}: "
+                                "afile is not a directory\n")
+        assert "artifacts in" not in captured.out
+        assert sorted(os.listdir(tmp_path)) == ["afile", "c.ini"]
+        assert Path("afile").read_text() == "kept\n"
 
     def test_unknown_scenario_exit_2(self, capsys):
         assert main(["run", "definitely_not_there"]) == 2

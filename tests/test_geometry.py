@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import cavelast as cv
+from cavelast._polyline import ranges
 from cavelast.exceptions import GeometryError
 
 
@@ -70,6 +71,16 @@ class TestBuilders:
             assert len(ids) >= 3
             assert len(set(ids)) == len(ids)
 
+    def test_held_loops(self, disk_mesh):
+        # every loop but the punctures', in boundary_loops order
+        annulus = cv.build_annulus_mesh(1.0, 0.4, 0.15, punctures=[((0.7, 0.0), 0.05)])
+        for mesh, held in ((disk_mesh, {"dirichlet"}), (annulus, {"dirichlet", "inner"})):
+            loops = mesh.boundary_loops()
+            want = [ids for tag, ids in loops.items() if tag in held]
+            got = mesh.held_loops()
+            assert len(got) == len(held) < len(loops)
+            assert all(a is b for a, b in zip(got, want))
+
     def test_flipped_triangle_reoriented(self):
         verts = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
         m = cv.Mesh(verts, np.array([[0, 2, 1]]), [])
@@ -79,6 +90,22 @@ class TestBuilders:
         verts = np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]])
         with pytest.raises(GeometryError):
             cv.Mesh(verts, np.array([[0, 1, 2]]), [])
+
+
+class TestRanges:
+    def test_matches_a_loop(self):
+        rng = np.random.default_rng(4)
+        for k in (0, 1, 7, 50):  # k = 0: empty input
+            count = rng.integers(0, 4, k)
+            start = rng.integers(-5, 20, k)
+            index, owner = ranges(start, count)
+            want = [(s + i, o) for o, (s, c) in enumerate(zip(start, count)) for i in range(c)]
+            assert index.tolist() == [i for i, _ in want]
+            assert owner.tolist() == [o for _, o in want]
+            scalar, owner0 = ranges(0, count)  # one start for every range
+            assert np.array_equal(scalar, ranges(np.zeros(k, dtype=np.int64), count)[0])
+            assert np.array_equal(owner0, owner)
+        assert (count == 0).any() and (count > 1).any()
 
 
 class TestKinematics:
@@ -137,6 +164,10 @@ class TestLocatorAndTrace:
         tri, _ = disk_mesh.locator.locate(np.array([[2.0, 0.0], [0.0, 0.0]]))
         assert tri[0] == -1
         assert tri[1] == -1  # inside the puncture hole
+        # evaluate names the first point outside, here the one in the puncture
+        with pytest.raises(GeometryError, match=r"^reference point \(0, 0\) is outside "
+                                                r"the meshed domain$"):
+            cv.DeformationField(disk_mesh).evaluate([[0.5, 0.0], [0.0, 0.0], [2.0, 0.0]])
 
     def test_locate_matches_brute_force(self, disk_mesh):
         # more than one 16384-point chunk; hits in the puncture hole and
