@@ -3,8 +3,9 @@
 Three checks on one cavitated configuration:
   1. assembled elastic + surface variation against a finite difference of
      t -> E(h_t o y) for a random outer field,
-  2. the dilation identity d/dt Per((1+t)E) = Per(E), which pins the sign
-     inside the anisotropic tangential divergence,
+  2. the dilation identity d/dt Per((1+t)E) = Per(E) on a quadrilateral,
+     through the edge-midpoint quadrature of phi(nu) div_phi psi, which
+     pins the sign inside the anisotropic tangential divergence,
   3. a battery of ring and global bump fields, whose worst normalized
      residual is the solver's own convergence certificate.
 """
@@ -28,9 +29,7 @@ print(rep.as_text())
 
 poly = np.array([[1.0, 0.2], [-0.3, 0.9], [-1.1, -0.4], [0.2, -1.0]])
 per = cv.anisotropic_perimeter(poly, phi)
-dil = cv.surface_first_variation(
-    y, cv.DilationField(), phi,
-    cavities=[type("C", (), {"boundary": poly})()])
+dil = cv.surface_first_variation([poly], cv.DilationField(), phi)
 print(f"\ndilation identity: d/dt Per = {dil:.12f}, Per = {per:.12f}")
 
 res = cv.battery_residual(y, density, phi, seed=0)

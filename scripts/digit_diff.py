@@ -16,12 +16,14 @@ number on that line (for a table, its column), and r = |b - a| / max(|a|, |b|)
 such file (the count of moved numbers, the rows they sit in, the largest
 relative change), the files that differ otherwise (binary, or changed text
 between the numbers), the files in one tree only, and the count of
-identical files. Exits 0 when the trees are identical, 1 when they are not.
+identical files. Exits 0 when the trees are identical, 1 when they are not;
+a reader that closes the pipe early ends it by SIGPIPE, without a traceback.
 """
 
 import argparse
 import math
 import re
+import signal
 import sys
 from pathlib import Path
 
@@ -109,4 +111,7 @@ def main(argv=None):
 
 
 if __name__ == "__main__":
+    # a reader that closes the pipe early (`| head`) ends the script quietly,
+    # by SIGPIPE, as it ends the shell's own tools
+    signal.signal(signal.SIGPIPE, signal.SIG_DFL)
     sys.exit(main())

@@ -25,7 +25,7 @@ from .energy import (DiscreteEnergy, EnergyBreakdown, EnergyState, SeparableTest
 from .inverse import (InverseField, JumpContour, area_formula_check,
                       build_inverse_field, default_marker, extract_jump_set,
                       inverse_gradient, invert_point, jump_set_to_csv)
-from .variation import (BumpField, DilationField, HatField, IterationLog,
+from .variation import (BumpField, DilationField, IterationLog,
                         VariationReport, anisotropic_tangential_divergence,
                         battery_residual, certification_battery,
                         elastic_first_variation, field_vanishes_on,
@@ -57,7 +57,7 @@ __all__ = [
     "InverseField", "JumpContour", "area_formula_check",
     "build_inverse_field", "default_marker", "extract_jump_set",
     "inverse_gradient", "invert_point", "jump_set_to_csv",
-    "BumpField", "DilationField", "HatField", "IterationLog",
+    "BumpField", "DilationField", "IterationLog",
     "VariationReport", "anisotropic_tangential_divergence",
     "battery_residual", "certification_battery", "elastic_first_variation",
     "field_vanishes_on", "first_variation_residual", "gamma_images",

@@ -213,18 +213,7 @@ class ScenarioConfig:
                     raise ConfigurationError(
                         f"[domain] punctures {k} and {j} meet: "
                         f"centre distance {d:g} <= {rk:g} + {rj:g}")
-        if self.phi_kind not in ("isotropic", "elliptic", "smoothed_l1"):
-            raise ConfigurationError("[surface] kind must be isotropic, "
-                                     "elliptic or smoothed_l1")
-        if self.phi_kind == "elliptic":
-            if self.phi_A is None:
-                raise ConfigurationError("[surface] elliptic kind needs the matrix A")
-            # the tests SurfaceDensity makes, here before any meshing
-            A = np.asarray(self.phi_A, dtype=float)
-            if not np.allclose(A, A.T):
-                raise ConfigurationError("[surface] A must be symmetric")
-            if np.linalg.eigvalsh(A)[0] <= 0.0:
-                raise ConfigurationError("[surface] A must be positive definite")
+        build_phi(self)  # the surface density's own checks, before any meshing
         if self.bc_kind not in ("radial_stretch", "affine_stretch"):
             raise ConfigurationError("[boundary] kind must be radial_stretch "
                                      "or affine_stretch")
@@ -289,11 +278,7 @@ def build_density(cfg: ScenarioConfig) -> BulkDensity:
 
 def build_phi(cfg: ScenarioConfig) -> SurfaceDensity:
     try:
-        if cfg.phi_kind == "elliptic":
-            return SurfaceDensity("elliptic", A=np.asarray(cfg.phi_A, dtype=float))
-        if cfg.phi_kind == "smoothed_l1":
-            return SurfaceDensity("smoothed_l1", eps=cfg.phi_eps)
-        return SurfaceDensity("isotropic")
+        return SurfaceDensity(cfg.phi_kind, A=cfg.phi_A, eps=cfg.phi_eps)
     except ValueError as err:
         raise ConfigurationError(f"[surface] {err}") from err
 

@@ -91,9 +91,9 @@ class DiscreteEnergy:
     plus the phi-perimeter of every deformed puncture loop, with exact nodal
     gradients and a banded Hessian over the dofs of the vertices the mask
     `free` keeps (all when None), each read from the `EnergyState` of one
-    field, `state(pos)`. phi may be None for the bulk part alone."""
+    field, `state(pos)`."""
 
-    def __init__(self, mesh, density: BulkDensity, phi: SurfaceDensity = None, free=None):
+    def __init__(self, mesh, density: BulkDensity, phi: SurfaceDensity, free=None):
         self.mesh, self.density, self.phi = mesh, density, phi
         self.free = np.ones(len(mesh.vertices), dtype=bool) if free is None \
             else np.asarray(free, dtype=bool)

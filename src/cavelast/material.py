@@ -239,16 +239,20 @@ class SurfaceDensity:
 
     def __post_init__(self):
         if self.kind not in _KINDS:
-            raise ValueError(f"unknown surface density kind {self.kind!r}; choose from {_KINDS}")
+            raise ValueError(f"kind must be one of {_KINDS}, not {self.kind!r}")
         if self.kind == "elliptic":
+            if self.A is None:
+                raise ValueError("elliptic kind needs the matrix A")
             A = np.asarray(self.A, dtype=float)
-            if A.shape != (2, 2) or not np.allclose(A, A.T):
-                raise ValueError("elliptic kind needs a symmetric 2x2 matrix A")
+            if A.shape != (2, 2):
+                raise ValueError("A must be a 2x2 matrix")
+            if not np.allclose(A, A.T):
+                raise ValueError("A must be symmetric")
             if np.linalg.eigvalsh(A)[0] <= 0.0:
-                raise ValueError("elliptic kind needs a positive definite A")
+                raise ValueError("A must be positive definite")
             object.__setattr__(self, "A", A)
         if self.kind == "smoothed_l1" and self.eps <= 0.0:
-            raise ValueError("smoothed_l1 kind needs eps > 0")
+            raise ValueError("eps must be positive")
 
     def value(self, z):
         z = np.asarray(z, dtype=float)

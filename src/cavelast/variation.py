@@ -2,10 +2,12 @@
 finite-difference cross-check, and a damped projected-Newton minimizer
 whose line search preserves admissibility.
 
-Unless a mode says otherwise, variations differentiate the discrete energy
-exactly (its nodal gradient dotted with psi at the nodes), so the
-finite-difference oracle agrees to round-off; the continuum quadrature forms
-remain available as modes "centroid" (elastic) and "midpoint" (surface).
+The battery and `first_variation_residual` differentiate the discrete
+energy exactly (the nodal gradient of `EnergyState.grad` dotted with psi at
+the nodes), so the finite-difference oracle agrees to round-off. The
+continuum quadratures `elastic_first_variation` (element centroids) and
+`surface_first_variation` (edge midpoints) stay independent of it, as
+oracles.
 """
 
 import logging
@@ -21,15 +23,13 @@ from ._table import write_table
 # perfbench's tracer patches them
 from .degree import boundary_crossings, check_inv  # noqa: F401
 from .energy import (DiscreteEnergy, EnergyState, _bump, _edge_normals,  # noqa: F401
-                     _require_positive, detect_cavities, phi_perimeter_gradient,
-                     total_energy)
+                     _require_positive, total_energy)
 from .exceptions import DomainError, InfeasibleEnergyError
-from .geometry import DeformationField, hat_gradients
+from .geometry import DeformationField
 from .material import BulkDensity, SurfaceDensity
 
 __all__ = [
-    "BumpField", "HatField", "DilationField", "ConstantField",
-    "field_vanishes_on", "gamma_images", "outer_compose",
+    "BumpField", "DilationField", "field_vanishes_on", "gamma_images", "outer_compose",
     "elastic_first_variation", "anisotropic_tangential_divergence",
     "surface_first_variation", "VariationReport", "first_variation_residual",
     "certification_battery", "battery_residual", "IterationLog",
@@ -72,43 +72,6 @@ class BumpField:
         return self.amplitude * 8.0 / (3.0 * np.sqrt(3.0) * self.width)
 
 
-class HatField:
-    """P1 hat basis of the deformed triangulation at one node, times a
-    direction; support is the node's deformed star."""
-
-    def __init__(self, y: DeformationField, node: int, direction):
-        d = np.asarray(direction, dtype=float)
-        n = np.linalg.norm(d)
-        if n == 0.0:
-            raise ValueError("need a nonzero direction")
-        self.direction = d / n
-        self.node = int(node)
-        self._loc = y.deformed_locator()
-        tris = y.mesh.triangles
-        hit = tris == self.node
-        # the node's corner per triangle, -1 off its star, and the hat
-        # gradient there (zero off the star); the last row is the sentinel
-        # that locate's tri = -1 picks
-        slot = np.where(hit.any(axis=1), hit.argmax(axis=1), -1)
-        grad = hat_gradients(y.positions, tris)[np.arange(len(tris)), slot]
-        grad[slot < 0] = 0.0
-        self._slot = np.append(slot, -1)
-        self._grad = np.vstack([grad, np.zeros((1, 2))])
-
-    def value(self, xi):
-        tri, bary = self._loc.locate(np.atleast_2d(xi))
-        slot = self._slot[tri]
-        lam = np.where(slot >= 0, bary[np.arange(len(tri)), slot], 0.0)
-        return lam[:, None] * self.direction
-
-    def jacobian(self, xi):
-        tri, _ = self._loc.locate(np.atleast_2d(xi))
-        return self.direction[None, :, None] * self._grad[tri][:, None, :]
-
-    def grad_bound(self):
-        return float(np.linalg.norm(self._grad, axis=1).max())
-
-
 class DilationField:
     """psi(xi) = xi - center: the unit-Jacobian field of perimeter dilation."""
 
@@ -124,22 +87,6 @@ class DilationField:
 
     def grad_bound(self):
         return 1.0
-
-
-class ConstantField:
-    """psi(xi) = v everywhere; rigid translation of the deformed state."""
-
-    def __init__(self, v):
-        self.v = np.asarray(v, dtype=float)
-
-    def value(self, xi):
-        return np.broadcast_to(self.v, (len(np.atleast_2d(xi)), 2)).copy()
-
-    def jacobian(self, xi):
-        return np.zeros((len(np.atleast_2d(xi)), 2, 2))
-
-    def grad_bound(self):
-        return 0.0
 
 
 def field_vanishes_on(psi, points) -> bool:
@@ -177,26 +124,17 @@ def outer_compose(y: DeformationField, psi, t: float) -> DeformationField:
     return y.with_positions(y.positions + t * psi.value(y.positions))
 
 
-def elastic_first_variation(y: DeformationField, psi, density: BulkDensity,
-                            mode: str = "interp") -> float:
-    """d/dt of the bulk term under h_t = id + t*psi at t = 0.
-
-    mode "interp" differentiates the discrete bulk term exactly (psi enters
-    through its nodal values); "centroid" evaluates the continuum integrand
-    DW(Dy) Dy^T : Dpsi at element-centroid images instead.
-    """
+def elastic_first_variation(y: DeformationField, psi, density: BulkDensity) -> float:
+    """d/dt of the bulk term under h_t = id + t*psi at t = 0, by the
+    continuum integrand DW(Dy) Dy^T : Dpsi at the element-centroid images
+    (exact where Dpsi is constant on each deformed triangle)."""
     mesh = y.mesh
-    if mode == "interp":
-        grad = DiscreteEnergy(mesh, density).state(y.positions).bulk_grad
-        return float(np.sum(grad * psi.value(y.positions)))
-    if mode == "centroid":
-        F = y.element_gradients()
-        _require_positive(y.element_dets())
-        cent = y.positions[mesh.triangles].mean(axis=1)
-        J = psi.jacobian(cent)
-        per = np.einsum("tac,tbc,tab->t", density.stress(F), F, J)
-        return float(np.sum(mesh.areas * per))
-    raise ValueError(f"unknown mode {mode!r}; use 'interp' or 'centroid'")
+    F = y.element_gradients()
+    _require_positive(y.element_dets())
+    cent = y.positions[mesh.triangles].mean(axis=1)
+    J = psi.jacobian(cent)
+    per = np.einsum("tac,tbc,tab->t", density.stress(F), F, J)
+    return float(np.sum(mesh.areas * per))
 
 
 def anisotropic_tangential_divergence(psi, nu, point, phi: SurfaceDensity) -> float:
@@ -220,29 +158,17 @@ def _tangential_divergence(J, nu, phi: SurfaceDensity) -> np.ndarray:
     return J[:, 0, 0] + J[:, 1, 1] - grad_jt_nu / phi.value(nu)
 
 
-def surface_first_variation(y: DeformationField, psi, phi: SurfaceDensity,
-                            cavities=None, mode: str = "vertex") -> float:
-    """d/dt of the cavity surface term under h_t = id + t*psi at t = 0.
-
-    mode "vertex" differentiates the edgewise perimeter sum exactly through
-    the polygon vertices; "midpoint" integrates phi(nu) div_phi psi per edge
-    with psi data at edge midpoints (exact for affine psi).
-    """
-    if cavities is None:
-        cavities = detect_cavities(y, phi)
+def surface_first_variation(boundaries, psi, phi: SurfaceDensity) -> float:
+    """d/dt of the phi-perimeter of the closed polygons `boundaries` under
+    h_t = id + t*psi at t = 0, by the quadrature of phi(nu) div_phi psi per
+    edge with psi data at the edge midpoints (exact for affine psi)."""
     total = 0.0
-    for rec in cavities:
-        p = rec.boundary
-        if mode == "vertex":
-            total += float(np.sum(phi_perimeter_gradient(p, phi) * psi.value(p)))
-        elif mode == "midpoint":
-            z, keep = _edge_normals(p)
-            L = np.hypot(z[:, 0], z[:, 1])
-            nu = z / L[:, None]
-            J = psi.jacobian(0.5 * (p + succ(p))[keep])
-            total += float(np.sum(L * phi.value(nu) * _tangential_divergence(J, nu, phi)))
-        else:
-            raise ValueError(f"unknown mode {mode!r}; use 'vertex' or 'midpoint'")
+    for p in boundaries:
+        z, keep = _edge_normals(p)
+        L = np.hypot(z[:, 0], z[:, 1])
+        nu = z / L[:, None]
+        J = psi.jacobian(0.5 * (p + succ(p))[keep])
+        total += float(np.sum(L * phi.value(nu) * _tangential_divergence(J, nu, phi)))
     return total
 
 

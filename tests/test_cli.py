@@ -195,6 +195,11 @@ class TestBuilders:
         with pytest.raises(ConfigurationError, match=r"\[surface\]"):
             build_phi(cfg)
 
+    def test_phi_unknown_kind_refused(self):
+        # build_phi must not fall back to an isotropic phi
+        with pytest.raises(ConfigurationError, match=r"\[surface\] kind"):
+            build_phi(ScenarioConfig(phi_kind="bogus"))
+
 
 class TestEvalIdentity:
     ARTIFACTS = {"config.ini", "summary.txt", "iterations.csv", "mesh.cavmesh",
@@ -681,6 +686,20 @@ class TestDigitDiff:
         proc = self.digit_diff(*trees)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout == f"{len(list(eval_dir.iterdir()))} identical files\n"
+
+    def test_closed_reader_ends_quietly(self, tmp_path):
+        # enough moved numbers to fill the pipe before the reader leaves
+        for name, value in (("a", "1.5"), ("b", "2.5")):
+            (tmp_path / name).mkdir()
+            (tmp_path / name / "t.csv").write_text(f"{value}\n" * 20000)
+        proc = subprocess.Popen([sys.executable, str(DIGIT_DIFF), str(tmp_path / "a"),
+                                 str(tmp_path / "b")], stdout=subprocess.PIPE,
+                                stderr=subprocess.PIPE, text=True)
+        assert proc.stdout.readline() == "t.csv:1:1  1.5 -> 2.5  rel 4.0e-01\n"
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.wait(timeout=60)
+        assert "Traceback" not in err
 
     def test_one_changed_digit_is_listed(self, eval_dir, trees):
         path = trees[1] / "positions.csv"

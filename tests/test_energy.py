@@ -444,14 +444,14 @@ class TestElementKernels:
 
     @pytest.mark.parametrize("case", ["bundled_identity", "bundled_converged",
                                       "disk_h0.035", "annulus_two_punctures"])
-    def test_match_reference_bits(self, fields, density, case):
+    def test_match_reference_bits(self, fields, density, iso, case):
         mesh, pos = fields[case]
         F = mesh.element_gradients(pos)
         want = _reference_element_gradients(mesh, pos)
         assert _same_bits(F, want)
         if case == "bundled_identity":
             assert np.any(want == 0.0)  # zero entries, whose signs must agree too
-        assert _same_bits(cv.DiscreteEnergy(mesh, density).state(pos).bulk_grad,
+        assert _same_bits(cv.DiscreteEnergy(mesh, density, iso).state(pos).bulk_grad,
                           _reference_bulk_grad(mesh, density, want))
 
     @pytest.mark.parametrize("case", ["bundled_identity", "bundled_converged",

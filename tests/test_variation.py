@@ -1,4 +1,6 @@
 import dataclasses
+import importlib
+import pkgutil
 
 import numpy as np
 import pytest
@@ -6,15 +8,31 @@ import pytest
 import cavelast as cv
 from cavelast import cli
 from cavelast.cli import _read_positions_csv, build_phi
+from cavelast.energy import phi_perimeter_gradient
 from cavelast.exceptions import DomainError, InfeasibleEnergyError
 from cavelast.geometry import hat_gradients
-from cavelast.variation import (ConstantField, _constrained_vertices, _newton_step,
-                                battery_variations)
+from cavelast.variation import _constrained_vertices, _newton_step, battery_variations
 
 
 def _state(y, density, phi):
     """The `EnergyState` of the field y."""
     return cv.DiscreteEnergy(y.mesh, density, phi).state(y.positions)
+
+
+class ConstantField:
+    """psi(xi) = v everywhere; rigid translation of the deformed state."""
+
+    def __init__(self, v):
+        self.v = np.asarray(v, dtype=float)
+
+    def value(self, xi):
+        return np.broadcast_to(self.v, (len(np.atleast_2d(xi)), 2)).copy()
+
+    def jacobian(self, xi):
+        return np.zeros((len(np.atleast_2d(xi)), 2, 2))
+
+    def grad_bound(self):
+        return 0.0
 
 
 class RotationField:
@@ -33,6 +51,29 @@ class RotationField:
 
     def grad_bound(self):
         return 1.0
+
+
+class PiecewiseAffineJacobian:
+    """The Jacobian of the P1 interpolant of the nodal values (n, 2) on the
+    deformed triangulation of y, constant on each triangle; the centroid
+    quadrature of `elastic_first_variation` reads nothing else."""
+
+    def __init__(self, y, nodal):
+        tris = y.mesh.triangles
+        self._loc = y.deformed_locator()
+        self._grad = np.einsum("tka,tkb->tab", nodal[tris], hat_gradients(y.positions, tris))
+
+    def jacobian(self, xi):
+        tri, _ = self._loc.locate(np.atleast_2d(xi))
+        assert np.all(tri >= 0)
+        return self._grad[tri]
+
+
+def _exact_surface(boundaries, psi, phi):
+    """The exact first variation of the edgewise phi-perimeter of the closed
+    polygons: `phi_perimeter_gradient` dotted with psi at the vertices."""
+    return sum(float(np.sum(phi_perimeter_gradient(p, phi) * psi.value(p)))
+               for p in boundaries)
 
 
 class ShoveField:
@@ -78,40 +119,6 @@ class TestFields:
         with pytest.raises(ValueError):
             cv.BumpField((0, 0), -0.1, (1.0, 0.0))
 
-    def test_hat_is_one_at_its_node(self, disk_mesh):
-        y = cv.DeformationField(disk_mesh)
-        interior = np.setdiff1d(np.arange(len(disk_mesh.vertices)),
-                                disk_mesh.boundary_vertices)
-        node = int(interior[0])
-        psi = cv.HatField(y, node, (0.0, 2.0))
-        at_node = psi.value(y.positions[node][None])[0]
-        assert np.allclose(at_node, [0.0, 1.0], atol=1e-9)
-        others = y.positions[interior[5:8]]
-        assert np.allclose(psi.value(others), 0.0, atol=1e-9)
-        assert psi.grad_bound() > 0.0
-
-    def test_hat_matches_reference_loop(self, disk_mesh, radial_15):
-        y = cv.radial_lift(radial_15, disk_mesh)
-        interior = np.setdiff1d(np.arange(len(disk_mesh.vertices)),
-                                disk_mesh.boundary_vertices)
-        tris = disk_mesh.triangles
-        rng = np.random.default_rng(8)
-        # the last node sits on the last triangle, which must not leak to tri = -1
-        last = tris[-1][np.isin(tris[-1], interior)][0]
-        for node in (interior[0], interior[len(interior) // 2], last):
-            psi = cv.HatField(y, int(node), (0.6, -0.8))
-            star = np.nonzero((tris == node).any(axis=1))[0]
-            other = np.nonzero(~(tris == node).any(axis=1))[0][:5]
-            b = rng.dirichlet(np.ones(3), len(star) + len(other))
-            inside = np.einsum("nk,nkd->nd", b, y.positions[tris[np.append(star, other)]])
-            off = np.array([[3.0, 0.0], [0.0, 0.0], [-2.5, 1.0]])  # outside, in the hole
-            pts = np.vstack([inside, off])
-            value, jacobian, bound = _reference_hat(y, int(node), (0.6, -0.8), pts)
-            assert np.array_equal(psi.value(pts), value)
-            assert np.array_equal(psi.jacobian(pts), jacobian)
-            assert psi.grad_bound() == bound
-            assert np.count_nonzero(value.any(axis=1)) >= len(star)
-
     def test_dilation_and_constant(self):
         d = cv.DilationField((1.0, -1.0))
         pts = np.array([[2.0, 0.0]])
@@ -132,23 +139,15 @@ class TestFields:
         assert not cv.field_vanishes_on(wide, gam)
 
 
-def _reference_hat(y, node, direction, xi):
-    """HatField's per-point loop: (value, jacobian, grad_bound) at xi."""
-    d = np.asarray(direction, dtype=float)
-    d = d / np.linalg.norm(d)
-    tris = y.mesh.triangles
-    hat_grad = hat_gradients(y.positions, tris)
-    local = {t: i for t, tri in enumerate(tris) for i in range(3) if tri[i] == node}
-    tri, bary = y.deformed_locator().locate(np.atleast_2d(xi))
-    value = np.zeros((len(tri), 2))
-    jacobian = np.zeros((len(tri), 2, 2))
-    for k, (t, lam) in enumerate(zip(tri, bary)):
-        i = local.get(int(t))
-        if t >= 0 and i is not None:
-            value[k] = lam[i] * d
-            jacobian[k] = np.outer(d, hat_grad[t, i])
-    bound = max((float(np.linalg.norm(hat_grad[t, i])) for t, i in local.items()), default=0.0)
-    return value, jacobian, bound
+class TestExports:
+    def test_every_exported_name_resolves(self):
+        # a deleted name must leave __all__ with it
+        modules = [cv] + [importlib.import_module(f"cavelast.{m.name}")
+                          for m in pkgutil.iter_modules(cv.__path__)]
+        assert "cavelast.variation" in {m.__name__ for m in modules}
+        for module in modules:
+            missing = [n for n in getattr(module, "__all__", []) if not hasattr(module, n)]
+            assert not missing, (module.__name__, missing)
 
 
 class TestOuterCompose:
@@ -176,32 +175,29 @@ class TestOuterCompose:
 
 
 class TestElasticVariation:
-    def test_identity_interior_field_is_stationary(self, square_mesh, density):
+    def test_identity_interior_field_is_stationary(self, square_mesh, density, iso):
         y = cv.DeformationField(square_mesh)
         interior = np.setdiff1d(np.arange(len(square_mesh.vertices)),
                                 square_mesh.boundary_vertices)
-        psi = cv.HatField(y, int(interior[0]), (1.0, 0.0))
+        hat = np.zeros_like(y.positions)  # the hat at one interior node, along x
+        hat[interior[0], 0] = 1.0
         # DW(I) = 2I, so the variation is 2 int div psi = 0
-        assert abs(cv.elastic_first_variation(y, psi, density)) <= 1e-12
-        assert abs(cv.elastic_first_variation(y, psi, density,
-                                              mode="centroid")) <= 1e-6
+        assert abs(np.sum(_state(y, density, iso).bulk_grad * hat)) <= 1e-12
+        psi = PiecewiseAffineJacobian(y, hat)
+        assert abs(cv.elastic_first_variation(y, psi, density)) <= 1e-6
 
-    def test_modes_agree_for_affine_psi(self, lifted, density):
+    def test_modes_agree_for_affine_psi(self, lifted, density, iso):
+        # the exact bulk term of the report and the centroid quadrature
         psi = cv.DilationField((0.2, 0.1))
-        a = cv.elastic_first_variation(lifted, psi, density, mode="interp")
-        b = cv.elastic_first_variation(lifted, psi, density, mode="centroid")
+        a = cv.first_variation_residual(_state(lifted, density, iso), psi).elastic
+        b = cv.elastic_first_variation(lifted, psi, density)
         assert a == pytest.approx(b, rel=1e-12)
 
     def test_rotation_field_is_zero(self, lifted, density):
         # DW(F) F^T is symmetric, the rotation generator antisymmetric
         psi = RotationField()
-        val = cv.elastic_first_variation(lifted, psi, density, mode="centroid")
+        val = cv.elastic_first_variation(lifted, psi, density)
         assert abs(val) <= 1e-10 * 20.0
-
-    def test_unknown_mode(self, lifted, density):
-        with pytest.raises(ValueError):
-            cv.elastic_first_variation(lifted, cv.DilationField(), density,
-                                       mode="edgewise")
 
     def test_infeasible_raises(self, square_mesh, density):
         pos = square_mesh.vertices.copy()
@@ -245,32 +241,31 @@ class TestTangentialDivergence:
 class TestSurfaceVariation:
     def test_dilation_equals_perimeter(self, lifted, iso, ell):
         for phi in (iso, ell):
-            recs = cv.detect_cavities(lifted, phi)
-            center = recs[0].boundary.mean(axis=0)
-            psi = cv.DilationField(center)
-            per = cv.anisotropic_perimeter(recs[0].boundary, phi)
-            for mode in ("vertex", "midpoint"):
-                val = cv.surface_first_variation(lifted, psi, phi,
-                                                 cavities=recs, mode=mode)
-                assert val == pytest.approx(per, rel=1e-12), (phi.kind, mode)
+            boundaries = [rec.boundary for rec in cv.detect_cavities(lifted, phi)]
+            psi = cv.DilationField(boundaries[0].mean(axis=0))
+            per = cv.anisotropic_perimeter(boundaries[0], phi)
+            for route in (_exact_surface, cv.surface_first_variation):
+                val = route(boundaries, psi, phi)
+                assert val == pytest.approx(per, rel=1e-12), (phi.kind, route.__name__)
 
     def test_dilation_close_to_circle_perimeter(self, lifted, iso):
         recs = cv.detect_cavities(lifted, iso)
         c = recs[0].radius_mean()
         psi = cv.DilationField(recs[0].boundary.mean(axis=0))
-        val = cv.surface_first_variation(lifted, psi, iso, cavities=recs)
+        val = _exact_surface([rec.boundary for rec in recs], psi, iso)
         assert val == pytest.approx(2 * np.pi * c, rel=0.01)
 
     def test_rotation_isotropic_zero(self, lifted, iso):
         recs = cv.detect_cavities(lifted, iso)
         psi = RotationField(recs[0].boundary.mean(axis=0))
-        val = cv.surface_first_variation(lifted, psi, iso, cavities=recs)
+        val = _exact_surface([rec.boundary for rec in recs], psi, iso)
         assert abs(val) <= 1e-10
 
     def test_vertex_mode_is_exact_derivative(self, lifted, ell):
+        # the vertex route: phi_perimeter_gradient dotted with psi
         recs = cv.detect_cavities(lifted, ell)
         psi = cv.BumpField((0.9, 0.3), 0.6, (0.7, -0.4))
-        val = cv.surface_first_variation(lifted, psi, ell, cavities=recs)
+        val = _exact_surface([rec.boundary for rec in recs], psi, ell)
         t = 1e-6
         pers = []
         for s in (t, -t):
@@ -280,16 +275,33 @@ class TestSurfaceVariation:
         assert val == pytest.approx(fd, rel=1e-6)
 
     def test_modes_agree_on_smooth_field(self, lifted, ell):
-        recs = cv.detect_cavities(lifted, ell)
+        # the exact vertex route and the midpoint quadrature
+        boundaries = [rec.boundary for rec in cv.detect_cavities(lifted, ell)]
         psi = cv.BumpField((0.0, 0.0), 2.5, (0.3, 0.9))
-        a = cv.surface_first_variation(lifted, psi, ell, cavities=recs, mode="vertex")
-        b = cv.surface_first_variation(lifted, psi, ell, cavities=recs, mode="midpoint")
+        a = _exact_surface(boundaries, psi, ell)
+        b = cv.surface_first_variation(boundaries, psi, ell)
         assert a == pytest.approx(b, rel=0.05)
 
-    def test_unknown_mode(self, lifted, iso):
-        with pytest.raises(ValueError):
-            cv.surface_first_variation(lifted, cv.DilationField(), iso,
-                                       mode="simpson")
+    @pytest.mark.parametrize("run", ["iso_run", "ell_run"])
+    def test_battery_surface_term_is_the_perimeter_gradient(self, density, run, request):
+        # the surface term of EnergyState.grad, which the battery and the
+        # report read, against phi_perimeter_gradient over the detected
+        # cavities, at both bundled minimizers
+        _, out = request.getfixturevalue(run)
+        phi = build_phi(cv.ScenarioConfig.from_ini(out / "config.ini"))
+        y = cv.DeformationField(cv.load_mesh(out / "mesh.cavmesh"),
+                                _read_positions_csv(out / "positions.csv"))
+        state = _state(y, density, phi)
+        recs = cv.detect_cavities(y, phi)
+        center = recs[0].boundary.mean(axis=0)
+        local = cv.BumpField(recs[0].boundary[0], 0.3, (0.6, -0.8))
+        wide = cv.BumpField(center, 3.0, (0.3, 0.9))
+        affine = cv.DilationField(center + (0.1, -0.05))
+        for psi in (local, wide, affine):
+            terms = np.concatenate([phi_perimeter_gradient(rec.boundary, phi)
+                                    * psi.value(rec.boundary) for rec in recs])
+            got = cv.first_variation_residual(state, psi).surface
+            assert abs(got - np.sum(terms)) <= 1e-12 * np.sum(np.abs(terms))
 
 
 class TestResidualReport:
