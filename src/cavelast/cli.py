@@ -42,7 +42,7 @@ _SHAPES = ("disk", "square", "annulus")
 _MAX_GRID_CELLS = 2**24  # about 1.6 GB for an inverse raster and its jump set
 
 __all__ = [
-    "ScenarioConfig", "build_mesh", "build_density", "build_phi",
+    "ScenarioConfig", "build_mesh", "build_density", "build_phi", "build_boundary",
     "RunRecord", "compute", "write", "run_scenario", "CompareReport", "compare_runs",
     "render_reference_svg", "render_deformed_svg", "resolve_scenario", "main",
 ]
@@ -110,9 +110,9 @@ class ScenarioConfig:
 
     shape: str = _option("domain", "disk", str)
     h: float = _option("domain", 0.1, positive=True)
-    radius: float = _option("domain", 1.0, when=lambda c: c.shape != "square")
-    side: float = _option("domain", 1.0, when=lambda c: c.shape == "square")
-    inner: float = _option("domain", 0.4, when=lambda c: c.shape == "annulus")
+    radius: float = _option("domain", 1.0, positive=True, when=lambda c: c.shape != "square")
+    side: float = _option("domain", 1.0, positive=True, when=lambda c: c.shape == "square")
+    inner: float = _option("domain", 0.4, positive=True, when=lambda c: c.shape == "annulus")
     punctures: tuple = _option(
         "domain", (), _parse_punctures, when=lambda c: c.punctures,
         fmt=lambda ps: "; ".join(f"{c[0]!r} {c[1]!r} {r!r}" for c, r in ps))
@@ -127,8 +127,7 @@ class ScenarioConfig:
                              when=lambda c: c.phi_kind == "smoothed_l1")
     bc_kind: str = _option("boundary", "radial_stretch", str, key="kind")
     lam: float = _option("boundary", 1.0, positive=True)
-    max_iters: int = _option("solver", 400, int)
-    tol_E: float = _option("solver", 1e-10, positive=True)
+    max_iters: int = _option("solver", 400, int, positive=True)
     inv_every: int = _option("solver", 1, int)
     seed: int = _option("run", 0, int)
     emit: tuple = _option("run", ("svg",), _parse_emit, fmt=",".join)
@@ -190,12 +189,8 @@ class ScenarioConfig:
                 raise ConfigurationError(f"[{sec}] {key} must be positive")
         if self.shape not in _SHAPES:
             raise ConfigurationError(f"[domain] shape must be one of {_SHAPES}")
-        if self.shape == "disk" and self.radius <= 0.0:
-            raise ConfigurationError("[domain] radius must be positive")
-        if self.shape == "square" and self.side <= 0.0:
-            raise ConfigurationError("[domain] side must be positive")
-        if self.shape == "annulus" and not 0.0 < self.inner < self.radius:
-            raise ConfigurationError("[domain] need 0 < inner < radius")
+        if self.shape == "annulus" and self.inner >= self.radius:
+            raise ConfigurationError("[domain] inner must be below radius")
         inradius = {"disk": self.radius, "square": 0.5 * self.side,
                     "annulus": 0.5 * (self.radius - self.inner)}[self.shape]
         bound = inradius / 4.0
@@ -213,12 +208,9 @@ class ScenarioConfig:
                     raise ConfigurationError(
                         f"[domain] punctures {k} and {j} meet: "
                         f"centre distance {d:g} <= {rk:g} + {rj:g}")
-        build_phi(self)  # the surface density's own checks, before any meshing
-        if self.bc_kind not in ("radial_stretch", "affine_stretch"):
-            raise ConfigurationError("[boundary] kind must be radial_stretch "
-                                     "or affine_stretch")
-        if self.max_iters < 1:
-            raise ConfigurationError("[solver] max_iters must be at least 1")
+        # the surface density's and the boundary data's own checks, before any meshing
+        build_phi(self)
+        build_boundary(self)
         if self.inv_every not in (0, 1):
             raise ConfigurationError("[solver] inv_every must be 0 or 1")
         if self.seed < 0:
@@ -239,7 +231,7 @@ def _check_grid(cfg, emit):
     if "raster" not in emit and "inverse" not in emit:
         return
     lo, hi = (0.0, cfg.side) if cfg.shape == "square" else (-cfg.radius, cfg.radius)
-    image = BoundaryData(kind=cfg.bc_kind, lam=cfg.lam).map_points([[lo, lo], [hi, hi]])
+    image = build_boundary(cfg).map_points([[lo, lo], [hi, hi]])
     with np.errstate(over="ignore", invalid="ignore"):  # a count past int64 wraps
         _, shape = covering_grid(image, cfg.delta, _RASTER_MARGIN)
     if min(shape) < 1 or math.prod(shape) > _MAX_GRID_CELLS:
@@ -281,6 +273,13 @@ def build_phi(cfg: ScenarioConfig) -> SurfaceDensity:
         return SurfaceDensity(cfg.phi_kind, A=cfg.phi_A, eps=cfg.phi_eps)
     except ValueError as err:
         raise ConfigurationError(f"[surface] {err}") from err
+
+
+def build_boundary(cfg: ScenarioConfig) -> BoundaryData:
+    try:
+        return BoundaryData(kind=cfg.bc_kind, lam=cfg.lam)
+    except ValueError as err:
+        raise ConfigurationError(f"[boundary] {err}") from err
 
 
 # ---------------------------------------------------------------------------
@@ -403,12 +402,12 @@ def compute(cfg: ScenarioConfig, mode="run") -> RunRecord:
     The final field's `boundary_crossings` are counted once, here."""
     try:
         mesh, density, phi = build_mesh(cfg), build_density(cfg), build_phi(cfg)
-        y = BoundaryData(kind=cfg.bc_kind, lam=cfg.lam).initial_field(mesh)
+        y = build_boundary(cfg).initial_field(mesh)
     except CavelastError as err:
         raise ConfigurationError(str(err)) from err
     try:
         if mode == "run":
-            y, log = minimize(y, density, phi, max_iters=cfg.max_iters, tol_E=cfg.tol_E,
+            y, log = minimize(y, density, phi, max_iters=cfg.max_iters,
                               inv_every=cfg.inv_every, seed=cfg.seed)
             state = log.final
         else:

@@ -16,7 +16,7 @@ import numpy as np
 
 from ._polyline import ensure_ccw, points_to_polyline_distance, polygon_signed_area, ranges, succ
 from ._table import read_table, write_table
-from .exceptions import DomainError, GeometryError
+from .exceptions import ArtifactError, DomainError, GeometryError
 from .geometry import _CHUNK, DeformationField, trace_on_circle
 
 
@@ -308,7 +308,7 @@ def load_pgm(path) -> DegreeRaster:
     with open(path) as fh:
         magic, comment = fh.readline().strip(), fh.readline()
     if magic != "P2":
-        raise GeometryError(f"not a P2 greymap: {path}")
+        raise ArtifactError(f"not a P2 greymap: {path}")
     # "# cavelast-degree delta=<d> origin=<x> <y> offset=<k>", as save_pgm writes it
     delta, ox, oy, offset = (float(t.rpartition("=")[2]) for t in comment.split()[2:6])
     nx, ny = read_table(path, 2, rows=1, skip=2, dtype=np.int64)[0].tolist()
@@ -391,8 +391,6 @@ def topological_image_point(y: DeformationField, site, radii, delta) -> CavityRe
     if area <= 4.0 * delta ** 2:
         return None
     loops = marching_squares(inter, base.origin, base.delta)
-    if not loops:
-        return None
     boundary = max(loops, key=lambda lp: abs(polygon_signed_area(lp)))
     rho = _puncture_radius_at(y.mesh, site, float("nan"))
     return CavityRecord(site=site, puncture_radius=rho, boundary=ensure_ccw(boundary), area=area)
@@ -622,8 +620,6 @@ def _sample_disk_in_mesh(mesh, a, r, n, rng):
             tris.append(tri[hit])
             barys.append(bary[hit])
             got += len(hit)
-    if not tris:
-        return np.empty(0, dtype=np.int64), np.empty((0, 3))
     return np.concatenate(tris), np.concatenate(barys)
 
 
@@ -647,6 +643,4 @@ def _sample_mesh_outside_disk(mesh, a, r, n, rng, tri_cum):
         tris.append(t[keep])
         barys.append(np.stack([1.0 - b1[keep] - b2[keep], b1[keep], b2[keep]], axis=1))
         got += len(keep)
-    if not tris:
-        return np.empty(0, dtype=np.int64), np.empty((0, 3))
     return np.concatenate(tris), np.concatenate(barys)

@@ -174,7 +174,7 @@ def load_mesh(path) -> Mesh:
     with open(path) as fh:
         header = fh.readline().strip()
     if header != MESH_FORMAT_HEADER:
-        raise GeometryError(f"not a mesh file (expected header {MESH_FORMAT_HEADER!r}): {path}")
+        raise ArtifactError(f"not a mesh file (expected header {MESH_FORMAT_HEADER!r}): {path}")
     nv = int(read_table(path, 1, rows=1, skip=1, dtype=np.int64)[0, 0])
     verts = read_table(path, 2, rows=nv, skip=2)
     nt = int(read_table(path, 1, rows=1, skip=2 + nv, dtype=np.int64)[0, 0])
@@ -488,6 +488,9 @@ def trace_on_circle(y: DeformationField, center, r, m: int = 128):
 # boundary data
 
 
+_BOUNDARY_KINDS = ("radial_stretch", "affine_stretch")
+
+
 @dataclass(frozen=True)
 class BoundaryData:
     """Dirichlet data d on the boundary, as a map of the whole plane.
@@ -501,8 +504,8 @@ class BoundaryData:
     lam: float = 1.0
 
     def __post_init__(self):
-        if self.kind not in ("radial_stretch", "affine_stretch"):
-            raise ValueError(f"unknown boundary data kind {self.kind!r}")
+        if self.kind not in _BOUNDARY_KINDS:
+            raise ValueError(f"kind must be one of {_BOUNDARY_KINDS}, not {self.kind!r}")
 
     def map_points(self, pts):
         pts = np.asarray(pts, dtype=float)
@@ -621,21 +624,7 @@ def build_square_mesh(side=1.0, h=0.1, punctures=()) -> Mesh:
 
 def build_disk_mesh(radius=1.0, h=0.1, punctures=()) -> Mesh:
     """Disk of given radius centered at the origin."""
-    punctures = _clean_punctures(punctures)
-    n_out = max(24, int(np.ceil(2.0 * np.pi * radius / h)))
-    loop = _ring(np.zeros(2), radius, n_out)
-
-    def inside(p):
-        return np.hypot(p[:, 0], p[:, 1]) < radius - 0.55 * h
-
-    def domain(p):
-        return np.hypot(p[:, 0], p[:, 1]) < radius
-
-    def polygon(p):  # inside the incircle of the inscribed n_out-gon
-        return np.hypot(p[:, 0], p[:, 1]) < radius * np.cos(np.pi / n_out)
-
-    bbox = (np.full(2, -radius), np.full(2, radius))
-    return _delaunay_mesh([("dirichlet", loop)], inside, domain, polygon, punctures, h, bbox)
+    return _round_mesh(radius, -np.inf, h, punctures)
 
 
 def build_annulus_mesh(outer=1.0, inner=0.4, h=0.1, punctures=()) -> Mesh:
@@ -643,10 +632,18 @@ def build_annulus_mesh(outer=1.0, inner=0.4, h=0.1, punctures=()) -> Mesh:
     carries the tag "inner", and `minimize` holds it fixed like the outer one."""
     if not 0.0 < inner < outer:
         raise GeometryError("annulus needs 0 < inner < outer")
+    return _round_mesh(outer, inner, h, punctures)
+
+
+def _round_mesh(outer, inner, h, punctures) -> Mesh:
+    """The domain inner < |x| < outer centered at the origin, with an inner
+    ring only when inner is finite: inner = -inf gives the disk."""
     punctures = _clean_punctures(punctures)
     n_out = max(24, int(np.ceil(2.0 * np.pi * outer / h)))
-    loop_out = _ring(np.zeros(2), outer, n_out)
-    loop_in = _ring(np.zeros(2), inner, max(16, int(np.ceil(2.0 * np.pi * inner / h))))
+    rings = [("dirichlet", _ring(np.zeros(2), outer, n_out))]
+    if np.isfinite(inner):
+        rings.append(("inner", _ring(np.zeros(2), inner,
+                                     max(16, int(np.ceil(2.0 * np.pi * inner / h))))))
 
     def inside(p):
         r = np.hypot(p[:, 0], p[:, 1])
@@ -661,8 +658,7 @@ def build_annulus_mesh(outer=1.0, inner=0.4, h=0.1, punctures=()) -> Mesh:
         return (r < outer * np.cos(np.pi / n_out)) & (r > inner)
 
     bbox = (np.full(2, -outer), np.full(2, outer))
-    return _delaunay_mesh([("dirichlet", loop_out), ("inner", loop_in)], inside, domain, polygon,
-                          punctures, h, bbox)
+    return _delaunay_mesh(rings, inside, domain, polygon, punctures, h, bbox)
 
 
 def _clean_punctures(punctures):

@@ -38,6 +38,7 @@ __all__ = [
 
 _log = logging.getLogger("cavelast")
 _MAX_BACKTRACKS = 40  # step halvings per line search before minimize stalls
+_TOL_E = 1e-10  # a step lowering E by less than _TOL_E * (1 + |E|) runs the stop test
 _RESIDUAL_REL = 1e-3  # battery bound of a converged field, relative to |E|
 _DET_FLOOR = 1e-8  # least element determinant of an admissible trial
 
@@ -338,8 +339,7 @@ def _newton_step(state: EnergyState, grad, damping):
 
 
 def minimize(y0: DeformationField, density: BulkDensity, phi: SurfaceDensity,
-             max_iters: int = 500, tol_E: float = 1e-10,
-             inv_every: int = 1, seed: int = 0):
+             max_iters: int = 500, inv_every: int = 1, seed: int = 0):
     """Monotone damped projected-Newton descent on the nodal positions; the
     vertices on non-puncture boundary edges stay fixed.
 
@@ -357,7 +357,7 @@ def minimize(y0: DeformationField, density: BulkDensity, phi: SurfaceDensity,
     step is taken.
 
     Returns (field, log). The log status is "converged" when a tiny energy
-    decrease (below tol_E * (1 + |E|)) or a zero gradient comes with a
+    decrease (below _TOL_E * (1 + |E|)) or a zero gradient comes with a
     residual of at most _RESIDUAL_REL * |E| over the battery
     `certification_battery(field, seed=seed)`; "stalled" when no trial is
     accepted, after 3 tiny decreases in a row, at a zero gradient whose
@@ -437,7 +437,7 @@ def minimize(y0: DeformationField, density: BulkDensity, phi: SurfaceDensity,
             grad = np.add(*cur.grad)[free].ravel()
 
         res = None
-        if s == 0.0 or decrease < tol_E * (1.0 + abs(energy)):
+        if s == 0.0 or decrease < _TOL_E * (1.0 + abs(energy)):
             fields = certification_battery(y0.with_positions(pos), seed=seed)
             log.certificate = fields, battery_variations(cur, fields)
             res = max([0.0] + log.certificate[1])

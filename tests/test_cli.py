@@ -74,9 +74,12 @@ class TestConfig:
         ("[boundary]\ntag = dirichlet\n", [], "unknown key 'tag' in section [boundary]"),
         ("[solver]\nresidual_rel = 1e9\n", [], "unknown key 'residual_rel' in section [solver]"),
         ("[solver]\ndet_floor = 1e-8\n", [], "unknown key 'det_floor' in section [solver]"),
+        # the stop test's tiny decrease is a constant too; configparser lowercases keys
+        ("[solver]\ntol_E = 1e-10\n", [], "unknown key 'tol_e' in section [solver]"),
         ("[run]\nemit = svg,csv\n", [], "[run] emit entry 'csv' not in"),
         ("", ["--emit", "csv"], "--emit entry 'csv' not in"),
-    ], ids=["inv_delta", "tag", "residual_rel", "det_floor", "emit_csv", "emit_flag_csv"])
+    ], ids=["inv_delta", "tag", "residual_rel", "det_floor", "tol_E", "emit_csv",
+            "emit_flag_csv"])
     def test_removed_setting_is_refused(self, tmp_path, capsys, text, flags, named):
         p = tmp_path / "old.ini"
         p.write_text(text)
@@ -403,7 +406,7 @@ class TestCompare:
         # [solver] residual_rel and det_floor and the csv emitter existed
         def old(text):
             for line, more in ((b"lam = 1.5\n", b"tag = dirichlet\n"),
-                               (b"tol_E = 1e-10\n", b"residual_rel = 0.001\ndet_floor = 1e-08\n")):
+                               (b"max_iters = 100\n", b"residual_rel = 0.001\ndet_floor = 1e-08\n")):
                 assert text.count(line) == 1
                 text = text.replace(line, line + more)
             return text.replace(b"emit = svg\n", b"emit = svg,csv\n")
@@ -411,6 +414,39 @@ class TestCompare:
         bad = self._corrupt_copy(iso_run[1], tmp_path, "config.ini", old)
         assert main(["compare", str(bad), str(iso_run[1])]) == 2
         assert "compare error: unknown key 'tag' in section [boundary]" in capsys.readouterr().err
+
+    def test_run_with_tol_E_exits_2(self, iso_run, tmp_path, capsys):
+        # the config.ini of a run directory written while [solver] tol_E existed
+        def old(text):
+            assert text.count(b"max_iters = 100\n") == 1
+            return text.replace(b"max_iters = 100\n", b"max_iters = 100\ntol_E = 1e-10\n")
+
+        bad = self._corrupt_copy(iso_run[1], tmp_path, "config.ini", old)
+        assert main(["compare", str(iso_run[1]), str(bad)]) == 2
+        assert "compare error: unknown key 'tol_e' in section [solver]" in capsys.readouterr().err
+
+    def test_swapped_position_rows_exit_2(self, iso_run, tmp_path, capsys):
+        def swap(text):
+            lines = text.splitlines(keepends=True)
+            lines[1], lines[2] = lines[2], lines[1]
+            return b"".join(lines)
+
+        bad = self._corrupt_copy(iso_run[1], tmp_path, "positions.csv", swap)
+        assert main(["compare", str(bad), str(iso_run[1])]) == 2
+        err = capsys.readouterr().err
+        assert "vertex ids in" in err and "positions.csv" in err
+
+    def test_truncated_run_a_raises_alarm(self, iso_run, truncated_run, capsys):
+        # run A stopped after one step: B's minimizer beats it under A's energy
+        trunc_code, trunc_dir = truncated_run
+        assert trunc_code == 3
+        assert main(["compare", str(trunc_dir), str(iso_run[1])]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        kv = dict(line.split(" = ", 1) for line in lines)
+        assert kv["minimality_alarm"] == "RAISED"
+        assert float(kv["margin_a"]) < 0.0
+        assert ("alarm_detail = run B's field has lower energy under run A's density/phi "
+                "than run A's own minimizer") in lines
 
 
 def _python(*args):
@@ -625,7 +661,16 @@ class TestMain:
         ("domain", "h = nan", "[domain] h"),
         ("boundary", "lam = nan", "[boundary] lam"),
         ("material", "mu = inf", "[material] mu"),
-        ("solver", "tol_E = nan", "[solver] tol_E"),
+        ("solver", "max_iters = nan", "[solver] max_iters"),
+        ("solver", "max_iters = 0", "[solver] max_iters must be positive"),
+        # radius, side and inner are positive under every shape
+        ("domain", "shape = square\nradius = 0", "[domain] radius must be positive"),
+        ("domain", "side = -1", "[domain] side must be positive"),
+        ("domain", "shape = annulus\ninner = 0", "[domain] inner must be positive"),
+        ("domain", "shape = annulus\ninner = 1.0", "[domain] inner must be below radius"),
+        ("domain", "punctures = 0.0 0.0 0.0", "[domain] puncture radius must be positive"),
+        ("domain", "shape = hexagon", "[domain] shape must be one of"),
+        ("boundary", "kind = torsion", "[boundary] kind must be one of"),
         # the gate runs on every step (1) or on none (0)
         ("solver", "inv_every = 2", "[solver] inv_every"),
         ("run", "seed = -1", "[run] seed"),

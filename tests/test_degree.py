@@ -6,7 +6,7 @@ from cavelast import degree, inverse
 from cavelast._polyline import _PAIRS, points_to_polyline_distance, polygon_signed_area
 from cavelast.degree import (_MS_SEGMENTS, _default_radii,
                              winding_grid, winding_number_angle, winding_points)
-from cavelast.exceptions import DomainError, GeometryError
+from cavelast.exceptions import ArtifactError, DomainError, GeometryError
 from cavelast.geometry import _CHUNK
 
 
@@ -291,6 +291,12 @@ class TestRaster:
         assert np.array_equal(img.values, back.values)
         assert back.delta == img.delta
         assert np.array_equal(back.origin, img.origin)
+
+    def test_pgm_wrong_magic_rejected(self, tmp_path):
+        p = tmp_path / "deg.pgm"
+        p.write_text("P5\n# cavelast-degree delta=0.1 origin=0 0 offset=8\n1 1\n16\n8\n")
+        with pytest.raises(ArtifactError, match="deg.pgm"):
+            cv.load_pgm(p)
 
     @pytest.mark.parametrize("delta", [-0.05, 0.0, np.nan, np.inf])
     @pytest.mark.parametrize("build", [
@@ -866,7 +872,7 @@ class TestCheckInvPlan:
         assert np.abs(got - want).max() <= 1e-14
         assert rng.random() == ref_rng.random()
 
-    def test_plan_raises_like_reference(self, disk_mesh):
+    def test_raises_like_reference(self, disk_mesh):
         y = cv.DeformationField(disk_mesh)
         kw = dict(centers=[(0.0, 0.0)], radii=[[0.1]])  # inside the puncture
         with pytest.raises(GeometryError) as want:

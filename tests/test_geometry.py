@@ -3,7 +3,7 @@ import pytest
 
 import cavelast as cv
 from cavelast._polyline import ranges
-from cavelast.exceptions import GeometryError
+from cavelast.exceptions import ArtifactError, GeometryError
 
 
 class TestBuilders:
@@ -337,7 +337,19 @@ class TestMeshIO:
     def test_bad_header_rejected(self, tmp_path):
         p = tmp_path / "bad.cavmesh"
         p.write_text("trimesh 7\n")
-        with pytest.raises(GeometryError):
+        with pytest.raises(ArtifactError, match="bad.cavmesh"):
+            cv.load_mesh(p)
+
+    @pytest.mark.parametrize("edge, message", [("0 x dirichlet", "malformed boundary edge"),
+                                               ("0 99999 dirichlet", "vertex id out of range")],
+                             ids=["malformed", "out_of_range"])
+    def test_bad_boundary_edge_rejected(self, disk_mesh, tmp_path, edge, message):
+        p = tmp_path / "m.cavmesh"
+        disk_mesh.save(p)
+        lines = p.read_text().splitlines(keepends=True)
+        lines[-1] = edge + "\n"
+        p.write_text("".join(lines))
+        with pytest.raises(ArtifactError, match=message):
             cv.load_mesh(p)
 
 

@@ -575,9 +575,10 @@ class TestMinimize:
         # tiny decrease in a row ends the descent
         import cavelast.variation as variation
         monkeypatch.setattr(variation, "_RESIDUAL_REL", 1e-12)
+        monkeypatch.setattr(variation, "_TOL_E", 1.0)
         mesh = cv.build_disk_mesh(1.0, 0.25, punctures=[((0.0, 0.0), 0.2)])
         y0 = cv.BoundaryData(kind="radial_stretch", lam=1.5).initial_field(mesh)
-        _, log = cv.minimize(y0, density, iso, tol_E=1.0)
+        _, log = cv.minimize(y0, density, iso)
         assert log.status == "stalled"
         assert [r["iter"] for r in log.records] == [0, 1, 2, 3]
         assert all(r["step"] > 0.0 for r in log.records[1:])
@@ -804,7 +805,7 @@ def _solver(cfg):
 
     def solve(mesh):
         y0 = cv.BoundaryData(cfg.bc_kind, cfg.lam).initial_field(mesh)
-        return cv.minimize(y0, density, phi, max_iters=cfg.max_iters, tol_E=cfg.tol_E,
+        return cv.minimize(y0, density, phi, max_iters=cfg.max_iters,
                            inv_every=cfg.inv_every, seed=cfg.seed)
 
     return solve
