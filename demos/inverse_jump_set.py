@@ -36,7 +36,7 @@ print(f"jump amplitude |a - o|: {amp.min():.3f} .. {amp.max():.3f} "
 kind, pre = cv.invert_point(y, (1.2, 0.0))
 G = cv.inverse_gradient(y, np.array([1.2, 0.0]))
 tri, _ = mesh.locator.locate(pre[None])
-F = cv.element_gradient(y, int(tri[0]))
+F = y.element_gradients()[int(tri[0])]
 print(f"invert_point(1.2, 0): kind {kind}, pre-image {np.round(pre, 6)}")
 print(f"|G F - I| = {np.abs(G @ F - np.eye(2)).max():.2e}")
 

@@ -13,8 +13,7 @@ from .exceptions import (ArtifactError, CavelastError, ConfigurationError,
 from .material import BulkDensity, SurfaceDensity
 from .geometry import (BoundaryData, DeformationField, Mesh, TriangleLocator,
                        build_annulus_mesh, build_disk_mesh, build_square_mesh,
-                       element_gradient, load_mesh, min_det, mollify,
-                       trace_on_circle)
+                       load_mesh, mollify, trace_on_circle)
 from .degree import (CavityRecord, DegreeRaster, InvReport, check_inv,
                      load_pgm, marching_squares, topological_image,
                      topological_image_point, winding_number)
@@ -45,8 +44,7 @@ __all__ = [
     "BulkDensity", "SurfaceDensity",
     "BoundaryData", "DeformationField", "Mesh", "TriangleLocator",
     "build_annulus_mesh", "build_disk_mesh", "build_square_mesh",
-    "element_gradient", "load_mesh", "min_det", "mollify",
-    "trace_on_circle",
+    "load_mesh", "mollify", "trace_on_circle",
     "CavityRecord", "DegreeRaster", "InvReport", "check_inv", "load_pgm",
     "marching_squares", "topological_image", "topological_image_point",
     "winding_number",

@@ -292,10 +292,11 @@ def _write_positions_csv(y: DeformationField, path):
                 np.column_stack([ids, y.mesh.vertices, y.positions]))
 
 
-def _read_positions_csv(path) -> np.ndarray:
+def _read_positions_csv(path, n) -> np.ndarray:
+    """Deformed positions of the n mesh vertices, rows in vertex-id order."""
     table = read_table(path, 5, skip=1, delimiter=",")
-    if not np.array_equal(table[:, 0], np.arange(len(table))):
-        raise ArtifactError(f"vertex ids in {path} do not run 0, 1, 2, ...")
+    if not np.array_equal(table[:, 0], np.arange(n)):
+        raise ArtifactError(f"vertex ids in {path} do not run 0, 1, ..., {n - 1}")
     return table[:, 3:]
 
 
@@ -369,7 +370,7 @@ def render_deformed_svg(mesh_path, positions_path, cavities_path, out_path):
     """Deformed mesh plus cavity polygons, drawn from the exports alone."""
     mesh = load_mesh(mesh_path)
     loops = _read_cavities_csv(cavities_path) if Path(cavities_path).is_file() else []
-    _render_svg(out_path, mesh, _read_positions_csv(positions_path), loops)
+    _render_svg(out_path, mesh, _read_positions_csv(positions_path, len(mesh.vertices)), loops)
 
 
 # ---------------------------------------------------------------------------
@@ -512,7 +513,7 @@ def _load_run(d: Path):
             raise ConfigurationError(f"missing {Path(name).stem}: {d / name}")
     cfg = ScenarioConfig.from_ini(d / "config.ini")
     mesh = load_mesh(d / "mesh.cavmesh")
-    y = DeformationField(mesh, _read_positions_csv(d / "positions.csv"))
+    y = DeformationField(mesh, _read_positions_csv(d / "positions.csv", len(mesh.vertices)))
     return cfg, y
 
 

@@ -310,7 +310,10 @@ def load_pgm(path) -> DegreeRaster:
     if magic != "P2":
         raise ArtifactError(f"not a P2 greymap: {path}")
     # "# cavelast-degree delta=<d> origin=<x> <y> offset=<k>", as save_pgm writes it
-    delta, ox, oy, offset = (float(t.rpartition("=")[2]) for t in comment.split()[2:6])
+    try:
+        delta, ox, oy, offset = (float(t.rpartition("=")[2]) for t in comment.split()[2:6])
+    except ValueError:
+        raise ArtifactError(f"no cavelast-degree header on line 2 of {path}") from None
     nx, ny = read_table(path, 2, rows=1, skip=2, dtype=np.int64)[0].tolist()
     vals = read_table(path, nx, rows=ny, skip=4, dtype=np.int64)
     return DegreeRaster(origin=np.array([ox, oy]), delta=delta, values=vals - int(offset))
@@ -356,14 +359,14 @@ def topological_image(y: DeformationField, subdomain, delta) -> DegreeRaster:
 
 @dataclass
 class CavityRecord:
-    """One detected cavity: where it sits, how big it is, what it costs."""
+    """One detected cavity: its reference `site`, its deformed `boundary`
+    (a counterclockwise polygon), the `area` it encloses and its
+    phi-perimeter `aniso_perimeter` (nan when only the degree found it)."""
 
     site: np.ndarray
-    puncture_radius: float
     boundary: np.ndarray
     area: float
     aniso_perimeter: float = float("nan")
-    simple: bool = True
 
     def radius_mean(self) -> float:
         c = self.boundary.mean(axis=0)
@@ -392,13 +395,7 @@ def topological_image_point(y: DeformationField, site, radii, delta) -> CavityRe
         return None
     loops = marching_squares(inter, base.origin, base.delta)
     boundary = max(loops, key=lambda lp: abs(polygon_signed_area(lp)))
-    rho = _puncture_radius_at(y.mesh, site, float("nan"))
-    return CavityRecord(site=site, puncture_radius=rho, boundary=ensure_ccw(boundary), area=area)
-
-
-def _puncture_radius_at(mesh, site, default):
-    """Radius of the first puncture within 4 of its radii of the site, else default."""
-    return next((r for c, r in mesh.punctures if np.linalg.norm(c - site) <= 4.0 * r), default)
+    return CavityRecord(site=site, boundary=ensure_ccw(boundary), area=area)
 
 
 def _closure(mask):

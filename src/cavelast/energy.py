@@ -360,23 +360,19 @@ class EnergyBreakdown:
 
 
 def detect_cavities(y: DeformationField, phi: SurfaceDensity) -> list:
-    """CavityRecord per puncture, boundary = deformed puncture loop.
+    """CavityRecord per puncture: the puncture centre as `site`, the deformed
+    puncture loop (counterclockwise) as `boundary`, the `area` it encloses
+    and its `anisotropic_perimeter`, which warns on a self-intersecting loop.
 
     `degree.topological_image_point` finds the same cavity from the degree
     alone; the tests compare the two.
     """
     records = []
-    for (center, rho), ids in zip(y.mesh.punctures, y.mesh.puncture_loops()):
+    for (center, _), ids in zip(y.mesh.punctures, y.mesh.puncture_loops()):
         img = ensure_ccw(y.positions[ids])
-        simple = polygon_is_simple(img)
-        if not simple:
-            warnings.warn("self-intersecting cavity boundary; perimeter is formal",
-                          RuntimeWarning, stacklevel=2)
-        records.append(CavityRecord(site=np.asarray(center, dtype=float),
-                                    puncture_radius=float(rho), boundary=img,
+        records.append(CavityRecord(site=np.asarray(center, dtype=float), boundary=img,
                                     area=abs(polygon_signed_area(img)),
-                                    aniso_perimeter=phi_perimeter(img, phi),
-                                    simple=simple))
+                                    aniso_perimeter=anisotropic_perimeter(img, phi)))
     return records
 
 

@@ -458,17 +458,7 @@ class DeformationField:
         return self._locator
 
 
-def element_gradient(y: DeformationField, t: int):
-    """Constant deformation gradient of triangle t."""
-    return y.element_gradients()[t]
-
-
-def min_det(y: DeformationField):
-    """Minimum element determinant."""
-    return float(y.element_dets().min())
-
-
-def trace_on_circle(y: DeformationField, center, r, m: int = 128):
+def trace_on_circle(y: DeformationField, center, r, m: int):
     """Images of m equally spaced points on the circle |x - center| = r.
 
     The circle must lie inside the meshed domain (in particular it must not
@@ -540,7 +530,7 @@ def mollify(y: DeformationField, sigma: float) -> DeformationField:
     first moment, so affine deformations are reproduced exactly; boundary
     vertices are left fixed.  sigma = 0 returns the field unchanged.
 
-    The result may fail min_det > 0; that is the caller's check.
+    The result may hold a triangle of nonpositive determinant; the caller checks.
     """
     if sigma < 0.0:
         raise ValueError("sigma must be nonnegative")
@@ -558,8 +548,7 @@ def mollify(y: DeformationField, sigma: float) -> DeformationField:
     samples = centers[:, None, :] + radius[:, None, None] * np.vstack([[0.0, 0.0], _STENCIL_DIRS])[None]
     flat = samples.reshape(-1, 2)
     tri, bary = mesh.locator.locate(flat)
-    values = np.einsum("ki,kij->kj", bary, y.positions[mesh.triangles[np.maximum(tri, 0)]])
-    values = values.reshape(len(interior), 9, 2)
+    values = y.interpolate(np.maximum(tri, 0), bary).reshape(len(interior), 9, 2)
     ok = (tri >= 0).reshape(len(interior), 9).all(axis=1)
     w = _STENCIL_W / _STENCIL_W.sum()
     averaged = np.einsum("s,ksj->kj", w, values)

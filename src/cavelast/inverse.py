@@ -176,7 +176,7 @@ def jump_set_to_csv(contours, path):
                 np.concatenate(rows or [np.empty((0, 6))]))
 
 
-def area_formula_check(y: DeformationField, f, delta: float = 0.02,
+def area_formula_check(y: DeformationField, f, delta: float,
                        inv: InverseField | None = None):
     """Raster integral of f(det grad inverse) vs exact reference integral.
 

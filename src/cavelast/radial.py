@@ -373,7 +373,6 @@ class BvpReport:
     radial ansatz can actually satisfy (they coincide for isotropic phi).
     """
 
-    angles: np.ndarray
     pointwise: np.ndarray
     projected: float
     t_rr: float
@@ -429,7 +428,7 @@ def bvp_boundary_check(profile: RadialProfile, density: BulkDensity,
     h_pt = -kappa / c
     pointwise = np.abs(t_rr + h_pt) / (abs(t_rr) + np.abs(h_pt) + 1e-12)
     projected = abs(t_rr + h_avg) / (abs(t_rr) + abs(h_avg) + 1e-12)
-    return BvpReport(angles=angles, pointwise=pointwise, projected=float(projected),
+    return BvpReport(pointwise=pointwise, projected=float(projected),
                      t_rr=t_rr, h_avg=float(h_avg), h_pointwise=h_pt, tol=0.02)
 
 

@@ -248,6 +248,16 @@ class TestEvalIdentity:
                 == (eval_dir / name).read_bytes(), name
 
 
+def _drop_last_row(text):
+    return text[:text.rstrip().rfind(b"\n") + 1]
+
+
+def _add_row(text):
+    """text with one more row, numbered one past the last."""
+    k, rest = text.rstrip().rsplit(b"\n", 1)[1].split(b",", 1)
+    return text + b"%d,%s\n" % (int(k) + 1, rest)
+
+
 class TestSvgFromExports:
     def test_reference_rerender_identical(self, eval_dir, tmp_path):
         out = tmp_path / "ref.svg"
@@ -261,6 +271,22 @@ class TestSvgFromExports:
                             run_dir / "positions.csv",
                             run_dir / "cavities.csv", out)
         assert out.read_bytes() == (run_dir / "deformed.svg").read_bytes()
+
+    def test_deformed_with_a_lost_row_refused(self, iso_run, tmp_path):
+        _, run_dir = iso_run
+        pos = tmp_path / "positions.csv"
+        pos.write_bytes(_drop_last_row((run_dir / "positions.csv").read_bytes()))
+        with pytest.raises(cv.ArtifactError, match="positions.csv"):
+            render_deformed_svg(run_dir / "mesh.cavmesh", pos, run_dir / "cavities.csv",
+                                tmp_path / "def.svg")
+
+    def test_reference_of_a_mesh_without_triangles_is_a_bare_frame(self, tmp_path):
+        mesh = tmp_path / "bare.cavmesh"
+        mesh.write_text("cavmesh 1\n3\n0 0\n1 0\n0 1\n0\n")
+        render_reference_svg(mesh, tmp_path / "ref.svg")
+        assert (tmp_path / "ref.svg").read_text() == (
+            '<svg xmlns="http://www.w3.org/2000/svg" width="720" height="720" '
+            'viewBox="0 0 720 720">\n<rect width="720" height="720" fill="white"/>\n</svg>\n')
 
     def test_run_draws_from_memory(self, tmp_path, monkeypatch):
         # run_scenario reads none of its own files back, and the public
@@ -432,6 +458,14 @@ class TestCompare:
             return b"".join(lines)
 
         bad = self._corrupt_copy(iso_run[1], tmp_path, "positions.csv", swap)
+        assert main(["compare", str(bad), str(iso_run[1])]) == 2
+        err = capsys.readouterr().err
+        assert "vertex ids in" in err and "positions.csv" in err
+
+    @pytest.mark.parametrize("corrupt", [_drop_last_row, _add_row],
+                             ids=["last_row_lost", "extra_row"])
+    def test_position_row_count_exits_2(self, iso_run, tmp_path, capsys, corrupt):
+        bad = self._corrupt_copy(iso_run[1], tmp_path, "positions.csv", corrupt)
         assert main(["compare", str(bad), str(iso_run[1])]) == 2
         err = capsys.readouterr().err
         assert "vertex ids in" in err and "positions.csv" in err

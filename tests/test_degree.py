@@ -292,9 +292,13 @@ class TestRaster:
         assert back.delta == img.delta
         assert np.array_equal(back.origin, img.origin)
 
-    def test_pgm_wrong_magic_rejected(self, tmp_path):
+    @pytest.mark.parametrize("text", [
+        "P5\n# cavelast-degree delta=0.1 origin=0 0 offset=8\n1 1\n16\n8\n",
+        "P2\n# hand-made\n1 1\n16\n8\n",
+    ], ids=["magic", "header"])
+    def test_pgm_wrong_magic_rejected(self, tmp_path, text):
         p = tmp_path / "deg.pgm"
-        p.write_text("P5\n# cavelast-degree delta=0.1 origin=0 0 offset=8\n1 1\n16\n8\n")
+        p.write_text(text)
         with pytest.raises(ArtifactError, match="deg.pgm"):
             cv.load_pgm(p)
 
@@ -528,7 +532,7 @@ class TestBoundaryCrossings:
 
     def test_self_crossing_boundary_rejected_by_both_checks(self):
         y = _limacon_annulus()
-        assert cv.min_det(y) > 0.0
+        assert y.element_dets().min() > 0.0
         inner = y.positions[y.mesh.boundary_loops()["inner"]]
         assert not degree.polygon_is_simple(inner)
         assert degree.boundary_crossings(y.mesh, y.positions) > 0
@@ -650,6 +654,16 @@ class TestCheckInv:
         assert rep.summary().startswith("PASS") and len(rep.entries) == 16
         for e in rep.entries:
             assert 0.1 < e.radius < 0.12  # gap: 0.22 - 0.1 to the other puncture
+
+    def test_site_with_no_room_raises(self):
+        # a sits 0.2 outward from the centre of the puncture near the rim, so
+        # the smallest circle about it that holds the hole (radius 0.436)
+        # already crosses the outer circle, 0.126 away
+        mesh = cv.build_disk_mesh(1.0, 0.15, punctures=[((-0.39, 0.55), 0.236)])
+        c = np.array([-0.39, 0.55])
+        a = c + 0.2 * c / np.linalg.norm(c)
+        with pytest.raises(GeometryError, match="no room for invertibility circles"):
+            cv.check_inv(cv.DeformationField(mesh), centers=[a])
 
     def test_puncture_near_the_rim_gets_a_verdict(self):
         # the outer circle lies within 1.5 rho of the puncture; the identity

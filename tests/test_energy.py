@@ -175,7 +175,7 @@ class TestDiscreteEnergy:
                     state = E.state(pos)
                     bulk, surface, mind = state.value
                     assert (bulk, surface) == energy_terms(pos, mesh, phi)
-                    assert mind == cv.min_det(cv.DeformationField(mesh, pos))
+                    assert mind == cv.DeformationField(mesh, pos).element_dets().min()
                     assert np.array_equal(np.add(*state.grad), gradient(pos, mesh, phi))
                     bd = cv.total_energy(cv.DeformationField(mesh, pos), density, phi)
                     assert (bd.bulk, bd.surface, bd.total) == (bulk, surface, bulk + surface)
@@ -435,7 +435,8 @@ class TestElementKernels:
         shear = np.array([[1.3, 0.2], [-0.1, 0.9]])
         return {
             "bundled_identity": (bundled, bundled.vertices),
-            "bundled_converged": (bundled, _read_positions_csv(run_dir / "positions.csv")),
+            "bundled_converged": (bundled, _read_positions_csv(run_dir / "positions.csv",
+                                                               len(bundled.vertices))),
             "disk_h0.035": (fine, 1.5 * fine.vertices
                             + 0.002 * rng.standard_normal(fine.vertices.shape)),
             "annulus_two_punctures": (annulus, annulus.vertices @ shear.T
@@ -528,10 +529,18 @@ class TestTotalEnergy:
         assert bd.total == bd.bulk + bd.surface
         assert len(bd.cavities) == 1
         rec = bd.cavities[0]
-        assert rec.simple
-        assert rec.puncture_radius == pytest.approx(0.2)
         assert rec.radius_mean() == pytest.approx(0.2, rel=1e-9)
         assert rec.area == pytest.approx(np.pi * 0.04, rel=0.01)
+
+    def test_crossed_puncture_loop_warns(self, disk_mesh, iso):
+        # two adjacent loop vertices trade places, so the loop crosses itself
+        ids = disk_mesh.puncture_loops()[0]
+        pos = disk_mesh.vertices.copy()
+        pos[ids[[0, 1]]] = pos[ids[[1, 0]]]
+        y = cv.DeformationField(disk_mesh, pos)
+        with pytest.warns(RuntimeWarning, match="self-intersecting cavity boundary; "
+                                                "perimeter is formal"):
+            cv.detect_cavities(y, iso)
 
     def test_scaled_surface(self, disk_mesh, density, iso):
         lam = 1.3

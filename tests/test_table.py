@@ -240,7 +240,8 @@ class TestBytePins:
         assert np.array_equal(back.vertices, mesh.vertices)
         assert np.array_equal(back.triangles, mesh.triangles)
         assert back.boundary_edges == [(int(i), int(j), t) for i, j, t in mesh.boundary_edges]
-        assert np.array_equal(cli._read_positions_csv(out / "positions.csv"), y.positions)
+        assert np.array_equal(cli._read_positions_csv(out / "positions.csv", len(back.vertices)),
+                              y.positions)
         got = cli._read_cavities_csv(out / "cavities.csv")
         want = _reference_read_cavities_csv(out / "cavities.csv")
         assert len(got) == len(want) == len(seen["cavities.csv"][0]) > 0
