@@ -15,22 +15,23 @@ compare with `scripts/digit_diff.py A B`. OUT must not exist yet. It gets:
   `[run] delta = 0.005` (`--emit inverse`), and of two crowded-puncture
   configs;
 - fuzz/run/K and fuzz/eval/K: the exit code, stderr and `summary.txt` of the
-  K-th of the 1,000 seed-1 `tests/test_cli.py::_fuzz_config` configs under
-  `run` and `eval`, all in this interpreter; a config whose `cli.main`
-  raises gets the exit code `raised` and the traceback as its stderr;
+  K-th of the 1,000 seed-1 `corpus.fuzz_config` configs under `run` and
+  `eval`, all in this interpreter; a config whose `cli.main` raises gets the
+  exit code `raised` and the traceback as its stderr;
 - convergence_fuzz.txt: the status, Newton steps and final energy of the
   first 300 of those configs at `max_iters = 1500` through `cli.compute`;
 - golden/: the CSVs of `scripts/make_golden.py --out`;
 - demos/: the stdout of each demo, run in demos/, so their `demo_out` lands
   there too.
 
-Each run starts in OUT with relative paths, so no file holds OUT's name. The
-bytes depend on the OpenBLAS kernel, so pin `OPENBLAS_CORETYPE` when two
-machines or two kernels are compared. The tree is also the workload of CI's
-checks: they read the head commit's tree for the fuzz exit codes, the
-convergence statuses and the crowded fields' INV check, and a CLI run
-that exits other than 0 or 3, a failed golden sweep or a failed demo stops
-this script.
+The fuzz configs come from `scripts/corpus.py` beside this script, whichever
+CHECKOUT runs, so a checkout that predates the corpus module can be driven
+too. Each run starts in OUT with relative paths, so no file holds OUT's
+name. The bytes depend on the OpenBLAS kernel, so pin `OPENBLAS_CORETYPE`
+when two machines or two kernels are compared. `scripts/check_tree.py OUT`
+checks the fuzz exit codes, the convergence statuses and the crowded fields'
+INV check of a tree. A CLI run that exits other than 0 or 3, a failed golden
+sweep or a failed demo stops this script.
 """
 
 import argparse
@@ -96,12 +97,12 @@ def fuzz():
     and eval, and the convergence fuzz, in this interpreter, from the tree's
     root."""
     import numpy as np
-    from test_cli import _fuzz_config
+    import corpus
     from cavelast import cli
     from cavelast.exceptions import ConfigurationError
 
     rng = np.random.default_rng(1)
-    configs = [_fuzz_config(rng) for _ in range(1000)]
+    configs = [corpus.fuzz_config(rng) for _ in range(1000)]
     tmp = Path("fuzz_work")  # a fixed name, as stderr may quote a path
     tmp.mkdir()
     try:
@@ -156,11 +157,14 @@ def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("out", type=Path, help="directory to create for the tree")
     parser.add_argument("--root", type=Path, default=Path(__file__).resolve().parents[1],
-                        help="checkout whose src/, tests/, scripts/ and demos/ run")
+                        help="checkout whose src/, scripts/make_golden.py and demos/ run")
     args = parser.parse_args(argv)
     root, out = args.root.resolve(), args.out.resolve()
-    out.mkdir(parents=True)
-    sys.path[:0] = [str(root / "src"), str(root / "tests")]  # the fuzz imports them
+    try:
+        out.mkdir(parents=True)
+    except FileExistsError:
+        raise SystemExit(f"{out} already exists; give a new directory") from None
+    sys.path.insert(0, str(root / "src"))  # the fuzz imports cavelast from CHECKOUT
     cli_runs(root, out)
     golden_and_demos(root, out)
     os.chdir(out)

@@ -40,6 +40,9 @@ _EMITTED = {"svg": ("reference.svg", "deformed.svg"), "raster": ("raster.pgm",),
             "inverse": ("inverse.csv", "jumps.csv")}
 _SHAPES = ("disk", "square", "annulus")
 _MAX_GRID_CELLS = 2**24  # about 1.6 GB for an inverse raster and its jump set
+# the hex fill of the domain's bounding box; the unit disk at h = 0.0021 (1.05e6)
+# meshes in about 17 s at 0.8 GB, the plain unit square at h = 0.00105 at 1 GB
+_MAX_MESH_POINTS = 2**20
 
 __all__ = [
     "ScenarioConfig", "build_mesh", "build_density", "build_phi", "build_boundary",
@@ -191,6 +194,12 @@ class ScenarioConfig:
             raise ConfigurationError(f"[domain] shape must be one of {_SHAPES}")
         if self.shape == "annulus" and self.inner >= self.radius:
             raise ConfigurationError("[domain] inner must be below radius")
+        width = self.side if self.shape == "square" else 2.0 * self.radius
+        points = 2.0 / math.sqrt(3.0) * (width / self.h) * (width / self.h)
+        if points > _MAX_MESH_POINTS:
+            raise ConfigurationError(
+                f"[domain] h = {self.h!r} needs about {points:.3g} mesh points on this "
+                f"{self.shape}, more than {_MAX_MESH_POINTS}")
         inradius = {"disk": self.radius, "square": 0.5 * self.side,
                     "annulus": 0.5 * (self.radius - self.inner)}[self.shape]
         bound = inradius / 4.0

@@ -1,9 +1,27 @@
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import cavelast as cv
+
+# the scripts' shared modules (the fuzz corpus, the tree checker) import as top-level names
+SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
+sys.path.insert(0, str(SCRIPTS))
+
+
+def run_python(*args, env=None):
+    """Run a fresh interpreter that imports this checkout of cavelast, in
+    env (default: this process's environment)."""
+    env = dict(os.environ if env is None else env)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(Path(cv.__file__).resolve().parents[1])]
+        + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True,
+                          text=True, timeout=120)
 
 
 def read_summary(run_dir) -> dict:

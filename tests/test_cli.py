@@ -18,7 +18,8 @@ from cavelast.cli import (CompareReport, ScenarioConfig, build_mesh, build_phi,
                           compare_runs, main, render_deformed_svg, render_reference_svg,
                           resolve_scenario, run_scenario)
 from cavelast.exceptions import ConfigurationError
-from conftest import read_summary
+from conftest import read_summary, run_python
+from corpus import fuzz_config
 
 GOLDEN = Path(cv.__file__).parent / "golden" / "v1"
 
@@ -374,6 +375,18 @@ class TestCompare:
         assert not rep.alarm
         assert "minimality_alarm = clear" in rep.as_text()
 
+    @pytest.mark.parametrize("run", ["iso_run", "ell_run"])
+    def test_totals_match_the_summary(self, request, run, capsys):
+        # compare evaluates the read-back positions afresh; its own totals
+        # must be the summary's, which the run wrote from the solver's state
+        run_dir = request.getfixturevalue(run)[1]
+        assert main(["compare", str(run_dir), str(run_dir)]) == 0
+        kv = dict(line.split(" = ", 1) for line in capsys.readouterr().out.splitlines())
+        assert kv["minimality_alarm"] == "clear"
+        summary = (run_dir / "summary.txt").read_text().splitlines()
+        for key in ("total", "surface"):
+            assert [s for s in summary if s.startswith(f"{key} = ")] == [f"{key} = {kv[key + '_a']}"]
+
     def test_iso_vs_ell_healthy(self, iso_run, ell_run):
         rep = compare_runs(iso_run[1], ell_run[1])
         assert not rep.alarm
@@ -483,26 +496,16 @@ class TestCompare:
                 "than run A's own minimizer") in lines
 
 
-def _python(*args):
-    """Run a fresh interpreter that imports this checkout of cavelast."""
-    src = str(Path(cv.__file__).resolve().parents[1])
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
-    return subprocess.run([sys.executable, *args], env=env, capture_output=True,
-                          text=True, timeout=120)
-
-
 class TestMain:
     def test_python_m_cavelast(self):
-        proc = _python("-W", "error::RuntimeWarning", "-m", "cavelast", "--help")
+        proc = run_python("-W", "error::RuntimeWarning", "-m", "cavelast", "--help")
         assert proc.returncode == 0, proc.stderr
         assert "usage: cavelast" in proc.stdout
 
     def test_import_skips_integrate_and_interpolate(self):
         # the radial oracle loads them on first use; a 2-D run needs neither,
         # and nothing needs scipy.ndimage
-        proc = _python("-c", "import sys, cavelast; print(sorted(m for m in sys.modules "
+        proc = run_python("-c", "import sys, cavelast; print(sorted(m for m in sys.modules "
                        "if m in ('scipy.integrate', 'scipy.interpolate', 'scipy.ndimage')))")
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "[]"
@@ -724,6 +727,22 @@ class TestMain:
         assert "artifacts in" not in captured.out
         assert not out.exists()
 
+    @pytest.mark.parametrize("domain,h", [("h = 1e-4", "0.0001"), ("radius = 1000\nh = 0.1", "0.1")],
+                             ids=["tiny_h", "huge_radius"])
+    def test_unbuildable_mesh_exit_2_at_once(self, tmp_path, capsys, domain, h):
+        # either mesh needs about 4.6e8 hex-fill points, some 7 GB: refused
+        # by validate() before any allocation that grows like 1/h^2
+        p = tmp_path / "big.ini"
+        p.write_text(f"[domain]\nshape = disk\n{domain}\n")
+        out = tmp_path / "out"
+        start = time.perf_counter()
+        assert main(["run", str(p), "--out", str(out)]) == 2
+        assert time.perf_counter() - start < 1.0
+        captured = capsys.readouterr()
+        assert (f"configuration error: [domain] h = {h} needs about 4.62e+08 mesh points "
+                "on this disk, more than 1048576") in captured.err
+        assert not out.exists()
+
     @pytest.mark.parametrize("A,named", [("1 1; 0 1", "symmetric"),
                                          ("1 0; 0 -1", "positive definite")])
     def test_bad_elliptic_matrix_exit_2_before_meshing(self, tmp_path, capsys, monkeypatch,
@@ -858,34 +877,6 @@ class TestComputeWrite:
             == {p.name for p in (tmp_path / "none").iterdir()} | {"reference.svg", "deformed.svg"}
 
 
-# shape: (bounding box low, high, inradius) at the default sizes
-_FUZZ_SHAPES = {"disk": (-1.0, 1.0, 1.0), "square": (0.0, 1.0, 0.5),
-                "annulus": (-1.0, 1.0, 0.3)}
-
-
-def _fuzz_config(rng) -> ScenarioConfig:
-    """A random config that passes validate(): any shape, h in [0.15, 0.3],
-    at most 5 iterations, 0-2 punctures uniform over the bounding box with
-    rho below inradius/4, lam in [0.5, 2], either boundary kind, any phi."""
-    while True:
-        shape = str(rng.choice(list(_FUZZ_SHAPES)))
-        lo, hi, inradius = _FUZZ_SHAPES[shape]
-        punctures = tuple((tuple(rng.uniform(lo, hi, 2).tolist()),
-                           float(rng.uniform(0.0, inradius / 4.0)))
-                          for _ in range(rng.integers(0, 3)))
-        cfg = ScenarioConfig(
-            shape=shape, h=float(rng.uniform(0.15, 0.3)), punctures=punctures,
-            max_iters=int(rng.integers(1, 6)), lam=float(rng.uniform(0.5, 2.0)),
-            bc_kind=str(rng.choice(["radial_stretch", "affine_stretch"])),
-            phi_kind=str(rng.choice(["isotropic", "elliptic", "smoothed_l1"])),
-            phi_A=((4.0, 0.0), (0.0, 1.0)))
-        try:
-            cfg.validate()
-        except ConfigurationError:
-            continue
-        return cfg
-
-
 class TestFuzz:
     def test_random_configs_exit_cleanly(self):
         # every accepted config runs (converged or not) or is refused with
@@ -895,7 +886,7 @@ class TestFuzz:
         start = time.perf_counter()
         codes = set()  # the exit codes run_scenario would return
         for _ in range(60):
-            cfg = _fuzz_config(rng)
+            cfg = fuzz_config(rng)
             try:
                 record = cli.compute(cfg)
             except ConfigurationError as err:
@@ -910,7 +901,7 @@ class TestFuzz:
     def seed1_configs(self):
         # the first 245 seed-1 configs, as scripts/reference_runs.py draws them
         rng = np.random.default_rng(1)
-        return [_fuzz_config(rng) for _ in range(245)]
+        return [fuzz_config(rng) for _ in range(245)]
 
     # (config, step ceiling, total ceiling) of three slow seed-1 configs;
     # later changes may tighten the ceilings, never loosen them

@@ -12,6 +12,7 @@ from cavelast.energy import phi_perimeter_gradient
 from cavelast.exceptions import DomainError, InfeasibleEnergyError
 from cavelast.geometry import hat_gradients
 from cavelast.variation import _constrained_vertices, _newton_step, battery_variations
+from corpus import frames, fuzz_config, mirrored, relabelled, solver
 
 
 def _state(y, density, phi):
@@ -782,36 +783,6 @@ class TestCertificate:
         assert record.crossings == boundary_crossings(y.mesh, y.positions)
 
 
-def _mirrored(mesh):
-    """The mesh reflected by x -> -x, puncture centres included."""
-    return cv.Mesh(mesh.vertices * [-1.0, 1.0], mesh.triangles, mesh.boundary_edges,
-                   [((-c[0], c[1]), r) for c, r in mesh.punctures])
-
-
-def _relabelled(mesh, rng):
-    """(the mesh with its vertices, triangles and boundary edges in a random
-    order, perm): vertex k of the new mesh is vertex perm[k] of the old."""
-    perm = rng.permutation(len(mesh.vertices))
-    new_id = np.argsort(perm)
-    tris = new_id[mesh.triangles[rng.permutation(len(mesh.triangles))]]
-    edges = [(int(new_id[i]), int(new_id[j]), tag) for i, j, tag in
-             (mesh.boundary_edges[k] for k in rng.permutation(len(mesh.boundary_edges)))]
-    return cv.Mesh(mesh.vertices[perm], tris, edges, list(mesh.punctures)), perm
-
-
-def _solver(cfg):
-    """solve(mesh) -> (y, log): minimize from cfg's boundary data on mesh
-    with cfg's density, phi and solver settings, as `cli.compute` does."""
-    density, phi = cli.build_density(cfg), build_phi(cfg)
-
-    def solve(mesh):
-        y0 = cv.BoundaryData(cfg.bc_kind, cfg.lam).initial_field(mesh)
-        return cv.minimize(y0, density, phi, max_iters=cfg.max_iters,
-                           inv_every=cfg.inv_every, seed=cfg.seed)
-
-    return solve
-
-
 class TestFrameReferees:
     """The energy does not see a mirror image of the reference mesh or the
     order of its labels, and the solver must not either: the radial data
@@ -828,7 +799,7 @@ class TestFrameReferees:
             name = {"bundled_iso": "radial_iso_lambda1.5",
                     "bundled_ell": "radial_ell_lambda1.5"}[request.param]
             cfg = cv.ScenarioConfig.from_ini(cli.resolve_scenario(name))
-        solve, mesh = _solver(cfg), cli.build_mesh(cfg)
+        solve, mesh = solver(cfg), cli.build_mesh(cfg)
         return solve, mesh, solve(mesh)
 
     @staticmethod
@@ -842,13 +813,13 @@ class TestFrameReferees:
 
     def test_mirror_reproduces_the_solve(self, case):
         solve, mesh, (y, log) = case
-        y_m, log_m = solve(_mirrored(mesh))
+        y_m, log_m = solve(mirrored(mesh))
         self._assert_same_solve(log, log_m, y.positions * [-1.0, 1.0], y_m.positions)
 
     def test_relabelling_reproduces_the_solve(self, case):
         solve, mesh, (y, log) = case
-        relabelled, perm = _relabelled(mesh, np.random.default_rng(5))
-        y_r, log_r = solve(relabelled)
+        other, perm = relabelled(mesh, np.random.default_rng(5))
+        y_r, log_r = solve(other)
         self._assert_same_solve(log, log_r, y.positions[perm], y_r.positions)
 
     # Seed-1 fuzz configs whose gate rejects trials: a rejection can fall on
@@ -856,17 +827,10 @@ class TestFrameReferees:
     # the minimizer. Later changes may tighten the ceilings, never loosen them
     @pytest.mark.parametrize("k", [81, 184])
     def test_gated_fuzz_configs_reach_the_same_minimizer(self, k):
-        from test_cli import _fuzz_config
         rng = np.random.default_rng(1)
-        cfg = [_fuzz_config(rng) for _ in range(k + 1)][k]
-        cfg = dataclasses.replace(cfg, max_iters=1500)
-        solve, mesh = _solver(cfg), cli.build_mesh(cfg)
-        y, log = solve(mesh)
-        relabelled, perm = _relabelled(mesh, np.random.default_rng(5))
-        for other, want in ((relabelled, y.positions[perm]),
-                            (_mirrored(mesh), y.positions * [-1.0, 1.0])):
-            y_o, log_o = solve(other)
-            assert log.status == log_o.status == "converged"
-            E, E_o = log.records[-1]["energy"], log_o.records[-1]["energy"]
-            assert abs(E_o - E) <= 2e-10 * abs(E)
-            assert np.abs(y_o.positions - want).max() <= 4e-6
+        cfg = [fuzz_config(rng) for _ in range(k + 1)][k]
+        original, *others = frames(dataclasses.replace(cfg, max_iters=1500))
+        for frame in others:
+            assert original.status == frame.status == "converged"
+            assert frame.energy_gap <= 2e-10
+            assert frame.position_gap <= 4e-6
