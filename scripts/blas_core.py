@@ -1,29 +1,36 @@
-"""Print the OpenBLAS kernel that scipy's bundled OpenBLAS picks here.
+"""Print the OpenBLAS kernel that scipy's bundled OpenBLAS picks here, and
+the SIMD extensions numpy dispatches to.
 
 Run from anywhere:
 
     python3 scripts/blas_core.py
 
-Prints `OpenBLAS core: NAME`, for example `SkylakeX`, or `Haswell` under
-`OPENBLAS_CORETYPE=Haswell`; `unknown` means scipy links another BLAS.
-Artifact bytes depend on the kernel, so CI prints it before its steps.
+The first line is `OpenBLAS core: NAME`, for example `SkylakeX`, or
+`Haswell` under `OPENBLAS_CORETYPE=Haswell`; `unknown` means scipy links
+another BLAS. The second is `numpy SIMD: ...`, the `found` list of numpy's
+SIMD extensions (`unknown` where numpy does not report it). Artifact bytes
+depend on the kernel, so CI prints both before its steps.
 """
 
-import ctypes
-import glob
+import pathlib
+import sys
 
-import scipy
+import numpy as np
+
+sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
+
+from cavelast._openblas import core_name as openblas_core  # noqa: E402
 
 
-def openblas_core() -> str:
-    """The kernel name scipy's OpenBLAS reports, or "unknown"."""
-    lib = glob.glob(scipy.__path__[0] + ".libs/libscipy_openblas*.so")
-    core = getattr(ctypes.CDLL(lib[0]), "scipy_openblas_get_corename", None) if lib else None
-    if core is None:
+def numpy_simd() -> str:
+    """The SIMD extensions numpy found on this machine, or "unknown"."""
+    try:
+        found = np.show_config(mode="dicts")["SIMD Extensions"]["found"]
+    except (TypeError, KeyError):  # a numpy without mode="dicts" or that key
         return "unknown"
-    core.argtypes, core.restype = [], ctypes.c_char_p
-    return core().decode()
+    return " ".join(found)
 
 
 if __name__ == "__main__":
     print("OpenBLAS core:", openblas_core())
+    print("numpy SIMD:", numpy_simd())

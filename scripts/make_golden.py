@@ -6,9 +6,10 @@ Run from the repository root:
 
 Writes lambda sweeps for the isotropic and the elliptic surface density into
 DIR. The committed outputs in src/cavelast/golden/v1/ are the regression
-baseline; only regenerate them on purpose (solver changes that shift energies
-beyond the 3% band should bump the version directory instead of overwriting
-v1).
+baseline, and the tests require this script to write exactly their bytes:
+a solver change that moves a digit regenerates them in the same commit.
+One that shifts energies beyond the 3% band should bump the version
+directory instead of overwriting v1.
 """
 
 import argparse

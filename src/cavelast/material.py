@@ -62,7 +62,12 @@ def _admissible_det(F, det=None):
     batch; a det passed in is one its caller has tested, returned unchecked."""
     if det is not None:
         return np.asarray(det, dtype=float)
-    det = _det2(F)
+    return _positive_det(_det2(F))
+
+
+def _positive_det(det):
+    """det as an array, after raising DomainError where it is <= 0 anywhere."""
+    det = np.asarray(det)
     if (det <= 0.0).any():
         raise DomainError("det F <= 0: deformation gradient outside the admissible cone")
     return det
@@ -77,7 +82,9 @@ class BulkDensity:
     and raise DomainError when det F <= 0 anywhere in the batch. `energy`,
     `stress` and `hessian_eigensystem` also take det F, when the caller has
     computed it and tested it positive; then they neither recompute nor
-    recheck it.
+    recheck it. The `stretch_*` forms give W, its first and second
+    derivatives and its exact change at diagonal F = diag(v1, v2) from the
+    two principal stretches alone, as the radial oracle needs them.
     """
 
     mu: float = 1.0
@@ -188,6 +195,43 @@ class BulkDensity:
         dlog = np.where(small, np.log1p(np.where(small, ddet / det, 0.0)),
                         np.log(det1) - np.log(det))
         return (0.5 * self.mu * np.einsum("...ab,...ab->...", 2.0 * F + dF, dF)
+                + self.a * ddet * (2.0 * det + ddet) - self.b * dlog)
+
+    # principal-stretch forms: W and its derivatives at F = diag(v1, v2),
+    # for stretches v1, v2 of any broadcastable shapes, in the same
+    # arithmetic as the matrix forms (the radial oracle's F is diagonal)
+
+    def stretch_energy(self, v1, v2):
+        """`energy(diag(v1, v2))`."""
+        det = _positive_det(v1 * v2)
+        return 0.5 * self.mu * (v1 * v1 + v2 * v2) + self.a * det ** 2 - self.b * np.log(det)
+
+    def stretch_stress(self, v1, v2):
+        """(W_1, W_2) = dW / d(v1, v2), the diagonal of `stress(diag(v1, v2))`."""
+        det = _positive_det(v1 * v2)
+        coef = 2.0 * self.a * det - self.b / det
+        return self.mu * v1 + coef * v2, self.mu * v2 + coef * v1
+
+    def stretch_hessian(self, v1, v2):
+        """(W_11, W_12, W_22) = d^2W / d(v1, v2)^2, the entries [0, 0, 0, 0],
+        [0, 0, 1, 1] and [1, 1, 1, 1] of `hessian(diag(v1, v2))`."""
+        det = _positive_det(v1 * v2)
+        alpha = 2.0 * self.a + self.b / det ** 2
+        k = 2.0 * self.a * det - self.b / det
+        return v2 * v2 * alpha + self.mu, v2 * v1 * alpha + k, v1 * v1 * alpha + self.mu
+
+    def stretch_change(self, v1, v2, d1, d2):
+        """`energy_change(diag(v1, v2), diag(d1, d2))`, by the same rule:
+        log1p(ddet / det) unless |ddet| >= det / 2. The new determinant is
+        the product (v1 + d1)(v2 + d2), never det + ddet, which rounds
+        below zero beside a collapsing element."""
+        det = _positive_det(v1 * v2)
+        det1 = _positive_det((v1 + d1) * (v2 + d2))
+        ddet = v2 * d1 + v1 * d2 + d1 * d2
+        small = np.abs(ddet) < 0.5 * det
+        dlog = np.where(small, np.log1p(np.where(small, ddet / det, 0.0)),
+                        np.log(det1) - np.log(det))
+        return (0.5 * self.mu * ((2.0 * v1 + d1) * d1 + (2.0 * v2 + d2) * d2)
                 + self.a * ddet * (2.0 * det + ddet) - self.b * dlog)
 
     def gamma(self, h):

@@ -2,10 +2,12 @@
 
 For y(x) = r(|x|) x/|x| the principal stretches are r'(R) and r(R)/R, so the
 energy collapses to a 1-D integral plus the phi-perimeter of the cavity
-circle. `solve_radial` minimizes over monotone knot profiles by projected
-Newton on one energy object, a piecewise-linear quadrature of that integral
-whose value, gradient, tridiagonal Hessian and exact energy change all read
-W from `BulkDensity`; its line search tests Armijo on that exact change. It
+circle, and F = diag(r', r/R) is diagonal. `solve_radial` minimizes over
+monotone knot profiles by projected Newton on one energy object, a
+piecewise-linear quadrature of that integral whose value, gradient,
+tridiagonal Hessian and exact energy change all read W from the
+principal-stretch forms of `BulkDensity` (`stretch_energy` and its kin), so
+no 2x2 matrix is formed; its line search tests Armijo on that exact change. It
 descends from a homogeneous and a cavitated seed and serves as
 semi-analytic ground truth for the 2-D code, including the traction balance
 on the cavity wall. Newton progress is logged at DEBUG level on "cavelast".
@@ -100,14 +102,6 @@ def anisotropic_circle_perimeter(c: float, phi: SurfaceDensity) -> float:
     return c * phi.circle_integral
 
 
-def _diag(v1, v2):
-    """Flat (n, 2, 2) batch of the deformation gradients diag(v1, v2)."""
-    F = np.zeros((np.broadcast(v1, v2).size, 2, 2))
-    F[:, 0, 0] = np.ravel(v1)
-    F[:, 1, 1] = np.ravel(v2)
-    return F
-
-
 def radial_energy_breakdown(profile: RadialProfile, density: BulkDensity,
                             phi: SurfaceDensity):
     """(bulk, surface); the bulk by Gauss-Legendre on every knot interval.
@@ -124,7 +118,7 @@ def radial_energy_breakdown(profile: RadialProfile, density: BulkDensity,
     bad = (v1 <= 0.0) | (v2 <= 0.0)
     if bad.any():
         raise InfeasibleEnergyError(f"non-positive stretch at R = {R[bad][0]:.6g}")
-    dens = density.energy(_diag(v1, v2)).reshape(R.shape)
+    dens = density.stretch_energy(v1, v2)
     bulk = float(np.sum(W * 2.0 * np.pi * R * dens))
     surface = anisotropic_circle_perimeter(profile.cavity_radius, phi)
     return bulk, float(surface)
@@ -155,13 +149,18 @@ class _PLEnergy:
     values, with its gradient and tridiagonal Hessian over values[:-1].
 
     Linear trial profiles between knots make this a smooth function of the
-    knot values, which is what the solver differentiates: at each quadrature
-    point F = diag(v1, v2) with v1 = (v_{j+1} - v_j) / dR_j and
-    v2 = (v_j (1 - t) + v_{j+1} t) / R, and W and its derivatives come from
-    `BulkDensity`. The returned RadialProfile swaps in the monotone cubic
-    interpolant afterwards; the two agree to the interpolation error.
-    `grad`, `hess` and `change` take the stretch S = `stretch(values)` of
-    the knot values, which the solver forms once per iterate.
+    knot values, which is what the solver differentiates. At each of the
+    (M, 8) quadrature points the deformation gradient is diag(v1, v2), with
+    v1 = (v_{j+1} - v_j) / dR_j and v2 = (v_j (1 - t) + v_{j+1} t) / R,
+    both linear in the values, so W, W_i, W_ij and the exact change come
+    from the principal-stretch forms of `BulkDensity` and no 2x2 matrix is
+    formed. The constructor folds the quadrature measure and d(v1, v2) /
+    d(v_j, v_{j+1}) into weights once, so the gradient and the Hessian
+    blocks are one weighted sum each. The returned RadialProfile swaps in
+    the monotone cubic interpolant afterwards; the two agree to the
+    interpolation error. `grad`, `hess` and `change` take the stretches
+    S = `stretch(values)` of the knot values, which the solver forms once
+    per iterate.
     """
 
     def __init__(self, knots, density: BulkDensity, K: float):
@@ -169,37 +168,43 @@ class _PLEnergy:
         self.dR = np.diff(knots)
         X, W = _pl_quadrature(knots)
         t = (X - knots[:-1, None]) / self.dR[:, None]
-        self.shape = X.shape
         self.w0 = (1.0 - t) / X                  # d v2 / d v_j
         self.w1 = t / X                          # d v2 / d v_{j+1}
         self.C = W * 2.0 * np.pi * X             # quadrature measure
+        # J[i, e]: d v_i / d (v_j, v_{j+1})[e] at every point
+        slope = np.broadcast_to(1.0 / self.dR[:, None], X.shape)
+        J = np.array([[-slope, slope], [self.w0, self.w1]])
+        self._grad_w = self.C * J                # (stretch, endpoint, M, 8)
+        # the blocks (j, j), (j, j+1), (j+1, j+1) of interval j, against
+        # (W_11, W_12, W_22)
+        pairs = ((0, 0), (0, 1), (1, 1))
+        self._hess_w = self.C * np.array(
+            [[J[0, e] * J[0, f] for e, f in pairs],
+             [J[0, e] * J[1, f] + J[1, e] * J[0, f] for e, f in pairs],
+             [J[1, e] * J[1, f] for e, f in pairs]])   # (W_ij, block, M, 8)
 
     def stretch(self, values):
-        """diag(v1, v2) at every quadrature point, linear in the values."""
-        v1 = np.diff(values) / self.dR
+        """(v1 (M, 1), v2 (M, 8)) at the quadrature points, linear in the
+        values."""
+        v1 = (np.diff(values) / self.dR)[:, None]
         v2 = values[:-1, None] * self.w0 + values[1:, None] * self.w1
-        return _diag(np.broadcast_to(v1[:, None], self.shape), v2)
+        return v1, v2
 
     def _integrate(self, dens, head):
-        return float(np.sum(self.C * dens.reshape(self.shape))) + float(head) * self.K
+        return float(np.sum(self.C * dens)) + float(head) * self.K
 
     def value(self, values):
-        return self._integrate(self.density.energy(self.stretch(values)), values[0])
+        return self._integrate(self.density.stretch_energy(*self.stretch(values)), values[0])
 
     def change(self, S, step):
         """E(values + step) - E(values), resolved below the rounding of E,
         for S = `stretch(values)`."""
-        return self._integrate(self.density.energy_change(S, self.stretch(step)), step[0])
+        return self._integrate(self.density.stretch_change(*S, *self.stretch(step)), step[0])
 
     def grad(self, S):
-        DW = self.density.stress(S)
-        W1 = self.C * DW[:, 0, 0].reshape(self.shape)
-        W2 = self.C * DW[:, 1, 1].reshape(self.shape)
-        A = np.sum(W1, axis=1) / self.dR         # through the slope
-        full = np.zeros(len(self.knots))
-        full[:-1] += np.sum(W2 * self.w0, axis=1) - A
-        full[1:] += np.sum(W2 * self.w1, axis=1) + A
-        g = full[:-1]
+        lo, hi = np.einsum("iepq,ipq->ep", self._grad_w, self.density.stretch_stress(*S))
+        g = lo
+        g[1:] += hi[:-1]
         g[0] += self.K
         return g
 
@@ -207,17 +212,12 @@ class _PLEnergy:
         """Hessian in solveh_banded's upper layout. Each interval couples
         only its two endpoint values, so it is tridiagonal, assembled from
         the per-interval 2x2 blocks."""
-        D2W = self.density.hessian(S).reshape(self.shape + (2, 2, 2, 2))
-        d11, d12, d22 = (self.C * D2W[..., i, i, j, j] for i, j in ((0, 0), (0, 1), (1, 1)))
-        lo, hi = -1.0 / self.dR[:, None], 1.0 / self.dR[:, None]   # d v1 / d v_j, v_{j+1}
-
-        def block(a, ga, b, gb):
-            return np.sum(d11 * a * b + d12 * (a * gb + ga * b) + d22 * ga * gb, axis=1)
-
+        lolo, lohi, hihi = np.einsum("kbpq,kpq->bp", self._hess_w,
+                                     self.density.stretch_hessian(*S))
         ab = np.zeros((2, len(self.dR)))
-        ab[0, 1:] = block(lo, self.w0, hi, self.w1)[:-1]   # couples v_j and v_{j+1}
-        ab[1] = block(lo, self.w0, lo, self.w0)
-        ab[1, 1:] += block(hi, self.w1, hi, self.w1)[:-1]
+        ab[0, 1:] = lohi[:-1]                    # couples v_j and v_{j+1}
+        ab[1] = lolo
+        ab[1, 1:] += hihi[:-1]
         return ab
 
 
@@ -343,7 +343,9 @@ def solve_radial(lam: float, density: BulkDensity, phi: SurfaceDensity,
         raise ValueError("need at least 32 intervals")
     if not 0.0 < rho < 1.0:
         raise ValueError("need 0 < rho < 1")
-    knots = rho * (1.0 / rho) ** np.linspace(0.0, 1.0, M + 1)
+    # Python's float power, not numpy's: numpy's SIMD power changes last
+    # bits with the CPU's dispatch target, and the descent follows the knots
+    knots = rho * np.array([(1.0 / rho) ** s for s in np.linspace(0.0, 1.0, M + 1).tolist()])
     knots[-1] = 1.0
     seeds = [lam * knots]
     if lam > 1.0:
@@ -414,9 +416,8 @@ def bvp_boundary_check(profile: RadialProfile, density: BulkDensity,
     det = v1 * v2
     if det <= 0.0:
         raise InfeasibleEnergyError("profile has non-positive determinant at the puncture")
-    F = np.array([[v1, 0.0], [0.0, v2]])
-    T = density.stress(F[None])[0] @ F.T / det
-    t_rr = float(T[0, 0])
+    W1, _ = density.stretch_stress(v1, v2)
+    t_rr = float(W1 * v1 / det)  # the radial entry of T = DW F^T / det
 
     h_avg = -phi.circle_integral / (2.0 * np.pi * c)
 

@@ -17,6 +17,7 @@ import numpy as np
 from scipy.linalg import LinAlgError
 from scipy.linalg.lapack import dpbtrf, dpbtrs
 
+from . import _openblas
 from ._polyline import succ
 from ._table import write_table
 # check_inv and total_energy are not called here; they stay bound because
@@ -325,14 +326,17 @@ def _newton_step(state: EnergyState, grad, damping):
     `DiscreteEnergy.band_layout`. LinAlgError when the matrix is not
     positive definite. The lower `dpbtrf` factors these bands 28-35% faster
     than the upper one `scipy.linalg.cholesky_banded` calls (README, "The
-    2-D solver")."""
+    2-D solver"). Both run on one OpenBLAS thread, which is faster on every
+    band measured and makes the step independent of the caller's thread
+    count."""
     order, _, _ = state.energy.band_layout
     band = state.hess()
     band[0] *= 1.0 + damping  # the diagonal
-    factor, info = dpbtrf(band, lower=1, overwrite_ab=1)
-    if info > 0:
-        raise LinAlgError(f"{info}-th leading minor not positive definite")
-    x, _ = dpbtrs(factor, -grad[order], lower=1, overwrite_b=1)
+    with _openblas.one_thread():
+        factor, info = dpbtrf(band, lower=1, overwrite_ab=1)
+        if info > 0:
+            raise LinAlgError(f"{info}-th leading minor not positive definite")
+        x, _ = dpbtrs(factor, -grad[order], lower=1, overwrite_b=1)
     dx = np.empty(len(order))
     dx[order] = x
     return dx.reshape(-1, 2)

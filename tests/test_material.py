@@ -141,6 +141,86 @@ class TestBulkDensity:
                 density.energy_change(before, step)
 
 
+def _ulps(got, want):
+    """|got - want| in units of the spacing at the larger of the two."""
+    return np.abs(got - want) / np.spacing(np.maximum(np.abs(got), np.abs(want)))
+
+
+class TestStretchForms:
+    """The principal-stretch forms, refereed by the matrix forms at
+    diag(v1, v2). Both do the same arithmetic (the matrix forms only add
+    exact zeros), so they agree to ULPS; on x86-64 they give the same bits."""
+
+    ULPS = 2.0
+    DENSITIES = (cv.BulkDensity(), cv.BulkDensity(10.0, 0.3, 2.0), cv.BulkDensity(0.1, 5.0, 0.5))
+
+    @staticmethod
+    def cases():
+        """(v1, v2, d1, d2): stretches from 1e-6 to 10, the first 100 on the
+        1e-6 floor the radial solver keeps a closed hole at, and steps from
+        -0.99 to 2 times the stretch (a determinant change >= det / 2) and
+        10^-9 of that."""
+        rng = np.random.default_rng(41)
+        n = 2000
+        v1, v2 = 10.0 ** rng.uniform(-6.0, 1.0, (2, n))
+        v1[:100] = 1e-6 * (1.0 + rng.uniform(0.0, 1e-3, 100))
+        d1, d2 = np.array([v1, v2]) * rng.uniform(-0.99, 2.0, (2, n))
+        d1[n // 2:] *= 1e-9
+        d2[n // 2:] *= 1e-9
+        return v1, v2, d1, d2
+
+    @staticmethod
+    def diag(v1, v2):
+        F = np.zeros(v1.shape + (2, 2))
+        F[:, 0, 0], F[:, 1, 1] = v1, v2
+        return F
+
+    @pytest.mark.parametrize("density", DENSITIES, ids=["unit", "stiff", "soft"])
+    def test_match_the_matrix_forms(self, density):
+        v1, v2, d1, d2 = self.cases()
+        F, dF = self.diag(v1, v2), self.diag(d1, d2)
+        collapsing = np.abs(v2 * d1 + v1 * d2 + d1 * d2) >= 0.5 * v1 * v2
+        assert 100 < collapsing.sum() < len(v1) // 2  # both branches of the change
+        assert _ulps(density.stretch_energy(v1, v2), density.energy(F)).max() <= self.ULPS
+        S, H = density.stress(F), density.hessian(F)
+        for got, want in zip(density.stretch_stress(v1, v2), (S[:, 0, 0], S[:, 1, 1])):
+            assert _ulps(got, want).max() <= self.ULPS
+        for got, (i, j) in zip(density.stretch_hessian(v1, v2), ((0, 0), (0, 1), (1, 1))):
+            assert _ulps(got, H[:, i, i, j, j]).max() <= self.ULPS
+        assert np.array_equal(H[:, 1, 1, 0, 0], H[:, 0, 0, 1, 1])  # W_21 = W_12
+        assert _ulps(density.stretch_change(v1, v2, d1, d2),
+                     density.energy_change(F, dF)).max() <= self.ULPS
+
+    def test_change_to_the_floor_forms_the_new_determinant_as_a_product(self, density):
+        # steps that take v1 from the floor to within 1e-13 of zero: there
+        # det + ddet rounds to zero or below, the product (v1 + d1)(v2 + d2)
+        # stays positive, and the change stays finite
+        rng = np.random.default_rng(42)
+        v1 = 1e-6 * (1.0 + rng.uniform(0.0, 1e-3, 2000))
+        v2 = rng.uniform(1e-6, 10.0, 2000)
+        d1 = -v1 * (1.0 - 10.0 ** rng.uniform(-16.0, -13.0, 2000))
+        d2 = v2 * rng.uniform(-0.5, 0.5, 2000)
+        rounded = v1 * v2 + (v2 * d1 + v1 * d2 + d1 * d2)
+        assert (rounded <= 0.0).sum() > 10 and ((v1 + d1) * (v2 + d2) > 0.0).all()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = density.stretch_change(v1, v2, d1, d2)
+        assert np.isfinite(got).all()
+        want = density.energy_change(self.diag(v1, v2), self.diag(d1, d2))
+        assert _ulps(got, want).max() <= self.ULPS
+
+    def test_reject_nonpositive_det(self, density):
+        one = np.ones(1)
+        with pytest.raises(DomainError):
+            density.stretch_energy(one, -one)
+        with pytest.raises(DomainError):
+            density.stretch_stress(0.0 * one, one)
+        with pytest.raises(DomainError):
+            density.stretch_hessian(-one, one)
+        with pytest.raises(DomainError):
+            density.stretch_change(one, one, -2.0 * one, 0.0 * one)
+
+
 def _rot(theta):
     c, s = np.cos(theta), np.sin(theta)
     return np.stack([np.stack([c, -s], -1), np.stack([s, c], -1)], -2)

@@ -1,6 +1,7 @@
 import csv
 import importlib.util
 import logging
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -10,15 +11,16 @@ import pytest
 from scipy.special import ellipe
 
 import cavelast as cv
+from blas_core import numpy_simd
 from cavelast import radial
 
 MAKE_GOLDEN = Path(__file__).resolve().parents[1] / "scripts" / "make_golden.py"
 COMMITTED_GOLDEN = Path(cv.__file__).parent / "golden" / "v1"
 
 
-def _make_golden(*args):
+def _make_golden(*args, env=None):
     return subprocess.run([sys.executable, str(MAKE_GOLDEN), *args],
-                          capture_output=True, text=True, timeout=120)
+                          capture_output=True, text=True, timeout=120, env=env)
 
 
 def _first_seed_stalls(monkeypatch):
@@ -275,6 +277,17 @@ class TestSweepAndGolden:
             assert [r["lambda"] for r in got] == [r["lambda"] for r in want]
             for g, w in zip(got, want):
                 assert float(g["total"]) == pytest.approx(float(w["total"]), rel=1e-6)
+        # the code writes the committed bytes, also with numpy's AVX-512
+        # dispatch off (where this machine has it), as on an AVX2-only one
+        found = numpy_simd().split()
+        off = " ".join(f for f in ("AVX512_SPR", "AVX512_ICL", "X86_V4") if f in found)
+        plain = tmp_path / "no_avx512"
+        proc = _make_golden("--out", str(plain), env=dict(os.environ, NPY_DISABLE_CPU_FEATURES=off))
+        assert proc.returncode == 0, proc.stderr
+        for out in (tmp_path, plain):
+            for name in ("radial_iso.csv", "radial_ell.csv"):
+                assert (out / name).read_bytes() == (COMMITTED_GOLDEN / name).read_bytes(), \
+                    f"{out.name}/{name}"
 
     def test_golden_bifurcation_shape(self):
         with open(COMMITTED_GOLDEN / "radial_iso.csv") as fh:

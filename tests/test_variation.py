@@ -1,9 +1,12 @@
 import dataclasses
 import importlib
+import os
 import pkgutil
 
 import numpy as np
 import pytest
+from scipy.linalg import LinAlgError
+from scipy.linalg.lapack import dpbtrf
 
 import cavelast as cv
 from cavelast import cli
@@ -12,6 +15,7 @@ from cavelast.energy import phi_perimeter_gradient
 from cavelast.exceptions import DomainError, InfeasibleEnergyError
 from cavelast.geometry import hat_gradients
 from cavelast.variation import _constrained_vertices, _newton_step, battery_variations
+from conftest import run_python
 from corpus import frames, fuzz_config, mirrored, relabelled, solver
 
 
@@ -546,6 +550,53 @@ class TestMinimize:
         [rec] = caplog.records
         assert "iter 1: damped Newton matrix not positive definite" in rec.getMessage()
         assert "1-th leading minor" in rec.getMessage()
+
+    def test_newton_factor_runs_on_one_thread(self, stretched_disk, density, ell, monkeypatch):
+        # dpbtrf and dpbtrs see one OpenBLAS thread, and the caller's count
+        # comes back after a factor that succeeds and after one that fails
+        import cavelast.variation as variation
+        from cavelast import _openblas
+        if _openblas._GET_THREADS is None or _openblas._SET_THREADS is None:
+            pytest.skip("scipy does not link its bundled OpenBLAS")
+        seen = []
+
+        def recording(real, fail):
+            def call(*args, **kwargs):
+                seen.append(_openblas._GET_THREADS())
+                out = real(*args, **kwargs)
+                return (out[0], 1) if fail else out
+            return call
+
+        free = np.ones(len(stretched_disk.positions), dtype=bool)
+        free[_constrained_vertices(stretched_disk.mesh)] = False
+        state = cv.DiscreteEnergy(stretched_disk.mesh, density, ell, free).state(
+            stretched_disk.positions)
+        grad = np.add(*state.grad)[free].ravel()
+        caller = _openblas._GET_THREADS()
+        _openblas._SET_THREADS(2)
+        try:
+            monkeypatch.setattr(variation, "dpbtrf", recording(variation.dpbtrf, False))
+            monkeypatch.setattr(variation, "dpbtrs", recording(variation.dpbtrs, False))
+            _newton_step(state, grad, 1.0)
+            assert _openblas._GET_THREADS() == 2
+            monkeypatch.setattr(variation, "dpbtrf", recording(dpbtrf, True))
+            with pytest.raises(LinAlgError):
+                _newton_step(state, grad, 1.0)
+            assert _openblas._GET_THREADS() == 2
+        finally:
+            _openblas._SET_THREADS(caller)
+        assert seen == [1, 1, 1]
+
+    def test_bundled_run_is_the_same_on_one_and_two_threads(self, tmp_path):
+        # where the BLAS kernel's factor depends on the thread count (Haswell
+        # does), the one-thread Newton factor keeps the artifacts the same
+        for n in ("1", "2"):
+            proc = run_python("-m", "cavelast", "run", "radial_iso_lambda1.5",
+                              "--out", str(tmp_path / n),
+                              env=dict(os.environ, OPENBLAS_NUM_THREADS=n))
+            assert proc.returncode == 0, proc.stderr
+        positions = [(tmp_path / n / "positions.csv").read_bytes() for n in ("1", "2")]
+        assert positions[0] == positions[1]
 
     def test_log_csv(self, tmp_path):
         log = cv.IterationLog()
