@@ -404,7 +404,9 @@ def compute(cfg: ScenarioConfig, mode="run") -> RunRecord:
     """Mesh, solve (mode "run") or evaluate the boundary field, and certify;
     writes nothing. Input that cannot be run raises ConfigurationError, cause
     chained: a CavelastError while building the mesh and densities, or an
-    InfeasibleEnergyError from the solve or the energy report.
+    InfeasibleEnergyError from the solve, the energy report, the battery or
+    the first-variation report (whose central difference can fold a
+    triangle of a field with dets near the floor).
 
     One `EnergyState` of the final field gives the energy report, the
     battery's gradient and the first-variation report: the state `minimize`
@@ -424,17 +426,17 @@ def compute(cfg: ScenarioConfig, mode="run") -> RunRecord:
             log = IterationLog(status="evaluated")
             state = DiscreteEnergy(mesh, density, phi).state(y.positions)
         breakdown = state.breakdown
+        if log.certificate is None:  # the solve's stop test did not certify y
+            fields = certification_battery(y, seed=cfg.seed)
+            log.certificate = fields, battery_variations(state, fields)
+        fields, variations = log.certificate
+        residual = max([0.0] + variations)
+        fv_report = None
+        if fields:  # first field attaining the residual (a NaN variation counts as 0)
+            worst = fields[[max(0.0, v) for v in variations].index(residual)]
+            fv_report = first_variation_residual(state, worst)
     except InfeasibleEnergyError as err:
         raise ConfigurationError(str(err)) from err
-    if log.certificate is None:  # the solve's stop test did not certify y
-        fields = certification_battery(y, seed=cfg.seed)
-        log.certificate = fields, battery_variations(state, fields)
-    fields, variations = log.certificate
-    residual = max([0.0] + variations)
-    fv_report = None
-    if fields:  # first field attaining the residual (a NaN variation counts as 0)
-        worst = fields[[max(0.0, v) for v in variations].index(residual)]
-        fv_report = first_variation_residual(state, worst)
     if mode != "run":
         log.add(iter=0, energy=breakdown.total, bulk=breakdown.bulk, surface=breakdown.surface,
                 min_det=state.value[2], step=0.0, residual=residual)

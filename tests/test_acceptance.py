@@ -13,7 +13,7 @@ import pytest
 
 import cavelast as cv
 from cavelast._polyline import hausdorff_distance
-from cavelast.cli import ScenarioConfig, build_density, build_phi, compare_runs
+from cavelast.cli import _load_run, build_density, build_phi, compare_runs
 from cavelast.degree import winding_number_angle
 from cavelast.energy import phi_perimeter_gradient
 from cavelast.exceptions import InfeasibleEnergyError
@@ -30,12 +30,8 @@ def star_polygon(rng):
 
 
 def load_run_field(run_dir):
-    run_dir = Path(run_dir)
-    cfg = ScenarioConfig.from_ini(run_dir / "config.ini")
-    mesh = cv.load_mesh(run_dir / "mesh.cavmesh")
-    rows = (run_dir / "positions.csv").read_text().strip().splitlines()[1:]
-    pos = np.array([[float(t) for t in r.split(",")[3:]] for r in rows])
-    return cv.DeformationField(mesh, pos), build_density(cfg), build_phi(cfg)
+    cfg, y = _load_run(run_dir)
+    return y, build_density(cfg), build_phi(cfg)
 
 
 @pytest.fixture(scope="module")

@@ -829,7 +829,7 @@ def _folded(mesh):
     return cv.DeformationField(mesh, pos)
 
 
-class TestCheckInvPlan:
+class TestCheckInvReference:
     """The circles and samples check_inv draws on every call, and its
     verdicts, are those of the per-call reference exactly."""
 

@@ -589,14 +589,29 @@ class TestMinimize:
 
     def test_bundled_run_is_the_same_on_one_and_two_threads(self, tmp_path):
         # where the BLAS kernel's factor depends on the thread count (Haswell
-        # does), the one-thread Newton factor keeps the artifacts the same
-        for n in ("1", "2"):
-            proc = run_python("-m", "cavelast", "run", "radial_iso_lambda1.5",
-                              "--out", str(tmp_path / n),
-                              env=dict(os.environ, OPENBLAS_NUM_THREADS=n))
+        # does), the one-thread Newton factor keeps the artifacts the same:
+        # both bundled scenarios with every emitter, in a fresh interpreter on
+        # one OpenBLAS thread and in one with no thread-count variable set
+        # (the machine's default), write the same files and bytes
+        scenarios = ("radial_iso_lambda1.5", "radial_ell_lambda1.5")
+        program = ("import sys\nfrom cavelast.cli import main\n"
+                   "for s in sys.argv[2:]:\n"
+                   "    code = main(['run', s, '--out', f'{sys.argv[1]}/{s}',"
+                   " '--emit', 'svg,raster,inverse'])\n"
+                   "    assert code == 0, (s, code)\n")
+        default = {k: v for k, v in os.environ.items()
+                   if k not in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")}
+        trees = []
+        for name, env in (("one", dict(default, OPENBLAS_NUM_THREADS="1")), ("default", default)):
+            proc = run_python("-c", program, str(tmp_path / name), *scenarios, env=env)
             assert proc.returncode == 0, proc.stderr
-        positions = [(tmp_path / n / "positions.csv").read_bytes() for n in ("1", "2")]
-        assert positions[0] == positions[1]
+            trees.append({p.relative_to(tmp_path / name).as_posix(): p.read_bytes()
+                          for p in (tmp_path / name).rglob("*") if p.is_file()})
+        one, many = trees
+        assert {f"{s}/{f}" for s in scenarios for f in ("deformed.svg", "raster.pgm", "jumps.csv")} \
+            <= one.keys()
+        assert one.keys() == many.keys()
+        assert [f for f in one if one[f] != many[f]] == []
 
     def test_log_csv(self, tmp_path):
         log = cv.IterationLog()
