@@ -43,20 +43,23 @@ def points_to_polyline_distance(points, loop):
 
     Batched over the query points, about `_PAIRS` point-segment pairs at a
     time; each point's minimum is its own, so batching changes no digit.
+    The x and y parts are separate (points, segments) arrays, never one
+    with a trailing axis of 2, and each sum adds the x term first, as the
+    batched `sum(axis=...)` and `norm(axis=...)` it replaces did.
     """
-    points = np.atleast_2d(np.asarray(points, dtype=float))
-    a = np.asarray(loop, dtype=float)
-    d = succ(a) - a
-    len2 = np.maximum((d ** 2).sum(axis=1), 1e-300)
-    out = np.empty(len(points))
-    step = max(1, _PAIRS // len(a))
-    for lo in range(0, len(points), step):
-        p = points[lo:lo + step]
+    px, py = np.atleast_2d(np.asarray(points, dtype=float)).T
+    ax, ay = np.asarray(loop, dtype=float).T
+    dx, dy = succ(ax) - ax, succ(ay) - ay
+    len2 = np.maximum(dx * dx + dy * dy, 1e-300)
+    out = np.empty(len(px))
+    step = max(1, _PAIRS // len(ax))
+    for lo in range(0, len(px), step):
+        qx, qy = px[lo:lo + step, None], py[lo:lo + step, None]
         # project every point on every segment
-        w = p[:, None, :] - a[None, :, :]
-        t = np.clip((w * d[None]).sum(axis=2) / len2[None], 0.0, 1.0)
-        closest = a[None] + t[..., None] * d[None]
-        out[lo:lo + step] = np.linalg.norm(p[:, None, :] - closest, axis=2).min(axis=1)
+        t = np.clip(((qx - ax) * dx + (qy - ay) * dy) / len2, 0.0, 1.0)
+        ex = qx - (ax + t * dx)
+        ey = qy - (ay + t * dy)
+        out[lo:lo + step] = np.sqrt(ex * ex + ey * ey).min(axis=1)
     return out
 
 

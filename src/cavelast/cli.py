@@ -404,9 +404,10 @@ def compute(cfg: ScenarioConfig, mode="run") -> RunRecord:
     """Mesh, solve (mode "run") or evaluate the boundary field, and certify;
     writes nothing. Input that cannot be run raises ConfigurationError, cause
     chained: a CavelastError while building the mesh and densities, or an
-    InfeasibleEnergyError from the solve, the energy report, the battery or
-    the first-variation report (whose central difference can fold a
-    triangle of a field with dets near the floor).
+    InfeasibleEnergyError from the solve, the energy report or the battery.
+    The first-variation report does not raise: where its central difference
+    folds a triangle of a field with dets near the floor, its `fd_value`
+    and `fd_gap` are nan, and the run keeps its solve status.
 
     One `EnergyState` of the final field gives the energy report, the
     battery's gradient and the first-variation report: the state `minimize`

@@ -607,7 +607,8 @@ def _sample_disk_in_mesh(mesh, a, r, n, rng):
         budget -= k
         u = rng.random(k)
         th = rng.random(k) * 2.0 * np.pi
-        cand = a + (r * np.sqrt(u))[:, None] * np.stack([np.cos(th), np.sin(th)], axis=-1)
+        s = r * np.sqrt(u)
+        cand = np.column_stack([a[0] + s * np.cos(th), a[1] + s * np.sin(th)])
         # located n at a time, in draw order; the RNG stream ignores the hits
         for lo in range(0, k, n):
             if got == n:
@@ -634,9 +635,11 @@ def _sample_mesh_outside_disk(mesh, a, r, n, rng, tri_cum):
         flip = b1 + b2 > 1.0
         b1[flip] = 1.0 - b1[flip]
         b2[flip] = 1.0 - b2[flip]
-        v = mesh.vertices[mesh.triangles[t]]
-        cand = v[:, 0] + b1[:, None] * (v[:, 1] - v[:, 0]) + b2[:, None] * (v[:, 2] - v[:, 0])
-        keep = np.nonzero(np.linalg.norm(cand - a, axis=1) > r)[0][: n - got]
+        i0, i1, i2 = (c[t] for c in mesh.triangles.T)
+        # each candidate's offset from a: v0 + b1 (v1 - v0) + b2 (v2 - v0) - a
+        ex, ey = (v[i0] + b1 * (v[i1] - v[i0]) + b2 * (v[i2] - v[i0]) - a_c
+                  for v, a_c in zip(mesh.vertices.T, a))
+        keep = np.nonzero(np.sqrt(ex * ex + ey * ey) > r)[0][: n - got]
         tris.append(t[keep])
         barys.append(np.stack([1.0 - b1[keep] - b2[keep], b1[keep], b2[keep]], axis=1))
         got += len(keep)

@@ -248,7 +248,16 @@ def _chain_edges(edges):
 
 
 class TriangleLocator:
-    """Uniform-grid spatial index over a fixed triangulation."""
+    """Uniform-grid spatial index over a fixed triangulation.
+
+    The point kernels keep every per-triangle and per-candidate quantity in
+    its own contiguous 1-D array, one per coordinate and corner, never in
+    (k, 2) or (k, 3, 2) batches: numpy gathers rows of two or three numbers
+    and reduces over such a short trailing axis at about ten times the cost
+    of a 1-D op of the same length. Each coordinate is formed from the same
+    products, summed in the same order, as the batched einsum it replaces
+    (`_bary_test`, `_corner_sum`), so the outputs keep their bits.
+    """
 
     def __init__(self, vertices, triangles):
         self.vertices = vertices
@@ -274,10 +283,12 @@ class TriangleLocator:
         self._btri = tri[order]
         self._bstart = np.searchsorted(cell[order], np.arange(self._dims[0] * self._dims[1] + 1))
         # barycentric coordinates 1 and 2 of p are the hat gradients 1 and 2
-        # applied to p - vertex 0; copied to be contiguous, since `locate`
-        # gathers one 2x2 block per (point, triangle) candidate
-        self._inv = hat_gradients(vertices, triangles)[:, 1:].copy()
-        self._base = v[:, 0]
+        # applied to p - vertex 0: rows g1x, g1y, g2x, g2y of `_grad` and x, y
+        # of `_v0`, each a contiguous (m,) array that the point kernels gather
+        # one number per (point, triangle) candidate from
+        self._grad = np.ascontiguousarray(hat_gradients(vertices, triangles)[:, 1:]
+                                          .reshape(-1, 4).T)
+        self._v0 = np.ascontiguousarray(v[:, 0].T)
 
     def locate(self, points):
         """Containing triangle and barycentric coordinates for each point,
@@ -289,31 +300,42 @@ class TriangleLocator:
         tri = np.full(len(pts), -1, dtype=np.int64)
         bary = np.zeros((len(pts), 3))
         for lo in range(0, len(pts), _CHUNK):
-            p = pts[lo:lo + _CHUNK]
-            cells = np.floor((p - self._origin) / self._cell).astype(int)
-            inside = np.all((cells >= 0) & (cells < self._dims), axis=1)
-            k = np.nonzero(inside)[0]
-            c = cells[k, 0] * self._dims[1] + cells[k, 1]
+            px, py = pts[lo:lo + _CHUNK].T
+            cx = np.floor((px - self._origin[0]) / self._cell).astype(int)
+            cy = np.floor((py - self._origin[1]) / self._cell).astype(int)
+            k = np.nonzero((cx >= 0) & (cx < self._dims[0]) & (cy >= 0) & (cy < self._dims[1]))[0]
+            c = cx[k] * self._dims[1] + cy[k]
             start = self._bstart[c]
             # one (point, triangle) pair per bucket entry, points in order
             at, owner = ranges(start, self._bstart[c + 1] - start)
             pp = k[owner]
-            hit, t, b = self._first_hits(pp, p[pp], self._btri[at])
-            tri[lo + hit] = t
-            bary[lo + hit] = b
+            tt = self._btri[at]
+            dy = py[pp] - self._v0[1][tt]
+            ok, lam = self._bary_test(px[pp], tt, self._grad[1][tt] * dy, self._grad[3][tt] * dy)
+            # pp ascends, so a point's first passing candidate starts a run in pp[ok]
+            key = pp[ok]
+            first = np.ones(len(key), dtype=bool)
+            first[1:] = key[1:] != key[:-1]
+            sel = ok[first]
+            hit = lo + pp[sel]
+            tri[hit] = tt[sel]
+            for i in range(3):
+                bary[hit, i] = lam[i][sel] + 0.0  # see `_bary_test`
         return tri, bary
 
     def locate_grid(self, grid, corners):
         """`locate` at the cell centres of a `CellGrid`, and the per-corner
         values `corners` (m, 3, d) interpolated there: (ny, nx) tri, equal to
         `locate(grid.cell_centers().reshape(-1, 2))` reshaped, and (ny, nx, d)
-        values, sum_b bary_b corners[tri, b] (one einsum) where tri >= 0 and
-        nan elsewhere. With the reference corners of the located triangles
+        values, sum_b bary_b corners[tri, b] (`_corner_sum`) where tri >= 0
+        and nan elsewhere. With the reference corners of the located triangles
         the values are the pre-images of the cell centres.
 
         Instead of one bucket search per cell, each triangle walks its own
         grid rows (Pineda's edge-function scan): on a row its three edge
-        functions, the barycentric coordinates, bound an x-interval. The
+        functions, the barycentric coordinates, bound an x-interval, and
+        their y halves are formed once for the row and shared by its cells,
+        with the same products that `locate` forms per cell. The
         interval is computed with a slack `tau` in place of the 1e-10
         tolerance that also covers the rounding of the test, so it holds
         every cell the test can accept; extra cells cost time, never
@@ -321,19 +343,25 @@ class TriangleLocator:
         bucket range are dropped, so each cell meets exactly `locate`'s
         candidates that can pass, in ascending order, and the lowest
         passing triangle wins. Triangles go in chunks of about `_CHUNK`
-        bounding-box cells, which bounds the candidate arrays. The values are
-        formed chunk by chunk, for the cells a chunk newly hits.
+        bounding-box cells, which bounds the candidate arrays; a cell takes
+        the lowest triangle that passes there (`np.minimum.at`), and the
+        triangles ascend over the chunks, so a chunk forms the values of
+        the cells it newly wins, and later chunks never take them back.
         """
         xs, ys = grid.axes()
         ny, nx = len(ys), len(xs)
-        tri = np.full(ny * nx, -1, dtype=np.int64)
+        m = len(self.triangles)
+        tri = np.full(ny * nx, m, dtype=np.int64)  # m marks a cell no triangle holds
         values = np.full((ny * nx, corners.shape[-1]), np.nan)
+        # (corner, component) rows of the corner values, gathered per hit
+        cval = np.ascontiguousarray(corners.transpose(1, 2, 0))
         # per-triangle data in (coordinate, corner, triangle) layout, so that
         # reductions over the three corners run along contiguous rows
         vx, vy = np.ascontiguousarray(self.vertices[self.triangles].transpose(2, 1, 0))
         # edge functions lam_i(p) = g_i . (p - v0) + [i == 0], from locate's operands
-        g1, g2 = self._inv[:, 0], self._inv[:, 1]
-        gx, gy = np.ascontiguousarray(np.stack([-(g1 + g2), g1, g2]).transpose(2, 0, 1))
+        g1x, g1y, g2x, g2y = self._grad
+        gx = np.stack([-(g1x + g2x), g1x, g2x])
+        gy = np.stack([-(g1y + g2y), g1y, g2y])
         x_lo, x_hi = vx.min(axis=0), vx.max(axis=0)
         y_lo, y_hi = vy.min(axis=0), vy.max(axis=0)
         diam = (x_hi - x_lo) + (y_hi - y_lo)
@@ -359,25 +387,30 @@ class TriangleLocator:
             # (triangle, row) pairs in triangle order
             iy, pt = ranges(rows[0][t_lo:t_hi], n_rows[t_lo:t_hi])
             pt += t_lo
+            # the y halves g_iy (y - v0y) of the edge functions, once per pair
+            hy = gy[:, pt] * (ys[iy] - vy[0, pt])
             # lam_i >= -tau  <=>  a_i (x - v0x) >= q_i, with a_i = 0 on a horizontal edge
             a = gx[:, pt]
-            q = -tau[pt] - gy[:, pt] * (ys[iy] - vy[0, pt]) - e0
-            bound = np.divide(q, a, out=np.zeros_like(q), where=a != 0.0)
-            x0 = np.where(a > 0.0, bound, -np.inf).max(axis=0)
-            x1 = np.where(a < 0.0, bound, np.inf).min(axis=0)
+            q = -tau[pt] - hy - e0
+            x0 = np.divide(q, a, out=np.full_like(q, -np.inf), where=a > 0.0).max(axis=0)
+            x1 = np.divide(q, a, out=np.full_like(q, np.inf), where=a < 0.0).min(axis=0)
             x1[((a == 0.0) & (q > 0.0)).any(axis=0)] = -np.inf
             c0 = np.maximum(np.searchsorted(xs, vx[0, pt] + x0 - pad, "left"), cols[0][pt])
             c1 = np.minimum(np.searchsorted(xs, vx[0, pt] + x1 + pad, "right"), cols[1][pt])
             # one (cell, triangle) candidate per column of each pair's interval
             ix, k = ranges(c0, np.maximum(c1 - c0, 0))
-            p = np.stack([xs[ix], ys[iy[k]]], axis=-1)
-            hit, t, b = self._first_hits(iy[k] * nx + ix, p, pt[k])
-            # a cell hit in an earlier chunk already holds a lower triangle
-            new = tri[hit] < 0
-            hit, t, b = hit[new], t[new], b[new]
-            tri[hit] = t
-            values[hit] = np.einsum("kb,kbi->ki", b, corners[t])
+            tt = pt[k]
+            ok, lam = self._bary_test(xs[ix], tt, hy[1][k], hy[2][k])
+            # each cell keeps its lowest passing triangle, `locate`'s first hit
+            hit, t = iy[k[ok]] * nx + ix[ok], tt[ok]
+            np.minimum.at(tri, hit, t)
+            win = np.nonzero(tri[hit] == t)[0]
+            hit, t, sel = hit[win], t[win], ok[win]
+            b = [l[sel] for l in lam]
+            for i in range(values.shape[1]):
+                values[:, i][hit] = _corner_sum(b, [c[t] for c in cval[:, i]])
             t_lo = t_hi
+        tri[tri == m] = -1
         return tri.reshape(ny, nx), values.reshape(ny, nx, -1)
 
     def _index_range(self, axis, k, lo, hi):
@@ -390,18 +423,33 @@ class TriangleLocator:
                           np.searchsorted(cell, self._hi[:, k], "right"))
         return first, stop
 
-    def _first_hits(self, key, p, tt):
-        """The barycentric test of the (point, triangle) candidates p, tt:
-        every coordinate >= -1e-10. Returns (keys, tri, bary) of the first
-        passing candidate per key."""
+    def _bary_test(self, px, tt, h1, h2):
+        """The barycentric test of (point, triangle) candidates, given the
+        points' x, the triangles tt and the y halves h_i = g_iy (y - v0y) of
+        coordinates 1 and 2: every coordinate >= -1e-10. Returns the indices
+        of the passing candidates and every candidate's (l0, l1, l2).
+
+        l_i = g_ix (x - v0x) + h_i, with h_i from the same product
+        g_iy * (y - v0y), equals einsum("kab,kb->ka") over (g_i, p - v0) but
+        for the sign of a zero: einsum sums from +0, so two -0 products give
+        +0 there and -0 here. `locate` adds 0.0 to the coordinates it
+        returns, which makes that +0, and `_corner_sum` adds 0.0 to its sums;
+        the test itself does not see the sign."""
         tol = 1e-10
-        d = p - self._base[tt]
-        lam = np.einsum("kab,kb->ka", self._inv[tt], d)
-        lam0 = 1.0 - lam.sum(axis=1)
-        ok = np.nonzero((lam[:, 0] >= -tol) & (lam[:, 1] >= -tol) & (lam0 >= -tol))[0]
-        hit, first = np.unique(key[ok], return_index=True)
-        sel = ok[first]
-        return hit, tt[sel], np.stack([lam0[sel], lam[sel, 0], lam[sel, 1]], axis=-1)
+        dx = px - self._v0[0][tt]
+        l1 = self._grad[0][tt] * dx + h1
+        l2 = self._grad[2][tt] * dx + h2
+        l0 = 1.0 - (l1 + l2)
+        ok = np.nonzero((l1 >= -tol) & (l2 >= -tol) & (l0 >= -tol))[0]
+        return ok, (l0, l1, l2)
+
+
+def _corner_sum(b, c):
+    """b[0] c[0] + b[1] c[1] + b[2] c[2] elementwise, over a triangle's three
+    corners: the bits of einsum("ki,ki...->k...") with (k, 3) weights, which
+    sums the corners in order from +0 (so three -0 products give +0, as the
+    trailing + 0.0 makes them here)."""
+    return b[0] * c[0] + b[1] * c[1] + b[2] * c[2] + 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -448,8 +496,13 @@ class DeformationField:
         return self.interpolate(tri, bary)
 
     def interpolate(self, tri, bary):
-        """Deformed positions of points given as (triangle, barycentric) pairs."""
-        return np.einsum("ki,kij->kj", bary, self.positions[self.mesh.triangles[tri]])
+        """Deformed positions of points given as (triangle, barycentric) pairs:
+        (k,) triangles and (k, 3) coordinates, one coordinate at a time."""
+        ids = [c[tri] for c in self.mesh.triangles.T]
+        out = np.empty((len(ids[0]), 2))
+        for j, p in enumerate(self.positions.T):
+            out[:, j] = _corner_sum(bary.T, [p[i] for i in ids])
+        return out
 
     def deformed_locator(self) -> TriangleLocator:
         """Locator over the deformed triangles, built once per field."""

@@ -565,20 +565,20 @@ class TestMain:
         assert "artifacts in" not in captured.out
         assert not out.exists()
 
-    def test_folding_first_variation_probe_exit_2(self, tmp_path, capsys):
+    def test_folding_first_variation_probe_exit_3(self, tmp_path, capsys):
         # a = 1e14 drives the solve to dets near the floor, where the
         # first-variation report's central difference folds a triangle: the
-        # run exits 2 naming it, and nothing is written
+        # report says so with nan, and the unconverged run exits 3 as such
         p = tmp_path / "stiff.ini"
         p.write_text("[domain]\nshape = disk\nh = 0.3\npunctures = 0 0 0.1\n"
                      "[material]\na = 1e14\n")
         out = tmp_path / "out"
-        assert main(["run", str(p), "--out", str(out)]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("infeasible input: non-positive determinant ")
-        assert " in triangle " in err
-        assert "Traceback" not in err
-        assert not out.exists()
+        assert main(["run", str(p), "--out", str(out)]) == 3
+        assert "Traceback" not in capsys.readouterr().err
+        summary = read_summary(out)
+        assert summary["status"] == "max_iters"
+        assert summary["fd_value"] == "nan"
+        assert summary["fd_gap"] == "nan"
 
     def test_tiny_domain_eval_reports(self, tmp_path, capsys):
         # eval of the same start: the battery's bumps are ~1e-5 wide, so the

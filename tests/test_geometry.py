@@ -197,6 +197,40 @@ class TestLocatorAndTrace:
             assert np.all(bary[lo:lo + 1000][want < 0] == 0.0)
         assert np.all(tri[:20000][r < 0.15] == -1) and np.all(tri[:20000][r > 1.0] == -1)
 
+    @pytest.mark.parametrize("chunk", [None, 7])
+    def test_flat_kernels_are_the_einsums(self, chunk, disk_mesh, monkeypatch):
+        # `locate` and `interpolate` work on one 1-D array per coordinate;
+        # their outputs are, bit for bit, the batched einsums over (k, 2, 2)
+        # and (k, 3, 2) blocks that they replace. Vertices, their mirror
+        # images and edge midpoints give exact zeros and -0 products, whose
+        # sign array_equal would not see, so the sign bits are compared too
+        if chunk is not None:
+            monkeypatch.setattr(cv.geometry, "_CHUNK", chunk)
+
+        def same_bits(got, want):
+            return np.array_equal(got, want) and np.array_equal(np.signbit(got), np.signbit(want))
+
+        rng = np.random.default_rng(13)
+        mesh = disk_mesh
+        v = mesh.vertices[mesh.triangles]
+        pts = np.vstack([rng.uniform(-1.1, 1.1, size=(2000, 2)), mesh.vertices,
+                         -mesh.vertices, 0.5 * (v[:, 0] + v[:, 2])])
+        for pos in (mesh.vertices, -mesh.vertices):
+            loc = cv.TriangleLocator(pos, mesh.triangles)
+            inv = cv.geometry.hat_gradients(pos, mesh.triangles)[:, 1:]
+            y = cv.DeformationField(mesh, pos)
+            for p in (pts, pts[:0]):
+                tri, bary = loc.locate(p)
+                hit = np.nonzero(tri >= 0)[0]
+                t = tri[hit]
+                lam = np.einsum("kab,kb->ka", inv[t], p[hit] - pos[mesh.triangles[t, 0]])
+                want = np.stack([1.0 - lam.sum(axis=1), lam[:, 0], lam[:, 1]], axis=-1)
+                assert same_bits(bary[hit], want)
+                assert np.all(bary[tri < 0] == 0.0)
+                want = np.einsum("ki,kij->kj", bary[hit], pos[mesh.triangles[t]])
+                assert same_bits(y.interpolate(t, bary[hit]), want)
+            assert len(hit) == 0 and y.interpolate(t, bary[hit]).shape == (0, 2)
+
     @pytest.mark.parametrize("case", ["square_ties", "bucket_edge", "folded", "past_bbox",
                                       "one_row", "one_column", "chunks"])
     def test_locate_grid_matches_locate(self, case, disk_mesh, monkeypatch):

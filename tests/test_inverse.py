@@ -1,10 +1,14 @@
+import os
+
 import numpy as np
 import pytest
 
 import cavelast as cv
+from blas_core import numpy_simd
 from cavelast._polyline import hausdorff_distance
 from cavelast.exceptions import DomainError
 from cavelast.inverse import CAVITY, MATERIAL, OUTSIDE
+from conftest import run_python
 
 
 @pytest.fixture(scope="module")
@@ -46,6 +50,37 @@ class TestBuild:
         assert lines[0] == "xi_x,xi_y,x_x,x_y"
         assert any("CAVITY" in ln for ln in lines[1:])
         assert all(len(ln.split(",")) == 4 for ln in lines[1:])
+
+    def test_raster_bytes_do_not_depend_on_numpy_simd(self, disk_mesh, tmp_path):
+        # the inverse raster and its jump set, written from a saved mesh and
+        # a field made with + and * only, are the same bytes with numpy's
+        # AVX-512 dispatch off (where this machine has it), as on an
+        # AVX2-only one: point location and interpolation round the same
+        disk_mesh.save(tmp_path / "mesh.cavmesh")
+        program = (
+            "import sys\n"
+            "from pathlib import Path\n"
+            "import cavelast as cv\n"
+            "mesh = cv.load_mesh(sys.argv[1])\n"
+            "v = mesh.vertices\n"
+            "r2 = v[:, :1] * v[:, :1] + v[:, 1:] * v[:, 1:]\n"
+            "inv = cv.build_inverse_field(cv.DeformationField(mesh, v * (1.5 + 0.2 * r2)), 0.01)\n"
+            "inv.to_csv(Path(sys.argv[2]) / 'inverse.csv')\n"
+            "cv.jump_set_to_csv(cv.extract_jump_set(inv), Path(sys.argv[2]) / 'jumps.csv')\n")
+        found = numpy_simd().split()
+        off = " ".join(f for f in ("AVX512_SPR", "AVX512_ICL", "X86_V4") if f in found)
+        runs = {"default": os.environ, "no_avx512": dict(os.environ, NPY_DISABLE_CPU_FEATURES=off)}
+        for name, env in runs.items():
+            (tmp_path / name).mkdir()
+            proc = run_python("-c", program, str(tmp_path / "mesh.cavmesh"), str(tmp_path / name),
+                              env=env)
+            assert proc.returncode == 0, proc.stderr
+        for name in ("inverse.csv", "jumps.csv"):
+            assert ((tmp_path / "default" / name).read_bytes()
+                    == (tmp_path / "no_avx512" / name).read_bytes()), name
+        # the cavity opened, so both files have rows that depend on it
+        assert "CAVITY" in (tmp_path / "default" / "inverse.csv").read_text()
+        assert len((tmp_path / "default" / "jumps.csv").read_text().splitlines()) > 10
 
 
 class TestInvertPoint:

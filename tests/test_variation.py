@@ -357,11 +357,17 @@ class TestResidualReport:
             rep = cv.first_variation_residual(_state(y, density, phi), psi)
             assert rep.fd_value == (plus - minus) / 2e-5
 
-    def test_fd_value_of_a_folding_field_raises(self, lifted, density, iso):
-        # as total_energy does, naming the folded triangle
+    def test_fd_value_of_a_folding_field_is_nan(self, lifted, density, iso):
+        # a probe that folds a triangle has no energy: the report says so,
+        # and keeps the exact variation
+        state = _state(lifted, density, iso)
         psi = ShoveField(1e5)
         with pytest.raises(InfeasibleEnergyError, match="non-positive determinant"):
-            cv.first_variation_residual(_state(lifted, density, iso), psi)
+            cv.total_energy(cv.outer_compose(lifted, psi, 1e-5), density, iso)
+        rep = cv.first_variation_residual(state, psi)
+        assert np.isnan(rep.fd_value) and np.isnan(rep.fd_gap)
+        assert np.isfinite(rep.total) and rep.total == rep.elastic + rep.surface
+        assert "fd_value = nan" in rep.as_text() and "fd_gap = nan" in rep.as_text()
 
     def test_as_text(self, lifted, density, iso):
         rep = cv.first_variation_residual(_state(lifted, density, iso), cv.DilationField())
