@@ -2,9 +2,9 @@
 
 `fuzz_config(rng)` draws the random configs of the fuzz: the 1,000 seed-1
 configs of `scripts/reference_runs.py` and CI's Frame fuzz, and the seed-17
-ones of Tier-1's `TestFuzz`. `mirrored` and `relabelled` map a mesh into
-another frame, `solver` minimizes a config's problem on any mesh, and
-`frames` solves one config in all three frames. Import it with `scripts/`
+ones of Tier-1's `TestFuzz`, over the shape table `cli` gives. `mirrored`
+and `relabelled` map a mesh into another frame, and `frames` solves one
+config in all three frames with `cli.solve`. Import it with `scripts/`
 and `cavelast` on the path, as `tests/conftest.py` does; `python3
 scripts/frame_fuzz.py` and `scripts/reference_runs.py` get `scripts/` from
 their own directory.
@@ -16,12 +16,12 @@ import numpy as np
 
 import cavelast as cv
 from cavelast import cli
-from cavelast.cli import ScenarioConfig, build_phi
+from cavelast._polyline import mean_circle
+from cavelast.cli import ScenarioConfig
 from cavelast.exceptions import CavelastError, ConfigurationError
 
 # shape: (bounding box low, high, inradius) at the default sizes
-FUZZ_SHAPES = {"disk": (-1.0, 1.0, 1.0), "square": (0.0, 1.0, 0.5),
-               "annulus": (-1.0, 1.0, 0.3)}
+FUZZ_SHAPES = {shape: cli._extent(ScenarioConfig(shape=shape)) for shape in cli._SHAPES}
 
 
 def fuzz_config(rng) -> ScenarioConfig:
@@ -64,19 +64,6 @@ def relabelled(mesh, rng):
     return cv.Mesh(mesh.vertices[perm], tris, edges, list(mesh.punctures)), perm
 
 
-def solver(cfg):
-    """solve(mesh) -> (y, log): minimize from cfg's boundary data on mesh
-    with cfg's density, phi and solver settings, as `cli.compute` does."""
-    density, phi = cli.build_density(cfg), build_phi(cfg)
-
-    def solve(mesh):
-        y0 = cv.BoundaryData(cfg.bc_kind, cfg.lam).initial_field(mesh)
-        return cv.minimize(y0, density, phi, max_iters=cfg.max_iters,
-                           inv_every=cfg.inv_every, seed=cfg.seed)
-
-    return solve
-
-
 @dataclass
 class Frame:
     """One frame's solve of a config, measured against the original frame's."""
@@ -90,9 +77,8 @@ class Frame:
 
 
 def _open(y):
-    return [float(np.linalg.norm(b - b.mean(axis=0), axis=1).mean()) > rho
-            for b, (_, rho) in zip((y.positions[ids] for ids in y.mesh.puncture_loops()),
-                                   y.mesh.punctures)]
+    return [mean_circle(y.positions[ids])[1] > rho
+            for ids, (_, rho) in zip(y.mesh.puncture_loops(), y.mesh.punctures)]
 
 
 def frames(cfg) -> list:
@@ -100,15 +86,15 @@ def frames(cfg) -> list:
     that mesh relabelled by `relabelled` with rng 5, and on it mirrored. A
     CavelastError means the original frame refuses cfg; a refusal in another
     frame raises RuntimeError, since it is a frame change."""
-    solve, mesh = solver(cfg), cli.build_mesh(cfg)
-    y, log = solve(mesh)
+    mesh = cli.build_mesh(cfg)
+    y, log = cli.solve(cfg, mesh)
     E = log.records[-1]["energy"]
     out = [Frame("original", log.status, _open(y), len(log.records) - 1, 0.0, 0.0)]
     other, perm = relabelled(mesh, np.random.default_rng(5))
     for name, other, want in (("relabelled", other, y.positions[perm]),
                               ("mirrored", mirrored(mesh), y.positions * [-1.0, 1.0])):
         try:
-            y_o, log_o = solve(other)
+            y_o, log_o = cli.solve(cfg, other)
         except CavelastError as err:
             raise RuntimeError(f"the {name} frame refuses a config its original runs") from err
         out.append(Frame(name, log_o.status, _open(y_o), len(log_o.records) - 1,

@@ -24,14 +24,15 @@ compare with `scripts/digit_diff.py A B`. OUT must not exist yet. It gets:
 - demos/: the stdout of each demo, run in demos/, so their `demo_out` lands
   there too.
 
-The fuzz configs come from `scripts/corpus.py` beside this script, whichever
-CHECKOUT runs, so a checkout that predates the corpus module can be driven
-too. Each run starts in OUT with relative paths, so no file holds OUT's
-name. The bytes depend on the OpenBLAS kernel, so pin `OPENBLAS_CORETYPE`
-when two machines or two kernels are compared. `scripts/check_tree.py OUT`
-checks the fuzz exit codes, the convergence statuses and the crowded fields'
-INV check of a tree. A CLI run that exits other than 0 or 3, a failed golden
-sweep or a failed demo stops this script.
+The fuzz configs come from CHECKOUT's `scripts/corpus.py`, which calls
+that checkout's `cavelast.cli`, or from the one beside this script when
+CHECKOUT predates the corpus module. Each run starts in OUT with relative
+paths, so no file holds OUT's name. The bytes depend on the OpenBLAS
+kernel, so pin `OPENBLAS_CORETYPE` when two machines or two kernels are
+compared. `scripts/check_tree.py OUT` checks the fuzz exit codes, the
+convergence statuses and the crowded fields' INV check of a tree. A CLI run
+that exits other than 0 or 3, a failed golden sweep or a failed demo stops
+this script.
 """
 
 import argparse
@@ -165,6 +166,8 @@ def main(argv=None):
     except FileExistsError:
         raise SystemExit(f"{out} already exists; give a new directory") from None
     sys.path.insert(0, str(root / "src"))  # the fuzz imports cavelast from CHECKOUT
+    if (root / "scripts" / "corpus.py").is_file():  # and its corpus, which uses that cavelast
+        sys.path.insert(0, str(root / "scripts"))
     cli_runs(root, out)
     golden_and_demos(root, out)
     os.chdir(out)

@@ -28,6 +28,12 @@ def polygon_signed_area(pts) -> float:
     return 0.5 * float(np.sum(x * succ(y) - succ(x) * y))
 
 
+def mean_circle(pts):
+    """(centre, radius): the mean of a loop's points and their mean distance from it."""
+    centre = pts.mean(axis=0)
+    return centre, float(np.linalg.norm(pts - centre, axis=1).mean())
+
+
 def ensure_ccw(pts):
     pts = np.asarray(pts, dtype=float)
     if polygon_signed_area(pts) < 0.0:

@@ -23,7 +23,7 @@ from .degree import (_RASTER_MARGIN, boundary_crossings, check_inv,  # noqa: F40
                      covering_grid, topological_image)
 from .energy import DiscreteEnergy, EnergyBreakdown, total_energy
 from .exceptions import (ArtifactError, CavelastError, ConfigurationError,
-                         InfeasibleEnergyError)
+                         DomainError, InfeasibleEnergyError)
 from .geometry import (BoundaryData, DeformationField, Mesh,
                        build_annulus_mesh, build_disk_mesh, build_square_mesh,
                        load_mesh)
@@ -34,7 +34,6 @@ from .material import BulkDensity, SurfaceDensity
 from .variation import (IterationLog, VariationReport, battery_residual,  # noqa: F401
                         battery_variations, certification_battery, first_variation_residual, minimize)
 
-_EMIT_CHOICES = ("svg", "raster", "inverse")
 # the artifacts each emitter adds to those every run writes
 _EMITTED = {"svg": ("reference.svg", "deformed.svg"), "raster": ("raster.pgm",),
             "inverse": ("inverse.csv", "jumps.csv")}
@@ -46,7 +45,7 @@ _MAX_MESH_POINTS = 2**20
 
 __all__ = [
     "ScenarioConfig", "build_mesh", "build_density", "build_phi", "build_boundary",
-    "RunRecord", "compute", "write", "run_scenario", "CompareReport", "compare_runs",
+    "RunRecord", "solve", "compute", "write", "run_scenario", "CompareReport", "compare_runs",
     "render_reference_svg", "render_deformed_svg", "resolve_scenario", "main",
 ]
 
@@ -194,14 +193,13 @@ class ScenarioConfig:
             raise ConfigurationError(f"[domain] shape must be one of {_SHAPES}")
         if self.shape == "annulus" and self.inner >= self.radius:
             raise ConfigurationError("[domain] inner must be below radius")
-        width = self.side if self.shape == "square" else 2.0 * self.radius
+        lo, hi, inradius = _extent(self)
+        width = hi - lo
         points = 2.0 / math.sqrt(3.0) * (width / self.h) * (width / self.h)
         if points > _MAX_MESH_POINTS:
             raise ConfigurationError(
                 f"[domain] h = {self.h!r} needs about {points:.3g} mesh points on this "
                 f"{self.shape}, more than {_MAX_MESH_POINTS}")
-        inradius = {"disk": self.radius, "square": 0.5 * self.side,
-                    "annulus": 0.5 * (self.radius - self.inner)}[self.shape]
         bound = inradius / 4.0
         for c, r in self.punctures:
             if r <= 0.0:
@@ -217,9 +215,10 @@ class ScenarioConfig:
                     raise ConfigurationError(
                         f"[domain] punctures {k} and {j} meet: "
                         f"centre distance {d:g} <= {rk:g} + {rj:g}")
-        # the surface density's and the boundary data's own checks, before any meshing
+        # the surface density's and the boundary data's own checks, and the
+        # start field's energy, before any meshing
         build_phi(self)
-        build_boundary(self)
+        _check_start_energy(self, width)
         if self.inv_every not in (0, 1):
             raise ConfigurationError("[solver] inv_every must be 0 or 1")
         if self.seed < 0:
@@ -227,10 +226,37 @@ class ScenarioConfig:
         _check_emit(self.emit, "[run] emit")
 
 
+def _check_start_energy(cfg, width):
+    """Refuse a start field whose bulk energy is not finite, bounded by W at
+    its constant gradient times the area width^2 of the domain's bounding
+    box. The boundary data's linear map is diagonal: its image of (1, 1)
+    holds the principal stretches."""
+    with np.errstate(all="ignore"):
+        stretches = build_boundary(cfg).map_points([1.0, 1.0])
+        try:
+            start = build_density(cfg).stretch_energy(*stretches) * width * width
+        except DomainError:  # det F rounds to 0
+            start = math.inf
+    if not math.isfinite(start):
+        raise ConfigurationError(
+            f"[boundary] lam = {cfg.lam!r}: the start field's energy on this {cfg.shape} "
+            f"of width {width:g} under [material] mu = {cfg.mu:g}, a = {cfg.a:g}, "
+            f"b = {cfg.b:g} is not finite ({start:g})")
+
+
+def _extent(cfg):
+    """(lo, hi, inradius) of cfg's domain, whose bounding box is [lo, hi]^2."""
+    if cfg.shape == "square":
+        return 0.0, cfg.side, 0.5 * cfg.side
+    if cfg.shape == "disk":
+        return -cfg.radius, cfg.radius, cfg.radius
+    return -cfg.radius, cfg.radius, 0.5 * (cfg.radius - cfg.inner)
+
+
 def _check_emit(emit, source):
     for e in emit:
-        if e not in _EMIT_CHOICES:
-            raise ConfigurationError(f"{source} entry {e!r} not in {_EMIT_CHOICES}")
+        if e not in _EMITTED:
+            raise ConfigurationError(f"{source} entry {e!r} not in {tuple(_EMITTED)}")
 
 
 def _check_grid(cfg, emit):
@@ -239,7 +265,7 @@ def _check_grid(cfg, emit):
     margin; a gated run's or an eval's positions all lie in it."""
     if "raster" not in emit and "inverse" not in emit:
         return
-    lo, hi = (0.0, cfg.side) if cfg.shape == "square" else (-cfg.radius, cfg.radius)
+    lo, hi, _ = _extent(cfg)
     image = build_boundary(cfg).map_points([[lo, lo], [hi, hi]])
     with np.errstate(over="ignore", invalid="ignore"):  # a count past int64 wraps
         _, shape = covering_grid(image, cfg.delta, _RASTER_MARGIN)
@@ -400,10 +426,16 @@ class RunRecord:
     fv_report: VariationReport | None
 
 
+def solve(cfg: ScenarioConfig, mesh: Mesh):
+    """(y, log) of `minimize` on mesh from cfg's boundary data and settings."""
+    return minimize(build_boundary(cfg).initial_field(mesh), build_density(cfg), build_phi(cfg),
+                    max_iters=cfg.max_iters, inv_every=cfg.inv_every, seed=cfg.seed)
+
+
 def compute(cfg: ScenarioConfig, mode="run") -> RunRecord:
     """Mesh, solve (mode "run") or evaluate the boundary field, and certify;
     writes nothing. Input that cannot be run raises ConfigurationError, cause
-    chained: a CavelastError while building the mesh and densities, or an
+    chained: a CavelastError while building the mesh, or an
     InfeasibleEnergyError from the solve, the energy report or the battery.
     The first-variation report does not raise: where its central difference
     folds a triangle of a field with dets near the floor, its `fd_value`
@@ -414,18 +446,17 @@ def compute(cfg: ScenarioConfig, mode="run") -> RunRecord:
     hands over as `log.final`, or in `eval` the state of the boundary field.
     The final field's `boundary_crossings` are counted once, here."""
     try:
-        mesh, density, phi = build_mesh(cfg), build_density(cfg), build_phi(cfg)
-        y = build_boundary(cfg).initial_field(mesh)
+        mesh = build_mesh(cfg)
     except CavelastError as err:
         raise ConfigurationError(str(err)) from err
     try:
         if mode == "run":
-            y, log = minimize(y, density, phi, max_iters=cfg.max_iters,
-                              inv_every=cfg.inv_every, seed=cfg.seed)
+            y, log = solve(cfg, mesh)
             state = log.final
         else:
+            y = build_boundary(cfg).initial_field(mesh)
             log = IterationLog(status="evaluated")
-            state = DiscreteEnergy(mesh, density, phi).state(y.positions)
+            state = DiscreteEnergy(mesh, build_density(cfg), build_phi(cfg)).state(y.positions)
         breakdown = state.breakdown
         if log.certificate is None:  # the solve's stop test did not certify y
             fields = certification_battery(y, seed=cfg.seed)
@@ -609,7 +640,7 @@ def main(argv=None) -> int:
     def add_common(p):
         p.add_argument("config", help="config path or bundled scenario name")
         p.add_argument("--out", default=None, help="artifact directory")
-        p.add_argument("--emit", default=None, help="comma list from: " + ",".join(_EMIT_CHOICES)
+        p.add_argument("--emit", default=None, help="comma list from: " + ",".join(_EMITTED)
                        + "; every run writes config.ini, summary.txt, iterations.csv, mesh.cavmesh,"
                        " positions.csv and cavities.csv")
 

@@ -14,7 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._polyline import ensure_ccw, points_to_polyline_distance, polygon_signed_area, ranges, succ
+from ._polyline import (ensure_ccw, mean_circle, points_to_polyline_distance,
+                        polygon_signed_area, ranges, succ)
 from ._table import read_table, write_table
 from .exceptions import ArtifactError, DomainError, GeometryError
 from .geometry import _CHUNK, DeformationField, trace_on_circle
@@ -369,8 +370,7 @@ class CavityRecord:
     aniso_perimeter: float = float("nan")
 
     def radius_mean(self) -> float:
-        c = self.boundary.mean(axis=0)
-        return float(np.linalg.norm(self.boundary - c, axis=1).mean())
+        return mean_circle(self.boundary)[1]
 
 
 def topological_image_point(y: DeformationField, site, radii, delta) -> CavityRecord | None:
@@ -597,38 +597,40 @@ def _default_radii(mesh, a):
     return np.geomspace(r_lo, r_hi, 8)
 
 
-def _sample_disk_in_mesh(mesh, a, r, n, rng):
-    """(tri, bary) of up to n uniform samples of B(a, r) that hit the mesh."""
+def _draw_samples(n, draw):
+    """(tri, bary) of the first n hits, or fewer, that `draw(k)` yields in
+    pieces for batches of k = 4 n fresh candidates, within a budget of 20 n."""
     tris, barys = [], []
-    got = 0
-    budget = 20 * n
+    got, budget = 0, 20 * n
     while got < n and budget > 0:
         k = min(4 * n, budget)
         budget -= k
-        u = rng.random(k)
-        th = rng.random(k) * 2.0 * np.pi
-        s = r * np.sqrt(u)
-        cand = np.column_stack([a[0] + s * np.cos(th), a[1] + s * np.sin(th)])
-        # located n at a time, in draw order; the RNG stream ignores the hits
-        for lo in range(0, k, n):
+        for tri, bary in draw(k):
+            tris.append(tri[:n - got])
+            barys.append(bary[:n - got])
+            got += len(tris[-1])
             if got == n:
                 break
-            tri, bary = mesh.locator.locate(cand[lo:lo + n])
-            hit = np.nonzero(tri >= 0)[0][: n - got]
-            tris.append(tri[hit])
-            barys.append(bary[hit])
-            got += len(hit)
     return np.concatenate(tris), np.concatenate(barys)
+
+
+def _sample_disk_in_mesh(mesh, a, r, n, rng):
+    """(tri, bary) of up to n uniform samples of B(a, r) that hit the mesh."""
+    def draw(k):
+        s = r * np.sqrt(rng.random(k))
+        th = rng.random(k) * 2.0 * np.pi
+        cand = np.column_stack([a[0] + s * np.cos(th), a[1] + s * np.sin(th)])
+        # located n at a time in draw order while hits are missing; the RNG stream ignores hits
+        for lo in range(0, k, n):
+            tri, bary = mesh.locator.locate(cand[lo:lo + n])
+            yield tri[tri >= 0], bary[tri >= 0]
+
+    return _draw_samples(n, draw)
 
 
 def _sample_mesh_outside_disk(mesh, a, r, n, rng, tri_cum):
     """(tri, bary) of up to n area-uniform mesh samples outside B(a, r)."""
-    tris, barys = [], []
-    got = 0
-    budget = 20 * n
-    while got < n and budget > 0:
-        k = min(4 * n, budget)
-        budget -= k
+    def draw(k):
         t = np.searchsorted(tri_cum, rng.random(k))
         b1 = rng.random(k)
         b2 = rng.random(k)
@@ -639,8 +641,7 @@ def _sample_mesh_outside_disk(mesh, a, r, n, rng, tri_cum):
         # each candidate's offset from a: v0 + b1 (v1 - v0) + b2 (v2 - v0) - a
         ex, ey = (v[i0] + b1 * (v[i1] - v[i0]) + b2 * (v[i2] - v[i0]) - a_c
                   for v, a_c in zip(mesh.vertices.T, a))
-        keep = np.nonzero(np.sqrt(ex * ex + ey * ey) > r)[0][: n - got]
-        tris.append(t[keep])
-        barys.append(np.stack([1.0 - b1[keep] - b2[keep], b1[keep], b2[keep]], axis=1))
-        got += len(keep)
-    return np.concatenate(tris), np.concatenate(barys)
+        keep = np.sqrt(ex * ex + ey * ey) > r
+        yield t[keep], np.stack([1.0 - b1[keep] - b2[keep], b1[keep], b2[keep]], axis=1)
+
+    return _draw_samples(n, draw)

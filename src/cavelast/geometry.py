@@ -16,9 +16,9 @@ from functools import cached_property
 
 import numpy as np
 from scipy import sparse
-from scipy.spatial import Delaunay, cKDTree
+from scipy.spatial import Delaunay, QhullError, cKDTree
 
-from ._polyline import polygon_signed_area, ranges, succ
+from ._polyline import mean_circle, polygon_signed_area, ranges, succ
 from ._table import format_rows, read_table
 from .exceptions import ArtifactError, GeometryError
 from .material import _det2
@@ -193,14 +193,8 @@ def load_mesh(path) -> Mesh:
                             f"not numbered 0, 1, ... in {path}")
     mesh = Mesh(verts, tris, edges, punctures=[])
     # recover puncture geometry from the tagged loops
-    punctures = []
     loops = mesh.boundary_loops()
-    for k in range(n_punctures):
-        pts = verts[loops[f"puncture_{k}"]]
-        center = pts.mean(axis=0)
-        rho = float(np.linalg.norm(pts - center, axis=1).mean())
-        punctures.append((center, rho))
-    mesh.punctures = punctures
+    mesh.punctures = [mean_circle(verts[loops[f"puncture_{k}"]]) for k in range(n_punctures)]
     return mesh
 
 
@@ -718,10 +712,10 @@ def _ring(center, r, n, phase=0.0):
     return center + r * np.stack([np.cos(th), np.sin(th)], axis=-1)
 
 
-def _puncture_cloud(center, rho, h):
-    """Graded rings around a puncture: dense polygon (at least 48 points) on
-    the circle itself, spacing growing linearly with distance until it
-    reaches h.
+def _puncture_cloud(center, rho, h, name):
+    """Graded rings around the puncture `name`: dense polygon (at least 48
+    points) on the circle itself, spacing growing linearly with distance
+    until it reaches h.
 
     Returns (points, exclusion_radius, loop_point_count).
     """
@@ -740,7 +734,8 @@ def _puncture_cloud(center, rho, h):
         n = max(12, int(np.ceil(2.0 * np.pi * r / ell_here)))
         pts.append(_ring(center, r, n, phase=0.5 * (k % 2) * 2.0 * np.pi / n))
         if k > 60:
-            raise GeometryError("puncture grading failed to reach target edge length")
+            raise GeometryError(f"{name}: its grading rings do not reach [domain] h = {h:g} "
+                                "within 60 rings")
     return np.vstack(pts), r, n0
 
 
@@ -768,19 +763,18 @@ def _delaunay_mesh(rings, inside_fn, domain_fn, polygon_fn, punctures, h, bbox):
     by its first edge with an end on grading rings, if any, naming their
     puncture."""
     names = [t for t, _ in rings] + [f"puncture_{k}" for k in range(len(punctures))]
-    where = [repr(t) for t in names] + [
-        f"a grading ring of puncture {k} at ({c[0]:g}, {c[1]:g}) with rho {rho:g}"
-        for k, (c, rho) in enumerate(punctures)]
+    named = [f"puncture {k} at ({c[0]:g}, {c[1]:g}) with rho {rho:g}"
+             for k, (c, rho) in enumerate(punctures)]
+    where = [repr(t) for t in names] + [f"a grading ring of {p}" for p in named]
     clouds = [pts for _, pts in rings]
     labels = [np.full(len(pts), i) for i, pts in enumerate(clouds)]
     exclusions = []
     for k, (c, rho) in enumerate(punctures):
-        pts, r_ex, n0 = _puncture_cloud(c, rho, h)
+        pts, r_ex, n0 = _puncture_cloud(c, rho, h, named[k])
         if not polygon_fn(pts).all():
             raise GeometryError(
-                f"puncture {k} at ({c[0]:g}, {c[1]:g}) with rho {rho:g} is too close to the "
-                f"domain boundary for [domain] h = {h:g}: its grading rings leave the "
-                f"meshed polygon")
+                f"{named[k]} is too close to the domain boundary for [domain] h = {h:g}: "
+                f"its grading rings leave the meshed polygon")
         clouds.append(pts)
         labels.append(np.where(np.arange(len(pts)) < n0, len(rings) + k, len(names) + k))
         exclusions.append((c, r_ex))
@@ -800,7 +794,13 @@ def _delaunay_mesh(rings, inside_fn, domain_fn, polygon_fn, punctures, h, bbox):
     label = np.full(len(points), -1)
     label[:len(structured)] = np.concatenate(labels)
 
-    tri = Delaunay(points)
+    try:
+        tri = Delaunay(points)
+    except QhullError as err:
+        qhull = str(err).partition("\n")[0]
+        raise GeometryError(
+            f"Delaunay triangulation of the mesh points fails on a domain of width "
+            f"{bbox[1][0] - bbox[0][0]:g} at [domain] h = {h:g}: {qhull}") from err
     cells = tri.simplices
     cent = points[cells].mean(axis=1)
     keep = domain_fn(cent)

@@ -101,9 +101,8 @@ def invert_point(y: DeformationField, xi):
     """
     xi = np.asarray(xi, dtype=float)
     tri, bary = y.deformed_locator().locate(xi[None])
-    if tri[0] >= 0:
-        x = bary[0] @ y.mesh.vertices[y.mesh.triangles[tri[0]]]
-        return "material", x
+    if tri[0] >= 0:  # the reference corners interpolated, as the raster does
+        return "material", DeformationField(y.mesh).interpolate(tri, bary)[0]
     if y.mesh.punctures and _cavity_membership(y, xi[None])[0]:
         return "cavity", default_marker(y.mesh)
     return "outside", None

@@ -18,7 +18,7 @@ from scipy.linalg import LinAlgError
 from scipy.linalg.lapack import dpbtrf, dpbtrs
 
 from . import _openblas
-from ._polyline import succ
+from ._polyline import mean_circle, succ
 from ._table import write_table
 # check_inv and total_energy are not called here; they stay bound because
 # perfbench's tracer patches them
@@ -238,8 +238,7 @@ def certification_battery(y: DeformationField, seed: int = 0) -> list:
 
     for ids in y.mesh.puncture_loops():
         b = y.positions[ids]
-        center = b.mean(axis=0)
-        rad = float(np.linalg.norm(b - center, axis=1).mean())
+        center, rad = mean_circle(b)
         picks = np.linspace(0, len(b), 16, endpoint=False).astype(int)
         for k, j in enumerate(picks):
             c = b[j]

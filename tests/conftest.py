@@ -34,6 +34,18 @@ def read_summary(run_dir) -> dict:
     return kv
 
 
+def folded(mesh):
+    """(positions, v): the mesh's vertices with its first interior vertex v
+    moved onto another corner of the first triangle that holds it, which
+    folds that triangle."""
+    v = int(np.setdiff1d(np.arange(len(mesh.vertices)), mesh.boundary_vertices)[0])
+    t = int(np.nonzero((mesh.triangles == v).any(axis=1))[0][0])
+    other = [i for i in mesh.triangles[t] if i != v][0]
+    pos = mesh.vertices.copy()
+    pos[v] = pos[other]
+    return pos, v
+
+
 @pytest.fixture(scope="session")
 def density():
     return cv.BulkDensity(1.0, 1.0, 1.0)

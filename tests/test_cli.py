@@ -758,6 +758,53 @@ class TestMain:
                 "on this disk, more than 1048576") in captured.err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["run", "eval"])
+    def test_flat_delaunay_exit_2_names_h(self, tmp_path, capsys, command):
+        # a disk of radius 1e100 with h and rho scaled alike: Qhull finds
+        # the mesh points flat, which once ended in a QhullError traceback
+        p = tmp_path / "huge.ini"
+        p.write_text("[domain]\nshape = disk\nradius = 1e100\nh = 3e99\npunctures = 0 0 1e99\n")
+        out = tmp_path / "out"
+        assert main([command, str(p), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("infeasible input: Delaunay triangulation of the mesh points "
+                              "fails on a domain of width 2e+100 at [domain] h = 3e+99: QH")
+        assert "Traceback" not in err
+        assert not out.exists()
+
+    def test_puncture_grading_exit_2_names_its_puncture(self, tmp_path, capsys):
+        # rho = 1e-20 at h = 0.3: 60 grading rings do not reach h
+        p = tmp_path / "pin.ini"
+        p.write_text("[domain]\nshape = disk\nh = 0.3\npunctures = 0.1 0 1e-20\n")
+        out = tmp_path / "out"
+        assert main(["run", str(p), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            "infeasible input: puncture 0 at (0.1, 0) with rho 1e-20: its grading rings do "
+            "not reach [domain] h = 0.3 within 60 rings\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["run", "eval"])
+    @pytest.mark.parametrize("lam,energy", [("1e100", "inf"), ("1e200", "nan"), ("1e-200", "inf")])
+    def test_start_energy_not_finite_exit_2_before_meshing(self, tmp_path, capsys, monkeypatch,
+                                                           command, lam, energy):
+        # W(lam I) overflows: lam = 1e100 once gave eval a total of inf and a
+        # stalled run, lam = 1e200 overflow warnings and a traceback. At
+        # lam = 1e-200 det F rounds to 0, and -log det is infinite
+        def no_mesh(cfg):
+            raise AssertionError("meshed a config that validate() should refuse")
+
+        monkeypatch.setattr(cli, "build_mesh", no_mesh)
+        p = tmp_path / "far.ini"
+        p.write_text(f"[domain]\nshape = disk\nh = 0.3\npunctures = 0 0 0.1\n"
+                     f"[boundary]\nlam = {lam}\n")
+        out = tmp_path / "out"
+        assert main([command, str(p), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"configuration error: [boundary] lam = {float(lam)!r}: the start field's energy "
+            f"on this disk of width 2 under [material] mu = 1, a = 1, b = 1 is not finite "
+            f"({energy})\n")
+        assert not out.exists()
+
     @pytest.mark.parametrize("A,named", [("1 1; 0 1", "symmetric"),
                                          ("1 0; 0 -1", "positive definite")])
     def test_bad_elliptic_matrix_exit_2_before_meshing(self, tmp_path, capsys, monkeypatch,

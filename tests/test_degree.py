@@ -244,7 +244,23 @@ def member(raster, points):
     return out
 
 
+class TestImagePoint:
+    def test_needs_a_radius(self, disk_mesh):
+        with pytest.raises(ValueError, match="at least one radius"):
+            cv.topological_image_point(cv.DeformationField(disk_mesh), (0.5, 0.0), [], 0.02)
+
+    def test_no_cavity_at_a_site_off_the_punctures(self, disk_mesh):
+        # r = 0.19 puts the site between cell centres, and the image of the
+        # circle of radius 1e-4 about it holds none: the intersection is empty
+        y = cv.DeformationField(disk_mesh)
+        assert cv.topological_image_point(y, (0.5, 0.0), [0.19, 1e-4], 0.02) is None
+
+
 class TestRaster:
+    def test_unknown_subdomain_refused(self, disk_mesh):
+        with pytest.raises(ValueError, match="subdomain must be"):
+            cv.topological_image(cv.DeformationField(disk_mesh), "boundary", 0.02)
+
     def test_area_and_multiplicity(self):
         vals = np.zeros((10, 10), dtype=np.int64)
         vals[2:5, 3:7] = 1
@@ -601,6 +617,10 @@ class TestPolygonIsSimple:
         # a lattice rectangle with vertices along its sides
         rect = np.array([[0, 0], [1, 0], [2, 0], [3, 0], [3, 1], [3, 2], [2, 2], [0, 2]], float)
         assert degree.polygon_is_simple(rect) and _reference_polygon_is_simple(rect)
+
+    def test_fewer_than_three_distinct_points_is_not_simple(self):
+        # repeated consecutive points merge first, leaving a segment
+        assert not degree.polygon_is_simple([[0.0, 0.0], [0.0, 0.0], [1.0, 1.0]])
 
     @pytest.mark.parametrize("pts", [
         [[0, 0], [2, 0], [2, 2], [1, 0.0], [0, 2]],       # a vertex on a far edge

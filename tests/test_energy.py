@@ -13,6 +13,7 @@ from cavelast.degree import _default_radii
 from cavelast.energy import _ROT, _SIX_POINT, _edge_normals, band_order
 from cavelast.exceptions import DomainError, InfeasibleEnergyError
 from cavelast.variation import _constrained_vertices
+from conftest import folded
 
 
 def _reference_element_gradients(mesh, pos):
@@ -98,13 +99,7 @@ class TestBulk:
         assert cv.total_energy(y, density, iso).bulk == pytest.approx(want, rel=1e-12)
 
     def test_flipped_triangle_raises(self, square_mesh, density, iso):
-        interior = np.setdiff1d(np.arange(len(square_mesh.vertices)),
-                                square_mesh.boundary_vertices)
-        v = int(interior[0])
-        t = int(np.nonzero((square_mesh.triangles == v).any(axis=1))[0][0])
-        other = [i for i in square_mesh.triangles[t] if i != v][0]
-        pos = square_mesh.vertices.copy()
-        pos[v] = pos[other]
+        pos, v = folded(square_mesh)
         y = cv.DeformationField(square_mesh, pos)
         with pytest.raises(InfeasibleEnergyError) as ei:
             cv.total_energy(y, density, iso)
@@ -181,13 +176,7 @@ class TestDiscreteEnergy:
                     assert (bd.bulk, bd.surface, bd.total) == (bulk, surface, bulk + surface)
 
     def test_folded_field(self, square_mesh, density, iso):
-        interior = np.setdiff1d(np.arange(len(square_mesh.vertices)),
-                                square_mesh.boundary_vertices)
-        v = int(interior[0])
-        t = int(np.nonzero((square_mesh.triangles == v).any(axis=1))[0][0])
-        other = [i for i in square_mesh.triangles[t] if i != v][0]
-        pos = square_mesh.vertices.copy()
-        pos[v] = pos[other]
+        pos, _ = folded(square_mesh)
         state = cv.DiscreteEnergy(square_mesh, density, iso).state(pos)
         bulk, surface, mind = state.value
         assert bulk is None and surface is None and mind <= 0.0

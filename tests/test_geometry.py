@@ -91,6 +91,27 @@ class TestBuilders:
         with pytest.raises(GeometryError):
             cv.Mesh(verts, np.array([[0, 1, 2]]), [])
 
+    @pytest.mark.parametrize("edges,message", [
+        ([(0, 1), (1, 2), (3, 4)], "boundary loop does not close"),
+        ([(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3)],
+         "boundary edges of one tag do not form a single closed loop"),
+    ], ids=["dead_end", "two_loops"])
+    def test_boundary_edges_of_one_tag_must_be_one_loop(self, edges, message):
+        verts = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0],
+                          [2.0, 0.0], [3.0, 0.0], [2.0, 1.0]])
+        mesh = cv.Mesh(verts, np.array([[0, 1, 2], [3, 4, 5]]),
+                       [(i, j, "dirichlet") for i, j in edges])
+        with pytest.raises(GeometryError, match=message):
+            mesh.boundary_loops()
+
+    def test_annulus_needs_inner_below_outer(self):
+        with pytest.raises(GeometryError, match="0 < inner < outer"):
+            cv.build_annulus_mesh(1.0, 1.0, 0.2)
+
+    def test_puncture_radius_must_be_positive(self):
+        with pytest.raises(GeometryError, match="puncture radius must be positive"):
+            cv.build_disk_mesh(1.0, 0.2, punctures=[((0.0, 0.0), 0.0)])
+
 
 class TestRanges:
     def test_matches_a_loop(self):
@@ -313,6 +334,12 @@ class TestLocatorAndTrace:
             cv.trace_on_circle(y, (0.9, 0.0), 0.5, 128)  # exits the rim
 
 
+class TestDeformationField:
+    def test_positions_must_match_the_vertices(self, square_mesh):
+        with pytest.raises(GeometryError, match="positions must match"):
+            cv.DeformationField(square_mesh, square_mesh.vertices[:-1])
+
+
 class TestBoundaryData:
     def test_radial_stretch(self, disk_mesh):
         bc = cv.BoundaryData(kind="radial_stretch", lam=1.5)
@@ -336,6 +363,17 @@ class TestMollify:
     def test_zero_sigma_is_identity(self, disk_mesh):
         y = cv.DeformationField(disk_mesh)
         assert np.array_equal(cv.mollify(y, 0.0).positions, y.positions)
+
+    def test_negative_sigma_refused(self, disk_mesh):
+        with pytest.raises(ValueError, match="sigma must be nonnegative"):
+            cv.mollify(cv.DeformationField(disk_mesh), -0.1)
+
+    def test_mesh_without_interior_vertices_is_kept(self):
+        # every vertex of one triangle is a boundary vertex: nothing to smooth
+        verts = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+        mesh = cv.Mesh(verts, np.array([[0, 1, 2]]), [(0, 1, "d"), (1, 2, "d"), (2, 0, "d")])
+        y = cv.DeformationField(mesh, 2.0 * verts)
+        assert cv.mollify(y, 0.1) is y
 
     def test_affine_preserved(self, disk_mesh):
         M = np.array([[1.3, 0.2], [-0.1, 0.9]])

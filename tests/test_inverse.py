@@ -109,6 +109,16 @@ class TestInvertPoint:
             assert np.allclose(cavitated.evaluate(x[None])[0], xi, atol=1e-10)
         assert n > 300
 
+    def test_material_cells_are_the_raster_bits(self, cavitated):
+        # at every material cell centre the point query interpolates the
+        # reference corners as the raster does, so both give one pre-image
+        inv = cv.build_inverse_field(cavitated, 0.05)
+        iy, ix = np.nonzero(inv.kind == MATERIAL)
+        got = np.array([cv.invert_point(cavitated, xi)[1]
+                        for xi in inv.cell_centers()[iy, ix]])
+        assert len(got) > 1000
+        assert np.array_equal(got, inv.ref[iy, ix])
+
 
 class TestInverseGradient:
     def test_affine_inverse(self, square_mesh):
@@ -131,6 +141,20 @@ class TestInverseGradient:
 
 
 class TestJumpSet:
+    def test_second_probe_reads_past_an_outside_ring(self):
+        # a 3 x 3 cavity, a ring of outside cells, then material: the probe
+        # 0.6 delta out of each straight contour edge lands in the ring, the
+        # one at 1.2 delta in the material; the chamfered corners read nan
+        kind = np.full((11, 11), MATERIAL, dtype=np.uint8)
+        kind[3:8, 3:8] = OUTSIDE
+        kind[4:7, 4:7] = CAVITY
+        inv = cv.InverseField(origin=np.zeros(2), delta=0.1, kind=kind,
+                              ref=np.full((11, 11, 2), 0.25), tri=np.zeros((11, 11), int),
+                              marker=np.array([3.25, 0.25]))
+        (contour,) = cv.extract_jump_set(inv)
+        amp = contour.amplitudes
+        assert np.isfinite(amp).sum() == 8 and np.all(amp[np.isfinite(amp)] == 3.0)
+
     def test_contour_tracks_cavity_boundary(self, cavitated):
         inv = cv.build_inverse_field(cavitated, 0.02)
         contours = cv.extract_jump_set(inv)

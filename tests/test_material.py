@@ -16,6 +16,10 @@ def random_gradients(rng, n):
 
 
 class TestBulkDensity:
+    def test_constants_must_be_positive(self):
+        with pytest.raises(ValueError, match="mu, a, b must all be positive"):
+            cv.BulkDensity(mu=1.0, a=0.0, b=1.0)
+
     def test_energy_at_identity(self, density):
         assert density.energy(np.eye(2)[None])[0] == pytest.approx(2.0, abs=1e-14)
 
@@ -405,3 +409,11 @@ class TestSurfaceDensity:
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError):
             cv.SurfaceDensity("manhattan")
+
+    def test_elliptic_matrix_must_be_2x2(self):
+        with pytest.raises(ValueError, match="2x2"):
+            cv.SurfaceDensity("elliptic", A=np.eye(3))
+
+    def test_smoothed_l1_eps_must_be_positive(self):
+        with pytest.raises(ValueError, match="eps must be positive"):
+            cv.SurfaceDensity("smoothed_l1", eps=0.0)

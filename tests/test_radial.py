@@ -234,6 +234,15 @@ class TestBvp:
         assert rep.projected > 0.2
         assert "FAIL" in rep.summary()
 
+    def test_flat_start_at_the_puncture_raises(self, density, iso):
+        # the first slope is far below the second, so the pchip end
+        # derivative, and with it det at the puncture, is 0
+        prof = cv.RadialProfile(knots=np.array([0.2, 0.3, 0.4]),
+                                values=np.array([0.5, 0.51, 0.8]), lam=2.0)
+        assert prof.dr(prof.rho) == 0.0
+        with pytest.raises(cv.InfeasibleEnergyError, match="non-positive determinant"):
+            cv.bvp_boundary_check(prof, density, iso)
+
     def test_residual_shrinks_under_refinement(self, density, iso, radial_15):
         res96 = cv.bvp_boundary_check(radial_15, density, iso).projected
         prof48 = cv.solve_radial(1.5, density, iso, rho=0.2, M=48)

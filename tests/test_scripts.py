@@ -1,5 +1,5 @@
-"""The committed programs CI runs: the tree checker, the OpenBLAS probe and
-the reference-tree writer's refusals."""
+"""The committed programs CI runs: the tree checker, the OpenBLAS probe, the
+reference-tree writer's refusals and the traced benchmark check's pass rule."""
 
 import os
 import shutil
@@ -7,6 +7,7 @@ import shutil
 import pytest
 
 import check_tree
+import traced_passes
 from conftest import SCRIPTS, run_python
 
 PUNCTURE_REFUSAL = ("configuration error: puncture 0 at (0.85, 0) with rho 0.05 is too "
@@ -84,3 +85,20 @@ class TestReferenceRuns:
         assert proc.returncode == 1
         assert proc.stderr == f"{tmp_path.resolve()} already exists; give a new directory\n"
         assert list(tmp_path.iterdir()) == []
+
+
+class TestTracedPasses:
+    @pytest.mark.parametrize("stdout,ok", [
+        ('provenance {"sources": "x"}\n{"correct": true, "attempted": 3, "failed": 0}\n', True),
+        ('{"correct": true, "failed": 0}\n\n\n', True),
+        ('{"correct": false, "attempted": 3, "failed": 0}\n', False),
+        ('{"correct": true, "attempted": 3, "failed": 1}\n', False),
+        ('{"correct": 1, "failed": 0}\n', False),
+        ('{"correct": true, "failed": 0}\nTraceback (most recent call last):\n', False),
+        ('{"failed": 0}\n', False),
+        ("[true, 0]\n", False),
+        ("", False),
+    ], ids=["correct", "trailing_newlines", "incorrect", "a_failed_op", "correct_not_true",
+            "json_not_last", "no_correct_key", "not_an_object", "no_output"])
+    def test_pass_rule_reads_the_last_line(self, stdout, ok):
+        assert traced_passes.passed(stdout) is ok

@@ -10,13 +10,13 @@ from scipy.linalg.lapack import dpbtrf
 
 import cavelast as cv
 from cavelast import cli
-from cavelast.cli import _read_positions_csv, build_phi
+from cavelast.cli import _load_run, build_phi
 from cavelast.energy import phi_perimeter_gradient
 from cavelast.exceptions import DomainError, InfeasibleEnergyError
 from cavelast.geometry import hat_gradients
 from cavelast.variation import _constrained_vertices, _newton_step, battery_variations
-from conftest import run_python
-from corpus import frames, fuzz_config, mirrored, relabelled, solver
+from conftest import folded, run_python
+from corpus import frames, fuzz_config, mirrored, relabelled
 
 
 def _state(y, density, phi):
@@ -205,13 +205,7 @@ class TestElasticVariation:
         assert abs(val) <= 1e-10 * 20.0
 
     def test_infeasible_raises(self, square_mesh, density):
-        pos = square_mesh.vertices.copy()
-        interior = np.setdiff1d(np.arange(len(pos)), square_mesh.boundary_vertices)
-        tris = square_mesh.triangles
-        v = int(interior[0])
-        t = int(np.nonzero((tris == v).any(axis=1))[0][0])
-        other = [i for i in tris[t] if i != v][0]
-        pos[v] = pos[other]
+        pos, _ = folded(square_mesh)
         y = cv.DeformationField(square_mesh, pos)
         with pytest.raises(InfeasibleEnergyError):
             cv.elastic_first_variation(y, cv.DilationField(), density)
@@ -292,11 +286,8 @@ class TestSurfaceVariation:
         # the surface term of EnergyState.grad, which the battery and the
         # report read, against phi_perimeter_gradient over the detected
         # cavities, at both bundled minimizers
-        _, out = request.getfixturevalue(run)
-        phi = build_phi(cv.ScenarioConfig.from_ini(out / "config.ini"))
-        mesh = cv.load_mesh(out / "mesh.cavmesh")
-        y = cv.DeformationField(mesh, _read_positions_csv(out / "positions.csv",
-                                                          len(mesh.vertices)))
+        cfg, y = _load_run(request.getfixturevalue(run)[1])
+        phi = build_phi(cfg)
         state = _state(y, density, phi)
         recs = cv.detect_cavities(y, phi)
         center = recs[0].boundary.mean(axis=0)
@@ -346,11 +337,8 @@ class TestResidualReport:
     def test_fd_value_is_the_total_energy_difference(self, density, run, request):
         # the central difference sums EnergyState.value as total_energy
         # does, bit for bit, at both bundled minimizers
-        _, out = request.getfixturevalue(run)
-        phi = build_phi(cv.ScenarioConfig.from_ini(out / "config.ini"))
-        mesh = cv.load_mesh(out / "mesh.cavmesh")
-        y = cv.DeformationField(mesh, _read_positions_csv(out / "positions.csv",
-                                                          len(mesh.vertices)))
+        cfg, y = _load_run(request.getfixturevalue(run)[1])
+        phi = build_phi(cfg)
         for psi in cv.certification_battery(y):
             plus, minus = (cv.total_energy(cv.outer_compose(y, psi, t), density, phi).total
                            for t in (1e-5, -1e-5))
@@ -384,6 +372,9 @@ class TestBattery:
         gam = cv.gamma_images(lifted)
         for psi in fields:
             assert cv.field_vanishes_on(psi, gam)
+
+    def test_every_field_vanishes_on_no_points(self):
+        assert cv.field_vanishes_on(ConstantField((1.0, 0.0)), np.empty((0, 2)))
 
     def test_translation_and_rotation_residual_vanish(self, lifted, density, iso):
         state = cv.DiscreteEnergy(lifted.mesh, density, iso).state(lifted.positions)
@@ -498,13 +489,7 @@ class TestMinimize:
         assert all(0.0 < r["step"] <= 1.0 for r in log.records[1:])
 
     def test_infeasible_start_rejected(self, square_mesh, density, iso):
-        pos = square_mesh.vertices.copy()
-        interior = np.setdiff1d(np.arange(len(pos)), square_mesh.boundary_vertices)
-        tris = square_mesh.triangles
-        v = int(interior[0])
-        t = int(np.nonzero((tris == v).any(axis=1))[0][0])
-        other = [i for i in tris[t] if i != v][0]
-        pos[v] = pos[other]
+        pos, _ = folded(square_mesh)
         with pytest.raises(InfeasibleEnergyError):
             cv.minimize(cv.DeformationField(square_mesh, pos), density, iso)
 
@@ -871,8 +856,8 @@ class TestFrameReferees:
             name = {"bundled_iso": "radial_iso_lambda1.5",
                     "bundled_ell": "radial_ell_lambda1.5"}[request.param]
             cfg = cv.ScenarioConfig.from_ini(cli.resolve_scenario(name))
-        solve, mesh = solver(cfg), cli.build_mesh(cfg)
-        return solve, mesh, solve(mesh)
+        mesh = cli.build_mesh(cfg)
+        return cfg, mesh, cli.solve(cfg, mesh)
 
     @staticmethod
     def _assert_same_solve(log, other, pos, other_pos):
@@ -884,14 +869,14 @@ class TestFrameReferees:
         assert np.abs(other_pos - pos).max() <= 1e-13 * np.abs(pos).max()
 
     def test_mirror_reproduces_the_solve(self, case):
-        solve, mesh, (y, log) = case
-        y_m, log_m = solve(mirrored(mesh))
+        cfg, mesh, (y, log) = case
+        y_m, log_m = cli.solve(cfg, mirrored(mesh))
         self._assert_same_solve(log, log_m, y.positions * [-1.0, 1.0], y_m.positions)
 
     def test_relabelling_reproduces_the_solve(self, case):
-        solve, mesh, (y, log) = case
+        cfg, mesh, (y, log) = case
         other, perm = relabelled(mesh, np.random.default_rng(5))
-        y_r, log_r = solve(other)
+        y_r, log_r = cli.solve(cfg, other)
         self._assert_same_solve(log, log_r, y.positions[perm], y_r.positions)
 
     # Seed-1 fuzz configs whose gate rejects trials: a rejection can fall on
