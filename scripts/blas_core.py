@@ -1,5 +1,6 @@
-"""Print the OpenBLAS kernel that scipy's bundled OpenBLAS picks here, and
-the SIMD extensions numpy dispatches to.
+"""Print the OpenBLAS kernel that scipy's bundled OpenBLAS picks here, the
+SIMD extensions numpy dispatches to, and the kernel of numpy's own bundled
+OpenBLAS.
 
 Run from anywhere:
 
@@ -7,11 +8,17 @@ Run from anywhere:
 
 The first line is `OpenBLAS core: NAME`, for example `SkylakeX`, or
 `Haswell` under `OPENBLAS_CORETYPE=Haswell`; `unknown` means scipy links
-another BLAS. The second is `numpy SIMD: ...`, the `found` list of numpy's
-SIMD extensions (`unknown` where numpy does not report it). Artifact bytes
-depend on the kernel, so CI prints both before its steps.
+another BLAS. scipy's library rounds the Newton factor (`dpbtrf`). The
+second is `numpy SIMD: ...`, the `found` list of numpy's SIMD extensions
+(`unknown` where numpy does not report it). The third is `numpy OpenBLAS
+core: NAME`, the kernel of `numpy.libs/libscipy_openblas64_*.so`, which
+rounds numpy's matrix products, the element products of
+`EnergyState.hess` among them; `unknown` means numpy links another BLAS.
+Artifact bytes depend on all three, so CI prints them before its steps.
 """
 
+import ctypes
+import glob
 import pathlib
 import sys
 
@@ -31,6 +38,19 @@ def numpy_simd() -> str:
     return " ".join(found)
 
 
+def numpy_openblas_core() -> str:
+    """The kernel name numpy's bundled OpenBLAS reports, or "unknown"."""
+    libs = glob.glob(np.__path__[0] + ".libs/libscipy_openblas64_*.so")
+    if not libs:
+        return "unknown"
+    corename = getattr(ctypes.CDLL(libs[0]), "scipy_openblas_get_corename64_", None)
+    if corename is None:
+        return "unknown"
+    corename.restype, corename.argtypes = ctypes.c_char_p, []
+    return corename().decode()
+
+
 if __name__ == "__main__":
     print("OpenBLAS core:", openblas_core())
     print("numpy SIMD:", numpy_simd())
+    print("numpy OpenBLAS core:", numpy_openblas_core())

@@ -25,8 +25,9 @@ def write_table(path, header, fmt, rows):
 def read_table(path, cols, rows=None, skip=0, dtype=float, delimiter=None):
     """The `rows` (default: all) rows of `cols` values after the first `skip`
     lines of `path`; ArtifactError, naming the file, if the text holds no
-    such table (a value that does not parse, a ragged or missing row). No
-    text is a comment: a boundary tag may contain "#"."""
+    such table (a value that does not parse, a ragged or missing row, a
+    float that is nan or infinite). No text is a comment: a boundary tag may
+    contain "#"."""
     try:
         with warnings.catch_warnings():
             # a table with no rows (no cavities, no jump set) is valid
@@ -41,4 +42,7 @@ def read_table(path, cols, rows=None, skip=0, dtype=float, delimiter=None):
         want = f"{cols} values a row" + ("" if rows is None else f", {rows} rows")
         raise ArtifactError(f"malformed table in {path} after line {skip}: expected "
                             f"{want}, found shape {table.shape}")
+    if table.dtype.kind == "f" and not np.isfinite(table).all():
+        line = skip + 1 + int(np.argmin(np.isfinite(table).all(axis=1)))
+        raise ArtifactError(f"non-finite value in {path} on line {line}")
     return table

@@ -328,7 +328,8 @@ def _write_positions_csv(y: DeformationField, path):
 
 
 def _read_positions_csv(path, n) -> np.ndarray:
-    """Deformed positions of the n mesh vertices, rows in vertex-id order."""
+    """Deformed positions of the n mesh vertices, rows in vertex-id order;
+    ArtifactError, naming the file, on a non-finite value."""
     table = read_table(path, 5, skip=1, delimiter=",")
     if not np.array_equal(table[:, 0], np.arange(n)):
         raise ArtifactError(f"vertex ids in {path} do not run 0, 1, ..., {n - 1}")
@@ -349,6 +350,8 @@ def _as_12g(a) -> np.ndarray:
 
 
 def _read_cavities_csv(path) -> list:
+    """The cavity loops of a cavities.csv, in cavity order; ArtifactError,
+    naming the file, on a non-finite value."""
     table = read_table(path, 3, skip=1, delimiter=",")
     k = table[:, 0]
     return [table[k == i, 1:] for i in np.unique(k)]
@@ -623,7 +626,8 @@ def compare_runs(dir_a, dir_b) -> CompareReport:
         surface_a=own_a.surface, surface_b=own_b.surface,
         cross_total_ab=ab.total, cross_surface_ab=ab.surface,
         cross_total_ba=ba.total, cross_surface_ba=ba.surface,
-        alarm_b=margin_b < -slack, alarm_a=margin_a < -slack,
+        # written so that a nan margin raises the alarm
+        alarm_b=not (margin_b >= -slack), alarm_a=not (margin_a >= -slack),
         margin_b=margin_b, margin_a=margin_a)
 
 

@@ -110,40 +110,46 @@ class DiscreteEnergy:
     @cached_property
     def band_layout(self):
         """(order, width, slot) of `EnergyState.hess`, built when first read
-        from the (row, column) dof pairs of every element (per element
-        (i, c, j, d) over corners i, j and axes c, d, triangles first, then
-        loop edges): order[k] is the free dof placed k-th, the `band_order`
-        of the free-dof graph, whose edges are the pairs between free dofs;
-        width is the number of superdiagonals of the reordered matrix;
-        slot[e] is where pair e of the value layout of `EnergyState.hess`
-        goes in its flat lower band: an entry (i, j), i <= j, at the place of
-        its twin (j, i), which is dropped, as the element blocks are not
-        bitwise symmetric; an entry below the diagonal or on a fixed dof at
-        the one discard slot (width + 1) n."""
+        from the free-vertex graph, whose edges are the `Mesh.edge_pairs`
+        between free vertices (every loop edge is a triangle edge): order[k]
+        is the free dof placed k-th, the `band_order` of that graph; width
+        is the number of superdiagonals of the reordered matrix, the largest
+        rank gap between two dofs of one free vertex or of one edge; slot[e]
+        is where pair e of the value layout of `EnergyState.hess` goes in its
+        flat lower band. The value layout holds the (row, column) dof pairs
+        of every element, per element (i, c, j, d) over corners i, j and axes
+        c, d, triangles first, then loop edges: an entry (i, j), i <= j, goes
+        at the place of its twin (j, i), which is dropped, as the element
+        blocks are not bitwise symmetric; an entry below the diagonal or on
+        a fixed dof at the one discard slot (width + 1) n."""
         mask = self.free
-        n = 2 * int(np.sum(mask))  # free dofs
-        dof = np.full((len(mask), 2), -1)
-        dof[mask] = np.arange(n).reshape(-1, 2)
-        corner = [dof[el].reshape(len(el), -1) for el in [self.mesh.triangles] + [
-            np.stack([ids, succ(ids)], axis=1) for ids in self.loops]]
-        row = np.concatenate([np.repeat(c, c.shape[1], axis=1).ravel() for c in corner])
-        col = np.concatenate([np.tile(c, (1, c.shape[1])).ravel() for c in corner])
-        both = (row >= 0) & (col >= 0)
-        row, col = row[both], col[both]
-        # the graph's csc pattern: each pair once, by column, then row
-        key = np.sort(col * n + row)
-        key = key[np.flatnonzero(np.diff(key, prepend=-1))]
-        indptr = np.concatenate(([0], np.cumsum(np.bincount(key // n, minlength=n))))
-        order = band_order(indptr, key % n)
-        rank = np.empty(n, dtype=np.int64)
-        rank[order] = np.arange(n)
-        i, j = rank[row], rank[col]
-        width = int(np.max(j - i, initial=0))
-        upper = i <= j
-        slot = np.full(len(both), (width + 1) * n)
-        # the flat Fortran index of [j - i, i]
-        slot[np.flatnonzero(both)[upper]] = i[upper] * (width + 1) + j[upper] - i[upper]
-        return order, width, slot
+        nf = int(np.sum(mask))  # free vertices
+        vertex = np.full(len(mask), -1)
+        vertex[mask] = np.arange(nf)
+        u, v = vertex[self.mesh.edge_pairs].T
+        both = (u >= 0) & (v >= 0)
+        u, v = u[both], v[both]
+        # the graph's csr pattern: each edge both ways, by row, then column
+        key = np.sort(np.concatenate((u * nf + v, v * nf + u)))
+        indptr = np.concatenate(([0], np.cumsum(np.bincount(key // nf, minlength=nf))))
+        order = band_order(indptr, key % nf)
+        n = 2 * nf
+        free_rank = np.empty(n, dtype=np.int64)
+        free_rank[order] = np.arange(n)
+        free_rank = free_rank.reshape(nf, 2)  # the places of each free vertex's dofs
+        width = int(max(np.max(np.abs(free_rank[u][:, :, None] - free_rank[v][:, None, :]),
+                               initial=0),
+                        np.max(np.abs(free_rank[:, 1] - free_rank[:, 0]), initial=0)))
+        rank = np.full((len(mask), 2), -1)
+        rank[mask] = free_rank
+        slot = []
+        for el in [self.mesh.triangles] + [np.stack([ids, succ(ids)], axis=1)
+                                           for ids in self.loops]:
+            r = rank[el].reshape(len(el), -1)
+            i, j = r[:, :, None], r[:, None, :]
+            # the flat Fortran index of [j - i, i]
+            slot.append(np.where((i >= 0) & (i <= j), i * width + j, (width + 1) * n).ravel())
+        return order, width, np.concatenate(slot)
 
 
 class EnergyState:
@@ -224,9 +230,10 @@ class EnergyState:
         order, width, slot = energy.band_layout
         nt = len(self.F)
         lam, vec = energy.density.hessian_eigensystem(self.F, _require_positive(self.det))
-        # B^T V, rows (i, c), for B[(a, b), (i, c)] = delta_ac dN_i/dX_b
-        btv = (energy.mesh.shape_gradients[:, None] @ vec.reshape(nt, 2, 2, 4)
-               ).transpose(0, 2, 1, 3).reshape(nt, 6, 4)
+        # B^T V, rows (i, c), for B[(a, b), (i, c)] = delta_ac dN_i/dX_b: one
+        # (3, 2) @ (2, 8) product per triangle, vec's rows b by columns (a, k)
+        btv = (energy.mesh.shape_gradients @ vec.reshape(nt, 2, 2, 4).transpose(0, 2, 1, 3)
+               .reshape(nt, 2, 8)).reshape(nt, 6, 4)
         w = energy.mesh.areas[:, None] * np.maximum(lam, 0.0)
         vals = np.empty(len(slot))
         np.matmul(btv * w[:, None, :], btv.transpose(0, 2, 1),
@@ -258,34 +265,59 @@ class EnergyState:
 
 
 def band_order(indptr, indices) -> np.ndarray:
-    """Cuthill-McKee order of the symmetric csc pattern (indptr, indices):
-    every node exactly once, component by component, each in breadth-first
-    level order from a pseudo-peripheral node. Within a level the nodes go
-    by their first neighbour in the level before, then by degree, then by
-    index (Cuthill & McKee, Proc. 24th ACM National Conference, 1969). The
-    start is found by repeating the search from the last node it reaches
-    until the number of levels stops growing (George & Liu, ACM TOMS 1979).
-    Every level is a few vectorized calls, so the cost is per level, not per
-    node. `DiscreteEnergy.band_layout` orders the free-dof graph with it,
-    two dofs per free vertex, diagonal included."""
-    n = len(indptr) - 1
+    """Cuthill-McKee order of the dof graph of the symmetric vertex graph
+    with csr pattern (indptr, indices), its diagonal on every vertex or on
+    none: the dofs 2 u + axis of the vertices u, joined where their
+    vertices are equal or adjacent. Every dof is placed exactly once,
+    component by component, each in breadth-first level order from a
+    pseudo-peripheral dof. Within a level the dofs go by their first
+    neighbour in the level before, then by degree, then by index (Cuthill &
+    McKee, Proc. 24th ACM National Conference, 1969). The start is found by
+    repeating the search from the last dof it reaches until the number of
+    levels stops growing (George & Liu, ACM TOMS 1979). The search runs on
+    the vertices (`_dof_levels`), and every level is a few vectorized calls,
+    so the cost is per level, not per vertex. `DiscreteEnergy.band_layout`
+    orders the free dofs with it."""
     deg = np.diff(indptr)
-    placed = np.zeros(n, dtype=bool)
+    placed = np.zeros(len(deg), dtype=bool)
     parts = []
     while not placed.all():  # one component per pass
-        levels = _bfs_levels(int(np.argmin(placed)), indptr, indices, deg)
+        levels = _dof_levels(2 * int(np.argmin(placed)), indptr, indices, deg)
         while True:
-            again = _bfs_levels(int(levels[-1][-1]), indptr, indices, deg)
+            again = _dof_levels(int(levels[-1][-1]), indptr, indices, deg)
             if len(again) <= len(levels):
                 break
             levels = again
         parts += levels
-        placed[np.concatenate(levels)] = True
+        placed[np.concatenate(levels) // 2] = True
     return np.concatenate(parts) if parts else np.empty(0, dtype=np.int64)
 
 
+def _dof_levels(start, indptr, indices, deg) -> list:
+    """Breadth-first dof levels from the dof start, each ordered as
+    `band_order` says, found from the vertex levels of its vertex u. The
+    two dofs of a vertex w have the same neighbours and the degree
+    2 (1 + d_w), so past the first level each dof level is its vertex level
+    with w expanded to (2 w, 2 w + 1). The first level is the expanded
+    neighbours of u with the twin start ^ 1 put among them by (degree,
+    index), the twin alone where u has no neighbour."""
+    u = start // 2
+    levels = _bfs_levels(u, indptr, indices, deg)
+    near = levels[1] if len(levels) > 1 else levels[0][:0]
+    key = 2 * len(deg) * np.repeat(deg[near], 2) + _dofs(near)
+    at = np.searchsorted(key, 2 * len(deg) * deg[u] + (start ^ 1))
+    return [np.array([start]), np.insert(_dofs(near), at, start ^ 1)] \
+        + [_dofs(level) for level in levels[2:]]
+
+
+def _dofs(vertices) -> np.ndarray:
+    """The dofs 2 w, 2 w + 1 of each vertex w, in order."""
+    return (2 * vertices[:, None] + np.arange(2)).ravel()
+
+
 def _bfs_levels(start, indptr, indices, deg) -> list:
-    """Breadth-first levels from start, each ordered as `band_order` says."""
+    """Breadth-first vertex levels from start, each ordered as `band_order`
+    says."""
     seen = np.zeros(len(deg), dtype=bool)
     seen[start] = True
     levels = [np.array([start], dtype=np.int64)]

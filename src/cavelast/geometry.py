@@ -171,6 +171,8 @@ class Mesh:
 
 
 def load_mesh(path) -> Mesh:
+    """The mesh `Mesh.save` wrote to path; ArtifactError, naming the file,
+    if it is malformed or a vertex coordinate is not finite."""
     with open(path) as fh:
         header = fh.readline().strip()
     if header != MESH_FORMAT_HEADER:

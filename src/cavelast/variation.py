@@ -101,8 +101,12 @@ def field_vanishes_on(psi, points) -> bool:
 
 def _constrained_vertices(mesh) -> np.ndarray:
     """Sorted ids of every vertex on a held loop (`Mesh.held_loops`): the
-    vertices `minimize` holds fixed."""
-    return np.unique(np.concatenate(mesh.held_loops()))
+    vertices `minimize` holds fixed. DomainError on a mesh without one."""
+    held = mesh.held_loops()
+    if not held:
+        raise DomainError("the mesh has no held loop (a boundary loop whose tag is not "
+                          "puncture_<k>), so no vertex is held fixed")
+    return np.unique(np.concatenate(held))
 
 
 def gamma_images(y: DeformationField) -> np.ndarray:
@@ -225,15 +229,14 @@ def first_variation_residual(state: EnergyState, psi) -> VariationReport:
 def certification_battery(y: DeformationField, seed: int = 0) -> list:
     """Bump fields probing stationarity: a ring of up to 16 along each cavity
     boundary plus up to 8 global interior fields, all exactly zero on the
-    constrained boundary images (compact supports kept clear of them)."""
+    constrained boundary images (compact supports kept clear of them).
+    DomainError on a mesh without a held loop."""
     gam = gamma_images(y)
     rng = np.random.default_rng(seed)
     scale = float(np.ptp(y.positions, axis=0).max())
     fields = []
 
     def clearance(c):
-        if len(gam) == 0:
-            return scale
         return float(np.linalg.norm(gam - c, axis=1).min())
 
     for ids in y.mesh.puncture_loops():
@@ -356,6 +359,8 @@ def minimize(y0: DeformationField, density: BulkDensity, phi: SurfaceDensity,
     boundary loops simple and disjoint (`boundary_crossings` = 0), which
     with positive determinants makes the map injective. At zero gradient no
     step is taken.
+
+    A mesh without a held loop holds no vertex fixed: DomainError.
 
     Returns (field, log). The log status is "converged" when a tiny energy
     decrease (below _TOL_E * (1 + |E|)) or a zero gradient comes with a

@@ -16,8 +16,8 @@ import cavelast as cv
 from cavelast import cli
 from cavelast.cli import (CompareReport, ScenarioConfig, build_mesh, build_phi,
                           compare_runs, main, render_deformed_svg, render_reference_svg,
-                          resolve_scenario, run_scenario)
-from cavelast.exceptions import ConfigurationError
+                          _read_cavities_csv, resolve_scenario, run_scenario)
+from cavelast.exceptions import ArtifactError, ConfigurationError
 from conftest import read_summary, run_python
 from corpus import fuzz_config
 
@@ -482,6 +482,48 @@ class TestCompare:
         assert main(["compare", str(bad), str(iso_run[1])]) == 2
         err = capsys.readouterr().err
         assert "vertex ids in" in err and "positions.csv" in err
+
+    @pytest.mark.parametrize("name, line, value", [("positions.csv", 6, b"nan"),
+                                                   ("positions.csv", 9, b"inf"),
+                                                   ("mesh.cavmesh", 4, b"nan")])
+    def test_non_finite_value_exits_2(self, iso_run, tmp_path, capsys, name, line, value):
+        # a nan in a field or mesh coordinate used to give exit 0 with
+        # nan margins and the alarm clear
+        sep = b"," if name == "positions.csv" else b" "
+
+        def corrupt(text):  # the last number on the line
+            lines = text.splitlines(keepends=True)
+            lines[line - 1] = sep.join(lines[line - 1].split(sep)[:-1] + [value + b"\n"])
+            return b"".join(lines)
+
+        bad = self._corrupt_copy(iso_run[1], tmp_path, name, corrupt)
+        assert main(["compare", str(iso_run[1]), str(bad)]) == 2
+        err = capsys.readouterr().err
+        assert f"non-finite value in {bad / name} on line {line}" in err
+
+    def test_non_finite_cavity_is_refused(self, iso_run, tmp_path):
+        src = (iso_run[1] / "cavities.csv").read_text().splitlines()
+        src[3] = src[3].rsplit(",", 1)[0] + ",nan"
+        (tmp_path / "cavities.csv").write_text("\n".join(src) + "\n")
+        with pytest.raises(ArtifactError, match="non-finite value in .*cavities.csv on line 4"):
+            _read_cavities_csv(tmp_path / "cavities.csv")
+
+    def test_nan_margin_raises_alarm(self, iso_run, monkeypatch):
+        # a field whose energy is nan (here read past the readers' finite
+        # check) can not be called a minimizer's match
+        real = cli._load_run
+
+        def nan_field(d):
+            cfg, y = real(d)
+            pos = y.positions.copy()
+            pos[0, 0] = np.nan
+            return cfg, y.with_positions(pos)
+
+        monkeypatch.setattr(cli, "_load_run", nan_field)
+        rep = compare_runs(iso_run[1], iso_run[1])
+        assert np.isnan(rep.margin_a) and np.isnan(rep.margin_b)
+        assert rep.alarm_a and rep.alarm_b
+        assert "minimality_alarm = RAISED" in rep.as_text()
 
     def test_truncated_run_a_raises_alarm(self, iso_run, truncated_run, capsys):
         # run A stopped after one step: B's minimizer beats it under A's energy

@@ -7,13 +7,15 @@ from scipy.sparse.csgraph import connected_components
 from scipy.special import ellipe
 
 import cavelast as cv
-from cavelast._polyline import hausdorff_distance
+from cavelast import cli
+from cavelast._polyline import hausdorff_distance, ranges
 from cavelast.cli import _read_positions_csv
 from cavelast.degree import _default_radii
 from cavelast.energy import _ROT, _SIX_POINT, _edge_normals, band_order
-from cavelast.exceptions import DomainError, InfeasibleEnergyError
+from cavelast.exceptions import CavelastError, DomainError, InfeasibleEnergyError
 from cavelast.variation import _constrained_vertices
 from conftest import folded
+from corpus import fuzz_config, mirrored, relabelled
 
 
 def _reference_element_gradients(mesh, pos):
@@ -29,6 +31,22 @@ def _reference_bulk_grad(mesh, density, F):
     return out
 
 
+def _element_dof_pairs(energy):
+    """(row, col, both): the (row, column) dofs of every element entry, per
+    element (i, c, j, d) over corners i, j and axes c, d, triangles first,
+    then loop edges, with the free dofs numbered 2 v + axis over the free
+    vertices and -1 on a fixed one; both marks the pairs of two free dofs."""
+    free = energy.free
+    dof = np.full((len(free), 2), -1)
+    dof[free] = np.arange(2 * int(np.sum(free))).reshape(-1, 2)
+    elems = [energy.mesh.triangles] + [np.stack([ids, np.roll(ids, -1)], axis=1)
+                                       for ids in energy.loops]
+    corner = [dof[el].reshape(len(el), -1) for el in elems]
+    row = np.concatenate([np.repeat(c, c.shape[1], axis=1).ravel() for c in corner])
+    col = np.concatenate([np.tile(c, (1, c.shape[1])).ravel() for c in corner])
+    return row, col, (row >= 0) & (col >= 0)
+
+
 def _reference_hess(energy, pos, F=None):
     """The csc projected Hessian over the free dofs that the banded assembly
     replaced: a pattern from one np.unique over every element entry, its
@@ -36,16 +54,8 @@ def _reference_hess(energy, pos, F=None):
     mesh = energy.mesh
     if F is None:
         F = mesh.element_gradients(pos)
-    mask = energy.free
-    n = 2 * int(np.sum(mask))
-    dof = np.full((len(mask), 2), -1)
-    dof[mask] = np.arange(n).reshape(-1, 2)
-    elems = [mesh.triangles] + [np.stack([ids, np.roll(ids, -1)], axis=1)
-                                for ids in energy.loops]
-    corner = [dof[el].reshape(len(el), -1) for el in elems]
-    row = np.concatenate([np.repeat(c, c.shape[1], axis=1).ravel() for c in corner])
-    col = np.concatenate([np.tile(c, (1, c.shape[1])).ravel() for c in corner])
-    both = (row >= 0) & (col >= 0)
+    n = 2 * int(np.sum(energy.free))
+    row, col, both = _element_dof_pairs(energy)
     uniq, pair = np.unique(col[both] * n + row[both], return_inverse=True)
     slot = np.full(len(both), len(uniq))
     slot[both] = pair
@@ -292,6 +302,64 @@ class TestDiscreteEnergy:
             assert np.abs(got - H).max() <= 1e-12 * np.abs(H).max()
 
 
+def _reference_band_order(indptr, indices) -> np.ndarray:
+    """The Cuthill-McKee search on the dof graph itself that the vertex-level
+    `band_order` replaced: every node of the symmetric csc pattern (indptr,
+    indices) once, component by component, each in breadth-first level
+    order from the first unplaced node, restarted from the last node reached
+    while the number of levels grows; within a level by first parent, then
+    degree, then index."""
+    deg = np.diff(indptr)
+    placed = np.zeros(len(deg), dtype=bool)
+    parts = []
+    while not placed.all():
+        levels = _reference_bfs_levels(int(np.argmin(placed)), indptr, indices, deg)
+        while True:
+            again = _reference_bfs_levels(int(levels[-1][-1]), indptr, indices, deg)
+            if len(again) <= len(levels):
+                break
+            levels = again
+        parts += levels
+        placed[np.concatenate(levels)] = True
+    return np.concatenate(parts) if parts else np.empty(0, dtype=np.int64)
+
+
+def _reference_bfs_levels(start, indptr, indices, deg) -> list:
+    seen = np.zeros(len(deg), dtype=bool)
+    seen[start] = True
+    levels = [np.array([start], dtype=np.int64)]
+    while True:
+        at, parent = ranges(indptr[levels[-1]], deg[levels[-1]])
+        nb = indices[at]
+        new = ~seen[nb]
+        nb, parent = nb[new], parent[new]
+        if not len(nb):
+            return levels
+        uniq, first = np.unique(nb, return_index=True)
+        nxt = uniq[np.lexsort((deg[uniq], parent[first]))]
+        seen[nxt] = True
+        levels.append(nxt)
+
+
+def _reference_band_layout(energy):
+    """The (order, width, slot) that `band_layout` built from the dof graph
+    of every element's (row, column) dof pairs, as scipy's csc pattern gives
+    it, before it searched the vertex graph."""
+    n = 2 * int(np.sum(energy.free))
+    row, col, both = _element_dof_pairs(energy)
+    graph = sparse.csc_matrix((np.ones(int(both.sum())), (row[both], col[both])),
+                              shape=(n, n))
+    order = _reference_band_order(graph.indptr, graph.indices)
+    rank = np.empty(n, dtype=np.int64)
+    rank[order] = np.arange(n)
+    i, j = rank[row[both]], rank[col[both]]
+    width = int(np.max(j - i, initial=0))
+    slot = np.full(len(both), (width + 1) * n)
+    upper = i <= j
+    slot[np.flatnonzero(both)[upper]] = i[upper] * (width + 1) + j[upper] - i[upper]
+    return order, width, slot
+
+
 class TestBandLayout:
     """The Cuthill-McKee order and the band layout `minimize` factors."""
 
@@ -305,15 +373,15 @@ class TestBandLayout:
         return {"run": free, "two_components": split}
 
     def test_order_is_a_permutation(self, disk_mesh, density, iso):
-        # a pattern of three components (two paths and a lone node) and the
-        # Hessian patterns of both masks: every node placed exactly once
-        path = sparse.diags([1.0, 1.0, 1.0], [-1, 0, 1], shape=(5, 5))
-        pattern = sparse.block_diag([path, sparse.eye(1), path]).tocsc()
+        # a vertex graph of three components (two paths and a lone vertex)
+        # and the Hessian patterns of both masks: every dof placed exactly once
+        path = sparse.diags([1.0, 1.0], [-1, 1], shape=(5, 5))
+        pattern = sparse.block_diag([path, sparse.csr_matrix((1, 1)), path]).tocsr()
         order = band_order(pattern.indptr, pattern.indices)
-        assert sorted(order.tolist()) == list(range(11))
+        assert sorted(order.tolist()) == list(range(22))
         # each component is contiguous, from an end of each path
-        assert set(order[:5].tolist()) in ({0, 1, 2, 3, 4}, {6, 7, 8, 9, 10})
-        assert order[0] in (0, 4, 6, 10)
+        assert set(order[:10].tolist()) in (set(range(10)), set(range(12, 22)))
+        assert order[0] // 2 in (0, 4, 6, 10)
         for name, free in self.masks(disk_mesh).items():
             E = cv.DiscreteEnergy(disk_mesh, density, iso, free)
             order, _, _ = E.band_layout
@@ -322,38 +390,63 @@ class TestBandLayout:
             assert pieces == (2 if name == "two_components" else 1)
 
     @staticmethod
-    def dof_graph_order(mesh, free, loops):
-        """`band_order` of the free-dof graph itself: dofs 2 v + axis of the
-        free vertices, joined when an element couples them."""
-        n = 2 * int(free.sum())
-        dof = np.full((len(free), 2), -1)
-        dof[free] = np.arange(n).reshape(-1, 2)
-        elems = [mesh.triangles] + [np.stack([ids, np.roll(ids, -1)], axis=1) for ids in loops]
-        corner = [dof[el].reshape(len(el), -1) for el in elems]
-        row = np.concatenate([np.repeat(c, c.shape[1], axis=1).ravel() for c in corner])
-        col = np.concatenate([np.tile(c, (1, c.shape[1])).ravel() for c in corner])
-        both = (row >= 0) & (col >= 0)
-        graph = sparse.csc_matrix((np.ones(int(both.sum())), (row[both], col[both])),
-                                  shape=(n, n))
-        return band_order(graph.indptr, graph.indices)
+    def assert_reference_layout(energy, case):
+        order, width, slot = energy.band_layout
+        want_order, want_width, want_slot = _reference_band_layout(energy)
+        assert np.array_equal(order, want_order), case
+        assert width == want_width, case
+        assert np.array_equal(slot, want_slot), case
 
-    def test_order_is_the_dof_graph_order(self, disk_mesh, density, iso):
-        # band_layout's order is band_order of the dof graph as scipy's csc
-        # pattern gives it, digit for digit, and so the same band
+    def test_layout_is_the_dof_graph_layout(self, disk_mesh, density, iso):
+        # the vertex-graph search gives the dof-graph search's order, width
+        # and slots, digit for digit, on the bundled mesh, the refine rungs
+        # and a two-puncture annulus, under both masks and one that leaves a
+        # free vertex with no free neighbour
         annulus = cv.build_annulus_mesh(1.0, 0.4, 0.12, punctures=[((0.65, 0.1), 0.06),
                                                                    ((-0.65, 0.0), 0.07)])
-        for mesh in (disk_mesh, cv.build_disk_mesh(1.0, 0.035, punctures=[((0.0, 0.0), 0.2)]),
-                     annulus):
+        meshes = {"bundled": disk_mesh, "annulus": annulus}
+        for h in (0.08, 0.05, 0.035):
+            meshes[f"h{h}"] = cv.build_disk_mesh(1.0, h, punctures=[((0.0, 0.0), 0.2)])
+        for tag, mesh in meshes.items():
             for name, free in self.masks(mesh).items():
-                E = cv.DiscreteEnergy(mesh, density, iso, free)
-                order, _, _ = E.band_layout
-                assert np.array_equal(order, self.dof_graph_order(mesh, free, E.loops)), name
+                self.assert_reference_layout(cv.DiscreteEnergy(mesh, density, iso, free),
+                                             (tag, name))
+        free = self.masks(disk_mesh)["run"]
+        v = int(np.flatnonzero(free)[len(np.flatnonzero(free)) // 2])
+        pairs = disk_mesh.edge_pairs
+        lone = free.copy()
+        lone[pairs[(pairs == v).any(axis=1)].ravel()] = False
+        lone[v] = True
+        E = cv.DiscreteEnergy(disk_mesh, density, iso, lone)
+        self.assert_reference_layout(E, "isolated")
+        order = E.band_layout[0]
+        k = int(np.flatnonzero(order == 2 * np.sum(lone[:v]))[0])
+        assert order[k + 1] == order[k] + 1  # its two dofs, one after the other
+
+    def test_layout_is_the_dof_graph_layout_in_other_frames(self, density, iso):
+        # the same on the meshes of the first runnable seed-1 fuzz configs,
+        # mirrored and relabelled (each a different graph numbering)
+        rng, found = np.random.default_rng(1), 0
+        while found < 8:
+            cfg = fuzz_config(rng)
+            try:
+                mesh = cli.build_mesh(cfg)
+            except CavelastError:
+                continue
+            found += 1
+            for tag, other in (("original", mesh), ("mirrored", mirrored(mesh)),
+                               ("relabelled", relabelled(mesh, np.random.default_rng(5))[0])):
+                for name, free in self.masks(other).items():
+                    self.assert_reference_layout(cv.DiscreteEnergy(other, density, iso, free),
+                                                 (found, tag, name))
 
     def test_order_on_small_patterns(self):
         # random symmetric patterns with their diagonal (isolated nodes and
-        # two-level components included), every star, and the Kronecker
-        # product of each with a 2 x 2 block (a dof graph): every node is
-        # placed exactly once, and each connected component is contiguous
+        # two-level components included) and every star: on each pattern
+        # the vertex-level order is the dof-graph order of its Kronecker
+        # product with a 2 x 2 block (its dof graph), with or without the
+        # pattern's diagonal; every dof is placed exactly once, and each
+        # connected component is contiguous
         rng = np.random.default_rng(5)
         patterns = []
         for _ in range(200):
@@ -366,14 +459,19 @@ class TestBandLayout:
                                                                      list(range(n)) + [c] * n)),
                                                   shape=(n, n)) + sparse.eye(n))
         for A in patterns:
-            A = (sparse.csc_matrix(A) != 0).astype(float).tocsc()
-            for P in (A, sparse.kron(A, np.ones((2, 2)), format="csc")):
-                P.sort_indices()
-                order = band_order(P.indptr, P.indices)
-                assert sorted(order.tolist()) == list(range(P.shape[0])), A.toarray()
-                _, label = connected_components(P)
-                runs = label[order][1:] != label[order][:-1]
-                assert runs.sum() == len(set(label.tolist())) - 1, A.toarray()
+            A = (sparse.csr_matrix(A) != 0).astype(float).tocsr()
+            A.sort_indices()
+            P = sparse.kron(A, np.ones((2, 2)), format="csc")
+            P.sort_indices()
+            want = _reference_band_order(P.indptr, P.indices)
+            off = sparse.csr_matrix(A - sparse.diags(A.diagonal()))
+            off.eliminate_zeros()
+            for G in (A, off):
+                assert np.array_equal(band_order(G.indptr, G.indices), want), A.toarray()
+            assert sorted(want.tolist()) == list(range(P.shape[0])), A.toarray()
+            _, label = connected_components(P)
+            runs = label[want][1:] != label[want][:-1]
+            assert runs.sum() == len(set(label.tolist())) - 1, A.toarray()
 
     @pytest.mark.parametrize("damping", [1.0, 1e-7])
     def test_band_is_lower_band_of_damped_hessian(self, stretched_disk, density, ell,

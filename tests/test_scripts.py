@@ -67,16 +67,21 @@ class TestCheckTree:
 
 class TestBlasCore:
     def test_haswell_pin_is_the_kernel(self):
-        # CI's Haswell steps rely on OPENBLAS_CORETYPE choosing the kernel
+        # CI's Haswell steps rely on OPENBLAS_CORETYPE choosing the kernel,
+        # of scipy's OpenBLAS and of numpy's alike
         env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_CORETYPE"}
         default = run_python(str(SCRIPTS / "blas_core.py"), env=env)
         assert default.returncode == 0, default.stderr
-        assert default.stdout.splitlines()[1].startswith("numpy SIMD: ")
-        if default.stdout.splitlines()[0] == "OpenBLAS core: unknown":
-            pytest.skip("scipy does not link its bundled OpenBLAS")
+        lines = default.stdout.splitlines()
+        assert len(lines) == 3
+        assert lines[1].startswith("numpy SIMD: ")
+        assert lines[2].startswith("numpy OpenBLAS core: ")
         pinned = run_python(str(SCRIPTS / "blas_core.py"), env=dict(env, OPENBLAS_CORETYPE="Haswell"))
         assert pinned.returncode == 0, pinned.stderr
-        assert pinned.stdout.splitlines()[0] == "OpenBLAS core: Haswell"
+        for k, name in ((0, "OpenBLAS core"), (2, "numpy OpenBLAS core")):
+            if lines[k] == f"{name}: unknown":
+                continue  # another BLAS is linked
+            assert pinned.stdout.splitlines()[k] == f"{name}: Haswell"
 
 
 class TestReferenceRuns:

@@ -312,6 +312,8 @@ class TestReadTable:
         ("h\n1,2,3\n", {}),                 # wrong column count
         ("h\n1,2\n", {"rows": 2}),          # truncated
         ("h\n1.5,2\n", {"dtype": np.int64}),
+        ("h\n1,2\n3,nan\n", {}),           # not finite
+        ("h\n-inf,2\n", {}),
     ])
     def test_malformed_text_names_the_file(self, tmp_path, text, kw):
         p = tmp_path / "table.csv"

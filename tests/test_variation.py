@@ -414,6 +414,17 @@ class TestMinimize:
         assert not np.array_equal(y1.positions[loops["puncture_0"]],
                                   y0.positions[loops["puncture_0"]])
 
+    def test_mesh_without_held_loop_is_refused(self, density, iso):
+        # one triangle and no boundary edge: no vertex is held, which both
+        # the solver and the battery refuse by name, not with numpy's error
+        mesh = cv.Mesh(np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]), np.array([[0, 1, 2]]),
+                       [], [])
+        y0 = cv.DeformationField(mesh)
+        with pytest.raises(DomainError, match="no held loop"):
+            cv.minimize(y0, density, iso)
+        with pytest.raises(DomainError, match="no held loop"):
+            cv.certification_battery(y0)
+
     def test_noisy_square_relaxes_back(self, square_mesh, density, iso):
         rng = np.random.default_rng(1)
         pos = square_mesh.vertices.copy()
