@@ -24,15 +24,15 @@ compare with `scripts/digit_diff.py A B`. OUT must not exist yet. It gets:
 - demos/: the stdout of each demo, run in demos/, so their `demo_out` lands
   there too.
 
-The fuzz configs come from CHECKOUT's `scripts/corpus.py`, which calls
-that checkout's `cavelast.cli`, or from the one beside this script when
-CHECKOUT predates the corpus module. Each run starts in OUT with relative
-paths, so no file holds OUT's name. The bytes depend on the OpenBLAS
-kernel, so pin `OPENBLAS_CORETYPE` when two machines or two kernels are
-compared. `scripts/check_tree.py OUT` checks the fuzz exit codes, the
-convergence statuses and the crowded fields' INV check of a tree. A CLI run
-that exits other than 0 or 3, a failed golden sweep or a failed demo stops
-this script.
+The ladder and delta configs are the bundled iso scenario changed through
+CHECKOUT's `cavelast.cli.ScenarioConfig`, and the fuzz configs come from
+CHECKOUT's `scripts/corpus.py`, which calls that checkout's `cavelast.cli`.
+Each run starts in OUT with relative paths, so no file holds OUT's name.
+The bytes depend on the OpenBLAS kernel, so pin `OPENBLAS_CORETYPE` when
+two machines or two kernels are compared. `scripts/check_tree.py OUT`
+checks the fuzz exit codes, the convergence statuses and the crowded
+fields' INV check of a tree. A CLI run that exits other than 0 or 3, a
+failed golden sweep or a failed demo stops this script.
 """
 
 import argparse
@@ -53,27 +53,21 @@ CROWDED = {
     "near_rim": "[domain]\nshape = disk\nradius = 1.0\nh = 0.15\n"
                 "punctures = -0.39 0.55 0.236\n",
 }
-LADDER = ("0.08", "0.05", "0.035")
-
-
-def _edit(text, old, new):
-    """text with its one line `old` replaced by `new`."""
-    lines = text.splitlines()
-    if lines.count(old) != 1:
-        raise SystemExit(f"expected one line {old!r} in the bundled iso scenario")
-    return "\n".join(new if line == old else line for line in lines) + "\n"
+LADDER = (0.08, 0.05, 0.035)
 
 
 def cli_runs(root: Path, out: Path):
     """The bundled, ladder, fine-raster and crowded runs, one process each."""
+    from cavelast.cli import ScenarioConfig
+
     env = dict(os.environ, PYTHONPATH=str(root / "src"))
-    iso = (root / "src/cavelast/scenarios/radial_iso_lambda1.5.ini").read_text()
+    iso = ScenarioConfig.from_ini(root / "src/cavelast/scenarios/radial_iso_lambda1.5.ini")
     configs = out / "configs"
     configs.mkdir()
     for h in LADDER:
-        text = _edit(_edit(iso, "h = 0.15", f"h = {h}"), "inv_every = 1", "inv_every = 0")
+        text = dataclasses.replace(iso, h=h, inv_every=0).to_ini()
         (configs / f"ladder_{h}.ini").write_text(text)
-    (configs / "iso_delta0.005.ini").write_text(_edit(iso, "delta = 0.02", "delta = 0.005"))
+    (configs / "iso_delta0.005.ini").write_text(dataclasses.replace(iso, delta=0.005).to_ini())
     for name, text in CROWDED.items():
         (configs / f"{name}.ini").write_text(text)
 
@@ -165,9 +159,9 @@ def main(argv=None):
         out.mkdir(parents=True)
     except FileExistsError:
         raise SystemExit(f"{out} already exists; give a new directory") from None
-    sys.path.insert(0, str(root / "src"))  # the fuzz imports cavelast from CHECKOUT
-    if (root / "scripts" / "corpus.py").is_file():  # and its corpus, which uses that cavelast
-        sys.path.insert(0, str(root / "scripts"))
+    # the configs and the fuzz import cavelast from CHECKOUT, and its corpus,
+    # which uses that cavelast
+    sys.path[:0] = [str(root / "src"), str(root / "scripts")]
     cli_runs(root, out)
     golden_and_demos(root, out)
     os.chdir(out)

@@ -32,7 +32,8 @@ from .material import BulkDensity, SurfaceDensity
 # battery_residual is not called here; it stays importable from this module
 # because perfbench's tracer patches it under this name
 from .variation import (IterationLog, VariationReport, battery_residual,  # noqa: F401
-                        battery_variations, certification_battery, first_variation_residual, minimize)
+                        battery_variations, battery_verdict, certification_battery,
+                        first_variation_residual, minimize)
 
 # the artifacts each emitter adds to those every run writes
 _EMITTED = {"svg": ("reference.svg", "deformed.svg"), "raster": ("raster.pgm",),
@@ -465,11 +466,8 @@ def compute(cfg: ScenarioConfig, mode="run") -> RunRecord:
             fields = certification_battery(y, seed=cfg.seed)
             log.certificate = fields, battery_variations(state, fields)
         fields, variations = log.certificate
-        residual = max([0.0] + variations)
-        fv_report = None
-        if fields:  # first field attaining the residual (a NaN variation counts as 0)
-            worst = fields[[max(0.0, v) for v in variations].index(residual)]
-            fv_report = first_variation_residual(state, worst)
+        worst, residual = battery_verdict(variations)
+        fv_report = None if worst is None else first_variation_residual(state, fields[worst])
     except InfeasibleEnergyError as err:
         raise ConfigurationError(str(err)) from err
     if mode != "run":

@@ -467,16 +467,13 @@ class DeformationField:
         if positions.shape != mesh.vertices.shape:
             raise GeometryError("positions must match the mesh vertex array shape")
         self.positions = positions
-        self._grads = None
         self._locator = None
 
     def with_positions(self, positions) -> "DeformationField":
         return DeformationField(self.mesh, positions)
 
     def element_gradients(self):
-        if self._grads is None:
-            self._grads = self.mesh.element_gradients(self.positions)
-        return self._grads
+        return self.mesh.element_gradients(self.positions)
 
     def element_dets(self):
         return _det2(self.element_gradients())
@@ -511,16 +508,12 @@ def trace_on_circle(y: DeformationField, center, r, m: int):
     """Images of m equally spaced points on the circle |x - center| = r.
 
     The circle must lie inside the meshed domain (in particular it must not
-    cross a puncture); GeometryError otherwise.
+    cross a puncture); `DeformationField.evaluate`'s GeometryError, naming
+    the first point outside, otherwise.
     """
     th = np.linspace(0.0, 2.0 * np.pi, m, endpoint=False)
-    pts = np.asarray(center, dtype=float) + r * np.stack([np.cos(th), np.sin(th)], axis=-1)
-    tri, bary = y.mesh.locator.locate(pts)
-    if np.any(tri < 0):
-        raise GeometryError(
-            f"circle (center=({center[0]:.6g}, {center[1]:.6g}), r={r:.6g}) leaves the meshed domain"
-        )
-    return y.interpolate(tri, bary)
+    return y.evaluate(np.asarray(center, dtype=float)
+                      + r * np.stack([np.cos(th), np.sin(th)], axis=-1))
 
 
 # ---------------------------------------------------------------------------

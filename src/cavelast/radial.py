@@ -209,16 +209,13 @@ class _PLEnergy:
         return g
 
     def hess(self, S):
-        """Hessian in solveh_banded's upper layout. Each interval couples
-        only its two endpoint values, so it is tridiagonal, assembled from
-        the per-interval 2x2 blocks."""
-        lolo, lohi, hihi = np.einsum("kbpq,kpq->bp", self._hess_w,
+        """Hessian as dptsv takes it, (diagonal, superdiagonal). Each
+        interval couples only its two endpoint values, so it is
+        tridiagonal, assembled from the per-interval 2x2 blocks."""
+        diag, lohi, hihi = np.einsum("kbpq,kpq->bp", self._hess_w,
                                      self.density.stretch_hessian(*S))
-        ab = np.zeros((2, len(self.dR)))
-        ab[0, 1:] = lohi[:-1]                    # couples v_j and v_{j+1}
-        ab[1] = lolo
-        ab[1, 1:] += hihi[:-1]
-        return ab
+        diag[1:] += hihi[:-1]
+        return diag, lohi[:-1]                   # lohi couples v_j and v_{j+1}
 
 
 def _project_monotone(v, top, eps, floor):
@@ -237,19 +234,19 @@ def _project_monotone(v, top, eps, floor):
     return v
 
 
-def _newton_direction(ab, g):
-    """Solve (H + tau |diag H|) d = g, H tridiagonal in solveh_banded's
-    upper layout ab, by LAPACK's dptsv, the routine solveh_banded calls for
-    such a band.
+def _newton_direction(diag, off, g):
+    """Solve (H + tau |diag H|) d = g, H tridiagonal with diagonal `diag`
+    and superdiagonal `off`, by LAPACK's dptsv, the routine solveh_banded
+    calls for such a band.
 
     tau starts at 0 and grows tenfold from 1e-8 until the shifted matrix
     factors, so d is always a descent direction (a modified-Hessian Newton
     step, Nocedal & Wright section 3.4). Returns None if nothing factors.
     """
-    scale = np.abs(ab[1])
+    scale = np.abs(diag)
     tau = 0.0
     while tau <= 1e8:
-        _, _, d, info = dptsv(ab[1] + tau * scale, ab[0, 1:], g)
+        _, _, d, info = dptsv(diag + tau * scale, off, g)
         if info == 0:
             return d
         tau = max(10.0 * tau, 1e-8)
@@ -297,11 +294,11 @@ def _descend(f: _PLEnergy, vals, top):
             break
         if it == _MAX_ITERS:
             break
-        ab = f.hess(S)
+        diag, off = f.hess(S)
         if pinned:
             g[0] = 0.0
-            ab[0, 1] = 0.0
-        d = _newton_direction(ab, g)
+            off[0] = 0.0
+        d = _newton_direction(diag, off, g)
         for tau in 0.5 ** np.arange(40 if d is not None else 0):
             cand = project(v - tau * d)
             dE = f.change(S, np.append(cand - v, 0.0))

@@ -271,10 +271,20 @@ def certification_battery(y: DeformationField, seed: int = 0) -> list:
 def battery_residual(y: DeformationField, density: BulkDensity,
                      phi: SurfaceDensity, seed: int = 0) -> float:
     """Largest |first variation| over the battery (no finite differences)
-    at the field y."""
+    at the field y, by `battery_verdict`."""
     fields = certification_battery(y, seed=seed)
     state = DiscreteEnergy(y.mesh, density, phi).state(y.positions)
-    return max([0.0] + battery_variations(state, fields))
+    return battery_verdict(battery_variations(state, fields))[1]
+
+
+def battery_verdict(variations) -> tuple:
+    """(k, residual): the largest of the battery's |first variations| and
+    the first field k attaining it, by np.argmax, so a NaN is the residual
+    and never certifies; (None, 0.0) for an empty battery."""
+    if not variations:
+        return None, 0.0
+    k = int(np.argmax(variations))
+    return k, variations[k]
 
 
 def battery_variations(state: EnergyState, fields) -> list:
@@ -446,7 +456,7 @@ def minimize(y0: DeformationField, density: BulkDensity, phi: SurfaceDensity,
         if s == 0.0 or decrease < _TOL_E * (1.0 + abs(energy)):
             fields = certification_battery(y0.with_positions(pos), seed=seed)
             log.certificate = fields, battery_variations(cur, fields)
-            res = max([0.0] + log.certificate[1])
+            res = battery_verdict(log.certificate[1])[1]
             tiny_streak += 1
         else:
             tiny_streak = 0

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import cavelast as cv
-from cavelast import cli
+from cavelast import cli, variation
 from cavelast.cli import (CompareReport, ScenarioConfig, build_mesh, build_phi,
                           compare_runs, main, render_deformed_svg, render_reference_svg,
                           _read_cavities_csv, resolve_scenario, run_scenario)
@@ -621,6 +621,33 @@ class TestMain:
         assert summary["status"] == "max_iters"
         assert summary["fd_value"] == "nan"
         assert summary["fd_gap"] == "nan"
+
+    def test_nan_battery_never_certifies(self, tmp_path, capsys, monkeypatch):
+        # battery fields with nan values have nan first variations, which is
+        # the residual: the stop test cannot pass, and the summary says nan
+        class NanField:
+            def __init__(self, psi):
+                self.psi = psi
+
+            def value(self, xi):
+                return np.full_like(self.psi.value(xi), np.nan)
+
+            def __getattr__(self, name):
+                return getattr(self.psi, name)
+
+        battery = variation.certification_battery
+
+        def nan_battery(y, seed=0):
+            return [NanField(psi) for psi in battery(y, seed=seed)]
+
+        monkeypatch.setattr(variation, "certification_battery", nan_battery)
+        monkeypatch.setattr(cli, "certification_battery", nan_battery)
+        out = tmp_path / "out"
+        assert main(["run", "radial_iso_lambda1.5", "--out", str(out)]) == 3
+        assert "Traceback" not in capsys.readouterr().err
+        summary = read_summary(out)
+        assert summary["status"] != "converged"
+        assert summary["battery_residual"] == "nan"
 
     def test_tiny_domain_eval_reports(self, tmp_path, capsys):
         # eval of the same start: the battery's bumps are ~1e-5 wide, so the

@@ -440,8 +440,8 @@ class TestNewtonOracle:
         knots, seeds = self._seeds()
         f = radial._PLEnergy(knots, density, request.getfixturevalue(kind).circle_integral)
         for values in seeds:
-            ab = f.hess(f.stretch(values))
-            H = np.diag(ab[1]) + np.diag(ab[0, 1:], 1) + np.diag(ab[0, 1:], -1)
+            diag, off = f.hess(f.stretch(values))
+            H = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
             h = 1e-6 * np.diff(values).min()
             fd = np.empty_like(H)
             for j in range(len(H)):
@@ -456,12 +456,13 @@ class TestNewtonOracle:
         # bits at the first shift that factors, whether that is 0 or not
         from scipy.linalg import LinAlgError, solveh_banded
 
-        def reference(ab, g):
+        def reference(diag, off, g):
             for tau in [0.0] + [10.0 ** k for k in range(-8, 9)]:
-                shifted = ab.copy()
-                shifted[1] += tau * np.abs(ab[1])
+                ab = np.zeros((2, len(diag)))  # solveh_banded's upper layout
+                ab[0, 1:] = off
+                ab[1] = diag + tau * np.abs(diag)
                 try:
-                    return tau, solveh_banded(shifted, g)
+                    return tau, solveh_banded(ab, g)
                 except LinAlgError:
                     continue
 
@@ -470,16 +471,27 @@ class TestNewtonOracle:
         shifts = set()
         for values in seeds:
             S = f.stretch(values)
-            ab, g = f.hess(S), f.grad(S)
-            dominant = ab.copy()
-            dominant[1] = np.abs(ab[1]) + 2.0 * np.abs(ab[0]).max()
-            flipped = ab.copy()
-            flipped[1, ::3] *= -1.0
-            for band in (ab, dominant, flipped):
-                tau, want = reference(band, g)
+            (diag, off), g = f.hess(S), f.grad(S)
+            flipped = diag.copy()
+            flipped[::3] *= -1.0
+            for d in (diag, np.abs(diag) + 2.0 * np.abs(off).max(), flipped):
+                tau, want = reference(d, off, g)
                 shifts.add(tau > 0.0)
-                assert np.array_equal(radial._newton_direction(band, g), want)
+                assert np.array_equal(radial._newton_direction(d, off, g), want)
         assert shifts == {False, True}
+
+    def test_no_direction_stalls_the_seed(self, density, iso, monkeypatch):
+        # dptsv factors no shift: no Newton direction, so no step is taken
+        monkeypatch.setattr(radial, "dptsv", lambda d, e, b: (d, e, b, 1))
+        knots, seeds = self._seeds()
+        f = radial._PLEnergy(knots, density, iso.circle_integral)
+        for values in seeds:
+            v, status = radial._descend(f, values, values[-1])
+            assert status == "stalled"
+            assert np.array_equal(v, values[:-1])
+        prof = cv.solve_radial(1.5, density, iso, rho=0.2, M=96)
+        assert [st for _, _, st in prof.branches] == ["stalled"] * 2
+        assert prof.status == "stalled"
 
     def test_change_matches_value_difference(self, density, iso):
         # seed-sized steps: from one seed to the other and back, and part way
